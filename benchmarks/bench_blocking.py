@@ -1,11 +1,9 @@
 """Blocking benchmark: dense all-pairs scoring vs candidate generation.
 
 Runs the schema-based measure suite over a slice of the dataset
-catalog twice — once through the dense all-pairs engine path
-(:meth:`~repro.pipeline.engine.SimilarityEngine.compute`) and once
-through the blocked candidate path
-(:meth:`~repro.pipeline.engine.SimilarityEngine.compute_pairs` with a
-per-dataset ``blocking=`` spec) — then
+catalog twice through :meth:`~repro.pipeline.engine.SimilarityEngine.score`
+— once on a dense engine (all pairs) and once on an engine with a
+per-dataset ``blocking=`` spec (candidate pairs only) — then
 
 * asserts the candidate sets reach at least ``MIN_REDUCTION``x pair
   reduction at ``MIN_RECALL`` ground-truth pair recall, aggregated
@@ -148,33 +146,49 @@ def _load_workload(workload, store_path, read_tier):
 
 
 def run_dense(loaded) -> tuple[dict, float]:
-    """The dense suite; returns matrices + wall-clock seconds."""
-    matrices = {}
-    start = time.perf_counter()
-    for label, specs, dense, _ in loaded:
-        for spec in specs:
-            matrices[(label, spec.name)] = dense.compute(spec)
-    return matrices, time.perf_counter() - start
+    """The dense suite; returns per-spec scores + wall-clock seconds."""
+    return _run_suite(loaded, blocked=False)
 
 
 def run_blocked(loaded) -> tuple[dict, float]:
-    """The blocked suite; returns PairScores + wall-clock seconds."""
-    pairs = {}
+    """The blocked suite; returns per-spec scores + wall-clock seconds."""
+    return _run_suite(loaded, blocked=True)
+
+
+def _run_suite(loaded, blocked: bool) -> tuple[dict, float]:
+    results = {}
     start = time.perf_counter()
-    for label, specs, _, blocked in loaded:
-        for spec in specs:
-            pairs[(label, spec.name)] = blocked.compute_pairs(spec)
-    return pairs, time.perf_counter() - start
+    for label, specs, dense, blocked_engine in loaded:
+        engine = blocked_engine if blocked else dense
+        for spec, scores in zip(specs, engine.score(specs)):
+            results[(label, spec.name)] = scores
+    return results, time.perf_counter() - start
 
 
-def assert_identical(matrices: dict, pairs: dict) -> None:
+def _assert_blocked_cells(dense, blocked, dense_scores, blocked_scores, key):
+    """Blocked edges are exactly the positive dense cells among the
+    candidates, in candidate order, with bitwise-equal scores."""
+    matrix = np.zeros(dense.shape())
+    matrix[dense_scores.left, dense_scores.right] = dense_scores.values
+    candidates = blocked.cache.candidate_set(blocked.blocking)
+    cells = matrix[candidates.left, candidates.right]
+    positive = cells > 0.0
+    assert (
+        np.array_equal(blocked_scores.left, candidates.left[positive])
+        and np.array_equal(blocked_scores.right, candidates.right[positive])
+        and np.array_equal(blocked_scores.values, cells[positive])
+    ), f"blocked scores differ from dense cells for {key}"
+
+
+def assert_identical(
+    loaded, dense_results: dict, blocked_results: dict
+) -> None:
     """Every blocked score equals the dense matrix on its cell."""
-    assert matrices.keys() == pairs.keys()
-    for key, scores in pairs.items():
-        dense_cells = matrices[key][scores.left, scores.right]
-        assert np.array_equal(dense_cells, scores.values), (
-            f"blocked scores differ from dense cells for {key}"
-        )
+    assert dense_results.keys() == blocked_results.keys()
+    engines = {label: (dense, blocked) for label, _, dense, blocked in loaded}
+    for key, scores in blocked_results.items():
+        dense, blocked = engines[key[0]]
+        _assert_blocked_cells(dense, blocked, dense_results[key], scores, key)
 
 
 def candidate_quality(workload) -> tuple[float, float, float, list[str]]:
@@ -214,12 +228,9 @@ def assert_fallback_gather(loaded) -> None:
         details={"model": "vector", "unit": "char", "n": 2, "measure": "cosine_tf"},
         name="vector_fallback",
     )
-    matrix = dense.compute(spec)
-    scores = blocked.compute_pairs(spec)
-    assert scores.fallback, "vector family should take the gather fallback"
-    assert np.array_equal(matrix[scores.left, scores.right], scores.values), (
-        f"gather fallback differs from dense cells on {label}"
-    )
+    [dense_scores] = dense.score([spec])
+    [blocked_scores] = blocked.score([spec])
+    _assert_blocked_cells(dense, blocked, dense_scores, blocked_scores, label)
 
 
 def _mega_dataset(n_records: int) -> CleanCleanDataset:
@@ -274,7 +285,7 @@ def bench_mega(n_records: int) -> str:
         name="levenshtein",
     )
     start = time.perf_counter()
-    scores = engine.compute_pairs(spec)
+    engine.score([spec])
     seconds = time.perf_counter() - start
     candidates = engine.cache.candidate_set(engine.blocking)
     recall = candidates.recall(dataset.ground_truth)
@@ -286,7 +297,7 @@ def bench_mega(n_records: int) -> str:
     dense_cells = n_records * n_records
     return (
         f"[bench_blocking] mega {n_records}x{n_records} tokens: "
-        f"{scores.n_pairs} scored pairs from {dense_cells:.1e} dense "
+        f"{candidates.n_pairs} scored pairs from {dense_cells:.1e} dense "
         f"cells (reduction {candidates.reduction:.0f}x, recall "
         f"{recall:.1f}) in {seconds:.2f}s end-to-end"
     )
@@ -351,15 +362,15 @@ def main(argv: list[str] | None = None) -> int:
     # Interleave the passes and keep each path's minimum: the minimum
     # of repeated runs is the noise-robust wall-clock estimator.
     dense_seconds = blocked_seconds = float("inf")
-    matrices: dict = {}
+    dense_results: dict = {}
     pairs: dict = {}
     for _ in range(max(args.repeats, 1)):
-        matrices, seconds = run_dense(loaded)
+        dense_results, seconds = run_dense(loaded)
         dense_seconds = min(dense_seconds, seconds)
         pairs, seconds = run_blocked(loaded)
         blocked_seconds = min(blocked_seconds, seconds)
 
-    assert_identical(matrices, pairs)
+    assert_identical(loaded, dense_results, pairs)
     assert_fallback_gather(loaded)
     speedup = (
         dense_seconds / blocked_seconds if blocked_seconds else float("inf")

@@ -19,6 +19,15 @@ workload whose dense matrix alone dwarfs the budget:
 * **bit-identity** — the merged sharded graph equals the dense graph
   bit for bit, and is invariant to the shard count.
 
+Two string-measure legs guard the fixed costs a shard must not pay
+(string shards score only their own rows or candidate cells; only the
+BLAS families are aligned to the row-chunk grid):
+
+* **small shards** — four shards inside one row-chunk grid cell finish
+  within ``WALL_CEILING`` of one shard, bit-identically;
+* **blocked shards** — a sharded blocked run finishes within
+  ``WALL_CEILING`` of the unsharded blocked run, bit-identically.
+
 Usage::
 
     python benchmarks/bench_sharding.py            # full profile
@@ -45,7 +54,7 @@ except ImportError:  # pragma: no cover - invoked as a module
 from repro.datasets.generator import CleanCleanDataset, DatasetSpec
 from repro.datasets.profile import EntityCollection, EntityProfile
 from repro.pipeline.engine import SimilarityEngine
-from repro.pipeline.graph_builder import matrix_to_graph
+from repro.pipeline.graph_builder import pairs_to_graph
 from repro.pipeline.sharding import ShardPlanner, ShardRun
 from repro.pipeline.similarity_functions import SimilarityFunctionSpec
 
@@ -78,6 +87,21 @@ SPEC = SimilarityFunctionSpec(
     details={"model": "vector", "unit": "token", "n": 1, "measure": "cosine_tf"},
     name="cosine_tf",
 )
+
+# String legs: records per side and shard counts.  The small-shard
+# workload fits one row-chunk grid cell; the blocked one keeps ~50
+# candidates per row (one shared group token).
+STRING_SPEC = SimilarityFunctionSpec(
+    family="schema_based_syntactic",
+    details={"attribute": "name", "measure": "levenshtein"},
+    name="levenshtein",
+)
+SMALL_SHARD_RECORDS = 600
+SMALL_SHARD_RECORDS_SMOKE = 400
+BLOCKED_RECORDS = 3000
+BLOCKED_RECORDS_SMOKE = 1600
+STRING_SHARDS = 4
+BLOCKING = "tokens"
 
 
 def _workload_dataset(n_records: int) -> CleanCleanDataset:
@@ -134,11 +158,10 @@ def _subprocess_main(mode: str, n_records: int, margin: int, queue) -> None:
     if mode == "baseline":
         # Interpreter + dataset + scoring artifacts + one warm grid
         # block: everything both paths pay before the budget applies.
-        engine.shard_scores_group([SPEC], 0, 1)
+        engine.score([SPEC], 0, 1)
     elif mode == "dense":
         start = time.perf_counter()
-        matrix = engine.compute(SPEC)
-        graph = matrix_to_graph(matrix, name="shardbench")
+        graph = _unsharded_graph(engine, SPEC)
         result["seconds"] = time.perf_counter() - start
         result["digest"] = _digest(graph)
         result["n_edges"] = int(graph.n_edges)
@@ -170,13 +193,66 @@ def _measure(mode: str, n_records: int, margin: int) -> dict:
     return result
 
 
+def _unsharded_graph(engine, spec):
+    """The graph of one whole-range executor call."""
+    n_left, n_right = engine.shape()
+    [scores] = engine.score([spec])
+    return pairs_to_graph(n_left, n_right, *scores.edges, name="shardbench")
+
+
+def _interleaved(repeats: int, *runs) -> tuple[list[float], list]:
+    """Best-of-``repeats`` seconds and last result of each run, with
+    the runs interleaved so host-speed drift hits them alike."""
+    best = [float("inf")] * len(runs)
+    results: list = [None] * len(runs)
+    for _ in range(max(repeats, 1)):
+        for index, run in enumerate(runs):
+            start = time.perf_counter()
+            results[index] = run()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best, results
+
+
+def _string_leg(n_records: int, blocking: str | None, repeats: int) -> dict:
+    """Sharded vs unsharded wall time of a string measure.
+
+    Without blocking, one shard is compared with ``STRING_SHARDS``
+    shards inside one row-chunk grid cell; with blocking, the
+    unsharded blocked run with its ``STRING_SHARDS``-shard split.
+    Artifacts (encodings, candidate set) are warmed first, so the
+    ratio is scoring plus spill cost alone.
+    """
+    engine = SimilarityEngine(_workload_dataset(n_records), blocking=blocking)
+    sharded = ShardPlanner.plan(n_records, n_records, n_shards=STRING_SHARDS)
+    whole = ShardPlanner.plan(n_records, n_records, n_shards=1)
+    if blocking is None:
+        assert sharded.chunk >= n_records, "shards must share a grid cell"
+
+    def reference():
+        if blocking is None:
+            return ShardRun(engine, whole).run(STRING_SPEC)
+        return _unsharded_graph(engine, STRING_SPEC)
+
+    def split():
+        return ShardRun(engine, sharded).run(STRING_SPEC)
+
+    _interleaved(1, reference, split)  # warm the artifacts
+    (base_s, split_s), (base, merged) = _interleaved(
+        repeats, reference, split
+    )
+    return {
+        "reference_seconds": base_s,
+        "sharded_seconds": split_s,
+        "ratio": split_s / max(base_s, 1e-9),
+        "identical": _digest(base) == _digest(merged),
+        "n_edges": int(base.n_edges),
+    }
+
+
 def _check_shard_count_invariance(n_records: int) -> bool:
     """Merged output must not depend on how the rows were sharded."""
     dataset = _workload_dataset(n_records)
-    dense_engine = SimilarityEngine(dataset)
-    reference = _digest(
-        matrix_to_graph(dense_engine.compute(SPEC), name="shardbench")
-    )
+    reference = _digest(_unsharded_graph(SimilarityEngine(dataset), SPEC))
     identical = True
     for n_shards in INVARIANCE_SHARDS:
         plan = ShardPlanner.plan(n_records, n_records, n_shards=n_shards)
@@ -276,6 +352,28 @@ def main(argv=None) -> int:
     print("[bench_sharding] shard-count invariance:")
     invariant = _check_shard_count_invariance(INVARIANCE_RECORDS)
 
+    small = _string_leg(
+        SMALL_SHARD_RECORDS_SMOKE if args.smoke else SMALL_SHARD_RECORDS,
+        None,
+        args.repeats,
+    )
+    blocked = _string_leg(
+        BLOCKED_RECORDS_SMOKE if args.smoke else BLOCKED_RECORDS,
+        BLOCKING,
+        args.repeats,
+    )
+    for label, leg, reference in (
+        ("small shards", small, "one shard"),
+        ("blocked shards", blocked, "unsharded blocked"),
+    ):
+        print(
+            f"[bench_sharding] {label}: {STRING_SHARDS} shards "
+            f"{leg['sharded_seconds']:.2f}s vs {reference} "
+            f"{leg['reference_seconds']:.2f}s = {leg['ratio']:.2f}x "
+            f"(ceiling {WALL_CEILING:.2f}x), {leg['n_edges']} edges, "
+            f"{'bit-identical' if leg['identical'] else 'DIVERGED'}"
+        )
+
     if args.json:
         _write_report(
             args.json,
@@ -294,6 +392,12 @@ def main(argv=None) -> int:
             n_shards=n_shards,
             n_records=n_records,
             n_edges=n_edges,
+            small_shard_ratio=small["ratio"],
+            blocked_shard_ratio=blocked["ratio"],
+            wall_ceiling=WALL_CEILING,
+            string_legs_identical=bool(
+                small["identical"] and blocked["identical"]
+            ),
         )
         print(f"[bench_sharding] report written to {args.json}")
 
@@ -317,6 +421,14 @@ def main(argv=None) -> int:
             f"sharded wall time {sharded_seconds:.2f}s breaches the "
             f"{WALL_CEILING:.2f}x ceiling over dense {dense_seconds:.2f}s"
         )
+    for label, leg in (("small-shard", small), ("blocked-shard", blocked)):
+        if not leg["identical"]:
+            failures.append(f"{label} leg diverged from its reference")
+        if leg["ratio"] > WALL_CEILING:
+            failures.append(
+                f"{label} leg costs {leg['ratio']:.2f}x, above the "
+                f"{WALL_CEILING:.2f}x ceiling"
+            )
     if failures and not args.no_assert:
         for failure in failures:
             print(f"[bench_sharding] FAIL: {failure}", file=sys.stderr)

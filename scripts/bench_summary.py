@@ -64,6 +64,19 @@ def render(title: str, pattern: str) -> list[str]:
                 f"(dense {report['dense_rss_bytes'] / mb:.0f}MB, "
                 f"{report['n_shards']} shards)"
             )
+        if "small_shard_ratio" in report:
+            ceiling = report["wall_ceiling"]
+            ok = (
+                report["string_legs_identical"]
+                and report["small_shard_ratio"] <= ceiling
+                and report["blocked_shard_ratio"] <= ceiling
+            )
+            lines.append(
+                f"  - {'✅' if ok else '❌'} string shards: 4 in one grid "
+                f"cell {report['small_shard_ratio']:.2f}x one shard, "
+                f"blocked {report['blocked_shard_ratio']:.2f}x unsharded "
+                f"(ceiling {ceiling:.2f}x)"
+            )
         if "datasets" in report:
             for row in report["datasets"]:
                 graph = "✅" if row.get("graph_identical") else "❌"

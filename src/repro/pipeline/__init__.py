@@ -33,9 +33,9 @@ from repro.pipeline.blocking import (
 )
 from repro.pipeline.engine import (
     ArtifactCache,
-    PairScores,
     SimilarityEngine,
     SpecGroup,
+    SpecScores,
     group_specs,
 )
 from repro.pipeline.store import ArtifactStore, dataset_store_key
@@ -65,7 +65,6 @@ __all__ = [
     "matrix_to_graph",
     "pairs_to_graph",
     "CandidateSet",
-    "PairScores",
     "build_candidate_set",
     "canonical_blocking",
     "parse_blocking_spec",
@@ -74,6 +73,7 @@ __all__ = [
     "dataset_store_key",
     "SimilarityEngine",
     "SpecGroup",
+    "SpecScores",
     "group_specs",
     "GraphCorpusConfig",
     "GraphRecord",

@@ -1,28 +1,29 @@
-"""Vectorized all-pairs schema-based string similarity.
+"""Vectorized schema-based string similarity over any set of cells.
 
 The paper's protocol compares *every* pair of attribute values (no
 blocking), which makes per-pair dynamic programming in Python the
-bottleneck.  This module provides all-pairs matrix versions of the 16
-schema-based measures, all routed through the pairwise-kernel engine
-of :mod:`repro.pipeline.kernels`:
+bottleneck.  This module scores the 16 schema-based measures through
+the pairwise-kernel engine of :mod:`repro.pipeline.kernels`, with one
+per-measure dispatch (:func:`schema_based_cells`) behind every caller:
 
-* every measure first factors the pair grid down to *unique* value
-  pairs (:class:`~repro.pipeline.kernels.UniquePlan`) and scatters the
-  unique-grid result back with ``np.ix_`` — duplicated attribute
+* every measure factors the pair grid down to *unique* value pairs
+  (:class:`~repro.pipeline.kernels.UniquePlan`) — duplicated attribute
   values are computed once;
+* :func:`schema_based_rows` scores any record-row range as whole
+  unique-grid rows (the dense, sharded and ad-hoc paths;
+  :func:`schema_based_matrix` is the full range) and
+  :func:`schema_based_pairs` scores the candidate cells of a
+  :class:`~repro.pipeline.kernels.SparsePlan` (the blocked, streamed
+  and served paths);
 * the alignment measures (Levenshtein, Damerau-Levenshtein,
-  Needleman-Wunsch, LCS substring/subsequence) run length-sorted,
-  cache-blocked DPs that advance **all** left strings of a block
-  against all right strings per step, optionally on a thread pool;
-* Jaro runs as a batched array kernel (vectorized greedy matching +
-  one transposition count from cumulative match ranks);
-* Monge-Elkan computes one Smith-Waterman grid over the unique token
-  vocabularies and reduces it with ``np.maximum.reduceat`` plus a
-  strict left fold per token-count bucket;
-* the token measures are expressed over sparse token-count matrices
-  of the unique values, re-using :mod:`repro.vectorspace` machinery;
-* q-grams distance uses sparse padded-trigram profiles of the unique
-  values.
+  Needleman-Wunsch, LCS substring/subsequence) and Jaro run one cell
+  kernel each, which broadcasts the right side over whole rows and
+  gathers it per cell otherwise;
+* Monge-Elkan folds one Smith-Waterman grid over the unique token
+  vocabularies;
+* the token measures and the q-grams distance keep their whole-grid
+  sparse-matrix formulas for whole rows (cheaper than per-cell forms)
+  and re-derive the same exact integer sums by row gather for cells.
 
 Convention: pairs where **either** value is empty get similarity 0 —
 an absent value carries no matching evidence (the scalar measures in
@@ -30,10 +31,10 @@ an absent value carries no matching evidence (the scalar measures in
 convention; the graph builder needs the evidence-level one).
 
 The pre-kernel-engine implementations are frozen as ``*_legacy``
-(dispatch via :func:`schema_based_matrix_legacy`); the kernel path is
-**bit-identical** to them — differential tests live in
-``tests/pipeline/test_kernels.py`` and
-``tests/pipeline/test_batched_strings.py``, and
+(dispatch via :func:`schema_based_matrix_legacy`); every cell the
+kernel path scores is **bit-identical** to them, whatever the call
+shape — differential tests live in ``tests/pipeline/test_kernels.py``
+and ``tests/pipeline/test_batched_strings.py``, and
 ``benchmarks/bench_kernel_engine.py`` guards the speedup.
 """
 
@@ -48,19 +49,11 @@ from scipy import sparse
 from repro.pipeline.kernels import (
     SparsePlan,
     UniquePlan,
-    edit_distance_pairs,
-    edit_distance_unique,
+    edit_distance_cells,
     encode_strings,
-    jaro_pairs,
-    jaro_unique,
-    lcs_subsequence_pairs,
-    lcs_subsequence_unique,
-    lcs_substring_pairs,
-    lcs_substring_unique,
-    monge_elkan_pairs,
-    monge_elkan_unique,
-    needleman_wunsch_pairs,
-    needleman_wunsch_unique,
+    jaro_cells,
+    lcs_cells,
+    monge_elkan_cells,
     smith_waterman_grid,
 )
 from repro.textsim.character import _padded_trigrams
@@ -72,16 +65,9 @@ from repro.vectorspace.measures import pairwise_min_sum
 __all__ = [
     "StringBatch",
     "ALIGNMENT_MEASURES",
-    "levenshtein_matrix",
-    "damerau_levenshtein_matrix",
-    "needleman_wunsch_matrix",
-    "lcs_subsequence_matrix",
-    "lcs_substring_matrix",
-    "jaro_matrix",
-    "qgrams_matrix",
-    "monge_elkan_matrix",
-    "token_measure_matrix",
     "TOKEN_MATRIX_MEASURES",
+    "schema_based_cells",
+    "schema_based_rows",
     "schema_based_matrix",
     "schema_based_pairs",
     "jaro_matrix_legacy",
@@ -143,18 +129,9 @@ class StringBatch:
         return encode_strings(self.plan.rights)
 
     @cached_property
-    def unique_empty_mask(self) -> np.ndarray:
-        """True where either side of the *unique* pair is empty."""
-        return _empty_mask(list(self.plan.lefts), list(self.plan.rights))
-
-    @cached_property
     def unique_empty_sides(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-side emptiness of the unique values.
-
-        The sparse (blocked) path masks empty cells from these two 1-D
-        vectors instead of materializing the dense
-        :attr:`unique_empty_mask` outer product.
-        """
+        """Per-side emptiness of the unique values (the empty-value
+        convention masks cells from these two 1-D vectors)."""
         return (
             np.array([not s for s in self.plan.lefts], dtype=bool),
             np.array([not s for s in self.plan.rights], dtype=bool),
@@ -310,11 +287,6 @@ def _token_vocabulary(
     return list(vocabulary), ids
 
 
-# _encode is kept as an alias of the shared kernel helper: older call
-# sites and tests import it from this module.
-_encode = encode_strings
-
-
 def _empty_mask(lefts: list[str], rights: list[str]) -> np.ndarray:
     """True where either side of the pair is an empty string."""
     left_empty = np.array([not s for s in lefts], dtype=bool)
@@ -334,152 +306,6 @@ def _resolve_batch(
     lefts: list[str], rights: list[str], batch: StringBatch | None
 ) -> StringBatch:
     return batch if batch is not None else StringBatch(lefts, rights)
-
-
-# ----------------------------------------------------------------------
-# Kernel-engine paths
-# ----------------------------------------------------------------------
-def levenshtein_matrix(
-    lefts: list[str],
-    rights: list[str],
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """All-pairs normalized Levenshtein similarity."""
-    batch = _resolve_batch(lefts, rights, batch)
-    return batch.plan.expand(
-        edit_distance_unique(
-            *batch.unique_left_encoding,
-            *batch.unique_right_encoding,
-            transpositions=False,
-        )
-    )
-
-
-def damerau_levenshtein_matrix(
-    lefts: list[str],
-    rights: list[str],
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """All-pairs normalized Damerau-Levenshtein (OSA) similarity."""
-    batch = _resolve_batch(lefts, rights, batch)
-    return batch.plan.expand(
-        edit_distance_unique(
-            *batch.unique_left_encoding,
-            *batch.unique_right_encoding,
-            transpositions=True,
-        )
-    )
-
-
-def needleman_wunsch_matrix(
-    lefts: list[str],
-    rights: list[str],
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """All-pairs Needleman-Wunsch similarity (mismatch 1, gap 2)."""
-    batch = _resolve_batch(lefts, rights, batch)
-    return batch.plan.expand(
-        needleman_wunsch_unique(
-            *batch.unique_left_encoding, *batch.unique_right_encoding
-        )
-    )
-
-
-def lcs_subsequence_matrix(
-    lefts: list[str],
-    rights: list[str],
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """All-pairs longest-common-subsequence similarity."""
-    batch = _resolve_batch(lefts, rights, batch)
-    return batch.plan.expand(
-        lcs_subsequence_unique(
-            *batch.unique_left_encoding, *batch.unique_right_encoding
-        )
-    )
-
-
-def lcs_substring_matrix(
-    lefts: list[str],
-    rights: list[str],
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """All-pairs longest-common-substring similarity."""
-    batch = _resolve_batch(lefts, rights, batch)
-    return batch.plan.expand(
-        lcs_substring_unique(
-            *batch.unique_left_encoding, *batch.unique_right_encoding
-        )
-    )
-
-
-def jaro_matrix(
-    lefts: list[str],
-    rights: list[str],
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """All-pairs Jaro similarity (batched unique-grid kernel)."""
-    batch = _resolve_batch(lefts, rights, batch)
-    return batch.plan.expand(
-        jaro_unique(
-            *batch.unique_left_encoding, *batch.unique_right_encoding
-        )
-    )
-
-
-def qgrams_matrix(
-    lefts: list[str],
-    rights: list[str],
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """All-pairs q-grams distance similarity via sparse profiles."""
-    batch = _resolve_batch(lefts, rights, batch)
-    n_left, n_right = len(batch.lefts), len(batch.rights)
-    if n_left == 0 or n_right == 0:
-        return np.zeros((n_left, n_right))
-    result = _qgrams_values(*batch.unique_qgram_sparse)
-    result[batch.unique_empty_mask] = 0.0
-    return np.clip(batch.plan.expand(result), 0.0, 1.0)
-
-
-def monge_elkan_matrix(
-    lefts: list[str],
-    rights: list[str],
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """All-pairs Monge-Elkan over the unique-token-pair SW grid."""
-    batch = _resolve_batch(lefts, rights, batch)
-    ids_left, ids_right, grid = batch.monge_elkan_grid
-    return np.clip(
-        batch.plan.expand(monge_elkan_unique(ids_left, ids_right, grid)),
-        0.0,
-        1.0,
-    )
-
-
-def token_measure_matrix(
-    lefts: list[str],
-    rights: list[str],
-    measure: str,
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """All-pairs token measure over sparse token-count vectors.
-
-    ``measure`` is one of ``TOKEN_MATRIX_MEASURES``.
-    """
-    _check_token_measure(measure)
-    batch = _resolve_batch(lefts, rights, batch)
-    n_left, n_right = len(batch.lefts), len(batch.rights)
-    if n_left == 0 or n_right == 0:
-        return np.zeros((n_left, n_right))
-    result = _token_measure_values(
-        measure,
-        *batch.unique_token_sparse,
-        *batch.unique_token_binary,
-        batch.unique_token_sums,
-    )
-    result[batch.unique_empty_mask] = 0.0
-    return np.clip(batch.plan.expand(result), 0.0, 1.0)
 
 
 def _check_token_measure(measure: str) -> None:
@@ -860,7 +686,7 @@ def token_measure_matrix_legacy(
     return np.clip(result, 0.0, 1.0)
 
 
-#: Token measures computable by :func:`token_measure_matrix`.
+#: The bag-of-tokens measures (whole-grid sparse formulas).
 TOKEN_MATRIX_MEASURES = (
     "cosine_tokens",
     "euclidean_tokens",
@@ -881,15 +707,14 @@ ALIGNMENT_MEASURES = (
     "lcs_substring",
 )
 
-_MATRIX_FUNCTIONS = {
-    "levenshtein": levenshtein_matrix,
-    "damerau_levenshtein": damerau_levenshtein_matrix,
-    "needleman_wunsch": needleman_wunsch_matrix,
-    "lcs_subsequence": lcs_subsequence_matrix,
-    "lcs_substring": lcs_substring_matrix,
-    "jaro": jaro_matrix,
-    "qgrams": qgrams_matrix,
-    "monge_elkan": monge_elkan_matrix,
+#: Cell kernel and fixed options of every encoded-string measure.
+_CELL_KERNELS = {
+    "levenshtein": (edit_distance_cells, {}),
+    "damerau_levenshtein": (edit_distance_cells, {"transpositions": True}),
+    "needleman_wunsch": (edit_distance_cells, {"gap": 2}),
+    "lcs_subsequence": (lcs_cells, {}),
+    "lcs_substring": (lcs_cells, {"substring": True}),
+    "jaro": (jaro_cells, {}),
 }
 
 _LEGACY_MATRIX_FUNCTIONS = {
@@ -904,6 +729,106 @@ _LEGACY_MATRIX_FUNCTIONS = {
 }
 
 
+# ----------------------------------------------------------------------
+# The one scoring path
+# ----------------------------------------------------------------------
+def schema_based_cells(
+    batch: StringBatch,
+    measure: str,
+    cell_left: np.ndarray,
+    cell_right: np.ndarray | None = None,
+) -> np.ndarray:
+    """Scores of ``measure`` on cells of ``batch``'s unique-value grid.
+
+    The per-measure dispatch every caller routes through.  With
+    ``cell_right=None`` the call covers whole rows: unique left rows
+    ``cell_left`` against every unique right value, shape
+    ``(len(cell_left), n_unique_right)``.  Otherwise cell ``k`` is
+    ``(cell_left[k], cell_right[k])`` and the result has one value per
+    cell.  Either way each cell's value is bitwise equal to the legacy
+    all-pairs matrix entry: the alignment/Jaro kernels run the same
+    integer DP per cell, Monge-Elkan folds the shared Smith-Waterman
+    grid in the same position order, and the token/q-gram sums are
+    exactly representable integers (sparse products are row-local, so
+    whole rows score bit-identically on any row subset).
+    """
+    cell_left = np.asarray(cell_left, dtype=np.intp)
+    if cell_right is not None:
+        cell_right = np.asarray(cell_right, dtype=np.intp)
+    kernel = _CELL_KERNELS.get(measure)
+    if kernel is not None:
+        function, options = kernel
+        return function(
+            *batch.unique_left_encoding,
+            *batch.unique_right_encoding,
+            cell_left,
+            cell_right,
+            **options,
+        )
+    if measure == "monge_elkan":
+        return np.clip(
+            monge_elkan_cells(*batch.monge_elkan_grid, cell_left, cell_right),
+            0.0,
+            1.0,
+        )
+    if measure != "qgrams":
+        _check_token_measure(measure)
+    if cell_right is not None:
+        if measure == "qgrams":
+            return _qgram_pair_values(batch, cell_left, cell_right)
+        return _token_pair_values(measure, batch, cell_left, cell_right)
+    if measure == "qgrams":
+        matrix_left, matrix_right = batch.unique_qgram_sparse
+        result = _qgrams_values(_rows(matrix_left, cell_left), matrix_right)
+    else:
+        matrix_left, matrix_right = batch.unique_token_sparse
+        binary_left, binary_right = batch.unique_token_binary
+        bag_left, bag_right, set_left, set_right = batch.unique_token_sums
+        result = _token_measure_values(
+            measure,
+            _rows(matrix_left, cell_left),
+            matrix_right,
+            _rows(binary_left, cell_left),
+            binary_right,
+            (bag_left[cell_left], bag_right, set_left[cell_left], set_right),
+        )
+    left_empty, right_empty = batch.unique_empty_sides
+    result[left_empty[cell_left]] = 0.0
+    result[:, right_empty] = 0.0
+    return np.clip(result, 0.0, 1.0)
+
+
+def _rows(matrix: sparse.csr_matrix, rows: np.ndarray) -> sparse.csr_matrix:
+    """``matrix[rows]``, without the copy when ``rows`` is every row."""
+    if rows.shape[0] == matrix.shape[0] and np.array_equal(
+        rows, np.arange(rows.shape[0])
+    ):
+        return matrix
+    return matrix[rows]
+
+
+def schema_based_rows(
+    batch: StringBatch, measure: str, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Rows ``[start, stop)`` of the all-pairs matrix of ``measure``.
+
+    Any row range, no alignment: the distinct unique rows the range
+    touches are scored as whole rows and gathered back to records, so
+    every row equals the corresponding row of the full matrix bit for
+    bit.
+    """
+    if measure not in _LEGACY_MATRIX_FUNCTIONS:
+        _check_token_measure(measure)
+    plan = batch.plan
+    rows = plan.left_inverse[start:stop]
+    n_right = plan.shape[1]
+    if rows.shape[0] == 0 or n_right == 0:
+        return np.zeros((rows.shape[0], n_right))
+    unique_rows, inverse = np.unique(rows, return_inverse=True)
+    values = schema_based_cells(batch, measure, unique_rows)
+    return values[np.ix_(inverse, plan.right_inverse)]
+
+
 def schema_based_matrix(
     lefts: list[str],
     rights: list[str],
@@ -915,15 +840,9 @@ def schema_based_matrix(
     ``batch`` optionally shares the encoded/tokenized artifacts across
     measures computed over the same value lists.
     """
-    function = _MATRIX_FUNCTIONS.get(measure)
-    if function is not None:
-        return function(lefts, rights, batch)
-    return token_measure_matrix(lefts, rights, measure, batch)
+    return schema_based_rows(_resolve_batch(lefts, rights, batch), measure)
 
 
-# ----------------------------------------------------------------------
-# Sparse (candidate-cell) scoring path
-# ----------------------------------------------------------------------
 def schema_based_pairs(
     lefts: list[str],
     rights: list[str],
@@ -935,66 +854,19 @@ def schema_based_pairs(
 
     Only the deduplicated candidate cells of ``sparse_plan`` are
     scored; the dense grid is never materialized.  For every retained
-    pair ``k``, the returned value is **bitwise equal** to
+    pair ``k`` the value is bitwise equal to
     ``schema_based_matrix(lefts, rights, measure, batch)[pair_left[k],
-    pair_right[k]]``: the alignment/Jaro cells run the same integer DP
-    restricted to candidate cells, the token/q-gram cells re-derive
-    the same exactly-representable integer sums by row gather, and
-    Monge-Elkan folds the shared Smith-Waterman grid in the same
-    position order (``tests/pipeline/test_blocking.py`` asserts the
+    pair_right[k]]`` (``tests/pipeline/test_blocking.py`` asserts the
     equality property, ``benchmarks/bench_blocking.py`` guards it).
     """
     batch = _resolve_batch(lefts, rights, batch)
     if sparse_plan.n_pairs == 0:
         return np.zeros(0)
-    ci, cj = sparse_plan.cell_left, sparse_plan.cell_right
-    if measure in ("levenshtein", "damerau_levenshtein"):
-        cells = edit_distance_pairs(
-            *batch.unique_left_encoding,
-            *batch.unique_right_encoding,
-            ci,
-            cj,
-            transpositions=(measure == "damerau_levenshtein"),
+    return sparse_plan.scatter(
+        schema_based_cells(
+            batch, measure, sparse_plan.cell_left, sparse_plan.cell_right
         )
-    elif measure == "needleman_wunsch":
-        cells = needleman_wunsch_pairs(
-            *batch.unique_left_encoding,
-            *batch.unique_right_encoding,
-            ci,
-            cj,
-        )
-    elif measure == "lcs_subsequence":
-        cells = lcs_subsequence_pairs(
-            *batch.unique_left_encoding,
-            *batch.unique_right_encoding,
-            ci,
-            cj,
-        )
-    elif measure == "lcs_substring":
-        cells = lcs_substring_pairs(
-            *batch.unique_left_encoding,
-            *batch.unique_right_encoding,
-            ci,
-            cj,
-        )
-    elif measure == "jaro":
-        cells = jaro_pairs(
-            *batch.unique_left_encoding,
-            *batch.unique_right_encoding,
-            ci,
-            cj,
-        )
-    elif measure == "qgrams":
-        cells = _qgram_pair_values(batch, ci, cj)
-    elif measure == "monge_elkan":
-        ids_left, ids_right, grid = batch.monge_elkan_grid
-        cells = np.clip(
-            monge_elkan_pairs(ids_left, ids_right, grid, ci, cj), 0.0, 1.0
-        )
-    else:
-        _check_token_measure(measure)
-        cells = _token_pair_values(measure, batch, ci, cj)
-    return sparse_plan.scatter(cells)
+    )
 
 
 def _zero_empty_cells(

@@ -1,7 +1,7 @@
 """Shared-artifact similarity engine.
 
-The corpus workbench computes one all-pairs similarity matrix per
-similarity function of the Section-4 taxonomy.  Naively each function
+The corpus workbench builds one similarity graph per similarity
+function of the Section-4 taxonomy.  Naively each function
 rebuilds every intermediate it needs — yet most intermediates are
 shared by whole groups of functions:
 
@@ -18,12 +18,16 @@ shared by whole groups of functions:
   share the embedding model instance (and its token cache) plus the
   text/token embeddings.
 
-:class:`ArtifactCache` memoizes these intermediates per dataset;
-:class:`SimilarityEngine` computes matrices through the cache and is
-**bit-identical** to the direct
-:func:`~repro.pipeline.similarity_functions.compute_similarity_matrix`
-path (the differential tests in ``tests/pipeline/test_engine.py``
-assert exact equality for every family).
+:class:`ArtifactCache` memoizes these intermediates per dataset.
+:meth:`SimilarityEngine.score` is the one scoring entry point of the
+dense, blocked and sharded paths: it scores a spec group over a row
+range — every cell, or the blocking scheme's candidate cells — and
+returns each spec's raw positive edges plus its stage timings and
+savings statistics (:class:`SpecScores`), **bit-identical** to the
+direct :func:`~repro.pipeline.similarity_functions.compute_similarity_matrix`
+path on every positive cell (the differential tests in
+``tests/pipeline/test_engine.py`` assert exact equality for every
+family, whole range and row ranges alike).
 
 Cache keys and invalidation
 ---------------------------
@@ -57,7 +61,7 @@ so a later run over the same generated dataset — even under a
 different corpus config — loads embeddings, token matrices and entity
 graphs instead of rebuilding them.  Loads count in ``load_counts``
 (not ``build_counts``) and their wall-clock lands in ``miss_seconds``,
-i.e. the artifact stage of :meth:`SimilarityEngine.compute_timed`.
+i.e. the ``artifact_seconds`` of :meth:`SimilarityEngine.score`.
 Results are bit-identical with the store cold, warm or absent.
 
 Parallelism
@@ -100,8 +104,8 @@ from repro.pipeline.batched_strings import (
     ALIGNMENT_MEASURES,
     TOKEN_MATRIX_MEASURES,
     StringBatch,
-    schema_based_matrix,
     schema_based_pairs,
+    schema_based_rows,
 )
 from repro.pipeline.kernels import SparsePlan, kernel_threads, row_chunk_size
 from repro.pipeline.similarity_functions import (
@@ -116,8 +120,8 @@ from repro.vectorspace import build_profile_space, build_vector_models
 
 __all__ = [
     "ArtifactCache",
-    "PairScores",
     "SimilarityEngine",
+    "SpecScores",
     "SpecGroup",
     "group_key",
     "group_specs",
@@ -132,8 +136,8 @@ class ArtifactCache:
     ``build_seconds`` record each miss for the cache-hit tests and the
     per-stage timing attribution; ``miss_seconds`` is the running total
     of time spent acquiring artifacts (building or loading), which
-    :meth:`SimilarityEngine.compute_timed` samples around a matrix
-    computation to split artifact cost from measure cost.
+    :meth:`SimilarityEngine.score` samples around each spec's scoring
+    to split artifact cost from measure cost.
 
     With ``store`` (an :class:`~repro.pipeline.store.ArtifactStore`)
     and ``dataset_key`` (the ``(code, scale, max_pairs, seed)``
@@ -431,46 +435,49 @@ def _pool_token_embeddings(
 
 
 @dataclass(frozen=True)
-class PairScores:
-    """Sparse scoring result: per-candidate-pair similarity values.
+class SpecScores:
+    """One spec's result of :meth:`SimilarityEngine.score`.
 
-    ``left``/``right``/``values`` are parallel arrays over the
-    candidate pairs (sorted lexicographically, the
-    :class:`~repro.pipeline.blocking.CandidateSet` order).  On every
-    retained pair the value is bitwise equal to the dense matrix cell;
-    ``fallback`` marks families scored by dense-then-gather (vector,
-    graph and semantic measures, whose BLAS summation orders cannot be
-    reproduced cell-wise) rather than the truly sparse kernel path.
+    ``left``/``right``/``values`` are the raw (unclipped) positive
+    scores of the scored row range with absolute record indices, in
+    row-major order (dense) or candidate order (blocked) — the order
+    the full-range graph construction emits, so concatenating
+    consecutive ranges reproduces the full edge stream.
+    ``artifact_seconds`` is the time spent building or loading
+    artifacts (zero on a warm cache) and ``score_seconds`` the rest of
+    the spec's wall-clock.  ``dedup_ratio`` (scored unique cells per
+    cell; 1.0 outside the string family) and ``candidate_reduction``
+    (dense cells per candidate pair; 1.0 without blocking) describe
+    the whole dataset, not the range.
     """
 
-    n_left: int
-    n_right: int
     left: np.ndarray
     right: np.ndarray
     values: np.ndarray
-    fallback: bool = False
+    artifact_seconds: float = 0.0
+    score_seconds: float = 0.0
+    dedup_ratio: float = 1.0
+    candidate_reduction: float = 1.0
 
     @property
-    def n_pairs(self) -> int:
-        """Number of scored candidate pairs."""
-        return int(self.values.size)
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.left, self.right, self.values
 
 
 class SimilarityEngine:
-    """Computes similarity matrices through an :class:`ArtifactCache`.
+    """Scores similarity functions through an :class:`ArtifactCache`.
 
     Produces bit-identical results to
     :func:`~repro.pipeline.similarity_functions.compute_similarity_matrix`
     — same kernels, same inputs — while building every shared artifact
     once.  ``store``/``dataset_key`` (see :class:`ArtifactCache`)
     additionally persist the artifacts across runs; neither affects
-    any produced matrix.
+    any produced score.
 
     With ``blocking`` (a spec string for
     :func:`~repro.pipeline.blocking.parse_blocking_spec`),
-    :meth:`compute_pairs_timed` scores only the candidate pairs of the
-    blocking scheme — the sparse path.  The dense :meth:`compute` path
-    is unaffected by the knob.
+    :meth:`score` scores only the candidate pairs of the blocking
+    scheme — the sparse path.
     """
 
     def __init__(
@@ -481,7 +488,6 @@ class SimilarityEngine:
         store=None,
         dataset_key: tuple | None = None,
         blocking: str | None = None,
-        shard_plan=None,
     ) -> None:
         self.dataset = dataset
         if cache is None:
@@ -499,249 +505,167 @@ class SimilarityEngine:
 
             blocking = canonical_blocking(blocking)
         self.blocking = blocking
-        self.shard_plan = shard_plan
 
-    def compute(self, spec: SimilarityFunctionSpec) -> np.ndarray:
-        """The all-pairs similarity matrix of ``spec``."""
-        matrix, _, _ = self.compute_timed(spec)
-        return matrix
+    def shape(self) -> tuple[int, int]:
+        """``(n_left, n_right)`` record counts of the scored space."""
+        texts_left, texts_right = self.cache.texts()
+        return len(texts_left), len(texts_right)
 
-    def compute_timed(
-        self, spec: SimilarityFunctionSpec
-    ) -> tuple[np.ndarray, float, float]:
-        """``(matrix, artifact_seconds, matrix_seconds)`` for ``spec``.
-
-        ``artifact_seconds`` is the time spent building cache-missed
-        artifacts during this call (zero on a fully warm cache);
-        ``matrix_seconds`` is the remainder of the wall-clock.  The
-        pairwise kernels run under this engine's ``threads`` knob,
-        which never affects the produced matrix.
-        """
-        before = self.cache.miss_seconds
-        start = time.perf_counter()
-        with kernel_threads(self.threads):
-            matrix = self._dispatch(spec)
-        total = time.perf_counter() - start
-        artifact_seconds = self.cache.miss_seconds - before
-        return matrix, artifact_seconds, max(total - artifact_seconds, 0.0)
-
-    def compute_pairs(self, spec: SimilarityFunctionSpec) -> PairScores:
-        """Candidate-pair scores of ``spec`` under this engine's blocking."""
-        pairs, _, _ = self.compute_pairs_timed(spec)
-        return pairs
-
-    def compute_pairs_timed(
-        self, spec: SimilarityFunctionSpec
-    ) -> tuple[PairScores, float, float]:
-        """``(pairs, artifact_seconds, matrix_seconds)`` for ``spec``.
-
-        The sparse analogue of :meth:`compute_timed`: scores only the
-        candidate pairs produced by this engine's ``blocking`` spec.
-        Requires ``blocking`` to be configured.
-        """
-        if self.blocking is None:
-            raise ValueError(
-                "compute_pairs_timed requires a blocking= spec; "
-                "use compute_timed for the dense all-pairs path"
-            )
-        before = self.cache.miss_seconds
-        start = time.perf_counter()
-        with kernel_threads(self.threads):
-            pairs = self._dispatch_pairs(spec)
-        total = time.perf_counter() - start
-        artifact_seconds = self.cache.miss_seconds - before
-        return pairs, artifact_seconds, max(total - artifact_seconds, 0.0)
-
-    def _dispatch(self, spec: SimilarityFunctionSpec) -> np.ndarray:
-        if spec.family == "schema_based_syntactic":
-            return self._schema_based(spec)
-        if spec.family == "schema_agnostic_syntactic":
-            if spec.details["model"] == "vector":
-                return self._vector(spec)
-            return self._graph(spec)
-        if spec.family == "schema_based_semantic":
-            return self._semantic(spec, spec.details["attribute"])
-        return self._semantic(spec, None)
-
-    def _dispatch_pairs(self, spec: SimilarityFunctionSpec) -> PairScores:
-        candidates = self.cache.candidate_set(self.blocking)
-        if spec.family == "schema_based_syntactic":
-            values = self._schema_based_pairs(spec)
-            fallback = False
-        else:
-            # Vector/graph/semantic measures reduce over model
-            # dimensions with BLAS summation orders that a cell-wise
-            # kernel cannot reproduce bitwise — score dense row
-            # chunks and gather the retained cells incrementally, so
-            # peak memory is one chunk block rather than the full
-            # grid.  Identical values by construction; flagged so
-            # callers can tell.
-            values = self._gather_chunked(spec, candidates)
-            fallback = True
-        return PairScores(
-            n_left=candidates.n_left,
-            n_right=candidates.n_right,
-            left=candidates.left,
-            right=candidates.right,
-            values=values,
-            fallback=fallback,
-        )
-
-    def compute_sharded(
-        self,
-        spec: SimilarityFunctionSpec,
-        shard_plan=None,
-        spill_dir=None,
-        name: str = "",
-        metadata: dict | None = None,
-        normalize: bool = True,
-    ):
-        """The similarity graph of ``spec``, built shard by shard.
-
-        Streams the row-range shards of ``shard_plan`` (or the plan
-        passed to the constructor) through :meth:`shard_scores`,
-        spills each shard's edges to an npz file and merges them into
-        a :class:`~repro.graph.bipartite.SimilarityGraph` —
-        bit-identical to building the graph from :meth:`compute` /
-        :meth:`compute_pairs` and invariant to the shard count.  Peak
-        memory is one dense row chunk plus the merged edge arrays,
-        never the full matrix.
-        """
-        from repro.pipeline.sharding import ShardRun
-
-        plan = shard_plan if shard_plan is not None else self.shard_plan
-        if plan is None:
-            raise ValueError(
-                "compute_sharded requires a shard plan — pass "
-                "shard_plan= here or to the constructor"
-            )
-        return ShardRun(self, plan, spill_dir=spill_dir).run(
-            spec, name=name, metadata=metadata, normalize=normalize
-        )
-
-    def shard_scores(
-        self, spec: SimilarityFunctionSpec, start: int, stop: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Raw positive-score edges of matrix rows ``[start, stop)``.
-
-        ``(left, right, values)`` with absolute row indices and raw
-        (unclipped) scores, in exactly the order the full-matrix graph
-        construction emits them — row-major nonzero order on the dense
-        path, candidate order (positive cells only) under blocking —
-        so concatenating consecutive shards reproduces the unsharded
-        edge stream bit-identically.
-        """
-        [(edges, _, _)] = self.shard_scores_group([spec], start, stop)
-        return edges
-
-    def shard_scores_group(
+    def score(
         self,
         specs,
-        start: int,
-        stop: int,
-    ) -> list[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float, float]]:
-        """Per-spec ``(edges, artifact_seconds, matrix_seconds)`` of a shard.
+        start: int = 0,
+        stop: int | None = None,
+    ) -> list[SpecScores]:
+        """Per-spec :class:`SpecScores` of record rows ``[start, stop)``.
 
-        Iterates chunk-outer / spec-inner: every spec of an
-        artifact-sharing group scores one grid block before the next
-        block is touched, so block-level intermediates (string
-        batches, graph ratio sums) are built once per block and peak
-        memory stays at one dense chunk regardless of how many specs
-        ride along.
+        The one scoring entry point: a dense run passes the whole
+        range, a shard its row range, and an engine with ``blocking``
+        scores only the candidate cells of the range.  ``specs`` is
+        meant to be one artifact-sharing group (:func:`group_specs`):
+        iteration is block-outer / spec-inner, so block-level
+        intermediates are built once per block and peak memory stays
+        at one dense block however many specs ride along.
+
+        The string family scores any range from the cached,
+        store-seeded :class:`StringBatch` — candidate cells directly
+        under blocking, dense row chunks otherwise, with no grid
+        alignment.  The vector, graph and semantic families evaluate
+        whole cells of the absolute row-chunk grid
+        (:func:`~repro.pipeline.kernels.row_chunk_size`) and keep the
+        rows they own, because their BLAS reductions reproduce bit for
+        bit only on the same blocks.  A block spanning every row —
+        every dense whole-range call — uses the memoized (and stored)
+        whole-grid artifacts.  The kernels run under this engine's
+        ``threads`` knob, which never changes a score.
         """
         candidates = None
         if self.blocking is not None:
             candidates = self.cache.candidate_set(self.blocking)
-            n_left, n_right = candidates.n_left, candidates.n_right
+        n_left, n_right = self.shape()
+        stop = n_left if stop is None else min(int(stop), n_left)
+        start = min(max(int(start), 0), stop)
+        strings = all(s.family == "schema_based_syntactic" for s in specs)
+        if candidates is None and (start, stop) == (0, n_left):
+            blocks = [(0, n_left)]
+        elif candidates is not None and strings:
+            blocks = [(start, stop)]
         else:
-            texts_left, texts_right = self.cache.texts()
-            n_left, n_right = len(texts_left), len(texts_right)
-        start = max(int(start), 0)
-        stop = min(int(stop), n_left)
-        accumulated: list[tuple[list, list, list]] = [
-            ([], [], []) for _ in specs
-        ]
-        artifact_seconds = [0.0] * len(specs)
-        matrix_seconds = [0.0] * len(specs)
+            blocks = _chunk_blocks(
+                start, stop, row_chunk_size(n_right), n_left, not strings
+            )
+        parts: list[list[list[np.ndarray]]] = [[[], [], []] for _ in specs]
+        clocks = [[0.0, 0.0] for _ in specs]
         with kernel_threads(self.threads):
-            chunk = row_chunk_size(n_right)
-            for g_lo, g_hi in _grid_blocks(start, stop, chunk, n_left):
-                row_lo, row_hi = max(start, g_lo), min(stop, g_hi)
+            for lo, hi in blocks:
+                row_lo, row_hi = max(start, lo), min(stop, hi)
+                pairs = None
                 if candidates is not None:
                     pair_lo, pair_hi = np.searchsorted(
                         candidates.left, [row_lo, row_hi]
                     )
                     if pair_lo == pair_hi:
                         continue
+                    pairs = (
+                        candidates.left[pair_lo:pair_hi],
+                        candidates.right[pair_lo:pair_hi],
+                    )
                 scratch: dict = {}
                 for index, spec in enumerate(specs):
                     before = self.cache.miss_seconds
                     begin = time.perf_counter()
-                    block = self._dispatch_rows(spec, g_lo, g_hi, scratch)
-                    if candidates is not None:
-                        pair_left = candidates.left[pair_lo:pair_hi]
-                        pair_right = candidates.right[pair_lo:pair_hi]
-                        values = np.ascontiguousarray(
-                            block[pair_left - g_lo, pair_right]
-                        )
-                        keep = values > 0.0
-                        rows = pair_left[keep]
-                        cols = pair_right[keep]
-                        values = values[keep]
-                    else:
-                        sub = block[row_lo - g_lo : row_hi - g_lo]
-                        rows, cols = np.nonzero(sub > 0.0)
-                        values = sub[rows, cols]
-                        rows = rows + row_lo
+                    edges = self._block_edges(
+                        spec, lo, hi, row_lo, row_hi, pairs, scratch
+                    )
                     elapsed = time.perf_counter() - begin
                     own = self.cache.miss_seconds - before
-                    artifact_seconds[index] += own
-                    matrix_seconds[index] += max(elapsed - own, 0.0)
-                    accumulated[index][0].append(rows)
-                    accumulated[index][1].append(cols)
-                    accumulated[index][2].append(values)
-        results = []
-        for (rows, cols, values), build, score in zip(
-            accumulated, artifact_seconds, matrix_seconds
-        ):
-            if rows:
-                edges = (
-                    np.concatenate(rows),
-                    np.concatenate(cols),
-                    np.concatenate(values),
-                )
-            else:
-                edges = (
-                    np.empty(0, dtype=np.intp),
-                    np.empty(0, dtype=np.intp),
-                    np.empty(0, dtype=np.float64),
-                )
-            results.append((edges, build, score))
-        return results
-
-    def _gather_chunked(
-        self, spec: SimilarityFunctionSpec, candidates
-    ) -> np.ndarray:
-        """Candidate-cell values of ``spec`` via chunked dense rows."""
-        values = np.empty(len(candidates.left), dtype=np.float64)
-        chunk = row_chunk_size(candidates.n_right)
-        for g_lo, g_hi in _grid_blocks(
-            0, candidates.n_left, chunk, candidates.n_left
-        ):
-            pair_lo, pair_hi = np.searchsorted(
-                candidates.left, [g_lo, g_hi]
+                    clocks[index][0] += own
+                    clocks[index][1] += max(elapsed - own, 0.0)
+                    for part, array in zip(parts[index], edges):
+                        part.append(array)
+        return [
+            SpecScores(
+                *(
+                    np.concatenate(part) if part else np.empty(0, dtype)
+                    for part, dtype in zip(
+                        spec_parts, (np.intp, np.intp, np.float64)
+                    )
+                ),
+                artifact_seconds=artifact,
+                score_seconds=scoring,
+                **self._stats(spec, candidates),
             )
-            if pair_lo == pair_hi:
-                continue
-            scratch: dict = {}
-            block = self._dispatch_rows(spec, g_lo, g_hi, scratch)
-            values[pair_lo:pair_hi] = block[
-                candidates.left[pair_lo:pair_hi] - g_lo,
-                candidates.right[pair_lo:pair_hi],
-            ]
-        return values
+            for spec, spec_parts, (artifact, scoring) in zip(
+                specs, parts, clocks
+            )
+        ]
 
-    def _dispatch_rows(
+    def _stats(self, spec: SimilarityFunctionSpec, candidates) -> dict:
+        """Whole-dataset savings statistics of ``spec``."""
+        stats = {}
+        if candidates is not None:
+            stats["candidate_reduction"] = candidates.reduction
+        if spec.family == "schema_based_syntactic":
+            attribute = spec.details["attribute"]
+            plan = (
+                self.cache.string_batch(attribute).plan
+                if candidates is None
+                else self.cache.sparse_plan(attribute, self.blocking)
+            )
+            stats["dedup_ratio"] = plan.dedup_ratio
+        return stats
+
+    def _block_edges(
+        self,
+        spec: SimilarityFunctionSpec,
+        lo: int,
+        hi: int,
+        row_lo: int,
+        row_hi: int,
+        pairs,
+        scratch: dict,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Positive edges of rows ``[row_lo, row_hi)`` from block ``[lo, hi)``.
+
+        ``pairs`` holds the candidate cells of those rows under
+        blocking (``None`` when dense): string specs score them
+        directly, the other families gather them from the dense block.
+        """
+        if pairs is not None and spec.family == "schema_based_syntactic":
+            pair_left, pair_right = pairs
+            values = self._string_pair_values(spec, pair_left, pair_right)
+        else:
+            block = self._block_rows(spec, lo, hi, scratch)
+            if pairs is None:
+                sub = block[row_lo - lo : row_hi - lo]
+                rows, cols = np.nonzero(sub > 0.0)
+                return rows + row_lo, cols, sub[rows, cols]
+            pair_left, pair_right = pairs
+            values = block[pair_left - lo, pair_right]
+        keep = values > 0.0
+        return pair_left[keep], pair_right[keep], values[keep]
+
+    def _string_pair_values(
+        self,
+        spec: SimilarityFunctionSpec,
+        pair_left: np.ndarray,
+        pair_right: np.ndarray,
+    ) -> np.ndarray:
+        """Candidate-cell scores of a string spec (memoized plan when
+        the cells are the whole candidate set)."""
+        attribute = spec.details["attribute"]
+        measure = spec.details["measure"]
+        batch = self._seed_schema_artifacts(attribute, measure)
+        candidates = self.cache.candidate_set(self.blocking)
+        if pair_left.shape[0] == candidates.n_pairs:
+            plan = self.cache.sparse_plan(attribute, self.blocking)
+        else:
+            plan = SparsePlan.build(batch.plan, pair_left, pair_right)
+        return schema_based_pairs(
+            batch.lefts, batch.rights, measure, plan, batch
+        )
+
+    def _block_rows(
         self,
         spec: SimilarityFunctionSpec,
         start: int,
@@ -750,17 +674,21 @@ class SimilarityEngine:
     ) -> np.ndarray:
         """Dense rows ``[start, stop)`` of ``spec``'s matrix.
 
-        Bitwise equal to ``self._dispatch(spec)[start:stop]`` when
-        ``[start, stop)`` is a block of the absolute row-chunk grid
-        (:func:`~repro.pipeline.kernels.row_chunk_size`): the string
-        kernels are per-pair exact, the vector/graph reductions are
-        row-local, and the semantic gemms are chunked on exactly that
-        grid.  ``scratch`` holds block-level intermediates shared by
-        sibling specs scoring the same block; callers discard it
-        between blocks to keep memory bounded.
+        Bitwise equal to the same rows of the full matrix for any
+        range of a string spec (the cell kernels are per-cell exact)
+        and for any block of the absolute row-chunk grid otherwise:
+        the vector/graph reductions are row-local and the semantic
+        gemms are chunked on exactly that grid.  ``scratch`` holds
+        block-level intermediates shared by sibling specs scoring the
+        same block; callers discard it between blocks to keep memory
+        bounded.
         """
         if spec.family == "schema_based_syntactic":
-            return self._schema_based_rows(spec, start, stop, scratch)
+            measure = spec.details["measure"]
+            batch = self._seed_schema_artifacts(
+                spec.details["attribute"], measure
+            )
+            return schema_based_rows(batch, measure, start, stop)
         if spec.family == "schema_agnostic_syntactic":
             if spec.details["model"] == "vector":
                 return self._vector_rows(spec, start, stop)
@@ -771,19 +699,6 @@ class SimilarityEngine:
             )
         return self._semantic_rows(spec, None, start, stop)
 
-    def _schema_based_rows(
-        self, spec: SimilarityFunctionSpec, start: int, stop: int, scratch: dict
-    ) -> np.ndarray:
-        attribute = spec.details["attribute"]
-        measure = spec.details["measure"]
-        lefts, rights = self.cache.attribute_values(attribute)
-        key = ("string_rows", attribute, start, stop)
-        batch = scratch.get(key)
-        if batch is None:
-            batch = StringBatch(lefts[start:stop], rights)
-            scratch[key] = batch
-        return schema_based_matrix(batch.lefts, batch.rights, measure, batch)
-
     def _vector_rows(
         self, spec: SimilarityFunctionSpec, start: int, stop: int
     ) -> np.ndarray:
@@ -793,14 +708,16 @@ class SimilarityEngine:
             spec.details["n"],
             weighting_for_measure(measure),
         )
-        # Row-slice the left model only; document frequencies and the
-        # vocabulary stay collection-global (ARCS weights by global DF).
-        rows = replace(
-            left,
-            matrix=left.matrix[start:stop],
-            binary=left.binary[start:stop],
-        )
-        return vector_measure_matrix(rows, right, measure)
+        if (start, stop) != (0, left.matrix.shape[0]):
+            # Row-slice the left model only; document frequencies and
+            # the vocabulary stay collection-global (ARCS weights by
+            # global DF).
+            left = replace(
+                left,
+                matrix=left.matrix[start:stop],
+                binary=left.binary[start:stop],
+            )
+        return vector_measure_matrix(left, right, measure)
 
     def _graph_rows(
         self, spec: SimilarityFunctionSpec, start: int, stop: int, scratch: dict
@@ -808,20 +725,27 @@ class SimilarityEngine:
         unit, n = spec.details["unit"], spec.details["n"]
         measure = spec.details["measure"]
         sparse_left, sparse_right = self.cache.entity_graphs(unit, n)
-        rows_left = sparse_left[start:stop]
+        needs_ratio = measure in ("value", "normalized_value", "overall")
+        needs_common = measure in ("containment", "overall")
         ratio = common = None
-        if measure in ("value", "normalized_value", "overall"):
-            key = ("graph_ratio_rows", unit, n, start, stop)
-            ratio = scratch.get(key)
-            if ratio is None:
-                ratio = pairwise_ratio_sum(rows_left, sparse_right)
-                scratch[key] = ratio
-        if measure in ("containment", "overall"):
-            key = ("graph_common_rows", unit, n, start, stop)
-            common = scratch.get(key)
-            if common is None:
-                common = common_edge_matrix(rows_left, sparse_right)
-                scratch[key] = common
+        if (start, stop) == (0, sparse_left.shape[0]):
+            rows_left = sparse_left
+            if needs_ratio:
+                ratio = self.cache.graph_ratio_sums(unit, n)
+            if needs_common:
+                common = self.cache.graph_common_edges(unit, n)
+        else:
+            rows_left = sparse_left[start:stop]
+            if needs_ratio:
+                key = ("graph_ratio", unit, n)
+                if key not in scratch:
+                    scratch[key] = pairwise_ratio_sum(rows_left, sparse_right)
+                ratio = scratch[key]
+            if needs_common:
+                key = ("graph_common", unit, n)
+                if key not in scratch:
+                    scratch[key] = common_edge_matrix(rows_left, sparse_right)
+                common = scratch[key]
         return graph_measure_matrix(
             rows_left, sparse_right, measure, ratio=ratio, common=common
         )
@@ -893,76 +817,23 @@ class SimilarityEngine:
             batch.seed_artifact("monge_elkan_grid", grid)
         return batch
 
-    def _schema_based(self, spec: SimilarityFunctionSpec) -> np.ndarray:
-        attribute = spec.details["attribute"]
-        measure = spec.details["measure"]
-        batch = self._seed_schema_artifacts(attribute, measure)
-        return schema_based_matrix(batch.lefts, batch.rights, measure, batch)
 
-    def _schema_based_pairs(self, spec: SimilarityFunctionSpec) -> np.ndarray:
-        attribute = spec.details["attribute"]
-        measure = spec.details["measure"]
-        batch = self._seed_schema_artifacts(attribute, measure)
-        sparse_plan = self.cache.sparse_plan(attribute, self.blocking)
-        return schema_based_pairs(batch.lefts, batch.rights, measure, sparse_plan, batch)
+def _chunk_blocks(
+    start: int, stop: int, chunk: int, n_rows: int, aligned: bool
+):
+    """Blocks of at most ``chunk`` rows covering ``[start, stop)``.
 
-    def _vector(self, spec: SimilarityFunctionSpec) -> np.ndarray:
-        measure = spec.details["measure"]
-        left, right = self.cache.vector_models(
-            spec.details["unit"],
-            spec.details["n"],
-            weighting_for_measure(measure),
-        )
-        return vector_measure_matrix(left, right, measure)
-
-    def _graph(self, spec: SimilarityFunctionSpec) -> np.ndarray:
-        unit, n = spec.details["unit"], spec.details["n"]
-        measure = spec.details["measure"]
-        sparse_left, sparse_right = self.cache.entity_graphs(unit, n)
-        ratio = common = None
-        if measure in ("value", "normalized_value", "overall"):
-            ratio = self.cache.graph_ratio_sums(unit, n)
-        if measure in ("containment", "overall"):
-            common = self.cache.graph_common_edges(unit, n)
-        return graph_measure_matrix(
-            sparse_left, sparse_right, measure, ratio=ratio, common=common
-        )
-
-    def _semantic(
-        self, spec: SimilarityFunctionSpec, attribute: str | None
-    ) -> np.ndarray:
-        model_name = spec.details["model"]
-        measure = spec.details["measure"]
-        lefts, rights = self.cache._source(attribute)
-        wmd_stats = None
-        if measure == "wmd":
-            embeddings = self.cache.token_embeddings(model_name, attribute)
-            wmd_stats = self.cache.wmd_stats(model_name, attribute)
-        else:
-            embeddings = self.cache.text_embeddings(model_name, attribute)
-        return semantic_matrix_from_embeddings(
-            lefts,
-            rights,
-            measure,
-            embeddings[0],
-            embeddings[1],
-            wmd_stats=wmd_stats,
-        )
-
-
-def _grid_blocks(start: int, stop: int, chunk: int, n_rows: int):
-    """Absolute chunk-grid blocks overlapping ``[start, stop)``.
-
-    Yields whole grid cells ``[k*chunk, min((k+1)*chunk, n_rows))``
-    regardless of where the requested range starts or ends — callers
-    slice the computed rows down to the range.  Evaluating only whole
-    grid cells keeps every chunk-internal BLAS gemm bitwise identical
-    to the blocks the unsharded chunked pass performs, which is what
-    makes shard boundaries free to land on any row.
+    ``aligned`` yields whole cells ``[k*chunk, min((k+1)*chunk,
+    n_rows))`` of the absolute chunk grid regardless of where the
+    range starts or ends — callers keep the rows they own.  Evaluating
+    only whole grid cells keeps every chunk-internal BLAS gemm bitwise
+    identical to the blocks the unsharded chunked pass performs, which
+    is what makes shard boundaries free to land on any row.  Otherwise
+    the blocks start at ``start`` and stop at ``stop``.
     """
-    lo = start - (start % chunk)
+    lo = start - (start % chunk) if aligned else start
     while lo < stop:
-        hi = min(lo + chunk, n_rows)
+        hi = min(lo + chunk, n_rows if aligned else stop)
         yield lo, hi
         lo = hi
 

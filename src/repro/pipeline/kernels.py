@@ -18,21 +18,25 @@ layer those kernels route through:
   is **invariant under the thread count** — the pool size comes from
   the same ``workers`` knob that drives process-level parallelism
   (:func:`kernel_threads` / :func:`get_kernel_threads`).
-* The kernels themselves are *batched across left strings*: blocks are
-  length-sorted and each DP step advances every left string of the
-  block against every right string simultaneously (3-D arrays), so the
-  per-row Python overhead of the former one-left-at-a-time loops is
-  amortized over the whole block.
+* Each string measure has **one cell kernel** (``*_cells``) that
+  scores a list of unique-grid cells.  A call that covers whole rows
+  (``cell_right=None`` — the dense and sharded paths) broadcasts the
+  right side across the rows of a block; a cell list (the blocked and
+  served paths) gathers each cell's right string instead.  Both shapes
+  are *batched across left strings*: blocks are length-sorted and each
+  DP step advances every left string of the block against its right
+  strings simultaneously (3-D arrays), so the per-row Python overhead
+  of the former one-left-at-a-time loops is amortized over the block.
 
 Bit-identity is the design constraint, not a best effort: every kernel
 performs the same IEEE operations in the same order as the frozen
-``*_legacy`` body it replaces (differential tests in
-``tests/pipeline/test_kernels.py`` assert exact equality, and
-``benchmarks/bench_kernel_engine.py`` guards both the >= 3x speedup
-and the bitwise match).  The Smith-Waterman grid relies on all DP
-values being small multiples of 0.5 (dyadic rationals), which makes
-the offset-based scan propagation exact; the edit-distance DPs operate
-on exactly representable small integers.
+``*_legacy`` body it replaces, whatever the call shape (differential
+tests in ``tests/pipeline/test_kernels.py`` assert exact equality on
+arbitrary cell lists, and ``benchmarks/bench_kernel_engine.py`` guards
+both the >= 3x speedup and the bitwise match).  The Smith-Waterman
+grid relies on all DP values being small multiples of 0.5 (dyadic
+rationals), which makes the offset-based scan propagation exact; the
+edit-distance DPs operate on exactly representable small integers.
 """
 
 from __future__ import annotations
@@ -53,19 +57,11 @@ __all__ = [
     "row_blocks",
     "run_blocks",
     "encode_strings",
-    "edit_distance_unique",
-    "needleman_wunsch_unique",
-    "lcs_subsequence_unique",
-    "lcs_substring_unique",
-    "jaro_unique",
+    "edit_distance_cells",
+    "lcs_cells",
+    "jaro_cells",
     "smith_waterman_grid",
-    "monge_elkan_unique",
-    "edit_distance_pairs",
-    "needleman_wunsch_pairs",
-    "lcs_subsequence_pairs",
-    "lcs_substring_pairs",
-    "jaro_pairs",
-    "monge_elkan_pairs",
+    "monge_elkan_cells",
 ]
 
 
@@ -207,7 +203,7 @@ class SparsePlan:
     Candidate record pairs (from a blocking scheme) are mapped through
     the :class:`UniquePlan` inverses onto the unique-value grid and
     deduplicated: each distinct ``(unique left, unique right)`` cell is
-    scored once by the ``*_pairs`` kernels, then :meth:`scatter` maps
+    scored once by the ``*_cells`` kernels, then :meth:`scatter` maps
     per-cell values back to per-pair values.  Sharing the
     :class:`UniquePlan` universe means the sparse path consumes the
     exact same cached artifacts (encodings, token matrices, SW grids)
@@ -388,51 +384,132 @@ def _finished_segment(lens: np.ndarray, step: int) -> tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# Alignment kernels (unique grid, blocked, batched across lefts)
+# Cell kernels: one per measure, whole rows (broadcast) or cell lists
 # ----------------------------------------------------------------------
-def edit_distance_unique(
+class _Cells:
+    """The cells of one kernel call on the unique-value grid.
+
+    ``cell_right=None`` asks for whole rows: left row ``cell_left[k]``
+    against every right value, with the right side *broadcast* across
+    the rows of a block (result ``(n, n_right)``).  Otherwise cell
+    ``k`` pairs ``cell_left[k]`` with ``cell_right[k]`` and each cell
+    *gathers* its own right string (result ``(n,)``).  A DP cell's
+    value depends only on its two strings and both shapes run the same
+    integer operations followed by the same float formulas, so a
+    cell's value never depends on the call that scored it — the
+    bit-identity the dense, blocked, sharded and served paths rest on.
+
+    Items with an empty left string are never scored; the others run
+    longest-first, so a block's live rows form a shrinking prefix as
+    the DP passes the shorter strings.
+    """
+
+    def __init__(
+        self,
+        left_codes: np.ndarray,
+        left_lengths: np.ndarray,
+        right_codes: np.ndarray,
+        right_lengths: np.ndarray,
+        cell_left: np.ndarray,
+        cell_right: np.ndarray | None,
+    ) -> None:
+        self.left_codes, self.left_lengths = left_codes, left_lengths
+        self.right_codes, self.right_lengths = right_codes, right_lengths
+        self.cell_left = np.asarray(cell_left, dtype=np.intp)
+        self.cell_right = (
+            None
+            if cell_right is None
+            else np.asarray(cell_right, dtype=np.intp)
+        )
+        self.width = right_codes.shape[1]
+        self.k = right_codes.shape[0] if cell_right is None else 1
+        self.out = np.zeros((self.cell_left.shape[0], self.k))
+        self.rows = _length_sorted_rows(left_lengths[self.cell_left])
+        if self.k == 0:
+            self.rows = self.rows[:0]
+
+    def block(self, ids: np.ndarray):
+        """``(lens, codes_a, codes_b, lens_b)`` of the items ``ids``.
+
+        ``codes_b`` is ``(n, k, width)`` and ``lens_b`` ``(n, k)``:
+        read-only broadcast views for whole rows, per-cell gathers
+        (``k == 1``) otherwise.
+        """
+        left = self.cell_left[ids]
+        if self.cell_right is None:
+            shape = (len(ids), self.k)
+            codes_b = np.broadcast_to(self.right_codes, (*shape, self.width))
+            lens_b = np.broadcast_to(self.right_lengths, shape)
+        else:
+            right = self.cell_right[ids]
+            codes_b = self.right_codes[right][:, None, :]
+            lens_b = self.right_lengths[right][:, None]
+        return self.left_lengths[left], self.left_codes[left], codes_b, lens_b
+
+    def run(self, kernel, row_width: int, threads: int | None) -> None:
+        """Execute ``kernel(start, stop)`` over blocks of :attr:`rows`."""
+        blocks = row_blocks(len(self.rows), self.k * row_width, threads)
+        run_blocks(blocks, kernel, threads)
+
+    def result(self, clip: bool = True) -> np.ndarray:
+        """Scores with empty-side cells zeroed (the builder convention)."""
+        out = self.out
+        out[self.left_lengths[self.cell_left] == 0] = 0.0
+        if self.cell_right is None:
+            out[:, self.right_lengths == 0] = 0.0
+        else:
+            out[self.right_lengths[self.cell_right] == 0] = 0.0
+            out = out[:, 0]
+        return np.clip(out, 0.0, 1.0) if clip else out
+
+
+def edit_distance_cells(
     left_codes: np.ndarray,
     left_lengths: np.ndarray,
     right_codes: np.ndarray,
     right_lengths: np.ndarray,
-    transpositions: bool,
+    cell_left: np.ndarray,
+    cell_right: np.ndarray | None = None,
+    *,
+    transpositions: bool = False,
+    gap: int = 1,
     threads: int | None = None,
 ) -> np.ndarray:
-    """Unique-grid normalized (Damerau-)Levenshtein similarity.
+    """Alignment-cost similarity ``1 - cost / (gap * longest)`` of cells.
+
+    ``gap=1`` is the normalized Levenshtein distance (Damerau-Levenshtein
+    OSA with ``transpositions``); ``gap=2`` is Needleman-Wunsch
+    (mismatch 1, gap 2).  See :class:`_Cells` for the two call shapes.
 
     Each block runs one DP whose step ``i`` advances *every* left
-    string of the block against every right string; rows whose string
-    ends at step ``i`` extract their distances and drop out of the
-    active prefix.  All DP values are small integers, so the state
-    lives in preallocated int32 slabs (half the traffic of float64,
-    no per-step allocations) and converts to float only at extraction
-    — bit-identical to the float64 legacy DP.
+    string of the block against its right strings; rows whose string
+    ends at step ``i`` extract their costs and drop out of the active
+    prefix.  All DP values are small integers, so the state lives in
+    preallocated int32 slabs (half the traffic of float64, no per-step
+    allocations) and converts to float only at extraction —
+    bit-identical to the float64 legacy DPs.
     """
-    n_left, n_right = left_codes.shape[0], right_codes.shape[0]
-    out = np.zeros((n_left, n_right))
-    if n_left == 0 or n_right == 0:
-        return out
-    max_len = right_codes.shape[1]
-    base_row = np.arange(max_len + 1, dtype=np.int32)
-    offsets = np.arange(max_len + 1, dtype=np.int32)
-    take = np.broadcast_to(right_lengths[None, :, None], (1, n_right, 1))
-    rows = _length_sorted_rows(left_lengths)
+    cells = _Cells(
+        left_codes, left_lengths, right_codes, right_lengths,
+        cell_left, cell_right,
+    )
+    width = cells.width
+    offsets = gap * np.arange(width + 1, dtype=np.int32)
+    scale = float(gap)
+    swap = transpositions and width >= 2
 
     def block(start: int, stop: int) -> None:
-        ids = rows[start:stop]
-        lens = left_lengths[ids]
-        codes_a = left_codes[ids]
-        shape = (len(ids), n_right, max_len + 1)
-        previous = np.broadcast_to(base_row, shape).copy()
+        ids = cells.rows[start:stop]
+        lens, codes_a, codes_b, lens_b = cells.block(ids)
+        shape = (len(ids), cells.k, width + 1)
+        previous = np.broadcast_to(offsets, shape).copy()
         current = np.empty(shape, dtype=np.int32)
         scratch = np.empty(shape, dtype=np.int32)
         older = np.empty(shape, dtype=np.int32) if transpositions else None
-        cost = np.empty((len(ids), n_right, max_len), dtype=bool)
-        if transpositions and max_len >= 2:
-            swap_ok = np.empty((len(ids), n_right, max_len - 1), dtype=bool)
+        cost = np.empty(shape[:2] + (width,), dtype=bool)
+        if swap:
+            swap_ok = np.empty(shape[:2] + (width - 1,), dtype=bool)
             swap_prev = np.empty_like(swap_ok)
-        else:
-            swap_ok = swap_prev = None
         prev_prev: np.ndarray | None = None
         prev_ca: np.ndarray | None = None
         for step in range(1, int(lens[0]) + 1):
@@ -440,24 +517,19 @@ def edit_distance_unique(
             prev = previous[:n_active]
             cur = current[:n_active]
             tmp = scratch[:n_active]
-            ca = codes_a[:n_active, step - 1]
-            np.not_equal(
-                right_codes[None, :, :],
-                ca[:, None, None],
-                out=cost[:n_active],
-            )
+            right = codes_b[:n_active]
+            ca = codes_a[:n_active, step - 1, None, None]
+            np.not_equal(right, ca, out=cost[:n_active])
             np.add(prev[..., :-1], cost[:n_active], out=cur[..., 1:])
-            np.add(prev[..., 1:], 1, out=tmp[..., 1:])
+            np.add(prev[..., 1:], gap, out=tmp[..., 1:])
             np.minimum(cur[..., 1:], tmp[..., 1:], out=cur[..., 1:])
-            cur[..., 0] = step
-            if transpositions and prev_prev is not None and max_len >= 2:
+            cur[..., 0] = step * gap
+            if swap and prev_prev is not None:
                 ok = swap_ok[:n_active]
+                np.equal(right[..., :-1], ca, out=ok)
                 np.equal(
-                    right_codes[None, :, :-1], ca[:, None, None], out=ok
-                )
-                np.equal(
-                    right_codes[None, :, 1:],
-                    prev_ca[:n_active, None, None],
+                    right[..., 1:],
+                    prev_ca[:n_active],
                     out=swap_prev[:n_active],
                 )
                 ok &= swap_prev[:n_active]
@@ -474,241 +546,123 @@ def edit_distance_unique(
             prev_ca = ca
             first, last = _finished_segment(lens, step)
             if first < last:
-                distances = np.take_along_axis(
-                    previous[first:last], take, axis=2
-                )[..., 0]
-                longest = np.maximum(step, right_lengths)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    out[ids[first:last]] = np.where(
-                        longest > 0, 1.0 - distances / longest, 0.0
-                    )
-
-    weight = n_right * (max_len + 1)
-    run_blocks(row_blocks(len(rows), weight, threads), block, threads)
-    _mask_empty(out, left_lengths, right_lengths)
-    return np.clip(out, 0.0, 1.0)
-
-
-_NW_GAP = 2.0
-
-
-def needleman_wunsch_unique(
-    left_codes: np.ndarray,
-    left_lengths: np.ndarray,
-    right_codes: np.ndarray,
-    right_lengths: np.ndarray,
-    threads: int | None = None,
-) -> np.ndarray:
-    """Unique-grid Needleman-Wunsch similarity (mismatch 1, gap 2)."""
-    n_left, n_right = left_codes.shape[0], right_codes.shape[0]
-    out = np.zeros((n_left, n_right))
-    if n_left == 0 or n_right == 0:
-        return out
-    max_len = right_codes.shape[1]
-    gap = int(_NW_GAP)
-    base_row = gap * np.arange(max_len + 1, dtype=np.int32)
-    offsets = gap * np.arange(max_len + 1, dtype=np.int32)
-    take = np.broadcast_to(right_lengths[None, :, None], (1, n_right, 1))
-    rows = _length_sorted_rows(left_lengths)
-
-    def block(start: int, stop: int) -> None:
-        ids = rows[start:stop]
-        lens = left_lengths[ids]
-        codes_a = left_codes[ids]
-        shape = (len(ids), n_right, max_len + 1)
-        previous = np.broadcast_to(base_row, shape).copy()
-        current = np.empty(shape, dtype=np.int32)
-        scratch = np.empty(shape, dtype=np.int32)
-        cost = np.empty((len(ids), n_right, max_len), dtype=bool)
-        for step in range(1, int(lens[0]) + 1):
-            n_active = int(np.searchsorted(-lens, -step, side="right"))
-            prev = previous[:n_active]
-            cur = current[:n_active]
-            tmp = scratch[:n_active]
-            ca = codes_a[:n_active, step - 1]
-            np.not_equal(
-                right_codes[None, :, :],
-                ca[:, None, None],
-                out=cost[:n_active],
-            )
-            np.add(prev[..., :-1], cost[:n_active], out=cur[..., 1:])
-            np.add(prev[..., 1:], gap, out=tmp[..., 1:])
-            np.minimum(cur[..., 1:], tmp[..., 1:], out=cur[..., 1:])
-            cur[..., 0] = step * gap
-            _scan_min_inplace(cur, offsets)
-            previous, current = current, previous
-            first, last = _finished_segment(lens, step)
-            if first < last:
+                blens = lens_b[first:last]
                 costs = np.take_along_axis(
-                    previous[first:last], take, axis=2
+                    previous[first:last], blens[..., None], axis=2
                 )[..., 0]
-                longest = np.maximum(step, right_lengths)
+                longest = np.maximum(step, blens)
                 with np.errstate(invalid="ignore", divide="ignore"):
-                    out[ids[first:last]] = np.where(
-                        longest > 0,
-                        1.0 - costs / (_NW_GAP * longest),
-                        0.0,
+                    cells.out[ids[first:last]] = np.where(
+                        longest > 0, 1.0 - costs / (scale * longest), 0.0
                     )
 
-    weight = n_right * (max_len + 1)
-    run_blocks(row_blocks(len(rows), weight, threads), block, threads)
-    _mask_empty(out, left_lengths, right_lengths)
-    return np.clip(out, 0.0, 1.0)
+    cells.run(block, width + 1, threads)
+    return cells.result()
 
 
-def lcs_subsequence_unique(
+def lcs_cells(
     left_codes: np.ndarray,
     left_lengths: np.ndarray,
     right_codes: np.ndarray,
     right_lengths: np.ndarray,
+    cell_left: np.ndarray,
+    cell_right: np.ndarray | None = None,
+    *,
+    substring: bool = False,
     threads: int | None = None,
 ) -> np.ndarray:
-    """Unique-grid longest-common-subsequence similarity."""
-    n_left, n_right = left_codes.shape[0], right_codes.shape[0]
-    out = np.zeros((n_left, n_right))
-    if n_left == 0 or n_right == 0:
-        return out
-    max_len = right_codes.shape[1]
-    take = np.broadcast_to(right_lengths[None, :, None], (1, n_right, 1))
-    rows = _length_sorted_rows(left_lengths)
+    """Longest-common-subsequence similarity ``lcs / longest`` of cells.
+
+    With ``substring`` the common part must be contiguous (longest
+    common substring).  Same block/DP layout as
+    :func:`edit_distance_cells`.
+    """
+    cells = _Cells(
+        left_codes, left_lengths, right_codes, right_lengths,
+        cell_left, cell_right,
+    )
+    width = cells.width
 
     def block(start: int, stop: int) -> None:
-        ids = rows[start:stop]
-        lens = left_lengths[ids]
-        codes_a = left_codes[ids]
-        shape = (len(ids), n_right, max_len + 1)
+        ids = cells.rows[start:stop]
+        lens, codes_a, codes_b, lens_b = cells.block(ids)
+        shape = (len(ids), cells.k, width + 1)
+        best = np.zeros(shape[:2], dtype=np.int32)
         previous = np.zeros(shape, dtype=np.int32)
         current = np.empty(shape, dtype=np.int32)
-        eq = np.empty((len(ids), n_right, max_len), dtype=bool)
+        eq = np.empty(shape[:2] + (width,), dtype=bool)
         for step in range(1, int(lens[0]) + 1):
             n_active = int(np.searchsorted(-lens, -step, side="right"))
             prev = previous[:n_active]
             cur = current[:n_active]
-            ca = codes_a[:n_active, step - 1]
             np.equal(
-                right_codes[None, :, :], ca[:, None, None], out=eq[:n_active]
+                codes_b[:n_active],
+                codes_a[:n_active, step - 1, None, None],
+                out=eq[:n_active],
             )
-            np.add(prev[..., :-1], eq[:n_active], out=cur[..., 1:])
-            np.maximum(prev[..., 1:], cur[..., 1:], out=cur[..., 1:])
-            cur[..., 0] = 0
-            np.maximum.accumulate(cur, axis=-1, out=cur)
+            if substring:
+                np.add(prev[..., :-1], 1, out=cur[..., 1:])
+                np.multiply(cur[..., 1:], eq[:n_active], out=cur[..., 1:])
+                cur[..., 0] = 0
+                np.maximum(
+                    best[:n_active], cur.max(axis=-1), out=best[:n_active]
+                )
+            else:
+                np.add(prev[..., :-1], eq[:n_active], out=cur[..., 1:])
+                np.maximum(prev[..., 1:], cur[..., 1:], out=cur[..., 1:])
+                cur[..., 0] = 0
+                np.maximum.accumulate(cur, axis=-1, out=cur)
             previous, current = current, previous
             first, last = _finished_segment(lens, step)
             if first < last:
-                lcs = np.take_along_axis(
-                    previous[first:last], take, axis=2
-                )[..., 0]
-                longest = np.maximum(step, right_lengths)
+                blens = lens_b[first:last]
+                if substring:
+                    common = best[first:last]
+                else:
+                    common = np.take_along_axis(
+                        previous[first:last], blens[..., None], axis=2
+                    )[..., 0]
+                longest = np.maximum(step, blens)
                 with np.errstate(invalid="ignore", divide="ignore"):
-                    out[ids[first:last]] = np.where(
-                        longest > 0, lcs / longest, 0.0
+                    cells.out[ids[first:last]] = np.where(
+                        longest > 0, common / longest, 0.0
                     )
 
-    weight = n_right * (max_len + 1)
-    run_blocks(row_blocks(len(rows), weight, threads), block, threads)
-    _mask_empty(out, left_lengths, right_lengths)
-    return np.clip(out, 0.0, 1.0)
+    cells.run(block, width + 1, threads)
+    return cells.result()
 
 
-def lcs_substring_unique(
+def jaro_cells(
     left_codes: np.ndarray,
     left_lengths: np.ndarray,
     right_codes: np.ndarray,
     right_lengths: np.ndarray,
+    cell_left: np.ndarray,
+    cell_right: np.ndarray | None = None,
     threads: int | None = None,
 ) -> np.ndarray:
-    """Unique-grid longest-common-substring similarity."""
-    n_left, n_right = left_codes.shape[0], right_codes.shape[0]
-    out = np.zeros((n_left, n_right))
-    if n_left == 0 or n_right == 0:
-        return out
-    max_len = right_codes.shape[1]
-    rows = _length_sorted_rows(left_lengths)
-
-    def block(start: int, stop: int) -> None:
-        ids = rows[start:stop]
-        lens = left_lengths[ids]
-        codes_a = left_codes[ids]
-        shape = (len(ids), n_right, max_len + 1)
-        best = np.zeros((len(ids), n_right), dtype=np.int32)
-        previous = np.zeros(shape, dtype=np.int32)
-        current = np.empty(shape, dtype=np.int32)
-        eq = np.empty((len(ids), n_right, max_len), dtype=bool)
-        for step in range(1, int(lens[0]) + 1):
-            n_active = int(np.searchsorted(-lens, -step, side="right"))
-            prev = previous[:n_active]
-            cur = current[:n_active]
-            ca = codes_a[:n_active, step - 1]
-            np.equal(
-                right_codes[None, :, :], ca[:, None, None], out=eq[:n_active]
-            )
-            np.add(prev[..., :-1], 1, out=cur[..., 1:])
-            np.multiply(cur[..., 1:], eq[:n_active], out=cur[..., 1:])
-            cur[..., 0] = 0
-            np.maximum(
-                best[:n_active],
-                cur.max(axis=-1),
-                out=best[:n_active],
-            )
-            previous, current = current, previous
-            first, last = _finished_segment(lens, step)
-            if first < last:
-                longest = np.maximum(step, right_lengths)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    out[ids[first:last]] = np.where(
-                        longest > 0, best[first:last] / longest, 0.0
-                    )
-
-    weight = n_right * (max_len + 1)
-    run_blocks(row_blocks(len(rows), weight, threads), block, threads)
-    _mask_empty(out, left_lengths, right_lengths)
-    return np.clip(out, 0.0, 1.0)
-
-
-def _mask_empty(
-    out: np.ndarray, left_lengths: np.ndarray, right_lengths: np.ndarray
-) -> None:
-    """Zero rows/columns of empty strings (the builder convention)."""
-    out[left_lengths == 0, :] = 0.0
-    out[:, right_lengths == 0] = 0.0
-
-
-# ----------------------------------------------------------------------
-# Jaro (length-sorted blocks, per-pair windows)
-# ----------------------------------------------------------------------
-def jaro_unique(
-    left_codes: np.ndarray,
-    left_lengths: np.ndarray,
-    right_codes: np.ndarray,
-    right_lengths: np.ndarray,
-    threads: int | None = None,
-) -> np.ndarray:
-    """Unique-grid Jaro similarity as a batched array kernel.
+    """Jaro similarity of cells as a batched array kernel.
 
     The greedy common-character matching is inherently sequential in
     the *left* string's characters, but each of those steps is a pure
-    array operation over every ``(left, right)`` pair of the block:
-    first-unflagged-match selection via ``argmax`` over the per-pair
-    match window, then one vectorized transposition count from the
-    cumulative match ranks.
+    array operation over every cell of the block: first-unflagged-match
+    selection via ``argmax`` over the per-cell match window, then one
+    vectorized transposition count from the cumulative match ranks.
     """
-    n_left, n_right = left_codes.shape[0], right_codes.shape[0]
-    out = np.zeros((n_left, n_right))
-    if n_left == 0 or n_right == 0:
-        return out
-    max_right = right_codes.shape[1]
-    cols = np.arange(max_right)
-    rows = _length_sorted_rows(left_lengths)
+    cells = _Cells(
+        left_codes, left_lengths, right_codes, right_lengths,
+        cell_left, cell_right,
+    )
+    width = cells.width
+    cols = np.arange(width)[None, None, :]
 
     def block(start: int, stop: int) -> None:
-        ids = rows[start:stop]
-        lens = left_lengths[ids]
-        codes_a = left_codes[ids]
-        n_block = len(ids)
+        ids = cells.rows[start:stop]
+        lens, codes_a, codes_b, lens_b = cells.block(ids)
+        shape = (len(ids), cells.k)
         la = lens[:, None]
-        lb = right_lengths[None, :]
-        window = np.maximum(np.maximum(la, lb) // 2 - 1, 0)
-        # Per-pair window bounds at step 0; both shift by one per step.
+        window = np.maximum(np.maximum(la, lens_b) // 2 - 1, 0)
+        # Per-cell window bounds at step 0; both shift by one per step.
         low = 0 - window
         high = window.copy()
         # Unflagged-position tracking keeps candidate filtering to one
@@ -716,23 +670,22 @@ def jaro_unique(
         # True forever but never match (the active-prefix slicing keeps
         # the -1 pad out of the left side, and a real code never equals
         # the pad).
-        unflagged = np.ones((n_block, n_right, max_right), dtype=bool)
-        matched = np.zeros((n_block, n_right, int(lens[0])), dtype=bool)
-        cand = np.empty((n_block, n_right, max_right), dtype=bool)
+        unflagged = np.ones((*shape, width), dtype=bool)
+        matched = np.zeros((*shape, int(lens[0])), dtype=bool)
+        cand = np.empty((*shape, width), dtype=bool)
         winbuf = np.empty_like(cand)
-        cols3 = cols[None, None, :]
         for i in range(int(lens[0])):
             n_active = int(np.searchsorted(-lens, -(i + 1), side="right"))
-            ca = codes_a[:n_active, i]
             step_cand = cand[:n_active]
             step_win = winbuf[:n_active]
             np.equal(
-                right_codes[None, :, :], ca[:, None, None], out=step_cand
+                codes_b[:n_active], codes_a[:n_active, i, None, None],
+                out=step_cand,
             )
             step_cand &= unflagged[:n_active]
-            np.greater_equal(cols3, low[:n_active, :, None], out=step_win)
+            np.greater_equal(cols, low[:n_active, :, None], out=step_win)
             step_cand &= step_win
-            np.less_equal(cols3, high[:n_active, :, None], out=step_win)
+            np.less_equal(cols, high[:n_active, :, None], out=step_win)
             step_cand &= step_win
             has = step_cand.any(axis=-1)
             if has.any():
@@ -745,25 +698,22 @@ def jaro_unique(
         b_flag = ~unflagged
         common = b_flag.sum(axis=-1)
         transpositions = _jaro_transpositions(
-            codes_a, right_codes, matched, b_flag, common
+            codes_a, codes_b, matched, b_flag, common
         )
         with np.errstate(invalid="ignore", divide="ignore"):
-            sims = np.where(
+            cells.out[ids] = np.where(
                 common > 0,
                 (
                     common / la
-                    + common / lb
+                    + common / lens_b
                     + (common - transpositions) / np.maximum(common, 1)
                 )
                 / 3.0,
                 0.0,
             )
-        out[ids] = sims
 
-    weight = n_right * max(max_right, 1)
-    run_blocks(row_blocks(len(rows), weight, threads), block, threads)
-    _mask_empty(out, left_lengths, right_lengths)
-    return out
+    cells.run(block, max(width, 1), threads)
+    return cells.result(clip=False)
 
 
 def _jaro_transpositions(
@@ -779,18 +729,17 @@ def _jaro_transpositions(
     the k-th flagged right character (in right order) by scattering
     both along their cumulative match ranks.
     """
-    n_block, n_right = common.shape
     max_common = int(common.max()) if common.size else 0
     if max_common == 0:
-        return np.zeros((n_block, n_right), dtype=np.int64)
+        return np.zeros(common.shape, dtype=np.int64)
     rank_a = np.cumsum(matched, axis=-1) - 1
     rank_b = np.cumsum(b_flag, axis=-1) - 1
-    seq_a = np.full((n_block, n_right, max_common), -1, dtype=np.int32)
-    seq_b = np.full((n_block, n_right, max_common), -2, dtype=np.int32)
+    seq_a = np.full((*common.shape, max_common), -1, dtype=np.int32)
+    seq_b = np.full((*common.shape, max_common), -2, dtype=np.int32)
     ai, bi, ci = np.nonzero(matched)
     seq_a[ai, bi, rank_a[ai, bi, ci]] = codes_a[ai, ci]
     ai, bi, cj = np.nonzero(b_flag)
-    seq_b[ai, bi, rank_b[ai, bi, cj]] = codes_b[bi, cj]
+    seq_b[ai, bi, rank_b[ai, bi, cj]] = codes_b[ai, bi, cj]
     return ((seq_a != seq_b) & (seq_a != -1)).sum(axis=-1) // 2
 
 
@@ -883,487 +832,65 @@ def smith_waterman_grid(
     return out
 
 
-def monge_elkan_unique(
+def monge_elkan_cells(
     left_token_ids: list[np.ndarray],
     right_token_ids: list[np.ndarray],
     grid: np.ndarray,
+    cell_left: np.ndarray,
+    cell_right: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Monge-Elkan over a precomputed unique-token-pair SW ``grid``.
+    """Monge-Elkan of cells over a precomputed unique-token SW ``grid``.
 
     ``*_token_ids`` hold, per unique value, the token indices into the
     grid axes — duplicates included, in text order, exactly as the
-    scalar measure iterates them.  The max over a right value's tokens
-    is one ``np.maximum.reduceat`` per grid row (selection — exact);
-    the mean over a left value's tokens is a strict left fold over
-    token-count buckets, reproducing the scalar summation order
+    scalar measure iterates them.  Call shapes as in :class:`_Cells`.
+    The max over a right value's tokens is one ``np.maximum.reduceat``
+    per grid row over the right values the call needs (selection —
+    exact); the mean over a left value's tokens is a strict left fold
+    over token-count buckets, reproducing the scalar summation order
     bit-for-bit.
     """
-    n_left, n_right = len(left_token_ids), len(right_token_ids)
-    out = np.zeros((n_left, n_right))
-    left_ids = [i for i, ids in enumerate(left_token_ids) if len(ids)]
-    right_ids = [j for j, ids in enumerate(right_token_ids) if len(ids)]
-    if not left_ids or not right_ids:
-        return out
-    right_lists = [right_token_ids[j] for j in right_ids]
-    offsets = np.cumsum([0] + [len(ids) for ids in right_lists[:-1]])
-    concatenated = np.concatenate(right_lists)
-    # (unique left token) x (right value): best SW score of the token
-    # against any token of the value.
-    best = np.maximum.reduceat(grid[:, concatenated], offsets, axis=1)
-
-    dense = np.zeros((len(left_ids), len(right_ids)))
-    counts = np.array([len(left_token_ids[i]) for i in left_ids])
-    for count in np.unique(counts):
-        bucket = np.flatnonzero(counts == count)
-        stacked = np.stack(
-            [best[left_token_ids[left_ids[b]]] for b in bucket]
-        )  # (bucket, count, n_right_values)
-        total = stacked[:, 0].copy()
-        for position in range(1, int(count)):
-            total += stacked[:, position]
-        dense[bucket] = total / int(count)
-    out[np.ix_(left_ids, right_ids)] = dense
-    return out
-
-
-# ----------------------------------------------------------------------
-# Pair-batched kernels (candidate cells only — the SparsePlan path)
-# ----------------------------------------------------------------------
-# Each ``*_pairs`` kernel is the per-cell restriction of its
-# ``*_unique`` sibling: the DP state collapses from ``(block, n_right,
-# width)`` slabs to ``(block_of_pairs, width)`` slabs, with the right
-# string gathered per pair.  A DP cell's value depends only on the two
-# strings of that cell, and both variants perform the same integer
-# operations followed by the same float formulas — so for every
-# requested cell ``(i, j)``, ``kernel_pairs(...)[k]`` is bitwise equal
-# to ``kernel_unique(...)[i, j]``.
-
-
-def _pair_mask_empty(
-    out: np.ndarray,
-    left_lengths: np.ndarray,
-    right_lengths: np.ndarray,
-    cell_left: np.ndarray,
-    cell_right: np.ndarray,
-) -> None:
-    """Per-cell restriction of :func:`_mask_empty`."""
-    out[left_lengths[cell_left] == 0] = 0.0
-    out[right_lengths[cell_right] == 0] = 0.0
-
-
-def _pair_rows(lengths: np.ndarray, cell_left: np.ndarray) -> np.ndarray:
-    """Cell indices with a non-empty left string, longest-left first."""
-    lens = lengths[cell_left]
-    nonempty = np.flatnonzero(lens > 0)
-    order = np.argsort(-lens[nonempty], kind="stable")
-    return nonempty[order]
-
-
-def edit_distance_pairs(
-    left_codes: np.ndarray,
-    left_lengths: np.ndarray,
-    right_codes: np.ndarray,
-    right_lengths: np.ndarray,
-    cell_left: np.ndarray,
-    cell_right: np.ndarray,
-    transpositions: bool,
-    threads: int | None = None,
-) -> np.ndarray:
-    """Candidate-cell (Damerau-)Levenshtein similarity values."""
-    n_cells = cell_left.shape[0]
-    out = np.zeros(n_cells)
-    if n_cells == 0 or right_codes.shape[0] == 0:
-        return out
-    max_len = right_codes.shape[1]
-    base_row = np.arange(max_len + 1, dtype=np.int32)
-    offsets = np.arange(max_len + 1, dtype=np.int32)
-    rows = _pair_rows(left_lengths, cell_left)
-
-    def block(start: int, stop: int) -> None:
-        ids = rows[start:stop]
-        lens = left_lengths[cell_left[ids]]
-        codes_a = left_codes[cell_left[ids]]
-        codes_b = right_codes[cell_right[ids]]
-        blens = right_lengths[cell_right[ids]]
-        shape = (len(ids), max_len + 1)
-        previous = np.broadcast_to(base_row, shape).copy()
-        current = np.empty(shape, dtype=np.int32)
-        scratch = np.empty(shape, dtype=np.int32)
-        older = np.empty(shape, dtype=np.int32) if transpositions else None
-        cost = np.empty((len(ids), max_len), dtype=bool)
-        if transpositions and max_len >= 2:
-            swap_ok = np.empty((len(ids), max_len - 1), dtype=bool)
-            swap_prev = np.empty_like(swap_ok)
-        else:
-            swap_ok = swap_prev = None
-        prev_prev: np.ndarray | None = None
-        prev_ca: np.ndarray | None = None
-        for step in range(1, int(lens[0]) + 1):
-            n_active = int(np.searchsorted(-lens, -step, side="right"))
-            prev = previous[:n_active]
-            cur = current[:n_active]
-            tmp = scratch[:n_active]
-            ca = codes_a[:n_active, step - 1]
-            np.not_equal(
-                codes_b[:n_active], ca[:, None], out=cost[:n_active]
-            )
-            np.add(prev[..., :-1], cost[:n_active], out=cur[..., 1:])
-            np.add(prev[..., 1:], 1, out=tmp[..., 1:])
-            np.minimum(cur[..., 1:], tmp[..., 1:], out=cur[..., 1:])
-            cur[..., 0] = step
-            if transpositions and prev_prev is not None and max_len >= 2:
-                ok = swap_ok[:n_active]
-                np.equal(codes_b[:n_active, :-1], ca[:, None], out=ok)
-                np.equal(
-                    codes_b[:n_active, 1:],
-                    prev_ca[:n_active, None],
-                    out=swap_prev[:n_active],
-                )
-                ok &= swap_prev[:n_active]
-                candidate = tmp[..., 2:]
-                np.add(prev_prev[:n_active, :-2], 1, out=candidate)
-                np.minimum(cur[..., 2:], candidate, out=candidate)
-                np.copyto(cur[..., 2:], candidate, where=ok)
-            _scan_min_inplace(cur, offsets)
-            if transpositions:
-                previous, current, older = current, older, previous
-                prev_prev = older
-            else:
-                previous, current = current, previous
-            prev_ca = ca
-            first, last = _finished_segment(lens, step)
-            if first < last:
-                distances = np.take_along_axis(
-                    previous[first:last], blens[first:last, None], axis=1
-                )[:, 0]
-                longest = np.maximum(step, blens[first:last])
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    out[ids[first:last]] = np.where(
-                        longest > 0, 1.0 - distances / longest, 0.0
-                    )
-
-    run_blocks(row_blocks(len(rows), max_len + 1, threads), block, threads)
-    _pair_mask_empty(out, left_lengths, right_lengths, cell_left, cell_right)
-    return np.clip(out, 0.0, 1.0)
-
-
-def needleman_wunsch_pairs(
-    left_codes: np.ndarray,
-    left_lengths: np.ndarray,
-    right_codes: np.ndarray,
-    right_lengths: np.ndarray,
-    cell_left: np.ndarray,
-    cell_right: np.ndarray,
-    threads: int | None = None,
-) -> np.ndarray:
-    """Candidate-cell Needleman-Wunsch similarity values."""
-    n_cells = cell_left.shape[0]
-    out = np.zeros(n_cells)
-    if n_cells == 0 or right_codes.shape[0] == 0:
-        return out
-    max_len = right_codes.shape[1]
-    gap = int(_NW_GAP)
-    base_row = gap * np.arange(max_len + 1, dtype=np.int32)
-    offsets = gap * np.arange(max_len + 1, dtype=np.int32)
-    rows = _pair_rows(left_lengths, cell_left)
-
-    def block(start: int, stop: int) -> None:
-        ids = rows[start:stop]
-        lens = left_lengths[cell_left[ids]]
-        codes_a = left_codes[cell_left[ids]]
-        codes_b = right_codes[cell_right[ids]]
-        blens = right_lengths[cell_right[ids]]
-        shape = (len(ids), max_len + 1)
-        previous = np.broadcast_to(base_row, shape).copy()
-        current = np.empty(shape, dtype=np.int32)
-        scratch = np.empty(shape, dtype=np.int32)
-        cost = np.empty((len(ids), max_len), dtype=bool)
-        for step in range(1, int(lens[0]) + 1):
-            n_active = int(np.searchsorted(-lens, -step, side="right"))
-            prev = previous[:n_active]
-            cur = current[:n_active]
-            tmp = scratch[:n_active]
-            ca = codes_a[:n_active, step - 1]
-            np.not_equal(
-                codes_b[:n_active], ca[:, None], out=cost[:n_active]
-            )
-            np.add(prev[..., :-1], cost[:n_active], out=cur[..., 1:])
-            np.add(prev[..., 1:], gap, out=tmp[..., 1:])
-            np.minimum(cur[..., 1:], tmp[..., 1:], out=cur[..., 1:])
-            cur[..., 0] = step * gap
-            _scan_min_inplace(cur, offsets)
-            previous, current = current, previous
-            first, last = _finished_segment(lens, step)
-            if first < last:
-                costs = np.take_along_axis(
-                    previous[first:last], blens[first:last, None], axis=1
-                )[:, 0]
-                longest = np.maximum(step, blens[first:last])
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    out[ids[first:last]] = np.where(
-                        longest > 0,
-                        1.0 - costs / (_NW_GAP * longest),
-                        0.0,
-                    )
-
-    run_blocks(row_blocks(len(rows), max_len + 1, threads), block, threads)
-    _pair_mask_empty(out, left_lengths, right_lengths, cell_left, cell_right)
-    return np.clip(out, 0.0, 1.0)
-
-
-def lcs_subsequence_pairs(
-    left_codes: np.ndarray,
-    left_lengths: np.ndarray,
-    right_codes: np.ndarray,
-    right_lengths: np.ndarray,
-    cell_left: np.ndarray,
-    cell_right: np.ndarray,
-    threads: int | None = None,
-) -> np.ndarray:
-    """Candidate-cell longest-common-subsequence similarity values."""
-    n_cells = cell_left.shape[0]
-    out = np.zeros(n_cells)
-    if n_cells == 0 or right_codes.shape[0] == 0:
-        return out
-    max_len = right_codes.shape[1]
-    rows = _pair_rows(left_lengths, cell_left)
-
-    def block(start: int, stop: int) -> None:
-        ids = rows[start:stop]
-        lens = left_lengths[cell_left[ids]]
-        codes_a = left_codes[cell_left[ids]]
-        codes_b = right_codes[cell_right[ids]]
-        blens = right_lengths[cell_right[ids]]
-        shape = (len(ids), max_len + 1)
-        previous = np.zeros(shape, dtype=np.int32)
-        current = np.empty(shape, dtype=np.int32)
-        eq = np.empty((len(ids), max_len), dtype=bool)
-        for step in range(1, int(lens[0]) + 1):
-            n_active = int(np.searchsorted(-lens, -step, side="right"))
-            prev = previous[:n_active]
-            cur = current[:n_active]
-            ca = codes_a[:n_active, step - 1]
-            np.equal(codes_b[:n_active], ca[:, None], out=eq[:n_active])
-            np.add(prev[..., :-1], eq[:n_active], out=cur[..., 1:])
-            np.maximum(prev[..., 1:], cur[..., 1:], out=cur[..., 1:])
-            cur[..., 0] = 0
-            np.maximum.accumulate(cur, axis=-1, out=cur)
-            previous, current = current, previous
-            first, last = _finished_segment(lens, step)
-            if first < last:
-                lcs = np.take_along_axis(
-                    previous[first:last], blens[first:last, None], axis=1
-                )[:, 0]
-                longest = np.maximum(step, blens[first:last])
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    out[ids[first:last]] = np.where(
-                        longest > 0, lcs / longest, 0.0
-                    )
-
-    run_blocks(row_blocks(len(rows), max_len + 1, threads), block, threads)
-    _pair_mask_empty(out, left_lengths, right_lengths, cell_left, cell_right)
-    return np.clip(out, 0.0, 1.0)
-
-
-def lcs_substring_pairs(
-    left_codes: np.ndarray,
-    left_lengths: np.ndarray,
-    right_codes: np.ndarray,
-    right_lengths: np.ndarray,
-    cell_left: np.ndarray,
-    cell_right: np.ndarray,
-    threads: int | None = None,
-) -> np.ndarray:
-    """Candidate-cell longest-common-substring similarity values."""
-    n_cells = cell_left.shape[0]
-    out = np.zeros(n_cells)
-    if n_cells == 0 or right_codes.shape[0] == 0:
-        return out
-    max_len = right_codes.shape[1]
-    rows = _pair_rows(left_lengths, cell_left)
-
-    def block(start: int, stop: int) -> None:
-        ids = rows[start:stop]
-        lens = left_lengths[cell_left[ids]]
-        codes_a = left_codes[cell_left[ids]]
-        codes_b = right_codes[cell_right[ids]]
-        blens = right_lengths[cell_right[ids]]
-        shape = (len(ids), max_len + 1)
-        best = np.zeros(len(ids), dtype=np.int32)
-        previous = np.zeros(shape, dtype=np.int32)
-        current = np.empty(shape, dtype=np.int32)
-        eq = np.empty((len(ids), max_len), dtype=bool)
-        for step in range(1, int(lens[0]) + 1):
-            n_active = int(np.searchsorted(-lens, -step, side="right"))
-            prev = previous[:n_active]
-            cur = current[:n_active]
-            ca = codes_a[:n_active, step - 1]
-            np.equal(codes_b[:n_active], ca[:, None], out=eq[:n_active])
-            np.add(prev[..., :-1], 1, out=cur[..., 1:])
-            np.multiply(cur[..., 1:], eq[:n_active], out=cur[..., 1:])
-            cur[..., 0] = 0
-            np.maximum(
-                best[:n_active], cur.max(axis=-1), out=best[:n_active]
-            )
-            previous, current = current, previous
-            first, last = _finished_segment(lens, step)
-            if first < last:
-                longest = np.maximum(step, blens[first:last])
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    out[ids[first:last]] = np.where(
-                        longest > 0, best[first:last] / longest, 0.0
-                    )
-
-    run_blocks(row_blocks(len(rows), max_len + 1, threads), block, threads)
-    _pair_mask_empty(out, left_lengths, right_lengths, cell_left, cell_right)
-    return np.clip(out, 0.0, 1.0)
-
-
-def jaro_pairs(
-    left_codes: np.ndarray,
-    left_lengths: np.ndarray,
-    right_codes: np.ndarray,
-    right_lengths: np.ndarray,
-    cell_left: np.ndarray,
-    cell_right: np.ndarray,
-    threads: int | None = None,
-) -> np.ndarray:
-    """Candidate-cell Jaro similarity values."""
-    n_cells = cell_left.shape[0]
-    out = np.zeros(n_cells)
-    if n_cells == 0 or right_codes.shape[0] == 0:
-        return out
-    max_right = right_codes.shape[1]
-    cols = np.arange(max_right)
-    rows = _pair_rows(left_lengths, cell_left)
-
-    def block(start: int, stop: int) -> None:
-        ids = rows[start:stop]
-        lens = left_lengths[cell_left[ids]]
-        codes_a = left_codes[cell_left[ids]]
-        codes_b = right_codes[cell_right[ids]]
-        blens = right_lengths[cell_right[ids]]
-        n_block = len(ids)
-        la = lens
-        lb = blens
-        window = np.maximum(np.maximum(la, lb) // 2 - 1, 0)
-        low = 0 - window
-        high = window.copy()
-        unflagged = np.ones((n_block, max_right), dtype=bool)
-        matched = np.zeros((n_block, int(lens[0])), dtype=bool)
-        cand = np.empty((n_block, max_right), dtype=bool)
-        winbuf = np.empty_like(cand)
-        cols2 = cols[None, :]
-        for i in range(int(lens[0])):
-            n_active = int(np.searchsorted(-lens, -(i + 1), side="right"))
-            ca = codes_a[:n_active, i]
-            step_cand = cand[:n_active]
-            step_win = winbuf[:n_active]
-            np.equal(codes_b[:n_active], ca[:, None], out=step_cand)
-            step_cand &= unflagged[:n_active]
-            np.greater_equal(cols2, low[:n_active, None], out=step_win)
-            step_cand &= step_win
-            np.less_equal(cols2, high[:n_active, None], out=step_win)
-            step_cand &= step_win
-            has = step_cand.any(axis=-1)
-            if has.any():
-                first_j = np.argmax(step_cand, axis=-1)
-                ai = np.flatnonzero(has)
-                unflagged[ai, first_j[ai]] = False
-                matched[ai, i] = True
-            low += 1
-            high += 1
-        b_flag = ~unflagged
-        common = b_flag.sum(axis=-1)
-        transpositions = _jaro_pair_transpositions(
-            codes_a, codes_b, matched, b_flag, common
-        )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sims = np.where(
-                common > 0,
-                (
-                    common / la
-                    + common / lb
-                    + (common - transpositions) / np.maximum(common, 1)
-                )
-                / 3.0,
-                0.0,
-            )
-        out[ids] = sims
-
-    run_blocks(row_blocks(len(rows), max(max_right, 1), threads), block, threads)
-    _pair_mask_empty(out, left_lengths, right_lengths, cell_left, cell_right)
-    return out
-
-
-def _jaro_pair_transpositions(
-    codes_a: np.ndarray,
-    codes_b: np.ndarray,
-    matched: np.ndarray,
-    b_flag: np.ndarray,
-    common: np.ndarray,
-) -> np.ndarray:
-    """Per-pair restriction of :func:`_jaro_transpositions`."""
-    n_block = common.shape[0]
-    max_common = int(common.max()) if common.size else 0
-    if max_common == 0:
-        return np.zeros(n_block, dtype=np.int64)
-    rank_a = np.cumsum(matched, axis=-1) - 1
-    rank_b = np.cumsum(b_flag, axis=-1) - 1
-    seq_a = np.full((n_block, max_common), -1, dtype=np.int32)
-    seq_b = np.full((n_block, max_common), -2, dtype=np.int32)
-    ai, ci = np.nonzero(matched)
-    seq_a[ai, rank_a[ai, ci]] = codes_a[ai, ci]
-    ai, cj = np.nonzero(b_flag)
-    seq_b[ai, rank_b[ai, cj]] = codes_b[ai, cj]
-    return ((seq_a != seq_b) & (seq_a != -1)).sum(axis=-1) // 2
-
-
-def monge_elkan_pairs(
-    left_token_ids: list[np.ndarray],
-    right_token_ids: list[np.ndarray],
-    grid: np.ndarray,
-    cell_left: np.ndarray,
-    cell_right: np.ndarray,
-) -> np.ndarray:
-    """Candidate-cell Monge-Elkan over the shared unique-token grid.
-
-    The per-token max is the same ``np.maximum.reduceat`` selection as
-    :func:`monge_elkan_unique`, restricted to the right values that
-    actually appear in a candidate cell, and the mean over a left
-    value's tokens is the same strict left fold in the same position
-    order — so each cell value is bitwise equal to the dense one.
-    """
-    n_cells = cell_left.shape[0]
-    out = np.zeros(n_cells)
-    if n_cells == 0:
-        return out
-    needed_right = np.unique(cell_right)
-    nonempty_right = np.asarray(
-        [j for j in needed_right if len(right_token_ids[j])], dtype=np.intp
+    cell_left = np.asarray(cell_left, dtype=np.intp)
+    whole_rows = cell_right is None
+    needed = (
+        range(len(right_token_ids)) if whole_rows else np.unique(cell_right)
     )
-    if nonempty_right.shape[0] == 0:
-        return out
-    column_of = np.full(len(right_token_ids), -1, dtype=np.int64)
-    column_of[nonempty_right] = np.arange(nonempty_right.shape[0])
-    right_lists = [right_token_ids[j] for j in nonempty_right]
+    nonempty = np.asarray(
+        [j for j in needed if len(right_token_ids[j])], dtype=np.intp
+    )
+    out = np.zeros(
+        (cell_left.shape[0], len(right_token_ids) if whole_rows else 1)
+    )
+    if nonempty.shape[0] == 0 or cell_left.shape[0] == 0:
+        return out if whole_rows else out[:, 0]
+    right_lists = [right_token_ids[j] for j in nonempty]
     offsets = np.cumsum([0] + [len(ids) for ids in right_lists[:-1]])
-    concatenated = np.concatenate(right_lists)
-    best = np.maximum.reduceat(grid[:, concatenated], offsets, axis=1)
-
+    # (unique left token) x (needed right value): best SW score of the
+    # token against any token of the value.
+    best = np.maximum.reduceat(
+        grid[:, np.concatenate(right_lists)], offsets, axis=1
+    )
     counts = np.asarray(
         [len(left_token_ids[i]) for i in cell_left], dtype=np.int64
     )
-    columns = column_of[cell_right]
-    valid = (counts > 0) & (columns >= 0)
+    valid = counts > 0
+    if not whole_rows:
+        column_of = np.full(len(right_token_ids), -1, dtype=np.int64)
+        column_of[nonempty] = np.arange(nonempty.shape[0])
+        columns = column_of[np.asarray(cell_right, dtype=np.intp)]
+        valid &= columns >= 0
     for count in np.unique(counts[valid]):
         bucket = np.flatnonzero(valid & (counts == count))
-        ids_matrix = np.stack(
-            [left_token_ids[cell_left[k]] for k in bucket]
-        )  # (bucket, count)
-        values = best[ids_matrix, columns[bucket, None]]
+        ids = np.stack([left_token_ids[cell_left[k]] for k in bucket])
+        if whole_rows:
+            values = best[ids]  # (bucket, count, needed values)
+        else:
+            values = best[ids, columns[bucket, None]][..., None]
         total = values[:, 0].copy()
         for position in range(1, int(count)):
             total += values[:, position]
-        out[bucket] = total / int(count)
-    return out
+        if whole_rows:
+            out[np.ix_(bucket, nonempty)] = total / int(count)
+        else:
+            out[bucket] = total / int(count)
+    return out if whole_rows else out[:, 0]

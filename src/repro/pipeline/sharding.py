@@ -12,7 +12,7 @@ when blocking makes the *pair* count tiny.  This module splits the
   blocking is configured).  Plans are pure functions of their inputs —
   the same dataset and budget always produce the same boundaries.
 * :class:`ShardRun` streams each shard through
-  :meth:`~repro.pipeline.engine.SimilarityEngine.shard_scores`, spills
+  :meth:`~repro.pipeline.engine.SimilarityEngine.score`, spills
   the shard's raw positive edges to an npz file (read back with
   ``np.load(..., mmap_mode="r")`` — npz members extract lazily on
   access, so the merge never holds more than one shard plus the final
@@ -29,11 +29,15 @@ invariant to the shard count** because of three invariants:
    row-major nonzero order on the dense path, candidate order under
    blocking — so concatenating shards in range order reproduces the
    unsharded edge stream.
-2. Every shard evaluates only *whole* blocks of the absolute row-chunk
-   grid (:func:`~repro.pipeline.kernels.row_chunk_size`, a function of
-   the dataset shape alone) and slices the rows it owns, so every BLAS
-   gemm has the same operands and shape as in the unsharded chunked
-   pass — shard boundaries are free to land on any row.
+2. A string-measure shard scores exactly its own rows (or candidate
+   cells): the cell kernels are per-cell exact, so any row split
+   reproduces the unsharded scores.  Only the BLAS families (vector,
+   graph, semantic) need grid alignment: their shards evaluate *whole*
+   blocks of the absolute row-chunk grid
+   (:func:`~repro.pipeline.kernels.row_chunk_size`, a function of the
+   dataset shape alone) and slice the rows they own, so every gemm has
+   the same operands and shape as in the unsharded chunked pass —
+   shard boundaries are free to land on any row.
 3. Edges spill **raw** (unclipped) scores; clipping and min-max
    normalization run once, over the merged stream, through the same
    :func:`~repro.pipeline.graph_builder.pairs_to_graph` the blocking
@@ -313,12 +317,12 @@ class ShardRun:
         """One shard's raw edges — store-cached when a store is wired."""
         store = self.engine.cache.store
         if store is None:
-            return self.engine.shard_scores(spec, start, stop)
+            return self.engine.score([spec], start, stop)[0].edges
         key = score_shard_key(spec, self.engine.blocking, start, stop)
         value = store.load(self.engine.cache.dataset_key, key)
         if value is not None:
             return value
-        edges = self.engine.shard_scores(spec, start, stop)
+        edges = self.engine.score([spec], start, stop)[0].edges
         try:
             store.save(self.engine.cache.dataset_key, key, edges)
         except Exception as error:

@@ -528,7 +528,8 @@ class ArtifactStore:
         """
         payload_path, manifest_path = self._paths(key)
         try:
-            manifest = json.loads(manifest_path.read_text())
+            manifest_text = manifest_path.read_text()
+            manifest = json.loads(manifest_text)
         except OSError:
             return None  # not committed (or mid-commit) — never delete
         except json.JSONDecodeError:
@@ -549,11 +550,14 @@ class ArtifactStore:
             with np.load(payload_path, allow_pickle=False) as bundle:
                 value = codec.decode(bundle)
         except Exception:
-            # Truncated/undecodable payload, or a manifest whose
-            # payload vanished: corruption, not staleness — move the
-            # entry aside so the rebuild recommits cleanly and the
-            # bad bytes are never read again.
-            if mutate:
+            # A concurrent gc may have evicted the entry after its
+            # manifest was read, and a writer may already have
+            # recommitted it: unless the manifest read is still the
+            # live one, this is a plain miss.  Otherwise the payload is
+            # truncated, undecodable or gone: corruption, not staleness
+            # — move the entry aside so the rebuild recommits cleanly
+            # and the bad bytes are never read again.
+            if mutate and self._manifest_text(manifest_path) == manifest_text:
                 self._quarantine(key)
             return None
         if mutate:
@@ -563,6 +567,13 @@ class ArtifactStore:
             except OSError:
                 pass
         return value
+
+    @staticmethod
+    def _manifest_text(manifest_path: Path) -> str | None:
+        try:
+            return manifest_path.read_text()
+        except OSError:
+            return None
 
     # ------------------------------------------------------------ save
     def save(self, dataset_key: tuple, cache_key: tuple, value) -> bool:
@@ -583,17 +594,20 @@ class ArtifactStore:
         self.root.mkdir(parents=True, exist_ok=True)
         arrays = codec.encode(value)
         compress = getattr(codec, "compress", True)
-        self._atomic_write_npz(payload_path, arrays, compress=compress)
+        nbytes = self._atomic_write_npz(
+            payload_path, arrays, compress=compress
+        )
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "repro_version": _repro_version(),
             "dataset": list(dataset_key),
             "kind": kind,
             "params": list(cache_key[1:]),
-            "nbytes": payload_path.stat().st_size,
+            "nbytes": nbytes,
             "created": time.time(),
         }
-        self._atomic_write_text(manifest_path, json.dumps(manifest))
+        manifest_text = json.dumps(manifest)
+        self._atomic_write_text(manifest_path, manifest_text)
         if self.size_budget is not None:
             # Amortized enforcement: track the byte total incrementally
             # (one directory scan to seed it) and run the full gc scan
@@ -601,7 +615,7 @@ class ArtifactStore:
             # every write.  Concurrent writers can make the estimate
             # stale; that only delays a trigger, never skips one for
             # this store's own writes.
-            entry_bytes = manifest["nbytes"] + manifest_path.stat().st_size
+            entry_bytes = nbytes + len(manifest_text.encode("utf-8"))
             if self._tracked_bytes is None:
                 self._tracked_bytes = self.total_bytes()
             else:
@@ -618,15 +632,23 @@ class ArtifactStore:
 
     def _atomic_write_npz(
         self, target: Path, arrays: dict, compress: bool = True
-    ) -> None:
+    ) -> int:
+        """Write ``arrays`` to ``target`` atomically; returns its size.
+
+        The size comes from the written handle, not a later ``stat``:
+        once renamed, the payload may already be gone (a concurrent
+        gc or quarantine), which must not fail this write.
+        """
         tmp = self._tmp_path(target)
         writer = np.savez_compressed if compress else np.savez
         try:
             with open(tmp, "wb") as handle:
                 writer(handle, **arrays)
+                nbytes = handle.tell()
             os.replace(tmp, target)
         finally:
             tmp.unlink(missing_ok=True)
+        return nbytes
 
     def _atomic_write_text(self, target: Path, text: str) -> None:
         tmp = self._tmp_path(target)

@@ -9,7 +9,7 @@ seed and configuration, so changing any knob regenerates.
 
 Generation runs through the shared-artifact engine of
 :mod:`repro.pipeline.engine`: specs are partitioned into
-artifact-sharing groups and each group computes its matrices against a
+artifact-sharing groups and each group scores its edges against a
 per-dataset :class:`~repro.pipeline.engine.ArtifactCache`, which
 eliminates the redundant model/embedding rebuilds of the naive
 per-function loop.  With an ``artifact_store`` configured
@@ -70,13 +70,9 @@ from repro.graph.io import (
     save_graph,
     save_unipartite_graph,
 )
-from repro.graph.unipartite import (
-    UnipartiteGraph,
-    matrix_to_unipartite_graph,
-    pairs_to_unipartite_graph,
-)
+from repro.graph.unipartite import UnipartiteGraph, pairs_to_unipartite_graph
 from repro.pipeline.engine import SimilarityEngine, SpecGroup, group_specs
-from repro.pipeline.graph_builder import matrix_to_graph, pairs_to_graph
+from repro.pipeline.graph_builder import pairs_to_graph
 from repro.pipeline.sharding import plan_for_dataset
 from repro.pipeline.resilience import (
     JournalCodec,
@@ -190,7 +186,7 @@ class GraphRecord:
     ``build_seconds`` is the total wall-clock of the entry;
     ``artifact_seconds`` (shared models/embeddings built on a cache
     miss), ``matrix_seconds`` (the measure itself) and
-    ``graph_seconds`` (matrix-to-graph conversion) attribute it per
+    ``graph_seconds`` (edges-to-graph conversion) attribute it per
     stage.  A warm artifact cache shows up as ``artifact_seconds == 0``.
 
     ``dedup_ratio`` is the fraction of cells the unique-universe kernel
@@ -467,7 +463,7 @@ def _group_worker(
         engine = _make_engine(config, code, threads=threads)
         _WORKER_STATE.clear()
         _WORKER_STATE[key] = engine
-    return _group_records(engine, group, config)
+    return _group_records(engine, group)
 
 
 def _make_run_journal(
@@ -494,62 +490,25 @@ def _make_run_journal(
 
 
 def _group_records(
-    engine: SimilarityEngine,
-    group: SpecGroup,
-    config: GraphCorpusConfig,
+    engine: SimilarityEngine, group: SpecGroup
 ) -> list[GraphRecord]:
     from repro.datasets.catalog import CATEGORY_BY_DATASET
 
     dataset = engine.dataset
+    n_left, n_right = engine.shape()
     records: list[GraphRecord] = []
-    for spec in group.specs:
-        start = time.perf_counter()
-        metadata = {
-            "dataset": dataset.code,
-            "family": spec.family,
-            "function": spec.name,
-        }
-        dedup_ratio = 1.0
-        candidate_reduction = 1.0
-        if config.blocking is None:
-            matrix, artifact_seconds, matrix_seconds = (
-                engine.compute_timed(spec)
-            )
-            graph_start = time.perf_counter()
-            graph = matrix_to_graph(
-                matrix,
-                name=f"{dataset.code}:{spec.name}",
-                metadata=metadata,
-            )
-        else:
-            pairs, artifact_seconds, matrix_seconds = (
-                engine.compute_pairs_timed(spec)
-            )
-            graph_start = time.perf_counter()
-            graph = pairs_to_graph(
-                pairs.n_left,
-                pairs.n_right,
-                pairs.left,
-                pairs.right,
-                pairs.values,
-                name=f"{dataset.code}:{spec.name}",
-                metadata={**metadata, "blocking": engine.blocking},
-            )
-            candidate_reduction = engine.cache.candidate_set(
-                engine.blocking
-            ).reduction
-        if spec.family == "schema_based_syntactic":
-            attribute = spec.details["attribute"]
-            if config.blocking is None:
-                dedup_ratio = engine.cache.string_batch(
-                    attribute
-                ).plan.dedup_ratio
-            else:
-                dedup_ratio = engine.cache.sparse_plan(
-                    attribute, engine.blocking
-                ).dedup_ratio
+    results = engine.score(group.specs)
+    for index, spec in enumerate(group.specs):
+        scores, results[index] = results[index], None  # free as we go
+        graph_start = time.perf_counter()
+        graph = pairs_to_graph(
+            n_left,
+            n_right,
+            *scores.edges,
+            name=f"{dataset.code}:{spec.name}",
+            metadata=_graph_metadata(dataset, spec, engine.blocking),
+        )
         graph_seconds = time.perf_counter() - graph_start
-        elapsed = time.perf_counter() - start
         if _all_matches_zero(graph, dataset.ground_truth):
             # The paper removes graphs "where all matching entities had
             # a zero edge weight" — they carry no signal at all.
@@ -562,15 +521,30 @@ def _group_records(
                 function=spec.name,
                 category=CATEGORY_BY_DATASET[dataset.code],
                 ground_truth=dataset.ground_truth,
-                build_seconds=elapsed,
-                artifact_seconds=artifact_seconds,
-                matrix_seconds=matrix_seconds,
+                build_seconds=(
+                    scores.artifact_seconds + scores.score_seconds
+                    + graph_seconds
+                ),
+                artifact_seconds=scores.artifact_seconds,
+                matrix_seconds=scores.score_seconds,
                 graph_seconds=graph_seconds,
-                dedup_ratio=dedup_ratio,
-                candidate_reduction=candidate_reduction,
+                dedup_ratio=scores.dedup_ratio,
+                candidate_reduction=scores.candidate_reduction,
             )
         )
     return records
+
+
+def _graph_metadata(dataset, spec, blocking: str | None) -> dict:
+    """Provenance metadata every corpus graph carries."""
+    metadata = {
+        "dataset": dataset.code,
+        "family": spec.family,
+        "function": spec.name,
+    }
+    if blocking is not None:
+        metadata["blocking"] = blocking
+    return metadata
 
 
 def _print_progress(record: GraphRecord) -> None:
@@ -659,10 +633,7 @@ def _sharded_corpus_records(
                 Task(
                     key=f"{index:03d}:{code}:s{shard:03d}",
                     fn=_shard_group_worker,
-                    args=(
-                        (config, code, group, threads, start, stop,
-                         shard == 0),
-                    ),
+                    args=((config, code, group, threads, start, stop),),
                 )
             )
     runner = ResilientPool(
@@ -692,72 +663,37 @@ def _sharded_corpus_records(
 
 
 def _shard_group_worker(
-    task: tuple[GraphCorpusConfig, str, SpecGroup, int, int, int, bool],
+    task: tuple[GraphCorpusConfig, str, SpecGroup, int, int, int],
 ) -> dict:
-    """One shard of one spec group: raw edges plus per-spec timings.
-
-    The first shard of each group (``with_stats``) also reports the
-    deterministic savings statistics (dedup ratio, candidate
-    reduction) that the merged records carry — they are properties of
-    the whole dataset, not of a row range.
-    """
-    config, code, group, threads, start, stop, with_stats = task
+    """One shard of one spec group: raw edges, per-spec timings and the
+    whole-dataset savings statistics the merged records carry."""
+    config, code, group, threads, start, stop = task
     key = _engine_memo_key(config, code, threads)
     engine = _WORKER_STATE.get(key)
     if engine is None:
         engine = _make_engine(config, code, threads=threads)
         _WORKER_STATE.clear()
         _WORKER_STATE[key] = engine
-    results = engine.shard_scores_group(list(group.specs), start, stop)
+    results = engine.score(group.specs, start, stop)
     return {
         "specs": [
             {
-                "left": left,
-                "right": right,
-                "values": values,
-                "artifact_seconds": artifact_seconds,
-                "matrix_seconds": matrix_seconds,
+                "left": scores.left,
+                "right": scores.right,
+                "values": scores.values,
+                "artifact_seconds": scores.artifact_seconds,
+                "matrix_seconds": scores.score_seconds,
             }
-            for (left, right, values), artifact_seconds, matrix_seconds
-            in results
+            for scores in results
         ],
-        "stats": (
-            _group_stats(engine, group, config) if with_stats else None
-        ),
-    }
-
-
-def _group_stats(
-    engine: SimilarityEngine,
-    group: SpecGroup,
-    config: GraphCorpusConfig,
-) -> list[dict]:
-    """Per-spec ``dedup_ratio`` / ``candidate_reduction`` of a group."""
-    stats = []
-    for spec in group.specs:
-        dedup_ratio = 1.0
-        candidate_reduction = 1.0
-        if config.blocking is not None:
-            candidate_reduction = engine.cache.candidate_set(
-                engine.blocking
-            ).reduction
-        if spec.family == "schema_based_syntactic":
-            attribute = spec.details["attribute"]
-            if config.blocking is None:
-                dedup_ratio = engine.cache.string_batch(
-                    attribute
-                ).plan.dedup_ratio
-            else:
-                dedup_ratio = engine.cache.sparse_plan(
-                    attribute, engine.blocking
-                ).dedup_ratio
-        stats.append(
+        "stats": [
             {
-                "dedup_ratio": dedup_ratio,
-                "candidate_reduction": candidate_reduction,
+                "dedup_ratio": scores.dedup_ratio,
+                "candidate_reduction": scores.candidate_reduction,
             }
-        )
-    return stats
+            for scores in results
+        ],
+    }
 
 
 def _merge_shard_records(
@@ -788,13 +724,6 @@ def _merge_shard_records(
             sum(part["matrix_seconds"] for part in parts)
         )
         graph_start = time.perf_counter()
-        metadata = {
-            "dataset": dataset.code,
-            "family": spec.family,
-            "function": spec.name,
-        }
-        if config.blocking is not None:
-            metadata["blocking"] = config.blocking
         graph = pairs_to_graph(
             plan.n_left,
             plan.n_right,
@@ -802,7 +731,7 @@ def _merge_shard_records(
             np.concatenate([part["right"] for part in parts]),
             np.concatenate([part["values"] for part in parts]),
             name=f"{dataset.code}:{spec.name}",
-            metadata=metadata,
+            metadata=_graph_metadata(dataset, spec, config.blocking),
         )
         graph_seconds = time.perf_counter() - graph_start
         if _all_matches_zero(graph, dataset.ground_truth):
@@ -1229,57 +1158,20 @@ def _dirty_group_records(
 
     dataset = engine.dataset
     records: list[DirtyGraphRecord] = []
-    for spec in group.specs:
-        start = time.perf_counter()
-        metadata = {
-            "dataset": dataset.code,
-            "family": spec.family,
-            "function": spec.name,
-        }
-        dedup_ratio = 1.0
-        candidate_reduction = 1.0
-        if engine.blocking is None:
-            matrix, artifact_seconds, matrix_seconds = (
-                engine.compute_timed(spec)
-            )
-            graph_start = time.perf_counter()
-            graph = matrix_to_unipartite_graph(
-                matrix,
-                name=f"{dataset.code}:{spec.name}",
-                metadata=metadata,
-            )
-        else:
-            # The clean-clean semantics over the self join: candidates
-            # come from the union collection joined with itself and
-            # only the strict upper triangle survives (the diagonal
-            # and mirrored duplicates drop in pairs_to_unipartite_graph).
-            pairs, artifact_seconds, matrix_seconds = (
-                engine.compute_pairs_timed(spec)
-            )
-            graph_start = time.perf_counter()
-            graph = pairs_to_unipartite_graph(
-                len(dataset.left),
-                pairs.left,
-                pairs.right,
-                pairs.values,
-                name=f"{dataset.code}:{spec.name}",
-                metadata={**metadata, "blocking": engine.blocking},
-            )
-            candidate_reduction = engine.cache.candidate_set(
-                engine.blocking
-            ).reduction
-        if spec.family == "schema_based_syntactic":
-            attribute = spec.details["attribute"]
-            if engine.blocking is None:
-                dedup_ratio = engine.cache.string_batch(
-                    attribute
-                ).plan.dedup_ratio
-            else:
-                dedup_ratio = engine.cache.sparse_plan(
-                    attribute, engine.blocking
-                ).dedup_ratio
+    results = engine.score(group.specs)
+    for index, spec in enumerate(group.specs):
+        scores, results[index] = results[index], None  # free as we go
+        graph_start = time.perf_counter()
+        # The clean-clean semantics over the self join: only the strict
+        # upper triangle survives (the diagonal and mirrored duplicates
+        # drop in pairs_to_unipartite_graph), dense or blocked alike.
+        graph = pairs_to_unipartite_graph(
+            len(dataset.left),
+            *scores.edges,
+            name=f"{dataset.code}:{spec.name}",
+            metadata=_graph_metadata(dataset, spec, engine.blocking),
+        )
         graph_seconds = time.perf_counter() - graph_start
-        elapsed = time.perf_counter() - start
         if _all_dirty_matches_zero(graph, dataset.ground_truth):
             continue
         records.append(
@@ -1290,12 +1182,15 @@ def _dirty_group_records(
                 function=spec.name,
                 category=CATEGORY_BY_DATASET[base_code],
                 ground_truth=dataset.ground_truth,
-                build_seconds=elapsed,
-                artifact_seconds=artifact_seconds,
-                matrix_seconds=matrix_seconds,
+                build_seconds=(
+                    scores.artifact_seconds + scores.score_seconds
+                    + graph_seconds
+                ),
+                artifact_seconds=scores.artifact_seconds,
+                matrix_seconds=scores.score_seconds,
                 graph_seconds=graph_seconds,
-                dedup_ratio=dedup_ratio,
-                candidate_reduction=candidate_reduction,
+                dedup_ratio=scores.dedup_ratio,
+                candidate_reduction=scores.candidate_reduction,
             )
         )
     return records

@@ -30,6 +30,7 @@ assert.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,6 +172,11 @@ class ResolverService:
 
     def __init__(self, indexes: dict[str, ResolverIndex]) -> None:
         self._indexes = dict(indexes)
+        # Ingests and resolve passes run on executor threads.  An ingest
+        # grows the probe's posting lists before the indexed collection,
+        # so one lock keeps every pass on a whole pre- or post-ingest
+        # index.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------- inventory
     @property
@@ -207,7 +213,8 @@ class ResolverService:
                 raise ValueError(
                     "every record needs a non-empty id and text"
                 )
-        n_indexed = index.ingest(records)
+        with self._lock:
+            n_indexed = index.ingest(records)
         return {
             "dataset": index.code,
             "added": len(records),
@@ -233,40 +240,41 @@ class ResolverService:
             known = ", ".join(RESOLVE_MEASURES)
             raise KeyError(f"unknown measure {measure!r}; known: {known}")
         index = self.index(code)
-        candidates = [index.probe.probe(query) for query in queries]
-        counts = [ids.shape[0] for ids in candidates]
-        total = sum(counts)
-        if total == 0:
-            return [[] for _ in queries]
-        pair_left = np.repeat(
-            np.arange(len(queries), dtype=np.intp),
-            np.asarray(counts, dtype=np.intp),
-        )
-        pair_right = np.concatenate(
-            [ids for ids in candidates if ids.shape[0]]
-        ).astype(np.intp)
-        batch = StringBatch(list(queries), index.rights)
-        sparse_plan = SparsePlan.build(batch.plan, pair_left, pair_right)
-        values = schema_based_pairs(
-            list(queries), index.rights, measure, sparse_plan, batch
-        )
-        results: list[list[Match]] = []
-        offset = 0
-        for ids, count in zip(candidates, counts):
-            scores = values[offset:offset + count]
-            offset += count
-            order = np.argsort(-scores, kind="stable")[:top_k]
-            results.append(
-                [
-                    Match(
-                        record_id=index.right_ids[int(ids[k])],
-                        text=index.rights[int(ids[k])],
-                        score=float(scores[k]),
-                    )
-                    for k in order
-                ]
+        with self._lock:
+            candidates = [index.probe.probe(query) for query in queries]
+            counts = [ids.shape[0] for ids in candidates]
+            total = sum(counts)
+            if total == 0:
+                return [[] for _ in queries]
+            pair_left = np.repeat(
+                np.arange(len(queries), dtype=np.intp),
+                np.asarray(counts, dtype=np.intp),
             )
-        return results
+            pair_right = np.concatenate(
+                [ids for ids in candidates if ids.shape[0]]
+            ).astype(np.intp)
+            batch = StringBatch(list(queries), index.rights)
+            sparse_plan = SparsePlan.build(batch.plan, pair_left, pair_right)
+            values = schema_based_pairs(
+                list(queries), index.rights, measure, sparse_plan, batch
+            )
+            results: list[list[Match]] = []
+            offset = 0
+            for ids, count in zip(candidates, counts):
+                scores = values[offset:offset + count]
+                offset += count
+                order = np.argsort(-scores, kind="stable")[:top_k]
+                results.append(
+                    [
+                        Match(
+                            record_id=index.right_ids[int(ids[k])],
+                            text=index.rights[int(ids[k])],
+                            score=float(scores[k]),
+                        )
+                        for k in order
+                    ]
+                )
+            return results
 
     # ----------------------------------------------------------- match
     def match(

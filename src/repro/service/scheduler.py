@@ -21,9 +21,11 @@ Fault isolation: before a request joins a batch the scheduler calls
 (``service/resolve/<dataset>/<tag>``), the same seam the resilient
 pool exposes.  An injected fault fails **that request's future only**;
 the remaining batch members still share their pass, and the frozen
-indexes are untouched.  Kernel passes run on a single worker thread
-(``run_in_executor``) so the event loop keeps accepting requests
-mid-pass.
+indexes are untouched.  Kernel passes run one at a time on an
+executor thread (``run_in_executor``) so the event loop keeps
+accepting requests mid-pass; ``/ingest`` runs on the same executor and
+:class:`~repro.service.resolver.ResolverService` serializes it with
+the passes.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Differential tests: batched all-pairs measures vs scalar references.
 
-Every batched matrix function must agree with the trusted scalar
+Every batched measure must agree with the trusted scalar
 implementation from :mod:`repro.textsim` on all pairs of non-empty
 strings (empty strings follow the builder convention of similarity 0,
 checked separately).
@@ -15,16 +15,9 @@ from hypothesis import strategies as st
 
 from repro.pipeline.batched_strings import (
     TOKEN_MATRIX_MEASURES,
-    damerau_levenshtein_matrix,
-    jaro_matrix,
-    lcs_subsequence_matrix,
-    lcs_substring_matrix,
-    levenshtein_matrix,
-    monge_elkan_matrix,
-    needleman_wunsch_matrix,
-    qgrams_matrix,
+    StringBatch,
+    schema_based_cells,
     schema_based_matrix,
-    token_measure_matrix,
 )
 from repro.textsim import (
     damerau_levenshtein_similarity,
@@ -39,14 +32,17 @@ from repro.textsim import (
 from repro.textsim.registry import TOKEN_MEASURES
 
 BATCHED_VS_SCALAR = [
-    (levenshtein_matrix, levenshtein_similarity),
-    (damerau_levenshtein_matrix, damerau_levenshtein_similarity),
-    (needleman_wunsch_matrix, needleman_wunsch_similarity),
-    (lcs_subsequence_matrix, longest_common_subsequence_similarity),
-    (lcs_substring_matrix, longest_common_substring_similarity),
-    (jaro_matrix, jaro_similarity),
-    (qgrams_matrix, qgrams_distance_similarity),
-    (monge_elkan_matrix, monge_elkan_similarity),
+    pytest.param(measure, scalar, id=f"{measure}_matrix-{scalar.__name__}")
+    for measure, scalar in (
+        ("levenshtein", levenshtein_similarity),
+        ("damerau_levenshtein", damerau_levenshtein_similarity),
+        ("needleman_wunsch", needleman_wunsch_similarity),
+        ("lcs_subsequence", longest_common_subsequence_similarity),
+        ("lcs_substring", longest_common_substring_similarity),
+        ("jaro", jaro_similarity),
+        ("qgrams", qgrams_distance_similarity),
+        ("monge_elkan", monge_elkan_similarity),
+    )
 ]
 
 strings = st.lists(
@@ -56,23 +52,21 @@ strings = st.lists(
 )
 
 
-@pytest.mark.parametrize("batched,scalar", BATCHED_VS_SCALAR)
+@pytest.mark.parametrize("measure,scalar", BATCHED_VS_SCALAR)
 @given(lefts=strings, rights=strings)
 @settings(max_examples=30, deadline=None)
-def test_batched_matches_scalar(batched, scalar, lefts, rights):
+def test_batched_matches_scalar(measure, scalar, lefts, rights):
     from repro.textsim.tokenize import tokens
 
-    matrix = batched(lefts, rights)
+    matrix = schema_based_matrix(lefts, rights, measure)
     assert matrix.shape == (len(lefts), len(rights))
     for i, a in enumerate(lefts):
         for j, b in enumerate(rights):
-            if batched is monge_elkan_matrix and (
-                not tokens(a) or not tokens(b)
-            ):
+            if measure == "monge_elkan" and (not tokens(a) or not tokens(b)):
                 assert matrix[i, j] == 0.0  # builder convention
                 continue
             assert matrix[i, j] == pytest.approx(scalar(a, b), abs=1e-9), (
-                f"{batched.__name__} mismatch for {a!r} vs {b!r}"
+                f"{measure} mismatch for {a!r} vs {b!r}"
             )
 
 
@@ -83,7 +77,7 @@ def test_token_matrix_matches_scalar(measure, lefts, rights):
     from repro.textsim.tokenize import tokens
 
     scalar = TOKEN_MEASURES[measure]
-    matrix = token_measure_matrix(lefts, rights, measure)
+    matrix = schema_based_matrix(lefts, rights, measure)
     for i, a in enumerate(lefts):
         for j, b in enumerate(rights):
             if not tokens(a) or not tokens(b):
@@ -97,25 +91,26 @@ def test_token_matrix_matches_scalar(measure, lefts, rights):
             )
 
 
-@pytest.mark.parametrize("batched,_", BATCHED_VS_SCALAR)
-def test_empty_strings_yield_zero(batched, _):
-    matrix = batched(["", "abc"], ["abc", ""])
+@pytest.mark.parametrize("measure,_", BATCHED_VS_SCALAR)
+def test_empty_strings_yield_zero(measure, _):
+    matrix = schema_based_matrix(["", "abc"], ["abc", ""], measure)
     assert matrix[0, 0] == 0.0  # empty left
     assert matrix[1, 1] == 0.0  # empty right
     assert matrix[0, 1] == 0.0  # both empty: still no evidence
 
 
 def test_empty_collections():
-    assert levenshtein_matrix([], ["a"]).shape == (0, 1)
-    assert levenshtein_matrix(["a"], []).shape == (1, 0)
-    assert token_measure_matrix([], [], "dice").shape == (0, 0)
+    assert schema_based_matrix([], ["a"], "levenshtein").shape == (0, 1)
+    assert schema_based_matrix(["a"], [], "levenshtein").shape == (1, 0)
+    assert schema_based_matrix([], [], "dice").shape == (0, 0)
 
 
 def test_schema_based_matrix_dispatch():
     lefts, rights = ["abc"], ["abd"]
-    direct = levenshtein_matrix(lefts, rights)
+    batch = StringBatch(lefts, rights)
+    cell = schema_based_cells(batch, "levenshtein", [0], [0])
     dispatched = schema_based_matrix(lefts, rights, "levenshtein")
-    assert np.allclose(direct, dispatched)
+    assert np.array_equal(cell, dispatched[0])
     token = schema_based_matrix(["a b"], ["b c"], "jaccard")
     assert token[0, 0] == pytest.approx(1 / 3)
 

@@ -84,6 +84,21 @@ def _measure_spec(measure: str) -> SimilarityFunctionSpec:
     )
 
 
+def _assert_blocked_equals_dense(dense, blocked, spec):
+    """Blocked edges are exactly the positive dense cells among the
+    candidates, in candidate order, with bitwise-equal scores."""
+    [whole] = dense.score([spec])
+    matrix = np.zeros(dense.shape())
+    matrix[whole.left, whole.right] = whole.values
+    [scores] = blocked.score([spec])
+    candidates = blocked.cache.candidate_set(blocked.blocking)
+    cells = matrix[candidates.left, candidates.right]
+    positive = cells > 0.0
+    assert np.array_equal(scores.left, candidates.left[positive])
+    assert np.array_equal(scores.right, candidates.right[positive])
+    assert np.array_equal(scores.values, cells[positive]), spec.name
+
+
 class TestBlockedEqualsDense:
     # One measure per artifact path: alignment DP (plan), Jaro
     # (encoded), token matrix and the Monge-Elkan token grid.
@@ -97,12 +112,7 @@ class TestBlockedEqualsDense:
         blocked = SimilarityEngine(dataset, blocking="tokens:max_df=1")
         for measure in self.MEASURES:
             spec = _measure_spec(measure)
-            matrix = dense.compute(spec)
-            scores = blocked.compute_pairs(spec)
-            assert not scores.fallback
-            assert np.array_equal(
-                matrix[scores.left, scores.right], scores.values
-            ), measure
+            _assert_blocked_equals_dense(dense, blocked, spec)
 
     def test_fallback_families_gather_dense_cells(self):
         dataset = _dataset(
@@ -119,17 +129,7 @@ class TestBlockedEqualsDense:
             },
             name="vector",
         )
-        matrix = dense.compute(spec)
-        scores = blocked.compute_pairs(spec)
-        assert scores.fallback
-        assert np.array_equal(
-            matrix[scores.left, scores.right], scores.values
-        )
-
-    def test_compute_pairs_requires_blocking(self):
-        engine = SimilarityEngine(_dataset(["a"], ["a"]))
-        with pytest.raises(ValueError, match="blocking"):
-            engine.compute_pairs(_measure_spec("levenshtein"))
+        _assert_blocked_equals_dense(dense, blocked, spec)
 
 
 class TestPrefixAdmissibility:
@@ -183,8 +183,8 @@ class TestDeterminism:
         )
         for measure in ("levenshtein", "monge_elkan"):
             spec = _measure_spec(measure)
-            a = serial.compute_pairs(spec)
-            b = threaded.compute_pairs(spec)
+            [a] = serial.score([spec])
+            [b] = threaded.score([spec])
             assert np.array_equal(a.left, b.left)
             assert np.array_equal(a.values, b.values)
 

@@ -43,17 +43,43 @@ def engine(dataset):
     return SimilarityEngine(dataset)
 
 
+def _scored_matrix(engine, spec) -> np.ndarray:
+    """Dense matrix of ``spec``'s positive engine scores, zero elsewhere."""
+    [scores] = engine.score([spec])
+    matrix = np.zeros(engine.shape())
+    matrix[scores.left, scores.right] = scores.values
+    return matrix
+
+
 class TestDifferential:
     @pytest.mark.parametrize(
         "spec", _SPECS, ids=[spec.name for spec in _SPECS]
     )
     def test_engine_matches_direct_path(self, dataset, engine, spec):
         direct = compute_similarity_matrix(dataset, spec)
-        via_engine = engine.compute(spec)
+        via_engine = _scored_matrix(engine, spec)
         assert via_engine.shape == direct.shape
         # Bit-identical, not approximately equal: the engine reuses
-        # artifacts but must run the exact same kernels on them.
-        assert np.array_equal(direct, via_engine)
+        # artifacts but must run the exact same kernels on them.  Only
+        # positive scores become edges, so only they are returned.
+        assert np.array_equal(np.where(direct > 0.0, direct, 0.0), via_engine)
+
+    @pytest.mark.parametrize(
+        "spec", _SPECS[::5], ids=[spec.name for spec in _SPECS[::5]]
+    )
+    def test_row_ranges_concatenate_to_the_whole(self, engine, spec):
+        [whole] = engine.score([spec])
+        n_left = engine.shape()[0]
+        bounds = [0, 1, n_left // 3, n_left]
+        parts = [
+            engine.score([spec], start, stop)[0]
+            for start, stop in zip(bounds, bounds[1:])
+        ]
+        for field in ("left", "right", "values"):
+            assert np.array_equal(
+                getattr(whole, field),
+                np.concatenate([getattr(part, field) for part in parts]),
+            ), field
 
     def test_families_covered(self):
         assert {spec.family for spec in _SPECS} == {
@@ -69,7 +95,7 @@ class TestArtifactCache:
         engine = SimilarityEngine(dataset)
         for _ in range(2):  # second sweep must be all cache hits
             for spec in _SPECS:
-                engine.compute(spec)
+                engine.score([spec])
         rebuilt = {
             key: count
             for key, count in engine.cache.build_counts.items()
@@ -79,8 +105,8 @@ class TestArtifactCache:
 
     def test_expected_keys_present(self, dataset):
         engine = SimilarityEngine(dataset)
-        for spec in _SPECS:
-            engine.compute(spec)
+        for group in group_specs(_SPECS):
+            engine.score(group.specs)
         keys = set(engine.cache.build_counts)
         # One vector model per (unit, n, weighting) — not per measure.
         assert ("vector_model", "char", 2, "tf") in keys
@@ -106,9 +132,11 @@ class TestArtifactCache:
     def test_miss_seconds_monotonic(self, dataset):
         engine = SimilarityEngine(dataset)
         spec = _SPECS[0]
-        _, cold_artifact, _ = engine.compute_timed(spec)
+        [cold] = engine.score([spec])
+        cold_artifact = cold.artifact_seconds
         before = engine.cache.miss_seconds
-        _, warm_artifact, _ = engine.compute_timed(spec)
+        [warm] = engine.score([spec])
+        warm_artifact = warm.artifact_seconds
         assert cold_artifact >= 0.0
         assert warm_artifact == 0.0
         assert engine.cache.miss_seconds == before

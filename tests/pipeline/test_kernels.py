@@ -1,9 +1,10 @@
 """Differential tests of the pairwise-kernel engine.
 
-The kernel path (:func:`schema_based_matrix`, batched RWMD) must be
-**bit-identical** — ``np.array_equal``, not approximately equal — to
-the frozen ``*_legacy`` bodies over adversarial inputs, and invariant
-under the block scheduler's thread count.
+The kernel path (:func:`schema_based_cells` and everything built on
+it, batched RWMD) must be **bit-identical** — ``np.array_equal``, not
+approximately equal — to the frozen ``*_legacy`` bodies over
+adversarial inputs and arbitrary cell lists, and invariant under the
+block scheduler's thread count.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.embeddings.measures import (
 from repro.embeddings.wmd import token_stats
 from repro.pipeline.batched_strings import (
     StringBatch,
+    schema_based_cells,
     schema_based_matrix,
     schema_based_matrix_legacy,
 )
@@ -57,6 +59,13 @@ ADVERSARIAL_CASES = [
 
 strings = st.lists(
     st.text(alphabet="abcde _", min_size=0, max_size=12),
+    min_size=1,
+    max_size=6,
+)
+
+# Cell-list inputs add accented and astral-plane code points.
+cell_strings = st.lists(
+    st.text(alphabet="abc _é\U0001f642", min_size=0, max_size=10),
     min_size=1,
     max_size=6,
 )
@@ -162,6 +171,42 @@ class TestSchemaBasedDifferential:
             threaded = schema_based_matrix(lefts, rights, measure)
         assert np.array_equal(serial, threaded), measure
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("measure", SCHEMA_BASED_MEASURES)
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_cell_lists_match_legacy(self, measure, threads, data):
+        # Whole-row calls broadcast the right side, cell lists gather
+        # it per cell; both must equal the legacy matrix at every cell,
+        # whatever the order, duplication or mix of the cells.
+        lefts, rights = data.draw(cell_strings), data.draw(cell_strings)
+        batch = StringBatch(lefts, rights)
+        plan = batch.plan
+        n_rows, n_cols = plan.unique_shape
+        legacy = schema_based_matrix_legacy(lefts, rights, measure)[
+            np.ix_(plan.left_index, plan.right_index)
+        ]
+        row = st.integers(0, n_rows - 1)
+        rows = data.draw(st.lists(row, max_size=6))
+        cells = data.draw(
+            st.lists(st.tuples(row, st.integers(0, n_cols - 1)), max_size=12)
+        )
+        if data.draw(st.booleans()):  # a whole row inside the cell list
+            whole = data.draw(row)
+            cells = data.draw(
+                st.permutations(cells + [(whole, v) for v in range(n_cols)])
+            )
+        rows = np.asarray(rows, dtype=np.intp)
+        cell_left = np.asarray([u for u, _ in cells], dtype=np.intp)
+        cell_right = np.asarray([v for _, v in cells], dtype=np.intp)
+        with kernel_threads(threads):
+            by_rows = schema_based_cells(batch, measure, rows)
+            by_cells = schema_based_cells(
+                batch, measure, cell_left, cell_right
+            )
+        assert np.array_equal(by_rows, legacy[rows])
+        assert np.array_equal(by_cells, legacy[cell_left, cell_right])
+
     def test_shared_batch_matches_fresh(self):
         lefts, rights = ADVERSARIAL_CASES[6]
         batch = StringBatch(lefts, rights)
@@ -250,10 +295,9 @@ class TestEngineThreadInvariance:
         ]
         serial = SimilarityEngine(dataset, threads=1)
         threaded = SimilarityEngine(dataset, threads=3)
-        for spec in specs:
-            assert np.array_equal(
-                serial.compute(spec), threaded.compute(spec)
-            ), spec.name
+        for a, b in zip(serial.score(specs), threaded.score(specs)):
+            for x, y in zip(a.edges, b.edges):
+                assert np.array_equal(x, y)
 
 
 class TestPairwiseMinSumThreading:

@@ -31,7 +31,10 @@ from repro.pipeline.sharding import (
     plan_for_dataset,
     score_shard_key,
 )
-from repro.pipeline.similarity_functions import SimilarityFunctionSpec
+from repro.pipeline.similarity_functions import (
+    SimilarityFunctionSpec,
+    compute_similarity_matrix,
+)
 from repro.pipeline.store import ArtifactStore
 from repro.pipeline.workbench import (
     GraphCorpusConfig,
@@ -183,8 +186,10 @@ class TestMergedEqualsUnsharded:
         engine = SimilarityEngine(dataset)
         for measure in self.MEASURES:
             spec = _measure_spec(measure)
-            expected = matrix_to_graph(engine.compute(spec))
-            merged = engine.compute_sharded(spec, shard_plan=plan)
+            expected = matrix_to_graph(
+                compute_similarity_matrix(dataset, spec)
+            )
+            merged = ShardRun(engine, plan).run(spec)
             assert _graphs_equal(expected, merged), measure
 
     @given(lefts=strings, rights=strings, n_shards=st.integers(1, 4))
@@ -197,15 +202,11 @@ class TestMergedEqualsUnsharded:
         engine = SimilarityEngine(dataset, blocking="tokens:max_df=1")
         for measure in self.MEASURES:
             spec = _measure_spec(measure)
-            pairs = engine.compute_pairs(spec)
+            [scores] = engine.score([spec])
             expected = pairs_to_graph(
-                pairs.n_left,
-                pairs.n_right,
-                pairs.left,
-                pairs.right,
-                pairs.values,
+                len(lefts), len(rights), *scores.edges
             )
-            merged = engine.compute_sharded(spec, shard_plan=plan)
+            merged = ShardRun(engine, plan).run(spec)
             assert _graphs_equal(expected, merged), measure
 
     def test_shard_count_invariance(self):
@@ -216,26 +217,32 @@ class TestMergedEqualsUnsharded:
         engine = SimilarityEngine(dataset)
         spec = _measure_spec("levenshtein")
         graphs = [
-            engine.compute_sharded(
-                spec, shard_plan=ShardPlanner.plan(5, 4, n_shards=n)
-            )
+            ShardRun(engine, ShardPlanner.plan(5, 4, n_shards=n)).run(spec)
             for n in (1, 2, 5)
         ]
         assert _graphs_equal(graphs[0], graphs[1])
         assert _graphs_equal(graphs[0], graphs[2])
 
-    def test_engine_level_shard_plan_default(self):
-        dataset = _dataset(["abc", "abd"], ["abe", "acd"])
-        plan = ShardPlanner.plan(2, 2, n_shards=2)
-        engine = SimilarityEngine(dataset, shard_plan=plan)
-        spec = _measure_spec("levenshtein")
-        merged = engine.compute_sharded(spec)
-        assert _graphs_equal(merged, matrix_to_graph(engine.compute(spec)))
+    def test_string_shards_score_only_their_rows(self, monkeypatch):
+        # Inside one row-chunk grid cell, a string-measure shard must
+        # not rescore the whole cell: the kernels see only its rows.
+        import repro.pipeline.batched_strings as batched_strings
 
-    def test_compute_sharded_requires_a_plan(self):
-        engine = SimilarityEngine(_dataset(["a"], ["b"]))
-        with pytest.raises(ValueError, match="shard_plan"):
-            engine.compute_sharded(_measure_spec("levenshtein"))
+        dataset = _dataset(
+            [f"value {i}" for i in range(12)], ["value 3", "other"]
+        )
+        engine = SimilarityEngine(dataset)
+        spec = _measure_spec("levenshtein")
+        scored = []
+        real = batched_strings.schema_based_cells
+
+        def counting(batch, measure, cell_left, cell_right=None):
+            scored.append(len(cell_left))
+            return real(batch, measure, cell_left, cell_right)
+
+        monkeypatch.setattr(batched_strings, "schema_based_cells", counting)
+        ShardRun(engine, ShardPlanner.plan(12, 2, n_shards=4)).run(spec)
+        assert scored == [3, 3, 3, 3]
 
 
 # ----------------------------------------------------------------------
@@ -311,6 +318,30 @@ class TestShardedCorpus:
             assert _graphs_equal(base.graph, shard.graph)
             assert base.graph.metadata == shard.graph.metadata
             assert base.candidate_reduction == shard.candidate_reduction
+
+    def test_warm_store_shards_reuse_stored_encodings(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.pipeline.batched_strings as batched_strings
+        import repro.pipeline.workbench as workbench
+
+        baseline = generate_corpus(_CORPUS_CONFIG, artifact_store=tmp_path)
+        workbench._WORKER_STATE.clear()  # no engine memo: load from disk
+        encodes = []
+        real = batched_strings.encode_strings
+
+        def counting(strings):
+            encodes.append(len(strings))
+            return real(strings)
+
+        monkeypatch.setattr(batched_strings, "encode_strings", counting)
+        sharded = generate_corpus(
+            _CORPUS_CONFIG, artifact_store=tmp_path, max_memory=1 << 20
+        )
+        assert encodes == []
+        assert len(baseline) == len(sharded)
+        for base, shard in zip(baseline, sharded):
+            assert _graphs_equal(base.graph, shard.graph)
 
     def test_max_memory_excluded_from_cache_key(self):
         import dataclasses

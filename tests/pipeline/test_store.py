@@ -224,7 +224,7 @@ class TestColdWarmEquivalence:
     def test_warm_engine_loads_instead_of_building(self, dataset, specs, tmp_path):
         store = ArtifactStore(tmp_path)
         cold = SimilarityEngine(dataset, store=store, dataset_key=DATASET_KEY)
-        cold_matrices = [cold.compute(spec) for spec in specs]
+        cold_scores = cold.score(specs)
         assert not cold.cache.load_counts  # nothing to load yet
         persisted = {
             key for key in cold.cache.build_counts if key[0] in STORE_KINDS
@@ -232,21 +232,22 @@ class TestColdWarmEquivalence:
         assert persisted  # the spec slice exercises persistable kinds
 
         warm = SimilarityEngine(dataset, store=store, dataset_key=DATASET_KEY)
-        warm_matrices = [warm.compute(spec) for spec in specs]
+        warm_scores = warm.score(specs)
         rebuilt = {
             key for key in warm.cache.build_counts if key[0] in STORE_KINDS
         }
         assert rebuilt == set()  # every persistable artifact was loaded
         assert set(warm.cache.load_counts) == persisted
-        for built, loaded in zip(cold_matrices, warm_matrices):
-            assert np.array_equal(built, loaded)
+        for built, loaded in zip(cold_scores, warm_scores):
+            for a, b in zip(built.edges, loaded.edges):
+                assert np.array_equal(a, b)
 
     def test_warm_loads_count_as_artifact_seconds(self, dataset, specs, tmp_path):
         store = ArtifactStore(tmp_path)
         warm = SimilarityEngine(dataset, store=store, dataset_key=DATASET_KEY)
         semantic = [s for s in specs if s.family == "schema_agnostic_semantic"]
-        _, artifact_seconds, _ = warm.compute_timed(semantic[0])
-        assert artifact_seconds > 0.0  # loading is charged to the stage
+        [scores] = warm.score(semantic[:1])
+        assert scores.artifact_seconds > 0.0  # loading is charged to the stage
 
     def test_different_dataset_keys_do_not_collide(self, dataset, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -750,6 +751,37 @@ class TestConcurrentReaders:
             final = store.load(DATASET_KEY, cache_key)
             assert final is not None
             assert np.array_equal(final, expected[cache_key])
+
+    def test_recommit_after_eviction_is_a_miss(self, tmp_path, monkeypatch):
+        # The race above, forced deterministically: the reader has
+        # read the manifest, a gc evicts the entry, the payload load
+        # fails, and a writer recommits the key before the reader
+        # reacts.  The reader must report a miss and leave the
+        # writer's healthy entry live, not quarantine it.
+        store = ArtifactStore(tmp_path)
+        writer = ArtifactStore(tmp_path)
+        cache_key = ("graph_ratio", "token", 1)
+        payload = self._payload(0)
+        store.save(DATASET_KEY, cache_key, payload)
+        key = store.entry_key(DATASET_KEY, cache_key)
+        real_load = np.load
+        raced = []
+
+        def racing_load(path, *args, **kwargs):
+            if raced:
+                return real_load(path, *args, **kwargs)
+            raced.append(path)
+            store._remove(key)  # gc evicts after the manifest read
+            try:
+                return real_load(path, *args, **kwargs)
+            finally:
+                assert writer.save(DATASET_KEY, cache_key, payload)
+
+        monkeypatch.setattr(np, "load", racing_load)
+        assert store.load(DATASET_KEY, cache_key) is None
+        assert raced
+        assert store.quarantined() == []
+        assert np.array_equal(store.load(DATASET_KEY, cache_key), payload)
 
 
 def _tier_snapshot(root):

@@ -6,8 +6,11 @@ starts from the frozen warmup state and mutates its own instance.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from repro.pipeline.blocking import BlockingIndex
 from repro.service.resolver import ResolverIndex, ResolverService
 from repro.service.testclient import run_app
 
@@ -61,6 +64,51 @@ class TestResolverIngest:
     def test_unknown_dataset_raises(self, warm_service):
         with pytest.raises(KeyError, match="not served"):
             warm_service.ingest("d9", [("id", NOVEL_TEXT)])
+
+
+class TestIngestResolveSerialization:
+    def test_resolve_waits_for_a_concurrent_ingest(self, monkeypatch):
+        # Pause an ingest after the probe index grew but before the
+        # indexed collection did: a resolve pass racing it must wait
+        # and then answer from the post-ingest index.
+        index = ResolverIndex.build(
+            SERVICE_DATASET, blocking="tokens", scale=0.05, max_pairs=200
+        )
+        service = ResolverService({index.code: index})
+        probed, release = threading.Event(), threading.Event()
+        real_ingest = BlockingIndex.ingest
+
+        def paused_ingest(self, texts):
+            result = real_ingest(self, texts)
+            probed.set()
+            release.wait(timeout=30)
+            return result
+
+        monkeypatch.setattr(BlockingIndex, "ingest", paused_ingest)
+        ingest = threading.Thread(
+            target=service.ingest,
+            args=(SERVICE_DATASET, [("novel-lock", NOVEL_TEXT)]),
+        )
+        ingest.start()
+        assert probed.wait(timeout=30)
+        answers = []
+        resolve = threading.Thread(
+            target=lambda: answers.append(
+                service.resolve_batch(
+                    SERVICE_DATASET, "jaccard", [NOVEL_TEXT], top_k=3
+                )
+            )
+        )
+        resolve.start()
+        resolve.join(timeout=0.5)
+        waited = resolve.is_alive()
+        release.set()
+        ingest.join(timeout=30)
+        resolve.join(timeout=30)
+        assert waited
+        assert not ingest.is_alive() and not resolve.is_alive()
+        [[top, *_]] = answers[0]
+        assert (top.record_id, top.score) == ("novel-lock", 1.0)
 
 
 class TestIngestEndpoint:
