@@ -8,7 +8,7 @@ EMCC, GECG) over every graph at all 20 thresholds — twice:
   re-pruning its own ``nx.Graph`` copy, scored with the scalar
   :func:`~repro.evaluation.metrics.evaluate_clusters`;
 * the **engine path**:
-  :func:`repro.experiments.dirty_er.run_dirty_er_sweeps`, where each
+  :func:`repro.experiments.runner.run_dirty_er_sweeps`, where each
   graph is compiled once (one descending edge sort + symmetric CSR —
   :mod:`repro.graph.unipartite`) and every grid point consumes cached
   threshold selections through the bitset/csgraph/matmul kernels,
@@ -53,13 +53,13 @@ from repro.evaluation.sweep import (
     SweepPoint,
     SweepResult,
 )
-from repro.experiments.dirty_er import run_dirty_er_sweeps
+from repro.experiments.runner import run_dirty_er_sweeps
 from repro.extensions.dirty_er import (
     DIRTY_ALGORITHM_CODES,
     create_clusterer,
 )
 from repro.graph.unipartite import UnipartiteGraph
-from repro.pipeline.workbench import DirtyGraphRecord
+from repro.pipeline.workbench import GraphRecord
 
 #: Required engine-vs-legacy speedup.  The acceptance bar is 3x on the
 #: CI smoke profile; the full profile holds the same floor.
@@ -76,7 +76,7 @@ SMOKE_SHAPES = ((240, 180, 5, 300), (180, 130, 4, 240))
 
 def synthetic_dirty_records(
     shapes: tuple[tuple[int, int, int, int], ...], seed: int = 42
-) -> list[DirtyGraphRecord]:
+) -> list[GraphRecord]:
     """Planted-cluster unipartite graphs with 2-decimal weights.
 
     A prefix of the nodes is partitioned into fully-connected duplicate
@@ -121,7 +121,7 @@ def synthetic_dirty_records(
             name=f"dirty_bench_{index}",
         )
         records.append(
-            DirtyGraphRecord(
+            GraphRecord(
                 graph=graph,
                 dataset=f"dirty_bench_{index}",
                 family="synthetic",
@@ -176,7 +176,7 @@ def _no_weight_in_range(sorted_weights, low, high):
 
 
 def run_legacy(
-    records: list[DirtyGraphRecord],
+    records: list[GraphRecord],
     grid=DEFAULT_THRESHOLD_GRID,
     codes=DIRTY_ALGORITHM_CODES,
 ) -> list[dict[str, SweepResult]]:
@@ -222,7 +222,7 @@ def _canonical(clusters) -> list[tuple[int, ...]]:
 
 
 def assert_identical_clusterings(
-    records: list[DirtyGraphRecord], grid=DEFAULT_THRESHOLD_GRID
+    records: list[GraphRecord], grid=DEFAULT_THRESHOLD_GRID
 ) -> int:
     """Untimed verification: legacy and compiled partitions are equal,
     cluster for cluster, at every grid threshold."""

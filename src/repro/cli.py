@@ -681,31 +681,35 @@ def _command_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _profile_config(args: argparse.Namespace):
+    """The ``--profile`` experiment config with ``--blocking`` folded
+    into its corpus, so every cache key and journal run key derived
+    from it tells blocked runs from dense ones."""
+    import dataclasses
+
+    from repro.experiments import DEFAULT_BENCH_CONFIG, SMOKE_CONFIG
+
+    config = (
+        DEFAULT_BENCH_CONFIG if args.profile == "default" else SMOKE_CONFIG
+    )
+    if args.blocking is None:
+        return config
+    return dataclasses.replace(
+        config,
+        corpus=dataclasses.replace(config.corpus, blocking=args.blocking),
+    )
+
+
 def _command_experiments(args: argparse.Namespace) -> int:
     from repro.evaluation.report import format_float
     from repro.evaluation.stats import nemenyi_diagram
-    from repro.experiments import (
-        DEFAULT_BENCH_CONFIG,
-        SMOKE_CONFIG,
-        run_experiments,
-    )
+    from repro.experiments import run_experiments
     from repro.experiments.effectiveness import (
         macro_effectiveness,
         score_matrix,
     )
 
-    config = (
-        DEFAULT_BENCH_CONFIG if args.profile == "default" else SMOKE_CONFIG
-    )
-    if args.blocking is not None:
-        import dataclasses
-
-        config = dataclasses.replace(
-            config,
-            corpus=dataclasses.replace(
-                config.corpus, blocking=args.blocking
-            ),
-        )
+    config = _profile_config(args)
     results = run_experiments(
         config,
         cache_dir=args.cache,
@@ -746,17 +750,10 @@ def _command_experiments(args: argparse.Namespace) -> int:
 
 
 def _command_corpus(args: argparse.Namespace) -> int:
-    from repro.experiments import DEFAULT_BENCH_CONFIG, SMOKE_CONFIG
     from repro.experiments.config import default_cache_dir
     from repro.pipeline.workbench import generate_corpus
 
-    config = (
-        DEFAULT_BENCH_CONFIG if args.profile == "default" else SMOKE_CONFIG
-    ).corpus
-    if args.blocking is not None:
-        import dataclasses
-
-        config = dataclasses.replace(config, blocking=args.blocking)
+    config = _profile_config(args).corpus
     cache = args.cache if args.cache is not None else default_cache_dir()
     records = generate_corpus(
         config,
@@ -804,15 +801,12 @@ def _command_corpus(args: argparse.Namespace) -> int:
 
 def _command_dirty_er(args: argparse.Namespace) -> int:
     from repro.evaluation.report import format_float
-    from repro.experiments import DEFAULT_BENCH_CONFIG, SMOKE_CONFIG
     from repro.experiments.config import default_cache_dir
-    from repro.experiments.dirty_er import run_dirty_er_sweeps
+    from repro.experiments.runner import run_dirty_er_sweeps
     from repro.extensions.dirty_er import DIRTY_ALGORITHM_CODES
     from repro.pipeline.workbench import generate_dirty_corpus
 
-    config = (
-        DEFAULT_BENCH_CONFIG if args.profile == "default" else SMOKE_CONFIG
-    )
+    config = _profile_config(args)
     if args.algorithm == "all":
         codes = DIRTY_ALGORITHM_CODES
     else:
@@ -835,7 +829,6 @@ def _command_dirty_er(args: argparse.Namespace) -> int:
         store_read_tier=_store_read_tier(args),
         resume=args.resume,
         journal_dir=cache / "journal",
-        blocking=args.blocking,
     )
     workers = args.workers if args.workers is not None else 1
     from repro.pipeline.resilience import RunJournal

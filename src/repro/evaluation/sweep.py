@@ -131,10 +131,31 @@ def threshold_sweep(
     compiled = graph.compiled()
     if truth_index is None:
         truth_index = GroundTruthIndex(ground_truth)
-    if grid:
-        matcher.match_compiled(compiled, grid[0])  # warm, untimed
+    return _sweep(
+        matcher.code,
+        compiled,
+        matcher.match_compiled,
+        lambda matching: truth_index.score(matching.pairs),
+        grid,
+        skip_equivalent,
+    )
 
-    result = SweepResult(algorithm=matcher.code)
+
+def _sweep(
+    algorithm: str,
+    compiled,
+    run,
+    score,
+    grid: tuple[float, ...],
+    skip_equivalent: bool,
+) -> SweepResult:
+    """The threshold loop of :func:`threshold_sweep` and
+    :func:`dirty_threshold_sweep`: ``run(compiled, threshold)`` is the
+    timed kernel call, ``score(output)`` its untimed evaluation."""
+    if grid:
+        run(compiled, grid[0])  # warm, untimed
+
+    result = SweepResult(algorithm=algorithm)
     # The compiled graph already holds the ascending weight sort.
     sorted_weights = compiled.weight_ascending if skip_equivalent else None
     previous_threshold: float | None = None
@@ -154,11 +175,10 @@ def threshold_sweep(
             )
         else:
             start = time.perf_counter()
-            matching = matcher.match_compiled(compiled, threshold)
+            output = run(compiled, threshold)
             elapsed = time.perf_counter() - start
-            scores = truth_index.score(matching.pairs)
             point = SweepPoint(
-                threshold=threshold, scores=scores, seconds=elapsed
+                threshold=threshold, scores=score(output), seconds=elapsed
             )
         result.points.append(point)
         previous_threshold = threshold
@@ -282,38 +302,14 @@ def dirty_threshold_sweep(
     compiled = graph.compiled()
     if truth_index is None:
         truth_index = GroundTruthIndex(ground_truth)
-    if grid:
-        clusterer.cluster_compiled(compiled, grid[0])  # warm, untimed
-
-    result = SweepResult(algorithm=clusterer.code)
-    sorted_weights = compiled.weight_ascending if skip_equivalent else None
-    previous_threshold: float | None = None
-    previous_point: SweepPoint | None = None
-    for threshold in grid:
-        if (
-            previous_point is not None
-            and sorted_weights is not None
-            and _no_weight_in_range(
-                sorted_weights, previous_threshold, threshold
-            )
-        ):
-            point = SweepPoint(
-                threshold=threshold,
-                scores=previous_point.scores,
-                seconds=previous_point.seconds,
-            )
-        else:
-            start = time.perf_counter()
-            clusters = clusterer.cluster_compiled(compiled, threshold)
-            elapsed = time.perf_counter() - start
-            scores = truth_index.score_clusters(clusters)
-            point = SweepPoint(
-                threshold=threshold, scores=scores, seconds=elapsed
-            )
-        result.points.append(point)
-        previous_threshold = threshold
-        previous_point = point
-    return result
+    return _sweep(
+        clusterer.code,
+        compiled,
+        clusterer.cluster_compiled,
+        truth_index.score_clusters,
+        grid,
+        skip_equivalent,
+    )
 
 
 def optimal_threshold(

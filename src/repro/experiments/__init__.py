@@ -20,9 +20,9 @@ from repro.experiments.config import (
     SMOKE_CONFIG,
     ExperimentConfig,
 )
-from repro.experiments.dirty_er import run_dirty_er_sweeps
 from repro.experiments.runner import (
     GraphRunResult,
+    run_dirty_er_sweeps,
     run_experiments,
 )
 

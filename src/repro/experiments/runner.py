@@ -26,6 +26,13 @@ cross-run store (:mod:`repro.pipeline.store`) so embeddings, token
 matrices and entity graphs built by any earlier run over the same
 datasets are loaded instead of rebuilt.  Like ``workers``, it changes
 wall-clock only — results and cache keys are invariant.
+
+The dirty-ER self-join corpus
+(:func:`~repro.pipeline.workbench.generate_dirty_corpus`) runs on the
+same fan-out: :func:`run_dirty_er_sweeps` sweeps every clustering
+algorithm (CC, MCC, EMCC, GECG) over each unipartite graph, scored at
+cluster level, where :func:`run_matching_sweeps` sweeps the paper's
+matchers over each bipartite graph.
 """
 
 from __future__ import annotations
@@ -37,14 +44,18 @@ from pathlib import Path
 from repro.evaluation.filtering import find_duplicate_inputs, is_noisy_graph
 from repro.evaluation.metrics import GroundTruthIndex
 from repro.evaluation.sweep import (
+    DEFAULT_THRESHOLD_GRID,
     SweepResult,
+    dirty_threshold_sweep,
     sweeps_from_payload,
     sweeps_to_payload,
     threshold_sweep,
     threshold_sweep_best_of,
 )
 from repro.experiments.config import ExperimentConfig, default_cache_dir
+from repro.extensions.dirty_er import DIRTY_ALGORITHM_CODES, create_clusterer
 from repro.graph.bipartite import SimilarityGraph
+from repro.graph.unipartite import UnipartiteGraph
 from repro.matching import (
     BestAssignmentHeuristic,
     BestMatchClustering,
@@ -60,7 +71,12 @@ from repro.pipeline.resilience import (
 )
 from repro.pipeline.workbench import GraphRecord, generate_corpus
 
-__all__ = ["GraphRunResult", "run_experiments", "run_matching_sweeps"]
+__all__ = [
+    "GraphRunResult",
+    "run_dirty_er_sweeps",
+    "run_experiments",
+    "run_matching_sweeps",
+]
 
 _RESULTS_NAME = "results.json"
 
@@ -196,6 +212,53 @@ def run_matching_sweeps(
     ``journal`` to commit each finished graph's sweeps to disk as it
     lands and to skip already-journaled graphs on a resumed run.
     """
+    return _run_sweeps(
+        records, codes, _sweep_algorithm, config, "runner", progress,
+        workers, policy, journal,
+    )
+
+
+def run_dirty_er_sweeps(
+    records: list[GraphRecord],
+    codes: tuple[str, ...] = DIRTY_ALGORITHM_CODES,
+    grid: tuple[float, ...] = DEFAULT_THRESHOLD_GRID,
+    progress: bool = False,
+    workers: int = 1,
+    policy: RetryPolicy | None = None,
+    journal: RunJournal | None = None,
+) -> list[GraphRunResult]:
+    """Threshold-sweep every clustering algorithm over every record of
+    a self-join corpus.
+
+    :func:`run_matching_sweeps` for the dirty-ER clustering algorithms
+    of :mod:`repro.extensions.dirty_er`: each graph is compiled once
+    and shared by all algorithms and thresholds, and every sweep
+    scores clusters through one
+    :class:`~repro.evaluation.metrics.GroundTruthIndex` per graph.
+    ``normalized_size`` is the unipartite pair-space density.  Results
+    are identical for any ``workers`` value, any retry interleaving
+    and any resume point (``journal``).
+    """
+    return _run_sweeps(
+        records, codes, _sweep_clusterer, grid, "dirty-er", progress,
+        workers, policy, journal,
+    )
+
+
+def _run_sweeps(
+    records: list[GraphRecord],
+    codes: tuple[str, ...],
+    sweep,
+    context,
+    label: str,
+    progress: bool,
+    workers: int,
+    policy: RetryPolicy | None,
+    journal: RunJournal | None,
+) -> list[GraphRunResult]:
+    """The one sweep fan-out: ``sweep(code, graph, ground_truth,
+    context, truth_index)`` per algorithm code and graph, with
+    ``label`` naming the pool and the progress lines."""
     code_tag = "-".join(codes)
     single = workers > 1 and len(records) == 1 and len(codes) > 1
     if single:
@@ -207,7 +270,10 @@ def run_matching_sweeps(
             Task(
                 key=f"000:{record.dataset}:{record.function}:{code}",
                 fn=_sweep_graph,
-                args=(record.graph, record.ground_truth, (code,), config),
+                args=(
+                    record.graph, record.ground_truth, (code,), sweep,
+                    context,
+                ),
             )
             for code in codes
         ]
@@ -218,7 +284,10 @@ def run_matching_sweeps(
                 key=f"{index:03d}:{record.dataset}"
                 f":{record.function}:{code_tag}",
                 fn=_sweep_graph,
-                args=(record.graph, record.ground_truth, codes, config),
+                args=(
+                    record.graph, record.ground_truth, codes, sweep,
+                    context,
+                ),
             )
             for index, record in enumerate(records)
         ]
@@ -232,7 +301,7 @@ def run_matching_sweeps(
         def on_result(key, sweeps):
             # Stream each graph as it lands (possibly out of
             # submission order).
-            _print_progress(record_by_key[key], sweeps)
+            _print_progress(label, record_by_key[key], sweeps)
 
     runner = ResilientPool(
         workers,
@@ -240,7 +309,7 @@ def run_matching_sweeps(
         policy=policy,
         journal=journal,
         codec=SWEEP_JOURNAL_CODEC,
-        label="sweeps",
+        label=label,
     )
     results_by_key = runner.run(tasks, on_result=on_result)
 
@@ -250,7 +319,7 @@ def run_matching_sweeps(
             merged.update(results_by_key[task.key])
         sweeps = {code: merged[code] for code in codes}
         if progress:
-            _print_progress(records[0], sweeps)
+            _print_progress(label, records[0], sweeps)
         all_sweeps = [sweeps]
     else:
         all_sweeps = [results_by_key[task.key] for task in tasks]
@@ -264,27 +333,28 @@ def run_matching_sweeps(
             n_edges=record.n_edges,
             normalized_size=record.graph.density,
             sweeps=sweeps,
-            candidate_reduction=getattr(
-                record, "candidate_reduction", 1.0
-            ),
+            candidate_reduction=record.candidate_reduction,
         )
         for record, sweeps in zip(records, all_sweeps)
     ]
 
 
-def _print_progress(record: GraphRecord, sweeps: dict[str, SweepResult]):
+def _print_progress(
+    label: str, record: GraphRecord, sweeps: dict[str, SweepResult]
+) -> None:
     best = max(sweeps.values(), key=lambda s: s.best_scores.f_measure)
     print(
-        f"[runner] {record.dataset} {record.function}: top F1 "
+        f"[{label}] {record.dataset} {record.function}: top F1 "
         f"{best.best_scores.f_measure:.3f} ({best.algorithm})"
     )
 
 
 def _sweep_graph(
-    graph: SimilarityGraph,
+    graph: SimilarityGraph | UnipartiteGraph,
     ground_truth: set[tuple[int, int]],
     codes: tuple[str, ...],
-    config: ExperimentConfig,
+    sweep,
+    context,
 ) -> dict[str, SweepResult]:
     """One process-pool work unit: all algorithm sweeps of one graph.
 
@@ -293,9 +363,7 @@ def _sweep_graph(
     """
     truth_index = GroundTruthIndex(ground_truth)
     sweeps = {
-        code: _sweep_algorithm(
-            code, graph, ground_truth, config, truth_index
-        )
+        code: sweep(code, graph, ground_truth, context, truth_index)
         for code in codes
     }
     # The compiled artifacts served their sweep; release them so
@@ -337,6 +405,23 @@ def _sweep_algorithm(
         graph,
         ground_truth,
         config.grid,
+        truth_index=truth_index,
+    )
+
+
+def _sweep_clusterer(
+    code: str,
+    graph: UnipartiteGraph,
+    ground_truth: set[tuple[int, int]],
+    grid: tuple[float, ...],
+    truth_index: GroundTruthIndex,
+) -> SweepResult:
+    """Sweep the dirty-ER clustering algorithm ``code``."""
+    return dirty_threshold_sweep(
+        create_clusterer(code),
+        graph,
+        ground_truth,
+        grid,
         truth_index=truth_index,
     )
 
@@ -408,8 +493,8 @@ def _read_sweeps_entry(path: Path) -> dict[str, SweepResult]:
     )
 
 
-#: How one matching-sweep task result journals (shared with dirty-ER
-#: and the CLI sweep command — a sweeps dict is a sweeps dict).
+#: How one sweep task result journals (shared with the CLI sweep
+#: command — a sweeps dict is a sweeps dict).
 SWEEP_JOURNAL_CODEC = JournalCodec(
     write=_write_sweeps_entry, read=_read_sweeps_entry
 )

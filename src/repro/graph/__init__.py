@@ -32,7 +32,6 @@ from repro.graph.unipartite import (
     CompiledUnipartiteGraph,
     UniEdgeSelection,
     UnipartiteGraph,
-    matrix_to_unipartite_graph,
 )
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "UnipartiteGraph",
     "CompiledUnipartiteGraph",
     "UniEdgeSelection",
-    "matrix_to_unipartite_graph",
     "CompiledGraph",
     "EdgeSelection",
     "compile_graph",

@@ -165,6 +165,114 @@ def _csr_delete(
     return new_indptr, new_neighbors, new_weights
 
 
+def _insert_sorted(compiled, ends: tuple[str, str], d_a, d_b, d_w):
+    """Merge a canonical delta into the descending-weight edge
+    permutation and append it to the source graph, in place.
+
+    ``ends`` names the endpoint arrays (``("left", "right")`` or
+    ``("u", "v")``): ``compiled.<end>_sorted`` on the compiled side,
+    ``source.<end>`` on the graph.  ``order`` is patched so provenance
+    indices stay exact.  Returns the delta's weights in descending
+    order for the selection update.
+    """
+    graph = compiled.source
+    order = np.lexsort((d_b, d_a, -d_w))
+    sorted_delta = (d_a[order], d_b[order])
+    sw = d_w[order]
+    a_sorted, b_sorted = (f"{end}_sorted" for end in ends)
+    keys = _edge_keys(
+        compiled.weight_sorted,
+        getattr(compiled, a_sorted),
+        getattr(compiled, b_sorted),
+    )
+    positions = np.searchsorted(
+        keys, _edge_keys(sw, *sorted_delta), side="right"
+    )
+    for name, values in zip((a_sorted, b_sorted), sorted_delta):
+        setattr(
+            compiled,
+            name,
+            np.insert(getattr(compiled, name), positions, values),
+        )
+    compiled.weight_sorted = np.insert(
+        compiled.weight_sorted, positions, sw
+    )
+    compiled.weight_ascending = np.ascontiguousarray(
+        compiled.weight_sorted[::-1]
+    )
+    compiled.order = np.insert(
+        compiled.order, positions, graph.n_edges + order
+    )
+    for end, values in zip(ends, (d_a, d_b)):
+        setattr(graph, end, np.concatenate([getattr(graph, end), values]))
+    graph.weight = np.concatenate([graph.weight, d_w])
+    compiled.n_edges = graph.n_edges
+    return sw
+
+
+def _delete_sorted(compiled, ends: tuple[str, str], d_a, d_b, d_w):
+    """Remove a canonical delta from the descending-weight edge
+    permutation and from the source graph, in place.
+
+    The inverse of :func:`_insert_sorted`: surviving provenance
+    indices shift down by the number of deleted source rows below
+    them.  Returns the delta sorted like the permutation,
+    ``(a, b, weight)``, for the CSR and selection updates.
+    """
+    graph = compiled.source
+    order = np.lexsort((d_b, d_a, -d_w))
+    sa, sb, sw = d_a[order], d_b[order], d_w[order]
+    a_sorted, b_sorted = (f"{end}_sorted" for end in ends)
+    old_a, old_b = getattr(compiled, a_sorted), getattr(compiled, b_sorted)
+    positions = np.searchsorted(
+        _edge_keys(compiled.weight_sorted, old_a, old_b),
+        _edge_keys(sw, sa, sb),
+        side="left",
+    )
+    if (
+        positions.max(initial=-1) >= compiled.n_edges
+        or not np.array_equal(old_a[positions], sa)
+        or not np.array_equal(old_b[positions], sb)
+        or not np.array_equal(compiled.weight_sorted[positions], sw)
+    ):
+        raise ValueError("edge to delete not present in graph")
+    removed = np.sort(compiled.order[positions])
+
+    setattr(compiled, a_sorted, np.delete(old_a, positions))
+    setattr(compiled, b_sorted, np.delete(old_b, positions))
+    compiled.weight_sorted = np.delete(compiled.weight_sorted, positions)
+    compiled.weight_ascending = np.ascontiguousarray(
+        compiled.weight_sorted[::-1]
+    )
+    kept = np.delete(compiled.order, positions)
+    compiled.order = kept - np.searchsorted(removed, kept, side="left")
+
+    for end in ends:
+        setattr(graph, end, np.delete(getattr(graph, end), removed))
+    graph.weight = np.delete(graph.weight, removed)
+    compiled.n_edges = graph.n_edges
+    return sa, sb, sw
+
+
+def _csr_weights(
+    indptr: np.ndarray,
+    neighbors: np.ndarray,
+    weights: np.ndarray,
+    nodes: np.ndarray,
+    nbrs: np.ndarray,
+) -> np.ndarray:
+    """Look up each ``(node, neighbour)`` edge's weight via the node's
+    CSR run (a repeated pair resolves to its highest weight first)."""
+    out = np.empty(len(nodes), dtype=np.float64)
+    for k, (node, nbr) in enumerate(zip(nodes.tolist(), nbrs.tolist())):
+        start, stop = indptr[node], indptr[node + 1]
+        hits = np.nonzero(neighbors[start:stop] == nbr)[0]
+        if len(hits) == 0:
+            raise ValueError(f"edge ({node}, {nbr}) not in graph")
+        out[k] = weights[start + hits[0]]
+    return out
+
+
 def _delta_prefix(weights_desc: np.ndarray, threshold: float,
                   inclusive: bool) -> int:
     """How many delta edges a ``(threshold, inclusive)`` view admits."""
@@ -217,32 +325,15 @@ def insert_edges(
     d_left, d_right, d_weight = _as_delta(left, right, weight)
     if len(d_left) == 0:
         return
-    graph = compiled.source
-    if len(d_left) and (
+    if (
         d_left.min() < 0 or d_left.max() >= compiled.n_left
         or d_right.min() < 0 or d_right.max() >= compiled.n_right
     ):
         raise ValueError("delta endpoint out of range")
 
-    src_base = graph.n_edges
-    order = np.lexsort((d_right, d_left, -d_weight))
-    sl, sr, sw = d_left[order], d_right[order], d_weight[order]
-    keys = _edge_keys(
-        compiled.weight_sorted, compiled.left_sorted, compiled.right_sorted
+    sw = _insert_sorted(
+        compiled, ("left", "right"), d_left, d_right, d_weight
     )
-    positions = np.searchsorted(
-        keys, _edge_keys(sw, sl, sr), side="right"
-    )
-    compiled.left_sorted = np.insert(compiled.left_sorted, positions, sl)
-    compiled.right_sorted = np.insert(compiled.right_sorted, positions, sr)
-    compiled.weight_sorted = np.insert(
-        compiled.weight_sorted, positions, sw
-    )
-    compiled.weight_ascending = np.ascontiguousarray(
-        compiled.weight_sorted[::-1]
-    )
-    compiled.order = np.insert(compiled.order, positions, src_base + order)
-
     compiled.left_indptr, compiled.left_neighbors, compiled.left_weights = (
         _csr_insert(
             compiled.left_indptr, compiled.left_neighbors,
@@ -257,35 +348,10 @@ def insert_edges(
         compiled.right_indptr, compiled.right_neighbors,
         compiled.right_weights, d_right, d_left, d_weight,
     )
-
-    graph.left = np.concatenate([graph.left, d_left])
-    graph.right = np.concatenate([graph.right, d_right])
-    graph.weight = np.concatenate([graph.weight, d_weight])
-    compiled.n_edges = graph.n_edges
-
     _update_selections(
         compiled._selections, sw, +1, _BI_SELECTION_LAZY
     )
     _reset_bipartite_derived(compiled)
-
-
-def _resolve_bipartite_weights(
-    compiled: CompiledGraph, d_left: np.ndarray, d_right: np.ndarray
-) -> np.ndarray:
-    """Look up each ``(left, right)`` edge's weight via its CSR run."""
-    weights = np.empty(len(d_left), dtype=np.float64)
-    for k, (node, nbr) in enumerate(
-        zip(d_left.tolist(), d_right.tolist())
-    ):
-        start, stop = (
-            compiled.left_indptr[node], compiled.left_indptr[node + 1]
-        )
-        run = compiled.left_neighbors[start:stop]
-        hits = np.nonzero(run == nbr)[0]
-        if len(hits) == 0:
-            raise ValueError(f"edge ({node}, {nbr}) not in graph")
-        weights[k] = compiled.left_weights[start + hits[0]]
-    return weights
 
 
 def delete_edges(
@@ -301,7 +367,10 @@ def delete_edges(
     if weight is None:
         d_left = np.atleast_1d(np.asarray(left, dtype=np.int64))
         d_right = np.atleast_1d(np.asarray(right, dtype=np.int64))
-        d_weight = _resolve_bipartite_weights(compiled, d_left, d_right)
+        d_weight = _csr_weights(
+            compiled.left_indptr, compiled.left_neighbors,
+            compiled.left_weights, d_left, d_right,
+        )
     else:
         d_left, d_right, d_weight = _as_delta(left, right, weight)
     if len(d_left) == 0:
@@ -311,37 +380,9 @@ def delete_edges(
         # A repeated (left, right, weight) triple would resolve to one
         # searchsorted position and silently delete a single edge.
         raise ValueError("duplicate edges in delete delta")
-    graph = compiled.source
-
-    order = np.lexsort((d_right, d_left, -d_weight))
-    sl, sr, sw = d_left[order], d_right[order], d_weight[order]
-    keys = _edge_keys(
-        compiled.weight_sorted, compiled.left_sorted, compiled.right_sorted
+    sl, sr, sw = _delete_sorted(
+        compiled, ("left", "right"), d_left, d_right, d_weight
     )
-    positions = np.searchsorted(
-        keys, _edge_keys(sw, sl, sr), side="left"
-    )
-    if (
-        positions.max(initial=-1) >= compiled.n_edges
-        or not np.array_equal(compiled.left_sorted[positions], sl)
-        or not np.array_equal(compiled.right_sorted[positions], sr)
-        or not np.array_equal(compiled.weight_sorted[positions], sw)
-    ):
-        raise ValueError("edge to delete not present in graph")
-    src_indices = compiled.order[positions]
-
-    compiled.left_sorted = np.delete(compiled.left_sorted, positions)
-    compiled.right_sorted = np.delete(compiled.right_sorted, positions)
-    compiled.weight_sorted = np.delete(compiled.weight_sorted, positions)
-    compiled.weight_ascending = np.ascontiguousarray(
-        compiled.weight_sorted[::-1]
-    )
-    # Remap provenance: drop the deleted entries, then shift survivors
-    # down by the number of deleted source rows below them.
-    kept = np.delete(compiled.order, positions)
-    removed = np.sort(src_indices)
-    compiled.order = kept - np.searchsorted(removed, kept, side="left")
-
     compiled.left_indptr, compiled.left_neighbors, compiled.left_weights = (
         _csr_delete(
             compiled.left_indptr, compiled.left_neighbors,
@@ -356,51 +397,50 @@ def delete_edges(
         compiled.right_indptr, compiled.right_neighbors,
         compiled.right_weights, sr, sl, sw,
     )
-
-    graph.left = np.delete(graph.left, removed)
-    graph.right = np.delete(graph.right, removed)
-    graph.weight = np.delete(graph.weight, removed)
-    compiled.n_edges = graph.n_edges
-
     _update_selections(
         compiled._selections, sw, -1, _BI_SELECTION_LAZY
     )
     _reset_bipartite_derived(compiled)
 
 
-def _grow_indptr(indptr: np.ndarray, count: int) -> np.ndarray:
-    return np.concatenate(
-        [indptr, np.full(count, indptr[-1], dtype=indptr.dtype)]
+def _grow_nodes(
+    compiled, count: int, size: str, indptr: str, lazy: tuple[str, ...]
+) -> None:
+    """Grow one node set by ``count`` isolated nodes, in place.
+
+    ``size`` names the node count (on the compiled graph and its
+    source) and ``indptr`` the CSR pointer array of that node set.
+    Cached selection counts stay valid (isolated nodes admit no
+    edges), but their node-count-shaped ``lazy`` views must re-derive.
+    """
+    if count < 0:
+        raise ValueError("node count must be non-negative")
+    setattr(compiled, size, getattr(compiled, size) + count)
+    setattr(compiled.source, size, getattr(compiled.source, size) + count)
+    pointers = getattr(compiled, indptr)
+    setattr(
+        compiled,
+        indptr,
+        np.concatenate(
+            [pointers, np.full(count, pointers[-1], dtype=pointers.dtype)]
+        ),
     )
-
-
-def _reset_bipartite_selection_lazy(compiled: CompiledGraph) -> None:
-    # Per-node lazy caches are node-count-shaped; counts stay valid
-    # (isolated nodes admit no edges) but the lists must re-derive.
     for selection in compiled._selections.values():
-        for name in _BI_SELECTION_LAZY:
+        for name in lazy:
             setattr(selection, name, None)
 
 
 def add_left_nodes(compiled: CompiledGraph, count: int) -> None:
     """Grow the left side by ``count`` isolated nodes, in place."""
-    if count < 0:
-        raise ValueError("node count must be non-negative")
-    compiled.n_left += count
-    compiled.source.n_left += count
-    compiled.left_indptr = _grow_indptr(compiled.left_indptr, count)
-    _reset_bipartite_selection_lazy(compiled)
+    _grow_nodes(compiled, count, "n_left", "left_indptr", _BI_SELECTION_LAZY)
     _reset_bipartite_derived(compiled)
 
 
 def add_right_nodes(compiled: CompiledGraph, count: int) -> None:
     """Grow the right side by ``count`` isolated nodes, in place."""
-    if count < 0:
-        raise ValueError("node count must be non-negative")
-    compiled.n_right += count
-    compiled.source.n_right += count
-    compiled.right_indptr = _grow_indptr(compiled.right_indptr, count)
-    _reset_bipartite_selection_lazy(compiled)
+    _grow_nodes(
+        compiled, count, "n_right", "right_indptr", _BI_SELECTION_LAZY
+    )
     _reset_bipartite_derived(compiled)
 
 
@@ -437,7 +477,6 @@ def insert_uni_edges(
     d_u, d_v, d_w = _canonical_uni_delta(u, v, weight)
     if len(d_u) == 0:
         return
-    graph = compiled.source
     if d_u.min() < 0 or d_v.max() >= compiled.n_nodes:
         raise ValueError("delta endpoint out of range")
     for a, b in zip(d_u.tolist(), d_v.tolist()):
@@ -447,25 +486,7 @@ def insert_uni_edges(
     if len(np.unique(keys)) != len(keys):
         raise ValueError("duplicate edges in delta")
 
-    src_base = graph.n_edges
-    order = np.lexsort((d_v, d_u, -d_w))
-    su, sv, sw = d_u[order], d_v[order], d_w[order]
-    existing = _edge_keys(
-        compiled.weight_sorted, compiled.u_sorted, compiled.v_sorted
-    )
-    positions = np.searchsorted(
-        existing, _edge_keys(sw, su, sv), side="right"
-    )
-    compiled.u_sorted = np.insert(compiled.u_sorted, positions, su)
-    compiled.v_sorted = np.insert(compiled.v_sorted, positions, sv)
-    compiled.weight_sorted = np.insert(
-        compiled.weight_sorted, positions, sw
-    )
-    compiled.weight_ascending = np.ascontiguousarray(
-        compiled.weight_sorted[::-1]
-    )
-    compiled.order = np.insert(compiled.order, positions, src_base + order)
-
+    sw = _insert_sorted(compiled, ("u", "v"), d_u, d_v, d_w)
     # Symmetric CSR: every delta edge lands under both endpoints.
     compiled.indptr, compiled.neighbors, compiled.neighbor_weights = (
         _csr_insert(
@@ -477,29 +498,10 @@ def insert_uni_edges(
             np.concatenate([d_w, d_w]),
         )
     )
-
-    graph.u = np.concatenate([graph.u, d_u])
-    graph.v = np.concatenate([graph.v, d_v])
-    graph.weight = np.concatenate([graph.weight, d_w])
-    compiled.n_edges = graph.n_edges
-
     _update_selections(
         compiled._selections, sw, +1, _UNI_SELECTION_LAZY
     )
     _patch_gecg_base(compiled, d_u, d_v, d_w, inserted=True)
-
-
-def _resolve_uni_weights(
-    compiled: CompiledUnipartiteGraph, d_u: np.ndarray, d_v: np.ndarray
-) -> np.ndarray:
-    weights = np.empty(len(d_u), dtype=np.float64)
-    for k, (a, b) in enumerate(zip(d_u.tolist(), d_v.tolist())):
-        start, stop = compiled.indptr[a], compiled.indptr[a + 1]
-        hits = np.nonzero(compiled.neighbors[start:stop] == b)[0]
-        if len(hits) == 0:
-            raise ValueError(f"edge ({a}, {b}) not in graph")
-        weights[k] = compiled.neighbor_weights[start + hits[0]]
-    return weights
 
 
 def delete_uni_edges(
@@ -511,7 +513,10 @@ def delete_uni_edges(
         raw_v = np.atleast_1d(np.asarray(v, dtype=np.int64))
         d_u = np.minimum(raw_u, raw_v)
         d_v = np.maximum(raw_u, raw_v)
-        d_w = _resolve_uni_weights(compiled, d_u, d_v)
+        d_w = _csr_weights(
+            compiled.indptr, compiled.neighbors, compiled.neighbor_weights,
+            d_u, d_v,
+        )
     else:
         d_u, d_v, d_w = _canonical_uni_delta(u, v, weight)
     if len(d_u) == 0:
@@ -519,35 +524,7 @@ def delete_uni_edges(
     pair_keys = d_u * np.int64(max(compiled.n_nodes, 1)) + d_v
     if len(np.unique(pair_keys)) != len(pair_keys):
         raise ValueError("duplicate edges in delete delta")
-    graph = compiled.source
-
-    order = np.lexsort((d_v, d_u, -d_w))
-    su, sv, sw = d_u[order], d_v[order], d_w[order]
-    existing = _edge_keys(
-        compiled.weight_sorted, compiled.u_sorted, compiled.v_sorted
-    )
-    positions = np.searchsorted(
-        existing, _edge_keys(sw, su, sv), side="left"
-    )
-    if (
-        positions.max(initial=-1) >= compiled.n_edges
-        or not np.array_equal(compiled.u_sorted[positions], su)
-        or not np.array_equal(compiled.v_sorted[positions], sv)
-        or not np.array_equal(compiled.weight_sorted[positions], sw)
-    ):
-        raise ValueError("edge to delete not present in graph")
-    src_indices = compiled.order[positions]
-
-    compiled.u_sorted = np.delete(compiled.u_sorted, positions)
-    compiled.v_sorted = np.delete(compiled.v_sorted, positions)
-    compiled.weight_sorted = np.delete(compiled.weight_sorted, positions)
-    compiled.weight_ascending = np.ascontiguousarray(
-        compiled.weight_sorted[::-1]
-    )
-    kept = np.delete(compiled.order, positions)
-    removed = np.sort(src_indices)
-    compiled.order = kept - np.searchsorted(removed, kept, side="left")
-
+    su, sv, sw = _delete_sorted(compiled, ("u", "v"), d_u, d_v, d_w)
     compiled.indptr, compiled.neighbors, compiled.neighbor_weights = (
         _csr_delete(
             compiled.indptr,
@@ -558,12 +535,6 @@ def delete_uni_edges(
             np.concatenate([sw, sw]),
         )
     )
-
-    graph.u = np.delete(graph.u, removed)
-    graph.v = np.delete(graph.v, removed)
-    graph.weight = np.delete(graph.weight, removed)
-    compiled.n_edges = graph.n_edges
-
     _update_selections(
         compiled._selections, sw, -1, _UNI_SELECTION_LAZY
     )
@@ -572,16 +543,7 @@ def delete_uni_edges(
 
 def add_uni_nodes(compiled: CompiledUnipartiteGraph, count: int) -> None:
     """Grow the node set by ``count`` isolated nodes, in place."""
-    if count < 0:
-        raise ValueError("node count must be non-negative")
-    compiled.n_nodes += count
-    compiled.source.n_nodes += count
-    compiled.indptr = _grow_indptr(compiled.indptr, count)
-    # Node-count-shaped lazy views (sparse matrices, bitsets,
-    # component labels) must re-derive at the new size.
-    for selection in compiled._selections.values():
-        for name in _UNI_SELECTION_LAZY:
-            setattr(selection, name, None)
+    _grow_nodes(compiled, count, "n_nodes", "indptr", _UNI_SELECTION_LAZY)
     # The triangle base is edge-indexed and survives node growth;
     # everything else in the kernel cache is cleared defensively.
     base = compiled.kernel_cache.pop("gecg_base", None)

@@ -40,7 +40,6 @@ __all__ = [
     "UnipartiteGraph",
     "CompiledUnipartiteGraph",
     "UniEdgeSelection",
-    "matrix_to_unipartite_graph",
     "pairs_to_unipartite_graph",
 ]
 
@@ -452,40 +451,6 @@ class UniEdgeSelection:
         return self._component_labels
 
 
-def matrix_to_unipartite_graph(
-    matrix: np.ndarray,
-    name: str = "",
-    normalize: bool = True,
-    metadata: dict | None = None,
-) -> UnipartiteGraph:
-    """Build a :class:`UnipartiteGraph` from a square self-join matrix.
-
-    The strict upper triangle (``i < j``) supplies the edges — the
-    diagonal is the trivial self similarity and the lower triangle is
-    the same pair seen from the other side (asymmetric measures such
-    as Monge-Elkan are read in ``i -> j`` direction, a documented
-    convention of the self-join corpus).  Pairs at or below zero are
-    dropped and the retained weights are min-max normalized, exactly
-    like the bipartite :func:`~repro.pipeline.graph_builder.matrix_to_graph`.
-    """
-    from repro.graph.normalize import min_max_normalize_array
-
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("self-join matrix must be square")
-    upper = np.triu(matrix, k=1)
-    u, v = np.nonzero(upper > 0.0)
-    weights = np.clip(matrix[u, v], 0.0, 1.0)
-    if normalize and len(weights):
-        weights = min_max_normalize_array(weights)
-    graph = UnipartiteGraph(
-        matrix.shape[0], u, v, weights, name=name, validate=False
-    )
-    if metadata:
-        graph.metadata = dict(metadata)
-    return graph
-
-
 def pairs_to_unipartite_graph(
     n_nodes: int,
     u: np.ndarray,
@@ -495,18 +460,18 @@ def pairs_to_unipartite_graph(
     normalize: bool = True,
     metadata: dict | None = None,
 ) -> UnipartiteGraph:
-    """Build a :class:`UnipartiteGraph` from scored candidate pairs.
+    """Build a :class:`UnipartiteGraph` from scored self-join pairs.
 
     The self-join analogue of
     :func:`~repro.pipeline.graph_builder.pairs_to_graph`: only the
-    strict upper triangle survives (``u < v`` — the diagonal and the
-    mirrored lower-triangle duplicates a symmetric blocking scheme
-    emits are dropped, matching the convention of
-    :func:`matrix_to_unipartite_graph`), positive scores are kept,
-    clipped to ``[0, 1]`` and min-max normalized.  Candidates sorted
-    by ``(u, v)`` reproduce the matrix path's row-major edge order,
-    so blocked self-join graphs deduplicate and order edges exactly
-    like their dense counterparts.
+    strict upper triangle survives (``u < v`` — the diagonal is the
+    trivial self similarity, and the lower triangle is the same pair
+    seen from the other side, so asymmetric measures such as
+    Monge-Elkan are read in ``u -> v`` direction), positive scores are
+    kept, clipped to ``[0, 1]`` and min-max normalized.  Dense
+    row-major pairs and blocked candidates sorted by ``(u, v)`` emit
+    the same edge order, so blocked self-join graphs deduplicate and
+    order edges exactly like their dense counterparts.
     """
     from repro.graph.normalize import min_max_normalize_array
 

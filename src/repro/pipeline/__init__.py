@@ -49,7 +49,6 @@ from repro.pipeline.similarity_functions import (
     enumerate_functions,
 )
 from repro.pipeline.workbench import (
-    DirtyGraphRecord,
     GraphCorpusConfig,
     GraphRecord,
     generate_corpus,
@@ -78,7 +77,6 @@ __all__ = [
     "GraphCorpusConfig",
     "GraphRecord",
     "generate_corpus",
-    "DirtyGraphRecord",
     "generate_dirty_corpus",
     "UniquePlan",
     "SparsePlan",

@@ -41,13 +41,18 @@ live in :mod:`repro.evaluation.filtering` and are applied at analysis
 time, with the zero-evidence filter (all matching pairs at weight 0)
 applied already at generation time here.
 
-The **dirty-ER corpus mode** (:func:`generate_dirty_corpus`) runs the
-same taxonomy one workload over: each dataset's union collection is
+One pipeline builds every corpus kind.  A :class:`CorpusKind` value
+holds the only decisions two kinds differ on — the dataset view the
+engine joins, the graph built from its scored pairs, the zero-evidence
+edge keys, the graph file codec and the on-disk names — and everything
+else (record, generator, sharded tier, cache layer, journal codec)
+exists once.  :data:`BIPARTITE` is the paper's Clean-Clean corpus
+(:func:`generate_corpus`).  :data:`SELF_JOIN` is the dirty-ER corpus
+(:func:`generate_dirty_corpus`): each dataset's union collection is
 joined with itself through the ordinary engine/store stack (self-join
-artifacts carry a ``+self`` dataset identity) and every matrix's
-strict upper triangle becomes a
-:class:`~repro.graph.unipartite.UnipartiteGraph` for the clustering
-algorithms of :mod:`repro.extensions.dirty_er`.
+artifacts carry a ``+self`` dataset identity) and every strict upper
+triangle becomes a :class:`~repro.graph.unipartite.UnipartiteGraph`
+for the clustering algorithms of :mod:`repro.extensions.dirty_er`.
 """
 
 from __future__ import annotations
@@ -56,7 +61,9 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -71,7 +78,12 @@ from repro.graph.io import (
     save_unipartite_graph,
 )
 from repro.graph.unipartite import UnipartiteGraph, pairs_to_unipartite_graph
-from repro.pipeline.engine import SimilarityEngine, SpecGroup, group_specs
+from repro.pipeline.engine import (
+    SimilarityEngine,
+    SpecGroup,
+    SpecScores,
+    group_specs,
+)
 from repro.pipeline.graph_builder import pairs_to_graph
 from repro.pipeline.sharding import plan_for_dataset
 from repro.pipeline.resilience import (
@@ -89,16 +101,16 @@ from repro.pipeline.similarity_functions import (
 from repro.pipeline.store import ArtifactStore, dataset_store_key
 
 __all__ = [
+    "BIPARTITE",
+    "SELF_JOIN",
+    "CorpusKind",
     "GraphCorpusConfig",
     "GraphRecord",
-    "DirtyGraphRecord",
     "generate_corpus",
     "generate_dirty_corpus",
 ]
 
 _MANIFEST_NAME = "manifest.json"
-_MANIFEST_VERSION = 2
-_DIRTY_MANIFEST_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -182,6 +194,13 @@ class GraphCorpusConfig:
 class GraphRecord:
     """One corpus entry: the graph plus its provenance.
 
+    ``graph`` is a :class:`~repro.graph.bipartite.SimilarityGraph` in
+    a bipartite corpus and a
+    :class:`~repro.graph.unipartite.UnipartiteGraph` in a self-join
+    one (nodes are the union collection, left profiles first, right
+    profiles shifted by ``n_left``; ``ground_truth`` then holds the
+    canonical ``(u, v)`` duplicate pairs in merged ids).
+
     ``ground_truth`` is shared by all graphs of the same dataset.
     ``build_seconds`` is the total wall-clock of the entry;
     ``artifact_seconds`` (shared models/embeddings built on a cache
@@ -197,7 +216,7 @@ class GraphRecord:
     per-stage savings the progress line and runtime report surface.
     """
 
-    graph: SimilarityGraph
+    graph: SimilarityGraph | UnipartiteGraph
     dataset: str
     family: str
     function: str
@@ -215,34 +234,120 @@ class GraphRecord:
         return self.graph.n_edges
 
 
-@dataclass
-class DirtyGraphRecord:
-    """One dirty-ER corpus entry: a self-join graph plus provenance.
+# ----------------------------------------------------------------------
+# Corpus kinds
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class CorpusKind:
+    """The decisions that tell one corpus kind from another.
 
-    The graph is unipartite over the *union* collection (left profiles
-    first, right profiles shifted by ``n_left``); ``ground_truth``
-    holds the canonical ``(u, v)`` duplicate pairs in merged ids.
-    Timing fields mirror :class:`GraphRecord`.
+    ``view`` maps a generated dataset to the one the engine joins; its
+    ``code`` is the artifact-store identity.  ``build_graph`` turns one
+    spec's scored pairs of that view into a graph, ``edge_ends`` gives
+    a graph's ``(a, b, stride)`` edge endpoints for the zero-evidence
+    filter, and ``save_graph``/``load_graph`` are the graph file codec.
+    ``cache_prefix`` and ``manifest_header`` fix the corpus cache
+    directory name and manifest head; ``label`` prefixes journal run
+    keys and pool labels.
+
+    Kinds travel to pool workers inside task arguments, so every field
+    is a module-level function or a constant.
     """
 
-    graph: UnipartiteGraph
-    dataset: str
-    family: str
-    function: str
-    category: str  # BLC / OSD / SCR
-    ground_truth: set[tuple[int, int]]
-    build_seconds: float = 0.0
-    artifact_seconds: float = 0.0
-    matrix_seconds: float = 0.0
-    graph_seconds: float = 0.0
-    dedup_ratio: float = 1.0
-    candidate_reduction: float = 1.0
-
-    @property
-    def n_edges(self) -> int:
-        return self.graph.n_edges
+    view: Callable[[CleanCleanDataset], CleanCleanDataset]
+    build_graph: Callable[..., SimilarityGraph | UnipartiteGraph]
+    edge_ends: Callable[..., tuple[np.ndarray, np.ndarray, int]]
+    save_graph: Callable
+    load_graph: Callable
+    cache_prefix: str
+    manifest_header: tuple[tuple[str, object], ...]
+    label: str
 
 
+def _as_is(dataset: CleanCleanDataset) -> CleanCleanDataset:
+    return dataset
+
+
+def _bipartite_graph(dataset, left, right, values, **kwargs):
+    return pairs_to_graph(
+        len(dataset.left), len(dataset.right), left, right, values, **kwargs
+    )
+
+
+def _bipartite_ends(graph: SimilarityGraph):
+    return graph.left, graph.right, graph.n_right
+
+
+def _self_join_dataset(dataset: CleanCleanDataset) -> CleanCleanDataset:
+    """The dirty-ER view of a Clean-Clean dataset: the union collection
+    joined with itself.
+
+    Both "sides" are the same union collection (left profiles first,
+    right profiles shifted by ``n_left``), so the similarity engine —
+    artifact cache, kernel engine, persistent store and all — computes
+    the full self-join matrix without knowing it is a self join.  The
+    merged ground truth is the original cross-collection duplicate set
+    in merged ids (always canonical: ``i < n_left <= n_left + j``).
+    The ``+self`` code keeps its store identity distinct from the
+    bipartite dataset's.
+    """
+    n_left = len(dataset.left)
+    union = EntityCollection(
+        f"{dataset.code}-union",
+        list(dataset.left.profiles) + list(dataset.right.profiles),
+    )
+    truth = {(i, n_left + j) for i, j in dataset.ground_truth}
+    spec = dataclasses.replace(
+        dataset.spec,
+        code=f"{dataset.code}+self",
+        n_left=len(union),
+        n_right=len(union),
+        n_duplicates=len(truth),
+    )
+    return CleanCleanDataset(
+        spec=spec, left=union, right=union, ground_truth=truth
+    )
+
+
+def _self_join_graph(dataset, u, v, values, **kwargs):
+    # The clean-clean semantics over the self join: only the strict
+    # upper triangle survives (the diagonal and mirrored duplicates
+    # drop in pairs_to_unipartite_graph), dense or blocked alike.
+    return pairs_to_unipartite_graph(len(dataset.left), u, v, values, **kwargs)
+
+
+def _self_join_ends(graph: UnipartiteGraph):
+    return graph.u, graph.v, graph.n_nodes
+
+
+#: The paper's Clean-Clean corpus: left collection against right.
+BIPARTITE = CorpusKind(
+    view=_as_is,
+    build_graph=_bipartite_graph,
+    edge_ends=_bipartite_ends,
+    save_graph=save_graph,
+    load_graph=load_graph,
+    cache_prefix="",
+    manifest_header=(("version", 2),),
+    label="corpus",
+)
+
+#: The dirty-ER corpus: each dataset's union collection against itself.
+SELF_JOIN = CorpusKind(
+    view=_self_join_dataset,
+    build_graph=_self_join_graph,
+    edge_ends=_self_join_ends,
+    save_graph=save_unipartite_graph,
+    load_graph=load_unipartite_graph,
+    cache_prefix="dirty_",
+    manifest_header=(("version", 1), ("kind", "dirty")),
+    label="dirty",
+)
+
+
+# ----------------------------------------------------------------------
+# Generation
+# ----------------------------------------------------------------------
 def generate_corpus(
     config: GraphCorpusConfig,
     cache_dir: str | Path | None = None,
@@ -282,6 +387,60 @@ def generate_corpus(
     (graphs round-trip exactly through the npz codec).  The journal is
     cleared on success and on any non-resume start.
     """
+    return _generate_kind(
+        BIPARTITE, config, cache_dir, progress, workers, artifact_store,
+        store_read_tier, resume, journal_dir, policy, blocking, max_memory,
+    )
+
+
+def generate_dirty_corpus(
+    config: GraphCorpusConfig,
+    cache_dir: str | Path | None = None,
+    progress: bool = False,
+    workers: int | None = None,
+    artifact_store: str | Path | None = None,
+    store_read_tier: str | Path | None = None,
+    resume: bool = False,
+    journal_dir: str | Path | None = None,
+    policy: RetryPolicy | None = None,
+    blocking: str | None = None,
+) -> list[GraphRecord]:
+    """Generate (or load from cache) the dirty-ER self-join corpus.
+
+    :func:`generate_corpus` over :data:`SELF_JOIN`: the same spec
+    taxonomy is evaluated on the *union* collection joined with
+    itself, and each spec's strict upper triangle becomes a
+    :class:`~repro.graph.unipartite.UnipartiteGraph` for the
+    clustering algorithms of :mod:`repro.extensions.dirty_er`.  Every
+    argument behaves as in :func:`generate_corpus`, under the
+    ``dirty_`` cache directory and ``dirty-`` journal run keys.
+    ``blocking`` generates candidates union-against-union and only
+    upper-triangle (``u < v``) candidate pairs become edges, so the
+    scheme changes the corpus (and its cache key) exactly as in
+    :func:`generate_corpus`; ``config.max_memory`` runs the sharded
+    tier, bit-identical to the unsharded corpus.
+    """
+    return _generate_kind(
+        SELF_JOIN, config, cache_dir, progress, workers, artifact_store,
+        store_read_tier, resume, journal_dir, policy, blocking, None,
+    )
+
+
+def _generate_kind(
+    kind: CorpusKind,
+    config: GraphCorpusConfig,
+    cache_dir: str | Path | None,
+    progress: bool,
+    workers: int | None,
+    artifact_store: str | Path | None,
+    store_read_tier: str | Path | None,
+    resume: bool,
+    journal_dir: str | Path | None,
+    policy: RetryPolicy | None,
+    blocking: str | None,
+    max_memory: int | None,
+) -> list[GraphRecord]:
+    """The one generator body behind every corpus kind."""
     if artifact_store is not None:
         config = dataclasses.replace(
             config, artifact_store=str(artifact_store)
@@ -302,63 +461,26 @@ def generate_corpus(
             config, blocking=canonical_blocking(config.blocking)
         )
     if cache_dir is not None:
-        cache_dir = Path(cache_dir) / config.cache_key()
-        manifest_path = cache_dir / _MANIFEST_NAME
-        if manifest_path.exists():
-            return _load_cached(cache_dir)
+        cache_dir = Path(cache_dir) / (
+            kind.cache_prefix + config.cache_key()
+        )
+        if (cache_dir / _MANIFEST_NAME).exists():
+            return _load_cached(cache_dir, kind)
 
     n_workers = config.workers if workers is None else workers
-    if config.max_memory is not None:
-        records = _sharded_corpus_records(
-            config,
-            n_workers,
-            progress=progress,
-            resume=resume,
-            journal_dir=journal_dir,
-            policy=policy,
-        )
-        if cache_dir is not None:
-            _store_cache(cache_dir, records, workers=n_workers)
-        return records
-    tasks = _corpus_tasks(config)
+    if config.max_memory is None:
+        fan_out, run = _dense_records, kind.label
+    else:
+        fan_out, run = _sharded_records, f"{kind.label}-shards"
     journal = _make_run_journal(
-        journal_dir, resume, f"corpus-{config.cache_key()}"
+        journal_dir, resume, f"{run}-{config.cache_key()}"
     )
-    use_pool = n_workers > 1 and len(tasks) > 1
-    # Serial over groups hands the workers budget to the pairwise
-    # kernels instead (block-level threads; results invariant).
-    threads = 1 if use_pool else max(n_workers, 1)
-    runner = ResilientPool(
-        n_workers if use_pool else 0,
-        kind="process",
-        policy=policy,
-        journal=journal,
-        codec=_CORPUS_JOURNAL_CODEC,
-        label="corpus",
+    records = fan_out(
+        kind, config, _corpus_tasks(config), n_workers, journal, policy,
+        progress,
     )
-    on_result = None
-    if progress:
-        # Stream each group as it finishes (possibly out of submission
-        # order) so long parallel runs stay visible.
-        def on_result(key, chunk):
-            for record in chunk:
-                _print_progress(record)
-
-    chunks = runner.run(
-        [
-            Task(
-                key=f"{index:03d}:{code}",
-                fn=_group_worker,
-                args=((config, code, group, threads),),
-            )
-            for index, (code, group) in enumerate(tasks)
-        ],
-        on_result=on_result,
-    )
-    records = [record for chunk in chunks.values() for record in chunk]
-
     if cache_dir is not None:
-        _store_cache(cache_dir, records, workers=n_workers)
+        _store_cache(cache_dir, records, kind, workers=n_workers)
     if journal is not None:
         # The run landed (and, with a cache_dir, persisted): the
         # journal served its purpose.
@@ -370,26 +492,6 @@ def _generate(config: GraphCorpusConfig, code: str) -> CleanCleanDataset:
     return generate_dataset(
         dataset_spec(code, scale=config.scale, max_pairs=config.max_pairs),
         seed=config.seed,
-    )
-
-
-def _make_engine(
-    config: GraphCorpusConfig, code: str, threads: int = 1
-) -> SimilarityEngine:
-    """An engine for one dataset, store-backed when configured."""
-    store = None
-    if config.artifact_store is not None:
-        store = ArtifactStore(
-            config.artifact_store, read_tier=config.store_read_tier
-        )
-    return SimilarityEngine(
-        _generate(config, code),
-        threads=threads,
-        store=store,
-        dataset_key=dataset_store_key(
-            code, config.scale, config.max_pairs, config.seed
-        ),
-        blocking=config.blocking,
     )
 
 
@@ -428,44 +530,6 @@ def _enumerate_kwargs(config: GraphCorpusConfig) -> dict:
     return kwargs
 
 
-# Per-process memo of the last dataset/engine pair, so a pool worker
-# handling consecutive groups of the same dataset regenerates nothing.
-# Single-slot on purpose: it bounds worker memory to one dataset's
-# artifacts regardless of how many datasets the corpus spans.
-_WORKER_STATE: dict[tuple, SimilarityEngine] = {}
-
-
-def _engine_memo_key(config: GraphCorpusConfig, code: str, threads: int):
-    # cache_key() deliberately excludes the store/threads knobs (they
-    # never change results), but the *engine object* differs with
-    # them — the memo key must not conflate a store-backed engine with
-    # a store-less one.
-    return (
-        config.cache_key(),
-        code,
-        threads,
-        config.artifact_store,
-        config.store_read_tier,
-    )
-
-
-def _group_worker(
-    task: tuple[GraphCorpusConfig, str, SpecGroup, int],
-) -> list[GraphRecord]:
-    config, code, group, threads = task
-    key = _engine_memo_key(config, code, threads)
-    engine = _WORKER_STATE.get(key)
-    if engine is None:
-        # Workers share the persistent store directory (not the store
-        # object): every write is atomic and write-once, so racing
-        # workers building the same artifact are safe — the first
-        # commit wins and the others discard (see repro.pipeline.store).
-        engine = _make_engine(config, code, threads=threads)
-        _WORKER_STATE.clear()
-        _WORKER_STATE[key] = engine
-    return _group_records(engine, group)
-
-
 def _make_run_journal(
     journal_dir: str | Path | None, resume: bool, run_key: str
 ) -> RunJournal | None:
@@ -489,27 +553,144 @@ def _make_run_journal(
     return journal
 
 
-def _group_records(
-    engine: SimilarityEngine, group: SpecGroup
+# Per-process memo of the last dataset/engine pair, so a pool worker
+# handling consecutive groups (or shards) of the same dataset
+# regenerates nothing.  Single-slot on purpose: it bounds worker
+# memory to one dataset's artifacts regardless of how many datasets
+# the corpus spans.
+_WORKER_STATE: dict[tuple, SimilarityEngine] = {}
+
+
+def _engine(
+    config: GraphCorpusConfig, kind: CorpusKind, code: str, threads: int
+) -> SimilarityEngine:
+    """The memoized engine over ``kind``'s view of dataset ``code``,
+    store-backed when configured."""
+    # cache_key() deliberately excludes the store/threads knobs (they
+    # never change results), but the *engine object* differs with
+    # them — the memo key must not conflate a store-backed engine with
+    # a store-less one.
+    key = (
+        config.cache_key(),
+        kind,
+        code,
+        threads,
+        config.artifact_store,
+        config.store_read_tier,
+    )
+    engine = _WORKER_STATE.get(key)
+    if engine is None:
+        # Workers share the persistent store directory (not the store
+        # object): every write is atomic and write-once, so racing
+        # workers building the same artifact are safe — the first
+        # commit wins and the others discard (see repro.pipeline.store).
+        store = None
+        if config.artifact_store is not None:
+            store = ArtifactStore(
+                config.artifact_store, read_tier=config.store_read_tier
+            )
+        dataset = kind.view(_generate(config, code))
+        engine = SimilarityEngine(
+            dataset,
+            threads=threads,
+            store=store,
+            dataset_key=dataset_store_key(
+                dataset.code, config.scale, config.max_pairs, config.seed
+            ),
+            blocking=config.blocking,
+        )
+        _WORKER_STATE.clear()
+        _WORKER_STATE[key] = engine
+    return engine
+
+
+def _dense_records(
+    kind: CorpusKind,
+    config: GraphCorpusConfig,
+    tasks: list[tuple[str, SpecGroup]],
+    n_workers: int,
+    journal: RunJournal | None,
+    policy: RetryPolicy | None,
+    progress: bool,
 ) -> list[GraphRecord]:
+    """The corpus with one pool task per ``(dataset, spec group)``."""
+    use_pool = n_workers > 1 and len(tasks) > 1
+    # Serial over groups hands the workers budget to the pairwise
+    # kernels instead (block-level threads; results invariant).
+    threads = 1 if use_pool else max(n_workers, 1)
+    runner = ResilientPool(
+        n_workers if use_pool else 0,
+        kind="process",
+        policy=policy,
+        journal=journal,
+        codec=JournalCodec(
+            write=partial(_write_records, kind),
+            read=partial(_read_records, kind),
+        ),
+        label=kind.label,
+    )
+    on_result = None
+    if progress:
+        # Stream each group as it finishes (possibly out of submission
+        # order) so long parallel runs stay visible.
+        def on_result(key, chunk):
+            for record in chunk:
+                _print_progress(record)
+
+    chunks = runner.run(
+        [
+            Task(
+                key=f"{index:03d}:{code}",
+                fn=_group_worker,
+                args=((config, kind, code, group, threads),),
+            )
+            for index, (code, group) in enumerate(tasks)
+        ],
+        on_result=on_result,
+    )
+    return [record for chunk in chunks.values() for record in chunk]
+
+
+def _group_worker(
+    task: tuple[GraphCorpusConfig, CorpusKind, str, SpecGroup, int],
+) -> list[GraphRecord]:
+    config, kind, code, group, threads = task
+    engine = _engine(config, kind, code, threads)
+    return _records(
+        kind, engine.dataset, code, config.blocking, group.specs,
+        engine.score(group.specs),
+    )
+
+
+def _records(
+    kind: CorpusKind,
+    dataset: CleanCleanDataset,
+    code: str,
+    blocking: str | None,
+    specs,
+    results: list[SpecScores],
+) -> list[GraphRecord]:
+    """One spec group's corpus records from its per-spec scores.
+
+    The one record builder: a dense group passes the engine's
+    whole-range scores, the sharded tier the range-ordered merge of
+    its shards.  ``dataset`` is ``kind``'s view of catalog dataset
+    ``code``.  Consumes ``results`` as it goes.
+    """
     from repro.datasets.catalog import CATEGORY_BY_DATASET
 
-    dataset = engine.dataset
-    n_left, n_right = engine.shape()
     records: list[GraphRecord] = []
-    results = engine.score(group.specs)
-    for index, spec in enumerate(group.specs):
+    for index, spec in enumerate(specs):
         scores, results[index] = results[index], None  # free as we go
         graph_start = time.perf_counter()
-        graph = pairs_to_graph(
-            n_left,
-            n_right,
+        graph = kind.build_graph(
+            dataset,
             *scores.edges,
             name=f"{dataset.code}:{spec.name}",
-            metadata=_graph_metadata(dataset, spec, engine.blocking),
+            metadata=_graph_metadata(dataset, spec, blocking),
         )
         graph_seconds = time.perf_counter() - graph_start
-        if _all_matches_zero(graph, dataset.ground_truth):
+        if _all_matches_zero(graph, dataset.ground_truth, kind):
             # The paper removes graphs "where all matching entities had
             # a zero edge weight" — they carry no signal at all.
             continue
@@ -519,7 +700,7 @@ def _group_records(
                 dataset=dataset.code,
                 family=spec.family,
                 function=spec.name,
-                category=CATEGORY_BY_DATASET[dataset.code],
+                category=CATEGORY_BY_DATASET[code],
                 ground_truth=dataset.ground_truth,
                 build_seconds=(
                     scores.artifact_seconds + scores.score_seconds
@@ -548,14 +729,11 @@ def _graph_metadata(dataset, spec, blocking: str | None) -> dict:
 
 
 def _print_progress(record: GraphRecord) -> None:
-    # Dirty records share this printer but carry no savings fields.
     extras = ""
-    dedup = getattr(record, "dedup_ratio", 1.0)
-    reduction = getattr(record, "candidate_reduction", 1.0)
-    if dedup != 1.0:
-        extras += f" dedup={dedup:.2f}"
-    if reduction != 1.0:
-        extras += f" reduction={reduction:.1f}x"
+    if record.dedup_ratio != 1.0:
+        extras += f" dedup={record.dedup_ratio:.2f}"
+    if record.candidate_reduction != 1.0:
+        extras += f" reduction={record.candidate_reduction:.1f}x"
     print(
         f"[workbench] {record.dataset} {record.function}: "
         f"m={record.n_edges} ({record.build_seconds:.2f}s = "
@@ -566,19 +744,20 @@ def _print_progress(record: GraphRecord) -> None:
 
 
 def _all_matches_zero(
-    graph: SimilarityGraph, ground_truth: set[tuple[int, int]]
+    graph, ground_truth: set[tuple[int, int]], kind: CorpusKind
 ) -> bool:
     """True when no ground-truth pair appears among the graph's edges.
 
     Vectorized: edges and truth pairs are folded into scalar keys
-    (``left * n_right + right``) and membership is one ``np.isin`` —
-    no per-graph Python set over all ``m`` edges.
+    (``a * stride + b`` over ``kind.edge_ends``) and membership is one
+    ``np.isin`` — no per-graph Python set over all ``m`` edges.
     """
     if not ground_truth or graph.n_edges == 0:
         return True
+    a, b, stride = kind.edge_ends(graph)
     truth = np.array(sorted(ground_truth), dtype=np.int64)
-    stride = np.int64(graph.n_right)
-    edge_keys = graph.left * stride + graph.right
+    stride = np.int64(stride)
+    edge_keys = a * stride + b
     truth_keys = truth[:, 0] * stride + truth[:, 1]
     return not bool(np.isin(truth_keys, edge_keys).any())
 
@@ -586,42 +765,38 @@ def _all_matches_zero(
 # ----------------------------------------------------------------------
 # Sharded generation: bounded-memory corpus runs (max_memory)
 # ----------------------------------------------------------------------
-def _sharded_corpus_records(
+def _sharded_records(
+    kind: CorpusKind,
     config: GraphCorpusConfig,
+    tasks: list[tuple[str, SpecGroup]],
     n_workers: int,
-    progress: bool = False,
-    resume: bool = False,
-    journal_dir: str | Path | None = None,
-    policy: RetryPolicy | None = None,
+    journal: RunJournal | None,
+    policy: RetryPolicy | None,
+    progress: bool,
 ) -> list[GraphRecord]:
     """The corpus via the sharded execution tier.
 
     Every ``(dataset, spec group)`` unit expands into one pool task
-    per shard of the dataset's :func:`~repro.pipeline.sharding.plan_for_dataset`
-    plan, so the resilient runner's retry/resume machinery applies at
-    shard granularity: a killed worker repeats one shard, not a whole
-    group, and with a journal each finished shard's edges persist as
-    an npz spill.  The parent concatenates shard edges in range order
-    and builds every graph through
-    :func:`~repro.pipeline.graph_builder.pairs_to_graph` — by the
-    merge-determinism rules of :mod:`repro.pipeline.sharding` the
-    result is bit-identical to the unsharded corpus, whatever the
-    budget, shard count or worker count.
+    per shard of the :func:`~repro.pipeline.sharding.plan_for_dataset`
+    plan of ``kind``'s dataset view, so the resilient runner's
+    retry/resume machinery applies at shard granularity: a killed
+    worker repeats one shard, not a whole group, and with a journal
+    each finished shard's edges persist as an npz spill.  The parent
+    concatenates shard edges in range order and builds every record
+    through :func:`_records` — by the merge-determinism rules of
+    :mod:`repro.pipeline.sharding` the result is bit-identical to the
+    unsharded corpus, whatever the budget, shard count or worker count.
     """
-    tasks = _corpus_tasks(config)
     datasets: dict[str, CleanCleanDataset] = {}
     plans: dict = {}
     for code, _ in tasks:
         if code not in plans:
-            datasets[code] = _generate(config, code)
+            datasets[code] = kind.view(_generate(config, code))
             plans[code] = plan_for_dataset(
                 datasets[code],
                 memory_budget=config.max_memory,
                 blocking=config.blocking,
             )
-    journal = _make_run_journal(
-        journal_dir, resume, f"corpus-shards-{config.cache_key()}"
-    )
     pool_tasks = []
     use_pool = n_workers > 1 and sum(
         plans[code].n_shards for code, _ in tasks
@@ -632,8 +807,8 @@ def _sharded_corpus_records(
             pool_tasks.append(
                 Task(
                     key=f"{index:03d}:{code}:s{shard:03d}",
-                    fn=_shard_group_worker,
-                    args=((config, code, group, threads, start, stop),),
+                    fn=_shard_worker,
+                    args=((config, kind, code, group, threads, start, stop),),
                 )
             )
     runner = ResilientPool(
@@ -642,121 +817,57 @@ def _sharded_corpus_records(
         policy=policy,
         journal=journal,
         codec=_SHARD_JOURNAL_CODEC,
-        label="corpus-shards",
+        label=f"{kind.label}-shards",
     )
     chunks = runner.run(pool_tasks)
     records: list[GraphRecord] = []
     for index, (code, group) in enumerate(tasks):
-        payloads = [
+        shards = [
             chunks[f"{index:03d}:{code}:s{shard:03d}"]
             for shard in range(plans[code].n_shards)
         ]
-        records.extend(
-            _merge_shard_records(
-                config, group, datasets[code], plans[code], payloads,
-                progress=progress,
-            )
-        )
-    if journal is not None:
-        journal.clear()
-    return records
-
-
-def _shard_group_worker(
-    task: tuple[GraphCorpusConfig, str, SpecGroup, int, int, int],
-) -> dict:
-    """One shard of one spec group: raw edges, per-spec timings and the
-    whole-dataset savings statistics the merged records carry."""
-    config, code, group, threads, start, stop = task
-    key = _engine_memo_key(config, code, threads)
-    engine = _WORKER_STATE.get(key)
-    if engine is None:
-        engine = _make_engine(config, code, threads=threads)
-        _WORKER_STATE.clear()
-        _WORKER_STATE[key] = engine
-    results = engine.score(group.specs, start, stop)
-    return {
-        "specs": [
-            {
-                "left": scores.left,
-                "right": scores.right,
-                "values": scores.values,
-                "artifact_seconds": scores.artifact_seconds,
-                "matrix_seconds": scores.score_seconds,
-            }
-            for scores in results
-        ],
-        "stats": [
-            {
-                "dedup_ratio": scores.dedup_ratio,
-                "candidate_reduction": scores.candidate_reduction,
-            }
-            for scores in results
-        ],
-    }
-
-
-def _merge_shard_records(
-    config: GraphCorpusConfig,
-    group: SpecGroup,
-    dataset: CleanCleanDataset,
-    plan,
-    payloads: list[dict],
-    progress: bool = False,
-) -> list[GraphRecord]:
-    """Merge one group's shard payloads into final :class:`GraphRecord`s.
-
-    Mirrors :func:`_group_records` field for field: same graph names
-    and metadata, same zero-evidence filter, same savings statistics —
-    only the timing attribution differs (per-shard sums instead of one
-    in-process measurement).
-    """
-    from repro.datasets.catalog import CATEGORY_BY_DATASET
-
-    records: list[GraphRecord] = []
-    stats = payloads[0]["stats"]
-    for spec_index, spec in enumerate(group.specs):
-        parts = [payload["specs"][spec_index] for payload in payloads]
-        artifact_seconds = float(
-            sum(part["artifact_seconds"] for part in parts)
-        )
-        matrix_seconds = float(
-            sum(part["matrix_seconds"] for part in parts)
-        )
-        graph_start = time.perf_counter()
-        graph = pairs_to_graph(
-            plan.n_left,
-            plan.n_right,
-            np.concatenate([part["left"] for part in parts]),
-            np.concatenate([part["right"] for part in parts]),
-            np.concatenate([part["values"] for part in parts]),
-            name=f"{dataset.code}:{spec.name}",
-            metadata=_graph_metadata(dataset, spec, config.blocking),
-        )
-        graph_seconds = time.perf_counter() - graph_start
-        if _all_matches_zero(graph, dataset.ground_truth):
-            continue
-        record = GraphRecord(
-            graph=graph,
-            dataset=dataset.code,
-            family=spec.family,
-            function=spec.name,
-            category=CATEGORY_BY_DATASET[dataset.code],
-            ground_truth=dataset.ground_truth,
-            build_seconds=artifact_seconds + matrix_seconds + graph_seconds,
-            artifact_seconds=artifact_seconds,
-            matrix_seconds=matrix_seconds,
-            graph_seconds=graph_seconds,
-            dedup_ratio=stats[spec_index]["dedup_ratio"],
-            candidate_reduction=stats[spec_index]["candidate_reduction"],
+        merged = [
+            _concat_scores([shard[spec_index] for shard in shards])
+            for spec_index in range(len(group.specs))
+        ]
+        chunk = _records(
+            kind, datasets[code], code, config.blocking, group.specs, merged
         )
         if progress:
-            _print_progress(record)
-        records.append(record)
+            for record in chunk:
+                _print_progress(record)
+        records.extend(chunk)
     return records
 
 
-def _record_meta(record, filename: str) -> dict:
+def _shard_worker(
+    task: tuple[GraphCorpusConfig, CorpusKind, str, SpecGroup, int, int, int],
+) -> list[SpecScores]:
+    """One shard of one spec group: per-spec scores of its row range."""
+    config, kind, code, group, threads, start, stop = task
+    return _engine(config, kind, code, threads).score(
+        group.specs, start, stop
+    )
+
+
+def _concat_scores(parts: list[SpecScores]) -> SpecScores:
+    """One spec's shard scores merged in range order; timings sum, and
+    the whole-dataset savings statistics come from any shard."""
+    return SpecScores(
+        np.concatenate([part.left for part in parts]),
+        np.concatenate([part.right for part in parts]),
+        np.concatenate([part.values for part in parts]),
+        artifact_seconds=float(sum(p.artifact_seconds for p in parts)),
+        score_seconds=float(sum(p.score_seconds for p in parts)),
+        dedup_ratio=parts[0].dedup_ratio,
+        candidate_reduction=parts[0].candidate_reduction,
+    )
+
+
+# ----------------------------------------------------------------------
+# Corpus cache and run-journal codecs
+# ----------------------------------------------------------------------
+def _record_meta(record: GraphRecord, filename: str) -> dict:
     """One record's manifest/journal entry (everything but the graph)."""
     return {
         "file": filename,
@@ -773,490 +884,167 @@ def _record_meta(record, filename: str) -> dict:
     }
 
 
-def _sharded_graph_writes(
-    cache_dir: Path, records, filenames, save, workers: int
-) -> None:
-    """Write every record's graph file, thread-sharded when asked.
+def _manifest_body(records: list[GraphRecord], filenames) -> dict:
+    """The ``ground_truth`` + ``graphs`` body shared by the corpus
+    manifest and a journaled group.
 
-    ``np.savez_compressed`` spends its time in zlib, which releases
-    the GIL, so the writes thread well; the resilient runner retries a
-    transiently failed write instead of crashing the whole store step.
+    Ground truth is identical for every graph of a dataset, so it is
+    stored once per dataset instead of once per graph (the v1 format's
+    per-entry copies dominated the manifest size).
     """
-    if workers > 1 and len(records) > 1:
-        writer = ResilientPool(workers, kind="thread", label="corpus-cache")
-        writer.run(
-            [
-                Task(key=filename, fn=save, args=(record.graph,
-                                                  cache_dir / filename))
-                for record, filename in zip(records, filenames)
-            ]
-        )
-    else:
-        for record, filename in zip(records, filenames):
-            save(record.graph, cache_dir / filename)
-
-
-def _store_cache(
-    cache_dir: Path, records: list[GraphRecord], workers: int = 1
-) -> None:
-    """Persist the corpus: sharded graph writes, then the manifest.
-
-    Filenames follow the deterministic record order, so the graph
-    files can be written in any order (and, with ``workers > 1``, by a
-    thread pool).  The manifest is written only after every graph file
-    landed, keeping a crashed run invisible to :func:`_load_cached`.
-    """
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    filenames = [f"graph_{index:04d}.npz" for index in range(len(records))]
-    _sharded_graph_writes(cache_dir, records, filenames, save_graph, workers)
-    # Ground truth is identical for every graph of a dataset; store it
-    # once per dataset instead of once per graph (the v1 format's
-    # per-entry copies dominated the manifest size).
     ground_truth: dict[str, list] = {}
     graphs = []
     for record, filename in zip(records, filenames):
         if record.dataset not in ground_truth:
             ground_truth[record.dataset] = sorted(record.ground_truth)
         graphs.append(_record_meta(record, filename))
-    manifest = {
-        "version": _MANIFEST_VERSION,
-        "ground_truth": ground_truth,
-        "graphs": graphs,
-    }
-    (cache_dir / _MANIFEST_NAME).write_text(json.dumps(manifest))
+    return {"ground_truth": ground_truth, "graphs": graphs}
 
 
-def _load_cached(cache_dir: Path) -> list[GraphRecord]:
-    manifest = json.loads((cache_dir / _MANIFEST_NAME).read_text())
-    if isinstance(manifest, list):
-        # v1 manifests carried a full ground-truth copy per entry.
-        entries = manifest
-        shared_truth: dict[str, set[tuple[int, int]]] = {}
-        for entry in entries:
-            if entry["dataset"] not in shared_truth:
-                shared_truth[entry["dataset"]] = {
-                    tuple(pair) for pair in entry["ground_truth"]
-                }
-    else:
-        entries = manifest["graphs"]
-        shared_truth = {
-            code: {tuple(pair) for pair in pairs}
-            for code, pairs in manifest["ground_truth"].items()
-        }
-    records = []
-    for entry in entries:
-        graph = load_graph(cache_dir / entry["file"])
-        records.append(
-            GraphRecord(
-                graph=graph,
-                dataset=entry["dataset"],
-                family=entry["family"],
-                function=entry["function"],
-                category=entry["category"],
-                ground_truth=shared_truth[entry["dataset"]],
-                build_seconds=entry["build_seconds"],
-                artifact_seconds=entry.get("artifact_seconds", 0.0),
-                matrix_seconds=entry.get("matrix_seconds", 0.0),
-                graph_seconds=entry.get("graph_seconds", 0.0),
-                dedup_ratio=entry.get("dedup_ratio", 1.0),
-                candidate_reduction=entry.get("candidate_reduction", 1.0),
-            )
-        )
-    return records
-
-
-# ----------------------------------------------------------------------
-# Run-journal codecs: one generation group's records as one entry
-# ----------------------------------------------------------------------
-def _write_record_chunk(chunk, path: Path, save) -> None:
-    """Journal one group's records: per-record graph files plus a
-    ``records.json`` (same meta/ground-truth layout as the corpus
-    manifest, so the round-trip shares the manifest's bit-identity
-    guarantees)."""
-    ground_truth: dict[str, list] = {}
-    graphs = []
-    for index, record in enumerate(chunk):
-        filename = f"graph_{index:03d}.npz"
-        save(record.graph, path / filename)
-        if record.dataset not in ground_truth:
-            ground_truth[record.dataset] = sorted(record.ground_truth)
-        graphs.append(_record_meta(record, filename))
-    (path / "records.json").write_text(
-        json.dumps({"ground_truth": ground_truth, "graphs": graphs})
-    )
-
-
-def _read_record_chunk(path: Path, load, cls) -> list:
-    payload = json.loads((path / "records.json").read_text())
+def _records_from_body(body: dict, directory: Path, load) -> list[GraphRecord]:
+    """Inverse of :func:`_manifest_body` over the graph files in
+    ``directory``; every dataset's records share one truth set."""
     shared_truth = {
         code: {tuple(pair) for pair in pairs}
-        for code, pairs in payload["ground_truth"].items()
+        for code, pairs in body["ground_truth"].items()
     }
     return [
-        cls(
-            graph=load(path / entry["file"]),
+        GraphRecord(
+            graph=load(directory / entry["file"]),
             dataset=entry["dataset"],
             family=entry["family"],
             function=entry["function"],
             category=entry["category"],
             ground_truth=shared_truth[entry["dataset"]],
             build_seconds=entry["build_seconds"],
-            artifact_seconds=entry["artifact_seconds"],
-            matrix_seconds=entry["matrix_seconds"],
-            graph_seconds=entry["graph_seconds"],
+            artifact_seconds=entry.get("artifact_seconds", 0.0),
+            matrix_seconds=entry.get("matrix_seconds", 0.0),
+            graph_seconds=entry.get("graph_seconds", 0.0),
             dedup_ratio=entry.get("dedup_ratio", 1.0),
             candidate_reduction=entry.get("candidate_reduction", 1.0),
         )
-        for entry in payload["graphs"]
+        for entry in body["graphs"]
     ]
 
 
-def _write_corpus_entry(chunk, path: Path) -> None:
-    _write_record_chunk(chunk, path, save_graph)
-
-
-def _read_corpus_entry(path: Path) -> list[GraphRecord]:
-    return _read_record_chunk(path, load_graph, GraphRecord)
-
-
-def _write_dirty_entry(chunk, path: Path) -> None:
-    _write_record_chunk(chunk, path, save_unipartite_graph)
-
-
-def _read_dirty_entry(path: Path) -> list[DirtyGraphRecord]:
-    return _read_record_chunk(path, load_unipartite_graph, DirtyGraphRecord)
-
-
-def _write_shard_entry(payload: dict, path: Path) -> None:
-    """Journal one shard task: an npz edge spill plus a ``shard.json``
-    with the timings and (on the stats shard) savings statistics.  The
-    arrays round-trip bit-exactly through the uncompressed npz, so a
-    resumed run merges the same corpus as an uninterrupted one."""
-    arrays = {}
-    meta = {"specs": [], "stats": payload["stats"]}
-    for index, spec in enumerate(payload["specs"]):
-        arrays[f"left_{index}"] = np.asarray(spec["left"], dtype=np.int64)
-        arrays[f"right_{index}"] = np.asarray(spec["right"], dtype=np.int64)
-        arrays[f"values_{index}"] = np.asarray(
-            spec["values"], dtype=np.float64
-        )
-        meta["specs"].append(
-            {
-                "artifact_seconds": spec["artifact_seconds"],
-                "matrix_seconds": spec["matrix_seconds"],
-            }
-        )
-    np.savez(path / "edges.npz", **arrays)
-    (path / "shard.json").write_text(json.dumps(meta))
-
-
-def _read_shard_entry(path: Path) -> dict:
-    meta = json.loads((path / "shard.json").read_text())
-    with np.load(path / "edges.npz") as arrays:
-        specs = [
-            {
-                "left": arrays[f"left_{index}"],
-                "right": arrays[f"right_{index}"],
-                "values": arrays[f"values_{index}"],
-                **entry,
-            }
-            for index, entry in enumerate(meta["specs"])
-        ]
-    return {"specs": specs, "stats": meta["stats"]}
-
-
-_CORPUS_JOURNAL_CODEC = JournalCodec(
-    write=_write_corpus_entry, read=_read_corpus_entry
-)
-_DIRTY_JOURNAL_CODEC = JournalCodec(
-    write=_write_dirty_entry, read=_read_dirty_entry
-)
-_SHARD_JOURNAL_CODEC = JournalCodec(
-    write=_write_shard_entry, read=_read_shard_entry
-)
-
-
-# ======================================================================
-# Dirty-ER corpus mode: self-join similarity graphs
-# ======================================================================
-def _self_join_dataset(dataset: CleanCleanDataset) -> CleanCleanDataset:
-    """The dirty-ER view of a Clean-Clean dataset: the union collection
-    joined with itself.
-
-    Both "sides" are the same union collection (left profiles first,
-    right profiles shifted by ``n_left``), so the similarity engine —
-    artifact cache, kernel engine, persistent store and all — computes
-    the full self-join matrix without knowing it is a self join.  The
-    merged ground truth is the original cross-collection duplicate set
-    in merged ids (always canonical: ``i < n_left <= n_left + j``).
-    """
-    import dataclasses as _dataclasses
-
-    n_left = len(dataset.left)
-    union = EntityCollection(
-        f"{dataset.code}-union",
-        list(dataset.left.profiles) + list(dataset.right.profiles),
-    )
-    truth = {(i, n_left + j) for i, j in dataset.ground_truth}
-    spec = _dataclasses.replace(
-        dataset.spec,
-        code=_self_join_code(dataset.code),
-        n_left=len(union),
-        n_right=len(union),
-        n_duplicates=len(truth),
-    )
-    return CleanCleanDataset(
-        spec=spec, left=union, right=union, ground_truth=truth
-    )
-
-
-def _self_join_code(code: str) -> str:
-    """Store/dataset identity of the self-join view — distinct from the
-    bipartite dataset, so their artifacts never share a store key."""
-    return f"{code}+self"
-
-
-def _make_dirty_engine(
-    config: GraphCorpusConfig, code: str, threads: int = 1
-) -> SimilarityEngine:
-    """An engine over the self-join dataset, store-backed when configured."""
-    store = None
-    if config.artifact_store is not None:
-        store = ArtifactStore(
-            config.artifact_store, read_tier=config.store_read_tier
-        )
-    return SimilarityEngine(
-        _self_join_dataset(_generate(config, code)),
-        threads=threads,
-        store=store,
-        dataset_key=dataset_store_key(
-            _self_join_code(code), config.scale, config.max_pairs, config.seed
-        ),
-        blocking=config.blocking,
-    )
-
-
-def generate_dirty_corpus(
-    config: GraphCorpusConfig,
-    cache_dir: str | Path | None = None,
-    progress: bool = False,
-    workers: int | None = None,
-    artifact_store: str | Path | None = None,
-    store_read_tier: str | Path | None = None,
-    resume: bool = False,
-    journal_dir: str | Path | None = None,
-    policy: RetryPolicy | None = None,
-    blocking: str | None = None,
-) -> list[DirtyGraphRecord]:
-    """Generate (or load from cache) the dirty-ER self-join corpus.
-
-    Mirrors :func:`generate_corpus` one workload over: the same spec
-    taxonomy is evaluated on the *union* collection joined with
-    itself, and each matrix's strict upper triangle becomes a
-    :class:`~repro.graph.unipartite.UnipartiteGraph` for the
-    clustering algorithms of :mod:`repro.extensions.dirty_er`.
-    ``workers`` and ``artifact_store`` behave exactly as in
-    :func:`generate_corpus`: wall-clock only, never results.
-    ``resume`` / ``journal_dir`` / ``policy`` are the resilience knobs
-    of :func:`generate_corpus`, under the ``dirty-`` run key.
-    ``blocking`` mirrors the clean-clean semantics over the self join:
-    candidates are generated union-against-union and only upper-triangle
-    (``u < v``) candidate pairs become edges, so the scheme changes the
-    corpus (and its cache key) exactly as in :func:`generate_corpus`.
-    The ``max_memory`` shard tier is a bipartite-corpus feature; a
-    config carrying one is rejected here.
-    """
-    if config.max_memory is not None:
-        raise ValueError(
-            "max_memory sharding is not supported for the dirty-ER "
-            "self-join corpus yet; drop the budget or run the "
-            "bipartite corpus"
-        )
-    if artifact_store is not None:
-        config = dataclasses.replace(
-            config, artifact_store=str(artifact_store)
-        )
-    if store_read_tier is not None:
-        config = dataclasses.replace(
-            config, store_read_tier=str(store_read_tier)
-        )
-    if blocking is not None:
-        config = dataclasses.replace(config, blocking=str(blocking))
-    if config.blocking is not None:
-        from repro.pipeline.blocking import canonical_blocking
-
-        config = dataclasses.replace(
-            config, blocking=canonical_blocking(config.blocking)
-        )
-    if cache_dir is not None:
-        cache_dir = Path(cache_dir) / f"dirty_{config.cache_key()}"
-        manifest_path = cache_dir / _MANIFEST_NAME
-        if manifest_path.exists():
-            return _load_dirty_cached(cache_dir)
-
-    n_workers = config.workers if workers is None else workers
-    tasks = _corpus_tasks(config)
-    journal = _make_run_journal(
-        journal_dir, resume, f"dirty-{config.cache_key()}"
-    )
-    use_pool = n_workers > 1 and len(tasks) > 1
-    threads = 1 if use_pool else max(n_workers, 1)
-    runner = ResilientPool(
-        n_workers if use_pool else 0,
-        kind="process",
-        policy=policy,
-        journal=journal,
-        codec=_DIRTY_JOURNAL_CODEC,
-        label="dirty-corpus",
-    )
-    on_result = None
-    if progress:
-
-        def on_result(key, chunk):
-            for record in chunk:
-                _print_progress(record)
-
-    chunks = runner.run(
-        [
-            Task(
-                key=f"{index:03d}:{code}",
-                fn=_dirty_group_worker,
-                args=((config, code, group, threads),),
-            )
-            for index, (code, group) in enumerate(tasks)
-        ],
-        on_result=on_result,
-    )
-    records = [record for chunk in chunks.values() for record in chunk]
-
-    if cache_dir is not None:
-        _store_dirty_cache(cache_dir, records, workers=n_workers)
-    if journal is not None:
-        journal.clear()
-    return records
-
-
-def _dirty_group_worker(
-    task: tuple[GraphCorpusConfig, str, SpecGroup, int],
-) -> list[DirtyGraphRecord]:
-    config, code, group, threads = task
-    key = _engine_memo_key(config, _self_join_code(code), threads)
-    engine = _WORKER_STATE.get(key)
-    if engine is None:
-        engine = _make_dirty_engine(config, code, threads=threads)
-        _WORKER_STATE.clear()
-        _WORKER_STATE[key] = engine
-    return _dirty_group_records(engine, group, code)
-
-
-def _dirty_group_records(
-    engine: SimilarityEngine,
-    group: SpecGroup,
-    base_code: str,
-) -> list[DirtyGraphRecord]:
-    from repro.datasets.catalog import CATEGORY_BY_DATASET
-
-    dataset = engine.dataset
-    records: list[DirtyGraphRecord] = []
-    results = engine.score(group.specs)
-    for index, spec in enumerate(group.specs):
-        scores, results[index] = results[index], None  # free as we go
-        graph_start = time.perf_counter()
-        # The clean-clean semantics over the self join: only the strict
-        # upper triangle survives (the diagonal and mirrored duplicates
-        # drop in pairs_to_unipartite_graph), dense or blocked alike.
-        graph = pairs_to_unipartite_graph(
-            len(dataset.left),
-            *scores.edges,
-            name=f"{dataset.code}:{spec.name}",
-            metadata=_graph_metadata(dataset, spec, engine.blocking),
-        )
-        graph_seconds = time.perf_counter() - graph_start
-        if _all_dirty_matches_zero(graph, dataset.ground_truth):
-            continue
-        records.append(
-            DirtyGraphRecord(
-                graph=graph,
-                dataset=dataset.code,
-                family=spec.family,
-                function=spec.name,
-                category=CATEGORY_BY_DATASET[base_code],
-                ground_truth=dataset.ground_truth,
-                build_seconds=(
-                    scores.artifact_seconds + scores.score_seconds
-                    + graph_seconds
-                ),
-                artifact_seconds=scores.artifact_seconds,
-                matrix_seconds=scores.score_seconds,
-                graph_seconds=graph_seconds,
-                dedup_ratio=scores.dedup_ratio,
-                candidate_reduction=scores.candidate_reduction,
-            )
-        )
-    return records
-
-
-def _all_dirty_matches_zero(
-    graph: UnipartiteGraph, ground_truth: set[tuple[int, int]]
-) -> bool:
-    """Dirty counterpart of :func:`_all_matches_zero` (merged-id pairs)."""
-    if not ground_truth or graph.n_edges == 0:
-        return True
-    truth = np.array(sorted(ground_truth), dtype=np.int64)
-    stride = np.int64(graph.n_nodes)
-    edge_keys = graph.u * stride + graph.v
-    truth_keys = truth[:, 0] * stride + truth[:, 1]
-    return not bool(np.isin(truth_keys, edge_keys).any())
-
-
-def _store_dirty_cache(
-    cache_dir: Path, records: list[DirtyGraphRecord], workers: int = 1
+def _store_cache(
+    cache_dir: Path,
+    records: list[GraphRecord],
+    kind: CorpusKind,
+    workers: int = 1,
 ) -> None:
-    """Persist the dirty corpus; same layout discipline as
-    :func:`_store_cache` (sharded graph writes, manifest last)."""
+    """Persist the corpus: sharded graph writes, then the manifest.
+
+    Filenames follow the deterministic record order, so the graph
+    files can be written in any order (and, with ``workers > 1``, by a
+    thread pool: ``np.savez_compressed`` spends its time in zlib,
+    which releases the GIL, and the resilient runner retries a
+    transiently failed write).  The manifest is written only after
+    every graph file landed, keeping a crashed run invisible to
+    :func:`_load_cached`.
+    """
     cache_dir.mkdir(parents=True, exist_ok=True)
     filenames = [f"graph_{index:04d}.npz" for index in range(len(records))]
-    _sharded_graph_writes(
-        cache_dir, records, filenames, save_unipartite_graph, workers
-    )
-    ground_truth: dict[str, list] = {}
-    graphs = []
-    for record, filename in zip(records, filenames):
-        if record.dataset not in ground_truth:
-            ground_truth[record.dataset] = sorted(record.ground_truth)
-        graphs.append(_record_meta(record, filename))
+    if workers > 1 and len(records) > 1:
+        writer = ResilientPool(workers, kind="thread", label="corpus-cache")
+        writer.run(
+            [
+                Task(
+                    key=filename,
+                    fn=kind.save_graph,
+                    args=(record.graph, cache_dir / filename),
+                )
+                for record, filename in zip(records, filenames)
+            ]
+        )
+    else:
+        for record, filename in zip(records, filenames):
+            kind.save_graph(record.graph, cache_dir / filename)
     manifest = {
-        "version": _DIRTY_MANIFEST_VERSION,
-        "kind": "dirty",
-        "ground_truth": ground_truth,
-        "graphs": graphs,
+        **dict(kind.manifest_header),
+        **_manifest_body(records, filenames),
     }
     (cache_dir / _MANIFEST_NAME).write_text(json.dumps(manifest))
 
 
-def _load_dirty_cached(cache_dir: Path) -> list[DirtyGraphRecord]:
+def _load_cached(cache_dir: Path, kind: CorpusKind) -> list[GraphRecord]:
     manifest = json.loads((cache_dir / _MANIFEST_NAME).read_text())
-    shared_truth = {
-        code: {tuple(pair) for pair in pairs}
-        for code, pairs in manifest["ground_truth"].items()
-    }
-    records = []
-    for entry in manifest["graphs"]:
-        graph = load_unipartite_graph(cache_dir / entry["file"])
-        records.append(
-            DirtyGraphRecord(
-                graph=graph,
-                dataset=entry["dataset"],
-                family=entry["family"],
-                function=entry["function"],
-                category=entry["category"],
-                ground_truth=shared_truth[entry["dataset"]],
-                build_seconds=entry["build_seconds"],
-                artifact_seconds=entry.get("artifact_seconds", 0.0),
-                matrix_seconds=entry.get("matrix_seconds", 0.0),
-                graph_seconds=entry.get("graph_seconds", 0.0),
-                dedup_ratio=entry.get("dedup_ratio", 1.0),
-                candidate_reduction=entry.get("candidate_reduction", 1.0),
-            )
+    if isinstance(manifest, list):
+        # v1 manifests carried a full ground-truth copy per entry.
+        truth: dict[str, list] = {}
+        for entry in manifest:
+            truth.setdefault(entry["dataset"], entry["ground_truth"])
+        manifest = {"ground_truth": truth, "graphs": manifest}
+    return _records_from_body(manifest, cache_dir, kind.load_graph)
+
+
+def _write_records(kind: CorpusKind, chunk: list[GraphRecord], path: Path):
+    """Journal one group's records: per-record graph files plus a
+    ``records.json`` (same body as the corpus manifest, so the
+    round-trip shares the manifest's bit-identity guarantees)."""
+    filenames = [f"graph_{index:03d}.npz" for index in range(len(chunk))]
+    for record, filename in zip(chunk, filenames):
+        kind.save_graph(record.graph, path / filename)
+    (path / "records.json").write_text(
+        json.dumps(_manifest_body(chunk, filenames))
+    )
+
+
+def _read_records(kind: CorpusKind, path: Path) -> list[GraphRecord]:
+    body = json.loads((path / "records.json").read_text())
+    return _records_from_body(body, path, kind.load_graph)
+
+
+def _write_shard_entry(results: list[SpecScores], path: Path) -> None:
+    """Journal one shard task: an npz edge spill plus a ``shard.json``
+    with the timings and savings statistics.  The arrays round-trip
+    bit-exactly through the uncompressed npz, so a resumed run merges
+    the same corpus as an uninterrupted one."""
+    arrays = {}
+    for index, scores in enumerate(results):
+        arrays[f"left_{index}"] = np.asarray(scores.left, dtype=np.int64)
+        arrays[f"right_{index}"] = np.asarray(scores.right, dtype=np.int64)
+        arrays[f"values_{index}"] = np.asarray(
+            scores.values, dtype=np.float64
         )
-    return records
+    meta = {
+        "specs": [
+            {
+                "artifact_seconds": scores.artifact_seconds,
+                "matrix_seconds": scores.score_seconds,
+            }
+            for scores in results
+        ],
+        "stats": [
+            {
+                "dedup_ratio": scores.dedup_ratio,
+                "candidate_reduction": scores.candidate_reduction,
+            }
+            for scores in results
+        ],
+    }
+    np.savez(path / "edges.npz", **arrays)
+    (path / "shard.json").write_text(json.dumps(meta))
+
+
+def _read_shard_entry(path: Path) -> list[SpecScores]:
+    meta = json.loads((path / "shard.json").read_text())
+    with np.load(path / "edges.npz") as arrays:
+        return [
+            SpecScores(
+                arrays[f"left_{index}"],
+                arrays[f"right_{index}"],
+                arrays[f"values_{index}"],
+                artifact_seconds=timing["artifact_seconds"],
+                score_seconds=timing["matrix_seconds"],
+                **stats,
+            )
+            for index, (timing, stats) in enumerate(
+                zip(meta["specs"], meta["stats"])
+            )
+        ]
+
+
+_SHARD_JOURNAL_CODEC = JournalCodec(
+    write=_write_shard_entry, read=_read_shard_entry
+)

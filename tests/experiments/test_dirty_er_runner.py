@@ -13,7 +13,7 @@ import pytest
 
 from repro.evaluation.metrics import evaluate_clusters
 from repro.evaluation.sweep import dirty_threshold_sweep
-from repro.experiments.dirty_er import run_dirty_er_sweeps
+from repro.experiments.runner import run_dirty_er_sweeps
 from repro.extensions.dirty_er import DIRTY_ALGORITHM_CODES, create_clusterer
 from repro.pipeline.workbench import (
     GraphCorpusConfig,
@@ -132,6 +132,16 @@ class TestDirtySweeps:
                 pa = [(p.threshold, p.scores) for p in a.sweeps[code].points]
                 pb = [(p.threshold, p.scores) for p in b.sweeps[code].points]
                 assert pa == pb
+
+    def test_results_carry_candidate_reduction(self):
+        blocked = generate_dirty_corpus(
+            CONFIG, blocking="tokens"
+        )
+        assert blocked
+        results = run_dirty_er_sweeps(blocked[:2], grid=GRID)
+        for record, result in zip(blocked, results):
+            assert record.candidate_reduction > 1.0
+            assert result.candidate_reduction == record.candidate_reduction
 
     def test_single_record_pool_fallback(self, corpus):
         serial = run_dirty_er_sweeps(corpus[:1], grid=GRID)

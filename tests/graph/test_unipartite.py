@@ -3,7 +3,7 @@
 Covers the :class:`UnipartiteGraph` data structure, its compiled form
 (one descending edge sort, symmetric CSR, O(log m) inclusive threshold
 selections routed through :mod:`repro.graph.selection`), the self-join
-matrix builder and the npz (de)serialization.
+pairs builder and the npz (de)serialization.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 from repro.graph.io import load_unipartite_graph, save_unipartite_graph
 from repro.graph.unipartite import (
     UnipartiteGraph,
-    matrix_to_unipartite_graph,
+    pairs_to_unipartite_graph,
 )
 
 
@@ -145,6 +145,14 @@ class TestCompiled:
         assert selection.component_labels().tolist() == [0, 1, 2, 3]
 
 
+def _self_join_pairs(matrix, **kwargs):
+    """Every cell of a square self-join matrix as row-major pairs —
+    what the dense self-join corpus hands the builder."""
+    n = matrix.shape[0]
+    u, v = np.divmod(np.arange(n * n), n)
+    return pairs_to_unipartite_graph(n, u, v, matrix.ravel(), **kwargs)
+
+
 class TestMatrixBuilder:
     def test_strict_upper_triangle(self):
         matrix = np.array(
@@ -154,7 +162,7 @@ class TestMatrixBuilder:
                 [0.2, 0.0, 1.0],
             ]
         )
-        graph = matrix_to_unipartite_graph(matrix, normalize=False)
+        graph = _self_join_pairs(matrix, normalize=False)
         # Only (0,1)=0.8 and (1,2)=0.4 — diagonal and lower dropped.
         assert sorted(zip(graph.u, graph.v)) == [(0, 1), (1, 2)]
         assert sorted(graph.weight.tolist()) == [0.4, 0.8]
@@ -162,17 +170,13 @@ class TestMatrixBuilder:
     def test_min_max_normalization(self):
         matrix = np.zeros((3, 3))
         matrix[0, 1], matrix[0, 2], matrix[1, 2] = 0.2, 0.6, 0.4
-        graph = matrix_to_unipartite_graph(matrix)
+        graph = _self_join_pairs(matrix)
         assert sorted(graph.weight.tolist()) == pytest.approx(
             [0.0, 0.5, 1.0]
         )
 
-    def test_rejects_rectangular(self):
-        with pytest.raises(ValueError, match="square"):
-            matrix_to_unipartite_graph(np.zeros((2, 3)))
-
     def test_metadata_attached(self):
-        graph = matrix_to_unipartite_graph(
+        graph = _self_join_pairs(
             np.zeros((2, 2)), metadata={"dataset": "d1"}
         )
         assert graph.metadata == {"dataset": "d1"}

@@ -532,14 +532,14 @@ class TestSweepResilience:
         assert flat(resumed) == flat(baseline)
 
     def test_dirty_sweeps_report_failures(self, monkeypatch):
-        from repro.experiments.dirty_er import run_dirty_er_sweeps
+        from repro.experiments.runner import run_dirty_er_sweeps
         from repro.graph.unipartite import UnipartiteGraph
-        from repro.pipeline.workbench import DirtyGraphRecord
+        from repro.pipeline.workbench import GraphRecord
 
         rng = np.random.default_rng(3)
         m = 60
         records = [
-            DirtyGraphRecord(
+            GraphRecord(
                 graph=UnipartiteGraph.from_edges(
                     12,
                     [

@@ -9,8 +9,9 @@ Property guarantees (hypothesis):
 
 Plus deterministic coverage of the budget heuristics, the
 ``score_shard`` artifact-store kind, the ``max_memory`` corpus path
-(shard-count and worker-count invariance) and resume-after-kill
-mid-shard through the :mod:`repro.testing.faults` harness.
+for bipartite and self-join corpora (shard-count and worker-count
+invariance) and resume-after-kill mid-shard through the
+:mod:`repro.testing.faults` harness.
 """
 
 from __future__ import annotations
@@ -362,12 +363,34 @@ class TestShardedCorpus:
         for built, loaded in zip(sharded, reloaded):
             assert _graphs_equal(built.graph, loaded.graph)
 
-    def test_dirty_corpus_rejects_max_memory(self):
+    @pytest.mark.parametrize("blocking", [None, "tokens"])
+    def test_self_join_budget_and_workers_invariant(self, blocking):
         import dataclasses
 
-        config = dataclasses.replace(_CORPUS_CONFIG, max_memory=1 << 20)
-        with pytest.raises(ValueError, match="max_memory"):
-            generate_dirty_corpus(config)
+        from repro.pipeline import workbench
+
+        baseline = generate_dirty_corpus(_CORPUS_CONFIG, blocking=blocking)
+        assert baseline
+        budgeted = dataclasses.replace(_CORPUS_CONFIG, max_memory=1 << 20)
+        union = workbench.SELF_JOIN.view(
+            workbench._generate(_CORPUS_CONFIG, "d1")
+        )
+        plan = plan_for_dataset(union, 1 << 20, blocking)
+        assert plan.n_shards >= 2
+        for workers in (1, 2):
+            sharded = generate_dirty_corpus(
+                budgeted, blocking=blocking, workers=workers
+            )
+            assert len(baseline) == len(sharded)
+            for base, shard in zip(baseline, sharded):
+                assert base.function == shard.function
+                assert base.graph.n_nodes == shard.graph.n_nodes
+                assert np.array_equal(base.graph.u, shard.graph.u)
+                assert np.array_equal(base.graph.v, shard.graph.v)
+                assert np.array_equal(base.graph.weight, shard.graph.weight)
+                assert base.graph.metadata == shard.graph.metadata
+                assert base.dedup_ratio == shard.dedup_ratio
+                assert base.candidate_reduction == shard.candidate_reduction
 
 
 # ----------------------------------------------------------------------
@@ -393,6 +416,40 @@ class TestShardFaults:
         assert len(crashed) == len(baseline)
         for base, record in zip(baseline, crashed):
             assert _graphs_equal(base.graph, record.graph)
+
+    def test_self_join_resume_ignores_bipartite_shards(
+        self, monkeypatch, tmp_path
+    ):
+        # Both corpora number their shard tasks alike and share the
+        # config's cache key; the self-join run must not resume from
+        # the bipartite shards journaled in the same directory.
+        import dataclasses
+
+        journal_dir = tmp_path / "journal"
+        faults.inject(
+            monkeypatch,
+            {"match": ":s002", "action": "error", "attempts": None},
+        )
+        with pytest.raises(ResilienceError):
+            generate_corpus(
+                _CORPUS_CONFIG,
+                max_memory=1 << 20,
+                policy=FAST,
+                journal_dir=journal_dir,
+            )
+        monkeypatch.delenv(faults.ENV_VAR)
+        resumed = generate_dirty_corpus(
+            dataclasses.replace(_CORPUS_CONFIG, max_memory=1 << 20),
+            policy=FAST,
+            journal_dir=journal_dir,
+            resume=True,
+        )
+        dense = generate_dirty_corpus(_CORPUS_CONFIG)
+        assert len(resumed) == len(dense)
+        for base, record in zip(dense, resumed):
+            assert np.array_equal(base.graph.u, record.graph.u)
+            assert np.array_equal(base.graph.v, record.graph.v)
+            assert np.array_equal(base.graph.weight, record.graph.weight)
 
     def test_resume_after_permanent_shard_failure(
         self, monkeypatch, tmp_path

@@ -1,8 +1,9 @@
 """Workbench tests: corpus generation, caching and parallelism.
 
 Covers the engine-driven ``generate_corpus`` path: the vectorized
-zero-evidence filter, the per-stage timings, the deduplicated v2 cache
-manifest (plus backward-compat reading of v1 manifests) and the
+zero-evidence filter (bipartite and self-join), the per-stage
+timings, the deduplicated v2 cache manifest (plus backward-compat
+reading of v1 manifests and of self-join manifests) and the
 ``workers`` knob's result-invariance.
 """
 
@@ -14,11 +15,16 @@ import numpy as np
 import pytest
 
 from repro.graph.bipartite import SimilarityGraph
-from repro.graph.io import save_graph
+from repro.graph.io import save_graph, save_unipartite_graph
+from repro.graph.unipartite import UnipartiteGraph
+from repro.pipeline import workbench
 from repro.pipeline.workbench import (
+    BIPARTITE,
+    SELF_JOIN,
     GraphCorpusConfig,
     _all_matches_zero,
     generate_corpus,
+    generate_dirty_corpus,
 )
 
 #: Tiny two-dataset corpus exercising every family.
@@ -55,7 +61,10 @@ def _assert_same_corpus(first, second):
 
 class TestZeroEvidenceFilter:
     def _reference(self, graph, ground_truth):
-        edges = set(zip(graph.left.tolist(), graph.right.tolist()))
+        if isinstance(graph, UnipartiteGraph):
+            edges = set(zip(graph.u.tolist(), graph.v.tolist()))
+        else:
+            edges = set(zip(graph.left.tolist(), graph.right.tolist()))
         return all(pair not in edges for pair in ground_truth)
 
     def _graph(self, edges, n_left=6, n_right=7):
@@ -75,8 +84,8 @@ class TestZeroEvidenceFilter:
     )
     def test_matches_set_reference(self, edges, truth):
         graph = self._graph(edges)
-        assert _all_matches_zero(graph, truth) == self._reference(
-            graph, truth
+        assert _all_matches_zero(graph, truth, BIPARTITE) == (
+            self._reference(graph, truth)
         )
 
     def test_random_graphs_match_reference(self):
@@ -93,8 +102,27 @@ class TestZeroEvidenceFilter:
                 for _ in range(int(rng.integers(0, 10)))
             }
             graph = self._graph(edges, int(n_left), int(n_right))
-            assert _all_matches_zero(graph, truth) == self._reference(
-                graph, truth
+            assert _all_matches_zero(graph, truth, BIPARTITE) == (
+                self._reference(graph, truth)
+            )
+        # Self-join graphs over one node set: canonical u < v pairs.
+        for _ in range(25):
+            n_nodes = int(rng.integers(2, 30))
+            pairs = {
+                tuple(sorted(pair))
+                for pair in rng.integers(n_nodes, size=(40, 2)).tolist()
+                if pair[0] != pair[1]
+            }
+            edges = [(u, v, 0.5) for u, v in sorted(pairs)]
+            edges = edges[: int(rng.integers(0, len(edges) + 1))]
+            truth = {
+                tuple(sorted(pair))
+                for pair in rng.integers(n_nodes, size=(5, 2)).tolist()
+                if pair[0] != pair[1]
+            }
+            graph = UnipartiteGraph.from_edges(n_nodes, edges)
+            assert _all_matches_zero(graph, truth, SELF_JOIN) == (
+                self._reference(graph, truth)
             )
 
 
@@ -176,7 +204,7 @@ class TestCacheManifest:
             first = records[0].ground_truth
             assert all(r.ground_truth is first for r in records)
 
-    def test_reads_legacy_v1_manifest(self, corpus, tmp_path):
+    def test_reads_legacy_v1_manifest(self, corpus, tmp_path, monkeypatch):
         # Write the corpus in the pre-v2 layout: a JSON list with a
         # full ground-truth copy in every entry and no stage timings.
         cache_dir = tmp_path / CONFIG.cache_key()
@@ -204,3 +232,65 @@ class TestCacheManifest:
             assert record.artifact_seconds == 0.0
             assert record.matrix_seconds == 0.0
             assert record.graph_seconds == 0.0
+
+        # A self-join corpus in the layout of its own (version 1,
+        # "kind": "dirty") manifest under dirty_<key> loads as is.
+        dirty_config = GraphCorpusConfig(
+            datasets=("d1",),
+            families=("schema_based_syntactic",),
+            scale=0.03,
+            max_pairs=2_000,
+            schema_based_measures=("levenshtein", "jaccard"),
+            max_attributes=1,
+        )
+        dirty = generate_dirty_corpus(dirty_config)
+        assert dirty
+        dirty_dir = tmp_path / f"dirty_{dirty_config.cache_key()}"
+        dirty_dir.mkdir()
+        graphs = []
+        for index, record in enumerate(dirty):
+            filename = f"graph_{index:04d}.npz"
+            save_unipartite_graph(record.graph, dirty_dir / filename)
+            graphs.append(
+                {
+                    "file": filename,
+                    "dataset": record.dataset,
+                    "family": record.family,
+                    "function": record.function,
+                    "category": record.category,
+                    "build_seconds": record.build_seconds,
+                    "artifact_seconds": record.artifact_seconds,
+                    "matrix_seconds": record.matrix_seconds,
+                    "graph_seconds": record.graph_seconds,
+                    "dedup_ratio": record.dedup_ratio,
+                    "candidate_reduction": record.candidate_reduction,
+                }
+            )
+        manifest_text = json.dumps(
+            {
+                "version": 1,
+                "kind": "dirty",
+                "ground_truth": {"d1+self": sorted(dirty[0].ground_truth)},
+                "graphs": graphs,
+            }
+        )
+        (dirty_dir / "manifest.json").write_text(manifest_text)
+
+        def regenerated(*args, **kwargs):
+            raise AssertionError("cached self-join corpus regenerated")
+
+        monkeypatch.setattr(workbench, "generate_dataset", regenerated)
+        loaded = generate_dirty_corpus(dirty_config, cache_dir=tmp_path)
+        assert len(loaded) == len(dirty)
+        for a, b in zip(dirty, loaded):
+            assert (a.dataset, a.function, a.category) == (
+                b.dataset, b.function, b.category
+            )
+            assert a.ground_truth == b.ground_truth
+            assert np.array_equal(a.graph.u, b.graph.u)
+            assert np.array_equal(a.graph.v, b.graph.v)
+            assert np.array_equal(a.graph.weight, b.graph.weight)
+        # Writing the loaded corpus back reproduces the manifest bytes.
+        rewritten = tmp_path / "rewritten"
+        workbench._store_cache(rewritten, loaded, SELF_JOIN)
+        assert (rewritten / "manifest.json").read_text() == manifest_text

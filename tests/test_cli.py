@@ -252,6 +252,43 @@ class TestDirtyErCommand:
         assert exit_code == 2
         assert "unknown dirty-ER algorithm" in capsys.readouterr().err
 
+    def test_blocked_resume_ignores_dense_sweeps(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A dense run dies in its sweep stage with every graph but the
+        # last journaled; resuming with --blocking must not splice
+        # those dense sweeps into the blocked table.
+        import dataclasses
+
+        from repro.experiments import SMOKE_CONFIG
+        from repro.testing import faults
+
+        tiny = dataclasses.replace(
+            SMOKE_CONFIG,
+            corpus=dataclasses.replace(SMOKE_CONFIG.corpus, datasets=("d1",)),
+        )
+        monkeypatch.setattr("repro.experiments.SMOKE_CONFIG", tiny)
+        monkeypatch.chdir(tmp_path)
+
+        def table(cache, *flags):
+            assert main(["dirty-er", "--cache", str(cache), *flags]) == 0
+            rows = capsys.readouterr().out.splitlines()
+            # Drop the wall-clock column; every other cell is exact.
+            return [row.rsplit("|", 1)[0] for row in rows if "|" in row]
+
+        faults.inject(
+            monkeypatch,
+            {"match": ":sa-sem:", "action": "error", "attempts": None},
+        )
+        assert main(["dirty-er", "--cache", str(tmp_path / "c")]) == 1
+        monkeypatch.delenv(faults.ENV_VAR)
+        capsys.readouterr()
+        resumed = table(
+            tmp_path / "c", "--blocking", "tokens", "--resume"
+        )
+        fresh = table(tmp_path / "fresh", "--blocking", "tokens")
+        assert resumed == fresh
+
 
 class TestStoreReadTierFlag:
     def test_pipeline_commands_accept_the_flag(self):
