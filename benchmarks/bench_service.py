@@ -3,9 +3,9 @@
 Stands up the ER-as-a-service app twice over the same warm
 :class:`~repro.service.resolver.ResolverService` configuration — once
 with the micro-batch scheduler coalescing (the production path) and
-once with ``coalesce=False`` (strict serial per-request execution) —
-and drives both with ``CLIENTS`` concurrent in-process clients, each
-issuing a stream of ``POST /resolve`` requests.  Then
+once with ``max_batch=1, tick=0`` (strict serial per-request
+execution) — and drives both with ``CLIENTS`` concurrent in-process
+clients, each issuing a stream of ``POST /resolve`` requests.  Then
 
 * asserts the coalesced path reaches at least ``MIN_SPEEDUP``x the
   serial throughput at the same concurrency,
@@ -63,7 +63,9 @@ SCALE_SMOKE = 0.05
 MAX_PAIRS = 2000
 
 
-def _service_config(smoke: bool, coalesce: bool) -> ServiceConfig:
+def _service_config(
+    smoke: bool, max_batch: int, tick: float
+) -> ServiceConfig:
     return ServiceConfig(
         datasets=(DATASET,),
         blocking="tokens",
@@ -71,9 +73,8 @@ def _service_config(smoke: bool, coalesce: bool) -> ServiceConfig:
         scale=SCALE_SMOKE if smoke else SCALE_FULL,
         max_pairs=MAX_PAIRS,
         seed=42,
-        tick=0.002,
-        max_batch=CLIENTS * 2,
-        coalesce=coalesce,
+        tick=tick,
+        max_batch=max_batch,
     )
 
 
@@ -141,11 +142,15 @@ def main(argv: list[str] | None = None) -> int:
     per_client = REQUESTS_SMOKE if args.smoke else REQUESTS_FULL
     total = CLIENTS * per_client
 
-    serial_app = create_app(_service_config(args.smoke, coalesce=False))
+    serial_app = create_app(
+        _service_config(args.smoke, max_batch=1, tick=0.0)
+    )
     serial_seconds, serial_lat, serial_bodies, _ = asyncio.run(
         _drive(serial_app, per_client)
     )
-    coalesced_app = create_app(_service_config(args.smoke, coalesce=True))
+    coalesced_app = create_app(
+        _service_config(args.smoke, max_batch=CLIENTS * 2, tick=0.002)
+    )
     batched_seconds, batched_lat, batched_bodies, batch_sizes = asyncio.run(
         _drive(coalesced_app, per_client)
     )

@@ -71,7 +71,7 @@ journaled and the final output is bit-identical to an uninterrupted
 run.  A KeyboardInterrupt exits with code 130 (journal already on
 disk); a permanent task failure prints the failed task keys and exits
 with code 1.  Install exposes the ``repro`` console script; the
-module also runs as ``python -m repro.cli``.
+package also runs as ``python -m repro``.
 
 The reference documentation in ``docs/CLI.md`` is drift-checked
 against :func:`build_parser` by ``tests/test_docs.py`` — keep the two
@@ -104,6 +104,19 @@ def _size_budget(text: str) -> int:
         return parse_size_budget(text)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _positive_int(text: str) -> int:
+    """Argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_resume_flag(parser) -> None:
@@ -195,27 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--workers", "-j", type=int, default=None,
         help="worker processes for per-algorithm sweeps (default: serial)",
-    )
-    sweep.add_argument(
-        "--artifact-store", type=Path, default=None,
-        help=(
-            "accepted for flag parity with corpus/experiments; sweep "
-            "reads a prebuilt graph, so no artifacts are stored"
-        ),
-    )
-    sweep.add_argument(
-        "--blocking", type=_blocking_spec, default=None,
-        help=(
-            "accepted for flag parity with corpus/experiments; sweep "
-            "reads a prebuilt graph, so no candidates are generated"
-        ),
-    )
-    sweep.add_argument(
-        "--max-memory", type=_size_budget, default=None,
-        help=(
-            "accepted for flag parity with corpus/experiments; sweep "
-            "reads a prebuilt graph, so nothing is sharded"
-        ),
     )
     _add_resume_flag(sweep)
 
@@ -437,10 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch", type=int, default=64,
         help="max /resolve requests coalesced into one kernel pass",
     )
-    serve.add_argument(
-        "--no-coalesce", action="store_true",
-        help="serial per-request execution (disables micro-batching)",
-    )
     _add_store_flags(
         serve,
         "persistent artifact store the warmup loads dataset "
@@ -470,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="clustering code (CC, MCC, EMCC, GECG) or 'all'",
     )
     stream.add_argument(
-        "--batch-size", type=int, default=32,
+        "--batch-size", type=_positive_int, default=32,
         help="records ingested per stream batch (the final state is "
              "invariant to this)",
     )
@@ -611,23 +599,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.runner import SWEEP_JOURNAL_CODEC
     from repro.pipeline.resilience import ResilientPool, RunJournal, Task
 
-    if args.artifact_store is not None:
-        # Accepted for flag parity with corpus/experiments; say so
-        # instead of silently ignoring it.
-        print(
-            "note: --artifact-store has no effect on sweep (the input "
-            "graph is prebuilt; no artifacts are computed)"
-        )
-    if args.blocking is not None:
-        print(
-            "note: --blocking has no effect on sweep (the input graph "
-            "is prebuilt; no candidates are generated)"
-        )
-    if args.max_memory is not None:
-        print(
-            "note: --max-memory has no effect on sweep (the input "
-            "graph is prebuilt; nothing is sharded)"
-        )
     graph = _read_graph(args.graph)
     truth = _read_truth(args.truth)
     if args.algorithm == "all":
@@ -1068,7 +1039,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         store_read_tier=_store_read_tier(args),
         tick=args.tick,
         max_batch=args.max_batch,
-        coalesce=not args.no_coalesce,
     )
     serve(create_app(config), host=args.host, port=args.port)
     return 0

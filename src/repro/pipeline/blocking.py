@@ -1,34 +1,46 @@
-"""Candidate-generation (blocking) schemes for the similarity pipeline.
+"""Candidate generation (blocking): one index, probed per record.
 
 The corpus engine scores the full ``n x m`` cross product by default,
 exactly as in the paper's protocol.  This module provides the optional
-stage in front of it: three composable blocking schemes, each turning
-the two entity collections into a deterministic, seed-stable
-:class:`CandidateSet` — a sorted COO list of record pairs worth
-scoring — so the sparse scoring path
-(:class:`~repro.pipeline.kernels.SparsePlan` +
-:func:`~repro.pipeline.batched_strings.schema_based_pairs`) never
-materializes the dense grid.
+stage in front of it.  :class:`BlockingIndex` is the one
+implementation of three composable blocking schemes: built over the
+two entity collections, it freezes the corpus statistics (document
+frequencies, stop-key limits, rarity order, minhash permutations) and
+posts the *right* (indexed) records under their blocking keys.  A
+probe with one record returns the sorted indexed-record ids the spec
+keeps for it.
+
+Every candidate path is a probe of that index:
+
+* :func:`build_candidate_set` probes every left record in order; the
+  rows concatenate into the deterministic, sorted COO
+  :class:`CandidateSet` the sparse scoring path
+  (:class:`~repro.pipeline.kernels.SparsePlan` +
+  :func:`~repro.pipeline.batched_strings.schema_based_pairs`) scores
+  without materializing the dense grid;
+* the service resolves a query with one probe, and the stream probes
+  each arriving record; :meth:`BlockingIndex.ingest` grows the posting
+  lists under the frozen statistics.
 
 Schemes (composable with ``+``, union semantics):
 
 ``tokens``
-    Token / q-gram inverted-index blocking.  Records sharing at least
-    one surviving token become candidates.  Tokens whose document
-    frequency exceeds ``max_df`` (fraction of all records) are dropped
-    as stop tokens before the join — deterministic pruning, no
-    sampling.  ``q=0`` blocks on word tokens, ``q>=2`` on padded
-    character q-grams.
+    Token / q-gram inverted index.  Records sharing at least one key
+    become candidates.  Keys whose document frequency exceeds
+    ``max_df`` (fraction of all records of both collections) are stop
+    keys and never posted — deterministic pruning, no sampling.
+    ``q=0`` blocks on word tokens, ``q>=2`` on padded character
+    q-grams.
 
 ``prefix``
     Prefix filtering with admissible upper bounds for the token-set
-    Jaccard similarity at threshold ``t``.  Each left record indexes
-    only its ``|x| - ceil(t*|x|) + 1`` globally rarest tokens; right
-    records probe with all of theirs.  If ``J(x, y) >= t`` then the
-    (integer) overlap is at least ``ceil(t*|x|)``, so one shared token
-    must land in the left prefix — the pair cannot be pruned.  A
-    second admissible bound, ``min(|x|,|y|) / max(|x|,|y|) >= t``,
-    discards length-incompatible survivors.
+    Jaccard similarity at threshold ``t``.  Indexed records post all
+    their tokens; a query looks up only its ``|x| - ceil(t*|x|) + 1``
+    globally rarest tokens.  If ``J(x, y) >= t`` then the (integer)
+    overlap is at least ``ceil(t*|x|)``, so one shared token must land
+    in the query's prefix — the pair cannot be pruned.  A second
+    admissible bound, ``min(|x|,|y|) / max(|x|,|y|) >= t``, discards
+    length-incompatible hits.
 
 ``minhash``
     MinHash-LSH banding.  Token sets are hashed with stable blake2b
@@ -47,7 +59,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -58,7 +72,6 @@ __all__ = [
     "CandidateSet",
     "SchemeSpec",
     "build_candidate_set",
-    "build_blocking_index",
     "canonical_blocking",
     "parse_blocking_spec",
 ]
@@ -85,9 +98,6 @@ class SchemeSpec:
 
     name: str
     params: tuple[tuple[str, float | int], ...]
-
-    def param(self, key: str) -> float | int:
-        return dict(self.params)[key]
 
     @property
     def canonical(self) -> str:
@@ -208,68 +218,40 @@ class CandidateSet:
         hits = np.isin(folded_truth, folded).sum()
         return float(hits) / len(ground_truth)
 
-    def union(self, other: "CandidateSet") -> "CandidateSet":
-        if (self.n_left, self.n_right) != (other.n_left, other.n_right):
-            raise ValueError("candidate sets cover different collections")
-        left = np.concatenate([self.left, other.left])
-        right = np.concatenate([self.right, other.right])
-        left, right = _dedupe_pairs(left, right, self.n_right)
-        return CandidateSet(
-            n_left=self.n_left,
-            n_right=self.n_right,
-            scheme=f"{self.scheme}+{other.scheme}",
-            left=left,
-            right=right,
-            stats=self.stats + other.stats,
-        )
-
 
 def build_candidate_set(
     lefts: list[str], rights: list[str], spec: str
 ) -> CandidateSet:
-    """Build the candidate set for ``spec`` over schema-agnostic texts."""
-    specs = parse_blocking_spec(spec)
-    n_left, n_right = len(lefts), len(rights)
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
-    stats: list[tuple[str, int]] = []
-    for scheme in specs:
-        if scheme.name == "tokens":
-            pair = _token_pairs(lefts, rights, scheme)
-        elif scheme.name == "prefix":
-            pair = _prefix_pairs(lefts, rights, scheme)
-        else:
-            pair = _minhash_pairs(lefts, rights, scheme)
-        stats.append((f"{scheme.canonical}:pairs", int(pair[0].shape[0])))
-        parts.append(pair)
-    left = np.concatenate([p[0] for p in parts])
-    right = np.concatenate([p[1] for p in parts])
-    left, right = _dedupe_pairs(left, right, n_right)
+    """The candidate set for ``spec``: row ``i`` is the probe of ``lefts[i]``.
+
+    Builds one :class:`BlockingIndex` over the two collections and
+    probes it with every left record in order.  Each row is sorted and
+    unique, so the row-major concatenation is already the sorted,
+    de-duplicated COO list.  ``stats`` sums each scheme's raw hits
+    over the rows.
+    """
+    index = BlockingIndex.build(lefts, rights, spec)
+    names = index.scheme.split("+")
+    raw = [0] * len(names)
+    rows = []
+    for text in lefts:
+        row, counts = index._probe_counted(text)
+        rows.append(row)
+        raw = [total + count for total, count in zip(raw, counts)]
+    right = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
     return CandidateSet(
-        n_left=n_left,
-        n_right=n_right,
-        scheme="+".join(s.canonical for s in specs),
-        left=left,
-        right=right,
-        stats=tuple(stats),
+        n_left=len(lefts),
+        n_right=len(rights),
+        scheme=index.scheme,
+        left=np.repeat(
+            np.arange(len(lefts), dtype=np.intp),
+            [row.shape[0] for row in rows],
+        ),
+        right=right.astype(np.intp, copy=False),
+        stats=tuple(
+            (f"{name}:pairs", count) for name, count in zip(names, raw)
+        ),
     )
-
-
-# ----------------------------------------------------------------------
-# shared machinery
-# ----------------------------------------------------------------------
-
-
-def _dedupe_pairs(
-    left: np.ndarray, right: np.ndarray, n_right: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sort pairs lexicographically and drop duplicates."""
-    if left.shape[0] == 0:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty.copy()
-    folded = left.astype(np.int64) * np.int64(max(n_right, 1)) + right
-    folded = np.unique(folded)
-    left, right = np.divmod(folded, np.int64(max(n_right, 1)))
-    return left.astype(np.intp), right.astype(np.intp)
 
 
 def _record_tokens(texts: list[str], q: int) -> list[list[str]]:
@@ -282,179 +264,115 @@ def _record_tokens(texts: list[str], q: int) -> list[list[str]]:
     return [sorted(set(tokens(text))) for text in texts]
 
 
-def _vocabulary_ids(
-    left_tokens: list[list[str]], right_tokens: list[list[str]]
-) -> tuple[list[str], list[np.ndarray], list[np.ndarray]]:
-    """First-occurrence token vocabulary + per-record id arrays."""
-    vocabulary: dict[str, int] = {}
-    sides = []
-    for token_lists in (left_tokens, right_tokens):
-        ids = []
-        for record in token_lists:
-            ids.append(
-                np.asarray(
-                    [
-                        vocabulary.setdefault(token, len(vocabulary))
-                        for token in record
-                    ],
-                    dtype=np.int64,
-                )
-            )
-        sides.append(ids)
-    return list(vocabulary), sides[0], sides[1]
+class _PostingLists:
+    """One scheme's posting lists: blocking key -> ascending record ids.
 
-
-def _flatten_ids(
-    per_record: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-record id arrays with parallel record indices."""
-    lengths = np.asarray([ids.shape[0] for ids in per_record], dtype=np.int64)
-    if lengths.sum() == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy()
-    flat = np.concatenate([ids for ids in per_record if ids.shape[0]])
-    records = np.repeat(np.arange(len(per_record), dtype=np.int64), lengths)
-    return flat, records
-
-
-def _join_postings(
-    left_keys: np.ndarray,
-    left_records: np.ndarray,
-    right_keys: np.ndarray,
-    right_records: np.ndarray,
-    n_keys: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All (left record, right record) pairs sharing a key.
-
-    Inputs are parallel ``(key id, record)`` arrays per side.  Returns
-    raw pairs with duplicates; callers dedupe.  Fully vectorized: each
-    left entry is repeated once per right posting of its key, and the
-    matching right entries are gathered with a grouped arange.
+    A scheme says which keys an indexed record posts under
+    (``_posted_keys``) and which postings a query collects (``probe``,
+    duplicates kept: their count is the scheme's raw hit count).
     """
-    empty = np.zeros(0, dtype=np.int64)
-    if left_keys.shape[0] == 0 or right_keys.shape[0] == 0:
-        return empty, empty.copy()
-    order = np.argsort(right_keys, kind="stable")
-    right_keys = right_keys[order]
-    right_records = right_records[order]
-    right_counts = np.bincount(right_keys, minlength=n_keys)
-    right_starts = np.concatenate(
-        [[0], np.cumsum(right_counts)[:-1]]
-    ).astype(np.int64)
-    lengths = right_counts[left_keys]
-    total = int(lengths.sum())
-    if total == 0:
-        return empty, empty.copy()
-    pair_left = np.repeat(left_records, lengths)
-    base = np.repeat(right_starts[left_keys], lengths)
-    starts = np.cumsum(lengths) - lengths
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
-    pair_right = right_records[base + offsets]
-    return pair_left, pair_right
+
+    def __init__(self) -> None:
+        self._postings: dict = {}
+
+    def _posted_keys(self, texts: list[str]) -> list[list]:
+        raise NotImplementedError
+
+    def ingest(self, texts: list[str], start_id: int) -> None:
+        """Post ``texts`` as records ``start_id, start_id + 1, ...``."""
+        self._post(self._posted_keys(texts), start_id)
+
+    def _post(self, records: list[list], start_id: int) -> None:
+        # Group by key first, so every touched list grows once per
+        # call rather than once per record: hot keys stay linear.
+        grouped: dict = {}
+        for record_id, keys in enumerate(records, start_id):
+            for key in keys:
+                grouped.setdefault(key, []).append(record_id)
+        for key, ids in grouped.items():
+            grown = np.asarray(ids, dtype=np.int64)
+            old = self._postings.get(key)
+            self._postings[key] = (
+                grown if old is None else np.concatenate([old, grown])
+            )
+
+    def _hits(self, keys) -> np.ndarray:
+        parts = [self._postings[key] for key in keys if key in self._postings]
+        if not parts:
+            return np.zeros(0, dtype=np.int64)
+        return np.concatenate(parts)
 
 
-# ----------------------------------------------------------------------
-# scheme: tokens (inverted index)
-# ----------------------------------------------------------------------
+class _TokenProbe(_PostingLists):
+    """``tokens``: every indexed record sharing a non-stop key."""
+
+    def __init__(
+        self, lefts: list[str], rights: list[str], q: int, max_df: float
+    ) -> None:
+        super().__init__()
+        self._q = q
+        right_keys = _record_tokens(rights, q)
+        self._df = Counter(
+            chain.from_iterable(_record_tokens(lefts, q) + right_keys)
+        )
+        self._limit = max_df * (len(lefts) + len(rights)) + _EPS
+        self._post(self._kept(right_keys), 0)
+
+    def _kept(self, records: list[list[str]]) -> list[list[str]]:
+        # An unseen key gets the serving-convention df = 1 (what a
+        # batch containing the record would count): never a stop key.
+        df, limit = self._df, self._limit
+        return [
+            [key for key in keys if df.get(key, 1) <= limit]
+            for keys in records
+        ]
+
+    def _posted_keys(self, texts: list[str]) -> list[list[str]]:
+        return self._kept(_record_tokens(texts, self._q))
+
+    def probe(self, text: str) -> np.ndarray:
+        # Stop keys have no postings, so the query looks up all keys.
+        return self._hits(_record_tokens([text], self._q)[0])
 
 
-def _token_pairs(
-    lefts: list[str], rights: list[str], scheme: SchemeSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    q = int(scheme.param("q"))
-    max_df = float(scheme.param("max_df"))
-    left_tokens = _record_tokens(lefts, q)
-    right_tokens = _record_tokens(rights, q)
-    vocabulary, left_ids, right_ids = _vocabulary_ids(
-        left_tokens, right_tokens
-    )
-    if not vocabulary:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy()
-    flat_left, rec_left = _flatten_ids(left_ids)
-    flat_right, rec_right = _flatten_ids(right_ids)
-    df = np.bincount(
-        np.concatenate([flat_left, flat_right]), minlength=len(vocabulary)
-    )
-    limit = max_df * (len(lefts) + len(rights)) + _EPS
-    keep = df <= limit
-    left_mask = keep[flat_left]
-    right_mask = keep[flat_right]
-    return _join_postings(
-        flat_left[left_mask],
-        rec_left[left_mask],
-        flat_right[right_mask],
-        rec_right[right_mask],
-        len(vocabulary),
-    )
+class _PrefixProbe(_TokenProbe):
+    """``prefix``: the query's rarity prefix, then the length bound.
 
+    Word tokens with ``max_df = 1``, which keeps every key: indexed
+    records post all their tokens, and only the query side depends on
+    the frozen document frequencies.
+    """
 
-# ----------------------------------------------------------------------
-# scheme: prefix (admissible prefix filtering for token Jaccard)
-# ----------------------------------------------------------------------
+    def __init__(
+        self, lefts: list[str], rights: list[str], threshold: float
+    ) -> None:
+        self._threshold = threshold
+        # Before the base build, which posts the indexed records.
+        self._sizes = np.zeros(0, dtype=np.int64)
+        super().__init__(lefts, rights, q=0, max_df=1.0)
 
+    def _post(self, records: list[list[str]], start_id: int) -> None:
+        super()._post(records, start_id)
+        sizes = np.asarray([len(keys) for keys in records], dtype=np.int64)
+        self._sizes = np.concatenate([self._sizes, sizes])
 
-def _prefix_pairs(
-    lefts: list[str], rights: list[str], scheme: SchemeSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    threshold = float(scheme.param("threshold"))
-    left_tokens = _record_tokens(lefts, 0)
-    right_tokens = _record_tokens(rights, 0)
-    vocabulary, left_ids, right_ids = _vocabulary_ids(
-        left_tokens, right_tokens
-    )
-    empty = np.zeros(0, dtype=np.int64)
-    if not vocabulary:
-        return empty, empty.copy()
-    flat_left, _ = _flatten_ids(left_ids)
-    flat_right, _ = _flatten_ids(right_ids)
-    df = np.bincount(
-        np.concatenate([flat_left, flat_right]), minlength=len(vocabulary)
-    )
-    # Global rarity order: rarest-first, ties by token text so the
-    # order (and hence the candidate set) is fully deterministic.
-    order = sorted(range(len(vocabulary)), key=lambda i: (df[i], vocabulary[i]))
-    rank = np.zeros(len(vocabulary), dtype=np.int64)
-    rank[np.asarray(order, dtype=np.int64)] = np.arange(
-        len(vocabulary), dtype=np.int64
-    )
-    prefix_ids = []
-    for ids in left_ids:
-        size = ids.shape[0]
+    def probe(self, text: str) -> np.ndarray:
+        query = _record_tokens([text], 0)[0]
+        size = len(query)
         if size == 0:
-            prefix_ids.append(ids)
-            continue
+            return np.zeros(0, dtype=np.int64)
         # J(x, y) >= t implies integer overlap >= ceil(t*|x|); the
         # epsilon only ever lengthens the prefix (more permissive).
-        required = max(int(math.ceil(threshold * size - _EPS)), 1)
-        count = size - required + 1
-        by_rarity = ids[np.argsort(rank[ids], kind="stable")]
-        prefix_ids.append(by_rarity[:count])
-    probe_left, rec_left = _flatten_ids(prefix_ids)
-    probe_right, rec_right = _flatten_ids(right_ids)
-    pair_left, pair_right = _join_postings(
-        probe_left, rec_left, probe_right, rec_right, len(vocabulary)
-    )
-    if pair_left.shape[0] == 0:
-        return pair_left, pair_right
-    sizes_left = np.asarray(
-        [ids.shape[0] for ids in left_ids], dtype=np.int64
-    )
-    sizes_right = np.asarray(
-        [ids.shape[0] for ids in right_ids], dtype=np.int64
-    )
-    size_x = sizes_left[pair_left]
-    size_y = sizes_right[pair_right]
-    # Length bound: J <= min/max, so min < t*max cannot reach t.
-    keep = np.minimum(size_x, size_y) >= (
-        threshold * np.maximum(size_x, size_y) - _EPS
-    )
-    return pair_left[keep], pair_right[keep]
-
-
-# ----------------------------------------------------------------------
-# scheme: minhash (LSH banding)
-# ----------------------------------------------------------------------
+        required = max(int(math.ceil(self._threshold * size - _EPS)), 1)
+        # Rarest first, ties by token text: a deterministic order.
+        prefix = sorted(query, key=lambda t: (self._df.get(t, 1), t))
+        hits = self._hits(prefix[: size - required + 1])
+        sizes = self._sizes[hits]
+        # Length bound: J <= min/max, so min < t*max cannot reach t.
+        keep = np.minimum(size, sizes) >= (
+            self._threshold * np.maximum(size, sizes) - _EPS
+        )
+        return hits[keep]
 
 
 def _token_hash(token: str) -> int:
@@ -462,343 +380,83 @@ def _token_hash(token: str) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-def _minhash_pairs(
-    lefts: list[str], rights: list[str], scheme: SchemeSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    perms = int(scheme.param("perms"))
-    bands = int(scheme.param("bands"))
-    seed = int(scheme.param("seed"))
-    rows = perms // bands
-    left_tokens = _record_tokens(lefts, 0)
-    right_tokens = _record_tokens(rights, 0)
-    vocabulary, left_ids, right_ids = _vocabulary_ids(
-        left_tokens, right_tokens
-    )
-    empty = np.zeros(0, dtype=np.int64)
-    if not vocabulary:
-        return empty, empty.copy()
-    hashes = np.asarray(
-        [_token_hash(token) for token in vocabulary], dtype=np.uint64
-    )
-    rng = np.random.default_rng(seed)
-    high = np.iinfo(np.uint64).max
-    mul = rng.integers(1, high, size=perms, dtype=np.uint64) | np.uint64(1)
-    add = rng.integers(0, high, size=perms, dtype=np.uint64)
-    signatures = []
-    keeps = []
-    for ids in (left_ids, right_ids):
-        flat, _ = _flatten_ids(ids)
-        lengths = np.asarray([a.shape[0] for a in ids], dtype=np.int64)
-        keep = lengths > 0
-        keeps.append(keep)
-        if not keep.any():
-            signatures.append(np.zeros((0, perms), dtype=np.uint64))
-            continue
-        offsets = np.concatenate([[0], np.cumsum(lengths[keep])[:-1]])
-        values = hashes[flat]
-        signature = np.empty((int(keep.sum()), perms), dtype=np.uint64)
-        for p in range(perms):
-            # Wrap-around multiply-add hashing: deterministic and
-            # seed-stable; uint64 overflow is the intended mixing.
-            permuted = mul[p] * values + add[p]
-            signature[:, p] = np.minimum.reduceat(permuted, offsets)
-        signatures.append(signature)
-    sig_left, sig_right = signatures
-    keep_left, keep_right = keeps
-    rec_left = np.flatnonzero(keep_left).astype(np.int64)
-    rec_right = np.flatnonzero(keep_right).astype(np.int64)
-    if sig_left.shape[0] == 0 or sig_right.shape[0] == 0:
-        return empty, empty.copy()
-    pairs_left = [empty]
-    pairs_right = [empty]
-    for band in range(bands):
-        chunk = slice(band * rows, (band + 1) * rows)
-        key_left = _fold_band(sig_left[:, chunk])
-        key_right = _fold_band(sig_right[:, chunk])
-        buckets, inverse = np.unique(
-            np.concatenate([key_left, key_right]), return_inverse=True
-        )
-        inv_left = inverse[: key_left.shape[0]]
-        inv_right = inverse[key_left.shape[0]:]
-        pair_left, pair_right = _join_postings(
-            inv_left, rec_left, inv_right, rec_right, buckets.shape[0]
-        )
-        pairs_left.append(pair_left)
-        pairs_right.append(pair_right)
-    return np.concatenate(pairs_left), np.concatenate(pairs_right)
-
-
 def _fold_band(rows_chunk: np.ndarray) -> np.ndarray:
-    """Fold a band's signature rows into one bucket key per record."""
+    """Fold each band's signature rows into one bucket key."""
     key = rows_chunk[:, 0].copy()
     for column in range(1, rows_chunk.shape[1]):
         key = (key * _MIX) ^ rows_chunk[:, column]
     return key
 
 
-# ----------------------------------------------------------------------
-# Query-time probing (the index half of the index/query split)
-# ----------------------------------------------------------------------
-#
-# The batch path above joins two *whole collections*; a serving layer
-# instead indexes one frozen collection once and probes it with single
-# records at query time.  :class:`BlockingIndex` freezes everything the
-# batch build derives from the corpus — document frequencies, stop-
-# token limits, rarity ranks, minhash permutations and the right-side
-# posting lists — so that for every record of the left collection it
-# was built over, ``probe(lefts[i])`` returns **exactly** the row-``i``
-# candidates of ``build_candidate_set(lefts, rights, spec)``
-# (``tests/pipeline/test_blocking.py`` asserts the equivalence per
-# scheme and for composite specs).  Novel query records reuse the
-# frozen statistics — the standard serving convention (IDF frozen at
-# index build); an unseen token is treated as a rarest (df = 1) token,
-# which is what a batch containing the query would compute, and can
-# never surface a candidate anyway unless it appears in the indexed
-# collection.
-
-
-class _TokenProbe:
-    """Query-time half of the ``tokens`` inverted-index scheme."""
-
-    def __init__(
-        self, lefts: list[str], rights: list[str], scheme: SchemeSpec
-    ) -> None:
-        self._q = int(scheme.param("q"))
-        max_df = float(scheme.param("max_df"))
-        left_tokens = _record_tokens(lefts, self._q)
-        right_tokens = _record_tokens(rights, self._q)
-        df: dict[str, int] = {}
-        for record in (*left_tokens, *right_tokens):
-            for token in record:
-                df[token] = df.get(token, 0) + 1
-        limit = max_df * (len(lefts) + len(rights)) + _EPS
-        postings: dict[str, list[int]] = {}
-        for j, record in enumerate(right_tokens):
-            for token in record:
-                if df[token] <= limit:
-                    postings.setdefault(token, []).append(j)
-        self._postings = {
-            token: np.asarray(ids, dtype=np.int64)
-            for token, ids in postings.items()
-        }
-        self._df = df
-        self._limit = limit
-
-    def ingest(self, texts: list[str], start_id: int) -> None:
-        """Index new records under the frozen stop-token statistics.
-
-        An unseen token gets the serving-convention ``df = 1`` (it is
-        never a stop token), so ingested records are discoverable
-        through exactly the tokens a batch containing them would keep.
-        """
-        for offset, record in enumerate(_record_tokens(texts, self._q)):
-            rid = np.asarray([start_id + offset], dtype=np.int64)
-            for token in record:
-                if self._df.get(token, 1) > self._limit:
-                    continue
-                existing = self._postings.get(token)
-                self._postings[token] = (
-                    rid
-                    if existing is None
-                    else np.concatenate([existing, rid])
-                )
-
-    def _keys(self, text: str) -> list[str]:
-        if self._q:
-            return sorted(set(character_ngrams(text, self._q))) if text else []
-        return sorted(set(tokens(text)))
-
-    def probe(self, text: str) -> np.ndarray:
-        parts = [
-            self._postings[token]
-            for token in self._keys(text)
-            if token in self._postings
-        ]
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(parts)
-
-
-class _PrefixProbe:
-    """Query-time half of the ``prefix`` filtering scheme.
-
-    The query plays the *left* role of the batch join: only its
-    ``|x| - ceil(t*|x|) + 1`` rarest tokens (frozen global rarity,
-    ties by token text) probe the index, and the index holds postings
-    for **all** tokens of the indexed records, exactly as the batch
-    build lets right records probe with all of theirs.
-    """
-
-    def __init__(
-        self, lefts: list[str], rights: list[str], scheme: SchemeSpec
-    ) -> None:
-        self._threshold = float(scheme.param("threshold"))
-        left_tokens = _record_tokens(lefts, 0)
-        right_tokens = _record_tokens(rights, 0)
-        df: dict[str, int] = {}
-        for record in (*left_tokens, *right_tokens):
-            for token in record:
-                df[token] = df.get(token, 0) + 1
-        self._df = df
-        postings: dict[str, list[int]] = {}
-        for j, record in enumerate(right_tokens):
-            for token in record:
-                postings.setdefault(token, []).append(j)
-        self._postings = {
-            token: np.asarray(ids, dtype=np.int64)
-            for token, ids in postings.items()
-        }
-        self._sizes = np.asarray(
-            [len(record) for record in right_tokens], dtype=np.int64
-        )
-
-    def ingest(self, texts: list[str], start_id: int) -> None:
-        """Index new records; the rarity ranks stay frozen.
-
-        Indexed records post *all* their tokens (the batch convention
-        for the right side), so only the query-side prefix depends on
-        the frozen document frequencies.
-        """
-        sizes = []
-        for offset, record in enumerate(_record_tokens(texts, 0)):
-            rid = np.asarray([start_id + offset], dtype=np.int64)
-            sizes.append(len(record))
-            for token in record:
-                existing = self._postings.get(token)
-                self._postings[token] = (
-                    rid
-                    if existing is None
-                    else np.concatenate([existing, rid])
-                )
-        self._sizes = np.concatenate(
-            [self._sizes, np.asarray(sizes, dtype=np.int64)]
-        )
-
-    def probe(self, text: str) -> np.ndarray:
-        query = sorted(set(tokens(text)))
-        size = len(query)
-        empty = np.zeros(0, dtype=np.int64)
-        if size == 0:
-            return empty
-        required = max(int(math.ceil(self._threshold * size - _EPS)), 1)
-        count = size - required + 1
-        # Frozen rarity order; an unseen token gets df = 1 (its own
-        # occurrence in a batch containing this query), keeping the
-        # order identical to the batch rank for in-corpus tokens.
-        prefix = sorted(query, key=lambda t: (self._df.get(t, 1), t))[:count]
-        parts = [
-            self._postings[token]
-            for token in prefix
-            if token in self._postings
-        ]
-        if not parts:
-            return empty
-        candidates = np.concatenate(parts)
-        sizes = self._sizes[candidates]
-        keep = np.minimum(size, sizes) >= (
-            self._threshold * np.maximum(size, sizes) - _EPS
-        )
-        return candidates[keep]
-
-
-class _MinhashProbe:
-    """Query-time half of the ``minhash`` LSH-banding scheme.
+class _MinhashProbe(_PostingLists):
+    """``minhash``: postings keyed by ``(band, bucket)``.
 
     Banding collisions are pairwise — a query and an indexed record
     collide iff their signatures agree on some band, independent of
-    every other record — so the frozen per-band bucket tables
-    reproduce the batch candidates exactly for any query.
+    every other record — so no corpus statistic is involved.
     """
 
-    def __init__(self, rights: list[str], scheme: SchemeSpec) -> None:
-        perms = int(scheme.param("perms"))
-        bands = int(scheme.param("bands"))
-        seed = int(scheme.param("seed"))
-        self._rows = perms // bands
+    def __init__(
+        self,
+        lefts: list[str],
+        rights: list[str],
+        perms: int,
+        bands: int,
+        seed: int,
+    ) -> None:
+        super().__init__()  # pairwise collisions: ``lefts`` are unused
         self._bands = bands
+        self._rows = perms // bands
         rng = np.random.default_rng(seed)
         high = np.iinfo(np.uint64).max
         self._mul = (
             rng.integers(1, high, size=perms, dtype=np.uint64) | np.uint64(1)
         )
         self._add = rng.integers(0, high, size=perms, dtype=np.uint64)
-        self._buckets: list[dict[int, np.ndarray]] = []
-        raw: list[dict[int, list[int]]] = [{} for _ in range(bands)]
-        for j, text in enumerate(rights):
-            signature = self._signature(text)
-            if signature is None:
-                continue
-            for band, key in enumerate(self._band_keys(signature)):
-                raw[band].setdefault(int(key), []).append(j)
-        for table in raw:
-            self._buckets.append(
-                {
-                    key: np.asarray(ids, dtype=np.int64)
-                    for key, ids in table.items()
-                }
-            )
+        self.ingest(rights, 0)
 
-    def _signature(self, text: str) -> np.ndarray | None:
-        record = sorted(set(tokens(text)))
-        if not record:
-            return None  # token-less records never enter a band
+    def _band_keys(self, keys: list[str]) -> list[tuple[int, int]]:
+        if not keys:
+            return []  # token-less records never enter a band
         values = np.asarray(
-            [_token_hash(token) for token in record], dtype=np.uint64
+            [_token_hash(key) for key in keys], dtype=np.uint64
         )
-        # Wrap-around multiply-add hashing, exactly as the batch pass;
-        # the min over a record's permuted hashes is order-invariant.
+        # Wrap-around multiply-add hashing: uint64 overflow is the
+        # intended mixing; the min over a record's hashes is
+        # order-invariant.
         permuted = self._mul[:, None] * values[None, :] + self._add[:, None]
-        return permuted.min(axis=1)
+        signature = permuted.min(axis=1).reshape(self._bands, self._rows)
+        return list(enumerate(_fold_band(signature).tolist()))
 
-    def _band_keys(self, signature: np.ndarray) -> np.ndarray:
-        chunks = signature.reshape(self._bands, self._rows)
-        return _fold_band(chunks)
-
-    def ingest(self, texts: list[str], start_id: int) -> None:
-        """Index new records; the minhash permutations stay frozen.
-
-        Banding collisions are pairwise, so post-ingest probes are
-        *exactly* the batch candidates over the grown collection.
-        """
-        for offset, text in enumerate(texts):
-            signature = self._signature(text)
-            if signature is None:
-                continue
-            rid = np.asarray([start_id + offset], dtype=np.int64)
-            for band, key in enumerate(self._band_keys(signature)):
-                table = self._buckets[band]
-                existing = table.get(int(key))
-                table[int(key)] = (
-                    rid
-                    if existing is None
-                    else np.concatenate([existing, rid])
-                )
+    def _posted_keys(self, texts: list[str]) -> list[list[tuple[int, int]]]:
+        return [self._band_keys(keys) for keys in _record_tokens(texts, 0)]
 
     def probe(self, text: str) -> np.ndarray:
-        signature = self._signature(text)
-        empty = np.zeros(0, dtype=np.int64)
-        if signature is None:
-            return empty
-        parts = []
-        for band, key in enumerate(self._band_keys(signature)):
-            ids = self._buckets[band].get(int(key))
-            if ids is not None:
-                parts.append(ids)
-        if not parts:
-            return empty
-        return np.concatenate(parts)
+        return self._hits(self._band_keys(_record_tokens([text], 0)[0]))
+
+
+# Scheme name -> probe class; each takes ``(lefts, rights)`` plus the
+# scheme's parameters as keywords.
+_PROBES = {
+    "tokens": _TokenProbe,
+    "prefix": _PrefixProbe,
+    "minhash": _MinhashProbe,
+}
 
 
 @dataclass(frozen=True)
 class BlockingIndex:
-    """Frozen query-time blocking index over one indexed collection.
+    """Frozen blocking index over one indexed (right) collection.
 
     Built once from the two collections of a dataset (corpus
     statistics freeze at build time), probed many times with single
     records.  :meth:`probe` returns the sorted, de-duplicated indexed-
-    side record ids a blocking spec retains for the query — for any
-    record of the left collection the index was built over, exactly
-    the corresponding :class:`CandidateSet` row of the batch build.
+    side record ids a blocking spec retains for the query; for a left
+    record of the build, that is its :func:`build_candidate_set` row.
+    Novel query records reuse the frozen statistics — the serving
+    convention (IDF frozen at index build): an unseen token counts as
+    a rarest (df = 1) token, which is what a batch containing the
+    query would compute.
     """
 
     n_indexed: int
@@ -810,36 +468,34 @@ class BlockingIndex:
         cls, lefts: list[str], rights: list[str], spec: str
     ) -> "BlockingIndex":
         specs = parse_blocking_spec(spec)
-        probes = []
-        for scheme in specs:
-            if scheme.name == "tokens":
-                probes.append(_TokenProbe(lefts, rights, scheme))
-            elif scheme.name == "prefix":
-                probes.append(_PrefixProbe(lefts, rights, scheme))
-            else:
-                probes.append(_MinhashProbe(rights, scheme))
         return cls(
             n_indexed=len(rights),
             scheme="+".join(s.canonical for s in specs),
-            _probes=tuple(probes),
+            _probes=tuple(
+                _PROBES[s.name](lefts, rights, **dict(s.params))
+                for s in specs
+            ),
         )
 
     def probe(self, text: str) -> np.ndarray:
         """Sorted unique indexed-record ids retained for ``text``."""
-        parts = [probe.probe(text) for probe in self._probes]
-        merged = np.concatenate(parts) if parts else np.zeros(0, np.int64)
-        return np.unique(merged)
+        return self._probe_counted(text)[0]
+
+    def _probe_counted(self, text: str) -> tuple[np.ndarray, list[int]]:
+        """The probe row plus each scheme's raw hit count."""
+        hits = [probe.probe(text) for probe in self._probes]
+        return np.unique(np.concatenate(hits)), [len(part) for part in hits]
 
     def ingest(self, texts: list[str]) -> np.ndarray:
         """Index new records in place; returns their assigned ids.
 
         The build-time corpus statistics (document frequencies, stop
-        limits, rarity ranks, minhash permutations) stay frozen — only
+        limits, rarity order, minhash permutations) stay frozen — only
         the posting lists grow, so existing candidates never change
         and every probe stays deterministic.  Statistics-free schemes
-        (``minhash``, and ``tokens`` with no stop tokens in play)
-        probe *exactly* like a batch build over the grown collection;
-        the df-dependent schemes probe like a batch that reuses the
+        (``minhash``, and ``tokens`` with no stop keys in play) probe
+        *exactly* like a build over the grown collection; the
+        df-dependent schemes probe like a build that reuses the
         build-time frequencies — the same serving convention novel
         query records already get.
         """
@@ -849,10 +505,3 @@ class BlockingIndex:
             probe.ingest(texts, start)
         object.__setattr__(self, "n_indexed", start + len(texts))
         return np.arange(start, start + len(texts), dtype=np.int64)
-
-
-def build_blocking_index(
-    lefts: list[str], rights: list[str], spec: str
-) -> BlockingIndex:
-    """Build the query-time :class:`BlockingIndex` for ``spec``."""
-    return BlockingIndex.build(lefts, rights, spec)

@@ -295,11 +295,11 @@ class ArtifactCache:
         serialize, and the serving layer builds it once per process at
         warmup anyway.
         """
-        from repro.pipeline.blocking import build_blocking_index
+        from repro.pipeline.blocking import BlockingIndex
 
         def build():
             lefts, rights = self.texts()
-            return build_blocking_index(lefts, rights, blocking)
+            return BlockingIndex.build(lefts, rights, blocking)
 
         return self.get(("probe_index", blocking), build)
 

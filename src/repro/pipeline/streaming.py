@@ -189,6 +189,8 @@ def replay_stream(
     values = list(texts) if values is None else list(values)
     if len(values) != len(texts):
         raise ValueError("values must parallel texts")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     algorithms = tuple(code.upper() for code in algorithms)
     unknown = set(algorithms) - set(DIRTY_ALGORITHM_CODES)
     if unknown:

@@ -65,7 +65,6 @@ class ServiceConfig:
     store_read_tier: str | None = None
     tick: float = 0.002
     max_batch: int = 64
-    coalesce: bool = True
 
 
 def _warm_service(config: ServiceConfig) -> ResolverService:
@@ -104,7 +103,6 @@ def create_app(config: ServiceConfig) -> App:
             service,
             tick=config.tick,
             max_batch=config.max_batch,
-            coalesce=config.coalesce,
         )
         scheduler.start()
         app.state["service"] = service

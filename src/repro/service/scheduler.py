@@ -12,9 +12,9 @@ composition (see :mod:`repro.service.resolver`), so the responses are
 bit-identical to serial execution — the batch only changes *when* the
 work runs, never *what* it computes.
 
-With ``coalesce=False`` the scheduler degrades to strict serial
-per-request execution — the baseline ``benchmarks/bench_service.py``
-measures the coalescing gain against.
+``max_batch=1`` with ``tick=0`` is strict serial per-request
+execution — the baseline ``benchmarks/bench_service.py`` measures the
+coalescing gain against.
 
 Fault isolation: before a request joins a batch the scheduler calls
 :func:`repro.testing.faults.maybe_inject` with the request's task key
@@ -65,9 +65,6 @@ class MicroBatchScheduler:
         after the first request of a batch for companions to arrive.
     max_batch:
         Upper bound on requests per drain cycle.
-    coalesce:
-        ``False`` forces one-request-at-a-time execution (the serial
-        baseline); the public API is unchanged.
     """
 
     def __init__(
@@ -75,12 +72,10 @@ class MicroBatchScheduler:
         service: ResolverService,
         tick: float = 0.002,
         max_batch: int = 64,
-        coalesce: bool = True,
     ) -> None:
         self.service = service
         self.tick = tick
         self.max_batch = max(int(max_batch), 1)
-        self.coalesce = coalesce
         self._queue: asyncio.Queue[_Pending] = asyncio.Queue()
         self._task: asyncio.Task | None = None
         self.batches_executed = 0
@@ -146,14 +141,10 @@ class MicroBatchScheduler:
     async def _drain(self) -> None:
         while True:
             batch = [await self._queue.get()]
-            if self.coalesce:
-                if self.tick > 0:
-                    await asyncio.sleep(self.tick)
-                while (
-                    not self._queue.empty()
-                    and len(batch) < self.max_batch
-                ):
-                    batch.append(self._queue.get_nowait())
+            if self.tick > 0:
+                await asyncio.sleep(self.tick)
+            while not self._queue.empty() and len(batch) < self.max_batch:
+                batch.append(self._queue.get_nowait())
             await self._execute(batch)
 
     async def _execute(self, batch: list[_Pending]) -> None:
@@ -204,7 +195,6 @@ class MicroBatchScheduler:
         return {
             "batches_executed": self.batches_executed,
             "requests_served": self.requests_served,
-            "coalesce": self.coalesce,
             "tick": self.tick,
             "max_batch": self.max_batch,
         }

@@ -1,20 +1,27 @@
 """Blocking layer: candidate quality, admissibility and bit-identity.
 
-Three property guarantees (hypothesis):
+Property guarantees (hypothesis):
 
+* batch candidate sets and single-record probes equal a brute-force
+  oracle per scheme, raw per-scheme counts included,
 * blocked scoring equals the dense matrix on every retained cell,
 * the prefix filter's upper bounds are admissible — no pair at or
   above the threshold token-set Jaccard is ever pruned,
-* candidate sets are invariant under the kernel thread count.
+* candidate sets are invariant under the kernel thread count,
+* one multi-record ingest equals record-by-record ingests.
 
-Plus deterministic coverage of spec parsing/canonicalization, the
-:class:`CandidateSet` API, the artifact-store codec, corpus cache-key
-semantics and the CLI surface.
+Plus digests pinning catalog candidate sets and deterministic coverage
+of spec parsing/canonicalization, the :class:`CandidateSet` API, the
+artifact-store codec, corpus cache-key semantics and the CLI surface.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,12 +29,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.datasets import dataset_spec, generate_dataset
 from repro.datasets.generator import CleanCleanDataset, DatasetSpec
 from repro.datasets.profile import EntityCollection, EntityProfile
 from repro.pipeline.blocking import (
     BlockingIndex,
     CandidateSet,
-    build_blocking_index,
     build_candidate_set,
     canonical_blocking,
     parse_blocking_spec,
@@ -37,7 +44,7 @@ from repro.pipeline.graph_builder import pairs_to_graph
 from repro.pipeline.kernels import kernel_threads
 from repro.pipeline.similarity_functions import SimilarityFunctionSpec
 from repro.pipeline.workbench import GraphCorpusConfig, generate_dirty_corpus
-from repro.textsim.tokenize import tokens
+from repro.textsim.tokenize import character_ngrams, tokens
 
 strings = st.lists(
     st.text(alphabet="abcde _", min_size=1, max_size=12).filter(str.strip),
@@ -189,11 +196,115 @@ class TestDeterminism:
             assert np.array_equal(a.values, b.values)
 
 
+def _oracle_keys(text: str, q: int) -> set[str]:
+    if q:
+        return set(character_ngrams(text, q)) if text else set()
+    return set(tokens(text))
+
+
+def _oracle_tokens(lefts, rights, q, max_df):
+    """``tokens``: a pair shares a key whose document frequency over
+    both collections is at most ``max_df`` times the record count."""
+    left_keys = [_oracle_keys(text, q) for text in lefts]
+    right_keys = [_oracle_keys(text, q) for text in rights]
+    df = Counter(key for keys in left_keys + right_keys for key in keys)
+    limit = Fraction(str(max_df)) * (len(lefts) + len(rights))
+    hits = {}
+    for i, x in enumerate(left_keys):
+        for j, y in enumerate(right_keys):
+            shared = sum(df[key] <= limit for key in x & y)
+            if shared:
+                hits[i, j] = shared
+    return hits
+
+
+def _oracle_prefix(lefts, rights, threshold):
+    """``prefix``: the left record's ``|x| - ceil(t|x|) + 1`` rarest
+    tokens (df over both collections, ties by text) meet the right
+    record's tokens, and ``min(|x|, |y|) >= t * max(|x|, |y|)``."""
+    left_keys = [_oracle_keys(text, 0) for text in lefts]
+    right_keys = [_oracle_keys(text, 0) for text in rights]
+    df = Counter(key for keys in left_keys + right_keys for key in keys)
+    t = Fraction(str(threshold))
+    hits = {}
+    for i, x in enumerate(left_keys):
+        if not x:
+            continue
+        required = max(math.ceil(t * len(x)), 1)
+        by_rarity = sorted(x, key=lambda key: (df[key], key))
+        prefix = by_rarity[: len(x) - required + 1]
+        for j, y in enumerate(right_keys):
+            shared = sum(key in y for key in prefix)
+            if shared and min(len(x), len(y)) >= t * max(len(x), len(y)):
+                hits[i, j] = shared
+    return hits
+
+
+def _oracle_minhash(lefts, rights, perms, bands, seed):
+    """``minhash``: the two token sets' signatures, from the seeded
+    multiply-add draws over blake2b token hashes, agree on a band."""
+    rng = np.random.default_rng(seed)
+    high = np.iinfo(np.uint64).max
+    mul = [int(m) | 1 for m in rng.integers(1, high, perms, np.uint64)]
+    add = [int(a) for a in rng.integers(0, high, perms, np.uint64)]
+
+    def signature(text):
+        values = [
+            int.from_bytes(
+                hashlib.blake2b(key.encode(), digest_size=8).digest(), "big"
+            )
+            for key in _oracle_keys(text, 0)
+        ]
+        if not values:
+            return None
+        return [
+            min((m * value + a) % 2**64 for value in values)
+            for m, a in zip(mul, add)
+        ]
+
+    rows = perms // bands
+    left_signatures = [signature(text) for text in lefts]
+    right_signatures = [signature(text) for text in rights]
+    hits = {}
+    for i, x in enumerate(left_signatures):
+        for j, y in enumerate(right_signatures):
+            if x is None or y is None:
+                continue
+            shared = sum(
+                x[b * rows : (b + 1) * rows] == y[b * rows : (b + 1) * rows]
+                for b in range(bands)
+            )
+            if shared:
+                hits[i, j] = shared
+    return hits
+
+
+def _oracle(lefts, rights, spec):
+    """Brute-force ``(sorted candidate pairs, stats)`` for ``spec``."""
+    pairs = set()
+    stats = []
+    for scheme in parse_blocking_spec(spec):
+        params = dict(scheme.params)
+        if scheme.name == "tokens":
+            hits = _oracle_tokens(lefts, rights, params["q"], params["max_df"])
+        elif scheme.name == "prefix":
+            hits = _oracle_prefix(lefts, rights, params["threshold"])
+        else:
+            hits = _oracle_minhash(
+                lefts, rights, params["perms"], params["bands"],
+                params["seed"],
+            )
+        pairs |= hits.keys()
+        stats.append((f"{scheme.canonical}:pairs", sum(hits.values())))
+    return sorted(pairs), tuple(stats)
+
+
 class TestProbeEqualsBatchRow:
-    """The query-time index/batch equivalence the service rests on:
-    for every left record the :class:`BlockingIndex` was built over,
-    a single-record probe returns exactly the candidates the batch
-    :class:`CandidateSet` yields for that row."""
+    """The batch candidate set and single-record probes against a
+    brute-force oracle per scheme: for every left record the
+    :class:`BlockingIndex` was built over, a probe returns exactly the
+    oracle's row, and the batch :class:`CandidateSet` holds exactly
+    the oracle's pairs and raw per-scheme counts."""
 
     SPECS = (
         "tokens:max_df=0.5,q=0",
@@ -208,24 +319,26 @@ class TestProbeEqualsBatchRow:
     @settings(max_examples=25, deadline=None)
     def test_probe_rows_match_batch_rows(self, lefts, rights):
         for spec in self.SPECS:
+            pairs, stats = _oracle(lefts, rights, spec)
             candidates = build_candidate_set(lefts, rights, spec)
-            index = build_blocking_index(lefts, rights, spec)
+            assert candidates.stats == stats, spec
+            assert candidates.left.dtype == np.intp
+            assert candidates.right.dtype == np.intp
+            built = list(
+                zip(candidates.left.tolist(), candidates.right.tolist())
+            )
+            assert built == pairs, spec
+            index = BlockingIndex.build(lefts, rights, spec)
             for i, text in enumerate(lefts):
-                batch_row = np.sort(
-                    candidates.right[candidates.left == i]
-                ).astype(np.int64)
-                assert np.array_equal(index.probe(text), batch_row), (
-                    spec,
-                    i,
-                    text,
-                )
+                row = [j for left, j in pairs if left == i]
+                assert index.probe(text).tolist() == row, (spec, i, text)
 
     @given(lefts=strings, rights=strings)
     @settings(max_examples=20, deadline=None)
     def test_probe_output_is_sorted_unique_and_bounded(
         self, lefts, rights
     ):
-        index = build_blocking_index(
+        index = BlockingIndex.build(
             lefts, rights, "tokens+minhash:bands=2,perms=4"
         )
         for text in (*lefts, "completely novel record", ""):
@@ -240,7 +353,7 @@ class TestProbeEqualsBatchRow:
         same candidates regardless of what was probed in between."""
         lefts = ["alpha beta", "beta gamma", "delta"]
         rights = ["alpha gamma", "beta", "epsilon delta"]
-        index = build_blocking_index(lefts, rights, "tokens")
+        index = BlockingIndex.build(lefts, rights, "tokens")
         before = index.probe("alpha beta")
         for noise in ("zzz", "beta beta beta", "", "alpha"):
             index.probe(noise)
@@ -251,7 +364,7 @@ class TestProbeEqualsBatchRow:
         would compute), so a prefix probe keeps it in the prefix and
         still recovers in-corpus candidates through shared tokens."""
         rights = ["alpha beta", "beta gamma"]
-        index = build_blocking_index(
+        index = BlockingIndex.build(
             ["alpha beta"], rights, "prefix:threshold=0.4"
         )
         # "unseen alpha" : 2 tokens at t=0.4 -> prefix keeps both, and
@@ -270,9 +383,54 @@ class TestProbeEqualsBatchRow:
         assert engine.cache.build_counts[("probe_index", spec)] == 1
 
     def test_build_matches_canonical_scheme(self):
-        index = build_blocking_index(["a"], ["a"], "tokens")
+        index = BlockingIndex.build(["a"], ["a"], "tokens")
         assert index.scheme == canonical_blocking("tokens")
         assert index.n_indexed == 1
+
+
+class TestPinnedCandidateSets:
+    """Catalog candidate sets pinned by digest.
+
+    The digests of ``(left, right, scheme, stats)`` were recorded from
+    the whole-collection vectorized join that built candidate sets
+    before they were derived from index probes; cached corpora and
+    stored ``candidate_set`` artifacts rest on them staying fixed.
+    """
+
+    @pytest.mark.parametrize(
+        "code, spec, self_join, digest",
+        [
+            ("d2", "prefix", False, "607f863f8ae0ffb6635153f8c6d535af"),
+            ("d3", "minhash", False, "89d648a84837786edbaea29d14954c16"),
+            (
+                "d8", "tokens+prefix+minhash", False,
+                "768261ce3f2c538fd89b46b587ba0b2d",
+            ),
+            (
+                "d4", "tokens:q=4,max_df=0.02", False,
+                "bc58fb2bded8e797df117fff65399fc0",
+            ),
+            ("d4", "tokens", True, "8b1dfdbf9b098bb5b4ff055d62c502be"),
+        ],
+    )
+    def test_digest(self, code, spec, self_join, digest):
+        dataset = generate_dataset(
+            dataset_spec(code, scale=0.1, max_pairs=80_000), seed=42
+        )
+        lefts, rights = dataset.left.texts(), dataset.right.texts()
+        if self_join:
+            lefts = rights = lefts + rights
+        candidates = build_candidate_set(lefts, rights, spec)
+        assert candidates.left.dtype == candidates.right.dtype == np.intp
+        h = hashlib.blake2b(digest_size=16)
+        for part in (candidates.left, candidates.right):
+            h.update(part.astype(np.int64).tobytes())
+            h.update(b"|")
+        h.update(
+            f"{candidates.n_left},{candidates.n_right},{candidates.scheme},"
+            f"{candidates.stats!r}".encode()
+        )
+        assert h.hexdigest() == digest
 
 
 class TestIngest:
@@ -287,12 +445,12 @@ class TestIngest:
         self, lefts, rights, extra
     ):
         spec = "minhash:bands=4,perms=8"
-        grown = build_blocking_index(lefts, rights, spec)
+        grown = BlockingIndex.build(lefts, rights, spec)
         ids = grown.ingest(extra)
         assert ids.tolist() == list(
             range(len(rights), len(rights) + len(extra))
         )
-        full = build_blocking_index(lefts, rights + extra, spec)
+        full = BlockingIndex.build(lefts, rights + extra, spec)
         assert grown.n_indexed == full.n_indexed
         for text in (*lefts, *extra, "novel record", ""):
             assert np.array_equal(grown.probe(text), full.probe(text))
@@ -306,9 +464,9 @@ class TestIngest:
         # the tokens scheme consults corpus statistics — so ingest
         # must reproduce a full rebuild bit-for-bit.
         spec = "tokens:max_df=1.0"
-        grown = build_blocking_index(lefts, rights, spec)
+        grown = BlockingIndex.build(lefts, rights, spec)
         grown.ingest(extra)
-        full = build_blocking_index(lefts, rights + extra, spec)
+        full = BlockingIndex.build(lefts, rights + extra, spec)
         for text in (*lefts, *extra, "novel record"):
             assert np.array_equal(grown.probe(text), full.probe(text))
 
@@ -322,7 +480,7 @@ class TestIngest:
         # are only ever new ids, and every ingested record is
         # discoverable by probing its own text.
         spec = "tokens+prefix:threshold=0.3"
-        index = build_blocking_index(lefts, rights, spec)
+        index = BlockingIndex.build(lefts, rights, spec)
         before = {text: index.probe(text) for text in lefts}
         ids = index.ingest(extra)
         for text in lefts:
@@ -333,8 +491,37 @@ class TestIngest:
             if tokens(text):
                 assert record_id in index.probe(text).tolist()
 
+    @given(lefts=strings, rights=strings, extra=strings)
+    @settings(max_examples=20, deadline=None)
+    def test_one_batch_ingest_equals_record_by_record(
+        self, lefts, rights, extra
+    ):
+        # One k-record ingest grows each touched posting list once;
+        # the lists and probes must equal k one-record ingests.
+        for spec in (
+            "tokens:max_df=0.5",
+            "tokens:q=3,max_df=0.4",
+            "prefix:threshold=0.4",
+            "minhash:bands=4,perms=8",
+        ):
+            batched = BlockingIndex.build(lefts, rights, spec)
+            single = BlockingIndex.build(lefts, rights, spec)
+            ids = batched.ingest(extra)
+            for text in extra:
+                single.ingest([text])
+            assert ids.tolist() == list(range(len(rights), single.n_indexed))
+            [grown], [stepped] = batched._probes, single._probes
+            assert grown._postings.keys() == stepped._postings.keys()
+            for key, posting in grown._postings.items():
+                assert posting.dtype == np.int64
+                assert np.array_equal(posting, stepped._postings[key])
+            for text in (*lefts, *rights, *extra, "novel record"):
+                assert np.array_equal(
+                    batched.probe(text), single.probe(text)
+                ), (spec, text)
+
     def test_empty_ingest_is_a_noop(self):
-        index = build_blocking_index(["alpha"], ["alpha beta"], "tokens")
+        index = BlockingIndex.build(["alpha"], ["alpha beta"], "tokens")
         before = index.probe("alpha")
         assert index.ingest([]).shape == (0,)
         assert index.n_indexed == 1
@@ -377,13 +564,6 @@ class TestSpecParsing:
 
 
 class TestCandidateSet:
-    def test_union_deduplicates(self):
-        a = build_candidate_set(["x y", "z"], ["x", "y"], "tokens")
-        b = build_candidate_set(["x y", "z"], ["x", "y"], "prefix:threshold=0.1")
-        union = a.union(b)
-        folded = union.left * union.n_right + union.right
-        assert len(np.unique(folded)) == union.n_pairs
-
     def test_empty_truth_recall_is_one(self):
         candidates = build_candidate_set(["a"], ["b"], "tokens")
         assert candidates.recall(set()) == 1.0

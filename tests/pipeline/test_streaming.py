@@ -119,6 +119,11 @@ class TestValidation:
                 threshold=THRESHOLD,
             )
 
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_rejects_non_positive_batch_size(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            replay(corpus(10, seed=1), batch_size=batch_size)
+
     def test_subset_of_algorithms(self):
         texts = corpus(30, seed=4)
         result = replay(texts, algorithms=("cc",))

@@ -28,7 +28,6 @@ def service_config(**overrides) -> ServiceConfig:
         seed=42,
         tick=0.002,
         max_batch=64,
-        coalesce=True,
     )
     defaults.update(overrides)
     return ServiceConfig(**defaults)

@@ -25,7 +25,6 @@ def _config(**overrides) -> ServiceConfig:
         scale=0.05,
         max_pairs=200,
         tick=0.002,
-        coalesce=True,
     )
     defaults.update(overrides)
     return ServiceConfig(**defaults)
@@ -55,7 +54,7 @@ def _bodies(app, queries, concurrent: bool, measure=None):
 class TestCoalescingEquivalence:
     def test_concurrent_equals_serial_byte_for_byte(self, left_texts):
         queries = [left_texts[k % len(left_texts)] for k in range(24)]
-        serial_app = create_app(_config(coalesce=False))
+        serial_app = create_app(_config(max_batch=1, tick=0.0))
         serial = _bodies(serial_app, queries, concurrent=False)
         batched_app = create_app(_config())
         batched = _bodies(batched_app, queries, concurrent=True)
@@ -90,11 +89,11 @@ class TestCoalescingEquivalence:
             return await asyncio.gather(*jobs)
 
         mixed_bodies = run_app(app, mixed)
-        serial_app = create_app(_config(coalesce=False))
+        serial_app = create_app(_config(max_batch=1, tick=0.0))
         jaccard = _bodies(
             serial_app, queries[0::2], concurrent=False, measure="jaccard"
         )
-        serial_app2 = create_app(_config(coalesce=False))
+        serial_app2 = create_app(_config(max_batch=1, tick=0.0))
         jaro = _bodies(
             serial_app2, queries[1::2], concurrent=False, measure="jaro"
         )

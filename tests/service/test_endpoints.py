@@ -16,7 +16,8 @@ class TestHealthz:
             payload = response.json()
             assert payload["status"] == "ok"
             assert payload["datasets"] == [SERVICE_DATASET]
-            assert payload["scheduler"]["coalesce"] is True
+            assert payload["scheduler"]["max_batch"] == 64
+            assert payload["scheduler"]["tick"] == 0.002
             return payload
 
         run_app(warm_app, scenario)

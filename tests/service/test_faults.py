@@ -66,7 +66,7 @@ class TestPoisonedRequestIsolation:
         survivors = run_app(app, scenario)
         # The survivors' scores are exactly what an unpoisoned serial
         # run produces: the fault never reached the shared pass.
-        clean_app = create_app(_config(coalesce=False))
+        clean_app = create_app(_config(max_batch=1, tick=0.0))
 
         async def clean(client):
             out = []

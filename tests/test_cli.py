@@ -101,6 +101,32 @@ class TestSweepCommand:
             assert code in out
 
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--artifact-store", "store"),
+            ("--blocking", "tokens"),
+            ("--max-memory", "64M"),
+        ],
+    )
+    def test_rejects_corpus_only_flags(self, flag, value, capsys):
+        # sweep reads a prebuilt graph: no artifacts, candidates or
+        # shards to configure.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["sweep", "g.csv", "t.csv", flag, value])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
+class TestStreamCommand:
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_batch_size_must_be_positive(self, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stream", "d1", "--batch-size", value])
+        assert exit_info.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
+
+
 class TestExperimentsCommand:
     def test_smoke_profile(self, tmp_path, capsys):
         exit_code = main(
@@ -118,7 +144,6 @@ class TestArtifactStoreFlags:
         for argv in (
             ["corpus", "--artifact-store", "store"],
             ["experiments", "--artifact-store", "store"],
-            ["sweep", "g.csv", "t.csv", "--artifact-store", "store"],
         ):
             args = parser.parse_args(argv)
             assert str(args.artifact_store) == "store"
