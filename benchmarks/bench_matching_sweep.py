@@ -22,7 +22,9 @@ then
 
 With ``--workers N`` a third engine pass distributes the (graph x
 algorithm) cells over a process pool and asserts the results are
-invariant under the worker count.
+invariant under the worker count.  The ``--json`` report also carries
+each algorithm's mean per-point seconds on both paths, from the
+sweeps' own ``SweepPoint.seconds``.
 
 Run directly (the CI smoke job does)::
 
@@ -39,6 +41,7 @@ import argparse
 import copy
 import sys
 import time
+from statistics import fmean
 
 import numpy as np
 
@@ -77,10 +80,12 @@ ALL_CODES = (
 DEFAULT_SHAPES = ((150, 160, 15_000), (120, 200, 12_000), (180, 140, 14_000))
 SMOKE_SHAPES = ((70, 80, 3_500),)
 
-#: BAH budgets: small enough that the seeded swap search (identical
-#: work on both paths) does not drown the per-call setup costs, large
-#: enough to stay a real search; the generous time limit keeps the
-#: wall-clock cutoff out of play so runs are deterministic.
+#: BAH budgets: small enough that the seeded swap search does not
+#: drown the per-call setup costs, large enough to stay a real search;
+#: the generous time limit keeps the wall-clock cutoff out of play so
+#: runs are deterministic.  Both paths make the same moves, but the
+#: engine's bulk-drawn move stream makes each one cheaper, so BAH's
+#: ratio measures the search itself as well as the setup.
 BENCH_CONFIG = ExperimentConfig(
     bah_max_moves=300, bah_time_limit=600.0, bah_seed=7
 )
@@ -230,6 +235,17 @@ def assert_identical(
                 )
 
 
+def mean_point_seconds(
+    all_sweeps: list[dict[str, SweepResult]],
+) -> dict[str, float]:
+    """Per algorithm, the mean ``SweepPoint.seconds`` over every graph's
+    sweep (every sweep has one point per grid threshold)."""
+    return {
+        code: fmean(sweeps[code].mean_seconds for sweeps in all_sweeps)
+        for code in ALL_CODES
+    }
+
+
 def _fresh(records: list[GraphRecord]) -> list[GraphRecord]:
     """Deep-copied records so each timed pass starts with cold caches
     (no compiled artifacts or adjacency lists left by a prior pass)."""
@@ -314,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     floor = MIN_SPEEDUP_SMOKE if args.smoke else MIN_SPEEDUP
     passed = speedup >= floor
     if args.json:
+        legacy_points = mean_point_seconds(legacy_sweeps)
+        engine_points = mean_point_seconds(engine_sweeps)
         _write_report(
             args.json,
             "bench_matching_sweep",
@@ -324,6 +342,13 @@ def main(argv: list[str] | None = None) -> int:
             floor=floor,
             asserted=not args.no_assert,
             cells=n_cells,
+            algorithm_point_seconds={
+                code: {
+                    "legacy": legacy_points[code],
+                    "engine": engine_points[code],
+                }
+                for code in ALL_CODES
+            },
         )
     if not args.no_assert and not passed:
         print(

@@ -37,6 +37,12 @@ def render(title: str, pattern: str) -> list[str]:
             f"{report['legacy_seconds']:.2f}s → engine "
             f"{report['engine_seconds']:.2f}s)"
         )
+        if "algorithm_point_seconds" in report:
+            ratios = ", ".join(
+                f"{code} {times['legacy'] / times['engine']:.1f}x"
+                for code, times in report["algorithm_point_seconds"].items()
+            )
+            lines.append(f"  - legacy → engine per sweep point: {ratios}")
         if "reduction" in report:
             lines.append(
                 f"  - candidate reduction "

@@ -564,17 +564,18 @@ def _sweep_one_cell(
     payload: tuple[SimilarityGraph, set[tuple[int, int]], str],
 ) -> dict:
     """One ``repro sweep`` cell (module-level so process pools can
-    pickle it); returns ``{code: sweep}`` so the result shares the
-    sweep journal codec of the experiment runner."""
-    from repro.evaluation.sweep import threshold_sweep
+    pickle it), swept exactly as ``repro experiments`` sweeps ``code``
+    on a corpus graph; returns ``{code: sweep}`` so the result shares
+    the sweep journal codec of the experiment runner."""
+    from repro.evaluation.metrics import GroundTruthIndex
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import sweep_algorithm
 
     graph, truth, code = payload
-    matcher = (
-        create_matcher(code, max_moves=2_000, time_limit=2.0)
-        if code == "BAH"
-        else create_matcher(code)
+    sweep = sweep_algorithm(
+        code, graph, truth, ExperimentConfig(), GroundTruthIndex(truth)
     )
-    return {code: threshold_sweep(matcher, graph, truth)}
+    return {code: sweep}
 
 
 def _default_journal_dir():
@@ -585,14 +586,16 @@ def _default_journal_dir():
 
 def _sweep_run_key(args: argparse.Namespace) -> str:
     """Run identity of one ``repro sweep``: inputs by content, plus
-    the algorithm selection."""
+    the algorithm selection.  The ``protocol`` prefix keeps a resumed
+    run off entries journaled by versions whose BMC cell swept one
+    basis only."""
     import hashlib
 
     digest = hashlib.blake2b(digest_size=8)
     digest.update(args.graph.read_bytes())
     digest.update(b"\x00")
     digest.update(args.truth.read_bytes())
-    return f"cli-sweep-{args.algorithm}-{digest.hexdigest()}"
+    return f"cli-sweep-protocol-{args.algorithm}-{digest.hexdigest()}"
 
 
 def _command_sweep(args: argparse.Namespace) -> int:

@@ -76,6 +76,7 @@ __all__ = [
     "run_dirty_er_sweeps",
     "run_experiments",
     "run_matching_sweeps",
+    "sweep_algorithm",
 ]
 
 _RESULTS_NAME = "results.json"
@@ -213,7 +214,7 @@ def run_matching_sweeps(
     lands and to skip already-journaled graphs on a resumed run.
     """
     return _run_sweeps(
-        records, codes, _sweep_algorithm, config, "runner", progress,
+        records, codes, sweep_algorithm, config, "runner", progress,
         workers, policy, journal,
     )
 
@@ -373,7 +374,7 @@ def _sweep_graph(
     return sweeps
 
 
-def _sweep_algorithm(
+def sweep_algorithm(
     code: str,
     graph: SimilarityGraph,
     ground_truth: set[tuple[int, int]],

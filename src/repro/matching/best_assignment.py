@@ -11,11 +11,27 @@ steps or a wall-clock budget, whichever comes first (the paper uses
 BAH is the paper's stochastic outlier: it occasionally beats every
 other algorithm on balanced collections but is by far the slowest and
 least robust method.
+
+The move stream is the seeded generator's sequence of large-side
+indices, two per move.  The compiled path draws it in bulk, chunks of
+:data:`MOVE_CHUNK` moves through one ``integers(n_large, size=...)``
+call each, where the legacy oracle makes two scalar ``integers`` calls
+per move.  Both consume the PCG64 stream identically: numpy runs the
+same per-value routine for a scalar and for an array draw, and for
+ranges below ``2**32`` that routine takes 32-bit outputs whose unused
+halves of a 64-bit step are buffered in the bit generator's state,
+not in the call.  A value's bits therefore do not depend on how the
+draws are grouped into calls (``tests/matching`` pins this property),
+so the swap decisions and the pairs are the same bit for bit, and a
+move costs a few list indexings and dict lookups instead of two numpy
+calls.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
+from itertools import chain, islice
 
 import numpy as np
 
@@ -27,6 +43,12 @@ __all__ = ["BestAssignmentHeuristic"]
 
 DEFAULT_MAX_MOVES = 10_000
 DEFAULT_TIME_LIMIT = 120.0  # seconds, as in the paper
+
+#: Moves drawn per bulk ``integers`` call of the compiled swap search.
+MOVE_CHUNK = 4_096
+
+#: The swap search reads the clock before every this-many-th move.
+CLOCK_EVERY = 256
 
 _CONTRIBUTION_CACHE_KEY = "bah_contribution"
 
@@ -55,11 +77,20 @@ class BestAssignmentHeuristic(Matcher):
         time_limit: float = DEFAULT_TIME_LIMIT,
         seed: int = 42,
     ) -> None:
-        if max_moves < 0:
-            raise ValueError("max_moves must be non-negative")
-        if time_limit <= 0:
-            raise ValueError("time_limit must be positive")
-        self.max_moves = max_moves
+        if (
+            not isinstance(max_moves, numbers.Integral)
+            or isinstance(max_moves, bool)
+            or max_moves < 0
+        ):
+            raise ValueError(
+                f"max_moves must be a non-negative integer, got {max_moves!r}"
+            )
+        # ``not >`` also rejects NaN, which would disable the deadline.
+        if not time_limit > 0:
+            raise ValueError(
+                f"time_limit must be positive, got {time_limit!r}"
+            )
+        self.max_moves = int(max_moves)
         self.time_limit = time_limit
         self.seed = seed
 
@@ -109,45 +140,72 @@ class BestAssignmentHeuristic(Matcher):
     ) -> list[tuple[int, int]]:
         """The random swap search over a prepared contribution map.
 
-        Identical move sequence and float arithmetic as the legacy
-        :meth:`_search`: ``gain`` yields the pair's maximum weight when
-        it exceeds the threshold and ``0.0`` otherwise, exactly like
-        the legacy per-call dict that only held above-threshold edges.
+        Same moves, clock reads and float arithmetic as the legacy
+        :meth:`_search`.  Move ``m`` swaps large-side entities
+        ``draws[2m]`` and ``draws[2m + 1]`` of the seeded stream, drawn
+        in chunks of :data:`MOVE_CHUNK` moves; a bulk draw yields the
+        same values as the legacy per-move scalar draws (see the module
+        docstring), and draws past an early stop are never used.  The
+        clock is read before every :data:`CLOCK_EVERY`-th move, so a
+        deadline stops both paths at the same move.  A lookup yields
+        the pair's maximum weight when it exceeds the threshold and
+        ``0.0`` otherwise, exactly like the legacy per-call dict that
+        only held above-threshold edges, and ``delta`` sums the same
+        terms in the same order.
         """
-        partner = np.full(n_large, -1, dtype=np.int64)
-        partner[:n_small] = np.arange(n_small)
-        raw = contribution.get
-
-        def get(key: int, default: float = 0.0) -> float:
-            weight = raw(key, 0.0)
-            return weight if weight > threshold else default
-
+        partner = [-1] * n_large
+        partner[:n_small] = range(n_small)
+        get = contribution.get
+        max_moves = self.max_moves
         rng = np.random.default_rng(self.seed)
+
+        def chunks():
+            drawn = 0
+            while drawn < max_moves:
+                k = min(MOVE_CHUNK, max_moves - drawn)
+                yield rng.integers(n_large, size=2 * k).tolist()
+                drawn += k
+
+        stream = chain.from_iterable(chunks())
+        moves = zip(stream, stream)
         deadline = time.perf_counter() + self.time_limit
-        moves = 0
-        check_every = 256  # amortise the clock syscall
-        while moves < self.max_moves:
-            moves += 1
-            if moves % check_every == 0 and time.perf_counter() >= deadline:
+        # Blocks of moves between clock reads: moves 1..CLOCK_EVERY-1,
+        # then CLOCK_EVERY moves starting at each multiple of it.
+        done, block = 0, CLOCK_EVERY - 1
+        while True:
+            for i, j in islice(moves, block):
+                if i == j:
+                    continue
+                pi = partner[i]
+                pj = partner[j]
+                if pi >= 0:
+                    gain = get(j * n_small + pi, 0.0)
+                    loss = get(i * n_small + pi, 0.0)
+                    delta = (gain if gain > threshold else 0.0) - (
+                        loss if loss > threshold else 0.0
+                    )
+                else:
+                    delta = 0.0
+                if pj >= 0:
+                    gain = get(i * n_small + pj, 0.0)
+                    loss = get(j * n_small + pj, 0.0)
+                    delta += (gain if gain > threshold else 0.0) - (
+                        loss if loss > threshold else 0.0
+                    )
+                if delta >= 0.0:
+                    partner[i] = pj
+                    partner[j] = pi
+            done += block
+            if done >= max_moves or time.perf_counter() >= deadline:
                 break
-            i = int(rng.integers(n_large))
-            j = int(rng.integers(n_large))
-            if i == j:
-                continue
-            pi, pj = int(partner[i]), int(partner[j])
-            delta = 0.0
-            if pi >= 0:
-                delta += get(j * n_small + pi, 0.0) - get(i * n_small + pi, 0.0)
-            if pj >= 0:
-                delta += get(i * n_small + pj, 0.0) - get(j * n_small + pj, 0.0)
-            if delta >= 0.0:
-                partner[i], partner[j] = pj, pi
+            block = CLOCK_EVERY
 
         pairs: list[tuple[int, int]] = []
-        for i in range(n_large):
-            j = int(partner[i])
-            if j >= 0 and get(i * n_small + j, 0.0) > 0.0:
-                pairs.append((i, j))
+        for i, j in enumerate(partner):
+            if j >= 0:
+                weight = get(i * n_small + j, 0.0)
+                if weight > threshold and weight > 0.0:
+                    pairs.append((i, j))
         return pairs
 
     def match_legacy(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.graph import SimilarityGraph
@@ -224,10 +225,19 @@ class TestBAH:
         assert result.pairs == [(0, 2)]
 
     def test_rejects_bad_configuration(self):
-        with pytest.raises(ValueError):
-            BestAssignmentHeuristic(max_moves=-1)
-        with pytest.raises(ValueError):
-            BestAssignmentHeuristic(time_limit=0.0)
+        for moves in (-1, 2.5, 2000.0, True, "10"):
+            with pytest.raises(ValueError, match="max_moves"):
+                BestAssignmentHeuristic(max_moves=moves)
+        # NaN would pass a ``<= 0`` check and switch the deadline off.
+        for limit in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="time_limit"):
+                BestAssignmentHeuristic(time_limit=limit)
+        # inf means no limit; numpy integers are integers.
+        bah = BestAssignmentHeuristic(
+            max_moves=np.int64(50), time_limit=float("inf")
+        )
+        assert bah.max_moves == 50 and type(bah.max_moves) is int
+        assert bah.time_limit == float("inf")
 
     def test_seed_controls_randomness(self):
         g = SimilarityGraph.from_edges(

@@ -17,7 +17,8 @@ import pytest
 from repro.evaluation.metrics import evaluate_pairs
 from repro.evaluation.sweep import DEFAULT_THRESHOLD_GRID, threshold_sweep
 from repro.graph import SimilarityGraph
-from repro.matching import ALGORITHM_CODES, create_matcher
+from repro.matching import ALGORITHM_CODES, best_assignment, create_matcher
+from repro.matching.best_assignment import CLOCK_EVERY, MOVE_CHUNK
 
 
 def make_matcher(code):
@@ -109,3 +110,102 @@ def test_sweep_engine_equals_legacy_sweep():
                 graph, point.threshold
             )
             assert point.scores == evaluate_pairs(matching.pairs, truth)
+
+
+# ----------------------------------------------------------------------
+# BAH: the compiled path draws its move stream in bulk chunks
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 2**31 - 1])
+@pytest.mark.parametrize("seed", [0, 3, 42, 2024])
+def test_bulk_draws_equal_scalar_draws(n, seed):
+    """The numpy property the compiled BAH rests on: ``integers(n,
+    size=k)`` in uneven chunks yields the values, and leaves the
+    generator state, of the same number of scalar ``integers(n)``."""
+    sizes = (1, 2 * MOVE_CHUNK, 3, 2 * MOVE_CHUNK - 1, 600)
+    scalar_rng = np.random.default_rng(seed)
+    scalar = [int(scalar_rng.integers(n)) for _ in range(sum(sizes))]
+    bulk_rng = np.random.default_rng(seed)
+    bulk = []
+    for size in sizes:
+        bulk.extend(bulk_rng.integers(n, size=size).tolist())
+    assert bulk == scalar
+    assert bulk_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+#: Two full draw chunks and a partial third.
+LONG_SEARCH_MOVES = 2 * MOVE_CHUNK + 300
+
+
+def long_search_battery():
+    # Dense enough that moves past each chunk seam still change the
+    # pairs at most thresholds.
+    graphs = {
+        "square": _random(11, 80, 80, 6400),
+        # n_left < n_right: the search swaps right-side entities.
+        "wide": _random(12, 25, 70, 1750),
+        # n_large == 1: every move draws i == j.
+        "one_large": SimilarityGraph.from_edges(1, 1, [(0, 0, 0.5)]),
+    }
+    return sorted(graphs.items())
+
+
+@pytest.mark.parametrize(
+    "label,graph",
+    long_search_battery(),
+    ids=[k for k, _ in long_search_battery()],
+)
+def test_bah_across_draw_chunks_equals_legacy(label, graph):
+    matcher = create_matcher(
+        "BAH", max_moves=LONG_SEARCH_MOVES, time_limit=float("inf"), seed=5
+    )
+    for threshold in DEFAULT_THRESHOLD_GRID:
+        assert (
+            matcher.match(graph, threshold).pairs
+            == matcher.match_legacy(graph, threshold).pairs
+        ), f"BAH diverges on {label} at t={threshold}"
+
+
+class _ExpiringClock:
+    """Stand-in for the BAH module's ``time``: ``perf_counter`` reads
+    0.0 until its ``expire_at``-th read, then far past any deadline."""
+
+    def __init__(self, expire_at: int) -> None:
+        self.expire_at = expire_at
+        self.reads = 0
+
+    def perf_counter(self) -> float:
+        self.reads += 1
+        return 0.0 if self.reads < self.expire_at else 1e9
+
+
+def test_bah_deadline_stops_both_paths_at_the_same_move(monkeypatch):
+    graph = _random(7, 40, 40, 400)
+    threshold = 0.3
+    # The first read sets the deadline; the others come before moves
+    # CLOCK_EVERY, 2 * CLOCK_EVERY, ...  Expiring at the fourth read
+    # stops the search after move 3 * CLOCK_EVERY - 1.
+    expire_at = 4
+    stopped_after = (expire_at - 1) * CLOCK_EVERY - 1
+    matcher = create_matcher("BAH", max_moves=20_000, time_limit=1.0, seed=212)
+    stopped = {}
+    for path in ("match", "match_legacy"):
+        clock = _ExpiringClock(expire_at)
+        monkeypatch.setattr(best_assignment, "time", clock)
+        stopped[path] = getattr(matcher, path)(graph, threshold).pairs
+        assert clock.reads == expire_at, path
+    monkeypatch.undo()
+
+    def unlimited(max_moves):
+        bah = create_matcher(
+            "BAH", max_moves=max_moves, time_limit=float("inf"), seed=212
+        )
+        return bah.match(graph, threshold).pairs
+
+    # Seed 212 makes both the last move before the stop and the first
+    # move after it change the pairs, so a stop one move early or late
+    # shows.
+    assert unlimited(stopped_after - 1) != unlimited(stopped_after)
+    assert unlimited(stopped_after + 1) != unlimited(stopped_after)
+    assert stopped["match"] == stopped["match_legacy"]
+    assert stopped["match"] == unlimited(stopped_after)
+    assert stopped["match"] != unlimited(20_000)

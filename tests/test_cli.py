@@ -100,6 +100,22 @@ class TestSweepCommand:
         for code in ("CNC", "RSR", "RCA", "BAH", "BMC", "EXC", "KRC", "UMC"):
             assert code in out
 
+    def test_bmc_keeps_its_better_basis(self, tmp_path, capsys):
+        # Square graph, so BMC's default basis is the left side.  Left
+        # node 0 grabs right node 0 first, which caps the left basis
+        # at F1 0.667 (t = 0.85: only (1, 0)); the right basis finds
+        # both true pairs below t = 0.7.  The protocol keeps the right.
+        graph = tmp_path / "graph.csv"
+        graph.write_text("left,right,weight\n0,0,0.8\n0,1,0.7\n1,0,0.9\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("left,right\n0,1\n1,0\n")
+        assert main(["sweep", str(graph), str(truth), "-a", "BMC"]) == 0
+        row = next(
+            [cell.strip() for cell in line.split("|")]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("BMC")
+        )
+        assert row[1:5] == ["0.65", "1.000", "1.000", "1.000"]
 
     @pytest.mark.parametrize(
         "flag, value",
