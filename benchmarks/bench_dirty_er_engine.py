@@ -4,7 +4,7 @@ Runs the dirty-ER workload — the four clustering algorithms (CC, MCC,
 EMCC, GECG) over every graph at all 20 thresholds — twice:
 
 * the **legacy path**: the frozen networkx reference bodies
-  (``*_legacy`` in :mod:`repro.extensions.dirty_er`), each call
+  (``tests/oracles/dirty_er.py``), each call
   re-pruning its own ``nx.Graph`` copy, scored with the scalar
   :func:`~repro.evaluation.metrics.evaluate_clusters`;
 * the **engine path**:
@@ -39,6 +39,7 @@ import argparse
 import copy
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +47,9 @@ try:  # direct script execution: benchmarks/ is sys.path[0]
     from _report import write_report as _write_report
 except ImportError:  # imported as benchmarks.bench_* from the repo root
     from benchmarks._report import write_report as _write_report
+
+# The frozen oracles are the tests.oracles package under the repo root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.evaluation.metrics import evaluate_clusters
 from repro.evaluation.sweep import (
@@ -60,6 +64,7 @@ from repro.extensions.dirty_er import (
 )
 from repro.graph.unipartite import UnipartiteGraph
 from repro.pipeline.workbench import GraphRecord
+from tests.oracles.dirty_er import cluster_legacy, to_networkx
 
 #: Required engine-vs-legacy speedup.  The acceptance bar is 3x on the
 #: CI smoke profile; the full profile holds the same floor.
@@ -157,7 +162,7 @@ def legacy_dirty_sweep(clusterer, nx_graph, ground_truth, grid):
             )
         else:
             start = time.perf_counter()
-            clusters = clusterer.cluster_legacy(nx_graph, threshold)
+            clusters = cluster_legacy(clusterer, nx_graph, threshold)
             elapsed = time.perf_counter() - start
             scores = evaluate_clusters(clusters, ground_truth)
             point = SweepPoint(
@@ -182,7 +187,7 @@ def run_legacy(
 ) -> list[dict[str, SweepResult]]:
     all_sweeps = []
     for record in records:
-        nx_graph = record.graph.to_networkx()
+        nx_graph = to_networkx(record.graph)
         all_sweeps.append(
             {
                 code: legacy_dirty_sweep(
@@ -228,13 +233,13 @@ def assert_identical_clusterings(
     cluster for cluster, at every grid threshold."""
     checked = 0
     for record in records:
-        nx_graph = record.graph.to_networkx()
+        nx_graph = to_networkx(record.graph)
         compiled = record.graph.compiled()
         for code in DIRTY_ALGORITHM_CODES:
             clusterer = create_clusterer(code)
             for threshold in grid:
                 legacy = _canonical(
-                    clusterer.cluster_legacy(nx_graph, threshold)
+                    cluster_legacy(clusterer, nx_graph, threshold)
                 )
                 engine = _canonical(
                     clusterer.cluster_compiled(compiled, threshold)

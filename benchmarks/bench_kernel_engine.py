@@ -3,7 +3,7 @@
 Computes the schema-based kernel suite — all 16 string measures over
 every schema attribute of a slice of the dataset catalog — twice:
 once through the frozen pre-kernel-engine path
-(:func:`~repro.pipeline.batched_strings.schema_based_matrix_legacy`:
+(``schema_based_matrix_legacy`` in ``tests/oracles/strings.py``:
 per-pair Jaro and Monge-Elkan loops, one-left-at-a-time DPs, no value
 deduplication) and once through the deduplicated, blocked kernel
 engine (:func:`~repro.pipeline.batched_strings.schema_based_matrix`),
@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -40,20 +41,21 @@ try:  # direct script execution: benchmarks/ is sys.path[0]
 except ImportError:  # imported as benchmarks.bench_* from the repo root
     from benchmarks._report import write_report as _write_report
 
+# The frozen oracles are the tests.oracles package under the repo root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
 from repro.datasets.catalog import dataset_spec
 from repro.datasets.generator import generate_dataset
 from repro.embeddings import FastTextLikeModel
-from repro.embeddings.measures import (
-    word_mover_similarity_matrix,
-    word_mover_similarity_matrix_legacy,
-)
-from repro.pipeline.batched_strings import (
-    StringBatch,
-    schema_based_matrix,
-    schema_based_matrix_legacy,
-)
+from repro.embeddings.measures import word_mover_similarity_matrix
+from repro.pipeline.batched_strings import StringBatch, schema_based_matrix
 from repro.pipeline.kernels import UniquePlan, kernel_threads
 from repro.textsim.registry import SCHEMA_BASED_MEASURES
+from tests.oracles.embeddings import word_mover_similarity_matrix_legacy
+from tests.oracles.strings import (
+    LegacyStringBatch,
+    schema_based_matrix_legacy,
+)
 
 #: Required kernel-vs-legacy speedup on the schema-based suite.  The
 #: kernel engine removes structural redundancy (duplicated values,
@@ -97,12 +99,13 @@ def _attribute_values(workload):
     return columns
 
 
-def run_suite(columns, compute) -> tuple[dict, float]:
-    """All 16 measures on every column; returns matrices + seconds."""
+def run_suite(columns, compute, batch_type) -> tuple[dict, float]:
+    """All 16 measures on every column, sharing one ``batch_type``
+    batch per column; returns matrices + seconds."""
     matrices = {}
     start = time.perf_counter()
     for label, lefts, rights in columns:
-        batch = StringBatch(lefts, rights)
+        batch = batch_type(lefts, rights)
         for measure in SCHEMA_BASED_MEASURES:
             matrices[(label, measure)] = compute(
                 lefts, rights, measure, batch
@@ -173,8 +176,8 @@ def main(argv: list[str] | None = None) -> int:
     columns = _attribute_values(workload)
 
     warm = _attribute_values((_WARMUP,))
-    run_suite(warm, schema_based_matrix_legacy)
-    run_suite(warm, schema_based_matrix)
+    run_suite(warm, schema_based_matrix_legacy, LegacyStringBatch)
+    run_suite(warm, schema_based_matrix, StringBatch)
 
     # Interleave the passes and keep each path's minimum: the minimum
     # of repeated runs is the noise-robust wall-clock estimator.
@@ -182,9 +185,11 @@ def main(argv: list[str] | None = None) -> int:
     legacy: dict = {}
     kernel: dict = {}
     for _ in range(max(args.repeats, 1)):
-        legacy, seconds = run_suite(columns, schema_based_matrix_legacy)
+        legacy, seconds = run_suite(
+            columns, schema_based_matrix_legacy, LegacyStringBatch
+        )
         legacy_seconds = min(legacy_seconds, seconds)
-        kernel, seconds = run_suite(columns, schema_based_matrix)
+        kernel, seconds = run_suite(columns, schema_based_matrix, StringBatch)
         kernel_seconds = min(kernel_seconds, seconds)
 
     assert_identical(legacy, kernel, "legacy vs kernels")
@@ -203,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.threads > 1:
         with kernel_threads(args.threads):
             threaded, threaded_seconds = run_suite(
-                columns, schema_based_matrix
+                columns, schema_based_matrix, StringBatch
             )
         assert_identical(kernel, threaded, f"threads=1 vs {args.threads}")
         print(

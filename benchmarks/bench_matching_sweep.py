@@ -4,9 +4,9 @@ Runs the paper's core loop — every algorithm (all ten, including the
 two oracles) over every graph at all 20 thresholds — twice:
 
 * the **legacy path**: the pre-refactor implementations
-  (``Matcher.match_legacy``), each call masking, copying and
-  re-sorting the edge arrays for itself, scored with the scalar
-  ``evaluate_pairs``;
+  (``match_legacy`` in ``tests/oracles/matching.py``), each call
+  masking, copying and re-sorting the edge arrays for itself, scored
+  with the scalar ``evaluate_pairs``;
 * the **engine path**: :func:`repro.experiments.runner.run_matching_sweeps`,
   where each graph is compiled once (one edge sort + CSR adjacency)
   and every ``(algorithm, threshold)`` cell consumes cached prefix
@@ -41,6 +41,7 @@ import argparse
 import copy
 import sys
 import time
+from pathlib import Path
 from statistics import fmean
 
 import numpy as np
@@ -49,6 +50,9 @@ try:  # direct script execution: benchmarks/ is sys.path[0]
     from _report import write_report as _write_report
 except ImportError:  # imported as benchmarks.bench_* from the repo root
     from benchmarks._report import write_report as _write_report
+
+# The frozen oracles are the tests.oracles package under the repo root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.evaluation.metrics import evaluate_pairs
 from repro.evaluation.sweep import (
@@ -61,6 +65,7 @@ from repro.experiments.runner import run_matching_sweeps
 from repro.graph.bipartite import SimilarityGraph
 from repro.matching import BestMatchClustering, create_matcher
 from repro.pipeline.workbench import GraphRecord
+from tests.oracles.matching import match_legacy
 
 #: Required engine-vs-legacy speedup on the benchmark profile.  The
 #: redundancy the engine removes is structural (20 masks + sorts and
@@ -149,7 +154,7 @@ def legacy_threshold_sweep(matcher, graph, ground_truth, grid):
             )
         else:
             start = time.perf_counter()
-            matching = matcher.match_legacy(graph, threshold)
+            matching = match_legacy(matcher, graph, threshold)
             elapsed = time.perf_counter() - start
             scores = evaluate_pairs(matching.pairs, ground_truth)
             point = SweepPoint(

@@ -14,21 +14,20 @@ are bucketed by token count and each bucket pair runs one stacked
 ``np.matmul`` (bit-identical per slice to the per-pair gemm) followed
 by batched distance/min reductions; only the final ``np.dot`` weighted
 sums stay per-pair, because BLAS matvec and vector-dot accumulate in
-different orders.  The frozen pair loop remains available as
-:func:`word_mover_similarity_matrix_legacy` for differential testing.
+different orders.  The frozen pair loop is a test oracle
+(``tests/oracles/embeddings.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.embeddings.wmd import relaxed_word_mover_distance, token_stats
+from repro.embeddings.wmd import token_stats
 
 __all__ = [
     "cosine_similarity_matrix",
     "euclidean_similarity_matrix",
     "word_mover_similarity_matrix",
-    "word_mover_similarity_matrix_legacy",
 ]
 
 
@@ -116,7 +115,8 @@ def word_mover_similarity_matrix(
     Texts are grouped into token-count buckets; each ``(count_a,
     count_b)`` bucket pair computes its Gram tensor with one stacked
     ``np.matmul`` whose 2-D slices have exactly the per-pair shapes, so
-    every entry is bit-identical to the legacy pair loop.
+    every entry is bit-identical to a per-pair loop over
+    :func:`~repro.embeddings.wmd.relaxed_word_mover_distance`.
     """
     n_left = len(token_matrices_left)
     n_right = len(token_matrices_right)
@@ -213,44 +213,10 @@ def _rwmd_block(
     cost = np.empty((n_a, n_b))
     for i in range(n_a):
         for j in range(n_b):
-            # np.dot keeps the exact legacy accumulation order (BLAS
+            # np.dot keeps the per-pair accumulation order (BLAS
             # matvec would not).
             cost[i, j] = max(
                 np.dot(weights_a[i], nearest_ab[i, j]),
                 np.dot(weights_b[j], nearest_ba[i, j]),
             )
     return 1.0 / (1.0 + cost)
-
-
-def word_mover_similarity_matrix_legacy(
-    token_matrices_left: list[np.ndarray],
-    token_matrices_right: list[np.ndarray],
-    stats_left: list[tuple[np.ndarray, np.ndarray]] | None = None,
-    stats_right: list[tuple[np.ndarray, np.ndarray]] | None = None,
-) -> np.ndarray:
-    """Frozen per-pair RWMD loop (pre-kernel-engine reference)."""
-    n_left = len(token_matrices_left)
-    n_right = len(token_matrices_right)
-    result = np.zeros((n_left, n_right))
-    no_stats = (None, None)
-    for i, tokens_a in enumerate(token_matrices_left):
-        sq_a, weights_a = (
-            stats_left[i] if stats_left is not None else no_stats
-        )
-        for j, tokens_b in enumerate(token_matrices_right):
-            sq_b, weights_b = (
-                stats_right[j] if stats_right is not None else no_stats
-            )
-            distance = relaxed_word_mover_distance(
-                tokens_a,
-                tokens_b,
-                weights_a=weights_a,
-                weights_b=weights_b,
-                sq_a=sq_a,
-                sq_b=sq_b,
-            )
-            if np.isinf(distance):
-                result[i, j] = 0.0
-            else:
-                result[i, j] = 1.0 / (1.0 + distance)
-    return result

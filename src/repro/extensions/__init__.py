@@ -16,8 +16,6 @@ leaves out of the CCER evaluation; this package implements them:
 from repro.extensions.dirty_er import (
     DIRTY_ALGORITHM_CODES,
     DirtyClusterer,
-    DirtyERGraph,
-    build_graph,
     connected_components_clusters,
     create_clusterer,
     extended_maximum_clique_clustering,
@@ -27,11 +25,9 @@ from repro.extensions.dirty_er import (
 from repro.extensions.qlearning import QLearningMatcher
 
 __all__ = [
-    "DirtyERGraph",
     "DirtyClusterer",
     "DIRTY_ALGORITHM_CODES",
     "create_clusterer",
-    "build_graph",
     "connected_components_clusters",
     "maximum_clique_clustering",
     "extended_maximum_clique_clustering",

@@ -16,244 +16,51 @@ methods (beyond plain connected components):
   edge whose flip most increases the number of label-consistent
   triangles; clusters are the components of match-labelled edges.
 
-Since the compiled port, every algorithm has three entry points,
-mirroring the bipartite matchers' convention:
+Every algorithm has two entry points, mirroring the bipartite
+matchers' convention:
 
-* ``<algorithm>(graph, threshold)`` — the public API; accepts a
-  :class:`~repro.graph.unipartite.UnipartiteGraph` or the legacy
-  ``nx.Graph`` and runs the compiled kernel (compiling implicitly);
+* ``<algorithm>(graph, threshold)`` — the public API over a
+  :class:`~repro.graph.unipartite.UnipartiteGraph`; compiles the graph
+  implicitly (cached on the graph) and runs the compiled kernel;
 * ``<algorithm>_compiled(view, threshold)`` — the sweep-native kernel
   over a :class:`~repro.graph.unipartite.CompiledUnipartiteGraph`:
   cached threshold selections, ``scipy.sparse.csgraph`` components,
   Python-int adjacency *bitsets* for the clique growth, and the GECG
-  triangle-consistency gain as two sparse matmuls per iteration;
-* ``<algorithm>_legacy(graph, threshold)`` — the frozen networkx
-  reference body, the oracle of the differential tests and of
-  ``benchmarks/bench_dirty_er_engine.py``.
+  triangle-consistency gain as two sparse matmuls per iteration.
 
-Determinism note: the pre-port prototype delegated clique selection to
+Determinism note: the networkx prototype delegated clique selection to
 ``nx.max_weight_clique``, whose result among equal-size cliques is an
-implementation detail.  Both paths now use one *canonical* rule — the
+implementation detail.  The kernels use one *canonical* rule — the
 maximum-cardinality maximal clique, ties broken by the
 lexicographically smallest sorted vertex list — and GECG breaks gain
-ties by ascending ``(u, v)`` edge order, so legacy and compiled
-clusterings are identical partition-for-partition, not just
-equivalent up to tie choices.
+ties by ascending ``(u, v)`` edge order.  The prototype's bodies, with
+the same rules, are frozen as test oracles
+(``tests/oracles/dirty_er.py``), and the kernels reproduce them
+partition for partition, not just up to tie choices.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import numbers
 
-import networkx as nx
 import numpy as np
 
 from repro.graph.selection import selection_mask
 from repro.graph.unipartite import CompiledUnipartiteGraph, UnipartiteGraph
 
 __all__ = [
-    "DirtyERGraph",
     "DirtyClusterer",
     "DIRTY_ALGORITHM_CODES",
     "create_clusterer",
-    "build_graph",
     "connected_components_clusters",
     "connected_components_clusters_compiled",
-    "connected_components_clusters_legacy",
     "maximum_clique_clustering",
     "maximum_clique_clustering_compiled",
-    "maximum_clique_clustering_legacy",
     "extended_maximum_clique_clustering",
     "extended_maximum_clique_clustering_compiled",
-    "extended_maximum_clique_clustering_legacy",
     "global_edge_consistency_gain",
     "global_edge_consistency_gain_compiled",
-    "global_edge_consistency_gain_legacy",
 ]
-
-#: A legacy Dirty-ER similarity graph: any undirected weighted
-#: nx.Graph whose edge attribute ``weight`` carries the similarity in
-#: [0, 1].  The engine-native representation is
-#: :class:`~repro.graph.unipartite.UnipartiteGraph`.
-DirtyERGraph = nx.Graph
-
-
-def build_graph(
-    n_nodes: int, edges: Iterable[tuple[int, int, float]]
-) -> DirtyERGraph:
-    """Convenience constructor for a legacy (networkx) Dirty-ER graph."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n_nodes))
-    for u, v, weight in edges:
-        graph.add_edge(u, v, weight=float(weight))
-    return graph
-
-
-def _as_unipartite(graph) -> UnipartiteGraph:
-    """Accept either graph representation at the public entry points."""
-    if isinstance(graph, UnipartiteGraph):
-        return graph
-    return UnipartiteGraph.from_networkx(graph)
-
-
-def _as_networkx(graph) -> DirtyERGraph:
-    """Accept either graph representation at the legacy entry points."""
-    if isinstance(graph, UnipartiteGraph):
-        return graph.to_networkx()
-    return graph
-
-
-# ======================================================================
-# Frozen legacy bodies (networkx) — the differential-testing oracle
-# ======================================================================
-def _pruned(graph: DirtyERGraph, threshold: float) -> DirtyERGraph:
-    pruned = nx.Graph()
-    pruned.add_nodes_from(graph.nodes)
-    pruned.add_edges_from(
-        (u, v, data)
-        for u, v, data in graph.edges(data=True)
-        if data.get("weight", 0.0) >= threshold
-    )
-    return pruned
-
-
-def _canonical_max_clique_nx(graph: DirtyERGraph) -> list[int]:
-    """The canonical maximum clique: max size, then lex-smallest.
-
-    Enumerates the maximal cliques (every maximum clique is maximal)
-    and keeps the largest, breaking size ties by the lexicographically
-    smallest sorted vertex list — the rule the compiled bitset kernel
-    implements identically.
-    """
-    best_size = 0
-    best: list[int] | None = None
-    for clique in nx.find_cliques(graph):
-        candidate = sorted(clique)
-        if len(candidate) > best_size or (
-            len(candidate) == best_size
-            and best is not None
-            and candidate < best
-        ):
-            best_size, best = len(candidate), candidate
-    return best or []
-
-
-def connected_components_clusters_legacy(
-    graph: DirtyERGraph, threshold: float
-) -> list[set[int]]:
-    """Transitive closure of the pruned graph (clusters of any size)."""
-    graph = _as_networkx(graph)
-    pruned = _pruned(graph, threshold)
-    return [set(component) for component in nx.connected_components(pruned)]
-
-
-def maximum_clique_clustering_legacy(
-    graph: DirtyERGraph, threshold: float
-) -> list[set[int]]:
-    """MCC: iteratively remove the canonical maximum clique.
-
-    Edge weights are ignored after pruning, per the paper's
-    description.  Singleton leftovers become singleton clusters.
-    """
-    graph = _as_networkx(graph)
-    working = _pruned(graph, threshold)
-    clusters: list[set[int]] = []
-    while working.number_of_edges() > 0:
-        clique = _canonical_max_clique_nx(working)
-        clusters.append(set(clique))
-        working.remove_nodes_from(clique)
-    clusters.extend({node} for node in working.nodes)
-    return clusters
-
-
-def extended_maximum_clique_clustering_legacy(
-    graph: DirtyERGraph,
-    threshold: float,
-    attachment_fraction: float = 0.5,
-) -> list[set[int]]:
-    """EMCC: remove canonical maximal cliques, then enlarge them.
-
-    After removing a clique, outside vertices adjacent (in the pruned
-    graph) to at least ``attachment_fraction`` of the clique's members
-    join the cluster; candidates are examined in ascending node order
-    against the *growing* cluster.
-    """
-    if not 0.0 < attachment_fraction <= 1.0:
-        raise ValueError("attachment_fraction must be in (0, 1]")
-    graph = _as_networkx(graph)
-    pruned = _pruned(graph, threshold)
-    working = pruned.copy()
-    clusters: list[set[int]] = []
-    while working.number_of_edges() > 0:
-        clique = _canonical_max_clique_nx(working)
-        cluster = set(clique)
-        required = max(1, int(round(attachment_fraction * len(cluster))))
-        candidates = set(working.nodes) - cluster
-        for node in sorted(candidates):
-            incident = sum(
-                1 for member in cluster if working.has_edge(node, member)
-            )
-            if incident >= required:
-                cluster.add(node)
-        clusters.append(cluster)
-        working.remove_nodes_from(cluster)
-    clusters.extend({node} for node in working.nodes)
-    return clusters
-
-
-def global_edge_consistency_gain_legacy(
-    graph: DirtyERGraph,
-    threshold: float,
-    max_iterations: int = 100,
-) -> list[set[int]]:
-    """GECG: flip edge labels to maximize triangle consistency.
-
-    A triangle is *consistent* when its three edges carry the same
-    label.  Starting from the thresholded labelling, the single flip
-    with the largest positive consistency gain — ties broken by
-    ascending ``(u, v)`` edge order — is applied per iteration until
-    no flip helps (or the iteration budget runs out); clusters are the
-    connected components of match-labelled edges.
-    """
-    graph = _as_networkx(graph)
-    labels: dict[tuple[int, int], bool] = {}
-    for u, v, data in graph.edges(data=True):
-        edge = (min(u, v), max(u, v))
-        labels[edge] = data.get("weight", 0.0) >= threshold
-
-    adjacency: dict[int, set[int]] = {node: set() for node in graph.nodes}
-    for u, v in labels:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-
-    def edge_label(a: int, b: int) -> bool:
-        return labels[(min(a, b), max(a, b))]
-
-    def flip_gain(edge: tuple[int, int]) -> int:
-        u, v = edge
-        current = labels[edge]
-        gain = 0
-        for w in adjacency[u] & adjacency[v]:
-            other = (edge_label(u, w), edge_label(v, w))
-            consistent_now = other[0] == other[1] == current
-            consistent_flip = other[0] == other[1] == (not current)
-            gain += int(consistent_flip) - int(consistent_now)
-        return gain
-
-    for _ in range(max_iterations):
-        best_edge, best_gain = None, 0
-        for edge in sorted(labels):
-            gain = flip_gain(edge)
-            if gain > best_gain:
-                best_edge, best_gain = edge, gain
-        if best_edge is None:
-            break
-        labels[best_edge] = not labels[best_edge]
-
-    matched = nx.Graph()
-    matched.add_nodes_from(graph.nodes)
-    matched.add_edges_from(edge for edge, label in labels.items() if label)
-    return [set(component) for component in nx.connected_components(matched)]
 
 
 # ======================================================================
@@ -296,9 +103,9 @@ def _canonical_max_clique_bits(
     filtering is one ``&`` per recursion step regardless of degree.
     Among the enumerated maximal cliques the largest wins, with size
     ties broken by the lexicographically smallest sorted vertex list —
-    the same rule as :func:`_canonical_max_clique_nx`.  The
-    size-bound prune is strict (``<``), so equal-size cliques are
-    still visited for the lexicographic comparison.
+    the canonical rule of the module docstring.  The size-bound prune
+    is strict (``<``), so equal-size cliques are still visited for the
+    lexicographic comparison.
     """
     best_size = 0
     best: list[int] | None = None
@@ -399,8 +206,8 @@ def _clique_removal_compiled(
 ) -> list[set[int]]:
     """Shared MCC/EMCC driver: per-component canonical clique removal.
 
-    Clusters removed from one component never touch another, so the
-    global greedy loop of the legacy bodies decomposes exactly into
+    Clusters removed from one component never touch another, so a
+    global greedy clique-removal loop decomposes exactly into
     independent per-component loops — same partition, much smaller
     clique searches.
     """
@@ -524,10 +331,9 @@ def global_edge_consistency_gain_compiled(
     instead of rescoring the full graph.  The maintained gain array is
     exactly the full recompute, so the flip sequence — first edge
     attaining the maximum positive gain in canonical ascending
-    ``(u, v)`` order, via ``np.argmax`` — is unchanged from the
-    full-recompute kernel and from the legacy iteration order;
-    clusters are the ``csgraph`` components of the match-labelled
-    edges.
+    ``(u, v)`` order, via ``np.argmax`` — is unchanged from a
+    full-recompute kernel; clusters are the ``csgraph`` components of
+    the match-labelled edges.
     """
     n = compiled.n_nodes
     m = compiled.n_edges
@@ -610,42 +416,40 @@ def global_edge_consistency_gain_compiled(
 # Public entry points (thin wrappers; compile implicitly)
 # ======================================================================
 def connected_components_clusters(
-    graph, threshold: float
+    graph: UnipartiteGraph, threshold: float
 ) -> list[set[int]]:
     """Transitive closure of the pruned graph (clusters of any size)."""
     return connected_components_clusters_compiled(
-        _as_unipartite(graph).compiled(), threshold
+        graph.compiled(), threshold
     )
 
 
-def maximum_clique_clustering(graph, threshold: float) -> list[set[int]]:
+def maximum_clique_clustering(
+    graph: UnipartiteGraph, threshold: float
+) -> list[set[int]]:
     """MCC: iteratively remove the canonical maximum clique."""
-    return maximum_clique_clustering_compiled(
-        _as_unipartite(graph).compiled(), threshold
-    )
+    return maximum_clique_clustering_compiled(graph.compiled(), threshold)
 
 
 def extended_maximum_clique_clustering(
-    graph,
+    graph: UnipartiteGraph,
     threshold: float,
     attachment_fraction: float = 0.5,
 ) -> list[set[int]]:
     """EMCC: remove canonical maximal cliques, then enlarge them."""
-    if not 0.0 < attachment_fraction <= 1.0:
-        raise ValueError("attachment_fraction must be in (0, 1]")
     return extended_maximum_clique_clustering_compiled(
-        _as_unipartite(graph).compiled(), threshold, attachment_fraction
+        graph.compiled(), threshold, attachment_fraction
     )
 
 
 def global_edge_consistency_gain(
-    graph,
+    graph: UnipartiteGraph,
     threshold: float,
     max_iterations: int = 100,
 ) -> list[set[int]]:
     """GECG: flip edge labels to maximize triangle consistency."""
     return global_edge_consistency_gain_compiled(
-        _as_unipartite(graph).compiled(), threshold, max_iterations
+        graph.compiled(), threshold, max_iterations
     )
 
 
@@ -660,9 +464,11 @@ class DirtyClusterer:
     """One Dirty-ER clustering algorithm with its parameters.
 
     The clustering counterpart of :class:`repro.matching.base.Matcher`:
-    ``cluster`` is the thin public entry point (compiles implicitly),
-    ``cluster_compiled`` is sweep-native, and ``cluster_legacy`` runs
-    the frozen networkx reference body.
+    ``cluster`` is the thin public entry point (compiles implicitly)
+    and ``cluster_compiled`` is sweep-native.  The parameters are
+    checked once, here: ``attachment_fraction`` (EMCC) must lie in
+    ``(0, 1]`` and ``max_iterations`` (GECG) must be a non-negative
+    integer.
     """
 
     def __init__(
@@ -676,17 +482,32 @@ class DirtyClusterer:
                 f"unknown dirty-ER algorithm {code!r}; expected one of "
                 f"{DIRTY_ALGORITHM_CODES}"
             )
+        # ``not`` of the chained comparison also rejects NaN.
+        if not 0.0 < attachment_fraction <= 1.0:
+            raise ValueError(
+                "attachment_fraction must lie in (0, 1], got "
+                f"{attachment_fraction!r}"
+            )
+        if (
+            not isinstance(max_iterations, numbers.Integral)
+            or isinstance(max_iterations, bool)
+            or max_iterations < 0
+        ):
+            raise ValueError(
+                "max_iterations must be a non-negative integer, got "
+                f"{max_iterations!r}"
+            )
         self.code = code
         self.attachment_fraction = attachment_fraction
-        self.max_iterations = max_iterations
+        self.max_iterations = int(max_iterations)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DirtyClusterer({self.code})"
 
-    def cluster(self, graph, threshold: float) -> list[set[int]]:
-        return self.cluster_compiled(
-            _as_unipartite(graph).compiled(), threshold
-        )
+    def cluster(
+        self, graph: UnipartiteGraph, threshold: float
+    ) -> list[set[int]]:
+        return self.cluster_compiled(graph.compiled(), threshold)
 
     def cluster_compiled(
         self, compiled: CompiledUnipartiteGraph, threshold: float
@@ -701,19 +522,6 @@ class DirtyClusterer:
             )
         return global_edge_consistency_gain_compiled(
             compiled, threshold, self.max_iterations
-        )
-
-    def cluster_legacy(self, graph, threshold: float) -> list[set[int]]:
-        if self.code == "CC":
-            return connected_components_clusters_legacy(graph, threshold)
-        if self.code == "MCC":
-            return maximum_clique_clustering_legacy(graph, threshold)
-        if self.code == "EMCC":
-            return extended_maximum_clique_clustering_legacy(
-                graph, threshold, self.attachment_fraction
-            )
-        return global_edge_consistency_gain_legacy(
-            graph, threshold, self.max_iterations
         )
 
 

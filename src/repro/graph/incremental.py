@@ -1,17 +1,15 @@
-"""Incremental updates for the compiled graph structures.
+"""Incremental updates for the compiled unipartite graph.
 
-The compiled forms (:class:`~repro.graph.compiled.CompiledGraph`,
-:class:`~repro.graph.unipartite.CompiledUnipartiteGraph`) were
-rebuild-only: one new record invalidated every sort, CSR run and
-cached threshold selection.  This module makes them *updatable* —
-the substrate of the streaming layer (:mod:`repro.pipeline.streaming`)
-and of the service ingest hook.
+The compiled form (:class:`~repro.graph.unipartite.CompiledUnipartiteGraph`)
+was rebuild-only: one new record invalidated every sort, CSR run and
+cached threshold selection.  This module makes it *updatable* — the
+substrate of the streaming layer (:mod:`repro.pipeline.streaming`).
 
 Three rules govern every mutation:
 
 * **Delta merge, never re-sort.**  An insert sorts only the delta
   (``O(d log d)``) and merges it into the descending-weight edge
-  permutation and into each CSR side by one structured-key
+  permutation and into the symmetric CSR by one structured-key
   ``searchsorted`` plus one ``np.insert`` (``O(m + d log m)`` — a
   memmove, not an ``O(m log m)`` sort).  Deletes mirror the same
   positions with ``np.delete``.  Because the sort keys are total
@@ -20,43 +18,33 @@ Three rules govern every mutation:
   ``tests/graph/test_incremental.py`` proves by hypothesis.
 * **Source stays consistent.**  The mutators patch the source
   graph's edge arrays (append on insert, delete on delete) and the
-  ``order`` permutation alongside, so provenance features
-  (:meth:`~repro.graph.compiled.EdgeSelection.original_indices`,
-  :meth:`to_graph`) keep working mid-stream.
+  ``order`` permutation alongside, so provenance stays exact
+  mid-stream.
 * **Selections invalidate only when crossed.**  A cached
-  :class:`~repro.graph.compiled.EdgeSelection` is a prefix view of
-  the descending permutation; a delta edge strictly below its
+  :class:`~repro.graph.unipartite.UniEdgeSelection` is a prefix view
+  of the descending permutation; a delta edge strictly below its
   threshold lands *after* the prefix and leaves the view untouched.
   Only selections whose threshold the delta crosses update their
   ``count`` (by the delta's own prefix length — no re-search) and
-  drop their lazy per-node caches.
+  drop their lazy caches.
 
-The unipartite mutators additionally maintain the cached GECG
-triangle-incidence base (``kernel_cache["gecg_base"]``) in place:
-new triangles are enumerated only around the delta edges, old
-triangle edge-indices are remapped by rank, and the derived
-edge-to-incidence index (``"gecg_entries"``) is dropped for lazy
-rebuild.  Every other ``kernel_cache`` entry is threshold-level
-derived state and is cleared.
+The mutators additionally maintain the cached GECG triangle-incidence
+base (``kernel_cache["gecg_base"]``) in place: new triangles are
+enumerated only around the delta edges, old triangle edge-indices are
+remapped by rank, and the derived edge-to-incidence index
+(``"gecg_entries"``) is dropped for lazy rebuild.  Every other
+``kernel_cache`` entry is threshold-level derived state and is
+cleared.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.compiled import CompiledGraph
 from repro.graph.selection import prefix_length
 from repro.graph.unipartite import CompiledUnipartiteGraph
 
-__all__ = [
-    "add_left_nodes",
-    "add_right_nodes",
-    "add_uni_nodes",
-    "delete_edges",
-    "delete_uni_edges",
-    "insert_edges",
-    "insert_uni_edges",
-]
+__all__ = ["add_uni_nodes", "delete_uni_edges", "insert_uni_edges"]
 
 _EDGE_KEY = np.dtype(
     [("w", np.float64), ("a", np.int64), ("b", np.int64)]
@@ -165,35 +153,22 @@ def _csr_delete(
     return new_indptr, new_neighbors, new_weights
 
 
-def _insert_sorted(compiled, ends: tuple[str, str], d_a, d_b, d_w):
+def _insert_sorted(compiled: CompiledUnipartiteGraph, d_u, d_v, d_w):
     """Merge a canonical delta into the descending-weight edge
     permutation and append it to the source graph, in place.
 
-    ``ends`` names the endpoint arrays (``("left", "right")`` or
-    ``("u", "v")``): ``compiled.<end>_sorted`` on the compiled side,
-    ``source.<end>`` on the graph.  ``order`` is patched so provenance
-    indices stay exact.  Returns the delta's weights in descending
-    order for the selection update.
+    ``order`` is patched so provenance indices stay exact.  Returns the
+    delta's weights in descending order for the selection update.
     """
     graph = compiled.source
-    order = np.lexsort((d_b, d_a, -d_w))
-    sorted_delta = (d_a[order], d_b[order])
-    sw = d_w[order]
-    a_sorted, b_sorted = (f"{end}_sorted" for end in ends)
+    order = np.lexsort((d_v, d_u, -d_w))
+    su, sv, sw = d_u[order], d_v[order], d_w[order]
     keys = _edge_keys(
-        compiled.weight_sorted,
-        getattr(compiled, a_sorted),
-        getattr(compiled, b_sorted),
+        compiled.weight_sorted, compiled.u_sorted, compiled.v_sorted
     )
-    positions = np.searchsorted(
-        keys, _edge_keys(sw, *sorted_delta), side="right"
-    )
-    for name, values in zip((a_sorted, b_sorted), sorted_delta):
-        setattr(
-            compiled,
-            name,
-            np.insert(getattr(compiled, name), positions, values),
-        )
+    positions = np.searchsorted(keys, _edge_keys(sw, su, sv), side="right")
+    compiled.u_sorted = np.insert(compiled.u_sorted, positions, su)
+    compiled.v_sorted = np.insert(compiled.v_sorted, positions, sv)
     compiled.weight_sorted = np.insert(
         compiled.weight_sorted, positions, sw
     )
@@ -203,43 +178,42 @@ def _insert_sorted(compiled, ends: tuple[str, str], d_a, d_b, d_w):
     compiled.order = np.insert(
         compiled.order, positions, graph.n_edges + order
     )
-    for end, values in zip(ends, (d_a, d_b)):
-        setattr(graph, end, np.concatenate([getattr(graph, end), values]))
+    graph.u = np.concatenate([graph.u, d_u])
+    graph.v = np.concatenate([graph.v, d_v])
     graph.weight = np.concatenate([graph.weight, d_w])
     compiled.n_edges = graph.n_edges
     return sw
 
 
-def _delete_sorted(compiled, ends: tuple[str, str], d_a, d_b, d_w):
+def _delete_sorted(compiled: CompiledUnipartiteGraph, d_u, d_v, d_w):
     """Remove a canonical delta from the descending-weight edge
     permutation and from the source graph, in place.
 
     The inverse of :func:`_insert_sorted`: surviving provenance
     indices shift down by the number of deleted source rows below
     them.  Returns the delta sorted like the permutation,
-    ``(a, b, weight)``, for the CSR and selection updates.
+    ``(u, v, weight)``, for the CSR and selection updates.
     """
     graph = compiled.source
-    order = np.lexsort((d_b, d_a, -d_w))
-    sa, sb, sw = d_a[order], d_b[order], d_w[order]
-    a_sorted, b_sorted = (f"{end}_sorted" for end in ends)
-    old_a, old_b = getattr(compiled, a_sorted), getattr(compiled, b_sorted)
+    order = np.lexsort((d_v, d_u, -d_w))
+    su, sv, sw = d_u[order], d_v[order], d_w[order]
+    old_u, old_v = compiled.u_sorted, compiled.v_sorted
     positions = np.searchsorted(
-        _edge_keys(compiled.weight_sorted, old_a, old_b),
-        _edge_keys(sw, sa, sb),
+        _edge_keys(compiled.weight_sorted, old_u, old_v),
+        _edge_keys(sw, su, sv),
         side="left",
     )
     if (
         positions.max(initial=-1) >= compiled.n_edges
-        or not np.array_equal(old_a[positions], sa)
-        or not np.array_equal(old_b[positions], sb)
+        or not np.array_equal(old_u[positions], su)
+        or not np.array_equal(old_v[positions], sv)
         or not np.array_equal(compiled.weight_sorted[positions], sw)
     ):
         raise ValueError("edge to delete not present in graph")
     removed = np.sort(compiled.order[positions])
 
-    setattr(compiled, a_sorted, np.delete(old_a, positions))
-    setattr(compiled, b_sorted, np.delete(old_b, positions))
+    compiled.u_sorted = np.delete(old_u, positions)
+    compiled.v_sorted = np.delete(old_v, positions)
     compiled.weight_sorted = np.delete(compiled.weight_sorted, positions)
     compiled.weight_ascending = np.ascontiguousarray(
         compiled.weight_sorted[::-1]
@@ -247,11 +221,11 @@ def _delete_sorted(compiled, ends: tuple[str, str], d_a, d_b, d_w):
     kept = np.delete(compiled.order, positions)
     compiled.order = kept - np.searchsorted(removed, kept, side="left")
 
-    for end in ends:
-        setattr(graph, end, np.delete(getattr(graph, end), removed))
+    graph.u = np.delete(graph.u, removed)
+    graph.v = np.delete(graph.v, removed)
     graph.weight = np.delete(graph.weight, removed)
     compiled.n_edges = graph.n_edges
-    return sa, sb, sw
+    return su, sv, sw
 
 
 def _csr_weights(
@@ -280,9 +254,12 @@ def _delta_prefix(weights_desc: np.ndarray, threshold: float,
     return prefix_length(ascending, threshold, inclusive)
 
 
+#: The lazy per-threshold caches of a ``UniEdgeSelection``.
+_SELECTION_LAZY = ("_sparse", "_bitsets", "_component_labels")
+
+
 def _update_selections(
-    selections: dict, weights_desc: np.ndarray, sign: int,
-    lazy_fields: tuple[str, ...],
+    selections: dict, weights_desc: np.ndarray, sign: int
 ) -> None:
     """Patch cached selections in place: counts move by the delta's own
     prefix length; lazy caches drop only when the delta crossed."""
@@ -290,163 +267,10 @@ def _update_selections(
         passing = _delta_prefix(weights_desc, threshold, inclusive)
         if passing:
             selection.count += sign * passing
-            for name in lazy_fields:
+            for name in _SELECTION_LAZY:
                 setattr(selection, name, None)
 
 
-_BI_SELECTION_LAZY = ("_left_counts", "_right_counts")
-_UNI_SELECTION_LAZY = ("_sparse", "_bitsets", "_component_labels")
-_BI_DERIVED = (
-    "_left_pairs", "_right_pairs", "_left_lists", "_right_lists",
-    "_merged_lists", "_averages", "_ripple_queue",
-)
-
-
-def _reset_bipartite_derived(compiled: CompiledGraph) -> None:
-    for name in _BI_DERIVED:
-        setattr(compiled, name, None)
-    compiled.kernel_cache.clear()
-
-
-# ======================================================================
-# Bipartite CompiledGraph
-# ======================================================================
-def insert_edges(
-    compiled: CompiledGraph, left, right, weight
-) -> None:
-    """Insert edges into a compiled bipartite graph, in place.
-
-    The delta is merged into the descending-weight permutation and
-    both CSR sides without re-sorting; the source graph's edge arrays
-    gain the delta (appended in caller order) and ``order`` is patched
-    so provenance indices stay exact.  Bit-identical to recompiling
-    the grown graph from scratch.
-    """
-    d_left, d_right, d_weight = _as_delta(left, right, weight)
-    if len(d_left) == 0:
-        return
-    if (
-        d_left.min() < 0 or d_left.max() >= compiled.n_left
-        or d_right.min() < 0 or d_right.max() >= compiled.n_right
-    ):
-        raise ValueError("delta endpoint out of range")
-
-    sw = _insert_sorted(
-        compiled, ("left", "right"), d_left, d_right, d_weight
-    )
-    compiled.left_indptr, compiled.left_neighbors, compiled.left_weights = (
-        _csr_insert(
-            compiled.left_indptr, compiled.left_neighbors,
-            compiled.left_weights, d_left, d_right, d_weight,
-        )
-    )
-    (
-        compiled.right_indptr,
-        compiled.right_neighbors,
-        compiled.right_weights,
-    ) = _csr_insert(
-        compiled.right_indptr, compiled.right_neighbors,
-        compiled.right_weights, d_right, d_left, d_weight,
-    )
-    _update_selections(
-        compiled._selections, sw, +1, _BI_SELECTION_LAZY
-    )
-    _reset_bipartite_derived(compiled)
-
-
-def delete_edges(
-    compiled: CompiledGraph, left, right, weight=None
-) -> None:
-    """Delete edges from a compiled bipartite graph, in place.
-
-    ``weight`` may be omitted; each edge's weight is then resolved
-    through its left-CSR run (duplicates delete their highest-weight
-    occurrence first).  Mirrors :func:`insert_edges` exactly, so an
-    insert-then-delete round-trip is bit-identical to a fresh compile.
-    """
-    if weight is None:
-        d_left = np.atleast_1d(np.asarray(left, dtype=np.int64))
-        d_right = np.atleast_1d(np.asarray(right, dtype=np.int64))
-        d_weight = _csr_weights(
-            compiled.left_indptr, compiled.left_neighbors,
-            compiled.left_weights, d_left, d_right,
-        )
-    else:
-        d_left, d_right, d_weight = _as_delta(left, right, weight)
-    if len(d_left) == 0:
-        return
-    delta_keys = _edge_keys(d_weight, d_left, d_right)
-    if len(np.unique(delta_keys)) != len(delta_keys):
-        # A repeated (left, right, weight) triple would resolve to one
-        # searchsorted position and silently delete a single edge.
-        raise ValueError("duplicate edges in delete delta")
-    sl, sr, sw = _delete_sorted(
-        compiled, ("left", "right"), d_left, d_right, d_weight
-    )
-    compiled.left_indptr, compiled.left_neighbors, compiled.left_weights = (
-        _csr_delete(
-            compiled.left_indptr, compiled.left_neighbors,
-            compiled.left_weights, sl, sr, sw,
-        )
-    )
-    (
-        compiled.right_indptr,
-        compiled.right_neighbors,
-        compiled.right_weights,
-    ) = _csr_delete(
-        compiled.right_indptr, compiled.right_neighbors,
-        compiled.right_weights, sr, sl, sw,
-    )
-    _update_selections(
-        compiled._selections, sw, -1, _BI_SELECTION_LAZY
-    )
-    _reset_bipartite_derived(compiled)
-
-
-def _grow_nodes(
-    compiled, count: int, size: str, indptr: str, lazy: tuple[str, ...]
-) -> None:
-    """Grow one node set by ``count`` isolated nodes, in place.
-
-    ``size`` names the node count (on the compiled graph and its
-    source) and ``indptr`` the CSR pointer array of that node set.
-    Cached selection counts stay valid (isolated nodes admit no
-    edges), but their node-count-shaped ``lazy`` views must re-derive.
-    """
-    if count < 0:
-        raise ValueError("node count must be non-negative")
-    setattr(compiled, size, getattr(compiled, size) + count)
-    setattr(compiled.source, size, getattr(compiled.source, size) + count)
-    pointers = getattr(compiled, indptr)
-    setattr(
-        compiled,
-        indptr,
-        np.concatenate(
-            [pointers, np.full(count, pointers[-1], dtype=pointers.dtype)]
-        ),
-    )
-    for selection in compiled._selections.values():
-        for name in lazy:
-            setattr(selection, name, None)
-
-
-def add_left_nodes(compiled: CompiledGraph, count: int) -> None:
-    """Grow the left side by ``count`` isolated nodes, in place."""
-    _grow_nodes(compiled, count, "n_left", "left_indptr", _BI_SELECTION_LAZY)
-    _reset_bipartite_derived(compiled)
-
-
-def add_right_nodes(compiled: CompiledGraph, count: int) -> None:
-    """Grow the right side by ``count`` isolated nodes, in place."""
-    _grow_nodes(
-        compiled, count, "n_right", "right_indptr", _BI_SELECTION_LAZY
-    )
-    _reset_bipartite_derived(compiled)
-
-
-# ======================================================================
-# Unipartite CompiledUnipartiteGraph
-# ======================================================================
 def _canonical_uni_delta(u, v, weight):
     d_u, d_v, d_w = _as_delta(u, v, weight)
     lo = np.minimum(d_u, d_v)
@@ -486,7 +310,7 @@ def insert_uni_edges(
     if len(np.unique(keys)) != len(keys):
         raise ValueError("duplicate edges in delta")
 
-    sw = _insert_sorted(compiled, ("u", "v"), d_u, d_v, d_w)
+    sw = _insert_sorted(compiled, d_u, d_v, d_w)
     # Symmetric CSR: every delta edge lands under both endpoints.
     compiled.indptr, compiled.neighbors, compiled.neighbor_weights = (
         _csr_insert(
@@ -498,9 +322,7 @@ def insert_uni_edges(
             np.concatenate([d_w, d_w]),
         )
     )
-    _update_selections(
-        compiled._selections, sw, +1, _UNI_SELECTION_LAZY
-    )
+    _update_selections(compiled._selections, sw, +1)
     _patch_gecg_base(compiled, d_u, d_v, d_w, inserted=True)
 
 
@@ -524,7 +346,7 @@ def delete_uni_edges(
     pair_keys = d_u * np.int64(max(compiled.n_nodes, 1)) + d_v
     if len(np.unique(pair_keys)) != len(pair_keys):
         raise ValueError("duplicate edges in delete delta")
-    su, sv, sw = _delete_sorted(compiled, ("u", "v"), d_u, d_v, d_w)
+    su, sv, sw = _delete_sorted(compiled, d_u, d_v, d_w)
     compiled.indptr, compiled.neighbors, compiled.neighbor_weights = (
         _csr_delete(
             compiled.indptr,
@@ -535,15 +357,29 @@ def delete_uni_edges(
             np.concatenate([sw, sw]),
         )
     )
-    _update_selections(
-        compiled._selections, sw, -1, _UNI_SELECTION_LAZY
-    )
+    _update_selections(compiled._selections, sw, -1)
     _patch_gecg_base(compiled, d_u, d_v, d_w, inserted=False)
 
 
 def add_uni_nodes(compiled: CompiledUnipartiteGraph, count: int) -> None:
-    """Grow the node set by ``count`` isolated nodes, in place."""
-    _grow_nodes(compiled, count, "n_nodes", "indptr", _UNI_SELECTION_LAZY)
+    """Grow the node set by ``count`` isolated nodes, in place.
+
+    Cached selection counts stay valid (isolated nodes admit no edges),
+    but their node-count-shaped lazy views must re-derive.
+    """
+    if count < 0:
+        raise ValueError("node count must be non-negative")
+    compiled.n_nodes += count
+    compiled.source.n_nodes += count
+    compiled.indptr = np.concatenate(
+        [
+            compiled.indptr,
+            np.full(count, compiled.indptr[-1], dtype=compiled.indptr.dtype),
+        ]
+    )
+    for selection in compiled._selections.values():
+        for name in _SELECTION_LAZY:
+            setattr(selection, name, None)
     # The triangle base is edge-indexed and survives node growth;
     # everything else in the kernel cache is cleared defensively.
     base = compiled.kernel_cache.pop("gecg_base", None)

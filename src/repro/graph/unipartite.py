@@ -23,9 +23,9 @@ graph are the clustering algorithms of
   threshold-level derived state (component labels, adjacency bitsets).
 
 The Dirty-ER literature prunes with ``sim >= t`` (the networkx
-prototype always did), so selections here default to **inclusive**
-semantics — still resolved by :mod:`repro.graph.selection`, never
-locally.
+prototype, now a test oracle, always did), so selections here default
+to **inclusive** semantics — still resolved by
+:mod:`repro.graph.selection`, never locally.
 """
 
 from __future__ import annotations
@@ -154,39 +154,6 @@ class UnipartiteGraph:
         else:
             u, v, weight = (), (), ()
         return cls(n_nodes, u, v, weight, name=name)
-
-    @classmethod
-    def from_networkx(cls, graph, name: str = "") -> "UnipartiteGraph":
-        """Convert an ``nx.Graph`` whose nodes are ``0 .. n-1``.
-
-        This is the bridge from the legacy networkx prototype; missing
-        ``weight`` attributes default to ``0.0`` as the prototype's
-        pruning did.
-        """
-        nodes = sorted(graph.nodes)
-        n = len(nodes)
-        if nodes and (nodes[0] != 0 or nodes[-1] != n - 1):
-            raise ValueError("networkx nodes must be exactly 0 .. n-1")
-        return cls.from_edges(
-            n,
-            (
-                (a, b, data.get("weight", 0.0))
-                for a, b, data in graph.edges(data=True)
-            ),
-            name=name,
-        )
-
-    def to_networkx(self):
-        """The graph as an ``nx.Graph`` (for the legacy reference path)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.n_nodes))
-        for a, b, weight in zip(
-            self.u.tolist(), self.v.tolist(), self.weight.tolist()
-        ):
-            graph.add_edge(a, b, weight=weight)
-        return graph
 
     # ------------------------------------------------------------------
     # Basic properties

@@ -27,10 +27,10 @@ the sweep-native ``match_compiled(view, threshold)``, which consumes a
 and all thresholds of a sweep share one edge sort, one CSR adjacency
 and cached per-threshold edge selections.  Both return a
 :class:`MatchingResult` whose pairs satisfy the unique-mapping
-constraint of CCER; the pre-compiled implementations survive as
-``match_legacy`` and the differential test-suite plus
-``benchmarks/bench_matching_sweep.py`` pin the two paths to
-bit-identical output.
+constraint of CCER.  The pre-compiled implementations are frozen as
+test oracles (``tests/oracles/matching.py``); the differential
+test-suite and ``benchmarks/bench_matching_sweep.py`` pin the compiled
+path to bit-identical output.
 """
 
 from repro.matching.base import Matcher, MatchingResult

@@ -13,8 +13,8 @@ Matchers expose two equivalent entry points:
   It is now a thin wrapper: it compiles the graph (cached on the graph
   instance, so the cost is paid once per graph, not per call) and
   delegates to the compiled path.  Results are bit-identical to the
-  pre-compiled implementations, which remain available as
-  :meth:`Matcher.match_legacy` for differential testing and the
+  pre-compiled implementations, frozen as test oracles in
+  ``tests/oracles/matching.py`` for the differential tests and the
   matching-sweep benchmark.
 * :meth:`Matcher.match_compiled` — the sweep-native path, consuming a
   :class:`~repro.graph.compiled.CompiledGraph` directly so repeated
@@ -142,19 +142,6 @@ class Matcher(ABC):
                 "match_compiled()"
             )
         return self.match(view.source, threshold)
-
-    def match_legacy(
-        self, graph: SimilarityGraph, threshold: float
-    ) -> MatchingResult:
-        """The pre-compiled reference implementation, kept verbatim.
-
-        Used by the differential test-suite and by
-        ``benchmarks/bench_matching_sweep.py`` as the baseline whose
-        output the compiled kernels must reproduce bit for bit.
-        Matchers without a dedicated legacy body fall back to
-        :meth:`match`.
-        """
-        return self.match(graph, threshold)
 
     def _result(
         self, pairs: list[tuple[int, int]], threshold: float

@@ -13,9 +13,10 @@ other algorithm on balanced collections but is by far the slowest and
 least robust method.
 
 The move stream is the seeded generator's sequence of large-side
-indices, two per move.  The compiled path draws it in bulk, chunks of
+indices, two per move.  The search draws it in bulk, chunks of
 :data:`MOVE_CHUNK` moves through one ``integers(n_large, size=...)``
-call each, where the legacy oracle makes two scalar ``integers`` calls
+call each, where the frozen reference search
+(``tests/oracles/matching.py``) makes two scalar ``integers`` calls
 per move.  Both consume the PCG64 stream identically: numpy runs the
 same per-value routine for a scalar and for an array draw, and for
 ranges below ``2**32`` that routine takes 32-bit outputs whose unused
@@ -35,7 +36,6 @@ from itertools import chain, islice
 
 import numpy as np
 
-from repro.graph.bipartite import SimilarityGraph
 from repro.graph.compiled import CompiledGraph
 from repro.matching.base import Matcher, MatchingResult
 
@@ -140,18 +140,18 @@ class BestAssignmentHeuristic(Matcher):
     ) -> list[tuple[int, int]]:
         """The random swap search over a prepared contribution map.
 
-        Same moves, clock reads and float arithmetic as the legacy
-        :meth:`_search`.  Move ``m`` swaps large-side entities
+        Same moves, clock reads and float arithmetic as the frozen
+        reference search.  Move ``m`` swaps large-side entities
         ``draws[2m]`` and ``draws[2m + 1]`` of the seeded stream, drawn
         in chunks of :data:`MOVE_CHUNK` moves; a bulk draw yields the
-        same values as the legacy per-move scalar draws (see the module
-        docstring), and draws past an early stop are never used.  The
-        clock is read before every :data:`CLOCK_EVERY`-th move, so a
-        deadline stops both paths at the same move.  A lookup yields
-        the pair's maximum weight when it exceeds the threshold and
-        ``0.0`` otherwise, exactly like the legacy per-call dict that
-        only held above-threshold edges, and ``delta`` sums the same
-        terms in the same order.
+        same values as the reference's per-move scalar draws (see the
+        module docstring), and draws past an early stop are never used.
+        The clock is read before every :data:`CLOCK_EVERY`-th move, so
+        a deadline stops both searches at the same move.  A lookup
+        yields the pair's maximum weight when it exceeds the threshold
+        and ``0.0`` otherwise, exactly like the reference's per-call
+        dict that only held above-threshold edges, and ``delta`` sums
+        the same terms in the same order.
         """
         partner = [-1] * n_large
         partner[:n_small] = range(n_small)
@@ -206,72 +206,4 @@ class BestAssignmentHeuristic(Matcher):
                 weight = get(i * n_small + j, 0.0)
                 if weight > threshold and weight > 0.0:
                     pairs.append((i, j))
-        return pairs
-
-    def match_legacy(
-        self, graph: SimilarityGraph, threshold: float
-    ) -> MatchingResult:
-        # The pseudocode assumes |V1| >= |V2|: swaps happen on the
-        # larger side.  Work on the swapped graph when needed and flip
-        # the pairs back at the end.
-        flipped = graph.n_left < graph.n_right
-        working = graph.swap_sides() if flipped else graph
-
-        pairs = self._search(working, threshold)
-        if flipped:
-            pairs = [(j, i) for i, j in pairs]
-        pairs.sort()
-        return self._result(pairs, threshold)
-
-    def _search(
-        self, graph: SimilarityGraph, threshold: float
-    ) -> list[tuple[int, int]]:
-        n_large = graph.n_left
-        n_small = graph.n_right
-        if n_large == 0 or n_small == 0:
-            return []
-
-        # d(v1, v2): edge weight if above the threshold, else 0.
-        contribution: dict[tuple[int, int], float] = {}
-        for i, j, w in zip(graph.left, graph.right, graph.weight):
-            if w > threshold:
-                key = (int(i), int(j))
-                if w > contribution.get(key, 0.0):
-                    contribution[key] = float(w)
-
-        # partner[i] = the small-side entity currently paired with the
-        # large-side entity i, or -1.  Initial assignment pairs the
-        # first |V2| large entities with the small entities in order.
-        partner = np.full(n_large, -1, dtype=np.int64)
-        partner[:n_small] = np.arange(n_small)
-
-        def gain(i: int, j: int) -> float:
-            return contribution.get((i, j), 0.0)
-
-        rng = np.random.default_rng(self.seed)
-        deadline = time.perf_counter() + self.time_limit
-        moves = 0
-        check_every = 256  # amortise the clock syscall
-        while moves < self.max_moves:
-            moves += 1
-            if moves % check_every == 0 and time.perf_counter() >= deadline:
-                break
-            i = int(rng.integers(n_large))
-            j = int(rng.integers(n_large))
-            if i == j:
-                continue
-            pi, pj = int(partner[i]), int(partner[j])
-            delta = 0.0
-            if pi >= 0:
-                delta += gain(j, pi) - gain(i, pi)
-            if pj >= 0:
-                delta += gain(i, pj) - gain(j, pj)
-            if delta >= 0.0:
-                partner[i], partner[j] = pj, pi
-
-        pairs: list[tuple[int, int]] = []
-        for i in range(n_large):
-            j = int(partner[i])
-            if j >= 0 and gain(i, j) > 0.0:
-                pairs.append((i, j))
         return pairs

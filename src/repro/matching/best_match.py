@@ -14,7 +14,6 @@ collection usually wins.
 
 from __future__ import annotations
 
-from repro.graph.bipartite import SimilarityGraph
 from repro.graph.compiled import CompiledGraph
 from repro.matching.base import Matcher, MatchingResult
 
@@ -57,33 +56,6 @@ class BestMatchClustering(Matcher):
         else:
             n_basis = view.n_right
             adjacency = view.right_adjacency()
-
-        matched_other: set[int] = set()
-        pairs: list[tuple[int, int]] = []
-        for node in range(n_basis):
-            for other, weight in adjacency[node]:
-                if weight <= threshold:
-                    break  # adjacency sorted by descending weight
-                if other not in matched_other:
-                    matched_other.add(other)
-                    if basis == "left":
-                        pairs.append((node, other))
-                    else:
-                        pairs.append((other, node))
-                    break
-        pairs.sort()
-        return self._result(pairs, threshold)
-
-    def match_legacy(
-        self, graph: SimilarityGraph, threshold: float
-    ) -> MatchingResult:
-        basis = self._resolved_basis(graph)
-        if basis == "left":
-            n_basis = graph.n_left
-            adjacency = graph.left_adjacency()
-        else:
-            n_basis = graph.n_right
-            adjacency = graph.right_adjacency()
 
         matched_other: set[int] = set()
         pairs: list[tuple[int, int]] = []

@@ -7,10 +7,9 @@ entities, one from each collection.  Time complexity ``O(n + m)``.
 
 The compiled kernel takes the inclusive threshold prefix of the
 compiled edge permutation and labels components with
-:func:`scipy.sparse.csgraph.connected_components` (C speed); the
-legacy path runs the original Python union-find.  A 2-node component
-in a bipartite graph is necessarily one left node joined to one right
-node, so both paths emit exactly the same pairs.
+:func:`scipy.sparse.csgraph.connected_components` (C speed).  A 2-node
+component in a bipartite graph is necessarily one left node joined to
+one right node, so each surviving component is one pair.
 
 The paper observes that CNC trades very high precision for low recall:
 any node involved in a larger component is discarded entirely.
@@ -22,49 +21,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from repro.graph.bipartite import SimilarityGraph
 from repro.graph.compiled import CompiledGraph
 from repro.matching.base import Matcher, MatchingResult
 
-__all__ = ["ConnectedComponentsClustering", "UnionFind"]
-
-
-class UnionFind:
-    """Array-based disjoint-set forest with union by size.
-
-    Nodes are dense integers ``0 .. n-1``.  Besides the parent pointers
-    it tracks per-root component size, which CNC needs to reject
-    components larger than two nodes without a second pass.
-    """
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int) -> None:
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        """Return the root of ``x`` with path halving."""
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return int(x)
-
-    def union(self, a: int, b: int) -> int:
-        """Merge the components of ``a`` and ``b``; return the new root."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return ra
-
-    def component_size(self, x: int) -> int:
-        """Size of the component containing ``x``."""
-        return int(self.size[self.find(x)])
+__all__ = ["ConnectedComponentsClustering"]
 
 
 class ConnectedComponentsClustering(Matcher):
@@ -107,32 +67,4 @@ class ConnectedComponentsClustering(Matcher):
         pairs = list(
             zip((keys // stride).tolist(), (keys % stride).tolist())
         )
-        return self._result(pairs, threshold)
-
-    def match_legacy(
-        self, graph: SimilarityGraph, threshold: float
-    ) -> MatchingResult:
-        mask = graph.weight >= threshold
-        left = graph.left[mask]
-        right = graph.right[mask]
-
-        n_total = graph.n_left + graph.n_right
-        forest = UnionFind(n_total)
-        for i, j in zip(left, right):
-            forest.union(int(i), int(graph.n_left + j))
-
-        pairs: list[tuple[int, int]] = []
-        # A valid partition has exactly one left and one right node;
-        # in a bipartite graph a 2-node component is necessarily one
-        # edge, hence cross-collection.  Iterate edges and emit each
-        # 2-node component exactly once (via its left member).
-        emitted: set[int] = set()
-        for i, j in zip(left, right):
-            i = int(i)
-            if i in emitted:
-                continue
-            if forest.component_size(i) == 2:
-                pairs.append((i, int(j)))
-                emitted.add(i)
-        pairs.sort()
         return self._result(pairs, threshold)

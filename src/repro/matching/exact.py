@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.bipartite import SimilarityGraph
 from repro.graph.compiled import CompiledGraph
 from repro.matching.base import Matcher, MatchingResult
 
@@ -71,31 +70,3 @@ class ExactClustering(Matcher):
         first = np.minimum(starts, len(neighbors) - 1)
         above = weights[first] > threshold
         return np.where(has_edges & above, neighbors[first], -1)
-
-    def match_legacy(
-        self, graph: SimilarityGraph, threshold: float
-    ) -> MatchingResult:
-        left_adjacency = graph.left_adjacency()
-        right_adjacency = graph.right_adjacency()
-
-        best_for_left = self._best_neighbours(left_adjacency, threshold)
-        best_for_right = self._best_neighbours(right_adjacency, threshold)
-
-        pairs: list[tuple[int, int]] = []
-        for i, j in enumerate(best_for_left):
-            if j >= 0 and best_for_right[j] == i:
-                pairs.append((i, j))
-        return self._result(pairs, threshold)
-
-    @staticmethod
-    def _best_neighbours(
-        adjacency: list[list[tuple[int, float]]], threshold: float
-    ) -> list[int]:
-        """Index of each node's top neighbour above the threshold, or -1."""
-        best: list[int] = []
-        for neighbours in adjacency:
-            if neighbours and neighbours[0][1] > threshold:
-                best.append(neighbours[0][0])
-            else:
-                best.append(-1)
-        return best

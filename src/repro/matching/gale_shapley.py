@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.graph.bipartite import SimilarityGraph
 from repro.graph.compiled import CompiledGraph
 from repro.matching.base import Matcher, MatchingResult
 
@@ -43,16 +42,6 @@ class GaleShapleyMatching(Matcher):
             selection.left_counts(),
             threshold,
         )
-
-    def match_legacy(
-        self, graph: SimilarityGraph, threshold: float
-    ) -> MatchingResult:
-        preferences: list[list[tuple[int, float]]] = [
-            [(j, w) for j, w in neighbours if w > threshold]
-            for neighbours in graph.left_adjacency()
-        ]
-        limits = [len(prefs) for prefs in preferences]
-        return self._propose(graph.n_left, preferences, limits, threshold)
 
     def _propose(
         self,

@@ -50,22 +50,12 @@ class HungarianMatching(Matcher):
     ) -> MatchingResult:
         selection = view.select(threshold, inclusive=False)
         # Scatter in ascending *original* edge order so that parallel
-        # duplicate edges resolve with the same last-write-wins value
-        # as the legacy mask-based construction.
+        # duplicate edges resolve last-write-wins in source order.
         indices = selection.original_indices()
         graph = view.source
         return self._solve_dense(
             graph, graph.left[indices], graph.right[indices],
             graph.weight[indices], threshold,
-        )
-
-    def match_legacy(
-        self, graph: SimilarityGraph, threshold: float
-    ) -> MatchingResult:
-        mask = graph.weight > threshold
-        return self._solve_dense(
-            graph, graph.left[mask], graph.right[mask], graph.weight[mask],
-            threshold,
         )
 
     def _solve_dense(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.graph.bipartite import SimilarityGraph
 from repro.graph.compiled import CompiledGraph
 from repro.matching.base import Matcher, MatchingResult
 
@@ -49,21 +48,6 @@ class KiralyClustering(Matcher):
             selection.left_counts(),
             threshold,
         )
-
-    def match_legacy(
-        self, graph: SimilarityGraph, threshold: float
-    ) -> MatchingResult:
-        n_left = graph.n_left
-        left_adjacency = graph.left_adjacency()
-
-        # Preference lists: neighbours above the threshold, already in
-        # descending-weight order.
-        preferences: list[list[tuple[int, float]]] = [
-            [(j, w) for j, w in neighbours if w > threshold]
-            for neighbours in left_adjacency
-        ]
-        limits = [len(prefs) for prefs in preferences]
-        return self._propose(n_left, preferences, limits, threshold)
 
     def _propose(
         self,

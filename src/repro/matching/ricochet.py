@@ -12,7 +12,6 @@ re-assigned to their nearest available singleton.  Time complexity
 
 from __future__ import annotations
 
-from repro.graph.bipartite import SimilarityGraph
 from repro.graph.compiled import CompiledGraph
 from repro.matching.base import Matcher, MatchingResult
 
@@ -38,9 +37,8 @@ class RicochetSRClustering(Matcher):
     * the final output keeps the 2-node partitions as matched pairs.
 
     The compiled kernel reuses the seed queue, node averages and merged
-    adjacency cached on the :class:`CompiledGraph` (all are
-    threshold-independent, yet the legacy path rebuilt each of them on
-    every one of a sweep's 20 calls); the rippling itself is unchanged.
+    adjacency cached on the :class:`CompiledGraph`: all are
+    threshold-independent, so a sweep's 20 calls build them once.
     """
 
     code = "RSR"
@@ -111,89 +109,3 @@ class RicochetSRClustering(Matcher):
                 pairs.append((a, b - n_left))
         pairs.sort()
         return self._result(pairs, threshold)
-
-    def match_legacy(
-        self, graph: SimilarityGraph, threshold: float
-    ) -> MatchingResult:
-        n_left = graph.n_left
-        n_total = n_left + graph.n_right
-
-        adjacency = self._merged_adjacency(graph)
-
-        left_avg, right_avg = graph.average_node_weights()
-        averages = list(left_avg) + list(right_avg)
-        # Seeds in descending average weight; ascending id on ties.
-        queue = sorted(range(n_total), key=lambda v: (-averages[v], v))
-
-        sim_with_center = [0.0] * n_total
-        center_of = list(range(n_total))
-        partition: list[set[int]] = [set() for _ in range(n_total)]
-        is_center = [False] * n_total
-
-        for seed in queue:
-            to_reassign: list[int] = []
-            for neighbour, sim in adjacency[seed]:
-                if sim <= threshold:
-                    break  # adjacency is sorted by descending weight
-                if is_center[neighbour]:
-                    continue
-                if sim > sim_with_center[neighbour]:
-                    old_center = center_of[neighbour]
-                    partition[old_center].discard(neighbour)
-                    partition[seed].add(neighbour)
-                    if old_center != neighbour:
-                        to_reassign.append(old_center)
-                    sim_with_center[neighbour] = sim
-                    center_of[neighbour] = seed
-                    break
-
-            if partition[seed]:
-                if center_of[seed] != seed:
-                    partition[center_of[seed]].discard(seed)
-                    to_reassign.append(center_of[seed])
-                is_center[seed] = True
-                partition[seed].add(seed)
-                center_of[seed] = seed
-                sim_with_center[seed] = 1.0
-
-            for lonely in to_reassign:
-                if len(partition[lonely]) > 1:
-                    continue  # regained a member in the meantime
-                best_target = lonely
-                best_sim = 0.0
-                for neighbour, sim in adjacency[lonely]:
-                    if sim <= threshold:
-                        break
-                    if sim > best_sim and len(partition[neighbour]) < 2:
-                        best_target = neighbour
-                        best_sim = sim
-                if best_sim > 0.0 and len(partition[best_target]) < 2:
-                    partition[lonely].discard(lonely)
-                    partition[best_target].add(lonely)
-                    center_of[lonely] = best_target
-                    sim_with_center[lonely] = best_sim
-
-        pairs: list[tuple[int, int]] = []
-        for cluster in partition:
-            if len(cluster) != 2:
-                continue
-            a, b = sorted(cluster)
-            if a < n_left <= b:
-                pairs.append((a, b - n_left))
-        pairs.sort()
-        return self._result(pairs, threshold)
-
-    @staticmethod
-    def _merged_adjacency(
-        graph: SimilarityGraph,
-    ) -> list[list[tuple[int, float]]]:
-        """Adjacency over the merged id space, sorted by desc. weight."""
-        n_left = graph.n_left
-        left_adj = graph.left_adjacency()
-        right_adj = graph.right_adjacency()
-        merged: list[list[tuple[int, float]]] = []
-        for neighbours in left_adj:
-            merged.append([(n_left + j, w) for j, w in neighbours])
-        for neighbours in right_adj:
-            merged.append(list(neighbours))
-        return merged

@@ -14,7 +14,6 @@ Time complexity ``O(|V1| * |V2|)``.
 
 from __future__ import annotations
 
-from repro.graph.bipartite import SimilarityGraph
 from repro.graph.compiled import CompiledGraph
 from repro.matching.base import Matcher, MatchingResult
 
@@ -53,24 +52,6 @@ class RowColumnClustering(Matcher):
             else:
                 chosen = [(i, j, w) for j, i, w in second_pairs_swapped]
             view.kernel_cache[_PASS_CACHE_KEY] = chosen
-
-        pairs = sorted((i, j) for i, j, w in chosen if w >= threshold)
-        return self._result(pairs, threshold)
-
-    def match_legacy(
-        self, graph: SimilarityGraph, threshold: float
-    ) -> MatchingResult:
-        first_pairs, first_value = self._greedy_pass(
-            graph.n_left, graph.left_adjacency()
-        )
-        second_pairs_swapped, second_value = self._greedy_pass(
-            graph.n_right, graph.right_adjacency()
-        )
-
-        if first_value > second_value:
-            chosen = first_pairs
-        else:
-            chosen = [(i, j, w) for j, i, w in second_pairs_swapped]
 
         pairs = sorted((i, j) for i, j, w in chosen if w >= threshold)
         return self._result(pairs, threshold)

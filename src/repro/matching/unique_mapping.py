@@ -12,9 +12,6 @@ gap) and, together with KRC, the top F-measure performer.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.graph.bipartite import SimilarityGraph
 from repro.graph.compiled import CompiledGraph
 from repro.matching.base import Matcher, MatchingResult
 
@@ -42,30 +39,6 @@ class UniqueMappingClustering(Matcher):
         matched_right: set[int] = set()
         pairs: list[tuple[int, int]] = []
         for i, j in zip(selection.left.tolist(), selection.right.tolist()):
-            if i in matched_left or j in matched_right:
-                continue
-            matched_left.add(i)
-            matched_right.add(j)
-            pairs.append((i, j))
-        pairs.sort()
-        return self._result(pairs, threshold)
-
-    def match_legacy(
-        self, graph: SimilarityGraph, threshold: float
-    ) -> MatchingResult:
-        mask = graph.weight > threshold
-        left = graph.left[mask]
-        right = graph.right[mask]
-        weight = graph.weight[mask]
-
-        order = np.lexsort((right, left, -weight))
-
-        matched_left: set[int] = set()
-        matched_right: set[int] = set()
-        pairs: list[tuple[int, int]] = []
-        for idx in order:
-            i = int(left[idx])
-            j = int(right[idx])
             if i in matched_left or j in matched_right:
                 continue
             matched_left.add(i)

@@ -30,11 +30,11 @@ an absent value carries no matching evidence (the scalar measures in
 :mod:`repro.textsim` keep the measure-level "both empty = identical"
 convention; the graph builder needs the evidence-level one).
 
-The pre-kernel-engine implementations are frozen as ``*_legacy``
-(dispatch via :func:`schema_based_matrix_legacy`); every cell the
-kernel path scores is **bit-identical** to them, whatever the call
-shape — differential tests live in ``tests/pipeline/test_kernels.py``
-and ``tests/pipeline/test_batched_strings.py``, and
+The pre-kernel-engine implementations are frozen as test oracles
+(``tests/oracles/strings.py``); every cell the kernel path scores is
+**bit-identical** to them, whatever the call shape — differential
+tests live in ``tests/pipeline/test_kernels.py`` and
+``tests/pipeline/test_batched_strings.py``, and
 ``benchmarks/bench_kernel_engine.py`` guards the speedup.
 """
 
@@ -57,8 +57,6 @@ from repro.pipeline.kernels import (
     smith_waterman_grid,
 )
 from repro.textsim.character import _padded_trigrams
-from repro.textsim.smith_waterman import smith_waterman_similarity
-from repro.textsim.character import jaro_similarity
 from repro.textsim.tokenize import tokens
 from repro.vectorspace.measures import pairwise_min_sum
 
@@ -70,9 +68,6 @@ __all__ = [
     "schema_based_rows",
     "schema_based_matrix",
     "schema_based_pairs",
-    "jaro_matrix_legacy",
-    "monge_elkan_matrix_legacy",
-    "schema_based_matrix_legacy",
 ]
 
 
@@ -84,11 +79,9 @@ class StringBatch:
     values (alignment measures and Jaro), the sparse token-count
     matrices of the unique values (token measures), the unique padded
     trigram profiles (q-grams) and the Smith-Waterman token grid
-    (Monge-Elkan).  The full-universe artifacts consumed by the frozen
-    ``*_legacy`` bodies remain available.  Every artifact is computed
-    lazily on first use and kept, so computing several measures over
-    the same value pair (one attribute of one dataset) encodes and
-    tokenizes only once.
+    (Monge-Elkan).  Every artifact is computed lazily on first use and
+    kept, so computing several measures over the same value pair (one
+    attribute of one dataset) encodes and tokenizes only once.
     """
 
     def __init__(self, lefts: list[str], rights: list[str]) -> None:
@@ -112,7 +105,6 @@ class StringBatch:
             )
         self.__dict__.setdefault(name, value)
 
-    # ------------------------------------------------ unique universe
     @cached_property
     def plan(self) -> UniquePlan:
         """Unique-value execution plan shared by every measure."""
@@ -154,10 +146,10 @@ class StringBatch:
         """Sparse token-count matrices of the unique values.
 
         The vocabulary is built in first-occurrence order over the
-        unique values, which is exactly the key order the full-list
+        unique values, which is exactly the key order a full-list
         construction produces — row contents (and therefore the
-        summation order of every sparse product) match the legacy
-        path bit for bit.
+        summation order of every sparse product) match a full-list
+        matrix bit for bit.
         """
         lists_left, lists_right = self.unique_token_lists
         return _profiles_to_sparse(
@@ -207,45 +199,6 @@ class StringBatch:
         )
         return ids_left, ids_right, grid
 
-    # ------------------------------------------- full universe (legacy)
-    @cached_property
-    def encoded_rights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Code-point matrix and lengths of all right strings."""
-        return encode_strings(self.rights)
-
-    @cached_property
-    def empty_mask(self) -> np.ndarray:
-        """True where either side of the pair is empty."""
-        return _empty_mask(self.lefts, self.rights)
-
-    @cached_property
-    def token_lists(self) -> tuple[list[list[str]], list[list[str]]]:
-        """Tokenized strings of both sides."""
-        return (
-            [tokens(s) for s in self.lefts],
-            [tokens(s) for s in self.rights],
-        )
-
-    @cached_property
-    def token_sparse(self) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-        """Sparse token-count matrices over a shared vocabulary."""
-        lists_left, lists_right = self.token_lists
-        return _profiles_to_sparse(
-            [Counter(words) for words in lists_left],
-            [Counter(words) for words in lists_right],
-        )
-
-    @cached_property
-    def token_binary(self) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-        """Binary (presence) versions of :attr:`token_sparse`."""
-        return _binarize(*self.token_sparse)
-
-    @cached_property
-    def token_sums(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(bag_left, bag_right, set_left, set_right)`` row sums."""
-        return _token_sums(*self.token_sparse, *self.token_binary)
 
 
 def _binarize(matrix_left, matrix_right):
@@ -287,21 +240,6 @@ def _token_vocabulary(
     return list(vocabulary), ids
 
 
-def _empty_mask(lefts: list[str], rights: list[str]) -> np.ndarray:
-    """True where either side of the pair is an empty string."""
-    left_empty = np.array([not s for s in lefts], dtype=bool)
-    right_empty = np.array([not s for s in rights], dtype=bool)
-    return left_empty[:, None] | right_empty[None, :]
-
-
-def _scan_min(row: np.ndarray, step: float) -> np.ndarray:
-    """In-row propagation ``row[j] = min_k<=j (row[k] + step*(j-k))``."""
-    width = row.shape[1]
-    offsets = step * np.arange(width)
-    shifted = np.minimum.accumulate(row - offsets, axis=1)
-    return shifted + offsets
-
-
 def _resolve_batch(
     lefts: list[str], rights: list[str], batch: StringBatch | None
 ) -> StringBatch:
@@ -315,7 +253,7 @@ def _check_token_measure(measure: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Measure formulas shared by the kernel and legacy paths
+# Whole-grid measure formulas
 # ----------------------------------------------------------------------
 def _qgrams_values(matrix_left, matrix_right) -> np.ndarray:
     minimum = pairwise_min_sum(matrix_left, matrix_right)
@@ -415,277 +353,6 @@ def _profiles_to_sparse(
     return assemble(profiles_left), assemble(profiles_right)
 
 
-# ----------------------------------------------------------------------
-# Frozen pre-kernel-engine bodies (differential references)
-# ----------------------------------------------------------------------
-def _edit_distance_matrix_legacy(
-    lefts: list[str],
-    rights: list[str],
-    transpositions: bool,
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    batch = _resolve_batch(lefts, rights, batch)
-    n_left, n_right = len(lefts), len(rights)
-    result = np.zeros((n_left, n_right))
-    if n_left == 0 or n_right == 0:
-        return result
-    codes, lengths = batch.encoded_rights
-    max_len = codes.shape[1]
-    base_row = np.arange(max_len + 1, dtype=np.float64)
-    take = lengths[:, None]  # per-right-string final DP column
-
-    for i, text in enumerate(lefts):
-        if not text:
-            continue
-        previous = np.broadcast_to(base_row, (n_right, max_len + 1)).copy()
-        prev_prev: np.ndarray | None = None
-        prev_char = -2
-        for step, char in enumerate(text, start=1):
-            code = ord(char)
-            cost = (codes != code).astype(np.float64)
-            current = np.empty_like(previous)
-            current[:, 0] = step
-            current[:, 1:] = np.minimum(
-                previous[:, :-1] + cost,  # substitute
-                previous[:, 1:] + 1.0,  # delete
-            )
-            if transpositions and prev_prev is not None and max_len >= 2:
-                swap_ok = (codes[:, :-1] == code) & (codes[:, 1:] == prev_char)
-                candidate = prev_prev[:, :-2] + 1.0
-                current[:, 2:] = np.where(
-                    swap_ok, np.minimum(current[:, 2:], candidate),
-                    current[:, 2:],
-                )
-            current = _scan_min(current, 1.0)  # insert propagation
-            prev_prev = previous
-            previous = current
-            prev_char = code
-        distances = np.take_along_axis(previous, take, axis=1)[:, 0]
-        longest = np.maximum(len(text), lengths)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            result[i] = np.where(longest > 0, 1.0 - distances / longest, 0.0)
-    result[batch.empty_mask] = 0.0
-    return np.clip(result, 0.0, 1.0)
-
-
-def levenshtein_matrix_legacy(
-    lefts: list[str],
-    rights: list[str],
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """Frozen per-left-row Levenshtein (pre-kernel-engine)."""
-    return _edit_distance_matrix_legacy(lefts, rights, False, batch)
-
-
-def damerau_levenshtein_matrix_legacy(
-    lefts: list[str],
-    rights: list[str],
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """Frozen per-left-row Damerau-Levenshtein (pre-kernel-engine)."""
-    return _edit_distance_matrix_legacy(lefts, rights, True, batch)
-
-
-_NW_GAP = 2.0
-
-
-def needleman_wunsch_matrix_legacy(
-    lefts: list[str],
-    rights: list[str],
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """Frozen per-left-row Needleman-Wunsch (pre-kernel-engine)."""
-    batch = _resolve_batch(lefts, rights, batch)
-    n_left, n_right = len(lefts), len(rights)
-    result = np.zeros((n_left, n_right))
-    if n_left == 0 or n_right == 0:
-        return result
-    codes, lengths = batch.encoded_rights
-    max_len = codes.shape[1]
-    base_row = _NW_GAP * np.arange(max_len + 1, dtype=np.float64)
-    take = lengths[:, None]
-
-    for i, text in enumerate(lefts):
-        if not text:
-            continue
-        previous = np.broadcast_to(base_row, (n_right, max_len + 1)).copy()
-        for step, char in enumerate(text, start=1):
-            cost = (codes != ord(char)).astype(np.float64)
-            current = np.empty_like(previous)
-            current[:, 0] = step * _NW_GAP
-            current[:, 1:] = np.minimum(
-                previous[:, :-1] + cost,
-                previous[:, 1:] + _NW_GAP,
-            )
-            current = _scan_min(current, _NW_GAP)
-            previous = current
-        costs = np.take_along_axis(previous, take, axis=1)[:, 0]
-        longest = np.maximum(len(text), lengths)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            result[i] = np.where(
-                longest > 0, 1.0 - costs / (_NW_GAP * longest), 0.0
-            )
-    result[batch.empty_mask] = 0.0
-    return np.clip(result, 0.0, 1.0)
-
-
-def lcs_subsequence_matrix_legacy(
-    lefts: list[str],
-    rights: list[str],
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """Frozen per-left-row LCS subsequence (pre-kernel-engine)."""
-    batch = _resolve_batch(lefts, rights, batch)
-    n_left, n_right = len(lefts), len(rights)
-    result = np.zeros((n_left, n_right))
-    if n_left == 0 or n_right == 0:
-        return result
-    codes, lengths = batch.encoded_rights
-    max_len = codes.shape[1]
-    take = lengths[:, None]
-
-    for i, text in enumerate(lefts):
-        if not text:
-            continue
-        previous = np.zeros((n_right, max_len + 1))
-        for char in text:
-            eq = (codes == ord(char)).astype(np.float64)
-            current = np.empty_like(previous)
-            current[:, 0] = 0.0
-            current[:, 1:] = np.maximum(
-                previous[:, 1:], previous[:, :-1] + eq
-            )
-            np.maximum.accumulate(current, axis=1, out=current)
-            previous = current
-        lcs = np.take_along_axis(previous, take, axis=1)[:, 0]
-        longest = np.maximum(len(text), lengths)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            result[i] = np.where(longest > 0, lcs / longest, 0.0)
-    result[batch.empty_mask] = 0.0
-    return np.clip(result, 0.0, 1.0)
-
-
-def lcs_substring_matrix_legacy(
-    lefts: list[str],
-    rights: list[str],
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """Frozen per-left-row LCS substring (pre-kernel-engine)."""
-    batch = _resolve_batch(lefts, rights, batch)
-    n_left, n_right = len(lefts), len(rights)
-    result = np.zeros((n_left, n_right))
-    if n_left == 0 or n_right == 0:
-        return result
-    codes, lengths = batch.encoded_rights
-    max_len = codes.shape[1]
-
-    for i, text in enumerate(lefts):
-        if not text:
-            continue
-        best = np.zeros(n_right)
-        previous = np.zeros((n_right, max_len + 1))
-        for char in text:
-            eq = (codes == ord(char)).astype(np.float64)
-            current = np.zeros_like(previous)
-            current[:, 1:] = (previous[:, :-1] + 1.0) * eq
-            np.maximum(best, current.max(axis=1), out=best)
-            previous = current
-        longest = np.maximum(len(text), lengths)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            result[i] = np.where(longest > 0, best / longest, 0.0)
-    result[batch.empty_mask] = 0.0
-    return np.clip(result, 0.0, 1.0)
-
-
-def jaro_matrix_legacy(
-    lefts: list[str],
-    rights: list[str],
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """Frozen per-pair scalar Jaro loop (pre-kernel-engine)."""
-    result = np.zeros((len(lefts), len(rights)))
-    for i, a in enumerate(lefts):
-        if not a:
-            continue
-        for j, b in enumerate(rights):
-            if b:
-                result[i, j] = jaro_similarity(a, b)
-    return result
-
-
-def qgrams_matrix_legacy(
-    lefts: list[str],
-    rights: list[str],
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """Frozen full-universe q-grams distance (pre-kernel-engine)."""
-    batch = _resolve_batch(lefts, rights, batch)
-    n_left, n_right = len(lefts), len(rights)
-    if n_left == 0 or n_right == 0:
-        return np.zeros((n_left, n_right))
-    matrix_left, matrix_right = _profiles_to_sparse(
-        [_padded_trigrams(s) if s else Counter() for s in lefts],
-        [_padded_trigrams(s) if s else Counter() for s in rights],
-    )
-    result = _qgrams_values(matrix_left, matrix_right)
-    result[batch.empty_mask] = 0.0
-    return np.clip(result, 0.0, 1.0)
-
-
-def monge_elkan_matrix_legacy(
-    lefts: list[str],
-    rights: list[str],
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """Frozen per-pair Monge-Elkan with memoized SW scores."""
-    batch = _resolve_batch(lefts, rights, batch)
-    token_lists_left, token_lists_right = batch.token_lists
-    cache: dict[tuple[str, str], float] = {}
-
-    def sw(a: str, b: str) -> float:
-        key = (a, b)
-        value = cache.get(key)
-        if value is None:
-            value = smith_waterman_similarity(a, b)
-            cache[key] = value
-        return value
-
-    result = np.zeros((len(lefts), len(rights)))
-    for i, list_a in enumerate(token_lists_left):
-        if not list_a:
-            continue
-        for j, list_b in enumerate(token_lists_right):
-            if not list_b:
-                continue
-            total = 0.0
-            for token_a in list_a:
-                total += max(sw(token_a, token_b) for token_b in list_b)
-            result[i, j] = total / len(list_a)
-    return np.clip(result, 0.0, 1.0)
-
-
-def token_measure_matrix_legacy(
-    lefts: list[str],
-    rights: list[str],
-    measure: str,
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """Frozen full-universe token measures (pre-kernel-engine)."""
-    _check_token_measure(measure)
-    batch = _resolve_batch(lefts, rights, batch)
-    n_left, n_right = len(lefts), len(rights)
-    if n_left == 0 or n_right == 0:
-        return np.zeros((n_left, n_right))
-    result = _token_measure_values(
-        measure,
-        *batch.token_sparse,
-        *batch.token_binary,
-        batch.token_sums,
-    )
-    result[batch.empty_mask] = 0.0
-    return np.clip(result, 0.0, 1.0)
-
-
 #: The bag-of-tokens measures (whole-grid sparse formulas).
 TOKEN_MATRIX_MEASURES = (
     "cosine_tokens",
@@ -717,17 +384,8 @@ _CELL_KERNELS = {
     "jaro": (jaro_cells, {}),
 }
 
-_LEGACY_MATRIX_FUNCTIONS = {
-    "levenshtein": levenshtein_matrix_legacy,
-    "damerau_levenshtein": damerau_levenshtein_matrix_legacy,
-    "needleman_wunsch": needleman_wunsch_matrix_legacy,
-    "lcs_subsequence": lcs_subsequence_matrix_legacy,
-    "lcs_substring": lcs_substring_matrix_legacy,
-    "jaro": jaro_matrix_legacy,
-    "qgrams": qgrams_matrix_legacy,
-    "monge_elkan": monge_elkan_matrix_legacy,
-}
-
+#: The measures with a kernel of their own; the rest are token measures.
+_KERNEL_MEASURES = (*_CELL_KERNELS, "qgrams", "monge_elkan")
 
 # ----------------------------------------------------------------------
 # The one scoring path
@@ -745,7 +403,7 @@ def schema_based_cells(
     ``cell_left`` against every unique right value, shape
     ``(len(cell_left), n_unique_right)``.  Otherwise cell ``k`` is
     ``(cell_left[k], cell_right[k])`` and the result has one value per
-    cell.  Either way each cell's value is bitwise equal to the legacy
+    cell.  Either way each cell's value is bitwise equal to the frozen
     all-pairs matrix entry: the alignment/Jaro kernels run the same
     integer DP per cell, Monge-Elkan folds the shared Smith-Waterman
     grid in the same position order, and the token/q-gram sums are
@@ -817,7 +475,7 @@ def schema_based_rows(
     every row equals the corresponding row of the full matrix bit for
     bit.
     """
-    if measure not in _LEGACY_MATRIX_FUNCTIONS:
+    if measure not in _KERNEL_MEASURES:
         _check_token_measure(measure)
     plan = batch.plan
     rows = plan.left_inverse[start:stop]
@@ -985,22 +643,3 @@ def _token_pair_values(
             values = np.where(maximum > 0, minimum / maximum, 0.0)
     _zero_empty_cells(values, batch, cell_left, cell_right)
     return np.clip(values, 0.0, 1.0)
-
-
-def schema_based_matrix_legacy(
-    lefts: list[str],
-    rights: list[str],
-    measure: str,
-    batch: StringBatch | None = None,
-) -> np.ndarray:
-    """Frozen pre-kernel-engine dispatch of the 16 measures.
-
-    Kept as the differential-testing and benchmarking reference: the
-    kernel path of :func:`schema_based_matrix` must reproduce it bit
-    for bit (``benchmarks/bench_kernel_engine.py`` enforces both the
-    equality and the speedup floor).
-    """
-    function = _LEGACY_MATRIX_FUNCTIONS.get(measure)
-    if function is not None:
-        return function(lefts, rights, batch)
-    return token_measure_matrix_legacy(lefts, rights, measure, batch)

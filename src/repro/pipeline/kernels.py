@@ -29,11 +29,12 @@ layer those kernels route through:
   of the former one-left-at-a-time loops is amortized over the block.
 
 Bit-identity is the design constraint, not a best effort: every kernel
-performs the same IEEE operations in the same order as the frozen
-``*_legacy`` body it replaces, whatever the call shape (differential
-tests in ``tests/pipeline/test_kernels.py`` assert exact equality on
-arbitrary cell lists, and ``benchmarks/bench_kernel_engine.py`` guards
-both the >= 3x speedup and the bitwise match).  The Smith-Waterman
+performs the same IEEE operations in the same order as the body it
+replaced, frozen as a test oracle in ``tests/oracles/strings.py``,
+whatever the call shape (differential tests in
+``tests/pipeline/test_kernels.py`` assert exact equality on arbitrary
+cell lists, and ``benchmarks/bench_kernel_engine.py`` guards both the
+>= 3x speedup and the bitwise match).  The Smith-Waterman
 grid relies on all DP values being small multiples of 0.5 (dyadic
 rationals), which makes the offset-based scan propagation exact; the
 edit-distance DPs operate on exactly representable small integers.
@@ -127,8 +128,8 @@ class UniquePlan:
     ``lefts`` / ``rights`` hold the distinct values in **first
     occurrence order** — the order in which a non-deduplicated pass
     would first see them — so vocabulary-building kernels produce the
-    same vocabularies (and the same summation orders) as the legacy
-    full-list path.  ``left_inverse[i]`` maps original row ``i`` to its
+    same vocabularies (and the same summation orders) as a full-list
+    pass.  ``left_inverse[i]`` maps original row ``i`` to its
     unique row; ``left_index[u]`` maps unique row ``u`` back to the
     first original row holding that value.
     """
@@ -487,7 +488,7 @@ def edit_distance_cells(
     prefix.  All DP values are small integers, so the state lives in
     preallocated int32 slabs (half the traffic of float64, no per-step
     allocations) and converts to float only at extraction —
-    bit-identical to the float64 legacy DPs.
+    bit-identical to float64 DPs.
     """
     cells = _Cells(
         left_codes, left_lengths, right_codes, right_lengths,

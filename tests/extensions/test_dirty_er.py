@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
-import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.extensions.dirty_er import (
-    build_graph,
+    DirtyClusterer,
     connected_components_clusters,
     extended_maximum_clique_clustering,
     global_edge_consistency_gain,
     maximum_clique_clustering,
 )
+from repro.graph.unipartite import UnipartiteGraph
 
 ALL_CLUSTERERS = [
     connected_components_clusters,
@@ -30,7 +31,7 @@ def _two_groups():
         (3, 4, 0.8),                                  # pair group
         (2, 3, 0.1),                                  # cross noise
     ]
-    return build_graph(6, edges)
+    return UnipartiteGraph.from_edges(6, edges)
 
 
 @st.composite
@@ -45,7 +46,7 @@ def dirty_graphs(draw):
             continue
         seen.add((min(u, v), max(u, v)))
         edges.append((u, v, round(draw(st.floats(0.01, 1.0)), 3)))
-    return build_graph(n, edges)
+    return UnipartiteGraph.from_edges(n, edges)
 
 
 class TestConnectedComponents:
@@ -68,7 +69,7 @@ class TestMaximumClique:
 
     def test_chain_splits(self):
         # A path a-b-c is not a clique: MCC yields an edge + singleton.
-        graph = build_graph(3, [(0, 1, 0.9), (1, 2, 0.9)])
+        graph = UnipartiteGraph.from_edges(3, [(0, 1, 0.9), (1, 2, 0.9)])
         clusters = maximum_clique_clustering(graph, 0.5)
         sizes = sorted(len(c) for c in clusters)
         assert sizes == [1, 2]
@@ -77,7 +78,7 @@ class TestMaximumClique:
 class TestExtendedMaximumClique:
     def test_attaches_adjacent_node(self):
         # Node 3 touches 2 of 3 triangle members: attached at 0.5.
-        graph = build_graph(
+        graph = UnipartiteGraph.from_edges(
             4,
             [
                 (0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.9),
@@ -88,7 +89,7 @@ class TestExtendedMaximumClique:
         assert {0, 1, 2, 3} in clusters
 
     def test_strict_fraction_blocks_attachment(self):
-        graph = build_graph(
+        graph = UnipartiteGraph.from_edges(
             4,
             [
                 (0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.9),
@@ -111,7 +112,7 @@ class TestGlobalEdgeConsistency:
     def test_flip_completes_triangle(self):
         # Two match edges + one just-below-threshold edge in a
         # triangle: flipping the odd edge increases consistency.
-        graph = build_graph(
+        graph = UnipartiteGraph.from_edges(
             3, [(0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.45)]
         )
         clusters = global_edge_consistency_gain(graph, 0.5)
@@ -129,10 +130,35 @@ def test_clusters_partition_nodes(clusterer, graph, threshold):
         assert cluster, "clusters must be non-empty"
         assert not (cluster & seen), "clusters must be disjoint"
         seen.update(cluster)
-    assert seen == set(graph.nodes)
+    assert seen == set(range(graph.n_nodes))
 
 
 @pytest.mark.parametrize("clusterer", ALL_CLUSTERERS)
 def test_empty_graph(clusterer):
-    graph = nx.Graph()
+    graph = UnipartiteGraph.from_edges(0, [])
     assert clusterer(graph, 0.5) == []
+
+
+class TestClustererParameters:
+    """``DirtyClusterer`` checks its parameters once, at construction,
+    so the batch and the incremental paths reject the same values."""
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 5.0, float("nan")])
+    def test_rejects_attachment_fraction(self, fraction):
+        with pytest.raises(ValueError, match="attachment_fraction"):
+            DirtyClusterer("EMCC", attachment_fraction=fraction)
+
+    @pytest.mark.parametrize("budget", [-3, True, 2.5, "7"])
+    def test_rejects_max_iterations(self, budget):
+        with pytest.raises(ValueError, match="max_iterations"):
+            DirtyClusterer("GECG", max_iterations=budget)
+
+    def test_accepts_numpy_integer_budget(self):
+        clusterer = DirtyClusterer("GECG", max_iterations=np.int64(3))
+        assert clusterer.max_iterations == 3
+        assert type(clusterer.max_iterations) is int
+
+    def test_accepts_boundary_values(self):
+        emcc = DirtyClusterer("EMCC", attachment_fraction=1.0)
+        gecg = DirtyClusterer("GECG", max_iterations=0)
+        assert (emcc.attachment_fraction, gecg.max_iterations) == (1.0, 0)

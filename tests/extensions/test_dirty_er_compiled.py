@@ -2,7 +2,8 @@
 
 The compiled kernels (csgraph components, bitset clique growth,
 vectorized triangle-consistency gain) must produce **identical
-partitions** to the frozen networkx ``*_legacy`` bodies on random
+partitions** to the frozen networkx bodies of
+``tests/oracles/dirty_er.py`` on random
 unipartite graphs — the engine-level counterpart of the bipartite
 ``match_compiled`` differential suite — plus the clustering-specific
 invariants: every output is a partition of the node set, and connected
@@ -21,6 +22,7 @@ from repro.extensions.dirty_er import (
     create_clusterer,
 )
 from repro.graph.unipartite import UnipartiteGraph
+from tests.oracles.dirty_er import cluster_legacy
 
 THRESHOLDS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -56,7 +58,7 @@ def test_compiled_equals_legacy(code, graph, threshold):
     """Partition-for-partition equality against the networkx oracle."""
     clusterer = create_clusterer(code)
     compiled = canonical(clusterer.cluster(graph, threshold))
-    legacy = canonical(clusterer.cluster_legacy(graph, threshold))
+    legacy = canonical(cluster_legacy(clusterer, graph, threshold))
     assert compiled == legacy
 
 
@@ -127,7 +129,7 @@ class TestDeterminismCanon:
         assert canonical(clusterer.cluster(graph, 0.5)) == [
             (0, 1, 2), (3, 4, 5),
         ]
-        assert canonical(clusterer.cluster_legacy(graph, 0.5)) == [
+        assert canonical(cluster_legacy(clusterer, graph, 0.5)) == [
             (0, 1, 2), (3, 4, 5),
         ]
 
@@ -139,7 +141,7 @@ class TestDeterminismCanon:
         # Budget 0: the initial labelling stands; (0, 2) stays split.
         clusters = canonical(clusterer.cluster(graph, 0.5))
         assert clusters == [(0, 1, 2)]  # CC of the two matched edges
-        legacy = canonical(clusterer.cluster_legacy(graph, 0.5))
+        legacy = canonical(cluster_legacy(clusterer, graph, 0.5))
         assert clusters == legacy
 
     def test_emcc_attachment_matches_legacy_on_growing_cluster(self):
@@ -153,7 +155,7 @@ class TestDeterminismCanon:
         graph = UnipartiteGraph.from_edges(5, edges)
         clusterer = create_clusterer("EMCC", attachment_fraction=0.5)
         compiled = canonical(clusterer.cluster(graph, 0.5))
-        legacy = canonical(clusterer.cluster_legacy(graph, 0.5))
+        legacy = canonical(cluster_legacy(clusterer, graph, 0.5))
         assert compiled == legacy
 
     def test_cluster_level_scores_match_scalar_path(self):

@@ -1,12 +1,11 @@
 """Tests for the incremental compiled-graph layer (repro.graph.incremental).
 
-The load-bearing property is *batch equivalence*: a compiled graph
-mutated in place by the delta-merge operators must be bit-identical —
-edge permutation, CSR adjacency, provenance ``order`` and cached
-threshold selections — to a fresh compile of the same edge set.  The
-hypothesis properties below prove it for random insert and
-insert-then-delete batches, including weight ties and (bipartite)
-duplicate parallel edges.
+The load-bearing property is *batch equivalence*: a compiled
+unipartite graph mutated in place by the delta-merge operators must be
+bit-identical — edge permutation, CSR adjacency, provenance ``order``
+and cached threshold selections — to a fresh compile of the same edge
+set.  The hypothesis properties below prove it for random insert and
+insert-then-delete batches, including weight ties.
 """
 
 from __future__ import annotations
@@ -16,61 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.bipartite import SimilarityGraph
-from repro.graph.compiled import CompiledGraph
 from repro.graph.incremental import (
-    add_left_nodes,
-    add_right_nodes,
     add_uni_nodes,
-    delete_edges,
     delete_uni_edges,
-    insert_edges,
     insert_uni_edges,
 )
 from repro.graph.unipartite import CompiledUnipartiteGraph, UnipartiteGraph
 
 WEIGHTS = (0.1, 0.25, 0.5, 0.75, 0.9)
 THRESHOLDS = ((0.25, True), (0.25, False), (0.5, True), (0.8, False))
-
-bipartite_edges = st.lists(
-    st.tuples(
-        st.integers(0, 5), st.integers(0, 4), st.sampled_from(WEIGHTS)
-    ),
-    max_size=25,
-)
-
-
-def bipartite(edges) -> SimilarityGraph:
-    left = [e[0] for e in edges]
-    right = [e[1] for e in edges]
-    weight = [e[2] for e in edges]
-    return SimilarityGraph(6, 5, left, right, weight)
-
-
-def assert_bipartite_equal(
-    actual: CompiledGraph, expected: CompiledGraph
-) -> None:
-    for name in (
-        "order",
-        "left_sorted",
-        "right_sorted",
-        "weight_sorted",
-        "weight_ascending",
-        "left_indptr",
-        "left_neighbors",
-        "left_weights",
-        "right_indptr",
-        "right_neighbors",
-        "right_weights",
-    ):
-        np.testing.assert_array_equal(
-            getattr(actual, name), getattr(expected, name), err_msg=name
-        )
-    assert actual.n_edges == expected.n_edges
-    assert (actual.n_left, actual.n_right) == (
-        expected.n_left,
-        expected.n_right,
-    )
 
 
 def assert_unipartite_equal(
@@ -94,119 +47,11 @@ def assert_unipartite_equal(
 
 
 def assert_selections_fresh(compiled) -> None:
-    """Every cached selection must agree with a from-scratch count and
-    per-node breakdown."""
+    """Every cached selection must agree with a from-scratch count."""
     for (threshold, inclusive), selection in compiled._selections.items():
         fresh = type(compiled)(compiled.source)
         expected = fresh.select(threshold, inclusive)
         assert selection.count == expected.count, (threshold, inclusive)
-        if isinstance(compiled, CompiledGraph):
-            assert selection.left_counts() == expected.left_counts()
-            assert selection.right_counts() == expected.right_counts()
-
-
-class TestBipartiteIncremental:
-    @settings(max_examples=60, deadline=None)
-    @given(base=bipartite_edges, delta=bipartite_edges)
-    def test_insert_matches_fresh_compile(self, base, delta):
-        graph = bipartite(base)
-        compiled = graph.compiled()
-        for threshold, inclusive in THRESHOLDS:
-            compiled.select(threshold, inclusive)
-        insert_edges(
-            compiled,
-            [e[0] for e in delta],
-            [e[1] for e in delta],
-            [e[2] for e in delta],
-        )
-        fresh = CompiledGraph(bipartite(base + delta))
-        assert_bipartite_equal(compiled, fresh)
-        assert_selections_fresh(compiled)
-
-    @settings(max_examples=60, deadline=None)
-    @given(base=bipartite_edges, delta=bipartite_edges)
-    def test_insert_then_delete_round_trips(self, base, delta):
-        delta = sorted(set(delta))  # the delete delta must be duplicate-free
-        graph = bipartite(base)
-        compiled = graph.compiled()
-        snapshot = CompiledGraph(bipartite(base))
-        for threshold, inclusive in THRESHOLDS:
-            compiled.select(threshold, inclusive)
-        lefts = [e[0] for e in delta]
-        rights = [e[1] for e in delta]
-        weights = [e[2] for e in delta]
-        insert_edges(compiled, lefts, rights, weights)
-        delete_edges(compiled, lefts, rights, weights)
-
-        # Bit-equality with a fresh compile of the mutated source...
-        assert_bipartite_equal(compiled, CompiledGraph(compiled.source))
-        assert_selections_fresh(compiled)
-        # ...and (duplicates aside, which may swap provenance slots)
-        # the sorted arrays, CSR and selections match the original.
-        for name in (
-            "left_sorted",
-            "right_sorted",
-            "weight_sorted",
-            "weight_ascending",
-            "left_indptr",
-            "left_neighbors",
-            "left_weights",
-            "right_indptr",
-            "right_neighbors",
-            "right_weights",
-        ):
-            np.testing.assert_array_equal(
-                getattr(compiled, name), getattr(snapshot, name),
-                err_msg=name,
-            )
-
-    def test_uncrossed_selection_keeps_lazy_caches(self):
-        graph = bipartite([(0, 0, 0.9), (1, 1, 0.5), (2, 2, 0.25)])
-        compiled = graph.compiled()
-        high = compiled.select(0.75, inclusive=False)
-        low = compiled.select(0.1, inclusive=False)
-        high_counts = high.left_counts()
-        low_counts = low.left_counts()
-        insert_edges(compiled, [3], [3], [0.5])
-        # The 0.5 delta never enters the w > 0.75 prefix: the cached
-        # per-node lists must survive untouched (same object).
-        assert high.left_counts() is high_counts
-        assert high.count == 1
-        # The crossed selection re-derives.
-        assert low.left_counts() is not low_counts
-        assert low.count == 4
-
-    def test_delete_missing_edge_raises(self):
-        compiled = bipartite([(0, 0, 0.5)]).compiled()
-        with pytest.raises(ValueError, match="not present"):
-            delete_edges(compiled, [0], [0], [0.75])
-        with pytest.raises(ValueError, match="not in graph"):
-            delete_edges(compiled, [1], [1])
-
-    def test_delete_resolves_weights_from_csr(self):
-        compiled = bipartite([(0, 0, 0.5), (0, 1, 0.9)]).compiled()
-        delete_edges(compiled, [0], [1])
-        assert_bipartite_equal(
-            compiled, CompiledGraph(bipartite([(0, 0, 0.5)]))
-        )
-
-    def test_node_growth_then_insert(self):
-        compiled = bipartite([(0, 0, 0.5)]).compiled()
-        selection = compiled.select(0.25, inclusive=True)
-        assert selection.left_counts() == [1, 0, 0, 0, 0, 0]
-        add_left_nodes(compiled, 2)
-        add_right_nodes(compiled, 1)
-        insert_edges(compiled, [7], [5], [0.75])
-        fresh = CompiledGraph(
-            SimilarityGraph(8, 6, [0, 7], [0, 5], [0.5, 0.75])
-        )
-        assert_bipartite_equal(compiled, fresh)
-        assert selection.left_counts() == [1, 0, 0, 0, 0, 0, 0, 1]
-
-    def test_rejects_out_of_range_endpoints(self):
-        compiled = bipartite([(0, 0, 0.5)]).compiled()
-        with pytest.raises(ValueError, match="out of range"):
-            insert_edges(compiled, [6], [0], [0.5])
 
 
 def unipartite_parts(draw):
@@ -310,6 +155,33 @@ class TestUnipartiteIncremental:
         assert_unipartite_equal(
             compiled, CompiledUnipartiteGraph(uni([(0, 1, 0.5)]))
         )
+
+    def test_uncrossed_selection_keeps_lazy_caches(self):
+        compiled = uni([(0, 1, 0.9), (1, 2, 0.5), (2, 3, 0.25)]).compiled()
+        high = compiled.select(0.75, inclusive=False)
+        low = compiled.select(0.1, inclusive=False)
+        high_bitsets = high.adjacency_bitsets()
+        low_bitsets = low.adjacency_bitsets()
+        insert_uni_edges(compiled, [4], [5], [0.5])
+        # The 0.5 delta never enters the w > 0.75 prefix: the cached
+        # bitsets must survive untouched (same object).
+        assert high.adjacency_bitsets() is high_bitsets
+        assert high.count == 1
+        # The crossed selection re-derives.
+        assert low.adjacency_bitsets() is not low_bitsets
+        assert low.count == 4
+
+    def test_delete_missing_edge_raises(self):
+        compiled = uni([(0, 1, 0.5)]).compiled()
+        with pytest.raises(ValueError, match="not present"):
+            delete_uni_edges(compiled, [0], [1], [0.75])
+        with pytest.raises(ValueError, match="not in graph"):
+            delete_uni_edges(compiled, [1], [2])
+
+    def test_rejects_out_of_range_endpoints(self):
+        compiled = uni([(0, 1, 0.5)]).compiled()
+        with pytest.raises(ValueError, match="out of range"):
+            insert_uni_edges(compiled, [7], [0], [0.5])
 
     def test_node_growth_then_insert(self):
         compiled = uni([(0, 1, 0.5)]).compiled()

@@ -18,6 +18,7 @@ from repro.graph.unipartite import (
     UnipartiteGraph,
     pairs_to_unipartite_graph,
 )
+from tests.oracles.dirty_er import from_networkx, to_networkx
 
 
 @pytest.fixture
@@ -67,7 +68,7 @@ class TestConstruction:
         assert small.density == pytest.approx(5 / 15)
 
     def test_networkx_roundtrip(self, small):
-        back = UnipartiteGraph.from_networkx(small.to_networkx())
+        back = from_networkx(to_networkx(small))
         assert back.n_nodes == small.n_nodes
         assert sorted(back.edges()) == sorted(small.edges())
 
@@ -77,7 +78,7 @@ class TestConstruction:
         graph = nx.Graph()
         graph.add_edge(3, 7, weight=0.5)
         with pytest.raises(ValueError, match="0 .. n-1"):
-            UnipartiteGraph.from_networkx(graph)
+            from_networkx(graph)
 
     def test_pickle_drops_compiled(self, small):
         small.compiled()

@@ -18,7 +18,7 @@ from repro.matching import (
     RowColumnClustering,
     UniqueMappingClustering,
 )
-from repro.matching.connected_components import UnionFind
+from tests.oracles.matching import UnionFind
 
 
 class TestUnionFind:

@@ -2,14 +2,16 @@
 
 For every registered algorithm code, `match` (the compiled path) must
 return exactly the same pairs as `match_legacy` (the pre-refactor
-implementation, kept verbatim) across the full paper threshold grid on
-a battery of adversarial graphs: random, duplicate-parallel-edge,
-all-ties, empty-edge, degenerate shapes.  The same guarantee is
-checked one level up for the sweep engine and for the process-parallel
-experiment driver.
+implementation, kept verbatim in `tests/oracles/matching.py`) across
+the full paper threshold grid on a battery of adversarial graphs:
+random, duplicate-parallel-edge, all-ties, empty-edge, degenerate
+shapes.  The same guarantee is checked one level up for the sweep
+engine and for the process-parallel experiment driver.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from repro.evaluation.sweep import DEFAULT_THRESHOLD_GRID, threshold_sweep
 from repro.graph import SimilarityGraph
 from repro.matching import ALGORITHM_CODES, best_assignment, create_matcher
 from repro.matching.best_assignment import CLOCK_EVERY, MOVE_CHUNK
+from tests.oracles import matching as oracle
+from tests.oracles.matching import match_legacy
 
 
 def make_matcher(code):
@@ -73,7 +77,7 @@ def graph_battery():
 )
 def test_compiled_equals_legacy_over_grid(code, label, graph):
     for threshold in DEFAULT_THRESHOLD_GRID:
-        legacy = make_matcher(code).match_legacy(graph, threshold)
+        legacy = match_legacy(make_matcher(code), graph, threshold)
         compiled = make_matcher(code).match(graph, threshold)
         assert legacy.pairs == compiled.pairs, (
             f"{code} diverges on {label} at t={threshold}"
@@ -91,7 +95,7 @@ def test_compiled_cache_reuse_across_thresholds(code):
     matcher = make_matcher(code)
     grid = list(DEFAULT_THRESHOLD_GRID) + list(DEFAULT_THRESHOLD_GRID)[::-1]
     for threshold in grid:
-        expected = make_matcher(code).match_legacy(graph, threshold)
+        expected = match_legacy(make_matcher(code), graph, threshold)
         assert matcher.match(graph, threshold).pairs == expected.pairs
 
 
@@ -106,8 +110,8 @@ def test_sweep_engine_equals_legacy_sweep():
             DEFAULT_THRESHOLD_GRID
         )
         for point in sweep.points:
-            matching = make_matcher(code).match_legacy(
-                graph, point.threshold
+            matching = match_legacy(
+                make_matcher(code), graph, point.threshold
             )
             assert point.scores == evaluate_pairs(matching.pairs, truth)
 
@@ -161,13 +165,14 @@ def test_bah_across_draw_chunks_equals_legacy(label, graph):
     for threshold in DEFAULT_THRESHOLD_GRID:
         assert (
             matcher.match(graph, threshold).pairs
-            == matcher.match_legacy(graph, threshold).pairs
+            == match_legacy(matcher, graph, threshold).pairs
         ), f"BAH diverges on {label} at t={threshold}"
 
 
 class _ExpiringClock:
-    """Stand-in for the BAH module's ``time``: ``perf_counter`` reads
-    0.0 until its ``expire_at``-th read, then far past any deadline."""
+    """Stand-in for the ``time`` of the BAH module and of its oracle:
+    ``perf_counter`` reads 0.0 until its ``expire_at``-th read, then
+    far past any deadline."""
 
     def __init__(self, expire_at: int) -> None:
         self.expire_at = expire_at
@@ -187,11 +192,16 @@ def test_bah_deadline_stops_both_paths_at_the_same_move(monkeypatch):
     expire_at = 4
     stopped_after = (expire_at - 1) * CLOCK_EVERY - 1
     matcher = create_matcher("BAH", max_moves=20_000, time_limit=1.0, seed=212)
+    runs = {
+        "match": matcher.match,
+        "match_legacy": partial(match_legacy, matcher),
+    }
     stopped = {}
-    for path in ("match", "match_legacy"):
+    for path, run in runs.items():
         clock = _ExpiringClock(expire_at)
         monkeypatch.setattr(best_assignment, "time", clock)
-        stopped[path] = getattr(matcher, path)(graph, threshold).pairs
+        monkeypatch.setattr(oracle, "time", clock)
+        stopped[path] = run(graph, threshold).pairs
         assert clock.reads == expire_at, path
     monkeypatch.undo()
 

@@ -156,8 +156,8 @@ class TestStringBatch:
         lefts = dataset.left.attribute_values("name")
         rights = dataset.right.attribute_values("name")
         batch = StringBatch(lefts, rights)
-        assert batch.token_sparse is batch.token_sparse
-        assert batch.encoded_rights is batch.encoded_rights
+        assert batch.unique_token_sparse is batch.unique_token_sparse
+        assert batch.unique_right_encoding is batch.unique_right_encoding
 
 
 class TestGrouping:

@@ -2,7 +2,7 @@
 
 The kernel path (:func:`schema_based_cells` and everything built on
 it, batched RWMD) must be **bit-identical** — ``np.array_equal``, not
-approximately equal — to the frozen ``*_legacy`` bodies over
+approximately equal — to the frozen bodies of ``tests/oracles`` over
 adversarial inputs and arbitrary cell lists, and invariant under the
 block scheduler's thread count.
 """
@@ -15,16 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.embeddings import FastTextLikeModel
-from repro.embeddings.measures import (
-    word_mover_similarity_matrix,
-    word_mover_similarity_matrix_legacy,
-)
+from repro.embeddings.measures import word_mover_similarity_matrix
 from repro.embeddings.wmd import token_stats
 from repro.pipeline.batched_strings import (
     StringBatch,
     schema_based_cells,
     schema_based_matrix,
-    schema_based_matrix_legacy,
 )
 from repro.pipeline.kernels import (
     UniquePlan,
@@ -34,6 +30,11 @@ from repro.pipeline.kernels import (
     run_blocks,
 )
 from repro.textsim.registry import SCHEMA_BASED_MEASURES
+from tests.oracles.embeddings import word_mover_similarity_matrix_legacy
+from tests.oracles.strings import (
+    LegacyStringBatch,
+    schema_based_matrix_legacy,
+)
 
 # Adversarial value lists: empty strings, unicode (combining marks,
 # CJK, astral-plane emoji), single characters, heavily duplicated
@@ -151,7 +152,7 @@ class TestSchemaBasedDifferential:
             lefts, rights, measure, StringBatch(lefts, rights)
         )
         legacy = schema_based_matrix_legacy(
-            lefts, rights, measure, StringBatch(lefts, rights)
+            lefts, rights, measure, LegacyStringBatch(lefts, rights)
         )
         assert np.array_equal(new, legacy), measure
 
