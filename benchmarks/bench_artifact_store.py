@@ -24,6 +24,7 @@ statistics over many hot repetitions.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import tempfile
 import time
@@ -143,7 +144,9 @@ def main(argv: list[str] | None = None) -> int:
     config = SMOKE_CONFIG if args.smoke else REDUCED_CONFIG
 
     with tempfile.TemporaryDirectory(prefix="repro-warmup-") as scratch:
-        generate_corpus(_WARMUP_CONFIG, artifact_store=scratch)
+        generate_corpus(
+            dataclasses.replace(_WARMUP_CONFIG, artifact_store=scratch)
+        )
 
     baseline = generate_corpus(config)  # store-less reference
 
@@ -158,12 +161,13 @@ def main(argv: list[str] | None = None) -> int:
         if last_store is not None:
             last_store.cleanup()
         last_store = tempfile.TemporaryDirectory(prefix="repro-store-")
+        stored = dataclasses.replace(config, artifact_store=last_store.name)
         start = time.perf_counter()
-        cold = generate_corpus(config, artifact_store=last_store.name)
+        cold = generate_corpus(stored)
         cold_seconds = min(cold_seconds, time.perf_counter() - start)
 
         start = time.perf_counter()
-        warm = generate_corpus(config, artifact_store=last_store.name)
+        warm = generate_corpus(stored)
         warm_seconds = min(warm_seconds, time.perf_counter() - start)
 
     assert_identical(baseline, cold, "cold store")
@@ -183,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         # must produce the exact corpus of a serial run.
         start = time.perf_counter()
         parallel = generate_corpus(
-            config, artifact_store=last_store.name, workers=args.workers
+            dataclasses.replace(stored, workers=args.workers)
         )
         parallel_seconds = time.perf_counter() - start
         assert_identical(baseline, parallel, f"warm x{args.workers} workers")

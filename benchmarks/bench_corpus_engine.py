@@ -23,6 +23,7 @@ hot repetitions.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -215,7 +216,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.workers > 1:
         start = time.perf_counter()
-        parallel = generate_corpus(config, workers=args.workers)
+        parallel = generate_corpus(
+            dataclasses.replace(config, workers=args.workers)
+        )
         parallel_seconds = time.perf_counter() - start
         assert_identical(engine, parallel)
         print(

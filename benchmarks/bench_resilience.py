@@ -41,7 +41,11 @@ except ImportError:  # imported as benchmarks.bench_* from the repo root
     from benchmarks._report import write_report as _write_report
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import _sweep_graph, run_matching_sweeps
+from repro.experiments.runner import (
+    _sweep_graph,
+    run_matching_sweeps,
+    sweep_algorithm,
+)
 from repro.graph import SimilarityGraph
 from repro.matching.registry import PAPER_ALGORITHM_CODES
 from repro.pipeline.resilience import ResilienceError, RunJournal
@@ -112,6 +116,7 @@ def _raw_pool_sweep(records, workers: int):
                 record.graph,
                 record.ground_truth,
                 PAPER_ALGORITHM_CODES,
+                sweep_algorithm,
                 CONFIG,
             )
             for record in records

@@ -2,11 +2,15 @@
 
 The sharded execution tier exists to bound peak memory: a dense
 similarity pass materialises the full ``n_left x n_right`` float64
-matrix, while :class:`~repro.pipeline.sharding.ShardRun` streams
-whole grid blocks and spills per-shard edges, so its peak residency
-is one grid block plus the spilled edge arrays regardless of the
-dataset size.  This benchmark proves all three contract clauses on a
-workload whose dense matrix alone dwarfs the budget:
+matrix, while the sharded tier scores one
+:class:`~repro.pipeline.sharding.ShardPlanner` row range per
+:meth:`~repro.pipeline.engine.SimilarityEngine.score` call and merges
+the shards' edges in range order with
+:func:`~repro.pipeline.workbench.concat_scores` — what a
+``max_memory`` corpus run does per shard task — so its peak residency
+is one grid block plus the edge arrays regardless of the dataset
+size.  This benchmark proves all three contract clauses on a workload
+whose dense matrix alone dwarfs the budget:
 
 * **bounded memory** — the sharded run's peak RSS stays under a
   budget that the dense run provably exceeds.  Peak RSS is the
@@ -55,8 +59,9 @@ from repro.datasets.generator import CleanCleanDataset, DatasetSpec
 from repro.datasets.profile import EntityCollection, EntityProfile
 from repro.pipeline.engine import SimilarityEngine
 from repro.pipeline.graph_builder import pairs_to_graph
-from repro.pipeline.sharding import ShardPlanner, ShardRun
+from repro.pipeline.sharding import ShardPlanner
 from repro.pipeline.similarity_functions import SimilarityFunctionSpec
+from repro.pipeline.workbench import concat_scores
 
 # Sharded wall time must stay within this factor of the dense run.
 WALL_CEILING = 1.15
@@ -64,7 +69,7 @@ WALL_CEILING = 1.15
 # Records per side / compute allowance handed to the planner.  The
 # dense matrix is n^2 * 8 bytes (288 MB full, 128 MB smoke) — always
 # a large multiple of the allowance, so the dense run cannot fit the
-# budget and the sharded run (one ~8 MB grid block + spilled edges)
+# budget and the sharded run (one ~8 MB grid block + the edge arrays)
 # comfortably can.  Below ~4000 records the dense matrix is cheap
 # enough that per-shard overhead breaches the wall ceiling, so the
 # smoke profile stays at the scale the tier is built for.
@@ -79,7 +84,7 @@ INVARIANCE_SHARDS = (1, 3, 7)
 
 # Every record shares its group token with ~50 counterparts, so the
 # score matrix is dense to compute but sparse in positive cells —
-# the shape the spill format is built for.
+# the shape the sharded tier's edge arrays are built for.
 GROUP_FANOUT = 50
 
 SPEC = SimilarityFunctionSpec(
@@ -168,7 +173,7 @@ def _subprocess_main(mode: str, n_records: int, margin: int, queue) -> None:
     elif mode == "sharded":
         plan = ShardPlanner.plan(n_records, n_records, memory_budget=margin)
         start = time.perf_counter()
-        graph = ShardRun(engine, plan).run(SPEC, name="shardbench")
+        graph = _sharded_graph(engine, SPEC, plan)
         result["seconds"] = time.perf_counter() - start
         result["digest"] = _digest(graph)
         result["n_edges"] = int(graph.n_edges)
@@ -200,6 +205,19 @@ def _unsharded_graph(engine, spec):
     return pairs_to_graph(n_left, n_right, *scores.edges, name="shardbench")
 
 
+def _sharded_graph(engine, spec, plan):
+    """The graph of one executor call per plan range, merged in range
+    order."""
+    n_left, n_right = engine.shape()
+    merged = concat_scores(
+        [
+            engine.score([spec], start, stop)[0]
+            for start, stop in plan.ranges()
+        ]
+    )
+    return pairs_to_graph(n_left, n_right, *merged.edges, name="shardbench")
+
+
 def _interleaved(repeats: int, *runs) -> tuple[list[float], list]:
     """Best-of-``repeats`` seconds and last result of each run, with
     the runs interleaved so host-speed drift hits them alike."""
@@ -220,21 +238,18 @@ def _string_leg(n_records: int, blocking: str | None, repeats: int) -> dict:
     shards inside one row-chunk grid cell; with blocking, the
     unsharded blocked run with its ``STRING_SHARDS``-shard split.
     Artifacts (encodings, candidate set) are warmed first, so the
-    ratio is scoring plus spill cost alone.
+    ratio is scoring plus merge cost alone.
     """
     engine = SimilarityEngine(_workload_dataset(n_records), blocking=blocking)
     sharded = ShardPlanner.plan(n_records, n_records, n_shards=STRING_SHARDS)
-    whole = ShardPlanner.plan(n_records, n_records, n_shards=1)
     if blocking is None:
         assert sharded.chunk >= n_records, "shards must share a grid cell"
 
     def reference():
-        if blocking is None:
-            return ShardRun(engine, whole).run(STRING_SPEC)
         return _unsharded_graph(engine, STRING_SPEC)
 
     def split():
-        return ShardRun(engine, sharded).run(STRING_SPEC)
+        return _sharded_graph(engine, STRING_SPEC, sharded)
 
     _interleaved(1, reference, split)  # warm the artifacts
     (base_s, split_s), (base, merged) = _interleaved(
@@ -257,7 +272,7 @@ def _check_shard_count_invariance(n_records: int) -> bool:
     for n_shards in INVARIANCE_SHARDS:
         plan = ShardPlanner.plan(n_records, n_records, n_shards=n_shards)
         engine = SimilarityEngine(dataset)
-        digest = _digest(ShardRun(engine, plan).run(SPEC, name="shardbench"))
+        digest = _digest(_sharded_graph(engine, SPEC, plan))
         matches = digest == reference
         identical = identical and matches
         print(

@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=_BLOCKING_HELP + " (shapes the candidate-density estimate)",
     )
     shard_plan.add_argument(
-        "--shards", type=int, default=None,
+        "--shards", type=_positive_int, default=None,
         help="force an explicit shard count instead of deriving it "
              "from the budget",
     )
@@ -656,9 +656,11 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _profile_config(args: argparse.Namespace):
-    """The ``--profile`` experiment config with ``--blocking`` folded
-    into its corpus, so every cache key and journal run key derived
-    from it tells blocked runs from dense ones."""
+    """The ``--profile`` experiment config with the corpus flags given
+    (``--workers``, ``--blocking``, ``--max-memory`` and the store
+    directories) folded into its corpus config, the one place those
+    settings live.  Every cache key and journal run key derived from it
+    therefore tells blocked runs from dense ones."""
     import dataclasses
 
     from repro.experiments import DEFAULT_BENCH_CONFIG, SMOKE_CONFIG
@@ -666,11 +668,21 @@ def _profile_config(args: argparse.Namespace):
     config = (
         DEFAULT_BENCH_CONFIG if args.profile == "default" else SMOKE_CONFIG
     )
-    if args.blocking is None:
-        return config
+    tier = _store_read_tier(args)
+    flags = {
+        "workers": args.workers,
+        "blocking": args.blocking,
+        # dirty-er has no --max-memory flag.
+        "max_memory": getattr(args, "max_memory", None),
+        # The config holds store directories as strings.
+        "artifact_store": args.artifact_store and str(args.artifact_store),
+        "store_read_tier": tier and str(tier),
+    }
+    overrides = {
+        name: value for name, value in flags.items() if value is not None
+    }
     return dataclasses.replace(
-        config,
-        corpus=dataclasses.replace(config.corpus, blocking=args.blocking),
+        config, corpus=dataclasses.replace(config.corpus, **overrides)
     )
 
 
@@ -685,13 +697,7 @@ def _command_experiments(args: argparse.Namespace) -> int:
 
     config = _profile_config(args)
     results = run_experiments(
-        config,
-        cache_dir=args.cache,
-        workers=args.workers,
-        artifact_store=args.artifact_store,
-        store_read_tier=_store_read_tier(args),
-        resume=args.resume,
-        max_memory=args.max_memory,
+        config, cache_dir=args.cache, resume=args.resume
     )
     rows = [
         [
@@ -733,12 +739,8 @@ def _command_corpus(args: argparse.Namespace) -> int:
         config,
         cache_dir=cache / "corpus",
         progress=args.progress,
-        workers=args.workers,
-        artifact_store=args.artifact_store,
-        store_read_tier=_store_read_tier(args),
         resume=args.resume,
         journal_dir=cache / "journal",
-        max_memory=args.max_memory,
     )
     artifact = sum(r.artifact_seconds for r in records)
     matrix = sum(r.matrix_seconds for r in records)
@@ -760,10 +762,10 @@ def _command_corpus(args: argparse.Namespace) -> int:
             f"blocking {config.blocking}: mean candidate reduction "
             f"{mean_reduction:.1f}x"
         )
-    if args.artifact_store is not None:
+    if config.artifact_store is not None:
         from repro.pipeline.store import ArtifactStore
 
-        store = ArtifactStore(args.artifact_store)
+        store = ArtifactStore(config.artifact_store)
         entries = store.entries()
         print(
             f"artifact store: {len(entries)} entries, "
@@ -798,13 +800,9 @@ def _command_dirty_er(args: argparse.Namespace) -> int:
         config.corpus,
         cache_dir=cache / "corpus",
         progress=args.progress,
-        workers=args.workers,
-        artifact_store=args.artifact_store,
-        store_read_tier=_store_read_tier(args),
         resume=args.resume,
         journal_dir=cache / "journal",
     )
-    workers = args.workers if args.workers is not None else 1
     from repro.pipeline.resilience import RunJournal
 
     journal = RunJournal(
@@ -817,7 +815,7 @@ def _command_dirty_er(args: argparse.Namespace) -> int:
         codes=codes,
         grid=config.grid,
         progress=args.progress,
-        workers=workers,
+        workers=config.corpus.workers,
         journal=journal,
     )
     journal.clear()

@@ -20,8 +20,9 @@ worker count: graphs are independent, every stochastic matcher is
 seeded per cell, and assembly follows the deterministic
 ``(graph index, algorithm order)`` grid.
 
-When the corpus itself must be (re)generated, ``artifact_store``
-hands :func:`~repro.pipeline.workbench.generate_corpus` a persistent
+When the corpus itself must be (re)generated, the config's
+``artifact_store`` hands
+:func:`~repro.pipeline.workbench.generate_corpus` a persistent
 cross-run store (:mod:`repro.pipeline.store`) so embeddings, token
 matrices and entity graphs built by any earlier run over the same
 datasets are loaded instead of rebuilt.  Like ``workers``, it changes
@@ -112,22 +113,19 @@ def run_experiments(
     config: ExperimentConfig,
     cache_dir: str | Path | None = None,
     progress: bool = False,
-    workers: int | None = None,
-    artifact_store: str | Path | None = None,
-    store_read_tier: str | Path | None = None,
     resume: bool = False,
     policy: RetryPolicy | None = None,
-    max_memory: int | None = None,
 ) -> list[GraphRunResult]:
     """Execute (or load from cache) the full experimental protocol.
 
-    ``workers`` parallelizes both stages: corpus generation (see
+    The run settings live on ``config.corpus``: ``workers``
+    parallelizes both stages, corpus generation (see
     :func:`repro.pipeline.workbench.generate_corpus`) and the
-    per-graph matching sweeps (see :func:`run_matching_sweeps`).
+    per-graph matching sweeps (see :func:`run_matching_sweeps`);
     ``artifact_store`` points corpus generation at a persistent
     cross-run artifact store (:mod:`repro.pipeline.store`) and
     ``store_read_tier`` layers a shared read-only store directory
-    under it.  ``max_memory`` (bytes) bounds corpus generation's peak
+    under it; ``max_memory`` (bytes) bounds corpus generation's peak
     memory through the sharded execution tier
     (:mod:`repro.pipeline.sharding`).  None of the four has any effect
     on the results or on any cache key.
@@ -154,15 +152,10 @@ def run_experiments(
         config.corpus,
         cache_dir=cache_dir / "corpus",
         progress=progress,
-        workers=workers,
-        artifact_store=artifact_store,
-        store_read_tier=store_read_tier,
         resume=resume,
         journal_dir=journal_root,
         policy=policy,
-        max_memory=max_memory,
     )
-    n_workers = workers if workers is not None else config.corpus.workers
     sweep_journal = RunJournal(journal_root, f"sweeps-{config.cache_key()}")
     if not resume:
         sweep_journal.clear()
@@ -170,7 +163,7 @@ def run_experiments(
         corpus,
         config,
         progress=progress,
-        workers=n_workers,
+        workers=config.corpus.workers,
         policy=policy,
         journal=sweep_journal,
     )

@@ -69,11 +69,10 @@ Parallelism
 :func:`group_specs` partitions a spec list into contiguous
 artifact-sharing groups.  The workbench farms these groups out to a
 ``concurrent.futures.ProcessPoolExecutor`` when its ``workers`` knob
-(``GraphCorpusConfig.workers``, ``generate_corpus(..., workers=N)``,
-``repro corpus --workers N``) exceeds one.  Workers recreate the
-dataset deterministically from its spec, so only the config and the
-specs cross the process boundary; ``workers`` never changes results or
-cache keys — it only changes wall-clock.
+(``GraphCorpusConfig.workers``, ``repro corpus --workers N``) exceeds
+one.  Workers recreate the dataset deterministically from its spec, so
+only the config and the specs cross the process boundary; ``workers``
+never changes results or cache keys — it only changes wall-clock.
 
 Below the process level sits the pairwise-kernel engine
 (:mod:`repro.pipeline.kernels`): the schema-based string measures run

@@ -380,33 +380,12 @@ class _CandidateSetCodec:
         )
 
 
-class _ScoreShardCodec:
-    """``(left, right, values)`` — one shard's spilled raw edges.
-
-    Stored uncompressed (``compress = False``): shard spills are
-    written once and read back immediately by the merge, so the
-    deflate pass would cost more than the disk bytes it saves, and an
-    uncompressed npz member can be extracted as a view by
-    ``np.load(..., mmap_mode="r")``.
-    """
-
-    compress = False
-
-    def encode(self, value) -> dict:
-        left, right, values = value
-        return {
-            "left": np.asarray(left, dtype=np.int64),
-            "right": np.asarray(right, dtype=np.int64),
-            "values": np.asarray(values, dtype=np.float64),
-        }
-
-    def decode(self, arrays):
-        return arrays["left"], arrays["right"], arrays["values"]
-
-
 #: Artifact kind (the first element of an ``ArtifactCache`` key) ->
 #: codec.  Only these kinds persist; everything else — cheap derived
-#: state, live model objects — stays in-memory per run.
+#: state, live model objects — stays in-memory per run.  Every kind is
+#: written through the one compressed npz writer.  An entry whose kind
+#: has no codec here (a retired kind an older version committed) still
+#: lists, gc-evicts and purges like any other, but never loads.
 STORE_KINDS = {
     "entity_graphs": _CsrPairCodec(),
     "graph_ratio": _ArrayCodec(),
@@ -418,7 +397,6 @@ STORE_KINDS = {
     "string_unique_tokens": _CsrPairCodec(),
     "string_token_grid": _MongeElkanGridCodec(),
     "candidate_set": _CandidateSetCodec(),
-    "score_shard": _ScoreShardCodec(),
 }
 
 
@@ -592,11 +570,7 @@ class ArtifactStore:
         if manifest_path.exists():
             return False
         self.root.mkdir(parents=True, exist_ok=True)
-        arrays = codec.encode(value)
-        compress = getattr(codec, "compress", True)
-        nbytes = self._atomic_write_npz(
-            payload_path, arrays, compress=compress
-        )
+        nbytes = self._atomic_write_npz(payload_path, codec.encode(value))
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "repro_version": _repro_version(),
@@ -630,9 +604,7 @@ class ArtifactStore:
             f"{target.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
         )
 
-    def _atomic_write_npz(
-        self, target: Path, arrays: dict, compress: bool = True
-    ) -> int:
+    def _atomic_write_npz(self, target: Path, arrays: dict) -> int:
         """Write ``arrays`` to ``target`` atomically; returns its size.
 
         The size comes from the written handle, not a later ``stat``:
@@ -640,10 +612,9 @@ class ArtifactStore:
         gc or quarantine), which must not fail this write.
         """
         tmp = self._tmp_path(target)
-        writer = np.savez_compressed if compress else np.savez
         try:
             with open(tmp, "wb") as handle:
-                writer(handle, **arrays)
+                np.savez_compressed(handle, **arrays)
                 nbytes = handle.tell()
             os.replace(tmp, target)
         finally:

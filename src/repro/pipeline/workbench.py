@@ -13,13 +13,13 @@ artifact-sharing groups and each group scores its edges against a
 per-dataset :class:`~repro.pipeline.engine.ArtifactCache`, which
 eliminates the redundant model/embedding rebuilds of the naive
 per-function loop.  With an ``artifact_store`` configured
-(``GraphCorpusConfig.artifact_store``, ``generate_corpus(...,
-artifact_store=PATH)``, ``repro corpus --artifact-store PATH``) the
-cache extends across runs: embeddings, token matrices and entity
-graphs land in a persistent content-addressed
-:class:`~repro.pipeline.store.ArtifactStore` keyed by the generated
-dataset's identity, so corpus configs that share a dataset reuse each
-other's intermediates — warm or cold, the corpus stays bit-identical.
+(``GraphCorpusConfig.artifact_store``, ``repro corpus
+--artifact-store PATH``) the cache extends across runs: embeddings,
+token matrices and entity graphs land in a persistent
+content-addressed :class:`~repro.pipeline.store.ArtifactStore` keyed
+by the generated dataset's identity, so corpus configs that share a
+dataset reuse each other's intermediates — warm or cold, the corpus
+stays bit-identical.
 With ``workers > 1`` the groups are distributed
 over a process pool; when the corpus has too few groups to occupy a
 pool, the same ``workers`` value instead sizes the thread pool of the
@@ -34,6 +34,15 @@ the shared fault-tolerant runner of :mod:`repro.pipeline.resilience`:
 failed groups retry with backoff, broken pools respawn, and with
 ``resume``/``journal_dir`` completed groups journal to disk so an
 interrupted generation resumes bit-identically.
+
+With ``max_memory`` set, each group instead fans out one pool task
+per row range of its dataset's shard plan
+(:mod:`repro.pipeline.sharding`): a task makes one
+:meth:`~repro.pipeline.engine.SimilarityEngine.score` call over its
+rows, a journal keeps each finished shard's edges, and
+:func:`concat_scores` merges every spec's shards in range order into
+the record the unsharded run builds.  It is the only sharded
+executor.
 
 The paper also removes degenerate inputs ("special care was taken to
 clean the experimental results from noise"); the corresponding filters
@@ -106,6 +115,7 @@ __all__ = [
     "CorpusKind",
     "GraphCorpusConfig",
     "GraphRecord",
+    "concat_scores",
     "generate_corpus",
     "generate_dirty_corpus",
 ]
@@ -352,27 +362,20 @@ def generate_corpus(
     config: GraphCorpusConfig,
     cache_dir: str | Path | None = None,
     progress: bool = False,
-    workers: int | None = None,
-    artifact_store: str | Path | None = None,
-    store_read_tier: str | Path | None = None,
     resume: bool = False,
     journal_dir: str | Path | None = None,
     policy: RetryPolicy | None = None,
-    blocking: str | None = None,
-    max_memory: int | None = None,
 ) -> list[GraphRecord]:
     """Generate (or load from cache) the graph corpus for ``config``.
 
-    ``workers`` overrides ``config.workers``, ``artifact_store``
-    overrides ``config.artifact_store`` and ``store_read_tier``
-    overrides ``config.store_read_tier``; any combination produces
-    the same corpus as a serial, store-less run.  ``blocking``
-    overrides ``config.blocking`` — unlike the others it changes the
-    produced corpus (and its cache key): similarity is computed only
-    on the scheme's candidate pairs.  ``max_memory`` overrides
-    ``config.max_memory``: generation runs through the sharded
-    execution tier (shard-level pool tasks, spilled edges, parent-side
-    merge) and the corpus stays bit-identical.
+    Every run setting lives on ``config`` (pass
+    ``dataclasses.replace(config, workers=4)`` to change one):
+    ``workers``, ``artifact_store``, ``store_read_tier`` and
+    ``max_memory`` (the sharded execution tier) only change
+    wall-clock and memory, and any combination produces the same
+    corpus as a serial, store-less, unsharded run.  ``blocking``
+    changes the produced corpus (and its cache key): similarity is
+    computed only on the scheme's candidate pairs.
 
     Generation fans out through the shared fault-tolerant runner
     (:mod:`repro.pipeline.resilience`): failed groups retry with
@@ -388,8 +391,7 @@ def generate_corpus(
     cleared on success and on any non-resume start.
     """
     return _generate_kind(
-        BIPARTITE, config, cache_dir, progress, workers, artifact_store,
-        store_read_tier, resume, journal_dir, policy, blocking, max_memory,
+        BIPARTITE, config, cache_dir, progress, resume, journal_dir, policy
     )
 
 
@@ -397,13 +399,9 @@ def generate_dirty_corpus(
     config: GraphCorpusConfig,
     cache_dir: str | Path | None = None,
     progress: bool = False,
-    workers: int | None = None,
-    artifact_store: str | Path | None = None,
-    store_read_tier: str | Path | None = None,
     resume: bool = False,
     journal_dir: str | Path | None = None,
     policy: RetryPolicy | None = None,
-    blocking: str | None = None,
 ) -> list[GraphRecord]:
     """Generate (or load from cache) the dirty-ER self-join corpus.
 
@@ -414,15 +412,14 @@ def generate_dirty_corpus(
     clustering algorithms of :mod:`repro.extensions.dirty_er`.  Every
     argument behaves as in :func:`generate_corpus`, under the
     ``dirty_`` cache directory and ``dirty-`` journal run keys.
-    ``blocking`` generates candidates union-against-union and only
-    upper-triangle (``u < v``) candidate pairs become edges, so the
-    scheme changes the corpus (and its cache key) exactly as in
+    ``config.blocking`` generates candidates union-against-union and
+    only upper-triangle (``u < v``) candidate pairs become edges, so
+    the scheme changes the corpus (and its cache key) exactly as in
     :func:`generate_corpus`; ``config.max_memory`` runs the sharded
     tier, bit-identical to the unsharded corpus.
     """
     return _generate_kind(
-        SELF_JOIN, config, cache_dir, progress, workers, artifact_store,
-        store_read_tier, resume, journal_dir, policy, blocking, None,
+        SELF_JOIN, config, cache_dir, progress, resume, journal_dir, policy
     )
 
 
@@ -431,28 +428,11 @@ def _generate_kind(
     config: GraphCorpusConfig,
     cache_dir: str | Path | None,
     progress: bool,
-    workers: int | None,
-    artifact_store: str | Path | None,
-    store_read_tier: str | Path | None,
     resume: bool,
     journal_dir: str | Path | None,
     policy: RetryPolicy | None,
-    blocking: str | None,
-    max_memory: int | None,
 ) -> list[GraphRecord]:
     """The one generator body behind every corpus kind."""
-    if artifact_store is not None:
-        config = dataclasses.replace(
-            config, artifact_store=str(artifact_store)
-        )
-    if store_read_tier is not None:
-        config = dataclasses.replace(
-            config, store_read_tier=str(store_read_tier)
-        )
-    if blocking is not None:
-        config = dataclasses.replace(config, blocking=str(blocking))
-    if max_memory is not None:
-        config = dataclasses.replace(config, max_memory=int(max_memory))
     if config.blocking is not None:
         # Validate (and fail fast on) a bad spec before any generation.
         from repro.pipeline.blocking import canonical_blocking
@@ -467,7 +447,6 @@ def _generate_kind(
         if (cache_dir / _MANIFEST_NAME).exists():
             return _load_cached(cache_dir, kind)
 
-    n_workers = config.workers if workers is None else workers
     if config.max_memory is None:
         fan_out, run = _dense_records, kind.label
     else:
@@ -476,11 +455,10 @@ def _generate_kind(
         journal_dir, resume, f"{run}-{config.cache_key()}"
     )
     records = fan_out(
-        kind, config, _corpus_tasks(config), n_workers, journal, policy,
-        progress,
+        kind, config, _corpus_tasks(config), journal, policy, progress
     )
     if cache_dir is not None:
-        _store_cache(cache_dir, records, kind, workers=n_workers)
+        _store_cache(cache_dir, records, kind, workers=config.workers)
     if journal is not None:
         # The run landed (and, with a cache_dir, persisted): the
         # journal served its purpose.
@@ -608,12 +586,12 @@ def _dense_records(
     kind: CorpusKind,
     config: GraphCorpusConfig,
     tasks: list[tuple[str, SpecGroup]],
-    n_workers: int,
     journal: RunJournal | None,
     policy: RetryPolicy | None,
     progress: bool,
 ) -> list[GraphRecord]:
     """The corpus with one pool task per ``(dataset, spec group)``."""
+    n_workers = config.workers
     use_pool = n_workers > 1 and len(tasks) > 1
     # Serial over groups hands the workers budget to the pairwise
     # kernels instead (block-level threads; results invariant).
@@ -769,7 +747,6 @@ def _sharded_records(
     kind: CorpusKind,
     config: GraphCorpusConfig,
     tasks: list[tuple[str, SpecGroup]],
-    n_workers: int,
     journal: RunJournal | None,
     policy: RetryPolicy | None,
     progress: bool,
@@ -781,11 +758,15 @@ def _sharded_records(
     plan of ``kind``'s dataset view, so the resilient runner's
     retry/resume machinery applies at shard granularity: a killed
     worker repeats one shard, not a whole group, and with a journal
-    each finished shard's edges persist as an npz spill.  The parent
-    concatenates shard edges in range order and builds every record
-    through :func:`_records` — by the merge-determinism rules of
-    :mod:`repro.pipeline.sharding` the result is bit-identical to the
-    unsharded corpus, whatever the budget, shard count or worker count.
+    each finished shard's edges persist as an npz entry.  Task keys
+    name the shard's row range: ``max_memory`` is in neither the cache
+    key nor the journal run key, so a resume under another budget
+    reuses only the shards whose ranges it plans again.  The parent
+    merges shard scores in range order (:func:`concat_scores`) and
+    builds every record through :func:`_records` — by the
+    merge-determinism rules of :mod:`repro.pipeline.sharding` the
+    result is bit-identical to the unsharded corpus, whatever the
+    budget, shard count or worker count.
     """
     datasets: dict[str, CleanCleanDataset] = {}
     plans: dict = {}
@@ -797,20 +778,25 @@ def _sharded_records(
                 memory_budget=config.max_memory,
                 blocking=config.blocking,
             )
-    pool_tasks = []
-    use_pool = n_workers > 1 and sum(
-        plans[code].n_shards for code, _ in tasks
-    ) > 1
+    keys = [
+        [
+            f"{index:03d}:{code}:s{shard:03d}:r{start}-{stop}"
+            for shard, (start, stop) in enumerate(plans[code].ranges())
+        ]
+        for index, (code, _) in enumerate(tasks)
+    ]
+    n_workers = config.workers
+    use_pool = n_workers > 1 and sum(map(len, keys)) > 1
     threads = 1 if use_pool else max(n_workers, 1)
-    for index, (code, group) in enumerate(tasks):
-        for shard, (start, stop) in enumerate(plans[code].ranges()):
-            pool_tasks.append(
-                Task(
-                    key=f"{index:03d}:{code}:s{shard:03d}",
-                    fn=_shard_worker,
-                    args=((config, kind, code, group, threads, start, stop),),
-                )
-            )
+    pool_tasks = [
+        Task(
+            key=key,
+            fn=_shard_worker,
+            args=((config, kind, code, group, threads, start, stop),),
+        )
+        for (code, group), group_keys in zip(tasks, keys)
+        for key, (start, stop) in zip(group_keys, plans[code].ranges())
+    ]
     runner = ResilientPool(
         n_workers if use_pool else 0,
         kind="process",
@@ -821,13 +807,10 @@ def _sharded_records(
     )
     chunks = runner.run(pool_tasks)
     records: list[GraphRecord] = []
-    for index, (code, group) in enumerate(tasks):
-        shards = [
-            chunks[f"{index:03d}:{code}:s{shard:03d}"]
-            for shard in range(plans[code].n_shards)
-        ]
+    for (code, group), group_keys in zip(tasks, keys):
+        shards = [chunks[key] for key in group_keys]
         merged = [
-            _concat_scores([shard[spec_index] for shard in shards])
+            concat_scores([shard[spec_index] for shard in shards])
             for spec_index in range(len(group.specs))
         ]
         chunk = _records(
@@ -850,9 +833,16 @@ def _shard_worker(
     )
 
 
-def _concat_scores(parts: list[SpecScores]) -> SpecScores:
-    """One spec's shard scores merged in range order; timings sum, and
-    the whole-dataset savings statistics come from any shard."""
+def concat_scores(parts: list[SpecScores]) -> SpecScores:
+    """One spec's shard scores merged in range order: the sharded
+    tier's one merge.
+
+    ``parts`` are :meth:`~repro.pipeline.engine.SimilarityEngine.score`
+    results over consecutive row ranges, in range order; their raw
+    edges concatenate into the unsharded edge stream (see
+    :mod:`repro.pipeline.sharding`).  Timings sum, and the
+    whole-dataset savings statistics come from any shard.
+    """
     return SpecScores(
         np.concatenate([part.left for part in parts]),
         np.concatenate([part.right for part in parts]),
@@ -996,10 +986,11 @@ def _read_records(kind: CorpusKind, path: Path) -> list[GraphRecord]:
 
 
 def _write_shard_entry(results: list[SpecScores], path: Path) -> None:
-    """Journal one shard task: an npz edge spill plus a ``shard.json``
-    with the timings and savings statistics.  The arrays round-trip
-    bit-exactly through the uncompressed npz, so a resumed run merges
-    the same corpus as an uninterrupted one."""
+    """Journal one shard task: an ``edges.npz`` with every spec's raw
+    edges plus a ``shard.json`` with the timings and savings
+    statistics.  The arrays round-trip bit-exactly through the
+    uncompressed npz, so a resumed run merges the same corpus as an
+    uninterrupted one."""
     arrays = {}
     for index, scores in enumerate(results):
         arrays[f"left_{index}"] = np.asarray(scores.left, dtype=np.int64)

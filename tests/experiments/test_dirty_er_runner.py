@@ -8,6 +8,8 @@ the scalar per-call path).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -80,19 +82,24 @@ class TestDirtyCorpus:
         _assert_same_dirty_corpus(corpus, reloaded)
 
     def test_workers_do_not_change_corpus(self, corpus):
-        parallel = generate_dirty_corpus(CONFIG, workers=2)
+        parallel = generate_dirty_corpus(
+            dataclasses.replace(CONFIG, workers=2)
+        )
         _assert_same_dirty_corpus(corpus, parallel)
 
     def test_store_does_not_change_corpus(self, corpus, tmp_path):
-        cold = generate_dirty_corpus(CONFIG, artifact_store=tmp_path)
-        warm = generate_dirty_corpus(CONFIG, artifact_store=tmp_path)
+        stored = dataclasses.replace(CONFIG, artifact_store=str(tmp_path))
+        cold = generate_dirty_corpus(stored)
+        warm = generate_dirty_corpus(stored)
         _assert_same_dirty_corpus(corpus, cold)
         _assert_same_dirty_corpus(corpus, warm)
 
     def test_dirty_and_bipartite_store_keys_disjoint(self, tmp_path):
         from repro.pipeline.store import ArtifactStore
 
-        generate_dirty_corpus(CONFIG, artifact_store=tmp_path)
+        generate_dirty_corpus(
+            dataclasses.replace(CONFIG, artifact_store=str(tmp_path))
+        )
         dirty_datasets = {
             entry.dataset for entry in ArtifactStore(tmp_path).entries()
         }
@@ -135,7 +142,7 @@ class TestDirtySweeps:
 
     def test_results_carry_candidate_reduction(self):
         blocked = generate_dirty_corpus(
-            CONFIG, blocking="tokens"
+            dataclasses.replace(CONFIG, blocking="tokens")
         )
         assert blocked
         results = run_dirty_er_sweeps(blocked[:2], grid=GRID)

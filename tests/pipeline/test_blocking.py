@@ -17,6 +17,7 @@ artifact-store codec, corpus cache-key semantics and the CLI surface.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -636,7 +637,9 @@ class TestCorpusIntegration:
             max_attributes=1,
         )
         dense = generate_dirty_corpus(config)
-        blocked = generate_dirty_corpus(config, blocking="tokens")
+        blocked = generate_dirty_corpus(
+            dataclasses.replace(config, blocking="tokens")
+        )
         assert len(dense) == len(blocked)
         for a, b in zip(dense, blocked):
             assert b.graph.metadata["blocking"].startswith("tokens")

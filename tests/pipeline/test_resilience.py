@@ -23,6 +23,7 @@ exactly the same graphs as the failure-free path.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 
@@ -400,7 +401,7 @@ class TestCorpusResilience:
             monkeypatch, {"match": ":d2", "action": "kill", "attempts": [0]}
         )
         crashed = generate_corpus(
-            CORPUS_CONFIG, workers=2, policy=FAST
+            dataclasses.replace(CORPUS_CONFIG, workers=2), policy=FAST
         )
         _assert_same_records(clean, crashed)
 
@@ -455,12 +456,15 @@ class TestCorpusResilience:
         from repro.pipeline.store import ArtifactStore
 
         store_dir = tmp_path / "store"
-        cold = generate_corpus(CORPUS_CONFIG, artifact_store=store_dir)
+        stored = dataclasses.replace(
+            CORPUS_CONFIG, artifact_store=str(store_dir)
+        )
+        cold = generate_corpus(stored)
         _assert_same_records(clean, cold)
         store = ArtifactStore(store_dir)
         assert store.entries()
         faults.truncate_store_payload(store, keep_bytes=24)
-        warm = generate_corpus(CORPUS_CONFIG, artifact_store=store_dir)
+        warm = generate_corpus(stored)
         _assert_same_records(clean, warm)
         assert ArtifactStore(store_dir).quarantine_counts()[0] >= 1
 

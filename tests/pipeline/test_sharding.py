@@ -8,13 +8,14 @@ Property guarantees (hypothesis):
   complete — for any planner inputs.
 
 Plus deterministic coverage of the budget heuristics, the
-``score_shard`` artifact-store kind, the ``max_memory`` corpus path
-for bipartite and self-join corpora (shard-count and worker-count
-invariance) and resume-after-kill mid-shard through the
-:mod:`repro.testing.faults` harness.
+``max_memory`` corpus path for bipartite and self-join corpora
+(shard-count and worker-count invariance) and resume-after-kill
+mid-shard through the :mod:`repro.testing.faults` harness.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -26,19 +27,14 @@ from repro.datasets.profile import EntityCollection, EntityProfile
 from repro.pipeline.engine import SimilarityEngine
 from repro.pipeline.graph_builder import matrix_to_graph, pairs_to_graph
 from repro.pipeline.resilience import ResilienceError, RetryPolicy
-from repro.pipeline.sharding import (
-    ShardPlanner,
-    ShardRun,
-    plan_for_dataset,
-    score_shard_key,
-)
+from repro.pipeline.sharding import ShardPlanner, plan_for_dataset
 from repro.pipeline.similarity_functions import (
     SimilarityFunctionSpec,
     compute_similarity_matrix,
 )
-from repro.pipeline.store import ArtifactStore
 from repro.pipeline.workbench import (
     GraphCorpusConfig,
+    concat_scores,
     generate_corpus,
     generate_dirty_corpus,
 )
@@ -91,6 +87,19 @@ def _measure_spec(measure: str) -> SimilarityFunctionSpec:
     )
 
 
+def _merged_graph(engine, spec, plan):
+    """``spec``'s graph scored shard by shard over ``plan``'s ranges
+    and merged in range order."""
+    n_left, n_right = engine.shape()
+    merged = concat_scores(
+        [
+            engine.score([spec], start, stop)[0]
+            for start, stop in plan.ranges()
+        ]
+    )
+    return pairs_to_graph(n_left, n_right, *merged.edges)
+
+
 def _graphs_equal(a, b) -> bool:
     return (
         np.array_equal(a.left, b.left)
@@ -106,6 +115,8 @@ _CORPUS_CONFIG = GraphCorpusConfig(
     schema_based_measures=("levenshtein", "jaro"),
     max_attributes=1,
 )
+
+_BUDGETED = dataclasses.replace(_CORPUS_CONFIG, max_memory=1 << 20)
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +201,7 @@ class TestMergedEqualsUnsharded:
             expected = matrix_to_graph(
                 compute_similarity_matrix(dataset, spec)
             )
-            merged = ShardRun(engine, plan).run(spec)
+            merged = _merged_graph(engine, spec, plan)
             assert _graphs_equal(expected, merged), measure
 
     @given(lefts=strings, rights=strings, n_shards=st.integers(1, 4))
@@ -207,7 +218,7 @@ class TestMergedEqualsUnsharded:
             expected = pairs_to_graph(
                 len(lefts), len(rights), *scores.edges
             )
-            merged = ShardRun(engine, plan).run(spec)
+            merged = _merged_graph(engine, spec, plan)
             assert _graphs_equal(expected, merged), measure
 
     def test_shard_count_invariance(self):
@@ -218,7 +229,7 @@ class TestMergedEqualsUnsharded:
         engine = SimilarityEngine(dataset)
         spec = _measure_spec("levenshtein")
         graphs = [
-            ShardRun(engine, ShardPlanner.plan(5, 4, n_shards=n)).run(spec)
+            _merged_graph(engine, spec, ShardPlanner.plan(5, 4, n_shards=n))
             for n in (1, 2, 5)
         ]
         assert _graphs_equal(graphs[0], graphs[1])
@@ -242,50 +253,8 @@ class TestMergedEqualsUnsharded:
             return real(batch, measure, cell_left, cell_right)
 
         monkeypatch.setattr(batched_strings, "schema_based_cells", counting)
-        ShardRun(engine, ShardPlanner.plan(12, 2, n_shards=4)).run(spec)
+        _merged_graph(engine, spec, ShardPlanner.plan(12, 2, n_shards=4))
         assert scored == [3, 3, 3, 3]
-
-
-# ----------------------------------------------------------------------
-# score_shard artifact kind
-# ----------------------------------------------------------------------
-class TestScoreShardStore:
-    def test_codec_round_trip(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        key = score_shard_key(_measure_spec("jaro"), "tokens", 0, 7)
-        edges = (
-            np.array([0, 1, 3], dtype=np.int64),
-            np.array([2, 0, 1], dtype=np.int64),
-            np.array([0.25, 1.0, 0.75]),
-        )
-        assert store.save(("t0",), key, edges)
-        loaded = store.load(("t0",), key)
-        for original, restored in zip(edges, loaded):
-            assert np.array_equal(original, restored)
-            assert original.dtype == restored.dtype
-
-    def test_shard_run_reuses_stored_shards(self, tmp_path):
-        dataset = _dataset(
-            ["alpha beta", "beta gamma", "delta"],
-            ["alpha gamma", "beta", "epsilon delta"],
-        )
-        store_root = tmp_path / "store"
-        spec = _measure_spec("levenshtein")
-        plan = ShardPlanner.plan(3, 3, n_shards=3)
-
-        def build():
-            engine = SimilarityEngine(
-                dataset,
-                store=ArtifactStore(store_root),
-                dataset_key=("t0", "test"),
-            )
-            return ShardRun(engine, plan).run(spec)
-
-        cold = build()
-        kinds = {entry.kind for entry in ArtifactStore(store_root).entries()}
-        assert "score_shard" in kinds
-        warm = build()
-        assert _graphs_equal(cold, warm)
 
 
 # ----------------------------------------------------------------------
@@ -297,10 +266,8 @@ class TestShardedCorpus:
         # 1 MB is far below the fixed per-chunk overhead, so the
         # planner degrades to one-row shards — the most adversarial
         # split the merge can face.
-        sharded = generate_corpus(_CORPUS_CONFIG, max_memory=1 << 20)
-        pooled = generate_corpus(
-            _CORPUS_CONFIG, max_memory=1 << 20, workers=2
-        )
+        sharded = generate_corpus(_BUDGETED)
+        pooled = generate_corpus(dataclasses.replace(_BUDGETED, workers=2))
         assert len(baseline) == len(sharded) == len(pooled)
         for base, shard, pool in zip(baseline, sharded, pooled):
             assert base.function == shard.function == pool.function
@@ -310,9 +277,11 @@ class TestShardedCorpus:
             assert base.dedup_ratio == shard.dedup_ratio == pool.dedup_ratio
 
     def test_blocked_budget_invariant(self):
-        blocked = generate_corpus(_CORPUS_CONFIG, blocking="tokens")
+        blocked = generate_corpus(
+            dataclasses.replace(_CORPUS_CONFIG, blocking="tokens")
+        )
         sharded = generate_corpus(
-            _CORPUS_CONFIG, blocking="tokens", max_memory=1 << 20
+            dataclasses.replace(_BUDGETED, blocking="tokens")
         )
         assert len(blocked) == len(sharded)
         for base, shard in zip(blocked, sharded):
@@ -326,7 +295,9 @@ class TestShardedCorpus:
         import repro.pipeline.batched_strings as batched_strings
         import repro.pipeline.workbench as workbench
 
-        baseline = generate_corpus(_CORPUS_CONFIG, artifact_store=tmp_path)
+        baseline = generate_corpus(
+            dataclasses.replace(_CORPUS_CONFIG, artifact_store=str(tmp_path))
+        )
         workbench._WORKER_STATE.clear()  # no engine memo: load from disk
         encodes = []
         real = batched_strings.encode_strings
@@ -337,7 +308,7 @@ class TestShardedCorpus:
 
         monkeypatch.setattr(batched_strings, "encode_strings", counting)
         sharded = generate_corpus(
-            _CORPUS_CONFIG, artifact_store=tmp_path, max_memory=1 << 20
+            dataclasses.replace(_BUDGETED, artifact_store=str(tmp_path))
         )
         assert encodes == []
         assert len(baseline) == len(sharded)
@@ -345,17 +316,10 @@ class TestShardedCorpus:
             assert _graphs_equal(base.graph, shard.graph)
 
     def test_max_memory_excluded_from_cache_key(self):
-        import dataclasses
-
-        budgeted = dataclasses.replace(
-            _CORPUS_CONFIG, max_memory=1 << 20
-        )
-        assert budgeted.cache_key() == _CORPUS_CONFIG.cache_key()
+        assert _BUDGETED.cache_key() == _CORPUS_CONFIG.cache_key()
 
     def test_cache_round_trip(self, tmp_path):
-        sharded = generate_corpus(
-            _CORPUS_CONFIG, cache_dir=tmp_path, max_memory=1 << 20
-        )
+        sharded = generate_corpus(_BUDGETED, cache_dir=tmp_path)
         reloaded = generate_corpus(
             _CORPUS_CONFIG, cache_dir=tmp_path
         )
@@ -365,13 +329,12 @@ class TestShardedCorpus:
 
     @pytest.mark.parametrize("blocking", [None, "tokens"])
     def test_self_join_budget_and_workers_invariant(self, blocking):
-        import dataclasses
-
         from repro.pipeline import workbench
 
-        baseline = generate_dirty_corpus(_CORPUS_CONFIG, blocking=blocking)
+        baseline = generate_dirty_corpus(
+            dataclasses.replace(_CORPUS_CONFIG, blocking=blocking)
+        )
         assert baseline
-        budgeted = dataclasses.replace(_CORPUS_CONFIG, max_memory=1 << 20)
         union = workbench.SELF_JOIN.view(
             workbench._generate(_CORPUS_CONFIG, "d1")
         )
@@ -379,7 +342,9 @@ class TestShardedCorpus:
         assert plan.n_shards >= 2
         for workers in (1, 2):
             sharded = generate_dirty_corpus(
-                budgeted, blocking=blocking, workers=workers
+                dataclasses.replace(
+                    _BUDGETED, blocking=blocking, workers=workers
+                )
             )
             assert len(baseline) == len(sharded)
             for base, shard in zip(baseline, sharded):
@@ -407,9 +372,7 @@ class TestShardFaults:
             monkeypatch, {"match": ":s001", "action": "kill", "attempts": [0]}
         )
         crashed = generate_corpus(
-            _CORPUS_CONFIG,
-            max_memory=1 << 20,
-            workers=2,
+            dataclasses.replace(_BUDGETED, workers=2),
             policy=FAST,
             journal_dir=tmp_path / "journal",
         )
@@ -423,23 +386,16 @@ class TestShardFaults:
         # Both corpora number their shard tasks alike and share the
         # config's cache key; the self-join run must not resume from
         # the bipartite shards journaled in the same directory.
-        import dataclasses
-
         journal_dir = tmp_path / "journal"
         faults.inject(
             monkeypatch,
             {"match": ":s002", "action": "error", "attempts": None},
         )
         with pytest.raises(ResilienceError):
-            generate_corpus(
-                _CORPUS_CONFIG,
-                max_memory=1 << 20,
-                policy=FAST,
-                journal_dir=journal_dir,
-            )
+            generate_corpus(_BUDGETED, policy=FAST, journal_dir=journal_dir)
         monkeypatch.delenv(faults.ENV_VAR)
         resumed = generate_dirty_corpus(
-            dataclasses.replace(_CORPUS_CONFIG, max_memory=1 << 20),
+            _BUDGETED,
             policy=FAST,
             journal_dir=journal_dir,
             resume=True,
@@ -461,23 +417,44 @@ class TestShardFaults:
             {"match": ":s002", "action": "error", "attempts": None},
         )
         with pytest.raises(ResilienceError):
-            generate_corpus(
-                _CORPUS_CONFIG,
-                max_memory=1 << 20,
-                policy=FAST,
-                journal_dir=journal_dir,
-            )
+            generate_corpus(_BUDGETED, policy=FAST, journal_dir=journal_dir)
         # Completed shards journaled before the failure; the resumed
         # run recomputes only the missing ones and merges identically.
         monkeypatch.delenv(faults.ENV_VAR)
         resumed = generate_corpus(
-            _CORPUS_CONFIG,
-            max_memory=1 << 20,
-            policy=FAST,
-            journal_dir=journal_dir,
-            resume=True,
+            _BUDGETED, policy=FAST, journal_dir=journal_dir, resume=True
         )
         assert len(resumed) == len(baseline)
         for base, record in zip(baseline, resumed):
             assert _graphs_equal(base.graph, record.graph)
             assert base.graph.metadata == record.graph.metadata
+
+    def test_resume_under_another_budget_rescores_other_ranges(
+        self, monkeypatch, tmp_path
+    ):
+        # max_memory is in neither the cache key nor the journal run
+        # key, so a resume under another budget finds the first run's
+        # one-row shards under its own run key: only a shard whose row
+        # range the new plan repeats may be reused.
+        from repro.pipeline import workbench
+
+        dataset = workbench._generate(_CORPUS_CONFIG, "d1")
+        wider = dataclasses.replace(_CORPUS_CONFIG, max_memory=9_905_440)
+        one_row = plan_for_dataset(dataset, _BUDGETED.max_memory)
+        assert one_row.n_shards == len(dataset.left)
+        assert 2 < plan_for_dataset(dataset, wider.max_memory).n_shards < 9
+        baseline = generate_corpus(_CORPUS_CONFIG)
+        journal_dir = tmp_path / "journal"
+        faults.inject(
+            monkeypatch,
+            {"match": ":s002", "action": "error", "attempts": None},
+        )
+        with pytest.raises(ResilienceError):
+            generate_corpus(_BUDGETED, policy=FAST, journal_dir=journal_dir)
+        monkeypatch.delenv(faults.ENV_VAR)
+        resumed = generate_corpus(
+            wider, policy=FAST, journal_dir=journal_dir, resume=True
+        )
+        assert len(resumed) == len(baseline)
+        for base, record in zip(baseline, resumed):
+            assert _graphs_equal(base.graph, record.graph)

@@ -199,6 +199,27 @@ class TestCodecRoundtrip:
         assert store.load(DATASET_KEY, ("string_plan", "name")) is None
         assert store.entries() == []
 
+    def test_retired_kind_entries_list_and_purge(
+        self, tmp_path, monkeypatch
+    ):
+        # A store an older version wrote may hold kinds that no longer
+        # have a codec: they never load, but other kinds keep working
+        # and ``store ls``/``purge`` still see them.
+        store = ArtifactStore(tmp_path)
+        retired = ("retired_kind", 0, 7)
+        with monkeypatch.context() as patch:
+            codec = STORE_KINDS["graph_ratio"]
+            patch.setitem(STORE_KINDS, "retired_kind", codec)
+            assert store.save(DATASET_KEY, retired, np.zeros(3))
+        live = ("graph_ratio", "token", 1)
+        assert store.save(DATASET_KEY, live, np.arange(3.0))
+        assert np.array_equal(store.load(DATASET_KEY, live), np.arange(3.0))
+        assert store.load(DATASET_KEY, retired) is None
+        kinds = {entry.kind for entry in store.entries()}
+        assert kinds == {"retired_kind", "graph_ratio"}
+        assert store.purge() == 2
+        assert store.entries() == []
+
     def test_seed_artifact_rejects_unknown_slots(self, dataset):
         # The engine seeds StringBatch slots by name; a renamed
         # cached_property must fail loudly, not silently turn store
@@ -215,8 +236,9 @@ class TestCodecRoundtrip:
 class TestColdWarmEquivalence:
     def test_cold_and_warm_match_storeless(self, tmp_path):
         baseline = generate_corpus(CONFIG)
-        cold = generate_corpus(CONFIG, artifact_store=tmp_path)
-        warm = generate_corpus(CONFIG, artifact_store=tmp_path)
+        stored = dataclasses.replace(CONFIG, artifact_store=str(tmp_path))
+        cold = generate_corpus(stored)
+        warm = generate_corpus(stored)
         _assert_same_corpus(baseline, cold)
         _assert_same_corpus(baseline, warm)
         assert ArtifactStore(tmp_path).entries()  # the store was used
@@ -312,9 +334,12 @@ class TestWriteOnce:
     def test_parallel_workers_share_a_cold_store(self, tmp_path):
         config = dataclasses.replace(CONFIG, datasets=("d1", "d2"))
         serial = generate_corpus(config)
-        parallel = generate_corpus(config, artifact_store=tmp_path, workers=2)
+        pooled = dataclasses.replace(
+            config, artifact_store=str(tmp_path), workers=2
+        )
+        parallel = generate_corpus(pooled)
         _assert_same_corpus(serial, parallel)
-        rewarmed = generate_corpus(config, artifact_store=tmp_path, workers=2)
+        rewarmed = generate_corpus(pooled)
         _assert_same_corpus(serial, rewarmed)
 
     def test_workers_and_store_do_not_change_cache_key(self):
@@ -852,13 +877,18 @@ class TestReadOnlyTier:
 
     def test_corpus_from_tier_matches_storeless(self, tmp_path):
         tier_root = tmp_path / "tier"
-        generate_corpus(CONFIG, artifact_store=tier_root)  # seed the tier
+        # Seed the tier.
+        generate_corpus(
+            dataclasses.replace(CONFIG, artifact_store=str(tier_root))
+        )
         before = _tier_snapshot(tier_root)
         storeless = generate_corpus(CONFIG)
         layered = generate_corpus(
-            CONFIG,
-            artifact_store=tmp_path / "local",
-            store_read_tier=tier_root,
+            dataclasses.replace(
+                CONFIG,
+                artifact_store=str(tmp_path / "local"),
+                store_read_tier=str(tier_root),
+            )
         )
         _assert_same_corpus(storeless, layered)
         assert _tier_snapshot(tier_root) == before

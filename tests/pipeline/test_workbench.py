@@ -156,14 +156,9 @@ class TestStageTimings:
 
 class TestWorkers:
     def test_parallel_equals_serial(self, corpus):
-        parallel = generate_corpus(CONFIG, workers=2)
-        _assert_same_corpus(corpus, parallel)
-
-    def test_workers_config_field_equals_argument(self, corpus):
         import dataclasses
 
-        config = dataclasses.replace(CONFIG, workers=2)
-        parallel = generate_corpus(config)
+        parallel = generate_corpus(dataclasses.replace(CONFIG, workers=2))
         _assert_same_corpus(corpus, parallel)
 
     def test_workers_do_not_change_cache_key(self):

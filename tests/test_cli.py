@@ -143,6 +143,15 @@ class TestStreamCommand:
         assert "--batch-size" in capsys.readouterr().err
 
 
+class TestShardCommand:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_shard_count_must_be_positive(self, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["shard", "plan", "d1", "--shards", value])
+        assert exit_info.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
+
 class TestExperimentsCommand:
     def test_smoke_profile(self, tmp_path, capsys):
         exit_code = main(
@@ -167,6 +176,32 @@ class TestArtifactStoreFlags:
     def test_flag_defaults_to_disabled(self):
         args = build_parser().parse_args(["corpus"])
         assert args.artifact_store is None
+
+
+class TestProfileConfig:
+    def test_corpus_flags_fold_into_the_config(self):
+        from repro.cli import _profile_config
+        from repro.pipeline.store import parse_size_budget
+
+        args = build_parser().parse_args(
+            [
+                "corpus", "--workers", "3", "--max-memory", "64M",
+                "--blocking", "tokens", "--artifact-store", "s",
+                "--store-read-tier", "t",
+            ]
+        )
+        corpus = _profile_config(args).corpus
+        assert corpus.workers == 3
+        assert corpus.max_memory == parse_size_budget("64M")
+        assert corpus.blocking == args.blocking
+        assert (corpus.artifact_store, corpus.store_read_tier) == ("s", "t")
+
+    def test_unset_flags_keep_the_profile(self):
+        from repro.cli import _profile_config
+        from repro.experiments import SMOKE_CONFIG
+
+        args = build_parser().parse_args(["dirty-er"])
+        assert _profile_config(args) == SMOKE_CONFIG
 
 
 class TestStoreCommand:
