@@ -42,7 +42,6 @@ from repro.pipeline.similarity_functions import (
     enumerate_functions,
 )
 from repro.pipeline.workbench import (
-    BIPARTITE,
     GraphCorpusConfig,
     GraphRecord,
     _all_matches_zero,
@@ -129,7 +128,7 @@ def run_direct(config: GraphCorpusConfig) -> list[GraphRecord]:
                 },
             )
             elapsed = time.perf_counter() - start
-            if _all_matches_zero(graph, dataset.ground_truth, BIPARTITE):
+            if _all_matches_zero(graph, dataset.ground_truth):
                 continue
             records.append(
                 GraphRecord(

@@ -82,6 +82,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -116,6 +117,22 @@ def _positive_int(text: str) -> int:
         ) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _threshold(text: str) -> float:
+    """Argparse type for ``--threshold``: a number, never NaN (which
+    would select no edge and succeed silently)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(
+            f"threshold must be a number, got {text!r}"
+        )
     return value
 
 
@@ -186,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", "-a", default="UMC",
         choices=sorted(ALGORITHM_CODES),
     )
-    match.add_argument("--threshold", "-t", type=float, default=0.5)
+    match.add_argument("--threshold", "-t", type=_threshold, default=0.5)
 
     generate = commands.add_parser(
         "generate", help="generate a synthetic dataset profile"
@@ -450,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="schema-based similarity measure scoring candidate pairs",
     )
     stream.add_argument(
-        "--threshold", type=float, default=0.5,
+        "--threshold", type=_threshold, default=0.5,
         help="clustering threshold (inclusive, the dirty-ER convention)",
     )
     stream.add_argument(

@@ -20,10 +20,16 @@ The Dirty-ER extension consumes the *unipartite* counterpart
 :mod:`repro.graph.unipartite`): one collection, canonical ``u < v``
 edges, symmetric CSR, and cached inclusive threshold selections for
 the clustering algorithms of :mod:`repro.extensions.dirty_er`.
+
+Both kinds are one edge-graph core (:mod:`repro.graph.core`) with
+kind-specific names on top: storage, pickling, pruning, compiling,
+the descending-weight permutation, the CSR build and the cached
+selections are written once, and one file codec
+(:mod:`repro.graph.io`) saves and loads either kind.
 """
 
 from repro.graph.bipartite import SimilarityGraph
-from repro.graph.compiled import CompiledGraph, EdgeSelection, compile_graph
+from repro.graph.compiled import CompiledGraph, EdgeSelection
 from repro.graph.examples import figure1_graph
 from repro.graph.normalize import min_max_normalize
 from repro.graph.selection import prefix_length, selection_mask
@@ -41,7 +47,6 @@ __all__ = [
     "UniEdgeSelection",
     "CompiledGraph",
     "EdgeSelection",
-    "compile_graph",
     "selection_mask",
     "prefix_length",
     "GraphStats",

@@ -10,35 +10,38 @@ makes threshold pruning a single vectorized mask.
 The representation intentionally mirrors the paper's problem statement:
 edges connect only nodes of different sides, weights live in ``[0, 1]``
 and the same graph is re-used across all algorithms and all thresholds
-of the sweep.
+of the sweep.  Storage, pickling, pruning, the scored-pairs builder and
+the compiled cache are the edge-graph core's
+(:class:`~repro.graph.core.EdgeGraph`), shared with the Dirty-ER graph;
+this module adds what only the bipartite kind has — its endpoint
+checks, the strict (``>``) default threshold, the dense-matrix and
+edge-list constructors, per-side adjacency and side swapping.
 
-Re-use is what :meth:`SimilarityGraph.compiled` serves: it builds (once,
-cached) the :class:`~repro.graph.compiled.CompiledGraph` holding the
-descending-weight edge permutation and the CSR adjacency both matcher
-entry points share — ``Matcher.match`` compiles implicitly and
-``Matcher.match_compiled`` consumes the compiled view directly.  The
-edge arrays are therefore part of an immutability contract: mutating
-``left`` / ``right`` / ``weight`` after the first compile leaves the
-cached artifacts stale.  Derive new graphs (:meth:`prune`,
-:meth:`swap_sides`, :meth:`subgraph_by_edge_indices`) instead of
-editing in place.
+Re-use is what :meth:`~repro.graph.core.EdgeGraph.compiled` serves: it
+builds (once, cached) the :class:`~repro.graph.compiled.CompiledGraph`
+holding the descending-weight edge permutation and the CSR adjacency
+both matcher entry points share — ``Matcher.match`` compiles implicitly
+and ``Matcher.match_compiled`` consumes the compiled view directly.
+The edge arrays are therefore part of an immutability contract:
+mutating ``left`` / ``right`` / ``weight`` after the first compile
+leaves the cached artifacts stale.  Derive new graphs (``prune``,
+:meth:`~SimilarityGraph.swap_sides`, ``subgraph_by_edge_indices``)
+instead of editing in place.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.graph.selection import selection_mask
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.graph.compiled import CompiledGraph
+from repro.graph.compiled import CompiledGraph
+from repro.graph.core import EdgeGraph
 
 __all__ = ["SimilarityGraph"]
 
 
-class SimilarityGraph:
+class SimilarityGraph(EdgeGraph):
     """A weighted bipartite graph ``G = (V1, V2, E)``.
 
     Parameters
@@ -62,16 +65,12 @@ class SimilarityGraph:
         When true (the default), check index bounds and weight range.
     """
 
-    __slots__ = (
-        "n_left",
-        "n_right",
-        "left",
-        "right",
-        "weight",
-        "name",
-        "metadata",
-        "_compiled",
-    )
+    __slots__ = ("n_left", "n_right", "left", "right")
+
+    SIZES = ("n_left", "n_right")
+    ENDS = ("left", "right")
+    INCLUSIVE = False
+    COMPILED = CompiledGraph
 
     def __init__(
         self,
@@ -83,58 +82,15 @@ class SimilarityGraph:
         name: str = "",
         validate: bool = True,
     ) -> None:
-        if n_left < 0 or n_right < 0:
-            raise ValueError("collection sizes must be non-negative")
-        self.n_left = int(n_left)
-        self.n_right = int(n_right)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.weight = np.asarray(weight, dtype=np.float64)
-        self.name = name
-        self.metadata: dict = {}
-        self._compiled: "CompiledGraph | None" = None
-        if validate:
-            self._validate()
-
-    # ------------------------------------------------------------------
-    # Pickling (drop the compiled cache; workers rebuild it locally)
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        return (
-            self.n_left,
-            self.n_right,
-            self.left,
-            self.right,
-            self.weight,
-            self.name,
-            self.metadata,
+        super().__init__(
+            (n_left, n_right), left, right, weight, name, validate
         )
 
-    def __setstate__(self, state) -> None:
-        (
-            self.n_left,
-            self.n_right,
-            self.left,
-            self.right,
-            self.weight,
-            self.name,
-            self.metadata,
-        ) = state
-        self._compiled = None
-
-    def _validate(self) -> None:
-        if not (len(self.left) == len(self.right) == len(self.weight)):
-            raise ValueError("edge arrays must have equal length")
-        if len(self.left) == 0:
-            return
+    def _check_ends(self) -> None:
         if self.left.min() < 0 or self.left.max() >= self.n_left:
             raise ValueError("left endpoint out of range")
         if self.right.min() < 0 or self.right.max() >= self.n_right:
             raise ValueError("right endpoint out of range")
-        if np.isnan(self.weight).any():
-            raise ValueError("edge weights contain NaN")
-        if self.weight.min() < 0.0 or self.weight.max() > 1.0 + 1e-9:
-            raise ValueError("edge weights must lie in [0, 1]")
 
     # ------------------------------------------------------------------
     # Constructors
@@ -186,13 +142,8 @@ class SimilarityGraph:
         )
 
     # ------------------------------------------------------------------
-    # Basic properties
+    # Properties and adjacency
     # ------------------------------------------------------------------
-    @property
-    def n_edges(self) -> int:
-        """Number of edges ``m = |E|``."""
-        return int(len(self.weight))
-
     @property
     def n_nodes(self) -> int:
         """Number of nodes ``n = |V1| + |V2|``."""
@@ -209,74 +160,6 @@ class SimilarityGraph:
         if self.cartesian_size == 0:
             return 0.0
         return self.n_edges / self.cartesian_size
-
-    def __len__(self) -> int:
-        return self.n_edges
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        label = f" {self.name!r}" if self.name else ""
-        return (
-            f"SimilarityGraph({self.n_left}x{self.n_right},"
-            f" m={self.n_edges}{label})"
-        )
-
-    def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Iterate over edges as ``(left, right, weight)`` triples."""
-        for i, j, w in zip(self.left, self.right, self.weight):
-            yield int(i), int(j), float(w)
-
-    # ------------------------------------------------------------------
-    # Threshold pruning
-    # ------------------------------------------------------------------
-    def prune(self, threshold: float, inclusive: bool = False) -> "SimilarityGraph":
-        """Return a new graph keeping only edges above ``threshold``.
-
-        The paper's algorithms "discard all edges with a weight lower
-        than the similarity threshold"; the pseudocode uses a strict
-        ``sim > t`` comparison for most algorithms, so strict is the
-        default here.  Pass ``inclusive=True`` to keep ``sim == t``.
-        The comparison itself is resolved by
-        :func:`repro.graph.selection.selection_mask`, the same helper
-        the compiled prefix slicing uses.
-        """
-        mask = selection_mask(self.weight, threshold, inclusive)
-        pruned = SimilarityGraph(
-            self.n_left,
-            self.n_right,
-            self.left[mask],
-            self.right[mask],
-            self.weight[mask],
-            name=self.name,
-            validate=False,
-        )
-        pruned.metadata = dict(self.metadata)
-        return pruned
-
-    def edge_mask(self, threshold: float) -> np.ndarray:
-        """Boolean mask of edges with weight strictly above ``threshold``."""
-        return selection_mask(self.weight, threshold, inclusive=False)
-
-    # ------------------------------------------------------------------
-    # Compiled form and adjacency
-    # ------------------------------------------------------------------
-    def compiled(self) -> "CompiledGraph":
-        """The compiled form of this graph (sorted edge permutation,
-        CSR adjacency, threshold prefix indices), built once and cached.
-
-        Every artifact that used to be rebuilt per ``match`` call —
-        adjacency lists, the descending edge sort, node averages —
-        lives on the compiled graph, so all matchers and all thresholds
-        of a sweep share one copy.
-        """
-        if self._compiled is None:
-            from repro.graph.compiled import CompiledGraph
-
-            self._compiled = CompiledGraph(self)
-        return self._compiled
-
-    def release_compiled(self) -> None:
-        """Drop the cached compiled form (frees the derived arrays)."""
-        self._compiled = None
 
     def left_adjacency(self) -> list[list[tuple[int, float]]]:
         """Adjacency lists for ``V1``, each sorted by decreasing weight.
@@ -333,17 +216,3 @@ class SimilarityGraph:
         matrix = np.zeros((self.n_left, self.n_right))
         matrix[self.left, self.right] = self.weight
         return matrix
-
-    def subgraph_by_edge_indices(self, indices: np.ndarray) -> "SimilarityGraph":
-        """Return a graph restricted to the given edge indices."""
-        sub = SimilarityGraph(
-            self.n_left,
-            self.n_right,
-            self.left[indices],
-            self.right[indices],
-            self.weight[indices],
-            name=self.name,
-            validate=False,
-        )
-        sub.metadata = dict(self.metadata)
-        return sub

@@ -18,6 +18,13 @@ all algorithms and all thresholds of a sweep:
   ``(threshold, inclusive)`` pair so the ten algorithms of a sweep
   share one selection per grid point.
 
+The permutation, the CSR build, the selection cache and the
+selection's ``weight``, ``len`` and ``repr`` are the edge-graph core's
+(:mod:`repro.graph.core`), shared with the Dirty-ER graph; this module
+adds the bipartite views: the per-side sorted endpoints and CSRs, the
+adjacency lists and node statistics the matchers read, and the
+per-side selection counts.
+
 Because every per-node CSR run is weight-descending, the edges above a
 threshold also form a *prefix of every node's run*; per-node cutoffs
 are one ``bincount`` over the selected prefix.  All derived artifacts
@@ -34,22 +41,80 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.graph.selection import prefix_length
+from repro.graph.core import CompiledEdgeGraph, PrefixSelection, csr
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.bipartite import SimilarityGraph
 
-__all__ = ["CompiledGraph", "EdgeSelection", "compile_graph"]
+__all__ = ["CompiledGraph", "EdgeSelection"]
 
 AdjacencyLists = list[list[tuple[int, float]]]
 
 
-def compile_graph(graph: "SimilarityGraph") -> "CompiledGraph":
-    """The graph's compiled form, built once and cached on the graph."""
-    return graph.compiled()
+class EdgeSelection(PrefixSelection):
+    """The edges of one compiled graph above one threshold.
+
+    The selected edges are the prefix ``[0:count)`` of the compiled
+    descending-weight permutation.  Because every per-node CSR run is
+    also weight-descending, the selection restricted to one node is the
+    prefix of that node's run: :meth:`left_counts` /
+    :meth:`right_counts` give the per-node prefix lengths, so matchers
+    iterate the cached full adjacency lists and stop at the count —
+    no per-threshold list copies.  Everything is lazy: a matcher that
+    only needs the edge count never computes the cutoffs.
+    """
+
+    __slots__ = VIEWS = ("_left_counts", "_right_counts")
+
+    # -- selected edge arrays (descending weight) ----------------------
+    @property
+    def left(self) -> np.ndarray:
+        return self.compiled.left_sorted[: self.count]
+
+    @property
+    def right(self) -> np.ndarray:
+        return self.compiled.right_sorted[: self.count]
+
+    def original_indices(self) -> np.ndarray:
+        """Indices of the selected edges into the *source* edge arrays,
+        ascending — for consumers that must replicate original-order
+        semantics (e.g. duplicate-edge last-write-wins)."""
+        return np.sort(self.compiled.order[: self.count])
+
+    # -- per-node prefixes ---------------------------------------------
+    def left_counts(self) -> list[int]:
+        """For each left node, how many of its adjacency entries fall in
+        the selection — i.e. the effective length of its preference
+        list at this threshold (the entries ``0 .. count-1`` of the
+        node's list in :meth:`CompiledGraph.left_adjacency`)."""
+        if self._left_counts is None:
+            self._left_counts = self._node_counts(
+                self.left, self.compiled.n_left
+            )
+        return self._left_counts
+
+    def right_counts(self) -> list[int]:
+        if self._right_counts is None:
+            self._right_counts = self._node_counts(
+                self.right, self.compiled.n_right
+            )
+        return self._right_counts
+
+    def _node_counts(self, endpoints: np.ndarray, n: int) -> list[int]:
+        if not self.count:
+            return [0] * n
+        return np.bincount(endpoints, minlength=n).tolist()
+
+    # -- conversions ---------------------------------------------------
+    def to_graph(self) -> "SimilarityGraph":
+        """The selection as a standalone graph, preserving ``name`` and
+        ``metadata`` and the source's original edge order (bit-identical
+        to :meth:`SimilarityGraph.prune` at the same settings)."""
+        indices = self.original_indices()
+        return self.compiled.source.subgraph_by_edge_indices(indices)
 
 
-class CompiledGraph:
+class CompiledGraph(CompiledEdgeGraph):
     """Shared, immutable precomputation over one similarity graph.
 
     Construction performs the three edge sorts (global descending and
@@ -63,23 +128,16 @@ class CompiledGraph:
     """
 
     __slots__ = (
-        "source",
         "n_left",
         "n_right",
-        "n_edges",
-        "order",
         "left_sorted",
         "right_sorted",
-        "weight_sorted",
-        "weight_ascending",
         "left_indptr",
         "left_neighbors",
         "left_weights",
         "right_indptr",
         "right_neighbors",
         "right_weights",
-        "kernel_cache",
-        "_selections",
         "_left_pairs",
         "_right_pairs",
         "_left_lists",
@@ -89,37 +147,21 @@ class CompiledGraph:
         "_ripple_queue",
     )
 
+    SELECTION = EdgeSelection
+
     def __init__(self, graph: "SimilarityGraph") -> None:
-        self.source = graph
+        super().__init__(graph)
         self.n_left = graph.n_left
         self.n_right = graph.n_right
-        self.n_edges = graph.n_edges
-
         left, right, weight = graph.left, graph.right, graph.weight
-        # Descending weight, ties by ascending (left, right); stable on
-        # full ties, so duplicate edges keep their input order.
-        self.order = np.lexsort((right, left, -weight))
         self.left_sorted = left[self.order]
         self.right_sorted = right[self.order]
-        self.weight_sorted = weight[self.order]
-        self.weight_ascending = np.ascontiguousarray(self.weight_sorted[::-1])
-
-        # CSR per side.  Sorting by (node, -weight, neighbour) makes
-        # each node's run identical to the legacy adjacency list order.
-        left_order = np.lexsort((right, -weight, left))
-        self.left_indptr = self._indptr(left[left_order], self.n_left)
-        self.left_neighbors = right[left_order]
-        self.left_weights = weight[left_order]
-
-        right_order = np.lexsort((left, -weight, right))
-        self.right_indptr = self._indptr(right[right_order], self.n_right)
-        self.right_neighbors = left[right_order]
-        self.right_weights = weight[right_order]
-
-        #: Scratch space for matcher kernels that precompute
-        #: threshold-independent state (e.g. RCA's assignment passes).
-        self.kernel_cache: dict = {}
-        self._selections: dict[tuple[float, bool], EdgeSelection] = {}
+        self.left_indptr, self.left_neighbors, self.left_weights = csr(
+            left, right, weight, self.n_left
+        )
+        self.right_indptr, self.right_neighbors, self.right_weights = csr(
+            right, left, weight, self.n_right
+        )
         self._left_pairs: list[tuple[int, float]] | None = None
         self._right_pairs: list[tuple[int, float]] | None = None
         self._left_lists: AdjacencyLists | None = None
@@ -127,51 +169,6 @@ class CompiledGraph:
         self._merged_lists: AdjacencyLists | None = None
         self._averages: tuple[np.ndarray, np.ndarray] | None = None
         self._ripple_queue: list[int] | None = None
-
-    @staticmethod
-    def _indptr(sorted_nodes: np.ndarray, n: int) -> np.ndarray:
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        if n:
-            counts = np.bincount(sorted_nodes, minlength=n)
-            np.cumsum(counts, out=indptr[1:])
-        return indptr
-
-    # ------------------------------------------------------------------
-    # Provenance
-    # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self.source.name
-
-    @property
-    def metadata(self) -> dict:
-        return self.source.metadata
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CompiledGraph({self.n_left}x{self.n_right}, m={self.n_edges})"
-        )
-
-    # ------------------------------------------------------------------
-    # Threshold selection
-    # ------------------------------------------------------------------
-    def select(
-        self, threshold: float, inclusive: bool = False
-    ) -> "EdgeSelection":
-        """The cached edge selection at ``(threshold, inclusive)``.
-
-        This is the compiled counterpart of
-        :meth:`SimilarityGraph.prune`: the selected edges are the first
-        ``k`` of the descending-weight permutation, found by one binary
-        search through :func:`repro.graph.selection.prefix_length`.
-        """
-        key = (float(threshold), bool(inclusive))
-        selection = self._selections.get(key)
-        if selection is None:
-            count = prefix_length(self.weight_ascending, threshold, inclusive)
-            selection = EdgeSelection(self, key[0], key[1], count)
-            self._selections[key] = selection
-        return selection
 
     # ------------------------------------------------------------------
     # Full (threshold-free) adjacency
@@ -254,101 +251,3 @@ class CompiledGraph:
                 key=lambda v: (-averages[v], v),
             )
         return self._ripple_queue
-
-
-class EdgeSelection:
-    """The edges of one compiled graph above one threshold.
-
-    The selected edges are the prefix ``[0:count)`` of the compiled
-    descending-weight permutation.  Because every per-node CSR run is
-    also weight-descending, the selection restricted to one node is the
-    prefix of that node's run: :meth:`left_counts` /
-    :meth:`right_counts` give the per-node prefix lengths, so matchers
-    iterate the cached full adjacency lists and stop at the count —
-    no per-threshold list copies.  Everything is lazy: a matcher that
-    only needs the edge count never computes the cutoffs.
-    """
-
-    __slots__ = (
-        "compiled",
-        "threshold",
-        "inclusive",
-        "count",
-        "_left_counts",
-        "_right_counts",
-    )
-
-    def __init__(
-        self,
-        compiled: CompiledGraph,
-        threshold: float,
-        inclusive: bool,
-        count: int,
-    ) -> None:
-        self.compiled = compiled
-        self.threshold = threshold
-        self.inclusive = inclusive
-        self.count = count
-        self._left_counts: list[int] | None = None
-        self._right_counts: list[int] | None = None
-
-    # -- selected edge arrays (descending weight) ----------------------
-    @property
-    def left(self) -> np.ndarray:
-        return self.compiled.left_sorted[: self.count]
-
-    @property
-    def right(self) -> np.ndarray:
-        return self.compiled.right_sorted[: self.count]
-
-    @property
-    def weight(self) -> np.ndarray:
-        return self.compiled.weight_sorted[: self.count]
-
-    def original_indices(self) -> np.ndarray:
-        """Indices of the selected edges into the *source* edge arrays,
-        ascending — for consumers that must replicate original-order
-        semantics (e.g. duplicate-edge last-write-wins)."""
-        return np.sort(self.compiled.order[: self.count])
-
-    # -- per-node prefixes ---------------------------------------------
-    def left_counts(self) -> list[int]:
-        """For each left node, how many of its adjacency entries fall in
-        the selection — i.e. the effective length of its preference
-        list at this threshold (the entries ``0 .. count-1`` of the
-        node's list in :meth:`CompiledGraph.left_adjacency`)."""
-        if self._left_counts is None:
-            self._left_counts = self._node_counts(
-                self.left, self.compiled.n_left
-            )
-        return self._left_counts
-
-    def right_counts(self) -> list[int]:
-        if self._right_counts is None:
-            self._right_counts = self._node_counts(
-                self.right, self.compiled.n_right
-            )
-        return self._right_counts
-
-    def _node_counts(self, endpoints: np.ndarray, n: int) -> list[int]:
-        if not self.count:
-            return [0] * n
-        return np.bincount(endpoints, minlength=n).tolist()
-
-    # -- conversions ---------------------------------------------------
-    def to_graph(self) -> "SimilarityGraph":
-        """The selection as a standalone graph, preserving ``name`` and
-        ``metadata`` and the source's original edge order (bit-identical
-        to :meth:`SimilarityGraph.prune` at the same settings)."""
-        indices = self.original_indices()
-        return self.compiled.source.subgraph_by_edge_indices(indices)
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        op = ">=" if self.inclusive else ">"
-        return (
-            f"EdgeSelection(w {op} {self.threshold}, {self.count} of "
-            f"{self.compiled.n_edges} edges)"
-        )

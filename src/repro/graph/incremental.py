@@ -254,10 +254,6 @@ def _delta_prefix(weights_desc: np.ndarray, threshold: float,
     return prefix_length(ascending, threshold, inclusive)
 
 
-#: The lazy per-threshold caches of a ``UniEdgeSelection``.
-_SELECTION_LAZY = ("_sparse", "_bitsets", "_component_labels")
-
-
 def _update_selections(
     selections: dict, weights_desc: np.ndarray, sign: int
 ) -> None:
@@ -267,8 +263,7 @@ def _update_selections(
         passing = _delta_prefix(weights_desc, threshold, inclusive)
         if passing:
             selection.count += sign * passing
-            for name in _SELECTION_LAZY:
-                setattr(selection, name, None)
+            selection.drop_views()
 
 
 def _canonical_uni_delta(u, v, weight):
@@ -378,8 +373,7 @@ def add_uni_nodes(compiled: CompiledUnipartiteGraph, count: int) -> None:
         ]
     )
     for selection in compiled._selections.values():
-        for name in _SELECTION_LAZY:
-            setattr(selection, name, None)
+        selection.drop_views()
     # The triangle base is edge-indexed and survives node growth;
     # everything else in the kernel cache is cleared defensively.
     base = compiled.kernel_cache.pop("gecg_base", None)

@@ -3,7 +3,13 @@
 The experiment workbench persists the generated graph corpus to disk so
 that benchmark runs re-use it instead of recomputing all-pairs
 similarities.  The format is a compressed ``.npz`` bundle of the edge
-arrays plus a small JSON header for the metadata.
+arrays (named after the graph kind's endpoints: ``left``/``right`` or
+``u``/``v``, plus ``weight``) and a small JSON header holding the
+format version, the node counts, the name and the metadata.  One
+codec serves both graph kinds: a unipartite header carries
+``"kind": "unipartite"``, a bipartite header no marker (its format
+predates the marker), and :func:`load_graph` returns whichever kind
+the header names.
 """
 
 from __future__ import annotations
@@ -14,107 +20,58 @@ from pathlib import Path
 import numpy as np
 
 from repro.graph.bipartite import SimilarityGraph
+from repro.graph.core import EdgeGraph
 from repro.graph.unipartite import UnipartiteGraph
 
-__all__ = [
-    "save_graph",
-    "load_graph",
-    "save_unipartite_graph",
-    "load_unipartite_graph",
-]
+__all__ = ["save_graph", "load_graph"]
 
 _FORMAT_VERSION = 1
-_UNIPARTITE_FORMAT_VERSION = 1
+
+#: Each graph class by the ``kind`` marker of its file header.
+_CLASSES: dict[str | None, type[EdgeGraph]] = {
+    None: SimilarityGraph,
+    "unipartite": UnipartiteGraph,
+}
+_KINDS = {cls: kind for kind, cls in _CLASSES.items()}
 
 
-def save_graph(graph: SimilarityGraph, path: str | Path) -> None:
-    """Write ``graph`` to ``path`` as a compressed ``.npz`` bundle."""
+def save_graph(graph: EdgeGraph, path: str | Path) -> None:
+    """Write ``graph`` (either kind) to ``path`` as a compressed
+    ``.npz`` bundle."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    header = {
-        "version": _FORMAT_VERSION,
-        "n_left": graph.n_left,
-        "n_right": graph.n_right,
-        "name": graph.name,
-        "metadata": graph.metadata,
-    }
+    header: dict = {"version": _FORMAT_VERSION}
+    kind = _KINDS[type(graph)]
+    if kind is not None:
+        header["kind"] = kind
+    header.update(zip(graph.SIZES, graph.sizes))
+    header.update(name=graph.name, metadata=graph.metadata)
     np.savez_compressed(
         path,
         header=np.frombuffer(
             json.dumps(header).encode("utf-8"), dtype=np.uint8
         ),
-        left=graph.left,
-        right=graph.right,
+        **dict(zip(graph.ENDS, graph.ends())),
         weight=graph.weight,
     )
 
 
-def load_graph(path: str | Path) -> SimilarityGraph:
-    """Load a graph previously written by :func:`save_graph`."""
+def load_graph(path: str | Path) -> EdgeGraph:
+    """Load a graph previously written by :func:`save_graph`, as the
+    class its header names."""
     with np.load(Path(path), allow_pickle=False) as bundle:
         header = json.loads(bytes(bundle["header"]).decode("utf-8"))
+        kind = header.get("kind")
+        if kind not in _CLASSES:
+            raise ValueError(f"unknown graph file kind: {kind!r}")
         if header.get("version") != _FORMAT_VERSION:
             raise ValueError(
-                f"unsupported graph file version: {header.get('version')}"
+                f"unsupported graph file version: {header.get('version')!r}"
             )
-        graph = SimilarityGraph(
-            header["n_left"],
-            header["n_right"],
-            bundle["left"],
-            bundle["right"],
-            bundle["weight"],
-            name=header.get("name", ""),
-            validate=False,
-        )
-        graph.metadata = dict(header.get("metadata", {}))
-    return graph
-
-
-def save_unipartite_graph(
-    graph: UnipartiteGraph, path: str | Path
-) -> None:
-    """Write a Dirty-ER graph as a compressed ``.npz`` bundle.
-
-    Same layout as :func:`save_graph` with a distinct ``kind`` marker,
-    so the two formats can never be confused when loading.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = {
-        "version": _UNIPARTITE_FORMAT_VERSION,
-        "kind": "unipartite",
-        "n_nodes": graph.n_nodes,
-        "name": graph.name,
-        "metadata": graph.metadata,
-    }
-    np.savez_compressed(
-        path,
-        header=np.frombuffer(
-            json.dumps(header).encode("utf-8"), dtype=np.uint8
-        ),
-        u=graph.u,
-        v=graph.v,
-        weight=graph.weight,
-    )
-
-
-def load_unipartite_graph(path: str | Path) -> UnipartiteGraph:
-    """Load a graph previously written by :func:`save_unipartite_graph`."""
-    with np.load(Path(path), allow_pickle=False) as bundle:
-        header = json.loads(bytes(bundle["header"]).decode("utf-8"))
-        if (
-            header.get("kind") != "unipartite"
-            or header.get("version") != _UNIPARTITE_FORMAT_VERSION
-        ):
-            raise ValueError(
-                "not a supported unipartite graph file: "
-                f"kind={header.get('kind')!r} "
-                f"version={header.get('version')!r}"
-            )
-        graph = UnipartiteGraph(
-            header["n_nodes"],
-            bundle["u"],
-            bundle["v"],
+        cls = _CLASSES[kind]
+        graph = cls(
+            *(header[attr] for attr in cls.SIZES),
+            *(bundle[attr] for attr in cls.ENDS),
             bundle["weight"],
             name=header.get("name", ""),
             validate=False,

@@ -3,13 +3,21 @@
 The paper applies min-max normalization to the edge weights of *all*
 similarity graphs "regardless of the similarity function that produced
 them, to ensure that they are restricted to [0, 1]" (Section 5).
+:func:`min_max_normalize_array` is the one formula: the edge-graph
+core's scored-pairs builder
+(:meth:`~repro.graph.core.EdgeGraph.from_scores`) applies it while it
+builds a graph, and :func:`min_max_normalize` re-weights a graph of
+either kind that already exists.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.graph.bipartite import SimilarityGraph
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.graph.core import EdgeGraph
 
 __all__ = ["min_max_normalize", "min_max_normalize_array"]
 
@@ -31,16 +39,9 @@ def min_max_normalize_array(values: np.ndarray) -> np.ndarray:
     return (values - low) / (high - low)
 
 
-def min_max_normalize(graph: SimilarityGraph) -> SimilarityGraph:
-    """Return a copy of ``graph`` with min-max normalized weights."""
-    normalized = SimilarityGraph(
-        graph.n_left,
-        graph.n_right,
-        graph.left,
-        graph.right,
-        min_max_normalize_array(graph.weight),
-        name=graph.name,
-        validate=False,
+def min_max_normalize(graph: EdgeGraph) -> EdgeGraph:
+    """Return a copy of ``graph`` (either kind) with min-max normalized
+    weights."""
+    return graph.with_edges(
+        *graph.ends(), min_max_normalize_array(graph.weight)
     )
-    normalized.metadata = dict(graph.metadata)
-    return normalized

@@ -5,9 +5,13 @@ keeps edges with ``sim > t`` (strict), while CNC's Algorithm 2 prunes
 ``sim < t`` (i.e. keeps ``sim >= t``) and RCA filters its assignment
 with ``sim >= t`` at the very end.  Before this module, every call
 site hand-rolled its own mask and the convention could drift silently;
-now both :meth:`repro.graph.bipartite.SimilarityGraph.prune` and the
-compiled-graph prefix slicing of :mod:`repro.graph.compiled` resolve
-the comparison here.
+now ``prune`` and the compiled prefix slicing of ``select``, written
+once in :mod:`repro.graph.core` for both graph kinds, resolve the
+comparison here.
+
+A NaN threshold selects nothing under either comparison and would
+cache under a key that never hits again, so both helpers reject it
+with a :class:`ValueError` that names the threshold.
 
 Two equivalent selection forms are provided:
 
@@ -19,6 +23,8 @@ Two equivalent selection forms are provided:
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,6 +39,7 @@ def selection_mask(
     ``inclusive=False`` (the default) keeps ``weight > threshold``;
     ``inclusive=True`` keeps ``weight >= threshold``.
     """
+    _check_threshold(threshold)
     if inclusive:
         return weights >= threshold
     return weights > threshold
@@ -47,6 +54,12 @@ def prefix_length(
     in O(log m): the selected edges are exactly the top ``k`` of the
     descending sort, i.e. the suffix of the ascending sort.
     """
+    _check_threshold(threshold)
     side = "left" if inclusive else "right"
     cut = int(np.searchsorted(ascending_weights, threshold, side=side))
     return int(len(ascending_weights) - cut)
+
+
+def _check_threshold(threshold: float) -> None:
+    if math.isnan(threshold):
+        raise ValueError(f"threshold must be a number, got {threshold!r}")

@@ -1,11 +1,15 @@
-"""From a similarity matrix to a similarity graph.
+"""From scored pairs to a similarity graph.
 
 Follows the paper's protocol: every pair with similarity strictly
 above zero becomes an edge (no blocking), and edge weights are min-max
 normalized into ``[0, 1]`` regardless of the similarity function that
-produced them (Section 5).  :func:`pairs_to_graph` is the sparse
-analogue used by the blocking layer: same edge rule and normalization,
-applied to candidate-pair scores instead of a dense matrix.
+produced them (Section 5).  :func:`pairs_to_graph` applies that rule
+to scored pairs — the corpus engine's positive edges, dense or blocked
+candidates alike — through the edge-graph core's builder
+(:meth:`~repro.graph.core.EdgeGraph.from_scores`), which the Dirty-ER
+:func:`~repro.graph.unipartite.pairs_to_unipartite_graph` shares;
+:func:`matrix_to_graph` is :func:`pairs_to_graph` over a dense
+matrix's positive cells.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.bipartite import SimilarityGraph
-from repro.graph.normalize import min_max_normalize
 
 __all__ = ["matrix_to_graph", "pairs_to_graph"]
 
@@ -43,21 +46,15 @@ def matrix_to_graph(
     if matrix.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
     left, right = np.nonzero(matrix > 0.0)
-    weights = matrix[left, right]
-    graph = SimilarityGraph(
-        matrix.shape[0],
-        matrix.shape[1],
+    return pairs_to_graph(
+        *matrix.shape,
         left,
         right,
-        np.clip(weights, 0.0, 1.0),
+        matrix[left, right],
         name=name,
-        validate=False,
+        normalize=normalize,
+        metadata=metadata,
     )
-    if metadata:
-        graph.metadata = dict(metadata)
-    if normalize:
-        graph = min_max_normalize(graph)
-    return graph
 
 
 def pairs_to_graph(
@@ -72,27 +69,19 @@ def pairs_to_graph(
 ) -> SimilarityGraph:
     """Build a :class:`SimilarityGraph` from candidate-pair scores.
 
-    Mirrors :func:`matrix_to_graph` on a sparse pair list: scores at
-    or below zero are dropped, retained weights are clipped and
-    (optionally) min-max normalized.  Raw scores equal the dense
+    Scores at or below zero are dropped, retained weights are clipped
+    and (optionally) min-max normalized.  Raw scores equal the dense
     matrix on every candidate cell, but min-max normalization runs
     over the *retained* edges only — pairs pruned by blocking cannot
     contribute a minimum, so normalized weights may legitimately
     differ from the unblocked graph.
     """
-    values = np.asarray(values, dtype=np.float64)
-    keep = values > 0.0
-    graph = SimilarityGraph(
-        int(n_left),
-        int(n_right),
-        np.asarray(left)[keep],
-        np.asarray(right)[keep],
-        np.clip(values[keep], 0.0, 1.0),
+    return SimilarityGraph.from_scores(
+        (n_left, n_right),
+        left,
+        right,
+        values,
         name=name,
-        validate=False,
+        normalize=normalize,
+        metadata=metadata,
     )
-    if metadata:
-        graph.metadata = dict(metadata)
-    if normalize:
-        graph = min_max_normalize(graph)
-    return graph

@@ -52,10 +52,11 @@ applied already at generation time here.
 
 One pipeline builds every corpus kind.  A :class:`CorpusKind` value
 holds the only decisions two kinds differ on — the dataset view the
-engine joins, the graph built from its scored pairs, the zero-evidence
-edge keys, the graph file codec and the on-disk names — and everything
-else (record, generator, sharded tier, cache layer, journal codec)
-exists once.  :data:`BIPARTITE` is the paper's Clean-Clean corpus
+engine joins, the graph built from its scored pairs and the on-disk
+names — and everything else (record, generator, sharded tier, cache
+layer, journal codec, and the graph file codec of
+:mod:`repro.graph.io`, which reads either graph kind) exists once.
+:data:`BIPARTITE` is the paper's Clean-Clean corpus
 (:func:`generate_corpus`).  :data:`SELF_JOIN` is the dirty-ER corpus
 (:func:`generate_dirty_corpus`): each dataset's union collection is
 joined with itself through the ordinary engine/store stack (self-join
@@ -70,7 +71,6 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -80,12 +80,7 @@ from repro.datasets.catalog import DATASET_CODES, dataset_spec
 from repro.datasets.generator import CleanCleanDataset, generate_dataset
 from repro.datasets.profile import EntityCollection
 from repro.graph.bipartite import SimilarityGraph
-from repro.graph.io import (
-    load_graph,
-    load_unipartite_graph,
-    save_graph,
-    save_unipartite_graph,
-)
+from repro.graph.io import load_graph, save_graph
 from repro.graph.unipartite import UnipartiteGraph, pairs_to_unipartite_graph
 from repro.pipeline.engine import (
     SimilarityEngine,
@@ -253,12 +248,12 @@ class CorpusKind:
 
     ``view`` maps a generated dataset to the one the engine joins; its
     ``code`` is the artifact-store identity.  ``build_graph`` turns one
-    spec's scored pairs of that view into a graph, ``edge_ends`` gives
-    a graph's ``(a, b, stride)`` edge endpoints for the zero-evidence
-    filter, and ``save_graph``/``load_graph`` are the graph file codec.
-    ``cache_prefix`` and ``manifest_header`` fix the corpus cache
-    directory name and manifest head; ``label`` prefixes journal run
-    keys and pool labels.
+    spec's scored pairs of that view into a graph.  ``cache_prefix``
+    and ``manifest_header`` fix the corpus cache directory name and
+    manifest head; ``label`` prefixes journal run keys and pool
+    labels.  The graphs themselves carry everything else a kind could
+    differ on: their edge endpoints and node counts, and the file
+    header :mod:`repro.graph.io` writes and reads back.
 
     Kinds travel to pool workers inside task arguments, so every field
     is a module-level function or a constant.
@@ -266,9 +261,6 @@ class CorpusKind:
 
     view: Callable[[CleanCleanDataset], CleanCleanDataset]
     build_graph: Callable[..., SimilarityGraph | UnipartiteGraph]
-    edge_ends: Callable[..., tuple[np.ndarray, np.ndarray, int]]
-    save_graph: Callable
-    load_graph: Callable
     cache_prefix: str
     manifest_header: tuple[tuple[str, object], ...]
     label: str
@@ -282,10 +274,6 @@ def _bipartite_graph(dataset, left, right, values, **kwargs):
     return pairs_to_graph(
         len(dataset.left), len(dataset.right), left, right, values, **kwargs
     )
-
-
-def _bipartite_ends(graph: SimilarityGraph):
-    return graph.left, graph.right, graph.n_right
 
 
 def _self_join_dataset(dataset: CleanCleanDataset) -> CleanCleanDataset:
@@ -326,17 +314,10 @@ def _self_join_graph(dataset, u, v, values, **kwargs):
     return pairs_to_unipartite_graph(len(dataset.left), u, v, values, **kwargs)
 
 
-def _self_join_ends(graph: UnipartiteGraph):
-    return graph.u, graph.v, graph.n_nodes
-
-
 #: The paper's Clean-Clean corpus: left collection against right.
 BIPARTITE = CorpusKind(
     view=_as_is,
     build_graph=_bipartite_graph,
-    edge_ends=_bipartite_ends,
-    save_graph=save_graph,
-    load_graph=load_graph,
     cache_prefix="",
     manifest_header=(("version", 2),),
     label="corpus",
@@ -346,9 +327,6 @@ BIPARTITE = CorpusKind(
 SELF_JOIN = CorpusKind(
     view=_self_join_dataset,
     build_graph=_self_join_graph,
-    edge_ends=_self_join_ends,
-    save_graph=save_unipartite_graph,
-    load_graph=load_unipartite_graph,
     cache_prefix="dirty_",
     manifest_header=(("version", 1), ("kind", "dirty")),
     label="dirty",
@@ -445,7 +423,7 @@ def _generate_kind(
             kind.cache_prefix + config.cache_key()
         )
         if (cache_dir / _MANIFEST_NAME).exists():
-            return _load_cached(cache_dir, kind)
+            return _load_cached(cache_dir)
 
     if config.max_memory is None:
         fan_out, run = _dense_records, kind.label
@@ -601,10 +579,7 @@ def _dense_records(
         kind="process",
         policy=policy,
         journal=journal,
-        codec=JournalCodec(
-            write=partial(_write_records, kind),
-            read=partial(_read_records, kind),
-        ),
+        codec=JournalCodec(write=_write_records, read=_read_records),
         label=kind.label,
     )
     on_result = None
@@ -668,7 +643,7 @@ def _records(
             metadata=_graph_metadata(dataset, spec, blocking),
         )
         graph_seconds = time.perf_counter() - graph_start
-        if _all_matches_zero(graph, dataset.ground_truth, kind):
+        if _all_matches_zero(graph, dataset.ground_truth):
             # The paper removes graphs "where all matching entities had
             # a zero edge weight" — they carry no signal at all.
             continue
@@ -721,20 +696,19 @@ def _print_progress(record: GraphRecord) -> None:
     )
 
 
-def _all_matches_zero(
-    graph, ground_truth: set[tuple[int, int]], kind: CorpusKind
-) -> bool:
+def _all_matches_zero(graph, ground_truth: set[tuple[int, int]]) -> bool:
     """True when no ground-truth pair appears among the graph's edges.
 
     Vectorized: edges and truth pairs are folded into scalar keys
-    (``a * stride + b`` over ``kind.edge_ends``) and membership is one
+    (``a * stride + b`` over the graph's endpoint arrays, the stride
+    being the node count of the second endpoint) and membership is one
     ``np.isin`` — no per-graph Python set over all ``m`` edges.
     """
     if not ground_truth or graph.n_edges == 0:
         return True
-    a, b, stride = kind.edge_ends(graph)
+    a, b = graph.ends()
     truth = np.array(sorted(ground_truth), dtype=np.int64)
-    stride = np.int64(stride)
+    stride = np.int64(graph.sizes[-1])
     edge_keys = a * stride + b
     truth_keys = truth[:, 0] * stride + truth[:, 1]
     return not bool(np.isin(truth_keys, edge_keys).any())
@@ -891,7 +865,7 @@ def _manifest_body(records: list[GraphRecord], filenames) -> dict:
     return {"ground_truth": ground_truth, "graphs": graphs}
 
 
-def _records_from_body(body: dict, directory: Path, load) -> list[GraphRecord]:
+def _records_from_body(body: dict, directory: Path) -> list[GraphRecord]:
     """Inverse of :func:`_manifest_body` over the graph files in
     ``directory``; every dataset's records share one truth set."""
     shared_truth = {
@@ -900,7 +874,7 @@ def _records_from_body(body: dict, directory: Path, load) -> list[GraphRecord]:
     }
     return [
         GraphRecord(
-            graph=load(directory / entry["file"]),
+            graph=load_graph(directory / entry["file"]),
             dataset=entry["dataset"],
             family=entry["family"],
             function=entry["function"],
@@ -941,7 +915,7 @@ def _store_cache(
             [
                 Task(
                     key=filename,
-                    fn=kind.save_graph,
+                    fn=save_graph,
                     args=(record.graph, cache_dir / filename),
                 )
                 for record, filename in zip(records, filenames)
@@ -949,7 +923,7 @@ def _store_cache(
         )
     else:
         for record, filename in zip(records, filenames):
-            kind.save_graph(record.graph, cache_dir / filename)
+            save_graph(record.graph, cache_dir / filename)
     manifest = {
         **dict(kind.manifest_header),
         **_manifest_body(records, filenames),
@@ -957,7 +931,7 @@ def _store_cache(
     (cache_dir / _MANIFEST_NAME).write_text(json.dumps(manifest))
 
 
-def _load_cached(cache_dir: Path, kind: CorpusKind) -> list[GraphRecord]:
+def _load_cached(cache_dir: Path) -> list[GraphRecord]:
     manifest = json.loads((cache_dir / _MANIFEST_NAME).read_text())
     if isinstance(manifest, list):
         # v1 manifests carried a full ground-truth copy per entry.
@@ -965,24 +939,24 @@ def _load_cached(cache_dir: Path, kind: CorpusKind) -> list[GraphRecord]:
         for entry in manifest:
             truth.setdefault(entry["dataset"], entry["ground_truth"])
         manifest = {"ground_truth": truth, "graphs": manifest}
-    return _records_from_body(manifest, cache_dir, kind.load_graph)
+    return _records_from_body(manifest, cache_dir)
 
 
-def _write_records(kind: CorpusKind, chunk: list[GraphRecord], path: Path):
+def _write_records(chunk: list[GraphRecord], path: Path) -> None:
     """Journal one group's records: per-record graph files plus a
     ``records.json`` (same body as the corpus manifest, so the
     round-trip shares the manifest's bit-identity guarantees)."""
     filenames = [f"graph_{index:03d}.npz" for index in range(len(chunk))]
     for record, filename in zip(chunk, filenames):
-        kind.save_graph(record.graph, path / filename)
+        save_graph(record.graph, path / filename)
     (path / "records.json").write_text(
         json.dumps(_manifest_body(chunk, filenames))
     )
 
 
-def _read_records(kind: CorpusKind, path: Path) -> list[GraphRecord]:
+def _read_records(path: Path) -> list[GraphRecord]:
     body = json.loads((path / "records.json").read_text())
-    return _records_from_body(body, path, kind.load_graph)
+    return _records_from_body(body, path)
 
 
 def _write_shard_entry(results: list[SpecScores], path: Path) -> None:

@@ -10,7 +10,6 @@ import pytest
 from repro.graph import (
     CompiledGraph,
     SimilarityGraph,
-    compile_graph,
     figure1_graph,
     prefix_length,
     selection_mask,
@@ -69,7 +68,6 @@ class TestCompiledGraph:
     def test_compile_is_cached_on_graph(self):
         graph = random_graph()
         assert graph.compiled() is graph.compiled()
-        assert compile_graph(graph) is graph.compiled()
         graph.release_compiled()
         assert isinstance(graph.compiled(), CompiledGraph)
 

@@ -13,7 +13,8 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.graph.io import load_unipartite_graph, save_unipartite_graph
+from repro.graph.bipartite import SimilarityGraph
+from repro.graph.io import load_graph, save_graph
 from repro.graph.unipartite import (
     UnipartiteGraph,
     pairs_to_unipartite_graph,
@@ -187,8 +188,9 @@ class TestIo:
     def test_roundtrip(self, small, tmp_path):
         small.metadata = {"dataset": "d1", "function": "f"}
         path = tmp_path / "graph.npz"
-        save_unipartite_graph(small, path)
-        loaded = load_unipartite_graph(path)
+        save_graph(small, path)
+        loaded = load_graph(path)
+        assert type(loaded) is UnipartiteGraph
         assert loaded.n_nodes == small.n_nodes
         assert loaded.name == small.name
         assert loaded.metadata == small.metadata
@@ -196,13 +198,10 @@ class TestIo:
         assert np.array_equal(loaded.v, small.v)
         assert np.array_equal(loaded.weight, small.weight)
 
-    def test_rejects_bipartite_file(self, tmp_path):
-        from repro.graph.bipartite import SimilarityGraph
-        from repro.graph.io import save_graph
-
+    def test_loads_bipartite_file_as_bipartite(self, tmp_path):
+        # One loader reads either kind: the header names the class.
         path = tmp_path / "bipartite.npz"
-        save_graph(
-            SimilarityGraph.from_edges(2, 2, [(0, 1, 0.5)]), path
-        )
-        with pytest.raises(ValueError, match="unipartite"):
-            load_unipartite_graph(path)
+        save_graph(SimilarityGraph.from_edges(2, 2, [(0, 1, 0.5)]), path)
+        loaded = load_graph(path)
+        assert type(loaded) is SimilarityGraph
+        assert sorted(loaded.edges()) == [(0, 1, 0.5)]

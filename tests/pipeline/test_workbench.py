@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 
 from repro.graph.bipartite import SimilarityGraph
-from repro.graph.io import save_graph, save_unipartite_graph
+from repro.graph.io import save_graph
 from repro.graph.unipartite import UnipartiteGraph
 from repro.pipeline import workbench
 from repro.pipeline.workbench import (
-    BIPARTITE,
     SELF_JOIN,
     GraphCorpusConfig,
     _all_matches_zero,
@@ -84,7 +83,7 @@ class TestZeroEvidenceFilter:
     )
     def test_matches_set_reference(self, edges, truth):
         graph = self._graph(edges)
-        assert _all_matches_zero(graph, truth, BIPARTITE) == (
+        assert _all_matches_zero(graph, truth) == (
             self._reference(graph, truth)
         )
 
@@ -102,7 +101,7 @@ class TestZeroEvidenceFilter:
                 for _ in range(int(rng.integers(0, 10)))
             }
             graph = self._graph(edges, int(n_left), int(n_right))
-            assert _all_matches_zero(graph, truth, BIPARTITE) == (
+            assert _all_matches_zero(graph, truth) == (
                 self._reference(graph, truth)
             )
         # Self-join graphs over one node set: canonical u < v pairs.
@@ -121,7 +120,7 @@ class TestZeroEvidenceFilter:
                 if pair[0] != pair[1]
             }
             graph = UnipartiteGraph.from_edges(n_nodes, edges)
-            assert _all_matches_zero(graph, truth, SELF_JOIN) == (
+            assert _all_matches_zero(graph, truth) == (
                 self._reference(graph, truth)
             )
 
@@ -245,7 +244,7 @@ class TestCacheManifest:
         graphs = []
         for index, record in enumerate(dirty):
             filename = f"graph_{index:04d}.npz"
-            save_unipartite_graph(record.graph, dirty_dir / filename)
+            save_graph(record.graph, dirty_dir / filename)
             graphs.append(
                 {
                     "file": filename,

@@ -45,6 +45,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["match", "g.csv", "-a", "XYZ"])
 
+    @pytest.mark.parametrize(
+        "command", [["match", "g.csv"], ["stream", "d1"]]
+    )
+    @pytest.mark.parametrize("value", ["nan", "NaN"])
+    def test_nan_threshold_fails_at_parse_time(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--threshold", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--threshold" in err
+        assert "Traceback" not in err
+
 
 class TestMatchCommand:
     def test_prints_pairs(self, graph_csv, capsys):
