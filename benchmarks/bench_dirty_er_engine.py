@@ -11,7 +11,7 @@ EMCC, GECG) over every graph at all 20 thresholds — twice:
   :func:`repro.experiments.runner.run_dirty_er_sweeps`, where each
   graph is compiled once (one descending edge sort + symmetric CSR —
   :mod:`repro.graph.unipartite`) and every grid point consumes cached
-  threshold selections through the bitset/csgraph/matmul kernels,
+  threshold selections through the bitset/csgraph/triangle-base kernels,
   scored through the shared ``GroundTruthIndex``;
 
 then asserts

@@ -26,7 +26,9 @@ matchers' convention:
   over a :class:`~repro.graph.unipartite.CompiledUnipartiteGraph`:
   cached threshold selections, ``scipy.sparse.csgraph`` components,
   Python-int adjacency *bitsets* for the clique growth, and the GECG
-  triangle-consistency gain as two sparse matmuls per iteration.
+  triangle-consistency gain: three ``bincount`` calls over the
+  graph's cached triangle base, then a ±1 update per flip of the
+  edges sharing a triangle with the flipped edge.
 
 Determinism note: the networkx prototype delegated clique selection to
 ``nx.max_weight_clique``, whose result among equal-size cliques is an
@@ -64,7 +66,7 @@ __all__ = [
 
 
 # ======================================================================
-# Compiled kernels (CSR / bitsets / sparse matmul)
+# Compiled kernels (CSR / bitsets / triangle base)
 # ======================================================================
 def _labels_to_clusters(labels: np.ndarray) -> list[set[int]]:
     """Group node indices by component label into cluster sets."""
@@ -241,76 +243,18 @@ def extended_maximum_clique_clustering_compiled(
     return _clique_removal_compiled(compiled, threshold, attachment_fraction)
 
 
-def _gecg_base(compiled: CompiledUnipartiteGraph):
-    """Threshold-independent GECG state, cached per compiled graph.
-
-    Holds the canonical ascending ``(u, v)`` edge order, the weights
-    in that order, and the **triangle incidence arrays**: every
-    triangle ``a < b < w`` of the graph (enumerated once, from its
-    lowest edge ``(a, b)`` and common neighbours ``w > b``) as three
-    parallel edge-index arrays.  A triangle touches three gain
-    entries, so the incidence is stored pre-concatenated as
-    ``(edge, other1, other2)`` triples — one ``bincount`` per label
-    predicate scores every edge of every triangle per iteration.
-    """
-    base = compiled.kernel_cache.get("gecg_base")
-    if base is None:
-        graph = compiled.source
-        order = np.lexsort((graph.v, graph.u))
-        edge_u = graph.u[order]
-        edge_v = graph.v[order]
-        u_list, v_list = edge_u.tolist(), edge_v.tolist()
-        edge_index = {
-            pair: position
-            for position, pair in enumerate(zip(u_list, v_list))
-        }
-        neighbour_sets: list[set[int]] = [
-            set() for _ in range(compiled.n_nodes)
-        ]
-        for a, b in zip(u_list, v_list):
-            neighbour_sets[a].add(b)
-            neighbour_sets[b].add(a)
-        tri_e1: list[int] = []
-        tri_e2: list[int] = []
-        tri_e3: list[int] = []
-        for position, (a, b) in enumerate(zip(u_list, v_list)):
-            for w in neighbour_sets[a] & neighbour_sets[b]:
-                if w > b:  # a < b < w: each triangle exactly once
-                    tri_e1.append(position)
-                    tri_e2.append(edge_index[(a, w)])
-                    tri_e3.append(edge_index[(b, w)])
-        e1 = np.asarray(tri_e1, dtype=np.int64)
-        e2 = np.asarray(tri_e2, dtype=np.int64)
-        e3 = np.asarray(tri_e3, dtype=np.int64)
-        # Every (edge, its two triangle partners) incidence, flattened.
-        edges_at = np.concatenate([e1, e2, e3])
-        other_a = np.concatenate([e2, e1, e1])
-        other_b = np.concatenate([e3, e3, e2])
-        base = (edge_u, edge_v, graph.weight[order], edges_at, other_a, other_b)
-        compiled.kernel_cache["gecg_base"] = base
-    return base
-
-
-def _gecg_entries(
-    compiled: CompiledUnipartiteGraph, edges_at: np.ndarray, m: int
-):
-    """Edge-to-incidence CSR over the triangle base, cached.
-
-    Groups the flattened triangle incidence rows by their ``edges_at``
-    edge: ``entry_order[indptr[e]:indptr[e + 1]]`` are the rows whose
-    scored edge is ``e``.  This is what lets an iteration recompute
-    gains for only the edges sharing a triangle with the last flip.
-    Derived from the triangle base, so the incremental layer drops it
-    (and this rebuilds lazily) whenever the base is patched.
-    """
-    entries = compiled.kernel_cache.get("gecg_entries")
-    if entries is None:
-        entry_order = np.argsort(edges_at, kind="stable")
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(edges_at, minlength=m), out=indptr[1:])
-        entries = (entry_order, indptr)
-        compiled.kernel_cache["gecg_entries"] = entries
-    return entries
+def _check_max_iterations(max_iterations) -> int:
+    """GECG's flip budget, which must be a non-negative integer."""
+    if (
+        not isinstance(max_iterations, numbers.Integral)
+        or isinstance(max_iterations, bool)
+        or max_iterations < 0
+    ):
+        raise ValueError(
+            "max_iterations must be a non-negative integer, got "
+            f"{max_iterations!r}"
+        )
+    return int(max_iterations)
 
 
 def global_edge_consistency_gain_compiled(
@@ -318,94 +262,56 @@ def global_edge_consistency_gain_compiled(
     threshold: float,
     max_iterations: int = 100,
 ) -> list[set[int]]:
-    """Compiled GECG: incrementally maintained triangle-consistency gain.
+    """Compiled GECG: a ±1 gain update per flip over the triangle base.
 
-    The triangles are enumerated once per graph (cached across the
-    whole threshold sweep, and patched in place by the incremental
-    layer).  The initial gain of every edge — ``#`` of incident
-    triangles whose other two edges are both matched versus both
-    unmatched — is two ``bincount`` calls over the triangle incidence;
-    each subsequent iteration then recomputes gains *only for the
-    edges sharing a triangle with the flipped edge* (the flipped
-    edge's own gain just negates: its incident labels are unchanged),
-    instead of rescoring the full graph.  The maintained gain array is
-    exactly the full recompute, so the flip sequence — first edge
-    attaining the maximum positive gain in canonical ascending
-    ``(u, v)`` order, via ``np.argmax`` — is unchanged from a
-    full-recompute kernel; clusters are the ``csgraph`` components of
+    The triangles are enumerated once per graph
+    (:meth:`~repro.graph.unipartite.CompiledUnipartiteGraph.triangles`,
+    cached across the whole threshold sweep and patched in place by the
+    incremental layer).  With 0/1 labels, an edge ``x``'s count of
+    matched minus unmatched triangle partners is the sum of
+    ``l_y + l_z - 1`` over its triangles ``(x, y, z)``: three
+    ``bincount`` calls over the triangle columns.  Its flip gain is
+    that count while ``x`` is unmatched and its negation while
+    matched.  A flip that matches ``f`` raises the count of every edge
+    sharing a triangle with ``f`` by exactly one (unmatching lowers
+    it), and ``f``'s own gain negates, so each iteration touches only
+    the triangles through ``f``.  Gains stay exact integers, and the
+    flip sequence — first edge attaining the maximum positive gain in
+    canonical ascending ``(u, v)`` order, via ``np.argmax`` — is that
+    of a full recompute; clusters are the ``csgraph`` components of
     the match-labelled edges.
     """
+    budget = _check_max_iterations(max_iterations)
     n = compiled.n_nodes
     m = compiled.n_edges
     if m == 0:
         return [{node} for node in range(n)]
-    edge_u, edge_v, weights, edges_at, other_a, other_b = _gecg_base(compiled)
-    entry_order, entry_indptr = _gecg_entries(compiled, edges_at, m)
-    labels = selection_mask(weights, threshold, inclusive=True).copy()
+    base = compiled.triangles()
+    labels = selection_mask(base.weight, threshold, inclusive=True)
+    member = labels[base.triangles].view(np.int8)
+    # Per triangle, l_x + l_y + l_z - 1; an edge's term drops its own l.
+    partners = member.sum(axis=0, dtype=np.int8) - 1
+    count = sum(
+        np.bincount(edges, weights=partners - own, minlength=m)
+        for edges, own in zip(base.triangles, member)
+    ).astype(np.int64)
+    gain = np.where(labels, -count, count)
 
-    la = labels[other_a]
-    lb = labels[other_b]
-    both_matched = np.bincount(
-        edges_at, weights=(la & lb).astype(np.float64), minlength=m
-    )
-    both_unmatched = np.bincount(
-        edges_at, weights=(~la & ~lb).astype(np.float64), minlength=m
-    )
-    gain = np.where(
-        labels,
-        both_unmatched - both_matched,
-        both_matched - both_unmatched,
-    )
-
-    for _ in range(max_iterations):
-        if gain.max() <= 0:
-            break
+    for _ in range(budget):
         flip = int(np.argmax(gain))
+        if gain[flip] <= 0:
+            break
         labels[flip] = not labels[flip]
-        # Only edges in a triangle with ``flip`` see different incident
-        # labels; ``flip`` itself keeps its counts and negates.
         gain[flip] = -gain[flip]
-        rows = entry_order[entry_indptr[flip] : entry_indptr[flip + 1]]
-        affected = np.unique(
-            np.concatenate([other_a[rows], other_b[rows]])
-        )
-        if len(affected):
-            starts = entry_indptr[affected]
-            counts = entry_indptr[affected + 1] - starts
-            group = np.repeat(np.arange(len(affected)), counts)
-            within = np.arange(int(counts.sum())) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            arows = entry_order[starts[group] + within]
-            la = labels[other_a[arows]]
-            lb = labels[other_b[arows]]
-            matched = np.bincount(
-                group,
-                weights=(la & lb).astype(np.float64),
-                minlength=len(affected),
-            )
-            unmatched = np.bincount(
-                group,
-                weights=(~la & ~lb).astype(np.float64),
-                minlength=len(affected),
-            )
-            gain[affected] = np.where(
-                labels[affected], unmatched - matched, matched - unmatched
-            )
+        touched = base.through(compiled, [flip])[1:].ravel()
+        step = 1 if labels[flip] else -1
+        gain[touched] += np.where(labels[touched], -step, step)
 
-    if not labels.any():
-        return [{node} for node in range(n)]
     from scipy import sparse
     from scipy.sparse import csgraph
 
-    matched_graph = sparse.csr_matrix(
-        (
-            np.ones(int(labels.sum()) * 2),
-            (
-                np.concatenate([edge_u[labels], edge_v[labels]]),
-                np.concatenate([edge_v[labels], edge_u[labels]]),
-            ),
-        ),
+    matched_graph = sparse.coo_matrix(
+        (np.ones(int(labels.sum())), (base.u[labels], base.v[labels])),
         shape=(n, n),
     )
     _, component = csgraph.connected_components(matched_graph, directed=False)
@@ -466,9 +372,9 @@ class DirtyClusterer:
     The clustering counterpart of :class:`repro.matching.base.Matcher`:
     ``cluster`` is the thin public entry point (compiles implicitly)
     and ``cluster_compiled`` is sweep-native.  The parameters are
-    checked once, here: ``attachment_fraction`` (EMCC) must lie in
-    ``(0, 1]`` and ``max_iterations`` (GECG) must be a non-negative
-    integer.
+    checked here, as the EMCC and GECG kernels check them too:
+    ``attachment_fraction`` (EMCC) must lie in ``(0, 1]`` and
+    ``max_iterations`` (GECG) must be a non-negative integer.
     """
 
     def __init__(
@@ -488,18 +394,9 @@ class DirtyClusterer:
                 "attachment_fraction must lie in (0, 1], got "
                 f"{attachment_fraction!r}"
             )
-        if (
-            not isinstance(max_iterations, numbers.Integral)
-            or isinstance(max_iterations, bool)
-            or max_iterations < 0
-        ):
-            raise ValueError(
-                "max_iterations must be a non-negative integer, got "
-                f"{max_iterations!r}"
-            )
         self.code = code
         self.attachment_fraction = attachment_fraction
-        self.max_iterations = int(max_iterations)
+        self.max_iterations = _check_max_iterations(max_iterations)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DirtyClusterer({self.code})"

@@ -16,10 +16,10 @@ components it touches — so :class:`IncrementalClusterer` maintains
   partition is identical cluster-for-cluster to a batch call.
 
 GECG is a global objective (one flip can cascade across components),
-so its maintainer delegates to the compiled kernel whose
-incrementality lives one layer down: the triangle base patched in
-place by :mod:`repro.graph.incremental` and the per-iteration gain
-update restricted to the edges the last flip touched.
+so its maintainer reruns the compiled kernel, whose incrementality
+lives one layer down: the triangle base that
+:mod:`repro.graph.incremental` patches through every delta, and a
+±1 gain update per flip of the edges sharing a triangle with it.
 
 The clusterer observes the *graph mutators*, it does not call them:
 feed every ``insert_uni_edges`` / ``delete_uni_edges`` /

@@ -28,21 +28,25 @@ Three rules govern every mutation:
   ``count`` (by the delta's own prefix length — no re-search) and
   drop their lazy caches.
 
-The mutators additionally maintain the cached GECG triangle-incidence
-base (``kernel_cache["gecg_base"]``) in place: new triangles are
-enumerated only around the delta edges, old triangle edge-indices are
-remapped by rank, and the derived edge-to-incidence index
-(``"gecg_entries"``) is dropped for lazy rebuild.  Every other
-``kernel_cache`` entry is threshold-level derived state and is
-cleared.
+The mutators additionally patch the cached GECG triangle base
+(:class:`~repro.graph.unipartite.TriangleBase`, the ``"triangles"``
+entry of ``kernel_cache``) in place: an insert shifts the stored edge
+positions past the delta's insertion points and appends the triangles
+through the delta edges (:meth:`~repro.graph.unipartite.TriangleBase.through`
+seeded with them), a delete drops the triangles holding a deleted edge
+and shifts the survivors down, and node growth leaves it as it is.
+Every other ``kernel_cache`` entry is threshold-level derived state
+and is cleared.
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from repro.graph.selection import prefix_length
-from repro.graph.unipartite import CompiledUnipartiteGraph
+from repro.graph.unipartite import CompiledUnipartiteGraph, pair_keys
 
 __all__ = ["add_uni_nodes", "delete_uni_edges", "insert_uni_edges"]
 
@@ -275,6 +279,11 @@ def _canonical_uni_delta(u, v, weight):
     return lo, hi, d_w
 
 
+def _check_endpoints(compiled: CompiledUnipartiteGraph, d_u, d_v) -> None:
+    if d_u.min() < 0 or d_v.max() >= compiled.n_nodes:
+        raise ValueError("delta endpoint out of range")
+
+
 def _uni_edge_exists(
     compiled: CompiledUnipartiteGraph, u: int, v: int
 ) -> bool:
@@ -291,17 +300,16 @@ def insert_uni_edges(
     edges are rejected (the graph's invariant).  The delta merges into
     the descending-weight permutation and the symmetric CSR, cached
     selections move by their crossing counts, and a cached GECG
-    triangle base is maintained incrementally — never re-enumerated.
+    triangle base is patched — never re-enumerated.
     """
     d_u, d_v, d_w = _canonical_uni_delta(u, v, weight)
     if len(d_u) == 0:
         return
-    if d_u.min() < 0 or d_v.max() >= compiled.n_nodes:
-        raise ValueError("delta endpoint out of range")
+    _check_endpoints(compiled, d_u, d_v)
     for a, b in zip(d_u.tolist(), d_v.tolist()):
         if _uni_edge_exists(compiled, a, b):
             raise ValueError(f"edge ({a}, {b}) already in graph")
-    keys = d_u * np.int64(max(compiled.n_nodes, 1)) + d_v
+    keys = pair_keys(d_u, d_v)
     if len(np.unique(keys)) != len(keys):
         raise ValueError("duplicate edges in delta")
 
@@ -318,7 +326,7 @@ def insert_uni_edges(
         )
     )
     _update_selections(compiled._selections, sw, +1)
-    _patch_gecg_base(compiled, d_u, d_v, d_w, inserted=True)
+    _patch_triangles(compiled, d_u, d_v, d_w, inserted=True)
 
 
 def delete_uni_edges(
@@ -330,16 +338,18 @@ def delete_uni_edges(
         raw_v = np.atleast_1d(np.asarray(v, dtype=np.int64))
         d_u = np.minimum(raw_u, raw_v)
         d_v = np.maximum(raw_u, raw_v)
-        d_w = _csr_weights(
-            compiled.indptr, compiled.neighbors, compiled.neighbor_weights,
-            d_u, d_v,
-        )
     else:
         d_u, d_v, d_w = _canonical_uni_delta(u, v, weight)
     if len(d_u) == 0:
         return
-    pair_keys = d_u * np.int64(max(compiled.n_nodes, 1)) + d_v
-    if len(np.unique(pair_keys)) != len(pair_keys):
+    _check_endpoints(compiled, d_u, d_v)
+    if weight is None:
+        d_w = _csr_weights(
+            compiled.indptr, compiled.neighbors, compiled.neighbor_weights,
+            d_u, d_v,
+        )
+    keys = pair_keys(d_u, d_v)
+    if len(np.unique(keys)) != len(keys):
         raise ValueError("duplicate edges in delete delta")
     su, sv, sw = _delete_sorted(compiled, d_u, d_v, d_w)
     compiled.indptr, compiled.neighbors, compiled.neighbor_weights = (
@@ -353,7 +363,7 @@ def delete_uni_edges(
         )
     )
     _update_selections(compiled._selections, sw, -1)
-    _patch_gecg_base(compiled, d_u, d_v, d_w, inserted=False)
+    _patch_triangles(compiled, d_u, d_v, d_w, inserted=False)
 
 
 def add_uni_nodes(compiled: CompiledUnipartiteGraph, count: int) -> None:
@@ -362,8 +372,15 @@ def add_uni_nodes(compiled: CompiledUnipartiteGraph, count: int) -> None:
     Cached selection counts stay valid (isolated nodes admit no edges),
     but their node-count-shaped lazy views must re-derive.
     """
-    if count < 0:
-        raise ValueError("node count must be non-negative")
+    if (
+        not isinstance(count, numbers.Integral)
+        or isinstance(count, bool)
+        or count < 0
+    ):
+        raise ValueError(
+            f"node count must be a non-negative integer, got {count!r}"
+        )
+    count = int(count)
     compiled.n_nodes += count
     compiled.source.n_nodes += count
     compiled.indptr = np.concatenate(
@@ -374,119 +391,64 @@ def add_uni_nodes(compiled: CompiledUnipartiteGraph, count: int) -> None:
     )
     for selection in compiled._selections.values():
         selection.drop_views()
-    # The triangle base is edge-indexed and survives node growth;
-    # everything else in the kernel cache is cleared defensively.
-    base = compiled.kernel_cache.pop("gecg_base", None)
-    compiled.kernel_cache.clear()
-    if base is not None:
-        compiled.kernel_cache["gecg_base"] = base
+    # The triangle base is edge-indexed and survives node growth.
+    _clear_kernel_cache(compiled)
 
 
 # ======================================================================
 # GECG triangle-base maintenance
 # ======================================================================
-def _patch_gecg_base(
+def _clear_kernel_cache(compiled: CompiledUnipartiteGraph):
+    """Clear ``kernel_cache`` but for the triangle base, returned."""
+    base = compiled.kernel_cache.pop("triangles", None)
+    compiled.kernel_cache.clear()
+    if base is not None:
+        compiled.kernel_cache["triangles"] = base
+    return base
+
+
+def _patch_triangles(
     compiled: CompiledUnipartiteGraph,
     d_u: np.ndarray,
     d_v: np.ndarray,
     d_w: np.ndarray,
     inserted: bool,
 ) -> None:
-    """Keep ``kernel_cache['gecg_base']`` exact across a delta.
+    """Keep the cached :class:`~repro.graph.unipartite.TriangleBase`
+    exact across a delta.
 
-    The base holds every triangle of the graph as three parallel
-    edge-index arrays over the canonical ascending ``(u, v)`` edge
-    order.  An insert shifts old indices by their rank among the
-    delta's insertion points and enumerates *only* the triangles
-    containing a delta edge (common CSR neighbours of its endpoints);
-    a delete drops the incidences touching a removed edge and shifts
-    the survivors down.  Gains are integer triangle counts, so the
-    patched base reproduces the from-scratch enumeration exactly.
-    All other kernel-cache entries are threshold-level state and are
-    cleared; the derived edge-to-incidence index rebuilds lazily.
+    Stored triangles hold edge positions in the canonical ascending
+    ``(u, v)`` order.  An insert shifts every stored position past the
+    delta's insertion points, then appends the triangles through the
+    delta edges in the grown graph; a delete drops the triangles that
+    hold a deleted edge and shifts the survivors down.  Gains are
+    integer triangle counts, so the patched base scores exactly like a
+    fresh build.  Every other kernel-cache entry is cleared.
     """
-    base = compiled.kernel_cache.get("gecg_base")
-    compiled.kernel_cache.clear()
+    base = _clear_kernel_cache(compiled)
     if base is None:
         return
-    edge_u, edge_v, weights, edges_at, other_a, other_b = base
-
-    # Ascending-(u, v) delta order and its positions among the edges.
     order = np.lexsort((d_v, d_u))
-    su, sv, sw = d_u[order], d_v[order], d_w[order]
-    existing = _edge_keys(
-        np.zeros(len(edge_u)), edge_u, edge_v
-    )
-    delta_keys = _edge_keys(np.zeros(len(su)), su, sv)
-
+    keys = pair_keys(d_u[order], d_v[order])
+    positions = np.searchsorted(base.keys, keys)
+    triangles = base.triangles
     if inserted:
-        positions = np.searchsorted(existing, delta_keys, side="left")
-        shift = np.searchsorted(positions, edges_at, side="right")
-        edges_at = edges_at + shift
-        other_a = other_a + np.searchsorted(
-            positions, other_a, side="right"
-        )
-        other_b = other_b + np.searchsorted(
-            positions, other_b, side="right"
-        )
-        edge_u = np.insert(edge_u, positions, su)
-        edge_v = np.insert(edge_v, positions, sv)
-        weights = np.insert(weights, positions, sw)
-
-        triangles: set[tuple[int, int, int]] = set()
-        for a, b in zip(su.tolist(), sv.tolist()):
-            common = np.intersect1d(
-                _uni_neighbors(compiled, a), _uni_neighbors(compiled, b)
-            )
-            for w in common.tolist():
-                triangles.add(tuple(sorted((a, b, w))))
-        if triangles:
-            triples = sorted(triangles)
-            lookup = _edge_keys(
-                np.zeros(len(edge_u)), edge_u, edge_v
-            )
-            e1 = _find_edges(lookup, [(x, y) for x, y, _ in triples])
-            e2 = _find_edges(lookup, [(x, z) for x, _, z in triples])
-            e3 = _find_edges(lookup, [(y, z) for _, y, z in triples])
-            edges_at = np.concatenate([edges_at, e1, e2, e3])
-            other_a = np.concatenate([other_a, e2, e1, e1])
-            other_b = np.concatenate([other_b, e3, e3, e2])
+        for column in triangles:
+            column += np.searchsorted(positions, column, side="right")
+        base.u = np.insert(base.u, positions, d_u[order])
+        base.v = np.insert(base.v, positions, d_v[order])
+        base.weight = np.insert(base.weight, positions, d_w[order])
+        base.keys = np.insert(base.keys, positions, keys)
+        fresh = base.through(compiled, positions + np.arange(len(keys)))
+        base.triangles = np.concatenate([triangles, fresh], axis=1)
     else:
-        positions = np.searchsorted(existing, delta_keys, side="left")
-        gone = np.zeros(len(edge_u), dtype=bool)
+        gone = np.zeros(len(base.keys), dtype=bool)
         gone[positions] = True
-        keep = ~(gone[edges_at] | gone[other_a] | gone[other_b])
-        edges_at = edges_at[keep]
-        other_a = other_a[keep]
-        other_b = other_b[keep]
-        edges_at = edges_at - np.searchsorted(
-            positions, edges_at, side="left"
-        )
-        other_a = other_a - np.searchsorted(
-            positions, other_a, side="left"
-        )
-        other_b = other_b - np.searchsorted(
-            positions, other_b, side="left"
-        )
-        edge_u = np.delete(edge_u, positions)
-        edge_v = np.delete(edge_v, positions)
-        weights = np.delete(weights, positions)
-
-    compiled.kernel_cache["gecg_base"] = (
-        edge_u, edge_v, weights, edges_at, other_a, other_b
-    )
-
-
-def _uni_neighbors(
-    compiled: CompiledUnipartiteGraph, node: int
-) -> np.ndarray:
-    start, stop = compiled.indptr[node], compiled.indptr[node + 1]
-    return compiled.neighbors[start:stop]
-
-
-def _find_edges(lookup, pairs) -> np.ndarray:
-    a = np.asarray([p[0] for p in pairs], dtype=np.int64)
-    b = np.asarray([p[1] for p in pairs], dtype=np.int64)
-    query = _edge_keys(np.zeros(len(a)), a, b)
-    found = np.searchsorted(lookup, query, side="left")
-    return found
+        triangles = triangles[:, ~gone[triangles].any(axis=0)]
+        for column in triangles:
+            column -= np.searchsorted(positions, column)
+        base.u = np.delete(base.u, positions)
+        base.v = np.delete(base.v, positions)
+        base.weight = np.delete(base.weight, positions)
+        base.keys = np.delete(base.keys, positions)
+        base.triangles = triangles

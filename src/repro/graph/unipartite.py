@@ -23,7 +23,11 @@ the unipartite kind has:
 * :class:`UniEdgeSelection` views with the clustering kernels' derived
   state — a scipy CSR adjacency, Python-int adjacency bitsets and
   component labels — next to the ``kernel_cache`` for threshold-level
-  state.
+  state;
+* the threshold-independent :class:`TriangleBase` GECG flips over,
+  with the one routine that finds the triangles through given edges
+  (:meth:`TriangleBase.through`) for its build, its incremental
+  patch and every flip.
 
 The Dirty-ER literature prunes with ``sim >= t`` (the networkx
 prototype, now a test oracle, always did), so selections here default
@@ -48,8 +52,24 @@ __all__ = [
     "UnipartiteGraph",
     "CompiledUnipartiteGraph",
     "UniEdgeSelection",
+    "TriangleBase",
+    "pair_keys",
     "pairs_to_unipartite_graph",
 ]
+
+#: Pair keys pack an edge ``(u, v)`` as ``u << 32 | v``.  The stride is
+#: fixed, not ``n_nodes``, so node growth leaves stored keys valid.
+_PAIR_SHIFT = np.int64(32)
+#: The most wedges :meth:`TriangleBase.through` expands at once, which
+#: bounds its transient memory on dense graphs.
+_WEDGE_CHUNK = 1 << 18
+
+
+def pair_keys(u, v) -> np.ndarray:
+    """int64 keys of ``(u, v)`` pairs, ordered like ``(u, v)`` tuples."""
+    return (np.asarray(u, dtype=np.int64) << _PAIR_SHIFT) | np.asarray(
+        v, dtype=np.int64
+    )
 
 
 class UniEdgeSelection(PrefixSelection):
@@ -58,8 +78,8 @@ class UniEdgeSelection(PrefixSelection):
     The selected edges are the prefix ``[0:count)`` of the compiled
     descending-weight permutation.  Derived views are lazy and cached
     on the selection: the scipy CSR adjacency (for
-    ``csgraph.connected_components`` and the GECG matmuls) and the
-    per-node Python-int adjacency bitsets the clique kernels intersect.
+    ``csgraph.connected_components``) and the per-node Python-int
+    adjacency bitsets the clique kernels intersect.
     """
 
     __slots__ = VIEWS = ("_sparse", "_bitsets", "_component_labels")
@@ -122,6 +142,110 @@ class UniEdgeSelection(PrefixSelection):
         return self._component_labels
 
 
+class TriangleBase:
+    """Every triangle of a compiled unipartite graph, stored once.
+
+    The edges are listed in canonical ascending ``(u, v)`` order —
+    ``u``, ``v``, ``weight`` and their sorted :func:`pair_keys`, so an
+    edge's position is one ``searchsorted``.  ``triangles`` is a
+    ``(3, t)`` int32 array whose columns hold the three edge positions
+    of one triangle each, in no particular order.  The base is
+    threshold-independent: one build serves a whole threshold sweep,
+    and the mutators of :mod:`repro.graph.incremental` patch it
+    through deltas instead of rebuilding it.
+    """
+
+    __slots__ = ("u", "v", "weight", "keys", "triangles")
+
+    def __init__(self, compiled: "CompiledUnipartiteGraph") -> None:
+        graph = compiled.source
+        keys = pair_keys(graph.u, graph.v)
+        order = np.argsort(keys)
+        self.u = graph.u[order]
+        self.v = graph.v[order]
+        self.weight = graph.weight[order]
+        self.keys = keys[order]
+        self.triangles = self.through(compiled)
+
+    def through(
+        self, compiled: "CompiledUnipartiteGraph", seeds=None
+    ) -> np.ndarray:
+        """The triangles through the edges at positions ``seeds``.
+
+        ``None`` seeds every edge.  A triangle holding several seeds is
+        reported once, from its lowest seed; each column reads (seed,
+        its partner at one endpoint, its partner at the other).  A
+        seed ``(a, b)`` expands the wedges ``(x, w)`` of its
+        lower-degree endpoint ``x`` through ``compiled``'s symmetric
+        CSR; with every edge seeded, only the wedges ``w > b`` of
+        ``a``'s ascending row are expanded, since ``(a, b)`` is the
+        lowest edge of every triangle ``a < b < w``.  Membership of
+        the closing edge is one ``searchsorted`` over ``keys``.
+        """
+        m = len(self.keys)
+        every = seeds is None
+        if every:
+            seeds = np.arange(m)
+            near_end, far_end = self.u, self.v
+            starts = seeds + 1
+            counts = np.searchsorted(self.u, self.u, side="right") - starts
+            flat = self.v
+        else:
+            seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+            a, b = self.u[seeds], self.v[seeds]
+            indptr = compiled.indptr
+            near_end = np.where(
+                indptr[a + 1] - indptr[a] <= indptr[b + 1] - indptr[b], a, b
+            )
+            far_end = a + b - near_end
+            starts = indptr[near_end]
+            counts = indptr[near_end + 1] - starts
+            flat = compiled.neighbors
+        ends = np.cumsum(counts)
+        parts = [np.empty((3, 0), dtype=np.int32)]
+        lo = 0
+        while lo < len(seeds):
+            hi = max(
+                lo + 1,
+                int(np.searchsorted(
+                    ends, ends[lo] - counts[lo] + _WEDGE_CHUNK, side="right"
+                )),
+            )
+            chunk = counts[lo:hi]
+            at = np.repeat(np.arange(lo, hi), chunk)
+            index = np.arange(int(chunk.sum())) + np.repeat(
+                starts[lo:hi] - (np.cumsum(chunk) - chunk), chunk
+            )
+            seed, w, y = seeds[at], flat[index], far_end[at]
+            near = index if every else self._find(near_end[at], w)
+            far = self._find(y, w)
+            keep = (w != y) & (far >= 0)
+            if not every:
+                # A lower seed in the same triangle reports it instead.
+                for partner in (near, far):
+                    keep &= (partner > seed) | (_lookup(seeds, partner) < 0)
+            parts.append(
+                np.stack([seed[keep], near[keep], far[keep]]).astype(np.int32)
+            )
+            lo = hi
+        return np.concatenate(parts, axis=1)
+
+    def _find(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Positions of the edges ``{x, y}``, ``-1`` where absent."""
+        return _lookup(
+            self.keys, pair_keys(np.minimum(x, y), np.maximum(x, y))
+        )
+
+
+def _lookup(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Position of each of ``values`` in ``sorted_values``, ``-1``
+    where absent."""
+    found = np.minimum(
+        np.searchsorted(sorted_values, values), len(sorted_values) - 1
+    )
+    return np.where(sorted_values[found] == values, found, -1)
+
+
 class CompiledUnipartiteGraph(CompiledEdgeGraph):
     """Shared, immutable precomputation over one unipartite graph.
 
@@ -156,6 +280,15 @@ class CompiledUnipartiteGraph(CompiledEdgeGraph):
             np.concatenate([weight, weight]),
             self.n_nodes,
         )
+
+    def triangles(self) -> TriangleBase:
+        """The graph's :class:`TriangleBase`, built on first use and
+        cached in ``kernel_cache`` (the one entry a mutation patches
+        instead of dropping)."""
+        base = self.kernel_cache.get("triangles")
+        if base is None:
+            base = self.kernel_cache["triangles"] = TriangleBase(self)
+        return base
 
 
 class UnipartiteGraph(EdgeGraph):

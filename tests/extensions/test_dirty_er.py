@@ -140,8 +140,9 @@ def test_empty_graph(clusterer):
 
 
 class TestClustererParameters:
-    """``DirtyClusterer`` checks its parameters once, at construction,
-    so the batch and the incremental paths reject the same values."""
+    """``DirtyClusterer`` checks its parameters at construction and the
+    kernels check them again, so the batch, incremental and kernel
+    entry points reject the same values."""
 
     @pytest.mark.parametrize("fraction", [0.0, -0.5, 5.0, float("nan")])
     def test_rejects_attachment_fraction(self, fraction):
@@ -152,6 +153,16 @@ class TestClustererParameters:
     def test_rejects_max_iterations(self, budget):
         with pytest.raises(ValueError, match="max_iterations"):
             DirtyClusterer("GECG", max_iterations=budget)
+
+    @pytest.mark.parametrize("budget", [-1, True, 2.5])
+    def test_kernel_rejects_max_iterations(self, budget):
+        # Unchecked, -1 returned the unflipped partition, True ran one
+        # flip and 2.5 raised TypeError from range().
+        graph = UnipartiteGraph.from_edges(
+            3, [(0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.45)]
+        )
+        with pytest.raises(ValueError, match="max_iterations"):
+            global_edge_consistency_gain(graph, 0.5, max_iterations=budget)
 
     def test_accepts_numpy_integer_budget(self):
         clusterer = DirtyClusterer("GECG", max_iterations=np.int64(3))

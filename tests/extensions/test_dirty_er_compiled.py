@@ -47,6 +47,27 @@ def unipartite_graphs(draw, max_nodes: int = 12, max_edges: int = 30):
     return UnipartiteGraph.from_edges(n, edges)
 
 
+@st.composite
+def dense_tie_graphs(draw):
+    """Dense graphs (8-14 nodes) whose weights all tie with each other
+    or with threshold 0.5, about half of the edges below it: a wrong
+    gain update changes which edge a later flip picks, and with half
+    the edges unmatched the partition after that flip shows it."""
+    n = draw(st.integers(min_value=8, max_value=14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    weights = draw(
+        st.lists(
+            st.sampled_from((None, 0.25, 0.25, 0.25, 0.5, 0.75)),
+            min_size=len(pairs),
+            max_size=len(pairs),
+        )
+    )
+    return UnipartiteGraph.from_edges(
+        n,
+        [(u, v, w) for (u, v), w in zip(pairs, weights) if w is not None],
+    )
+
+
 def canonical(clusters) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(cluster)) for cluster in clusters)
 
@@ -60,6 +81,20 @@ def test_compiled_equals_legacy(code, graph, threshold):
     compiled = canonical(clusterer.cluster(graph, threshold))
     legacy = canonical(cluster_legacy(clusterer, graph, threshold))
     assert compiled == legacy
+
+
+@given(graph=dense_tie_graphs())
+@settings(max_examples=30, deadline=None)
+def test_gecg_flip_by_flip_equals_legacy(graph):
+    """GECG stopped after every budget ``k`` in 0..15 equals the oracle
+    at the same budget, so every prefix of the flip sequence agrees,
+    not just its end."""
+    compiled = graph.compiled()
+    for budget in range(16):
+        clusterer = create_clusterer("GECG", max_iterations=budget)
+        assert canonical(
+            clusterer.cluster_compiled(compiled, 0.5)
+        ) == canonical(cluster_legacy(clusterer, graph, 0.5)), budget
 
 
 @pytest.mark.parametrize("code", DIRTY_ALGORITHM_CODES)

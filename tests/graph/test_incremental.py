@@ -4,8 +4,10 @@ The load-bearing property is *batch equivalence*: a compiled
 unipartite graph mutated in place by the delta-merge operators must be
 bit-identical — edge permutation, CSR adjacency, provenance ``order``
 and cached threshold selections — to a fresh compile of the same edge
-set.  The hypothesis properties below prove it for random insert and
-insert-then-delete batches, including weight ties.
+set, and its patched GECG triangle base must equal a fresh build.  The
+hypothesis properties below prove it for random insert,
+insert-then-delete and insert-delete-grow-insert sequences, including
+weight ties.
 """
 
 from __future__ import annotations
@@ -75,11 +77,65 @@ def unipartite_parts(draw):
 uni_splits = st.composite(unipartite_parts)()
 
 
-def uni(edges) -> UnipartiteGraph:
+def uni(edges, n_nodes: int = 7) -> UnipartiteGraph:
     u = [e[0] for e in edges]
     v = [e[1] for e in edges]
     w = [e[2] for e in edges]
-    return UnipartiteGraph(7, u, v, w)
+    return UnipartiteGraph(n_nodes, u, v, w)
+
+
+def columns(edges):
+    return [e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges]
+
+
+def assert_triangles_equal(patched, fresh) -> None:
+    """Canonical edge arrays exact; triangle multisets equal (a patch
+    appends triangles, so their order and column order may differ)."""
+    for name in ("u", "v", "weight", "keys"):
+        np.testing.assert_array_equal(
+            getattr(patched, name), getattr(fresh, name), err_msg=name
+        )
+    assert patched.triangles.dtype == np.int32
+
+    def multiset(base):
+        return sorted(map(tuple, np.sort(base.triangles, axis=0).T.tolist()))
+
+    assert multiset(patched) == multiset(fresh)
+
+
+@st.composite
+def grow_steps(draw):
+    """Base edges, a first insert, a subset of both to delete, a node
+    growth and a second insert that may reach the new nodes."""
+    extra = draw(st.integers(min_value=0, max_value=3))
+    n = 7 + extra
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(pairs),
+                st.sampled_from(WEIGHTS),
+                st.integers(min_value=0, max_value=2),
+            ),
+            max_size=len(pairs),
+            unique_by=lambda entry: entry[0],
+        )
+    )
+    # Stage 0: base, 1: first insert, 2: second insert (after growth).
+    stages: list[list] = [[], [], []]
+    for (u, v), w, stage in chosen:
+        stages[2 if v >= 7 else stage].append((u, v, w))
+    base, first, second = stages
+    doomed = draw(
+        st.lists(
+            st.booleans(),
+            min_size=len(base + first),
+            max_size=len(base + first),
+        )
+    )
+    delete = [e for e, gone in zip(base + first, doomed) if gone]
+    kept = [e for e, gone in zip(base + first, doomed) if not gone]
+    return base, first, delete, extra, second, kept
 
 
 class TestUnipartiteIncremental:
@@ -118,31 +174,31 @@ class TestUnipartiteIncremental:
     @settings(max_examples=40, deadline=None)
     @given(split=uni_splits)
     def test_gecg_base_maintained_incrementally(self, split):
-        from repro.extensions.dirty_er import _gecg_base
-
         base, delta = split
         compiled = uni(base).compiled()
-        _gecg_base(compiled)  # prime the triangle cache
-        insert_uni_edges(
-            compiled,
-            [e[0] for e in delta],
-            [e[1] for e in delta],
-            [e[2] for e in delta],
-        )
-        patched = compiled.kernel_cache["gecg_base"]
-        fresh = _gecg_base(CompiledUnipartiteGraph(uni(base + delta)))
-        # Canonical edge order and weights match exactly.
-        for a, b in zip(patched[:3], fresh[:3]):
-            np.testing.assert_array_equal(a, b)
-        # Incidence entries may be appended in a different order; the
-        # triangle multiset (and hence every bincount gain) is equal.
-        patched_tris = sorted(
-            zip(*(np.sort(np.stack(patched[3:]), axis=0).tolist()))
-        )
-        fresh_tris = sorted(
-            zip(*(np.sort(np.stack(fresh[3:]), axis=0).tolist()))
-        )
-        assert patched_tris == fresh_tris
+        primed = compiled.triangles()
+        insert_uni_edges(compiled, *columns(delta))
+        assert compiled.kernel_cache["triangles"] is primed
+        fresh = CompiledUnipartiteGraph(uni(base + delta)).triangles()
+        assert_triangles_equal(primed, fresh)
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=grow_steps())
+    def test_gecg_base_survives_deletes_and_node_growth(self, steps):
+        """insert -> delete a subset -> add_uni_nodes -> insert patches
+        the one base and ends equal to a fresh build."""
+        base, first, delete, extra, second, kept = steps
+        compiled = uni(base).compiled()
+        primed = compiled.triangles()
+        insert_uni_edges(compiled, *columns(first))
+        delete_uni_edges(compiled, *columns(delete))
+        add_uni_nodes(compiled, extra)
+        insert_uni_edges(compiled, *columns(second))
+        assert compiled.kernel_cache["triangles"] is primed
+        n = 7 + extra
+        expected = CompiledUnipartiteGraph(uni(kept + second, n))
+        assert_unipartite_equal(compiled, expected)
+        assert_triangles_equal(primed, expected.triangles())
 
     def test_insert_duplicate_edge_raises(self):
         compiled = uni([(0, 1, 0.5)]).compiled()
@@ -182,6 +238,29 @@ class TestUnipartiteIncremental:
         compiled = uni([(0, 1, 0.5)]).compiled()
         with pytest.raises(ValueError, match="out of range"):
             insert_uni_edges(compiled, [7], [0], [0.5])
+
+    @pytest.mark.parametrize("count", [2.5, True, -1, "2"])
+    def test_add_nodes_rejects_non_integer_counts(self, count):
+        compiled = uni([(0, 1, 0.5), (1, 2, 0.9)], 3).compiled()
+        with pytest.raises(ValueError, match="non-negative integer"):
+            add_uni_nodes(compiled, count)
+        expected = CompiledUnipartiteGraph(uni([(0, 1, 0.5), (1, 2, 0.9)], 3))
+        assert_unipartite_equal(compiled, expected)
+        assert compiled.source.n_nodes == 3
+
+    def test_add_nodes_accepts_numpy_integer_counts(self):
+        compiled = uni([(0, 1, 0.5)], 3).compiled()
+        add_uni_nodes(compiled, np.int64(2))
+        assert (compiled.n_nodes, type(compiled.n_nodes)) == (5, int)
+        assert len(compiled.indptr) == 6
+
+    @pytest.mark.parametrize("weight", [None, [0.5]])
+    def test_delete_rejects_out_of_range_endpoints(self, weight):
+        compiled = uni([(0, 1, 0.5), (1, 2, 0.9)], 3).compiled()
+        with pytest.raises(ValueError, match="out of range"):
+            delete_uni_edges(compiled, [5], [6], weight)
+        expected = CompiledUnipartiteGraph(uni([(0, 1, 0.5), (1, 2, 0.9)], 3))
+        assert_unipartite_equal(compiled, expected)
 
     def test_node_growth_then_insert(self):
         compiled = uni([(0, 1, 0.5)]).compiled()
