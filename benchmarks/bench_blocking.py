@@ -50,12 +50,12 @@ except ImportError:  # imported as benchmarks.bench_* from the repo root
 from repro.datasets.catalog import dataset_spec
 from repro.datasets.generator import CleanCleanDataset, DatasetSpec, generate_dataset
 from repro.datasets.profile import EntityCollection, EntityProfile
+from repro.pipeline.batched_strings import SCHEMA_BASED_MEASURES
 from repro.pipeline.blocking import build_candidate_set
 from repro.pipeline.engine import SimilarityEngine
 from repro.pipeline.kernels import kernel_threads
 from repro.pipeline.similarity_functions import SimilarityFunctionSpec
 from repro.pipeline.store import ArtifactStore, dataset_store_key
-from repro.textsim.registry import SCHEMA_BASED_MEASURES
 
 #: Aggregate candidate-quality floors over the benchmark workload:
 #: total dense cells / total candidate pairs, and total recovered

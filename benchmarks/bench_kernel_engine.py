@@ -48,9 +48,12 @@ from repro.datasets.catalog import dataset_spec
 from repro.datasets.generator import generate_dataset
 from repro.embeddings import FastTextLikeModel
 from repro.embeddings.measures import word_mover_similarity_matrix
-from repro.pipeline.batched_strings import StringBatch, schema_based_matrix
+from repro.pipeline.batched_strings import (
+    SCHEMA_BASED_MEASURES,
+    StringBatch,
+    schema_based_matrix,
+)
 from repro.pipeline.kernels import UniquePlan, kernel_threads
-from repro.textsim.registry import SCHEMA_BASED_MEASURES
 from tests.oracles.embeddings import word_mover_similarity_matrix_legacy
 from tests.oracles.strings import (
     LegacyStringBatch,

@@ -1039,13 +1039,12 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.service.server import ServiceStartupError, serve
 
     if args.measure is not None:
-        from repro.service.resolver import RESOLVE_MEASURES
+        from repro.pipeline.batched_strings import check_measure
 
-        if args.measure not in RESOLVE_MEASURES:
-            known = ", ".join(RESOLVE_MEASURES)
-            raise ServiceStartupError(
-                f"unknown measure {args.measure!r}; known: {known}"
-            )
+        try:
+            check_measure(args.measure)
+        except KeyError as error:
+            raise ServiceStartupError(error.args[0]) from None
     config = ServiceConfig(
         datasets=tuple(args.datasets),
         blocking=args.blocking,
@@ -1067,6 +1066,7 @@ def _command_stream(args: argparse.Namespace) -> int:
 
     from repro.datasets import dataset_spec, generate_dataset
     from repro.extensions.dirty_er import DIRTY_ALGORITHM_CODES
+    from repro.pipeline.batched_strings import check_measure
     from repro.pipeline.streaming import replay_stream, stream_report
 
     if args.algorithm.lower() == "all":
@@ -1078,6 +1078,10 @@ def _command_stream(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"unknown algorithm {args.algorithm!r}; known: {known}"
             )
+    try:
+        check_measure(args.measure)
+    except KeyError as error:
+        raise SystemExit(error.args[0]) from None
     dataset = generate_dataset(
         dataset_spec(
             args.dataset, scale=args.scale, max_pairs=args.max_pairs

@@ -19,7 +19,9 @@ paths (see DESIGN.md, substitutions):
 
 Three similarity measures are defined on these models, as in the paper:
 Cosine, Euclidean similarity ``1 / (1 + distance)`` and Word Mover's
-similarity ``1 / (1 + RWMD)`` using the relaxed word mover's distance.
+similarity ``1 / (1 + RWMD)`` using the relaxed word mover's distance
+(its scalar per-pair form is a test oracle,
+``tests/oracles/embeddings.py``).
 """
 
 from repro.embeddings.contextual import ContextualModel
@@ -30,7 +32,6 @@ from repro.embeddings.measures import (
     euclidean_similarity_matrix,
     word_mover_similarity_matrix,
 )
-from repro.embeddings.wmd import relaxed_word_mover_distance
 
 __all__ = [
     "hash_vector",
@@ -39,5 +40,4 @@ __all__ = [
     "cosine_similarity_matrix",
     "euclidean_similarity_matrix",
     "word_mover_similarity_matrix",
-    "relaxed_word_mover_distance",
 ]

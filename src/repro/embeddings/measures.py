@@ -14,8 +14,8 @@ are bucketed by token count and each bucket pair runs one stacked
 ``np.matmul`` (bit-identical per slice to the per-pair gemm) followed
 by batched distance/min reductions; only the final ``np.dot`` weighted
 sums stay per-pair, because BLAS matvec and vector-dot accumulate in
-different orders.  The frozen pair loop is a test oracle
-(``tests/oracles/embeddings.py``).
+different orders.  The frozen pair loop and the scalar RWMD it calls
+are test oracles (``tests/oracles/embeddings.py``).
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ def word_mover_similarity_matrix(
     Texts are grouped into token-count buckets; each ``(count_a,
     count_b)`` bucket pair computes its Gram tensor with one stacked
     ``np.matmul`` whose 2-D slices have exactly the per-pair shapes, so
-    every entry is bit-identical to a per-pair loop over
-    :func:`~repro.embeddings.wmd.relaxed_word_mover_distance`.
+    every entry is bit-identical to a per-pair loop over the scalar
+    RWMD of the test oracles (``tests/oracles/embeddings.py``).
     """
     n_left = len(token_matrices_left)
     n_right = len(token_matrices_right)

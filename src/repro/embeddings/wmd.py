@@ -9,95 +9,31 @@ relaxations tightens the bound and restores symmetry.  RWMD preserves
 the ordering behaviour WMD contributes to the similarity taxonomy at a
 tiny fraction of the cost (see DESIGN.md substitutions).
 
-:func:`relaxed_word_mover_distance` is the scalar reference kernel:
-the all-pairs path
+The all-pairs kernel
 (:func:`repro.embeddings.measures.word_mover_similarity_matrix`)
 batches the Gram/distance/min stages over token-count buckets but
-keeps this function's exact operation order per pair — the stacked
-``np.matmul`` slices and the final ``np.dot`` reductions reproduce it
-bit for bit, which the differential tests in
-``tests/pipeline/test_kernels.py`` pin down.  Change the arithmetic
-here and the batched kernel must change with it.
+keeps the per-pair operation order of the scalar RWMD, a test oracle
+(``tests/oracles/embeddings.py``): the stacked ``np.matmul`` slices and
+the final ``np.dot`` reductions reproduce it bit for bit, which the
+differential tests in ``tests/pipeline/test_kernels.py`` pin down.
+This module keeps the per-text inputs both share.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["relaxed_word_mover_distance", "token_stats"]
+__all__ = ["token_stats"]
 
 
 def token_stats(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-text RWMD inputs: squared token norms and uniform weights.
 
     These depend only on the text, not on the pair, so all-pairs
-    callers can compute them once per text and pass them to
-    :func:`relaxed_word_mover_distance` instead of paying for them in
-    every one of the ``n1 x n2`` pair evaluations.
+    callers compute them once per text instead of once in every one
+    of the ``n1 x n2`` pair evaluations.
     """
     n = matrix.shape[0]
     squared = np.sum(matrix * matrix, axis=1)
     weights = np.full(n, 1.0 / n) if n else np.empty(0)
     return squared, weights
-
-
-def _directional_cost(
-    source: np.ndarray,
-    weights: np.ndarray,
-    distance: np.ndarray,
-    axis: int,
-) -> float:
-    """Greedy transport cost with only the source constraint kept."""
-    nearest = distance.min(axis=axis)
-    return float(np.dot(weights, nearest))
-
-
-def relaxed_word_mover_distance(
-    tokens_a: np.ndarray,
-    tokens_b: np.ndarray,
-    weights_a: np.ndarray | None = None,
-    weights_b: np.ndarray | None = None,
-    sq_a: np.ndarray | None = None,
-    sq_b: np.ndarray | None = None,
-) -> float:
-    """RWMD between two token-embedding matrices.
-
-    Parameters
-    ----------
-    tokens_a, tokens_b:
-        ``(k, dim)`` matrices of token vectors.
-    weights_a, weights_b:
-        Normalized token weights; uniform by default.
-    sq_a, sq_b:
-        Precomputed per-token squared norms (see :func:`token_stats`);
-        computed here by default.
-
-    Returns
-    -------
-    float
-        ``max`` of the two directional relaxations; ``0`` when both
-        texts are empty, ``inf`` when exactly one is empty (no
-        transport plan exists).
-    """
-    n_a = tokens_a.shape[0]
-    n_b = tokens_b.shape[0]
-    if n_a == 0 and n_b == 0:
-        return 0.0
-    if n_a == 0 or n_b == 0:
-        return float("inf")
-    if weights_a is None:
-        weights_a = np.full(n_a, 1.0 / n_a)
-    if weights_b is None:
-        weights_b = np.full(n_b, 1.0 / n_b)
-
-    # Pairwise Euclidean distances via the Gram expansion.
-    if sq_a is None:
-        sq_a = np.sum(tokens_a * tokens_a, axis=1)
-    if sq_b is None:
-        sq_b = np.sum(tokens_b * tokens_b, axis=1)
-    squared = sq_a[:, None] + sq_b[None, :] - 2.0 * (tokens_a @ tokens_b.T)
-    distance = np.sqrt(np.maximum(squared, 0.0))
-
-    cost_ab = _directional_cost(tokens_a, weights_a, distance, axis=1)
-    cost_ba = _directional_cost(tokens_b, weights_b, distance, axis=0)
-    return max(cost_ab, cost_ba)

@@ -232,23 +232,26 @@ def _delete_sorted(compiled: CompiledUnipartiteGraph, d_u, d_v, d_w):
     return su, sv, sw
 
 
-def _csr_weights(
-    indptr: np.ndarray,
-    neighbors: np.ndarray,
-    weights: np.ndarray,
-    nodes: np.ndarray,
-    nbrs: np.ndarray,
+def _edge_positions(
+    compiled: CompiledUnipartiteGraph, d_u: np.ndarray, d_v: np.ndarray
 ) -> np.ndarray:
-    """Look up each ``(node, neighbour)`` edge's weight via the node's
-    CSR run (a repeated pair resolves to its highest weight first)."""
-    out = np.empty(len(nodes), dtype=np.float64)
-    for k, (node, nbr) in enumerate(zip(nodes.tolist(), nbrs.tolist())):
-        start, stop = indptr[node], indptr[node + 1]
-        hits = np.nonzero(neighbors[start:stop] == nbr)[0]
-        if len(hits) == 0:
-            raise ValueError(f"edge ({node}, {nbr}) not in graph")
-        out[k] = weights[start + hits[0]]
-    return out
+    """Each canonical delta edge's position in the descending edge
+    order, or -1 where the graph lacks it.
+
+    One stable argsort of the compiled edges' :func:`pair_keys` and one
+    ``searchsorted`` of the delta's; a repeated pair resolves to its
+    highest-weight copy, the first in descending order.
+    """
+    keys = pair_keys(compiled.u_sorted, compiled.v_sorted)
+    wanted = pair_keys(d_u, d_v)
+    positions = np.full(len(wanted), -1, dtype=np.intp)
+    if len(keys):
+        order = np.argsort(keys, kind="stable")
+        slots = np.searchsorted(keys, wanted, sorter=order)
+        slots = order[np.minimum(slots, len(keys) - 1)]
+        found = keys[slots] == wanted
+        positions[found] = slots[found]
+    return positions
 
 
 def _delta_prefix(weights_desc: np.ndarray, threshold: float,
@@ -284,13 +287,6 @@ def _check_endpoints(compiled: CompiledUnipartiteGraph, d_u, d_v) -> None:
         raise ValueError("delta endpoint out of range")
 
 
-def _uni_edge_exists(
-    compiled: CompiledUnipartiteGraph, u: int, v: int
-) -> bool:
-    start, stop = compiled.indptr[u], compiled.indptr[u + 1]
-    return bool((compiled.neighbors[start:stop] == v).any())
-
-
 def insert_uni_edges(
     compiled: CompiledUnipartiteGraph, u, v, weight
 ) -> None:
@@ -306,9 +302,10 @@ def insert_uni_edges(
     if len(d_u) == 0:
         return
     _check_endpoints(compiled, d_u, d_v)
-    for a, b in zip(d_u.tolist(), d_v.tolist()):
-        if _uni_edge_exists(compiled, a, b):
-            raise ValueError(f"edge ({a}, {b}) already in graph")
+    present = np.flatnonzero(_edge_positions(compiled, d_u, d_v) >= 0)
+    if len(present):
+        k = present[0]
+        raise ValueError(f"edge ({d_u[k]}, {d_v[k]}) already in graph")
     keys = pair_keys(d_u, d_v)
     if len(np.unique(keys)) != len(keys):
         raise ValueError("duplicate edges in delta")
@@ -344,10 +341,12 @@ def delete_uni_edges(
         return
     _check_endpoints(compiled, d_u, d_v)
     if weight is None:
-        d_w = _csr_weights(
-            compiled.indptr, compiled.neighbors, compiled.neighbor_weights,
-            d_u, d_v,
-        )
+        positions = _edge_positions(compiled, d_u, d_v)
+        missing = np.flatnonzero(positions < 0)
+        if len(missing):
+            k = missing[0]
+            raise ValueError(f"edge ({d_u[k]}, {d_v[k]}) not in graph")
+        d_w = compiled.weight_sorted[positions]
     keys = pair_keys(d_u, d_v)
     if len(np.unique(keys)) != len(keys):
         raise ValueError("duplicate edges in delete delta")

@@ -2,9 +2,10 @@
 
 The paper's protocol compares *every* pair of attribute values (no
 blocking), which makes per-pair dynamic programming in Python the
-bottleneck.  This module scores the 16 schema-based measures through
-the pairwise-kernel engine of :mod:`repro.pipeline.kernels`, with one
-per-measure dispatch (:func:`schema_based_cells`) behind every caller:
+bottleneck.  This module scores the 16 schema-based measures
+(:data:`SCHEMA_BASED_MEASURES`) through the pairwise-kernel engine of
+:mod:`repro.pipeline.kernels`, with one per-measure dispatch
+(:func:`schema_based_cells`) behind every caller:
 
 * every measure factors the pair grid down to *unique* value pairs
   (:class:`~repro.pipeline.kernels.UniquePlan`) — duplicated attribute
@@ -21,14 +22,18 @@ per-measure dispatch (:func:`schema_based_cells`) behind every caller:
   gathers it per cell otherwise;
 * Monge-Elkan folds one Smith-Waterman grid over the unique token
   vocabularies;
-* the token measures and the q-grams distance keep their whole-grid
-  sparse-matrix formulas for whole rows (cheaper than per-cell forms)
-  and re-derive the same exact integer sums by row gather for cells.
+* the token measures and the q-grams distance are count formulas,
+  each written once (:func:`_count_values`) over one pairwise sum of
+  two count profiles and per-side statistics that broadcast.  Only the
+  pairwise sum has two shapes: a sparse product for whole rows (several
+  times cheaper per cell) and row gathers for cell lists.
 
 Convention: pairs where **either** value is empty get similarity 0 —
-an absent value carries no matching evidence (the scalar measures in
-:mod:`repro.textsim` keep the measure-level "both empty = identical"
-convention; the graph builder needs the evidence-level one).
+an absent value carries no matching evidence.  The per-pair
+definitions of the measures (the test oracles in
+``tests/oracles/textsim/``) keep the measure-level "both empty =
+identical" convention instead; the graph builder needs the
+evidence-level one.
 
 The pre-kernel-engine implementations are frozen as test oracles
 (``tests/oracles/strings.py``); every cell the kernel path scores is
@@ -56,19 +61,42 @@ from repro.pipeline.kernels import (
     monge_elkan_cells,
     smith_waterman_grid,
 )
-from repro.textsim.character import _padded_trigrams
-from repro.textsim.tokenize import tokens
+from repro.textsim.tokenize import padded_trigrams, tokens
 from repro.vectorspace.measures import pairwise_min_sum
 
 __all__ = [
+    "SCHEMA_BASED_MEASURES",
     "StringBatch",
-    "ALIGNMENT_MEASURES",
-    "TOKEN_MATRIX_MEASURES",
+    "check_measure",
+    "measure_input",
     "schema_based_cells",
     "schema_based_rows",
     "schema_based_matrix",
     "schema_based_pairs",
 ]
+
+#: The 16 schema-based syntactic measures of the paper's Appendix B.1:
+#: the seven character-level measures, then the nine token-level ones.
+#: The full similarity taxonomy enumerates its specs, and so orders its
+#: graphs, in this order.
+SCHEMA_BASED_MEASURES = (
+    "levenshtein",
+    "damerau_levenshtein",
+    "jaro",
+    "needleman_wunsch",
+    "qgrams",
+    "lcs_substring",
+    "lcs_subsequence",
+    "cosine_tokens",
+    "euclidean_tokens",
+    "block_distance",
+    "dice",
+    "simon_white",
+    "overlap",
+    "jaccard",
+    "generalized_jaccard",
+    "monge_elkan",
+)
 
 
 class StringBatch:
@@ -165,23 +193,14 @@ class StringBatch:
         return _binarize(*self.unique_token_sparse)
 
     @cached_property
-    def unique_token_sums(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(bag_left, bag_right, set_left, set_right)`` row sums."""
-        return _token_sums(
-            *self.unique_token_sparse, *self.unique_token_binary
-        )
-
-    @cached_property
     def unique_qgram_sparse(
         self,
     ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
         """Padded-trigram profile matrices of the unique values."""
         return _profiles_to_sparse(
-            [_padded_trigrams(s) if s else Counter() for s in self.plan.lefts],
+            [padded_trigrams(s) if s else Counter() for s in self.plan.lefts],
             [
-                _padded_trigrams(s) if s else Counter()
+                padded_trigrams(s) if s else Counter()
                 for s in self.plan.rights
             ],
         )
@@ -200,22 +219,12 @@ class StringBatch:
         return ids_left, ids_right, grid
 
 
-
 def _binarize(matrix_left, matrix_right):
     binary_left = matrix_left.copy()
     binary_left.data = np.ones_like(binary_left.data)
     binary_right = matrix_right.copy()
     binary_right.data = np.ones_like(binary_right.data)
     return binary_left, binary_right
-
-
-def _token_sums(matrix_left, matrix_right, binary_left, binary_right):
-    return (
-        matrix_left.sum(axis=1).A1,
-        matrix_right.sum(axis=1).A1,
-        binary_left.sum(axis=1).A1,
-        binary_right.sum(axis=1).A1,
-    )
 
 
 def _token_vocabulary(
@@ -246,84 +255,12 @@ def _resolve_batch(
     return batch if batch is not None else StringBatch(lefts, rights)
 
 
-def _check_token_measure(measure: str) -> None:
-    if measure not in TOKEN_MATRIX_MEASURES:
-        known = ", ".join(sorted(TOKEN_MATRIX_MEASURES))
-        raise KeyError(f"unknown token measure {measure!r}; known: {known}")
-
-
-# ----------------------------------------------------------------------
-# Whole-grid measure formulas
-# ----------------------------------------------------------------------
-def _qgrams_values(matrix_left, matrix_right) -> np.ndarray:
-    minimum = pairwise_min_sum(matrix_left, matrix_right)
-    sums_left = matrix_left.sum(axis=1).A1
-    sums_right = matrix_right.sum(axis=1).A1
-    total = sums_left[:, None] + sums_right[None, :]
-    # block distance = total - 2*min; similarity = 1 - distance/total.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(total > 0, 2.0 * minimum / total, 0.0)
-
-
-def _token_measure_values(
-    measure: str,
-    matrix_left,
-    matrix_right,
-    binary_left,
-    binary_right,
-    sums,
-) -> np.ndarray:
-    bag_left, bag_right, set_left, set_right = sums
-    with np.errstate(invalid="ignore", divide="ignore"):
-        if measure == "cosine_tokens":
-            norms_left = np.sqrt(
-                matrix_left.multiply(matrix_left).sum(axis=1)
-            ).A1
-            norms_right = np.sqrt(
-                matrix_right.multiply(matrix_right).sum(axis=1)
-            ).A1
-            dot = np.asarray((matrix_left @ matrix_right.T).todense())
-            denominator = norms_left[:, None] * norms_right[None, :]
-            result = np.where(denominator > 0, dot / denominator, 0.0)
-        elif measure == "euclidean_tokens":
-            sq_left = matrix_left.multiply(matrix_left).sum(axis=1).A1
-            sq_right = matrix_right.multiply(matrix_right).sum(axis=1).A1
-            dot = np.asarray((matrix_left @ matrix_right.T).todense())
-            squared = sq_left[:, None] + sq_right[None, :] - 2.0 * dot
-            distance = np.sqrt(np.maximum(squared, 0.0))
-            bound = np.sqrt(sq_left[:, None] + sq_right[None, :])
-            result = np.where(bound > 0, 1.0 - distance / bound, 0.0)
-        elif measure == "block_distance":
-            minimum = pairwise_min_sum(matrix_left, matrix_right)
-            total = bag_left[:, None] + bag_right[None, :]
-            result = np.where(total > 0, 2.0 * minimum / total, 0.0)
-        elif measure == "dice":
-            intersection = np.asarray(
-                (binary_left @ binary_right.T).todense()
-            )
-            total = set_left[:, None] + set_right[None, :]
-            result = np.where(total > 0, 2.0 * intersection / total, 0.0)
-        elif measure == "simon_white":
-            minimum = pairwise_min_sum(matrix_left, matrix_right)
-            total = bag_left[:, None] + bag_right[None, :]
-            result = np.where(total > 0, 2.0 * minimum / total, 0.0)
-        elif measure == "overlap":
-            intersection = np.asarray(
-                (binary_left @ binary_right.T).todense()
-            )
-            smaller = np.minimum.outer(set_left, set_right)
-            result = np.where(smaller > 0, intersection / smaller, 0.0)
-        elif measure == "jaccard":
-            intersection = np.asarray(
-                (binary_left @ binary_right.T).todense()
-            )
-            union = set_left[:, None] + set_right[None, :] - intersection
-            result = np.where(union > 0, intersection / union, 0.0)
-        else:  # generalized_jaccard
-            minimum = pairwise_min_sum(matrix_left, matrix_right)
-            maximum = bag_left[:, None] + bag_right[None, :] - minimum
-            result = np.where(maximum > 0, minimum / maximum, 0.0)
-    return result
+def check_measure(measure: str) -> None:
+    """Raise ``KeyError`` naming all 16 measures unless ``measure`` is
+    one of :data:`SCHEMA_BASED_MEASURES`."""
+    if measure not in SCHEMA_BASED_MEASURES:
+        known = ", ".join(sorted(SCHEMA_BASED_MEASURES))
+        raise KeyError(f"unknown measure {measure!r}; known: {known}")
 
 
 def _profiles_to_sparse(
@@ -353,27 +290,6 @@ def _profiles_to_sparse(
     return assemble(profiles_left), assemble(profiles_right)
 
 
-#: The bag-of-tokens measures (whole-grid sparse formulas).
-TOKEN_MATRIX_MEASURES = (
-    "cosine_tokens",
-    "euclidean_tokens",
-    "block_distance",
-    "dice",
-    "simon_white",
-    "overlap",
-    "jaccard",
-    "generalized_jaccard",
-)
-
-#: Measures whose DP shares the encoded code-point matrices.
-ALIGNMENT_MEASURES = (
-    "levenshtein",
-    "damerau_levenshtein",
-    "needleman_wunsch",
-    "lcs_subsequence",
-    "lcs_substring",
-)
-
 #: Cell kernel and fixed options of every encoded-string measure.
 _CELL_KERNELS = {
     "levenshtein": (edit_distance_cells, {}),
@@ -384,8 +300,37 @@ _CELL_KERNELS = {
     "jaro": (jaro_cells, {}),
 }
 
-#: The measures with a kernel of their own; the rest are token measures.
-_KERNEL_MEASURES = (*_CELL_KERNELS, "qgrams", "monge_elkan")
+#: The count profiles each token measure and q-grams reads (token
+#: counts, token presence or padded-trigram counts) and whether its
+#: pairwise sum is a min-sum (otherwise a dot product).
+_COUNT_PROFILES = {
+    "qgrams": ("unique_qgram_sparse", True),
+    "cosine_tokens": ("unique_token_sparse", False),
+    "euclidean_tokens": ("unique_token_sparse", False),
+    "block_distance": ("unique_token_sparse", True),
+    "dice": ("unique_token_binary", False),
+    "simon_white": ("unique_token_sparse", True),
+    "overlap": ("unique_token_binary", False),
+    "jaccard": ("unique_token_binary", False),
+    "generalized_jaccard": ("unique_token_sparse", True),
+}
+
+
+def measure_input(measure: str) -> str:
+    """The shared :class:`StringBatch` input ``measure`` scores from.
+
+    ``"encoded"`` (the code-point matrices), ``"tokens"`` (the token
+    counts), ``"qgrams"`` (the padded-trigram counts) or
+    ``"monge_elkan"`` (the Smith-Waterman token grid).  Raises
+    ``KeyError`` for an unknown measure.
+    """
+    check_measure(measure)
+    if measure in _CELL_KERNELS:
+        return "encoded"
+    if measure in _COUNT_PROFILES:
+        return "qgrams" if measure == "qgrams" else "tokens"
+    return "monge_elkan"
+
 
 # ----------------------------------------------------------------------
 # The one scoring path
@@ -410,12 +355,12 @@ def schema_based_cells(
     exactly representable integers (sparse products are row-local, so
     whole rows score bit-identically on any row subset).
     """
+    source = measure_input(measure)
     cell_left = np.asarray(cell_left, dtype=np.intp)
     if cell_right is not None:
         cell_right = np.asarray(cell_right, dtype=np.intp)
-    kernel = _CELL_KERNELS.get(measure)
-    if kernel is not None:
-        function, options = kernel
+    if source == "encoded":
+        function, options = _CELL_KERNELS[measure]
         return function(
             *batch.unique_left_encoding,
             *batch.unique_right_encoding,
@@ -423,37 +368,89 @@ def schema_based_cells(
             cell_right,
             **options,
         )
-    if measure == "monge_elkan":
+    if source == "monge_elkan":
         return np.clip(
             monge_elkan_cells(*batch.monge_elkan_grid, cell_left, cell_right),
             0.0,
             1.0,
         )
-    if measure != "qgrams":
-        _check_token_measure(measure)
-    if cell_right is not None:
-        if measure == "qgrams":
-            return _qgram_pair_values(batch, cell_left, cell_right)
-        return _token_pair_values(measure, batch, cell_left, cell_right)
-    if measure == "qgrams":
-        matrix_left, matrix_right = batch.unique_qgram_sparse
-        result = _qgrams_values(_rows(matrix_left, cell_left), matrix_right)
+    return _count_values(batch, measure, cell_left, cell_right)
+
+
+def _count_values(
+    batch: StringBatch,
+    measure: str,
+    cell_left: np.ndarray,
+    cell_right: np.ndarray | None,
+) -> np.ndarray:
+    """Scores of a token measure or q-grams, each formula written once.
+
+    A formula reads one pairwise sum of two count profiles (a dot
+    product or a min-sum; over token presence the dot product is the
+    set intersection) and per-value statistics: profile sizes (bag or
+    set sizes, q-gram totals) and squared norms.  Only the pairwise sum
+    has two shapes: whole rows take one sparse product against every
+    right row, cell lists gather each cell's two rows.  The statistics
+    broadcast instead — a column of left values against a row of right
+    ones, or one value per cell — so the formulas and the empty-value
+    step below serve both.  Every sum is an integer-valued float64
+    below 2^53, hence exact in any summation order, so both shapes
+    feed a formula the same operands and score a cell bit for bit
+    alike.  Q-grams is the block-distance formula over padded-trigram
+    profiles.
+    """
+    artifact, min_sum = _COUNT_PROFILES[measure]
+    left, right = getattr(batch, artifact)
+    rows = _rows(left, cell_left)
+    if cell_right is None:
+        if min_sum:
+            pairwise = pairwise_min_sum(rows, right)
+        else:
+            pairwise = (rows @ right.T).toarray()
+
+        def sides(values_left, values_right):
+            return values_left[cell_left, None], values_right[None, :]
+
     else:
-        matrix_left, matrix_right = batch.unique_token_sparse
-        binary_left, binary_right = batch.unique_token_binary
-        bag_left, bag_right, set_left, set_right = batch.unique_token_sums
-        result = _token_measure_values(
-            measure,
-            _rows(matrix_left, cell_left),
-            matrix_right,
-            _rows(binary_left, cell_left),
-            binary_right,
-            (bag_left[cell_left], bag_right, set_left[cell_left], set_right),
-        )
-    left_empty, right_empty = batch.unique_empty_sides
-    result[left_empty[cell_left]] = 0.0
-    result[:, right_empty] = 0.0
-    return np.clip(result, 0.0, 1.0)
+        gathered = right[cell_right]
+        if min_sum:
+            pairwise = _row_sums(rows.minimum(gathered))
+        else:
+            pairwise = _row_sums(rows.multiply(gathered))
+
+        def sides(values_left, values_right):
+            return values_left[cell_left], values_right[cell_right]
+
+    size_left, size_right = sides(_row_sums(left), _row_sums(right))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if measure in ("cosine_tokens", "euclidean_tokens"):
+            squares_left, squares_right = sides(
+                _row_sums(left.multiply(left)),
+                _row_sums(right.multiply(right)),
+            )
+            if measure == "cosine_tokens":
+                norms = np.sqrt(squares_left) * np.sqrt(squares_right)
+                values = np.where(norms > 0, pairwise / norms, 0.0)
+            else:
+                total = squares_left + squares_right
+                distance = np.sqrt(np.maximum(total - 2.0 * pairwise, 0.0))
+                bound = np.sqrt(total)
+                values = np.where(bound > 0, 1.0 - distance / bound, 0.0)
+        elif measure == "overlap":
+            smaller = np.minimum(size_left, size_right)
+            values = np.where(smaller > 0, pairwise / smaller, 0.0)
+        elif measure in ("jaccard", "generalized_jaccard"):
+            union = size_left + size_right - pairwise
+            values = np.where(union > 0, pairwise / union, 0.0)
+        else:  # dice, simon_white, block_distance, qgrams
+            total = size_left + size_right
+            values = np.where(total > 0, 2.0 * pairwise / total, 0.0)
+    values[np.logical_or(*sides(*batch.unique_empty_sides))] = 0.0
+    return np.clip(values, 0.0, 1.0)
+
+
+def _row_sums(matrix: sparse.csr_matrix) -> np.ndarray:
+    return np.asarray(matrix.sum(axis=1)).ravel()
 
 
 def _rows(matrix: sparse.csr_matrix, rows: np.ndarray) -> sparse.csr_matrix:
@@ -475,8 +472,7 @@ def schema_based_rows(
     every row equals the corresponding row of the full matrix bit for
     bit.
     """
-    if measure not in _KERNEL_MEASURES:
-        _check_token_measure(measure)
+    check_measure(measure)
     plan = batch.plan
     rows = plan.left_inverse[start:stop]
     n_right = plan.shape[1]
@@ -517,6 +513,7 @@ def schema_based_pairs(
     pair_right[k]]`` (``tests/pipeline/test_blocking.py`` asserts the
     equality property, ``benchmarks/bench_blocking.py`` guards it).
     """
+    check_measure(measure)
     batch = _resolve_batch(lefts, rights, batch)
     if sparse_plan.n_pairs == 0:
         return np.zeros(0)
@@ -525,121 +522,3 @@ def schema_based_pairs(
             batch, measure, sparse_plan.cell_left, sparse_plan.cell_right
         )
     )
-
-
-def _zero_empty_cells(
-    values: np.ndarray,
-    batch: StringBatch,
-    cell_left: np.ndarray,
-    cell_right: np.ndarray,
-) -> None:
-    """Candidate-cell restriction of the empty-value convention."""
-    left_empty, right_empty = batch.unique_empty_sides
-    values[left_empty[cell_left] | right_empty[cell_right]] = 0.0
-
-
-def _qgram_pair_values(
-    batch: StringBatch, cell_left: np.ndarray, cell_right: np.ndarray
-) -> np.ndarray:
-    """Candidate-cell q-grams values via gathered profile rows.
-
-    Profile counts are small non-negative integers, so every min-sum
-    and total is exactly representable — the row-gathered sums equal
-    the dense :func:`_qgrams_values` cells bit for bit.
-    """
-    matrix_left, matrix_right = batch.unique_qgram_sparse
-    gathered_left = matrix_left[cell_left]
-    gathered_right = matrix_right[cell_right]
-    minimum = np.asarray(
-        gathered_left.minimum(gathered_right).sum(axis=1)
-    ).ravel()
-    sums_left = matrix_left.sum(axis=1).A1
-    sums_right = matrix_right.sum(axis=1).A1
-    total = sums_left[cell_left] + sums_right[cell_right]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        values = np.where(total > 0, 2.0 * minimum / total, 0.0)
-    _zero_empty_cells(values, batch, cell_left, cell_right)
-    return np.clip(values, 0.0, 1.0)
-
-
-def _token_pair_values(
-    measure: str,
-    batch: StringBatch,
-    cell_left: np.ndarray,
-    cell_right: np.ndarray,
-) -> np.ndarray:
-    """Candidate-cell token-measure values via gathered count rows.
-
-    All intermediates (dots, intersections, min-sums, squared norms)
-    are integer-valued float64 below 2^53, hence exact however they
-    are summed — the per-cell formulas then perform the same scalar
-    IEEE operations as :func:`_token_measure_values`.
-    """
-    matrix_left, matrix_right = batch.unique_token_sparse
-    binary_left, binary_right = batch.unique_token_binary
-    bag_left, bag_right, set_left, set_right = batch.unique_token_sums
-    gathered_left = matrix_left[cell_left]
-    gathered_right = matrix_right[cell_right]
-
-    def dot_rows() -> np.ndarray:
-        return np.asarray(
-            gathered_left.multiply(gathered_right).sum(axis=1)
-        ).ravel()
-
-    def intersection_rows() -> np.ndarray:
-        return np.asarray(
-            binary_left[cell_left]
-            .multiply(binary_right[cell_right])
-            .sum(axis=1)
-        ).ravel()
-
-    def min_sum_rows() -> np.ndarray:
-        return np.asarray(
-            gathered_left.minimum(gathered_right).sum(axis=1)
-        ).ravel()
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        if measure == "cosine_tokens":
-            norms_left = np.sqrt(
-                matrix_left.multiply(matrix_left).sum(axis=1)
-            ).A1
-            norms_right = np.sqrt(
-                matrix_right.multiply(matrix_right).sum(axis=1)
-            ).A1
-            denominator = norms_left[cell_left] * norms_right[cell_right]
-            values = np.where(
-                denominator > 0, dot_rows() / denominator, 0.0
-            )
-        elif measure == "euclidean_tokens":
-            sq_left = matrix_left.multiply(matrix_left).sum(axis=1).A1
-            sq_right = matrix_right.multiply(matrix_right).sum(axis=1).A1
-            squared = (
-                sq_left[cell_left] + sq_right[cell_right] - 2.0 * dot_rows()
-            )
-            distance = np.sqrt(np.maximum(squared, 0.0))
-            bound = np.sqrt(sq_left[cell_left] + sq_right[cell_right])
-            values = np.where(bound > 0, 1.0 - distance / bound, 0.0)
-        elif measure in ("block_distance", "simon_white"):
-            minimum = min_sum_rows()
-            total = bag_left[cell_left] + bag_right[cell_right]
-            values = np.where(total > 0, 2.0 * minimum / total, 0.0)
-        elif measure == "dice":
-            intersection = intersection_rows()
-            total = set_left[cell_left] + set_right[cell_right]
-            values = np.where(total > 0, 2.0 * intersection / total, 0.0)
-        elif measure == "overlap":
-            intersection = intersection_rows()
-            smaller = np.minimum(set_left[cell_left], set_right[cell_right])
-            values = np.where(smaller > 0, intersection / smaller, 0.0)
-        elif measure == "jaccard":
-            intersection = intersection_rows()
-            union = (
-                set_left[cell_left] + set_right[cell_right] - intersection
-            )
-            values = np.where(union > 0, intersection / union, 0.0)
-        else:  # generalized_jaccard
-            minimum = min_sum_rows()
-            maximum = bag_left[cell_left] + bag_right[cell_right] - minimum
-            values = np.where(maximum > 0, minimum / maximum, 0.0)
-    _zero_empty_cells(values, batch, cell_left, cell_right)
-    return np.clip(values, 0.0, 1.0)

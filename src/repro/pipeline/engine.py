@@ -100,9 +100,8 @@ from repro.ngramgraph import (
     pairwise_ratio_sum,
 )
 from repro.pipeline.batched_strings import (
-    ALIGNMENT_MEASURES,
-    TOKEN_MATRIX_MEASURES,
     StringBatch,
+    measure_input,
     schema_based_pairs,
     schema_based_rows,
 )
@@ -792,7 +791,8 @@ class SimilarityEngine:
         # seed the batch's lazy slot with it so the kernels consume
         # the loaded arrays (see StringBatch.seed_artifact).
         self.cache.get(("string_plan", attribute), lambda: batch.plan)
-        if measure in ALIGNMENT_MEASURES or measure == "jaro":
+        source = measure_input(measure)
+        if source == "encoded":
             encoded = self.cache.get(
                 ("string_unique_encoded", attribute),
                 lambda: (
@@ -802,13 +802,13 @@ class SimilarityEngine:
             )
             batch.seed_artifact("unique_left_encoding", encoded[0])
             batch.seed_artifact("unique_right_encoding", encoded[1])
-        elif measure in TOKEN_MATRIX_MEASURES:
+        elif source == "tokens":
             token_sparse = self.cache.get(
                 ("string_unique_tokens", attribute),
                 lambda: batch.unique_token_sparse,
             )
             batch.seed_artifact("unique_token_sparse", token_sparse)
-        elif measure == "monge_elkan":
+        elif source == "monge_elkan":
             grid = self.cache.get(
                 ("string_token_grid", attribute),
                 lambda: batch.monge_elkan_grid,

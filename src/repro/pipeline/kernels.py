@@ -764,8 +764,8 @@ def smith_waterman_grid(
     doubled int32 scores (match +2, mismatch -4, gap -1); halving at
     extraction is exact (dyadic), and the offset-based max scan used
     for the in-row gap propagation is exact on integers — the grid is
-    bit-identical to the scalar
-    :func:`repro.textsim.smith_waterman.smith_waterman_similarity`.
+    bit-identical to the scalar Smith-Waterman similarity of the test
+    oracles (``tests/oracles/textsim/smith_waterman.py``).
     """
     n_left, n_right = left_codes.shape[0], right_codes.shape[0]
     out = np.zeros((n_left, n_right))

@@ -39,9 +39,11 @@ from repro.ngramgraph import (
     overall_matrix,
     value_matrix,
 )
-from repro.pipeline.batched_strings import schema_based_matrix
+from repro.pipeline.batched_strings import (
+    SCHEMA_BASED_MEASURES,
+    schema_based_matrix,
+)
 from repro.pipeline.kernels import UniquePlan
-from repro.textsim.registry import SCHEMA_BASED_MEASURES
 from repro.vectorspace import (
     arcs_matrix,
     build_vector_models,
@@ -175,7 +177,7 @@ def enumerate_function_specs(
     the workbench plan work before — and without — generating datasets.
     """
     if schema_based_measures is None:
-        schema_based_measures = tuple(SCHEMA_BASED_MEASURES)
+        schema_based_measures = SCHEMA_BASED_MEASURES
     specs: list[SimilarityFunctionSpec] = []
     attributes = dataset_spec.schema_attributes
     if max_attributes is not None:

@@ -8,7 +8,8 @@ protocol (startup builds the warm :class:`ResolverService`; shutdown
 drains the scheduler).  The interface is standard ASGI 3.0 — the app
 is equally servable by the bundled :mod:`repro.service.server`, the
 in-process :class:`~repro.service.testclient.AsgiClient`, or any
-external ASGI server (uvicorn/hypercorn) when one is available.
+external ASGI server (uvicorn/hypercorn) when one is available.  The
+first two drive the lifespan cycle through one :class:`Lifespan`.
 
 Deliberately not implemented: path parameters, middleware stacks,
 content negotiation, streaming bodies.  Handlers are ``async def
@@ -18,12 +19,13 @@ handler(request) -> JSONResponse`` and the route table is a flat
 
 from __future__ import annotations
 
+import asyncio
 import json
 import traceback
 from typing import Any, Awaitable, Callable
 from urllib.parse import parse_qs
 
-__all__ = ["App", "HTTPError", "JSONResponse", "Request"]
+__all__ = ["App", "HTTPError", "JSONResponse", "Lifespan", "Request"]
 
 
 class HTTPError(Exception):
@@ -205,3 +207,54 @@ class App:
             # log (stderr), not the client.
             traceback.print_exc()
             return JSONResponse({"detail": "internal server error"}, 500)
+
+
+class Lifespan:
+    """The server side of an app's ASGI lifespan cycle.
+
+    :meth:`startup` starts the app's lifespan task and sends
+    ``lifespan.startup``; it returns ``None`` once the app completes
+    startup, or the app's ``lifespan.startup.failed`` message after
+    the task has ended.  :meth:`shutdown` sends ``lifespan.shutdown``
+    and joins the task; it does nothing when the task is not running.
+    """
+
+    def __init__(self, app) -> None:
+        self.app = app
+        self._task: asyncio.Task | None = None
+
+    async def startup(self) -> dict | None:
+        self._to_app: asyncio.Queue = asyncio.Queue()
+        self._stopped = asyncio.Event()
+        started = asyncio.Event()
+        failure: dict | None = None
+
+        async def receive():
+            return await self._to_app.get()
+
+        async def send(message):
+            nonlocal failure
+            kind = message["type"]
+            if kind == "lifespan.startup.failed":
+                failure = message
+                started.set()
+            elif kind == "lifespan.startup.complete":
+                started.set()
+            else:
+                self._stopped.set()
+
+        self._task = asyncio.ensure_future(
+            self.app({"type": "lifespan"}, receive, send)
+        )
+        await self._to_app.put({"type": "lifespan.startup"})
+        await started.wait()
+        if failure is not None:
+            await self._task
+        return failure
+
+    async def shutdown(self) -> None:
+        if self._task is None or self._task.done():
+            return
+        await self._to_app.put({"type": "lifespan.shutdown"})
+        await self._stopped.wait()
+        await self._task

@@ -40,9 +40,9 @@ from repro.datasets.generator import CleanCleanDataset, generate_dataset
 from repro.graph.bipartite import SimilarityGraph
 from repro.matching.registry import ALGORITHM_CODES, create_matcher
 from repro.pipeline.batched_strings import (
-    ALIGNMENT_MEASURES,
-    TOKEN_MATRIX_MEASURES,
+    SCHEMA_BASED_MEASURES,
     StringBatch,
+    check_measure,
     schema_based_matrix,
     schema_based_pairs,
 )
@@ -58,16 +58,9 @@ __all__ = [
     "ResolverService",
 ]
 
-#: Every measure the service can score a pair with: the full
-#: schema-based kernel family (token-matrix, alignment-DP, Jaro,
-#: q-grams and Monge-Elkan).
-RESOLVE_MEASURES: tuple[str, ...] = tuple(
-    sorted(
-        TOKEN_MATRIX_MEASURES
-        + ALIGNMENT_MEASURES
-        + ("jaro", "qgrams", "monge_elkan")
-    )
-)
+#: Every measure the service can score a pair with, sorted: the 16
+#: schema-based measures.
+RESOLVE_MEASURES: tuple[str, ...] = tuple(sorted(SCHEMA_BASED_MEASURES))
 
 
 @dataclass(frozen=True)
@@ -236,9 +229,7 @@ class ResolverService:
         sparse kernel pass.  Returns per-query matches sorted by
         descending score (ties by record id), truncated to ``top_k``.
         """
-        if measure not in RESOLVE_MEASURES:
-            known = ", ".join(RESOLVE_MEASURES)
-            raise KeyError(f"unknown measure {measure!r}; known: {known}")
+        check_measure(measure)
         index = self.index(code)
         with self._lock:
             candidates = [index.probe.probe(query) for query in queries]
@@ -298,9 +289,7 @@ class ResolverService:
             raise KeyError(
                 f"unknown algorithm {algorithm!r}; known: {known}"
             )
-        if measure not in RESOLVE_MEASURES:
-            known = ", ".join(RESOLVE_MEASURES)
-            raise KeyError(f"unknown measure {measure!r}; known: {known}")
+        check_measure(measure)
         if not (0.0 <= threshold <= 1.0):
             raise ValueError(
                 f"threshold must be in [0, 1], got {threshold}"

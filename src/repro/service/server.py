@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.service.asgi import Lifespan
+
 __all__ = ["ServiceStartupError", "serve"]
 
 _MAX_HEADER_BYTES = 65536
@@ -27,51 +29,6 @@ _MAX_BODY_BYTES = 16 * 1024 * 1024
 class ServiceStartupError(RuntimeError):
     """The service could not start (bad config, bind failure, cold
     warmup error); the CLI reports it and exits 1."""
-
-
-class _Lifespan:
-    """Drive an app's ASGI lifespan cycle around the serving loop."""
-
-    def __init__(self, app) -> None:
-        self.app = app
-        self._to_app: asyncio.Queue = asyncio.Queue()
-        self._started: asyncio.Event = asyncio.Event()
-        self._stopped: asyncio.Event = asyncio.Event()
-        self._failure: str | None = None
-        self._task: asyncio.Task | None = None
-
-    async def __aenter__(self) -> "_Lifespan":
-        async def receive():
-            return await self._to_app.get()
-
-        async def send(message):
-            kind = message["type"]
-            if kind == "lifespan.startup.failed":
-                self._failure = message.get("message", "startup failed")
-                self._started.set()
-            elif kind == "lifespan.startup.complete":
-                self._started.set()
-            else:
-                self._stopped.set()
-
-        self._task = asyncio.ensure_future(
-            self.app({"type": "lifespan"}, receive, send)
-        )
-        await self._to_app.put({"type": "lifespan.startup"})
-        await self._started.wait()
-        if self._failure is not None:
-            await self._task
-            raise ServiceStartupError(
-                f"service warmup failed: {self._failure}"
-            )
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        if self._task is None or self._task.done():
-            return
-        await self._to_app.put({"type": "lifespan.shutdown"})
-        await self._stopped.wait()
-        await self._task
 
 
 async def _handle_connection(app, reader, writer) -> None:
@@ -176,7 +133,12 @@ async def serve_async(
     app, host: str, port: int, ready: asyncio.Event | None = None
 ) -> None:
     """Warm the app, bind, and serve until cancelled."""
-    async with _Lifespan(app):
+    lifespan = Lifespan(app)
+    failure = await lifespan.startup()
+    if failure is not None:
+        message = failure.get("message", "startup failed")
+        raise ServiceStartupError(f"service warmup failed: {message}")
+    try:
         try:
             server = await asyncio.start_server(
                 lambda r, w: _handle_connection(app, r, w),
@@ -199,6 +161,8 @@ async def serve_async(
             if ready is not None:
                 ready.set()
             await server.serve_forever()
+    finally:
+        await lifespan.shutdown()
 
 
 def serve(app, host: str = "127.0.0.1", port: int = 8000) -> None:

@@ -3,9 +3,11 @@ plays in environments that have httpx).
 
 :class:`AsgiClient` speaks raw ASGI to an :class:`~repro.service.asgi.App`
 without sockets: requests become ``http`` scopes, and entering the
-client as an async context manager drives the full *lifespan* cycle —
-startup on ``__aenter__`` (raising :class:`LifespanFailed` if the app
-refuses to start), shutdown on ``__aexit__``.  Constructing the client
+client as an async context manager drives the full *lifespan* cycle
+through :class:`~repro.service.asgi.Lifespan`, the driver ``repro
+serve`` uses too — startup on ``__aenter__`` (raising
+:class:`LifespanFailed` if the app refuses to start), shutdown on
+``__aexit__``.  Constructing the client
 with ``lifespan=False`` skips the cycle, which is how the tests reach
 the app in its cold, pre-warmup state.
 
@@ -20,6 +22,8 @@ from __future__ import annotations
 import asyncio
 import json
 from typing import Any, Awaitable, Callable
+
+from repro.service.asgi import Lifespan
 
 __all__ = ["AsgiClient", "ClientResponse", "LifespanFailed", "run_app"]
 
@@ -47,61 +51,19 @@ class AsgiClient:
 
     def __init__(self, app, lifespan: bool = True) -> None:
         self.app = app
-        self._lifespan = lifespan
-        self._startup_done: asyncio.Event | None = None
-        self._shutdown_done: asyncio.Event | None = None
-        self._to_app: asyncio.Queue | None = None
-        self._task: asyncio.Task | None = None
-        self._failure: str | None = None
+        self._lifespan = Lifespan(app) if lifespan else None
 
     # ------------------------------------------------ lifespan driving
     async def __aenter__(self) -> "AsgiClient":
-        if self._lifespan:
-            await self.startup()
+        if self._lifespan is not None:
+            failure = await self._lifespan.startup()
+            if failure is not None:
+                raise LifespanFailed(failure.get("message", ""))
         return self
 
     async def __aexit__(self, *exc_info) -> None:
-        if self._lifespan:
-            await self.shutdown()
-
-    async def startup(self) -> None:
-        """Run the app's lifespan startup; raise if it fails."""
-        self._to_app = asyncio.Queue()
-        self._startup_done = asyncio.Event()
-        self._shutdown_done = asyncio.Event()
-
-        async def receive():
-            return await self._to_app.get()
-
-        async def send(message):
-            kind = message["type"]
-            if kind == "lifespan.startup.failed":
-                self._failure = message.get("message", "")
-                self._startup_done.set()
-            elif kind == "lifespan.startup.complete":
-                self._startup_done.set()
-            elif kind in (
-                "lifespan.shutdown.complete",
-                "lifespan.shutdown.failed",
-            ):
-                self._shutdown_done.set()
-
-        self._task = asyncio.ensure_future(
-            self.app({"type": "lifespan"}, receive, send)
-        )
-        await self._to_app.put({"type": "lifespan.startup"})
-        await self._startup_done.wait()
-        if self._failure is not None:
-            await self._task
-            raise LifespanFailed(self._failure)
-
-    async def shutdown(self) -> None:
-        """Run the app's lifespan shutdown and join the lifespan task."""
-        if self._task is None or self._task.done():
-            return
-        await self._to_app.put({"type": "lifespan.shutdown"})
-        await self._shutdown_done.wait()
-        await self._task
+        if self._lifespan is not None:
+            await self._lifespan.shutdown()
 
     # --------------------------------------------------------- requests
     async def request(

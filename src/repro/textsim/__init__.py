@@ -1,77 +1,18 @@
-"""Schema-based syntactic string similarity library (Simmetrics substitute).
+"""Tokenizers of the syntactic representation models.
 
-Appendix B.1 of the paper lists 16 established measures applied to the
-schema-based syntactic representations.  This package implements all of
-them from scratch with the same definitions:
-
-Character-level (:mod:`repro.textsim.character`):
-    Levenshtein, Damerau-Levenshtein, Jaro, Needleman-Wunsch, q-grams
-    distance, Longest Common Substring, Longest Common Subsequence.
-
-Token-level (:mod:`repro.textsim.token_measures`):
-    Cosine, Euclidean, Block (L1), Dice, Simon-White, Overlap
-    coefficient, Jaccard, Generalized Jaccard, Monge-Elkan (with a
-    Smith-Waterman secondary measure).
-
-Every public function maps a pair of strings to a similarity in
-``[0, 1]`` (distances are normalized and inverted), which is what the
-similarity-graph builder consumes.
+Word tokens and character/token n-grams feed the vector-space, n-gram
+graph and embedding models and the blocking keys; the padded trigram
+profile feeds the q-grams measure.  The 16 schema-based measures of
+the paper's Appendix B.1 are scored by the kernels of
+:mod:`repro.pipeline.batched_strings`; their per-pair definitions are
+test oracles (``tests/oracles/textsim/``).
 """
 
-from repro.textsim.character import (
-    damerau_levenshtein_similarity,
-    jaro_similarity,
-    levenshtein_distance,
-    levenshtein_similarity,
-    longest_common_subsequence_similarity,
-    longest_common_substring_similarity,
-    needleman_wunsch_similarity,
-    qgrams_distance_similarity,
+from repro.textsim.tokenize import (
+    character_ngrams,
+    padded_trigrams,
+    token_ngrams,
+    tokens,
 )
-from repro.textsim.registry import (
-    CHARACTER_MEASURES,
-    SCHEMA_BASED_MEASURES,
-    TOKEN_MEASURES,
-    get_measure,
-)
-from repro.textsim.smith_waterman import smith_waterman_similarity
-from repro.textsim.token_measures import (
-    block_distance_similarity,
-    cosine_token_similarity,
-    dice_similarity,
-    euclidean_token_similarity,
-    generalized_jaccard_similarity,
-    jaccard_similarity,
-    monge_elkan_similarity,
-    overlap_coefficient,
-    simon_white_similarity,
-)
-from repro.textsim.tokenize import character_ngrams, token_ngrams, tokens
 
-__all__ = [
-    "levenshtein_distance",
-    "levenshtein_similarity",
-    "damerau_levenshtein_similarity",
-    "jaro_similarity",
-    "needleman_wunsch_similarity",
-    "qgrams_distance_similarity",
-    "longest_common_substring_similarity",
-    "longest_common_subsequence_similarity",
-    "cosine_token_similarity",
-    "euclidean_token_similarity",
-    "block_distance_similarity",
-    "dice_similarity",
-    "simon_white_similarity",
-    "overlap_coefficient",
-    "jaccard_similarity",
-    "generalized_jaccard_similarity",
-    "monge_elkan_similarity",
-    "smith_waterman_similarity",
-    "tokens",
-    "character_ngrams",
-    "token_ngrams",
-    "CHARACTER_MEASURES",
-    "TOKEN_MEASURES",
-    "SCHEMA_BASED_MEASURES",
-    "get_measure",
-]
+__all__ = ["tokens", "character_ngrams", "token_ngrams", "padded_trigrams"]

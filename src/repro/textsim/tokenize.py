@@ -10,8 +10,15 @@ whitespace replaced by ``_`` ("Joe Biden" -> 'Joe', 'oe_', 'e_B', ...).
 from __future__ import annotations
 
 import re
+from collections import Counter
 
-__all__ = ["tokens", "character_ngrams", "token_ngrams", "normalize_text"]
+__all__ = [
+    "tokens",
+    "character_ngrams",
+    "token_ngrams",
+    "normalize_text",
+    "padded_trigrams",
+]
 
 _TOKEN_PATTERN = re.compile(r"[A-Za-z0-9]+")
 
@@ -52,3 +59,9 @@ def token_ngrams(text: str, n: int) -> list[str]:
     if len(words) < n:
         return [" ".join(words)]
     return [" ".join(words[i : i + n]) for i in range(len(words) - n + 1)]
+
+
+def padded_trigrams(text: str) -> Counter:
+    """Tri-grams with ``##`` padding, as in Simmetrics' QGramsDistance."""
+    padded = "##" + text + "##"
+    return Counter(padded[i : i + 3] for i in range(len(padded) - 2))

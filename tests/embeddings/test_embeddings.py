@@ -13,9 +13,9 @@ from repro.embeddings import (
     cosine_similarity_matrix,
     euclidean_similarity_matrix,
     hash_vector,
-    relaxed_word_mover_distance,
     word_mover_similarity_matrix,
 )
+from tests.oracles.embeddings import relaxed_word_mover_distance
 
 words = st.text(alphabet="abcdefgh", min_size=1, max_size=8)
 sentences = st.lists(words, min_size=0, max_size=5).map(" ".join)

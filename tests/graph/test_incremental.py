@@ -204,6 +204,10 @@ class TestUnipartiteIncremental:
         compiled = uni([(0, 1, 0.5)]).compiled()
         with pytest.raises(ValueError, match="already in graph"):
             insert_uni_edges(compiled, [1], [0], [0.75])
+        # The message names the first present edge in delta order.
+        compiled = uni([(0, 1, 0.5), (1, 2, 0.9)]).compiled()
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) already"):
+            insert_uni_edges(compiled, [3, 2, 1], [4, 1, 0], [0.1] * 3)
 
     def test_delete_resolves_weights_from_csr(self):
         compiled = uni([(0, 1, 0.5), (1, 2, 0.9)]).compiled()
@@ -233,6 +237,10 @@ class TestUnipartiteIncremental:
             delete_uni_edges(compiled, [0], [1], [0.75])
         with pytest.raises(ValueError, match="not in graph"):
             delete_uni_edges(compiled, [1], [2])
+        # The message names the first missing edge in delta order.
+        compiled = uni([(0, 1, 0.5), (1, 2, 0.9)], 6).compiled()
+        with pytest.raises(ValueError, match=r"edge \(3, 5\) not in"):
+            delete_uni_edges(compiled, [1, 5, 2], [0, 3, 4])
 
     def test_rejects_out_of_range_endpoints(self):
         compiled = uni([(0, 1, 0.5)]).compiled()

@@ -12,8 +12,13 @@ so the shipped package holds one implementation per algorithm:
   :func:`~tests.oracles.dirty_er.cluster_legacy`, and the networkx
   bridge of :class:`~repro.graph.unipartite.UnipartiteGraph`;
 * :mod:`tests.oracles.strings` — the pre-kernel schema-based string
-  bodies, behind :func:`~tests.oracles.strings.schema_based_matrix_legacy`;
-* :mod:`tests.oracles.embeddings` — the per-pair RWMD loop.
+  bodies, behind :func:`~tests.oracles.strings.schema_based_matrix_legacy`,
+  and the whole-grid token and q-gram formulas they apply;
+* :mod:`tests.oracles.textsim` — the per-pair ``(str, str) -> float``
+  definitions of the 16 schema-based measures, with the registry that
+  maps their names to them;
+* :mod:`tests.oracles.embeddings` — the scalar RWMD and the per-pair
+  loop over it.
 
 Oracle bodies are never edited: an engine change must keep matching
 them as they are.  Benchmarks run as scripts import this package after

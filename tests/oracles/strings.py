@@ -7,9 +7,12 @@ full-universe sparse token formulas.  Those bodies are kept here
 verbatim, dispatched by :func:`schema_based_matrix_legacy`, together
 with the six full-universe artifacts only they read, which
 :class:`LegacyStringBatch` adds to
-:class:`~repro.pipeline.batched_strings.StringBatch`.  Every cell the
-kernel path scores must equal these matrices bit for bit
-(``tests/pipeline/test_kernels.py``,
+:class:`~repro.pipeline.batched_strings.StringBatch`, and the
+whole-grid token and q-gram formulas they apply
+(:func:`_token_measure_values`, :func:`_qgrams_values`), frozen here
+because the kernels now write each formula once for whole rows and
+cell lists.  Every cell the kernel path scores must equal these
+matrices bit for bit (``tests/pipeline/test_kernels.py``,
 ``benchmarks/bench_kernel_engine.py``).
 """
 
@@ -24,18 +27,117 @@ from scipy import sparse
 from repro.pipeline.batched_strings import (
     StringBatch,
     _binarize,
-    _check_token_measure,
     _profiles_to_sparse,
-    _qgrams_values,
-    _token_measure_values,
-    _token_sums,
 )
 from repro.pipeline.kernels import encode_strings
-from repro.textsim.character import _padded_trigrams, jaro_similarity
-from repro.textsim.smith_waterman import smith_waterman_similarity
 from repro.textsim.tokenize import tokens
+from repro.vectorspace.measures import pairwise_min_sum
+from tests.oracles.textsim.character import _padded_trigrams, jaro_similarity
+from tests.oracles.textsim.smith_waterman import smith_waterman_similarity
 
 __all__ = ["LegacyStringBatch", "schema_based_matrix_legacy"]
+
+
+# ----------------------------------------------------------------------
+# Whole-grid token and q-gram formulas
+# ----------------------------------------------------------------------
+#: The bag-of-tokens measures (whole-grid sparse formulas).
+TOKEN_MATRIX_MEASURES = (
+    "cosine_tokens",
+    "euclidean_tokens",
+    "block_distance",
+    "dice",
+    "simon_white",
+    "overlap",
+    "jaccard",
+    "generalized_jaccard",
+)
+
+
+def _check_token_measure(measure: str) -> None:
+    if measure not in TOKEN_MATRIX_MEASURES:
+        known = ", ".join(sorted(TOKEN_MATRIX_MEASURES))
+        raise KeyError(f"unknown token measure {measure!r}; known: {known}")
+
+
+def _token_sums(matrix_left, matrix_right, binary_left, binary_right):
+    return (
+        matrix_left.sum(axis=1).A1,
+        matrix_right.sum(axis=1).A1,
+        binary_left.sum(axis=1).A1,
+        binary_right.sum(axis=1).A1,
+    )
+
+
+def _qgrams_values(matrix_left, matrix_right) -> np.ndarray:
+    minimum = pairwise_min_sum(matrix_left, matrix_right)
+    sums_left = matrix_left.sum(axis=1).A1
+    sums_right = matrix_right.sum(axis=1).A1
+    total = sums_left[:, None] + sums_right[None, :]
+    # block distance = total - 2*min; similarity = 1 - distance/total.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(total > 0, 2.0 * minimum / total, 0.0)
+
+
+def _token_measure_values(
+    measure: str,
+    matrix_left,
+    matrix_right,
+    binary_left,
+    binary_right,
+    sums,
+) -> np.ndarray:
+    bag_left, bag_right, set_left, set_right = sums
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if measure == "cosine_tokens":
+            norms_left = np.sqrt(
+                matrix_left.multiply(matrix_left).sum(axis=1)
+            ).A1
+            norms_right = np.sqrt(
+                matrix_right.multiply(matrix_right).sum(axis=1)
+            ).A1
+            dot = np.asarray((matrix_left @ matrix_right.T).todense())
+            denominator = norms_left[:, None] * norms_right[None, :]
+            result = np.where(denominator > 0, dot / denominator, 0.0)
+        elif measure == "euclidean_tokens":
+            sq_left = matrix_left.multiply(matrix_left).sum(axis=1).A1
+            sq_right = matrix_right.multiply(matrix_right).sum(axis=1).A1
+            dot = np.asarray((matrix_left @ matrix_right.T).todense())
+            squared = sq_left[:, None] + sq_right[None, :] - 2.0 * dot
+            distance = np.sqrt(np.maximum(squared, 0.0))
+            bound = np.sqrt(sq_left[:, None] + sq_right[None, :])
+            result = np.where(bound > 0, 1.0 - distance / bound, 0.0)
+        elif measure == "block_distance":
+            minimum = pairwise_min_sum(matrix_left, matrix_right)
+            total = bag_left[:, None] + bag_right[None, :]
+            result = np.where(total > 0, 2.0 * minimum / total, 0.0)
+        elif measure == "dice":
+            intersection = np.asarray(
+                (binary_left @ binary_right.T).todense()
+            )
+            total = set_left[:, None] + set_right[None, :]
+            result = np.where(total > 0, 2.0 * intersection / total, 0.0)
+        elif measure == "simon_white":
+            minimum = pairwise_min_sum(matrix_left, matrix_right)
+            total = bag_left[:, None] + bag_right[None, :]
+            result = np.where(total > 0, 2.0 * minimum / total, 0.0)
+        elif measure == "overlap":
+            intersection = np.asarray(
+                (binary_left @ binary_right.T).todense()
+            )
+            smaller = np.minimum.outer(set_left, set_right)
+            result = np.where(smaller > 0, intersection / smaller, 0.0)
+        elif measure == "jaccard":
+            intersection = np.asarray(
+                (binary_left @ binary_right.T).todense()
+            )
+            union = set_left[:, None] + set_right[None, :] - intersection
+            result = np.where(union > 0, intersection / union, 0.0)
+        else:  # generalized_jaccard
+            minimum = pairwise_min_sum(matrix_left, matrix_right)
+            maximum = bag_left[:, None] + bag_right[None, :] - minimum
+            result = np.where(maximum > 0, minimum / maximum, 0.0)
+    return result
 
 
 class LegacyStringBatch(StringBatch):

@@ -1,14 +1,15 @@
-"""Registry of schema-based syntactic similarity measures.
+"""Registry of the scalar schema-based syntactic similarity measures.
 
-Maps the paper's measure names to callables ``(str, str) -> float``
-so the graph-generation pipeline can iterate over the whole taxonomy.
+Maps the paper's measure names to callables ``(str, str) -> float``,
+in the order of :data:`repro.pipeline.batched_strings.SCHEMA_BASED_MEASURES`
+(``tests/pipeline/test_batched_strings.py`` checks that the two agree).
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.textsim.character import (
+from tests.oracles.textsim.character import (
     damerau_levenshtein_similarity,
     jaro_similarity,
     levenshtein_similarity,
@@ -17,7 +18,7 @@ from repro.textsim.character import (
     needleman_wunsch_similarity,
     qgrams_distance_similarity,
 )
-from repro.textsim.token_measures import (
+from tests.oracles.textsim.token_measures import (
     block_distance_similarity,
     cosine_token_similarity,
     dice_similarity,

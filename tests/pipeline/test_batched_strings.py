@@ -1,9 +1,9 @@
 """Differential tests: batched all-pairs measures vs scalar references.
 
 Every batched measure must agree with the trusted scalar
-implementation from :mod:`repro.textsim` on all pairs of non-empty
-strings (empty strings follow the builder convention of similarity 0,
-checked separately).
+implementation from :mod:`tests.oracles.textsim` on all pairs of
+non-empty strings (empty strings follow the builder convention of
+similarity 0, checked separately).
 """
 
 from __future__ import annotations
@@ -14,12 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pipeline.batched_strings import (
-    TOKEN_MATRIX_MEASURES,
+    SCHEMA_BASED_MEASURES,
     StringBatch,
+    measure_input,
     schema_based_cells,
     schema_based_matrix,
+    schema_based_pairs,
+    schema_based_rows,
 )
-from repro.textsim import (
+from repro.pipeline.kernels import SparsePlan
+from tests.oracles.strings import TOKEN_MATRIX_MEASURES
+from tests.oracles.textsim import (
     damerau_levenshtein_similarity,
     jaro_similarity,
     levenshtein_similarity,
@@ -29,7 +34,10 @@ from repro.textsim import (
     needleman_wunsch_similarity,
     qgrams_distance_similarity,
 )
-from repro.textsim.registry import TOKEN_MEASURES
+from tests.oracles.textsim.registry import (
+    SCHEMA_BASED_MEASURES as SCALAR_MEASURES,
+    TOKEN_MEASURES,
+)
 
 BATCHED_VS_SCALAR = [
     pytest.param(measure, scalar, id=f"{measure}_matrix-{scalar.__name__}")
@@ -116,13 +124,53 @@ def test_schema_based_matrix_dispatch():
 
 
 def test_schema_based_matrix_unknown_measure():
-    with pytest.raises(KeyError):
-        schema_based_matrix(["a"], ["b"], "soundex")
+    # Every entry point names all 16 measures, not only the token ones.
+    batch = StringBatch(["a"], ["b"])
+    plan = SparsePlan.build(batch.plan, [0], [0])
+    calls = [
+        lambda: schema_based_matrix(["a"], ["b"], "soundex"),
+        lambda: schema_based_rows(batch, "soundex"),
+        lambda: schema_based_cells(batch, "soundex", [0]),
+        lambda: schema_based_cells(batch, "soundex", [0], [0]),
+        lambda: schema_based_pairs(["a"], ["b"], "soundex", plan, batch),
+    ]
+    for call in calls:
+        with pytest.raises(KeyError, match="levenshtein"):
+            call()
+
+
+def test_schema_based_measures_pinned():
+    """The 16 names in the paper's order.  The full taxonomy enumerates
+    its specs, and so orders its graphs, in this order, and the corpus
+    cache key cannot see a reorder."""
+    assert SCHEMA_BASED_MEASURES == (
+        "levenshtein",
+        "damerau_levenshtein",
+        "jaro",
+        "needleman_wunsch",
+        "qgrams",
+        "lcs_substring",
+        "lcs_subsequence",
+        "cosine_tokens",
+        "euclidean_tokens",
+        "block_distance",
+        "dice",
+        "simon_white",
+        "overlap",
+        "jaccard",
+        "generalized_jaccard",
+        "monge_elkan",
+    )
+    assert tuple(SCALAR_MEASURES) == SCHEMA_BASED_MEASURES
+    # The kernel input of each measure, which also picks the artifacts
+    # the engine seeds from the store.
+    inputs = [measure_input(m) for m in SCHEMA_BASED_MEASURES]
+    assert inputs == ["encoded"] * 4 + ["qgrams"] + ["encoded"] * 2 + [
+        "tokens"
+    ] * 8 + ["monge_elkan"]
 
 
 def test_all_sixteen_measures_dispatchable():
-    from repro.textsim.registry import SCHEMA_BASED_MEASURES
-
     for measure in SCHEMA_BASED_MEASURES:
         matrix = schema_based_matrix(["golden dragon"], ["golden dragoon"],
                                      measure)

@@ -18,6 +18,7 @@ from repro.embeddings import FastTextLikeModel
 from repro.embeddings.measures import word_mover_similarity_matrix
 from repro.embeddings.wmd import token_stats
 from repro.pipeline.batched_strings import (
+    SCHEMA_BASED_MEASURES,
     StringBatch,
     schema_based_cells,
     schema_based_matrix,
@@ -29,7 +30,6 @@ from repro.pipeline.kernels import (
     row_blocks,
     run_blocks,
 )
-from repro.textsim.registry import SCHEMA_BASED_MEASURES
 from tests.oracles.embeddings import word_mover_similarity_matrix_legacy
 from tests.oracles.strings import (
     LegacyStringBatch,

@@ -154,6 +154,22 @@ class TestStreamCommand:
         assert exit_info.value.code == 2
         assert "--batch-size" in capsys.readouterr().err
 
+    def test_unknown_measure_exits_before_any_work(self, monkeypatch):
+        import repro.datasets
+
+        def generate_dataset(*args, **kwargs):
+            raise AssertionError("dataset generated before the check")
+
+        monkeypatch.setattr(
+            repro.datasets, "generate_dataset", generate_dataset
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stream", "d4", "--measure", "bogus"])
+        # A string code: Python prints it on stderr and exits 1.
+        message = exit_info.value.code
+        assert message.startswith("unknown measure 'bogus'; known: ")
+        assert "levenshtein" in message and "monge_elkan" in message
+
 
 class TestShardCommand:
     @pytest.mark.parametrize("value", ["0", "-3"])

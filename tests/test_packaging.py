@@ -1,9 +1,11 @@
 """The shipped package: one metadata file, numpy and scipy at run time.
 
 networkx is a test dependency only (the frozen dirty-ER oracles under
-``tests/oracles`` run on it).  A fresh interpreter that cannot import
-networkx must still load every entry point and cluster with all four
-dirty-ER algorithms, batch and incremental.
+``tests/oracles`` run on it), and the oracles themselves are test code.
+A fresh interpreter that can import neither networkx nor the ``tests``
+package must still load every entry point, cluster with all four
+dirty-ER algorithms, batch and incremental, and score all 16
+schema-based measures.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ WITHOUT_NETWORKX = textwrap.dedent(
     import sys
 
     sys.modules["networkx"] = None  # every import of it now fails
+    sys.modules["tests"] = None  # and so does every import of an oracle
 
     import repro.cli
     import repro.experiments.runner
@@ -33,6 +36,11 @@ WITHOUT_NETWORKX = textwrap.dedent(
     from repro.extensions.dirty_er import DIRTY_ALGORITHM_CODES, DirtyClusterer
     from repro.extensions.incremental import IncrementalClusterer
     from repro.graph.unipartite import UnipartiteGraph
+    from repro.pipeline.batched_strings import (
+        SCHEMA_BASED_MEASURES,
+        StringBatch,
+        schema_based_rows,
+    )
 
     edges = [(0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.9), (3, 4, 0.8), (2, 3, 0.4)]
     graph = UnipartiteGraph.from_edges(5, edges)
@@ -44,6 +52,11 @@ WITHOUT_NETWORKX = textwrap.dedent(
         ).partition()
         for clusters in (batch, maintained):
             assert sorted(map(sorted, clusters)) == [[0, 1, 2], [3, 4]], code
+    strings = StringBatch(["golden dragon", ""], ["golden dragoon", "inn"])
+    for measure in SCHEMA_BASED_MEASURES:
+        scores = schema_based_rows(strings, measure)
+        assert scores.shape == (2, 2) and scores[0, 0] > 0, measure
+        assert not scores[1].any(), measure
     print("ok")
     """
 )

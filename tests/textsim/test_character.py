@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.textsim import (
+from tests.oracles.textsim import (
     damerau_levenshtein_similarity,
     jaro_similarity,
     levenshtein_distance,
@@ -16,7 +16,7 @@ from repro.textsim import (
     needleman_wunsch_similarity,
     qgrams_distance_similarity,
 )
-from repro.textsim.character import damerau_levenshtein_distance
+from tests.oracles.textsim.character import damerau_levenshtein_distance
 
 ALL_MEASURES = [
     levenshtein_similarity,

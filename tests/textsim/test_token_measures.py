@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.textsim import (
+from repro.textsim.tokenize import character_ngrams, token_ngrams, tokens
+from tests.oracles.textsim import (
     block_distance_similarity,
     cosine_token_similarity,
     dice_similarity,
@@ -19,12 +20,11 @@ from repro.textsim import (
     simon_white_similarity,
     smith_waterman_similarity,
 )
-from repro.textsim.registry import (
+from tests.oracles.textsim.registry import (
     CHARACTER_MEASURES,
     SCHEMA_BASED_MEASURES,
     TOKEN_MEASURES,
 )
-from repro.textsim.tokenize import character_ngrams, token_ngrams, tokens
 
 SYMMETRIC_MEASURES = [
     cosine_token_similarity,
