@@ -10,7 +10,9 @@ Value, Normalized Value and Overall.
 For the all-pairs experimental protocol the graphs are flattened into
 sparse vectors over an *edge vocabulary*, which turns the graph
 measures into the same kind of sparse linear algebra the vector models
-use.
+use.  The same first-occurrence encoder numbers both vocabularies
+(:func:`repro.vectorspace.profiles.count_matrices`: edges in the order
+they are first seen, left collection first).
 """
 
 from repro.ngramgraph.measures import (

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
 from scipy import sparse
 
 from repro.textsim.tokenize import character_ngrams, token_ngrams
+from repro.vectorspace.profiles import count_matrices
 
 __all__ = [
     "NGramGraph",
@@ -90,34 +90,13 @@ def graphs_to_sparse(
 ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     """Flatten two graph collections into aligned sparse edge vectors.
 
-    Every distinct edge of either collection becomes one column; cell
-    values are the edge weights.  This representation makes the four
-    graph similarities computable with sparse matrix products.
+    Every distinct edge of either collection becomes one column, in
+    first-occurrence order over the left graphs, then the right ones
+    (:func:`repro.vectorspace.profiles.count_matrices`); cell values
+    are the edge weights.  This representation makes the four graph
+    similarities computable with sparse matrix products.
     """
-    vocabulary: dict[tuple[str, str], int] = {}
-    for graph in graphs_left:
-        for edge in graph:
-            vocabulary.setdefault(edge, len(vocabulary))
-    for graph in graphs_right:
-        for edge in graph:
-            vocabulary.setdefault(edge, len(vocabulary))
-
-    def assemble(graphs: list[NGramGraph]) -> sparse.csr_matrix:
-        rows: list[int] = []
-        cols: list[int] = []
-        values: list[float] = []
-        for row, graph in enumerate(graphs):
-            for edge, weight in graph.items():
-                rows.append(row)
-                cols.append(vocabulary[edge])
-                values.append(weight)
-        return sparse.csr_matrix(
-            (np.asarray(values), (rows, cols)),
-            shape=(len(graphs), len(vocabulary)),
-            dtype=np.float64,
-        )
-
-    return assemble(graphs_left), assemble(graphs_right)
+    return count_matrices(graphs_left, graphs_right, vocabulary={})
 
 
 def entity_graph_matrices(

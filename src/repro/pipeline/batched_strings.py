@@ -63,6 +63,7 @@ from repro.pipeline.kernels import (
 )
 from repro.textsim.tokenize import padded_trigrams, tokens
 from repro.vectorspace.measures import pairwise_min_sum
+from repro.vectorspace.profiles import count_matrices, encode_keys, presence
 
 __all__ = [
     "SCHEMA_BASED_MEASURES",
@@ -173,16 +174,17 @@ class StringBatch:
     ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
         """Sparse token-count matrices of the unique values.
 
-        The vocabulary is built in first-occurrence order over the
-        unique values, which is exactly the key order a full-list
-        construction produces — row contents (and therefore the
-        summation order of every sparse product) match a full-list
-        matrix bit for bit.
+        :func:`~repro.vectorspace.profiles.count_matrices` numbers the
+        tokens in first-occurrence order over the unique values, which
+        is exactly the key order a full-list construction produces —
+        row contents (and therefore the summation order of every
+        sparse product) match a full-list matrix bit for bit.
         """
         lists_left, lists_right = self.unique_token_lists
-        return _profiles_to_sparse(
+        return count_matrices(
             [Counter(words) for words in lists_left],
             [Counter(words) for words in lists_right],
+            vocabulary={},
         )
 
     @cached_property
@@ -190,63 +192,41 @@ class StringBatch:
         self,
     ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
         """Binary (presence) versions of :attr:`unique_token_sparse`."""
-        return _binarize(*self.unique_token_sparse)
+        left, right = self.unique_token_sparse
+        return presence(left), presence(right)
 
     @cached_property
     def unique_qgram_sparse(
         self,
     ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
         """Padded-trigram profile matrices of the unique values."""
-        return _profiles_to_sparse(
+        return count_matrices(
             [padded_trigrams(s) if s else Counter() for s in self.plan.lefts],
             [
                 padded_trigrams(s) if s else Counter()
                 for s in self.plan.rights
             ],
+            vocabulary={},
         )
 
     @cached_property
     def monge_elkan_grid(
         self,
     ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-        """Per-value token-id lists plus the unique-token SW grid."""
+        """Per-value token-id lists plus the unique-token SW grid.
+
+        Each side numbers its own tokens; id arrays keep duplicates in
+        text order, the order the Monge-Elkan fold consumes them in.
+        """
         lists_left, lists_right = self.unique_token_lists
-        vocab_left, ids_left = _token_vocabulary(lists_left)
-        vocab_right, ids_right = _token_vocabulary(lists_right)
+        vocab_left, vocab_right = {}, {}
+        ids_left = [encode_keys(words, vocab_left) for words in lists_left]
+        ids_right = [encode_keys(words, vocab_right) for words in lists_right]
         grid = smith_waterman_grid(
-            *encode_strings(vocab_left), *encode_strings(vocab_right)
+            *encode_strings(list(vocab_left)),
+            *encode_strings(list(vocab_right)),
         )
         return ids_left, ids_right, grid
-
-
-def _binarize(matrix_left, matrix_right):
-    binary_left = matrix_left.copy()
-    binary_left.data = np.ones_like(binary_left.data)
-    binary_right = matrix_right.copy()
-    binary_right.data = np.ones_like(binary_right.data)
-    return binary_left, binary_right
-
-
-def _token_vocabulary(
-    token_lists: list[list[str]],
-) -> tuple[list[str], list[np.ndarray]]:
-    """First-occurrence token vocabulary plus per-value id arrays.
-
-    Id arrays keep duplicates in text order — the order the scalar
-    Monge-Elkan fold consumes them in.
-    """
-    vocabulary: dict[str, int] = {}
-    ids: list[np.ndarray] = []
-    for words in token_lists:
-        row = np.empty(len(words), dtype=np.intp)
-        for position, word in enumerate(words):
-            slot = vocabulary.get(word)
-            if slot is None:
-                slot = len(vocabulary)
-                vocabulary[word] = slot
-            row[position] = slot
-        ids.append(row)
-    return list(vocabulary), ids
 
 
 def _resolve_batch(
@@ -261,33 +241,6 @@ def check_measure(measure: str) -> None:
     if measure not in SCHEMA_BASED_MEASURES:
         known = ", ".join(sorted(SCHEMA_BASED_MEASURES))
         raise KeyError(f"unknown measure {measure!r}; known: {known}")
-
-
-def _profiles_to_sparse(
-    profiles_left: list[Counter], profiles_right: list[Counter]
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    vocabulary: dict[str, int] = {}
-    for profile in profiles_left:
-        for key in profile:
-            vocabulary.setdefault(key, len(vocabulary))
-    for profile in profiles_right:
-        for key in profile:
-            vocabulary.setdefault(key, len(vocabulary))
-
-    def assemble(profiles: list[Counter]) -> sparse.csr_matrix:
-        rows, cols, values = [], [], []
-        for row, profile in enumerate(profiles):
-            for key, count in profile.items():
-                rows.append(row)
-                cols.append(vocabulary[key])
-                values.append(float(count))
-        return sparse.csr_matrix(
-            (values, (rows, cols)),
-            shape=(len(profiles), len(vocabulary)),
-            dtype=np.float64,
-        )
-
-    return assemble(profiles_left), assemble(profiles_right)
 
 
 #: Cell kernel and fixed options of every encoded-string measure.

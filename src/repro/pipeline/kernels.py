@@ -48,6 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.vectorspace.profiles import encode_keys, first_positions
+
 __all__ = [
     "ROW_CHUNK_CELLS",
     "UniquePlan",
@@ -127,11 +129,12 @@ class UniquePlan:
 
     ``lefts`` / ``rights`` hold the distinct values in **first
     occurrence order** — the order in which a non-deduplicated pass
-    would first see them — so vocabulary-building kernels produce the
-    same vocabularies (and the same summation orders) as a full-list
-    pass.  ``left_inverse[i]`` maps original row ``i`` to its
-    unique row; ``left_index[u]`` maps unique row ``u`` back to the
-    first original row holding that value.
+    would first see them, numbered by the package's one encoder,
+    :func:`repro.vectorspace.profiles.encode_keys` — so
+    vocabulary-building kernels produce the same vocabularies (and the
+    same summation orders) as a full-list pass.  ``left_inverse[i]``
+    maps original row ``i`` to its unique row; ``left_index[u]`` maps
+    unique row ``u`` back to the first original row holding that value.
     """
 
     lefts: tuple[str, ...]
@@ -143,15 +146,16 @@ class UniquePlan:
 
     @classmethod
     def build(cls, lefts: list[str], rights: list[str]) -> "UniquePlan":
-        unique_left, inverse_left, index_left = _first_occurrence(lefts)
-        unique_right, inverse_right, index_right = _first_occurrence(rights)
+        unique_left, unique_right = {}, {}
+        inverse_left = encode_keys(lefts, unique_left)
+        inverse_right = encode_keys(rights, unique_right)
         return cls(
             lefts=tuple(unique_left),
             rights=tuple(unique_right),
             left_inverse=inverse_left,
             right_inverse=inverse_right,
-            left_index=index_left,
-            right_index=index_right,
+            left_index=first_positions(inverse_left),
+            right_index=first_positions(inverse_right),
         )
 
     @property
@@ -177,23 +181,6 @@ class UniquePlan:
         if 0 in self.shape:
             return np.zeros(self.shape)
         return unique_matrix[np.ix_(self.left_inverse, self.right_inverse)]
-
-
-def _first_occurrence(
-    values: list[str],
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Unique values in first-occurrence order plus inverse/index maps."""
-    positions: dict[str, int] = {}
-    first: list[int] = []
-    inverse = np.empty(len(values), dtype=np.intp)
-    for i, value in enumerate(values):
-        slot = positions.get(value)
-        if slot is None:
-            slot = len(positions)
-            positions[value] = slot
-            first.append(i)
-        inverse[i] = slot
-    return list(positions), inverse, np.asarray(first, dtype=np.intp)
 
 
 @dataclass(frozen=True)

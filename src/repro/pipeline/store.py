@@ -164,8 +164,9 @@ def parse_size_budget(text: str | int | None) -> int | None:
         factor = units[raw[-1]]
         raw = raw[:-1]
     try:
+        # int() overflows on an infinite budget and rejects NaN.
         nbytes = int(float(raw) * factor)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ValueError(f"unparseable size budget: {text!r}") from None
     if nbytes < 0:
         # A negative budget would evict everything — that's purge's
@@ -282,10 +283,10 @@ class _EncodingPairCodec:
 class _VectorModelPairCodec:
     """``(VectorModel, VectorModel)`` with their shared vocabulary.
 
-    The vocabulary dict always maps gram -> dense insertion index (see
-    :func:`repro.vectorspace.build_profile_space`), so storing the
-    grams in index order loses nothing; decoding rebuilds one dict
-    shared by both sides, mirroring construction.
+    The vocabulary dict maps each gram to its first-occurrence column
+    (:mod:`repro.vectorspace.profiles`), so storing the grams in dict
+    order loses nothing; decoding rebuilds one dict shared by both
+    sides, mirroring construction.
     """
 
     def encode(self, value) -> dict:

@@ -141,6 +141,13 @@ def create_app(config: ServiceConfig) -> App:
             raise HTTPError(422, f"{name!r} must be a non-empty string")
         return value
 
+    def _measure_field(payload: dict) -> str:
+        # The scheduler groups requests by measure: it must hash.
+        measure = payload.get("measure", config.measure)
+        if not isinstance(measure, str):
+            raise HTTPError(422, "'measure' must be a string")
+        return measure
+
     def _string_list(payload: dict, name: str) -> list[str]:
         value = payload.get(name)
         if (
@@ -191,9 +198,9 @@ def create_app(config: ServiceConfig) -> App:
         scheduler = _scheduler()
         dataset = _string_field(payload, "dataset")
         record = _string_field(payload, "record")
-        measure = payload.get("measure", config.measure)
+        measure = _measure_field(payload)
         top_k = payload.get("top_k", 10)
-        if not isinstance(top_k, int) or top_k < 1:
+        if not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1:
             raise HTTPError(422, "'top_k' must be a positive integer")
         tag = payload.get("tag", "")
         if not isinstance(tag, str):
@@ -262,7 +269,7 @@ def create_app(config: ServiceConfig) -> App:
         lefts = _string_list(payload, "left")
         rights = _string_list(payload, "right")
         algorithm = _string_field(payload, "algorithm")
-        measure = payload.get("measure", config.measure)
+        measure = _measure_field(payload)
         threshold = payload.get("threshold", 0.5)
         if not isinstance(threshold, (int, float)) or isinstance(
             threshold, bool

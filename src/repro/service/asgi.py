@@ -9,7 +9,8 @@ drains the scheduler).  The interface is standard ASGI 3.0 — the app
 is equally servable by the bundled :mod:`repro.service.server`, the
 in-process :class:`~repro.service.testclient.AsgiClient`, or any
 external ASGI server (uvicorn/hypercorn) when one is available.  The
-first two drive the lifespan cycle through one :class:`Lifespan`.
+first two drive the lifespan cycle through one :class:`Lifespan` and
+each request through one :func:`run_http`.
 
 Deliberately not implemented: path parameters, middleware stacks,
 content negotiation, streaming bodies.  Handlers are ``async def
@@ -25,7 +26,14 @@ import traceback
 from typing import Any, Awaitable, Callable
 from urllib.parse import parse_qs
 
-__all__ = ["App", "HTTPError", "JSONResponse", "Lifespan", "Request"]
+__all__ = [
+    "App",
+    "HTTPError",
+    "JSONResponse",
+    "Lifespan",
+    "Request",
+    "run_http",
+]
 
 
 class HTTPError(Exception):
@@ -209,14 +217,57 @@ class App:
             return JSONResponse({"detail": "internal server error"}, 500)
 
 
+async def run_http(
+    app,
+    method: str,
+    target: str,
+    headers: list[tuple[bytes, bytes]],
+    body: bytes,
+) -> tuple[int, list[tuple[bytes, bytes]], bytes]:
+    """Run one request (``target`` is the path plus any ``?query``)
+    through an ASGI app; returns the response's ``(status, headers,
+    body)``, status 500 if the app never started one."""
+    path, _, query = target.partition("?")
+    scope = {
+        "type": "http",
+        "asgi": {"version": "3.0"},
+        "http_version": "1.1",
+        "method": method.upper(),
+        "path": path,
+        "query_string": query.encode("latin-1"),
+        "headers": headers,
+    }
+    delivered = False
+    response: dict = {"status": 500, "headers": [], "body": b""}
+
+    async def receive():
+        nonlocal delivered
+        if delivered:
+            return {"type": "http.disconnect"}
+        delivered = True
+        return {"type": "http.request", "body": body, "more_body": False}
+
+    async def send(message):
+        if message["type"] == "http.response.start":
+            response["status"] = message["status"]
+            response["headers"] = message.get("headers", [])
+        elif message["type"] == "http.response.body":
+            response["body"] += message.get("body", b"")
+
+    await app(scope, receive, send)
+    return response["status"], response["headers"], response["body"]
+
+
 class Lifespan:
     """The server side of an app's ASGI lifespan cycle.
 
     :meth:`startup` starts the app's lifespan task and sends
     ``lifespan.startup``; it returns ``None`` once the app completes
     startup, or the app's ``lifespan.startup.failed`` message after
-    the task has ended.  :meth:`shutdown` sends ``lifespan.shutdown``
-    and joins the task; it does nothing when the task is not running.
+    the task has ended, or ``None`` when the task ends without a reply
+    (an app without lifespan support; the server runs on without
+    lifespan events).  :meth:`shutdown` sends ``lifespan.shutdown`` and
+    joins the task; it does nothing when the task is not running.
     """
 
     def __init__(self, app) -> None:
@@ -246,10 +297,14 @@ class Lifespan:
         self._task = asyncio.ensure_future(
             self.app({"type": "lifespan"}, receive, send)
         )
+        self._task.add_done_callback(lambda _: started.set())
         await self._to_app.put({"type": "lifespan.startup"})
         await started.wait()
         if failure is not None:
             await self._task
+        elif self._task.done() and not self._task.cancelled():
+            # The app ended without replying; mark its error seen.
+            self._task.exception()
         return failure
 
     async def shutdown(self) -> None:

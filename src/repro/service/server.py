@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.service.asgi import Lifespan
+from repro.service.asgi import Lifespan, run_http
 
 __all__ = ["ServiceStartupError", "serve"]
 
@@ -67,38 +67,9 @@ async def _handle_connection(app, reader, writer) -> None:
             if length > _MAX_BODY_BYTES:
                 return
             body = await reader.readexactly(length) if length else b""
-            path, _, query = target.partition("?")
-            scope = {
-                "type": "http",
-                "asgi": {"version": "3.0"},
-                "http_version": "1.1",
-                "method": method.upper(),
-                "path": path,
-                "query_string": query.encode("latin-1"),
-                "headers": headers,
-            }
-            delivered = False
-            response: dict = {"status": 500, "headers": [], "body": b""}
-
-            async def receive():
-                nonlocal delivered
-                if delivered:
-                    return {"type": "http.disconnect"}
-                delivered = True
-                return {
-                    "type": "http.request",
-                    "body": body,
-                    "more_body": False,
-                }
-
-            async def send(message):
-                if message["type"] == "http.response.start":
-                    response["status"] = message["status"]
-                    response["headers"] = message.get("headers", [])
-                elif message["type"] == "http.response.body":
-                    response["body"] += message.get("body", b"")
-
-            await app(scope, receive, send)
+            status, response_headers, response_body = await run_http(
+                app, method, target, headers, body
+            )
             keep_alive = (
                 header_map.get(b"connection", b"keep-alive").lower()
                 != b"close"
@@ -106,17 +77,17 @@ async def _handle_connection(app, reader, writer) -> None:
             connection = b"keep-alive" if keep_alive else b"close"
             header_lines = b"".join(
                 name + b": " + value + b"\r\n"
-                for name, value in response["headers"]
+                for name, value in response_headers
             )
             writer.write(
                 b"HTTP/1.1 "
-                + str(response["status"]).encode("latin-1")
+                + str(status).encode("latin-1")
                 + b" \r\n"
                 + header_lines
                 + b"connection: "
                 + connection
                 + b"\r\n\r\n"
-                + response["body"]
+                + response_body
             )
             await writer.drain()
             if not keep_alive:

@@ -2,12 +2,12 @@
 plays in environments that have httpx).
 
 :class:`AsgiClient` speaks raw ASGI to an :class:`~repro.service.asgi.App`
-without sockets: requests become ``http`` scopes, and entering the
-client as an async context manager drives the full *lifespan* cycle
-through :class:`~repro.service.asgi.Lifespan`, the driver ``repro
-serve`` uses too — startup on ``__aenter__`` (raising
-:class:`LifespanFailed` if the app refuses to start), shutdown on
-``__aexit__``.  Constructing the client
+without sockets, through the drivers ``repro serve`` uses too: each
+request runs through :func:`~repro.service.asgi.run_http`, and
+entering the client as an async context manager drives the full
+*lifespan* cycle through :class:`~repro.service.asgi.Lifespan` —
+startup on ``__aenter__`` (raising :class:`LifespanFailed` if the app
+refuses to start), shutdown on ``__aexit__``.  Constructing the client
 with ``lifespan=False`` skips the cycle, which is how the tests reach
 the app in its cold, pre-warmup state.
 
@@ -23,7 +23,7 @@ import asyncio
 import json
 from typing import Any, Awaitable, Callable
 
-from repro.service.asgi import Lifespan
+from repro.service.asgi import Lifespan, run_http
 
 __all__ = ["AsgiClient", "ClientResponse", "LifespanFailed", "run_app"]
 
@@ -75,42 +75,21 @@ class AsgiClient:
     ) -> ClientResponse:
         if json_body is not None:
             body = json.dumps(json_body).encode("utf-8")
-        body = body or b""
-        path, _, query = path.partition("?")
-        scope = {
-            "type": "http",
-            "asgi": {"version": "3.0"},
-            "http_version": "1.1",
-            "method": method.upper(),
-            "path": path,
-            "query_string": query.encode("latin-1"),
-            "headers": [(b"content-type", b"application/json")],
-        }
-        sent = False
-        received: list[dict] = []
-
-        async def receive():
-            nonlocal sent
-            if sent:
-                return {"type": "http.disconnect"}
-            sent = True
-            return {"type": "http.request", "body": body, "more_body": False}
-
-        async def send(message):
-            received.append(message)
-
-        await self.app(scope, receive, send)
-        start = next(m for m in received if m["type"] == "http.response.start")
-        chunks = [
-            m.get("body", b"")
-            for m in received
-            if m["type"] == "http.response.body"
-        ]
-        headers = {
-            name.decode("latin-1"): value.decode("latin-1")
-            for name, value in start.get("headers", [])
-        }
-        return ClientResponse(start["status"], headers, b"".join(chunks))
+        status, headers, body = await run_http(
+            self.app,
+            method,
+            path,
+            [(b"content-type", b"application/json")],
+            body or b"",
+        )
+        return ClientResponse(
+            status,
+            {
+                name.decode("latin-1"): value.decode("latin-1")
+                for name, value in headers
+            },
+            body,
+        )
 
     async def get(self, path: str) -> ClientResponse:
         return await self.request("GET", path)

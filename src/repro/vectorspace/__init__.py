@@ -10,6 +10,9 @@ they yield the paper's 36 vector-based similarity functions.
 All measures are computed *all-pairs* as dense ``n1 x n2`` matrices via
 sparse linear algebra, which is what makes the no-blocking experimental
 protocol feasible.
+
+:mod:`repro.vectorspace.profiles` numbers every profile vocabulary of
+the package, these grams included.
 """
 
 from repro.vectorspace.measures import (

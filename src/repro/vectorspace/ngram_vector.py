@@ -13,6 +13,13 @@ IDF is clamped at zero: a gram occurring in (almost) every entity
 would otherwise receive a negative weight, which breaks the ``[0, 1]``
 range of the downstream similarity measures — the clamp treats such
 grams as stop words, matching their intent.
+
+Both collections' n-gram profiles become one count matrix each over a
+shared vocabulary (:func:`repro.vectorspace.profiles.count_matrices`:
+grams numbered in first-occurrence order, left collection first), and
+every model derives from those counts: DF is a column's presence
+count, TF divides counts by exact integer row totals, TF-IDF scales TF
+by the clamped IDF, and the binary matrix is the presence pattern.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.textsim.tokenize import character_ngrams, token_ngrams
+from repro.vectorspace.profiles import count_matrices, presence
 
 __all__ = [
     "VectorModel",
@@ -78,17 +86,16 @@ class VectorModel:
 class ProfileSpace:
     """Weighting-independent artifacts of one ``(unit, n)`` model pair.
 
-    Extracting n-gram profiles and the shared vocabulary/DF statistics
-    is the expensive part of :func:`build_vector_models`, and it is
-    identical for the TF and TF-IDF weightings.  A ``ProfileSpace``
-    computes it once so both weightings (and repeated builds) reuse it.
+    Extracting the n-gram profiles of both collections into count
+    matrices over their shared vocabulary is the expensive part of
+    :func:`build_vector_models`, and it is identical for the TF and
+    TF-IDF weightings.  A ``ProfileSpace`` computes it once so both
+    weightings (and repeated builds) reuse it.
     """
 
-    profiles_left: list[Counter]
-    profiles_right: list[Counter]
+    counts_left: sparse.csr_matrix
+    counts_right: sparse.csr_matrix
     vocabulary: dict[str, int]
-    df_left: np.ndarray
-    df_right: np.ndarray
 
 
 def build_profile_space(
@@ -97,35 +104,15 @@ def build_profile_space(
     n: int,
     unit: str,
 ) -> ProfileSpace:
-    """Profiles plus shared vocabulary/DF for two entity collections."""
-    profiles_left = ngram_profiles(texts_left, n, unit)
-    profiles_right = ngram_profiles(texts_right, n, unit)
-
+    """N-gram count matrices over one shared vocabulary for two entity
+    collections."""
     vocabulary: dict[str, int] = {}
-    for profile in profiles_left:
-        for gram in profile:
-            vocabulary.setdefault(gram, len(vocabulary))
-    for profile in profiles_right:
-        for gram in profile:
-            vocabulary.setdefault(gram, len(vocabulary))
-
-    n_terms = len(vocabulary)
-    df_left = np.zeros(n_terms)
-    df_right = np.zeros(n_terms)
-    for profile in profiles_left:
-        for gram in profile:
-            df_left[vocabulary[gram]] += 1
-    for profile in profiles_right:
-        for gram in profile:
-            df_right[vocabulary[gram]] += 1
-
-    return ProfileSpace(
-        profiles_left=profiles_left,
-        profiles_right=profiles_right,
-        vocabulary=vocabulary,
-        df_left=df_left,
-        df_right=df_right,
+    counts_left, counts_right = count_matrices(
+        ngram_profiles(texts_left, n, unit),
+        ngram_profiles(texts_right, n, unit),
+        vocabulary,
     )
+    return ProfileSpace(counts_left, counts_right, vocabulary)
 
 
 def build_vector_models(
@@ -148,53 +135,41 @@ def build_vector_models(
     if space is None:
         space = build_profile_space(texts_left, texts_right, n, unit)
 
+    left, right = space.counts_left, space.counts_right
+    width = len(space.vocabulary)
+    # DF: column presence counts, exact integers stored as float64.
+    df_left = np.bincount(left.indices, minlength=width).astype(np.float64)
+    df_right = np.bincount(right.indices, minlength=width).astype(np.float64)
     if weighting == "tfidf":
-        n_docs = len(space.profiles_left) + len(space.profiles_right)
+        n_docs = left.shape[0] + right.shape[0]
         with np.errstate(divide="ignore"):
-            idf = np.log(n_docs / (space.df_left + space.df_right + 1.0))
+            idf = np.log(n_docs / (df_left + df_right + 1.0))
         idf = np.maximum(idf, 0.0)
     else:
         idf = None
 
-    left = _assemble(
-        space.profiles_left, space.vocabulary, space.df_left, idf
+    return (
+        _model(left, df_left, space.vocabulary, idf),
+        _model(right, df_right, space.vocabulary, idf),
     )
-    right = _assemble(
-        space.profiles_right, space.vocabulary, space.df_right, idf
-    )
-    return left, right
 
 
-def _assemble(
-    profiles: list[Counter],
-    vocabulary: dict[str, int],
+def _model(
+    counts: sparse.csr_matrix,
     document_frequency: np.ndarray,
+    vocabulary: dict[str, int],
     idf: np.ndarray | None,
 ) -> VectorModel:
-    rows: list[int] = []
-    cols: list[int] = []
-    tf_values: list[float] = []
-    for row, profile in enumerate(profiles):
-        total = sum(profile.values())
-        if total == 0:
-            continue
-        for gram, count in profile.items():
-            rows.append(row)
-            cols.append(vocabulary[gram])
-            tf_values.append(count / total)
-    shape = (len(profiles), len(vocabulary))
-    weights = np.asarray(tf_values)
-    if idf is not None and len(cols) > 0:
-        weights = weights * idf[np.asarray(cols)]
-    matrix = sparse.csr_matrix(
-        (weights, (rows, cols)), shape=shape, dtype=np.float64
-    )
-    binary = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=shape, dtype=np.float64
-    )
+    # TF divides exact integer counts by exact integer row totals, so
+    # every weight is the correctly rounded quotient.
+    totals = np.asarray(counts.sum(axis=1)).ravel()
+    matrix = counts.copy()
+    matrix.data = counts.data / np.repeat(totals, np.diff(counts.indptr))
+    if idf is not None:
+        matrix.data *= idf[counts.indices]
     return VectorModel(
         matrix=matrix,
-        binary=binary,
+        binary=presence(counts),
         document_frequency=document_frequency,
         vocabulary=vocabulary,
     )

@@ -18,7 +18,9 @@ so the shipped package holds one implementation per algorithm:
   definitions of the 16 schema-based measures, with the registry that
   maps their names to them;
 * :mod:`tests.oracles.embeddings` — the scalar RWMD and the per-pair
-  loop over it.
+  loop over it;
+* :mod:`tests.oracles.profiles` — the five first-occurrence vocabulary
+  loops that :mod:`repro.vectorspace.profiles` replaced.
 
 Oracle bodies are never edited: an engine change must keep matching
 them as they are.  Benchmarks run as scripts import this package after

@@ -24,14 +24,11 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from repro.pipeline.batched_strings import (
-    StringBatch,
-    _binarize,
-    _profiles_to_sparse,
-)
+from repro.pipeline.batched_strings import StringBatch
 from repro.pipeline.kernels import encode_strings
 from repro.textsim.tokenize import tokens
 from repro.vectorspace.measures import pairwise_min_sum
+from tests.oracles.profiles import _binarize, _profiles_to_sparse
 from tests.oracles.textsim.character import _padded_trigrams, jaro_similarity
 from tests.oracles.textsim.smith_waterman import smith_waterman_similarity
 

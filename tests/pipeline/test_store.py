@@ -670,6 +670,14 @@ class TestGcAndBudget:
         with pytest.raises(ValueError):
             parse_size_budget("lots")
 
+    @pytest.mark.parametrize("budget", ["inf", "-inf", "1e400", "2e308K"])
+    def test_parse_size_budget_rejects_infinite(self, budget):
+        # float() accepts these, but int() of an infinite product
+        # raised OverflowError, which argparse does not turn into a
+        # usage error.
+        with pytest.raises(ValueError, match="unparseable size budget"):
+            parse_size_budget(budget)
+
     @pytest.mark.parametrize("budget", ["-500M", -1])
     def test_parse_size_budget_rejects_negative(self, budget):
         # A negative budget would silently evict everything — reject

@@ -7,7 +7,13 @@ from contextlib import asynccontextmanager
 
 import pytest
 
-from repro.service.asgi import App, HTTPError, JSONResponse
+from repro.service.asgi import (
+    App,
+    HTTPError,
+    JSONResponse,
+    Lifespan,
+    run_http,
+)
 from repro.service.testclient import AsgiClient, LifespanFailed, run_app
 
 
@@ -117,6 +123,25 @@ class TestErrors:
         assert "handler exploded" in capsys.readouterr().err
 
 
+class TestRunHttp:
+    """The one request driver behind the socket server and the client."""
+
+    def test_round_trip(self):
+        status, headers, body = asyncio.run(
+            run_http(_demo_app(), "post", "/echo?x=1", [], b'{"a": 1}')
+        )
+        assert status == 200
+        assert (b"content-type", b"application/json") in headers
+        assert body == b'{"received":{"a":1}}'
+
+    def test_app_that_never_responds_is_500(self):
+        async def silent(scope, receive, send):
+            await receive()
+
+        response = asyncio.run(run_http(silent, "GET", "/", [], b""))
+        assert response == (500, [], b"")
+
+
 class TestLifespanProtocol:
     def test_startup_and_shutdown_run_once_in_order(self):
         events: list[str] = []
@@ -154,6 +179,33 @@ class TestLifespanProtocol:
 
         with pytest.raises(LifespanFailed, match="no artifacts"):
             asyncio.run(main())
+
+    @pytest.mark.parametrize("ending", ["raise", "return"])
+    def test_app_without_lifespan_support_starts(self, ending):
+        # An app may end its lifespan call without replying; the
+        # server then runs on without lifespan events.
+        inner = _demo_app()
+
+        async def app(scope, receive, send):
+            if scope["type"] == "lifespan":
+                if ending == "raise":
+                    raise RuntimeError("lifespan not supported")
+                return
+            await inner(scope, receive, send)
+
+        async def through_lifespan():
+            lifespan = Lifespan(app)
+            assert await lifespan.startup() is None
+            await lifespan.shutdown()
+
+        async def through_client():
+            async with AsgiClient(app) as client:
+                return await client.get("/ping?q=1")
+
+        asyncio.run(asyncio.wait_for(through_lifespan(), timeout=5))
+        response = asyncio.run(asyncio.wait_for(through_client(), timeout=5))
+        assert response.status == 200
+        assert response.json() == {"pong": True, "q": "1"}
 
     def test_client_can_skip_lifespan(self):
         @asynccontextmanager

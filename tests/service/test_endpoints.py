@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+
 from repro.matching.registry import ALGORITHM_CODES
 from repro.service.testclient import run_app
 
@@ -116,6 +118,33 @@ class TestResolve:
 
         run_app(warm_app, scenario)
 
+    def test_malformed_measure_is_422_and_service_keeps_answering(
+        self, warm_app, left_texts
+    ):
+        # A list or object measure once reached the scheduler's group
+        # keys, where it raised inside the drain task: the request
+        # never answered and every later /resolve got 503.
+        body = {"dataset": SERVICE_DATASET, "record": left_texts[0]}
+
+        async def scenario(client):
+            for measure in (["jaccard"], {"name": "jaccard"}, 3):
+                response = await asyncio.wait_for(
+                    client.post(
+                        "/resolve", json_body={**body, "measure": measure}
+                    ),
+                    timeout=10,
+                )
+                assert response.status == 422, measure
+                detail = response.json()["detail"]
+                assert "'measure' must be a string" in detail, measure
+            response = await asyncio.wait_for(
+                client.post("/resolve", json_body=body), timeout=10
+            )
+            assert response.status == 200
+            assert response.json()["matches"]
+
+        run_app(warm_app, scenario)
+
     def test_missing_fields_are_422(self, warm_app):
         async def scenario(client):
             for body in (
@@ -123,6 +152,8 @@ class TestResolve:
                 {"dataset": SERVICE_DATASET},
                 {"dataset": SERVICE_DATASET, "record": ""},
                 {"dataset": SERVICE_DATASET, "record": "x", "top_k": 0},
+                # JSON true is a Python int, but not a result count.
+                {"dataset": SERVICE_DATASET, "record": "x", "top_k": True},
             ):
                 response = await client.post("/resolve", json_body=body)
                 assert response.status == 422, body

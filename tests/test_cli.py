@@ -291,6 +291,19 @@ class TestStoreCommand:
         assert excinfo.value.code == 2  # argparse usage error
         assert "unparseable size budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["store", "gc", "--budget", "inf"],
+            ["shard", "plan", "d1", "--max-memory", "1e400"],
+        ],
+    )
+    def test_infinite_budget_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2  # argparse usage error
+        assert "unparseable size budget" in capsys.readouterr().err
+
     def test_corpus_reports_store_usage(self, tmp_path, capsys, monkeypatch):
         # Shrink the smoke corpus to one dataset to keep the test fast.
         import dataclasses

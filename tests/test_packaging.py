@@ -4,8 +4,8 @@ networkx is a test dependency only (the frozen dirty-ER oracles under
 ``tests/oracles`` run on it), and the oracles themselves are test code.
 A fresh interpreter that can import neither networkx nor the ``tests``
 package must still load every entry point, cluster with all four
-dirty-ER algorithms, batch and incremental, and score all 16
-schema-based measures.
+dirty-ER algorithms, batch and incremental, score all 16 schema-based
+measures and build the vector models and entity graphs.
 """
 
 from __future__ import annotations
@@ -36,11 +36,13 @@ WITHOUT_NETWORKX = textwrap.dedent(
     from repro.extensions.dirty_er import DIRTY_ALGORITHM_CODES, DirtyClusterer
     from repro.extensions.incremental import IncrementalClusterer
     from repro.graph.unipartite import UnipartiteGraph
+    from repro.ngramgraph import containment_matrix, entity_graph_matrices
     from repro.pipeline.batched_strings import (
         SCHEMA_BASED_MEASURES,
         StringBatch,
         schema_based_rows,
     )
+    from repro.vectorspace import build_vector_models, cosine_matrix
 
     edges = [(0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.9), (3, 4, 0.8), (2, 3, 0.4)]
     graph = UnipartiteGraph.from_edges(5, edges)
@@ -57,6 +59,15 @@ WITHOUT_NETWORKX = textwrap.dedent(
         scores = schema_based_rows(strings, measure)
         assert scores.shape == (2, 2) and scores[0, 0] > 0, measure
         assert not scores[1].any(), measure
+    texts = (["golden dragon inn", ""], ["golden dragoon", "inn"])
+    for weighting in ("tf", "tfidf"):
+        left, right = build_vector_models(*texts, 2, "char", weighting)
+        assert left.vocabulary is right.vocabulary, weighting
+        assert cosine_matrix(left, right)[0, 0] > 0, weighting
+    graphs = entity_graph_matrices(
+        [[text] for text in texts[0]], [[text] for text in texts[1]], 3
+    )
+    assert containment_matrix(*graphs)[0, 0] > 0
     print("ok")
     """
 )
