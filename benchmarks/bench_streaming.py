@@ -4,17 +4,18 @@ Replays each workload dataset's self-join union collection as a
 seeded insertion stream through the incremental tier
 (:mod:`repro.pipeline.streaming`: frozen blocking-index probes,
 per-batch sparse kernel passes, in-place compiled-graph delta merges,
-incremental clustering) and asserts the properties the tier exists
-for:
+then the clustering kernels run on the live graph) and asserts the
+properties the tier exists for:
 
 * **amortized cost** — at the half-way record the cumulative
-  incremental update cost per ingested record is at most
+  incremental update cost (the graph delta merges) per ingested
+  record is at most
   ``MAX_AMORTIZED_FRACTION`` (10%) of one from-scratch
   compile-and-cluster of the same state, i.e. the per-insert speedup
   over rebuild-per-insert is at least 10x,
 * **batch equivalence** — the final compiled graph views and all four
-  maintained partitions (CC, MCC, EMCC, GECG) are bit-identical to
-  the batch path over the same records,
+  partitions of the live graph (CC, MCC, EMCC, GECG) are bit-identical
+  to the batch path over the same records,
 * **batch-size invariance** — replaying with a different insertion
   batch size (and a different arrival seed) reproduces the same final
   graph and partitions.
@@ -48,7 +49,7 @@ from repro.pipeline.streaming import (
     stream_report,
 )
 
-#: The amortized-cost guard: cumulative incremental update seconds per
+#: The amortized-cost guard: cumulative graph delta-merge seconds per
 #: ingested record at the half-way probe, as a fraction of one full
 #: rebuild (compile + cluster all four algorithms) of the same state.
 MAX_AMORTIZED_FRACTION = 0.10

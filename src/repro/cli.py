@@ -51,10 +51,11 @@ Eleven subcommands cover the library's main entry points:
     Replay a dataset's self-join union collection as a deterministic
     insertion stream (seeded arrival order, configurable batch size)
     through the incremental tier — frozen blocking-index probes,
-    per-batch sparse kernel passes, in-place compiled-graph delta
-    merges and incremental clustering — and verify the final graph
-    and partitions are bit-identical to the batch path
-    (:mod:`repro.pipeline.streaming`); exits 1 on any divergence.
+    per-batch sparse kernel passes and in-place compiled-graph delta
+    merges, with the clustering kernels run on the live graph — and
+    verify the final graph and partitions are bit-identical to the
+    batch path (:mod:`repro.pipeline.streaming`); exits 1 on any
+    divergence.
 
 ``--workers`` and ``--artifact-store`` only change wall-clock, never
 results; ``--max-memory`` (on ``corpus``/``experiments``) likewise
@@ -120,15 +121,47 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _threshold(text: str) -> float:
-    """Argparse type for ``--threshold``: a number, never NaN (which
-    would select no edge and succeed silently)."""
+def _float(text: str) -> float:
+    """A float, or the argparse usage error for ``text``."""
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid float value: {text!r}"
         ) from None
+
+
+def _scale(text: str) -> float:
+    """Argparse type for ``--scale``: positive, never NaN (which would
+    pass a ``<= 0`` check and fail later in the size arithmetic)."""
+    value = _float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(
+            f"scale must be positive, got {text!r}"
+        )
+    return value
+
+
+def _add_dataset_flags(
+    parser, seed_help: str = "dataset generation seed"
+) -> None:
+    """The catalog-profile flags of ``block``, ``shard plan``,
+    ``serve`` and ``stream``, bounds checked at parse time."""
+    parser.add_argument(
+        "--scale", type=_scale, default=None,
+        help="dataset scale factor (default: catalog default)",
+    )
+    parser.add_argument(
+        "--max-pairs", type=_positive_int, default=None,
+        help="cap on generated duplicate pairs (default: catalog default)",
+    )
+    parser.add_argument("--seed", type=int, default=42, help=seed_help)
+
+
+def _threshold(text: str) -> float:
+    """Argparse type for ``--threshold``: a number, never NaN (which
+    would select no edge and succeed silently)."""
+    value = _float(text)
     if math.isnan(value):
         raise argparse.ArgumentTypeError(
             f"threshold must be a number, got {text!r}"
@@ -209,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         "generate", help="generate a synthetic dataset profile"
     )
     generate.add_argument("dataset", help="profile code (d1 .. d10)")
-    generate.add_argument("--scale", type=float, default=None)
+    generate.add_argument("--scale", type=_scale, default=None)
     generate.add_argument("--seed", type=int, default=42)
     generate.add_argument("--out", type=Path, default=Path("."))
 
@@ -366,15 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--blocking", type=_blocking_spec, default="tokens",
         help=_BLOCKING_HELP + " (default: tokens)",
     )
-    block.add_argument(
-        "--scale", type=float, default=None,
-        help="dataset scale factor (default: catalog default)",
-    )
-    block.add_argument(
-        "--max-pairs", type=int, default=None,
-        help="cap on generated duplicate pairs (default: catalog default)",
-    )
-    block.add_argument("--seed", type=int, default=42)
+    _add_dataset_flags(block)
 
     shard = commands.add_parser(
         "shard", help="inspect the sharded execution tier"
@@ -398,15 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="force an explicit shard count instead of deriving it "
              "from the budget",
     )
-    shard_plan.add_argument(
-        "--scale", type=float, default=None,
-        help="dataset scale factor (default: catalog default)",
-    )
-    shard_plan.add_argument(
-        "--max-pairs", type=int, default=None,
-        help="cap on generated duplicate pairs (default: catalog default)",
-    )
-    shard_plan.add_argument("--seed", type=int, default=42)
+    _add_dataset_flags(shard_plan)
 
     serve = commands.add_parser(
         "serve", help="run the ER-as-a-service resolution HTTP API"
@@ -429,15 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--measure", default="jaccard",
         help="default similarity measure for /resolve and /match",
     )
-    serve.add_argument(
-        "--scale", type=float, default=None,
-        help="dataset scale factor (default: catalog default)",
-    )
-    serve.add_argument(
-        "--max-pairs", type=int, default=None,
-        help="cap on generated duplicate pairs (default: catalog default)",
-    )
-    serve.add_argument("--seed", type=int, default=42)
+    _add_dataset_flags(serve)
     serve.add_argument(
         "--tick", type=float, default=0.002,
         help="micro-batch coalescing window in seconds",
@@ -479,17 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="records ingested per stream batch (the final state is "
              "invariant to this)",
     )
-    stream.add_argument(
-        "--scale", type=float, default=None,
-        help="dataset scale factor (default: catalog default)",
-    )
-    stream.add_argument(
-        "--max-pairs", type=int, default=None,
-        help="cap on generated duplicate pairs (default: catalog default)",
-    )
-    stream.add_argument(
-        "--seed", type=int, default=42,
-        help="seeds both the dataset and the arrival permutation",
+    _add_dataset_flags(
+        stream, seed_help="seeds both the dataset and the arrival permutation"
     )
     stream.add_argument(
         "--json", action="store_true",
@@ -508,6 +508,18 @@ def _store_read_tier(args: argparse.Namespace) -> Path | None:
             "tier is read-only; a writable store must sit above it)"
         )
     return args.store_read_tier
+
+
+def _generate_dataset(args: argparse.Namespace):
+    """The catalog dataset that the dataset flags of ``args`` describe."""
+    from repro.datasets import dataset_spec, generate_dataset
+
+    return generate_dataset(
+        dataset_spec(
+            args.dataset, scale=args.scale, max_pairs=args.max_pairs
+        ),
+        seed=args.seed,
+    )
 
 
 def _read_graph(path: Path) -> SimilarityGraph:
@@ -981,15 +993,9 @@ def _command_store(args: argparse.Namespace) -> int:
 
 
 def _command_block(args: argparse.Namespace) -> int:
-    from repro.datasets import dataset_spec, generate_dataset
     from repro.pipeline.blocking import build_candidate_set
 
-    dataset = generate_dataset(
-        dataset_spec(
-            args.dataset, scale=args.scale, max_pairs=args.max_pairs
-        ),
-        seed=args.seed,
-    )
+    dataset = _generate_dataset(args)
     candidates = build_candidate_set(
         dataset.left.texts(), dataset.right.texts(), args.blocking
     )
@@ -1013,15 +1019,9 @@ def _command_block(args: argparse.Namespace) -> int:
 
 
 def _command_shard(args: argparse.Namespace) -> int:
-    from repro.datasets import dataset_spec, generate_dataset
     from repro.pipeline.sharding import plan_for_dataset
 
-    dataset = generate_dataset(
-        dataset_spec(
-            args.dataset, scale=args.scale, max_pairs=args.max_pairs
-        ),
-        seed=args.seed,
-    )
+    dataset = _generate_dataset(args)
     plan = plan_for_dataset(
         dataset,
         memory_budget=args.max_memory,
@@ -1064,7 +1064,6 @@ def _command_serve(args: argparse.Namespace) -> int:
 def _command_stream(args: argparse.Namespace) -> int:
     import json
 
-    from repro.datasets import dataset_spec, generate_dataset
     from repro.extensions.dirty_er import DIRTY_ALGORITHM_CODES
     from repro.pipeline.batched_strings import check_measure
     from repro.pipeline.streaming import replay_stream, stream_report
@@ -1082,12 +1081,7 @@ def _command_stream(args: argparse.Namespace) -> int:
         check_measure(args.measure)
     except KeyError as error:
         raise SystemExit(error.args[0]) from None
-    dataset = generate_dataset(
-        dataset_spec(
-            args.dataset, scale=args.scale, max_pairs=args.max_pairs
-        ),
-        seed=args.seed,
-    )
+    dataset = _generate_dataset(args)
     # The dirty-ER view: the union collection streamed against itself.
     texts = dataset.left.texts() + dataset.right.texts()
     result = replay_stream(

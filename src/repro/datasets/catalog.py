@@ -202,8 +202,8 @@ def dataset_spec(
         scale = default_scale()
     if max_pairs is None:
         max_pairs = default_max_pairs()
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not scale > 0:  # ``not`` of the comparison also rejects NaN
+        raise ValueError(f"scale must be positive, got {scale!r}")
     if max_pairs <= 0:
         raise ValueError("max_pairs must be positive")
 

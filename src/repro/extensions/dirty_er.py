@@ -173,11 +173,9 @@ def _cluster_component(
     """Canonical clique removal inside one component (a node bitset).
 
     The shared per-component body of MCC (``attach_fraction is None``)
-    and EMCC — also the unit of work of the incremental layer
-    (:mod:`repro.extensions.incremental`), which re-runs it only for
-    components a delta touched.  Depends exclusively on ``adjacency``
-    restricted to ``component``, so batch and incremental calls over
-    the same component are identical cluster-for-cluster.
+    and EMCC.  Depends exclusively on ``adjacency`` restricted to
+    ``component``, so the partition of a component does not depend on
+    the rest of the graph.
     """
     clusters: list[set[int]] = []
     alive = component

@@ -13,9 +13,11 @@ ids, consumed in fixed-size batches — and resolves it incrementally:
 * scores come from per-batch sparse kernel passes over one frozen
   :class:`~repro.pipeline.batched_strings.StringBatch` (per-pair
   scores are bitwise independent of which pairs share a pass),
-* the graph grows through :func:`repro.graph.incremental.insert_uni_edges`
-  and the partitions through
-  :class:`~repro.extensions.incremental.IncrementalClusterer`.
+* the graph grows through :func:`repro.graph.incremental.insert_uni_edges`,
+  the only state the stream mutates, and
+* partitions are the batch kernels
+  (:meth:`~repro.extensions.dirty_er.DirtyClusterer.cluster_compiled`)
+  run on that live compiled graph whenever a caller asks for them.
 
 **Batch equivalence** is the load-bearing property: after the last
 batch, the compiled edge permutation, CSR adjacency and every
@@ -23,7 +25,11 @@ partition are bit-identical to the batch path over the same records
 (:func:`batch_reference`), whatever the seed or batch size.  The
 compiled views are insertion-order invariant because a unipartite
 graph has no duplicate edges — only the provenance ``order`` and the
-raw source arrays remember arrival order.
+raw source arrays remember arrival order.  The incrementality lives
+in :mod:`repro.graph.incremental` alone: delta merges, selection
+invalidation and the patched GECG triangle base keep the live graph
+equal to a fresh compile, so the kernels need no second,
+delta-maintained copy of any partition.
 
 Both paths keep raw clipped scores (``normalize=False``): a stream
 cannot min-max normalize mid-flight without rescaling every edge it
@@ -32,13 +38,13 @@ already inserted whenever a new extreme arrives.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.extensions.dirty_er import DIRTY_ALGORITHM_CODES
-from repro.extensions.incremental import IncrementalClusterer
+from repro.extensions.dirty_er import DIRTY_ALGORITHM_CODES, DirtyClusterer
 from repro.graph.incremental import insert_uni_edges
 from repro.graph.unipartite import (
     CompiledUnipartiteGraph,
@@ -85,9 +91,10 @@ class StreamResult:
     """Everything the replay produced, plus its cost breakdown.
 
     ``update_seconds`` is the incremental-maintenance cost the
-    streaming tier exists to bound: graph delta merges plus clusterer
-    observations, excluding probing and kernel scoring (which the
-    batch path pays identically).  ``rebuild_seconds`` is the cost of
+    streaming tier exists to bound: the graph delta merges, excluding
+    probing and kernel scoring (which the batch path pays
+    identically).  ``partition_seconds`` accumulates the kernel calls
+    of :meth:`partitions`.  ``rebuild_seconds`` is the cost of
     one from-scratch compile + clustering measured when the stream
     crossed ``probe_records`` records (the half-way rebuild probe) —
     ``None`` unless the probe was requested.
@@ -102,7 +109,6 @@ class StreamResult:
     algorithms: tuple[str, ...]
     arrival: np.ndarray = field(repr=False)
     compiled: CompiledUnipartiteGraph = field(repr=False)
-    clusterers: dict[str, IncrementalClusterer] = field(repr=False)
     n_batches: int = 0
     n_pairs_scored: int = 0
     probe_seconds: float = 0.0
@@ -118,11 +124,20 @@ class StreamResult:
         return self.compiled.n_edges
 
     def partitions(self) -> dict[str, list[tuple[int, ...]]]:
-        """Canonical maintained partitions, one per algorithm."""
+        """Canonical partitions of the live graph, one per algorithm.
+
+        Each is the batch kernel run on ``compiled`` as it stands, so
+        it follows any later mutation of it (an insert, a delete, node
+        growth) with no notification.
+        """
         start = time.perf_counter()
         out = {
-            code: canonical_clusters(clusterer.partition())
-            for code, clusterer in self.clusterers.items()
+            code: canonical_clusters(
+                DirtyClusterer(code).cluster_compiled(
+                    self.compiled, self.threshold
+                )
+            )
+            for code in self.algorithms
         }
         self.partition_seconds += time.perf_counter() - start
         return out
@@ -180,6 +195,12 @@ def replay_stream(
     frozen-index probe of record ``i`` — and it is scored in the
     first batch where both endpoints have arrived, exactly once.
 
+    The replay only grows the compiled graph; it clusters nothing.
+    :meth:`StreamResult.partitions` runs the kernels of
+    ``algorithms`` on the live graph when asked.  A NaN
+    ``threshold`` would select no edge, so it raises
+    :class:`ValueError` before the first probe.
+
     With ``rebuild_probe=True`` the replay times one from-scratch
     compile-and-cluster of the graph-so-far when the stream crosses
     the half-way record, the denominator of the amortized-cost guard
@@ -191,6 +212,8 @@ def replay_stream(
         raise ValueError("values must parallel texts")
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    if math.isnan(threshold):
+        raise ValueError(f"threshold must be a number, got {threshold!r}")
     algorithms = tuple(code.upper() for code in algorithms)
     unknown = set(algorithms) - set(DIRTY_ALGORITHM_CODES)
     if unknown:
@@ -207,10 +230,6 @@ def replay_stream(
     batch_strings = StringBatch(values, values)
 
     compiled = UnipartiteGraph(n, [], [], [], name="stream").compiled()
-    clusterers = {
-        code: IncrementalClusterer(code, compiled, threshold)
-        for code in algorithms
-    }
     result = StreamResult(
         n_records=n,
         batch_size=batch_size,
@@ -221,7 +240,6 @@ def replay_stream(
         algorithms=algorithms,
         arrival=arrival,
         compiled=compiled,
-        clusterers=clusterers,
     )
 
     arrived = np.zeros(n, dtype=bool)
@@ -268,8 +286,6 @@ def replay_stream(
             if len(weights):
                 update_start = time.perf_counter()
                 insert_uni_edges(compiled, pair_u, pair_v, weights)
-                for clusterer in clusterers.values():
-                    clusterer.insert(pair_u, pair_v, weights)
                 result.update_seconds += (
                     time.perf_counter() - update_start
                 )
@@ -295,8 +311,6 @@ def _time_rebuild(
     algorithms: tuple[str, ...],
 ) -> float:
     """One from-scratch compile + clustering of the graph so far."""
-    from repro.extensions.dirty_er import DirtyClusterer
-
     source = compiled.source
     start = time.perf_counter()
     fresh = UnipartiteGraph(
@@ -323,8 +337,6 @@ def stream_report(
     breakdown.  The driver and the benchmark both consume it; the
     tests assert every boolean.
     """
-    from repro.extensions.dirty_er import DirtyClusterer
-
     reference = batch_reference(
         texts, values, measure=result.measure, blocking=result.blocking
     ).compiled()

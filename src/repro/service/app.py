@@ -10,7 +10,8 @@ Endpoints
 ---------
 ``GET /healthz``
     Liveness + warmup state + scheduler statistics.  503 until the
-    lifespan startup has built every configured index.
+    lifespan startup has built every configured index, and whenever
+    the scheduler's drain task is not running.
 ``GET /datasets``
     The served datasets and their frozen-index shapes.
 ``POST /resolve``
@@ -174,12 +175,14 @@ def create_app(config: ServiceConfig) -> App:
             return JSONResponse(
                 {"status": "warming", "datasets": []}, status=503
             )
+        running = scheduler.running
         return JSONResponse(
             {
-                "status": "ok",
+                "status": "ok" if running else "stopped",
                 "datasets": list(service.datasets),
                 "scheduler": scheduler.stats(),
-            }
+            },
+            status=200 if running else 503,
         )
 
     @app.route("GET", "/datasets")

@@ -21,7 +21,9 @@ Fault isolation: before a request joins a batch the scheduler calls
 (``service/resolve/<dataset>/<tag>``), the same seam the resilient
 pool exposes.  An injected fault fails **that request's future only**;
 the remaining batch members still share their pass, and the frozen
-indexes are untouched.  Kernel passes run one at a time on an
+indexes are untouched.  An error that escapes the per-group guard
+fails the unanswered requests of its batch, and the drain task goes on
+to the next batch.  Kernel passes run one at a time on an
 executor thread (``run_in_executor``) so the event loop keeps
 accepting requests mid-pass; ``/ingest`` runs on the same executor and
 :class:`~repro.service.resolver.ResolverService` serializes it with
@@ -145,7 +147,14 @@ class MicroBatchScheduler:
                 await asyncio.sleep(self.tick)
             while not self._queue.empty() and len(batch) < self.max_batch:
                 batch.append(self._queue.get_nowait())
-            await self._execute(batch)
+            try:
+                await self._execute(batch)
+            except Exception as error:
+                # An error outside the per-group guard (an unhashable
+                # group key, say) fails this batch, not the drain task.
+                for pending in batch:
+                    if not pending.future.done():
+                        pending.future.set_exception(error)
 
     async def _execute(self, batch: list[_Pending]) -> None:
         # Fault seam: a poisoned request fails here, alone, before its

@@ -180,6 +180,10 @@ class TestCatalog:
         with pytest.raises(ValueError):
             dataset_spec("d1", scale=0.0)
 
+    def test_nan_scale_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            dataset_spec("d1", scale=float("nan"))
+
     def test_scaling_preserves_ratio(self):
         spec = dataset_spec("d2", scale=0.1, max_pairs=10**9)
         stats = PAPER_STATS["d2"]

@@ -1,11 +1,11 @@
-"""Incremental clustering must equal the batch path, partition-for-partition.
+"""Clustering a mutated graph must equal clustering a fresh compile.
 
-Streams random edge deltas through the graph mutators plus an
-:class:`~repro.extensions.incremental.IncrementalClusterer` per
-algorithm, querying the maintained partition after every batch (so
-the per-component caches are exercised, not bypassed), and compares
-the final partitions against a from-scratch batch clustering of the
-same edge set.
+Streams random edge deltas through the graph mutators and runs every
+batch kernel (``DirtyClusterer.cluster_compiled``) on the live
+compiled graph after each delta, so the cached threshold selections
+and their lazy views are built before the next delta patches them.
+Each partition must equal the kernel's on a from-scratch compile of
+the same edge set.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.extensions.dirty_er import (
     DIRTY_ALGORITHM_CODES,
     DirtyClusterer,
 )
-from repro.extensions.incremental import IncrementalClusterer
 from repro.graph.incremental import (
     add_uni_nodes,
     delete_uni_edges,
@@ -51,14 +50,7 @@ def edge_stream(draw):
     return chosen, batch_size
 
 
-def batch_partitions(edges) -> dict[str, list[tuple[int, ...]]]:
-    graph = UnipartiteGraph(
-        N_NODES,
-        [u for (u, _), _ in edges],
-        [v for (_, v), _ in edges],
-        [w for _, w in edges],
-    )
-    compiled = graph.compiled()
+def partitions(compiled) -> dict[str, list[tuple[int, ...]]]:
     return {
         code: canonical(
             DirtyClusterer(code).cluster_compiled(compiled, THRESHOLD)
@@ -67,27 +59,33 @@ def batch_partitions(edges) -> dict[str, list[tuple[int, ...]]]:
     }
 
 
+def fresh_partitions(n_nodes, edges) -> dict[str, list[tuple[int, ...]]]:
+    graph = UnipartiteGraph(
+        n_nodes,
+        [u for (u, _), _ in edges],
+        [v for (_, v), _ in edges],
+        [w for _, w in edges],
+    )
+    return partitions(graph.compiled())
+
+
+def as_arrays(edges):
+    u = np.asarray([pair[0] for pair, _ in edges], dtype=np.int64)
+    v = np.asarray([pair[1] for pair, _ in edges], dtype=np.int64)
+    w = np.asarray([weight for _, weight in edges], dtype=np.float64)
+    return u, v, w
+
+
 @settings(max_examples=40, deadline=None)
 @given(stream=edge_stream())
 def test_streamed_inserts_match_batch(stream):
     edges, batch_size = stream
     compiled = UnipartiteGraph(N_NODES, [], [], []).compiled()
-    maintained = {
-        code: IncrementalClusterer(code, compiled, THRESHOLD)
-        for code in DIRTY_ALGORITHM_CODES
-    }
+    partitions(compiled)
     for at in range(0, len(edges), batch_size):
-        batch = edges[at : at + batch_size]
-        u = np.asarray([pair[0] for pair, _ in batch])
-        v = np.asarray([pair[1] for pair, _ in batch])
-        w = np.asarray([weight for _, weight in batch])
-        insert_uni_edges(compiled, u, v, w)
-        for clusterer in maintained.values():
-            clusterer.insert(u, v, w)
-            clusterer.partition()  # exercise the caches mid-stream
-    expected = batch_partitions(edges)
-    for code, clusterer in maintained.items():
-        assert canonical(clusterer.partition()) == expected[code], code
+        insert_uni_edges(compiled, *as_arrays(edges[at : at + batch_size]))
+        expected = fresh_partitions(N_NODES, edges[: at + batch_size])
+        assert partitions(compiled) == expected, at
 
 
 @settings(max_examples=40, deadline=None)
@@ -95,17 +93,9 @@ def test_streamed_inserts_match_batch(stream):
 def test_deletes_match_batch(stream, data):
     edges, _ = stream
     compiled = UnipartiteGraph(N_NODES, [], [], []).compiled()
-    maintained = {
-        code: IncrementalClusterer(code, compiled, THRESHOLD)
-        for code in DIRTY_ALGORITHM_CODES
-    }
-    u = np.asarray([pair[0] for pair, _ in edges], dtype=np.int64)
-    v = np.asarray([pair[1] for pair, _ in edges], dtype=np.int64)
-    w = np.asarray([weight for _, weight in edges])
+    u, v, w = as_arrays(edges)
     insert_uni_edges(compiled, u, v, w)
-    for clusterer in maintained.values():
-        clusterer.insert(u, v, w)
-        clusterer.partition()
+    assert partitions(compiled) == fresh_partitions(N_NODES, edges)
     drop = data.draw(
         st.lists(
             st.integers(0, max(len(edges) - 1, 0)),
@@ -117,21 +107,20 @@ def test_deletes_match_batch(stream, data):
     )
     if drop:
         delete_uni_edges(compiled, u[drop], v[drop], w[drop])
-        for clusterer in maintained.values():
-            clusterer.delete(u[drop], v[drop], w[drop])
     survivors = [
         entry for at, entry in enumerate(edges) if at not in set(drop)
     ]
-    expected = batch_partitions(survivors)
-    for code, clusterer in maintained.items():
-        assert canonical(clusterer.partition()) == expected[code], code
+    assert partitions(compiled) == fresh_partitions(N_NODES, survivors)
 
 
 def test_node_growth_is_observed():
     compiled = UnipartiteGraph(2, [0], [1], [0.9]).compiled()
-    clusterer = IncrementalClusterer("CC", compiled, THRESHOLD)
+    partitions(compiled)
     add_uni_nodes(compiled, 2)
-    clusterer.add_nodes(2)
     insert_uni_edges(compiled, [2], [3], [0.8])
-    clusterer.insert([2], [3], [0.8])
-    assert canonical(clusterer.partition()) == [(0, 1), (2, 3)]
+    edges = [((0, 1), 0.9), ((2, 3), 0.8)]
+    expected = fresh_partitions(4, edges)
+    assert partitions(compiled) == expected
+    assert expected == {
+        code: [(0, 1), (2, 3)] for code in DIRTY_ALGORITHM_CODES
+    }

@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 
 from repro.extensions.dirty_er import DIRTY_ALGORITHM_CODES, DirtyClusterer
-from repro.extensions.incremental import IncrementalClusterer
 from repro.graph import prefix_length, selection_mask
 from repro.graph.bipartite import SimilarityGraph
 from repro.graph.io import load_graph, save_graph
 from repro.graph.unipartite import UnipartiteGraph
 from repro.matching.registry import PAPER_ALGORITHM_CODES, create_matcher
+from repro.pipeline import streaming
 
 
 def bipartite_graph(seed=0, n_left=12, n_right=10, m=60):
@@ -120,10 +120,18 @@ class TestNanThreshold:
         with pytest.raises(ValueError, match="nan"):
             graph.prune(math.nan)
 
-    def test_incremental_clusterer_rejects_nan(self):
-        compiled = unipartite_graph().compiled()
+    def test_replay_stream_rejects_nan(self, monkeypatch):
+        def probe(self, text):
+            raise AssertionError("probed before the threshold check")
+
+        monkeypatch.setattr(streaming.BlockingIndex, "probe", probe)
         with pytest.raises(ValueError, match="nan"):
-            IncrementalClusterer("CC", compiled, float("nan"))
+            streaming.replay_stream(
+                ["alpha beta", "alpha gamma", "beta gamma"],
+                measure="jaccard",
+                blocking="tokens",
+                threshold=float("nan"),
+            )
 
 
 #: The parent layout of each kind: npz members with their dtypes, and

@@ -12,6 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.datasets import dataset_spec, generate_dataset
+from repro.extensions.dirty_er import DIRTY_ALGORITHM_CODES, DirtyClusterer
+from repro.graph.incremental import delete_uni_edges
+from repro.graph.unipartite import UnipartiteGraph
 from repro.pipeline.streaming import (
     COMPILED_VIEWS,
     batch_reference,
@@ -102,6 +106,47 @@ class TestBatchEquivalence:
         assert result.rebuild_seconds is not None
         assert result.probe_records >= result.n_records // 2
         assert 0.0 <= result.probe_update_seconds <= result.update_seconds
+
+
+class TestStreamDeletes:
+    def test_partitions_follow_deletes_on_the_live_graph(self):
+        """Deletes after a replay: the partitions and every compiled
+        view equal a fresh compile of the surviving edges."""
+        dataset = generate_dataset(
+            dataset_spec("d4", scale=0.05, max_pairs=5_000), seed=42
+        )
+        texts = dataset.left.texts() + dataset.right.texts()
+        # 0.3 leaves non-singleton clusters for all four algorithms.
+        result = replay(texts, threshold=0.3, seed=42, batch_size=16)
+        source = result.compiled.source
+        # Copies: the deletes patch the source arrays in place.
+        u, v, w = (
+            np.array(column) for column in (source.u, source.v, source.weight)
+        )
+        doomed = np.random.default_rng(5).permutation(len(u))
+        doomed = doomed[: len(u) // 3]
+        alive = np.ones(len(u), dtype=bool)
+        result.partitions()  # caches the selections the deletes update
+        for chunk in np.array_split(doomed, 3):
+            delete_uni_edges(result.compiled, u[chunk], v[chunk])
+            alive[chunk] = False
+            fresh = UnipartiteGraph(
+                result.n_records, u[alive], v[alive], w[alive]
+            ).compiled()
+            for name in COMPILED_VIEWS:
+                np.testing.assert_array_equal(
+                    getattr(result.compiled, name),
+                    getattr(fresh, name),
+                    err_msg=name,
+                )
+            streamed = result.partitions()
+            assert sorted(streamed) == sorted(DIRTY_ALGORITHM_CODES)
+            for code in DIRTY_ALGORITHM_CODES:
+                expected = canonical_clusters(
+                    DirtyClusterer(code).cluster_compiled(fresh, 0.3)
+                )
+                assert streamed[code] == expected, code
+                assert any(len(cluster) > 1 for cluster in expected), code
 
 
 class TestValidation:

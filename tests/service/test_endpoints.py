@@ -24,6 +24,17 @@ class TestHealthz:
 
         run_app(warm_app, scenario)
 
+    def test_stopped_drain_task_is_503(self, warm_app):
+        async def scenario(client):
+            task = warm_app.state["scheduler"]._task
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
+            response = await client.get("/healthz")
+            assert response.status == 503
+            assert response.json()["status"] == "stopped"
+
+        run_app(warm_app, scenario)
+
 
 class TestDatasets:
     def test_describes_frozen_indexes(self, warm_app):

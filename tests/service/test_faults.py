@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
+
 from repro.service import ServiceConfig, create_app
 from repro.service.testclient import run_app
 from repro.testing import faults
@@ -172,5 +174,31 @@ class TestResolverErrorIsolation:
             matches, batch_size = results[0]
             assert batch_size >= 1
             assert isinstance(results[1], KeyError)
+
+        run_app(app, scenario)
+
+    def test_unhashable_measure_fails_and_the_drain_goes_on(
+        self, left_texts
+    ):
+        """An error outside the per-group guard (an unhashable measure
+        reaching the group key) fails its request, and the drain task
+        answers the next one."""
+        app = create_app(_config())
+
+        async def scenario(client):
+            scheduler = app.state["scheduler"]
+            with pytest.raises(TypeError, match="unhashable"):
+                await asyncio.wait_for(
+                    scheduler.submit(
+                        SERVICE_DATASET, ["jaccard"], left_texts[0]
+                    ),
+                    timeout=10,
+                )
+            matches, _ = await asyncio.wait_for(
+                scheduler.submit(SERVICE_DATASET, "jaccard", left_texts[0]),
+                timeout=10,
+            )
+            assert matches
+            assert scheduler.running
 
         run_app(app, scenario)

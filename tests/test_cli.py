@@ -171,6 +171,48 @@ class TestStreamCommand:
         assert "levenshtein" in message and "monge_elkan" in message
 
 
+class TestDatasetFlags:
+    """``--scale``, ``--max-pairs`` and ``--seed`` of the commands that
+    generate one catalog dataset, bounds checked at parse time."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["block", "d1", "--scale", "0"], "--scale"),
+            (["block", "d1", "--scale", "-1"], "--scale"),
+            (["block", "d1", "--scale", "nan"], "--scale"),
+            (["block", "d1", "--max-pairs", "0"], "--max-pairs"),
+            (["shard", "plan", "d1", "--max-pairs", "-5"], "--max-pairs"),
+            (["stream", "d1", "--max-pairs", "-1"], "--max-pairs"),
+            (["generate", "d1", "--scale", "nan"], "--scale"),
+        ],
+    )
+    def test_out_of_range_value_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["block", "d1"], ["shard", "plan", "d1"], ["serve", "d1"],
+         ["stream", "d1"]],
+    )
+    def test_every_dataset_command_checks_the_flags(self, command, capsys):
+        parser = build_parser()
+        args = parser.parse_args(
+            [*command, "--scale", "0.5", "--max-pairs", "100"]
+        )
+        assert (args.scale, args.max_pairs, args.seed) == (0.5, 100, 42)
+        for flag, value in (("--scale", "nan"), ("--max-pairs", "0")):
+            with pytest.raises(SystemExit) as exit_info:
+                parser.parse_args([*command, flag, value])
+            assert exit_info.value.code == 2
+            assert flag in capsys.readouterr().err
+
+
 class TestShardCommand:
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_shard_count_must_be_positive(self, value, capsys):

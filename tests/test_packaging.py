@@ -4,7 +4,7 @@ networkx is a test dependency only (the frozen dirty-ER oracles under
 ``tests/oracles`` run on it), and the oracles themselves are test code.
 A fresh interpreter that can import neither networkx nor the ``tests``
 package must still load every entry point, cluster with all four
-dirty-ER algorithms, batch and incremental, score all 16 schema-based
+dirty-ER algorithms, batch and streamed, score all 16 schema-based
 measures and build the vector models and entity graphs.
 """
 
@@ -34,7 +34,6 @@ WITHOUT_NETWORKX = textwrap.dedent(
     import repro.service.app
     import repro.extensions
     from repro.extensions.dirty_er import DIRTY_ALGORITHM_CODES, DirtyClusterer
-    from repro.extensions.incremental import IncrementalClusterer
     from repro.graph.unipartite import UnipartiteGraph
     from repro.ngramgraph import containment_matrix, entity_graph_matrices
     from repro.pipeline.batched_strings import (
@@ -42,18 +41,25 @@ WITHOUT_NETWORKX = textwrap.dedent(
         StringBatch,
         schema_based_rows,
     )
+    from repro.pipeline.streaming import replay_stream
     from repro.vectorspace import build_vector_models, cosine_matrix
 
     edges = [(0, 1, 0.9), (1, 2, 0.9), (0, 2, 0.9), (3, 4, 0.8), (2, 3, 0.4)]
     graph = UnipartiteGraph.from_edges(5, edges)
     for code in DIRTY_ALGORITHM_CODES:
-        clusterer = DirtyClusterer(code)
-        batch = clusterer.cluster(graph, 0.5)
-        maintained = IncrementalClusterer(
-            clusterer, graph.compiled(), 0.5
-        ).partition()
-        for clusters in (batch, maintained):
-            assert sorted(map(sorted, clusters)) == [[0, 1, 2], [3, 4]], code
+        clusters = DirtyClusterer(code).cluster(graph, 0.5)
+        assert sorted(map(sorted, clusters)) == [[0, 1, 2], [3, 4]], code
+    streamed = replay_stream(
+        ["golden dragon", "blue whale", "golden dragon inn",
+         "blue whale cafe", "red fox"],
+        measure="jaccard",
+        blocking="tokens",
+        threshold=0.5,
+        batch_size=2,
+    ).partitions()
+    assert sorted(streamed) == sorted(DIRTY_ALGORITHM_CODES)
+    for code, clusters in streamed.items():
+        assert clusters == [(0, 2), (1, 3), (4,)], code
     strings = StringBatch(["golden dragon", ""], ["golden dragoon", "inn"])
     for measure in SCHEMA_BASED_MEASURES:
         scores = schema_based_rows(strings, measure)
