@@ -1,4 +1,4 @@
-"""Service benchmark: micro-batch coalescing vs serial execution.
+"""Service benchmark: micro-batch coalescing, and resolve cost vs growth.
 
 Stands up the ER-as-a-service app twice over the same warm
 :class:`~repro.service.resolver.ResolverService` configuration — once
@@ -14,7 +14,20 @@ clients, each issuing a stream of ``POST /resolve`` requests.  Then
   batch composition cannot change a score), and
 * reports p50/p99 request latency for both modes.
 
-Run directly (the CI smoke job does)::
+The growth leg then serves perfbench's serve setting (d8, 2,940
+indexed records, ``tokens`` blocking, ``jaccard``) twice and grows one
+of the two indexed collections ``GROWTH_FACTOR``x through ``POST
+/ingest``, with records that share no token with any query, so every
+query keeps its candidates and its answer.  It times
+``GROWTH_PASSES`` direct
+:meth:`~repro.service.resolver.ResolverService.resolve_batch` passes
+of ``GROWTH_QUERIES`` queries on each, alternating between the two.
+A pass builds only its queries' side and scores the candidates' rows
+of the indexed side, so it asserts the grown median within
+``MAX_GROWTH``x the base one.
+
+Run directly (the CI smoke job does; ``--smoke`` shrinks the
+coalescing leg only)::
 
     PYTHONPATH=src python benchmarks/bench_service.py [--smoke] [--json PATH]
 
@@ -41,12 +54,14 @@ except ImportError:  # imported as benchmarks.bench_* from the repo root
     from benchmarks._report import write_report as _write_report
 
 from repro.service import ServiceConfig, create_app
+from repro.service.app import MAX_MATCH_RECORDS
 from repro.service.testclient import AsgiClient
+from repro.textsim.tokenize import tokens
 
 #: Required coalesced-vs-serial throughput gain at CLIENTS concurrent
-#: clients.  Coalescing amortizes one StringBatch + SparsePlan +
-#: kernel pass over the whole batch, so the gain tracks the achieved
-#: batch size; 2x is the acceptance floor, typical gains are higher.
+#: clients.  Coalescing shares one query side, SparsePlan and kernel
+#: pass (and the scheduler round trip) among the whole batch, so the
+#: gain tracks the achieved batch size; 2x is the acceptance floor.
 MIN_SPEEDUP = 2.0
 
 #: Concurrent in-process clients (the acceptance criterion's 16).
@@ -61,6 +76,19 @@ DATASET = "d1"
 SCALE_FULL = 0.4
 SCALE_SMOKE = 0.05
 MAX_PAIRS = 2000
+
+#: Growth leg: perfbench's serve setting, 340 queries x 2,940 indexed.
+GROWTH_DATASET = "d8"
+GROWTH_SCALE = 0.3
+GROWTH_MAX_PAIRS = 1_000_000
+GROWTH_QUERIES = 8
+GROWTH_PASSES = 60
+GROWTH_FACTOR = 10
+
+#: Ceiling on the grown collection's median pass over the base one: a
+#: pass's cost follows its queries and candidates, which the growth
+#: leaves unchanged.
+MAX_GROWTH = 1.2
 
 
 def _service_config(
@@ -126,6 +154,81 @@ async def _drive(app, per_client: int):
     return seconds, latencies, bodies, batch_sizes
 
 
+def _growth_records(rights: list[str]) -> list[dict]:
+    """``GROWTH_FACTOR - 1`` copies of the indexed texts, every word
+    suffixed per copy: as many words as the originals, none of them
+    held by any query."""
+    records = []
+    for copy in range(1, GROWTH_FACTOR):
+        suffix = "zq" + "abcdefghijklmnopqrstuvwxy"[copy]
+        for k, text in enumerate(rights):
+            words = [word + suffix for word in tokens(text)]
+            records.append(
+                {
+                    "id": f"grown-{copy}-{k}",
+                    "text": " ".join(words) or f"blank{suffix}",
+                }
+            )
+    return records
+
+
+def _median_passes_ms(services, queries: list[str]) -> list[float]:
+    """Median pass of each service, the services' passes alternating so
+    that load on the host hits them alike."""
+    seconds = [[] for _ in services]
+    for _ in range(GROWTH_PASSES):
+        for times, service in zip(seconds, services):
+            start = time.perf_counter()
+            service.resolve_batch(GROWTH_DATASET, "jaccard", queries)
+            times.append(time.perf_counter() - start)
+    return [1000.0 * statistics.median(times) for times in seconds]
+
+
+async def _growth() -> tuple[float, float, int, int]:
+    """Median pass of the served index and of a twin grown through
+    ``/ingest``, and the two indexed sizes."""
+    config = ServiceConfig(
+        datasets=(GROWTH_DATASET,),
+        blocking="tokens",
+        measure="jaccard",
+        scale=GROWTH_SCALE,
+        max_pairs=GROWTH_MAX_PAIRS,
+        seed=42,
+    )
+    base_app, grown_app = create_app(config), create_app(config)
+    async with AsgiClient(base_app), AsgiClient(grown_app) as client:
+        base = base_app.state["service"]
+        grown = grown_app.state["service"]
+        index = grown.index(GROWTH_DATASET)
+        lefts, _ = index.cache.texts()
+        queries = lefts[:GROWTH_QUERIES]
+        n_base = index.n_indexed
+        records = _growth_records(list(index.rights))
+        for start in range(0, len(records), MAX_MATCH_RECORDS):
+            response = await client.post(
+                "/ingest",
+                json_body={
+                    "dataset": GROWTH_DATASET,
+                    "records": records[start:start + MAX_MATCH_RECORDS],
+                },
+            )
+            assert response.status == 200, response.body
+        assert index.n_indexed == GROWTH_FACTOR * n_base
+        probe = base.index(GROWTH_DATASET).probe
+        for query in queries:
+            assert (
+                index.probe.probe(query).tolist()
+                == probe.probe(query).tolist()
+            ), "growth changed a query's candidates"
+        assert grown.resolve_batch(
+            GROWTH_DATASET, "jaccard", queries
+        ) == base.resolve_batch(
+            GROWTH_DATASET, "jaccard", queries
+        ), "growth changed an answer"
+        base_ms, grown_ms = _median_passes_ms((base, grown), queries)
+        return base_ms, grown_ms, n_base, index.n_indexed
+
+
 def _percentiles(latencies: list[float]) -> tuple[float, float]:
     ranked = sorted(latencies)
     p50 = statistics.median(ranked)
@@ -166,6 +269,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{mismatched[:5]}"
     )
 
+    base_ms, grown_ms, n_base, n_grown = asyncio.run(_growth())
+    growth = grown_ms / base_ms
+
     speedup = serial_seconds / batched_seconds
     serial_p50, serial_p99 = _percentiles(serial_lat)
     batched_p50, batched_p99 = _percentiles(batched_lat)
@@ -185,6 +291,11 @@ def main(argv: list[str] | None = None) -> int:
         f"throughput gain {speedup:.2f}x (floor {MIN_SPEEDUP}x) — "
         f"all {total} responses byte-identical to the serial path"
     )
+    print(
+        f"growth    : {GROWTH_QUERIES}-query pass p50 {base_ms:.2f}ms at "
+        f"{n_base} indexed -> {grown_ms:.2f}ms at {n_grown} "
+        f"({growth:.2f}x, ceiling {MAX_GROWTH}x; answers unchanged)"
+    )
     if args.json_path:
         _write_report(
             args.json_path,
@@ -202,6 +313,12 @@ def main(argv: list[str] | None = None) -> int:
             serial_p99_ms=serial_p99 * 1000,
             coalesced_p50_ms=batched_p50 * 1000,
             coalesced_p99_ms=batched_p99 * 1000,
+            growth_base_p50_ms=base_ms,
+            growth_grown_p50_ms=grown_ms,
+            growth_base_indexed=n_base,
+            growth_grown_indexed=n_grown,
+            growth_ratio=growth,
+            growth_ceiling=MAX_GROWTH,
         )
     if not args.no_assert:
         assert mean_batch > 1.0, (
@@ -210,6 +327,10 @@ def main(argv: list[str] | None = None) -> int:
         assert speedup >= MIN_SPEEDUP, (
             f"coalescing gain {speedup:.2f}x below the "
             f"{MIN_SPEEDUP}x floor"
+        )
+        assert growth <= MAX_GROWTH, (
+            f"pass median grew {growth:.2f}x with a {GROWTH_FACTOR}x "
+            f"indexed collection, above the {MAX_GROWTH}x ceiling"
         )
     return 0
 

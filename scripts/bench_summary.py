@@ -60,6 +60,17 @@ def render(title: str, pattern: str) -> list[str]:
                 f"(mean batch {report['mean_batch_size']:.1f}, "
                 f"{report['clients']} concurrent clients)"
             )
+        if "growth_ratio" in report:
+            ok = report["growth_ratio"] <= report["growth_ceiling"]
+            lines.append(
+                f"  - {'✅' if ok else '❌'} resolve pass p50 "
+                f"{report['growth_base_p50_ms']:.2f}ms at "
+                f"{report['growth_base_indexed']} indexed → "
+                f"{report['growth_grown_p50_ms']:.2f}ms at "
+                f"{report['growth_grown_indexed']} "
+                f"({report['growth_ratio']:.2f}x, ceiling "
+                f"{report['growth_ceiling']:.1f}x)"
+            )
         if "budget_bytes" in report:
             mb = 1 << 20
             rss = "✅" if report.get("rss_ok") else "❌"

@@ -1045,12 +1045,18 @@ def _command_serve(args: argparse.Namespace) -> int:
             check_measure(args.measure)
         except KeyError as error:
             raise ServiceStartupError(error.args[0]) from None
+    from repro.datasets.catalog import default_max_pairs, default_scale
+
+    # The warmup runs on a worker thread: read the environment defaults
+    # here, so that a bad value is a usage error, as for every command.
     config = ServiceConfig(
         datasets=tuple(args.datasets),
         blocking=args.blocking,
         measure=args.measure,
-        scale=args.scale,
-        max_pairs=args.max_pairs,
+        scale=default_scale() if args.scale is None else args.scale,
+        max_pairs=(
+            default_max_pairs() if args.max_pairs is None else args.max_pairs
+        ),
         seed=args.seed,
         artifact_store=args.artifact_store,
         store_read_tier=_store_read_tier(args),
@@ -1161,11 +1167,18 @@ def main(argv: list[str] | None = None) -> int:
     service startup failure
     (:class:`~repro.service.server.ServiceStartupError`: unknown
     dataset, bad port, broken store) both print a clear one-line error
-    to stderr and exit 1 — never a traceback.
+    to stderr and exit 1 — never a traceback.  A bad ``REPRO_SCALE`` or
+    ``REPRO_MAX_PAIRS`` (:class:`~repro.datasets.catalog.SettingError`)
+    prints its one line and exits 2, the usage-error code.
     """
+    from repro.datasets.catalog import SettingError
+
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except SettingError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         print(
             "\ninterrupted — completed work is journaled; rerun with "

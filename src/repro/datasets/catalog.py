@@ -11,7 +11,9 @@ Scaling: dataset sizes are multiplied by ``scale`` (default from the
 protocol computes *all* pairwise similarities (no blocking), the
 Cartesian product is additionally capped at ``REPRO_MAX_PAIRS``
 (default 80,000) pairs; oversized datasets are shrunk proportionally.
-Both knobs only change the amount of data, never its shape.
+Both knobs only change the amount of data, never its shape; a value
+that is not a positive number raises :class:`SettingError` naming its
+variable.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.datasets.noise import NoiseConfig
 __all__ = [
     "PaperDatasetStats",
     "PAPER_STATS",
+    "SettingError",
     "DATASET_CODES",
     "CATEGORY_BY_DATASET",
     "DOMAIN_BY_DATASET",
@@ -178,14 +181,36 @@ _ASYMMETRY: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 
 
+class SettingError(ValueError):
+    """An environment setting holds a value it cannot take."""
+
+
 def default_scale() -> float:
     """Dataset scale factor, from ``REPRO_SCALE`` (default 0.08)."""
-    return float(os.environ.get("REPRO_SCALE", "0.08"))
+    text = os.environ.get("REPRO_SCALE", "0.08")
+    try:
+        scale = float(text)
+    except ValueError:
+        scale = math.nan
+    if not scale > 0:  # ``not`` of the comparison also rejects NaN
+        raise SettingError(
+            f"REPRO_SCALE must be a positive number, got {text!r}"
+        )
+    return scale
 
 
 def default_max_pairs() -> int:
     """Cartesian-product cap, from ``REPRO_MAX_PAIRS`` (default 80,000)."""
-    return int(os.environ.get("REPRO_MAX_PAIRS", "80000"))
+    text = os.environ.get("REPRO_MAX_PAIRS", "80000")
+    try:
+        max_pairs = int(text)
+    except ValueError:
+        max_pairs = 0
+    if max_pairs < 1:
+        raise SettingError(
+            f"REPRO_MAX_PAIRS must be a positive integer, got {text!r}"
+        )
+    return max_pairs
 
 
 def dataset_spec(

@@ -10,6 +10,12 @@ bottleneck.  This module scores the 16 schema-based measures
 * every measure factors the pair grid down to *unique* value pairs
   (:class:`~repro.pipeline.kernels.UniquePlan`) — duplicated attribute
   values are computed once;
+* each collection's per-value artifacts live on a :class:`StringSide`
+  that grows in place (:meth:`StringSide.extend`); a
+  :class:`StringBatch` pairs two sides, and
+  :meth:`StringBatch.against` pairs new left values with the rows of
+  some records of a kept side, which is how the service scores a pass
+  without rebuilding its indexed collection;
 * :func:`schema_based_rows` scores any record-row range as whole
   unique-grid rows (the dense, sharded and ad-hoc paths;
   :func:`schema_based_matrix` is the full range) and
@@ -63,11 +69,18 @@ from repro.pipeline.kernels import (
 )
 from repro.textsim.tokenize import padded_trigrams, tokens
 from repro.vectorspace.measures import pairwise_min_sum
-from repro.vectorspace.profiles import count_matrices, encode_keys, presence
+from repro.vectorspace.profiles import (
+    count_rows,
+    encode_keys,
+    first_positions,
+    presence,
+    widen,
+)
 
 __all__ = [
     "SCHEMA_BASED_MEASURES",
     "StringBatch",
+    "StringSide",
     "check_measure",
     "measure_input",
     "schema_based_cells",
@@ -100,22 +113,235 @@ SCHEMA_BASED_MEASURES = (
 )
 
 
+#: The side artifact each measure input reads (see :func:`measure_input`).
+_SIDE_ARTIFACTS = {
+    "encoded": "encoding",
+    "tokens": "token_counts",
+    "qgrams": "qgram_counts",
+    "monge_elkan": "token_lists",
+}
+
+
+class StringSide:
+    """One collection's share of a :class:`StringBatch`.
+
+    The unique values in first-occurrence order (the per-side half of
+    :class:`UniquePlan`: ``inverse`` maps records to unique rows,
+    ``index`` unique rows to their first record), their emptiness,
+    and lazily, one per name: the code-point ``encoding``, the
+    ``token_lists``, the ``token_counts`` and ``qgram_counts`` rows and
+    the ``monge_elkan`` token ids.  Count rows number their keys in
+    the ``vocabularies`` a batch's two sides share, left side first,
+    so a batch's count matrices equal a two-list construction array
+    for array.  Monge-Elkan ids number each side's tokens on their
+    own, as the Smith-Waterman grid's axes.
+
+    :meth:`extend` appends records in place: new values add rows to
+    every built artifact and new keys add columns, so no row or column
+    moves.  :meth:`take` gives the side of a subset of the records,
+    gathered from this one in time linear in the subset.
+    """
+
+    def __init__(
+        self, values: list[str], vocabularies: dict | None = None
+    ) -> None:
+        if vocabularies is None:
+            vocabularies = {"tokens": {}, "qgrams": {}}
+        self.vocabularies = vocabularies
+        self.values: list[str] = []
+        self.inverse = np.zeros(0, dtype=np.intp)
+        self.index = np.zeros(0, dtype=np.intp)
+        self.empty = np.zeros(0, dtype=bool)
+        self._rows: dict[str, int] = {}
+        # Built artifacts in build order: an artifact's inputs precede
+        # it, so :meth:`extend` grows them first.
+        self._artifacts: dict[str, object] = {}
+        # (parent side, unique rows) of a side made by :meth:`take`.
+        self._source: tuple[StringSide, np.ndarray] | None = None
+        self.extend(values)
+
+    def extend(self, values: list[str]) -> None:
+        """Append records ``values``; built artifacts grow with them."""
+        n_rows, n_records = len(self.values), len(self.inverse)
+        inverse = encode_keys(values, self._rows)
+        firsts = first_positions(np.maximum(inverse - n_rows, -1))
+        added = [values[position] for position in firsts]
+        self.values.extend(added)
+        self.inverse = np.concatenate([self.inverse, inverse])
+        self.index = np.concatenate([self.index, firsts + n_records])
+        self.empty = np.concatenate(
+            [self.empty, np.array([not s for s in added], dtype=bool)]
+        )
+        for name, built in self._artifacts.items():
+            self._artifacts[name] = _join(
+                name, built, self._build(name, n_rows)
+            )
+
+    def take(self, records: np.ndarray) -> "StringSide":
+        """The side of records ``records`` (read-only).
+
+        Its unique values and every artifact but the Monge-Elkan ids
+        are gathered from this side, built here on first use; its count
+        rows keep this side's columns.  Equal to a side built from
+        those records' values, up to the count rows' column numbering.
+        """
+        rows: dict[int, int] = {}
+        inverse = encode_keys(self.inverse[records].tolist(), rows)
+        keep = np.fromiter(rows, dtype=np.intp, count=len(rows))
+        side = StringSide([], self.vocabularies)
+        side.values = [self.values[row] for row in keep]
+        side.inverse = inverse
+        side.index = first_positions(inverse)
+        side.empty = self.empty[keep]
+        side._source = (self, keep)
+        return side
+
+    def prepare(self, measure: str) -> None:
+        """Build the artifact that scoring ``measure`` reads here."""
+        self.artifact(_SIDE_ARTIFACTS[measure_input(measure)])
+
+    def artifact(self, name: str):
+        """Artifact ``name`` of every unique value, built on first use."""
+        if name not in self._artifacts:
+            if self._source is not None and name != "monge_elkan":
+                parent, keep = self._source
+                built = _gather(name, parent.artifact(name), keep)
+            else:
+                built = self._build(name, 0)
+            self._artifacts[name] = built
+        return self._artifacts[name]
+
+    def _build(self, name: str, start: int):
+        """Artifact ``name`` of the unique values from row ``start`` on."""
+        values = self.values[start:]
+        if name == "encoding":
+            return encode_strings(values)
+        if name == "token_lists":
+            return [tokens(s) for s in values]
+        if name == "token_counts":
+            return count_rows(
+                [Counter(words) for words in self._token_lists(start)],
+                self.vocabularies["tokens"],
+            )
+        if name == "qgram_counts":
+            return count_rows(
+                [padded_trigrams(s) if s else Counter() for s in values],
+                self.vocabularies["qgrams"],
+            )
+        if name == "monge_elkan":
+            vocabulary = self._artifacts["monge_elkan"][1] if start else {}
+            ids = [
+                encode_keys(words, vocabulary)
+                for words in self._token_lists(start)
+            ]
+            return ids, vocabulary
+        raise KeyError(f"StringSide has no artifact {name!r}")
+
+    def _token_lists(self, start: int) -> list[list[str]]:
+        return self.artifact("token_lists")[start:]
+
+
+def _join(name: str, built, part):
+    """Artifact ``name`` of some values followed by ``part``'s."""
+    if name == "encoding":
+        (codes, lengths), (new_codes, new_lengths) = built, part
+        width = max(codes.shape[1], new_codes.shape[1])
+        joined = np.full((len(lengths) + len(new_lengths), width), -1,
+                         dtype=np.int32)
+        joined[: len(lengths), : codes.shape[1]] = codes
+        joined[len(lengths):, : new_codes.shape[1]] = new_codes
+        return joined, np.concatenate([lengths, new_lengths])
+    if name == "token_lists":
+        return built + part
+    if name == "monge_elkan":
+        return built[0] + part[0], part[1]
+    width = max(built.shape[1], part.shape[1])
+    return sparse.vstack(
+        [widen(built, width), widen(part, width)], format="csr"
+    )
+
+
+def _gather(name: str, built, rows: np.ndarray):
+    """Artifact ``name`` of the unique rows ``rows``."""
+    if name == "encoding":
+        # As wide as the rows' longest value, as encoding them would be:
+        # the DP kernels step through every column of the right side.
+        codes, lengths = built
+        lengths = lengths[rows]
+        width = int(lengths.max()) if lengths.shape[0] else 0
+        return codes[rows, :width], lengths
+    if name == "token_lists":
+        return [built[row] for row in rows]
+    return built[rows]
+
+
+class _PassVocabulary(dict):
+    """The keys of ``base`` with their columns, then keys it lacks,
+    numbered after them; ``base`` itself never changes."""
+
+    def __init__(self, base: dict) -> None:
+        super().__init__()
+        self.base = base
+
+    def setdefault(self, key, default=None):
+        column = self.base.get(key)
+        if column is None:
+            column = super().setdefault(key, default)
+        return column
+
+    def __len__(self) -> int:
+        return len(self.base) + super().__len__()
+
+
 class StringBatch:
     """Shared per-``(lefts, rights)`` artifacts of the 16 measures.
 
-    The kernel path consumes the *unique-universe* artifacts: the
-    :class:`UniquePlan`, the encoded code-point matrices of the unique
-    values (alignment measures and Jaro), the sparse token-count
-    matrices of the unique values (token measures), the unique padded
-    trigram profiles (q-grams) and the Smith-Waterman token grid
-    (Monge-Elkan).  Every artifact is computed lazily on first use and
-    kept, so computing several measures over the same value pair (one
-    attribute of one dataset) encodes and tokenizes only once.
+    Two :class:`StringSide` objects, :attr:`left` and :attr:`right`,
+    and the unique-grid artifacts the kernels read, each assembled
+    from the sides on first use and kept: the :class:`UniquePlan`, the
+    code-point matrices of the unique values (alignment measures and
+    Jaro), the aligned sparse token-count matrices (token measures)
+    and padded-trigram profiles (q-grams), and the Smith-Waterman token
+    grid (Monge-Elkan).  Computing several measures over the same
+    value pair (one attribute of one dataset) encodes and tokenizes
+    only once.
     """
 
     def __init__(self, lefts: list[str], rights: list[str]) -> None:
-        self.lefts = lefts
-        self.rights = rights
+        self.left = StringSide(lefts)
+        self.right = StringSide(rights, self.left.vocabularies)
+
+    @classmethod
+    def against(
+        cls,
+        lefts: list[str],
+        right: StringSide,
+        records: np.ndarray,
+        measure: str,
+    ) -> "StringBatch":
+        """The batch scoring ``measure`` for ``lefts`` against records
+        ``records`` of the side ``right``.
+
+        Builds only the left side and takes the records' rows of
+        ``right`` (:meth:`StringSide.take`), so its cost follows
+        ``len(lefts) + len(records)``, not the size of ``right``.
+        ``right`` builds what ``measure`` reads first, if it has not
+        yet; keys it has never seen then get columns after its own, in
+        vocabularies that live with the batch, so the batch changes
+        nothing else in ``right``.  Record ``k`` of the batch's right
+        side is ``records[k]``.
+        """
+        right.prepare(measure)
+        batch = cls.__new__(cls)
+        batch.left = StringSide(
+            lefts,
+            {
+                name: _PassVocabulary(vocabulary)
+                for name, vocabulary in right.vocabularies.items()
+            },
+        )
+        batch.right = right.take(records)
+        return batch
 
     def seed_artifact(self, name: str, value) -> None:
         """Seed the lazy artifact slot ``name`` with a precomputed value.
@@ -137,26 +363,31 @@ class StringBatch:
     @cached_property
     def plan(self) -> UniquePlan:
         """Unique-value execution plan shared by every measure."""
-        return UniquePlan.build(self.lefts, self.rights)
+        left, right = self.left, self.right
+        return UniquePlan(
+            lefts=tuple(left.values),
+            rights=tuple(right.values),
+            left_inverse=left.inverse,
+            right_inverse=right.inverse,
+            left_index=left.index,
+            right_index=right.index,
+        )
 
     @cached_property
     def unique_left_encoding(self) -> tuple[np.ndarray, np.ndarray]:
         """Code-point matrix and lengths of the unique left values."""
-        return encode_strings(self.plan.lefts)
+        return self.left.artifact("encoding")
 
     @cached_property
     def unique_right_encoding(self) -> tuple[np.ndarray, np.ndarray]:
         """Code-point matrix and lengths of the unique right values."""
-        return encode_strings(self.plan.rights)
+        return self.right.artifact("encoding")
 
     @cached_property
     def unique_empty_sides(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-side emptiness of the unique values (the empty-value
         convention masks cells from these two 1-D vectors)."""
-        return (
-            np.array([not s for s in self.plan.lefts], dtype=bool),
-            np.array([not s for s in self.plan.rights], dtype=bool),
-        )
+        return self.left.empty, self.right.empty
 
     @cached_property
     def unique_token_lists(
@@ -164,8 +395,8 @@ class StringBatch:
     ) -> tuple[list[list[str]], list[list[str]]]:
         """Tokenized unique values of both sides."""
         return (
-            [tokens(s) for s in self.plan.lefts],
-            [tokens(s) for s in self.plan.rights],
+            self.left.artifact("token_lists"),
+            self.right.artifact("token_lists"),
         )
 
     @cached_property
@@ -174,17 +405,15 @@ class StringBatch:
     ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
         """Sparse token-count matrices of the unique values.
 
-        :func:`~repro.vectorspace.profiles.count_matrices` numbers the
-        tokens in first-occurrence order over the unique values, which
-        is exactly the key order a full-list construction produces —
-        row contents (and therefore the summation order of every
-        sparse product) match a full-list matrix bit for bit.
+        The shared vocabulary numbers the tokens in first-occurrence
+        order over the unique values, left side first, which is
+        exactly the key order a full-list construction produces — row
+        contents (and therefore the summation order of every sparse
+        product) match a full-list matrix bit for bit.
         """
-        lists_left, lists_right = self.unique_token_lists
-        return count_matrices(
-            [Counter(words) for words in lists_left],
-            [Counter(words) for words in lists_right],
-            vocabulary={},
+        return _aligned(
+            self.left.artifact("token_counts"),
+            self.right.artifact("token_counts"),
         )
 
     @cached_property
@@ -200,13 +429,9 @@ class StringBatch:
         self,
     ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
         """Padded-trigram profile matrices of the unique values."""
-        return count_matrices(
-            [padded_trigrams(s) if s else Counter() for s in self.plan.lefts],
-            [
-                padded_trigrams(s) if s else Counter()
-                for s in self.plan.rights
-            ],
-            vocabulary={},
+        return _aligned(
+            self.left.artifact("qgram_counts"),
+            self.right.artifact("qgram_counts"),
         )
 
     @cached_property
@@ -218,15 +443,21 @@ class StringBatch:
         Each side numbers its own tokens; id arrays keep duplicates in
         text order, the order the Monge-Elkan fold consumes them in.
         """
-        lists_left, lists_right = self.unique_token_lists
-        vocab_left, vocab_right = {}, {}
-        ids_left = [encode_keys(words, vocab_left) for words in lists_left]
-        ids_right = [encode_keys(words, vocab_right) for words in lists_right]
+        ids_left, vocab_left = self.left.artifact("monge_elkan")
+        ids_right, vocab_right = self.right.artifact("monge_elkan")
         grid = smith_waterman_grid(
             *encode_strings(list(vocab_left)),
             *encode_strings(list(vocab_right)),
         )
         return ids_left, ids_right, grid
+
+
+def _aligned(
+    left: sparse.csr_matrix, right: sparse.csr_matrix
+) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """Two count matrices over the same columns."""
+    width = max(left.shape[1], right.shape[1])
+    return widen(left, width), widen(right, width)
 
 
 def _resolve_batch(

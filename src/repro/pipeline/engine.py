@@ -660,7 +660,7 @@ class SimilarityEngine:
         else:
             plan = SparsePlan.build(batch.plan, pair_left, pair_right)
         return schema_based_pairs(
-            batch.lefts, batch.rights, measure, plan, batch
+            *self.cache.attribute_values(attribute), measure, plan, batch
         )
 
     def _block_rows(

@@ -27,8 +27,9 @@ Endpoints
     ``{"dataset", "records": [{"id", "text"}, ...]}`` — append
     records to a warm index without a cold rebuild: the blocking
     index grows its posting lists in place under its frozen
-    build-time statistics and the next ``/resolve`` can return the
-    new records.
+    build-time statistics, the indexed side's string artifacts
+    extend in place, and the next ``/resolve`` can return the new
+    records.
 
 Warmup runs under the ASGI *lifespan* protocol: index builds happen
 exactly once, before the first request is accepted; a failed build
@@ -69,7 +70,8 @@ class ServiceConfig:
 
 
 def _warm_service(config: ServiceConfig) -> ResolverService:
-    """Build every configured index (the expensive, once-only part)."""
+    """Build every configured index (the expensive, once-only part),
+    with the indexed side's artifacts for the configured measure."""
     store = None
     if config.artifact_store is not None:
         from repro.pipeline.store import ArtifactStore
@@ -87,6 +89,7 @@ def _warm_service(config: ServiceConfig) -> ResolverService:
             seed=config.seed,
             store=store,
         )
+        index.strings.prepare(config.measure)
         indexes[index.code] = index
     return ResolverService(indexes)
 

@@ -1,4 +1,4 @@
-"""The service's resolution core: frozen indexes + query execution.
+"""The service's resolution core: warm indexes + query execution.
 
 This module is the **index/query split** the serving layer forces on
 the engine.  The batch pipeline treats a dataset as one throwaway
@@ -6,26 +6,33 @@ computation; a service instead pays the expensive parts once —
 generate the dataset, load or build its artifacts through the
 :class:`~repro.pipeline.engine.ArtifactCache` (hitting the persistent
 :class:`~repro.pipeline.store.ArtifactStore` when one is configured),
-and freeze the query-time :class:`~repro.pipeline.blocking.BlockingIndex`
-— and then answers an unbounded stream of queries against the frozen
-state.
+freeze the query-time :class:`~repro.pipeline.blocking.BlockingIndex`
+and build the indexed collection's
+:class:`~repro.pipeline.batched_strings.StringSide` — and then answers
+an unbounded stream of queries against that state.
 
-* :class:`ResolverIndex` — the per-dataset frozen half: immutable
-  after :meth:`ResolverIndex.build`, safe to probe from any number of
-  concurrent requests.
+* :class:`ResolverIndex` — the per-dataset warm half: the probe index
+  and the indexed side's string artifacts, grown in place by
+  :meth:`ResolverIndex.ingest` and otherwise read-only.
 * :class:`ResolverService` — the query half: stateless functions over
   the indexes.  :meth:`ResolverService.resolve_batch` scores *any*
-  number of queries against a dataset in **one** kernel-engine pass
-  (one :class:`~repro.pipeline.batched_strings.StringBatch`, one
-  :class:`~repro.pipeline.kernels.SparsePlan`), which is what the
-  micro-batch scheduler exploits to coalesce concurrent requests.
+  number of queries against a dataset in **one** kernel-engine pass:
+  it builds the queries' side, takes the candidates' rows of the
+  indexed side (:meth:`StringBatch.against
+  <repro.pipeline.batched_strings.StringBatch.against>`) and scores
+  one :class:`~repro.pipeline.kernels.SparsePlan`, so a pass costs
+  time in its queries and candidates, not in the indexed collection.
+  The micro-batch scheduler coalesces concurrent requests into one
+  such pass.
 
 Per-pair scores are independent of which other queries share a pass
-(every schema-based measure is computed per unique pair from exact
-integer-valued statistics), so a coalesced batch returns bit-identical
-scores to one-query-at-a-time execution — the property
-``tests/service/test_coalescing.py`` and ``benchmarks/bench_service.py``
-assert.
+and of how the indexed side numbers its keys (every schema-based
+measure is computed per unique pair from exact integer-valued
+statistics), so a coalesced batch returns bit-identical scores to
+one-query-at-a-time execution and to the all-pairs matrix — the
+properties ``tests/service/test_coalescing.py``,
+``tests/service/test_resolve_sides.py`` and
+``benchmarks/bench_service.py`` assert.
 """
 
 from __future__ import annotations
@@ -42,9 +49,10 @@ from repro.matching.registry import ALGORITHM_CODES, create_matcher
 from repro.pipeline.batched_strings import (
     SCHEMA_BASED_MEASURES,
     StringBatch,
+    StringSide,
     check_measure,
+    schema_based_cells,
     schema_based_matrix,
-    schema_based_pairs,
 )
 from repro.pipeline.blocking import BlockingIndex, canonical_blocking
 from repro.pipeline.engine import ArtifactCache
@@ -81,12 +89,14 @@ class Match:
 
 @dataclass(frozen=True)
 class ResolverIndex:
-    """Frozen per-dataset serving state, built once at warmup.
+    """Per-dataset serving state, built once at warmup.
 
     Queries resolve against the dataset's *right* collection (the
     indexed side); the blocking index freezes corpus statistics over
     both collections exactly as the batch build computes them, so
-    probes match batch candidate rows bit-for-bit.
+    probes match batch candidate rows bit-for-bit.  ``strings`` holds
+    the indexed side's string artifacts: each measure family's are
+    built on first use (the configured measure's at warmup) and kept.
     """
 
     code: str
@@ -96,6 +106,7 @@ class ResolverIndex:
     probe: BlockingIndex = field(repr=False)
     rights: list[str] = field(repr=False)
     right_ids: list[str] = field(repr=False)
+    strings: StringSide = field(repr=False)
 
     @classmethod
     def build(
@@ -128,6 +139,7 @@ class ResolverIndex:
             probe=probe,
             rights=rights,
             right_ids=right_ids,
+            strings=StringSide(rights),
         )
 
     @property
@@ -139,14 +151,15 @@ class ResolverIndex:
 
         The incremental counterpart of a cold rebuild: the blocking
         index grows its posting lists in place under its frozen
-        build-time statistics (:meth:`BlockingIndex.ingest`) and the
-        indexed collection extends, so the very next probe can surface
-        the new records.  Scoring needs no update at all — every
-        resolve pass builds its :class:`StringBatch` from the current
-        ``rights``.  Returns the new indexed-collection size.
+        build-time statistics (:meth:`BlockingIndex.ingest`), and the
+        indexed side's built string artifacts extend in place
+        (:meth:`StringSide.extend`: new values add rows, new keys add
+        columns, no column moves), so the very next probe and pass see
+        the new records.  Returns the new indexed-collection size.
         """
         texts = [text for _, text in records]
         self.probe.ingest(texts)
+        self.strings.extend(texts)
         self.right_ids.extend(record_id for record_id, _ in records)
         self.rights.extend(texts)
         return self.n_indexed
@@ -166,9 +179,9 @@ class ResolverService:
     def __init__(self, indexes: dict[str, ResolverIndex]) -> None:
         self._indexes = dict(indexes)
         # Ingests and resolve passes run on executor threads.  An ingest
-        # grows the probe's posting lists before the indexed collection,
-        # so one lock keeps every pass on a whole pre- or post-ingest
-        # index.
+        # grows the probe's posting lists before the indexed side, and a
+        # pass may build a measure family of the indexed side, so one
+        # lock keeps every pass on a whole pre- or post-ingest index.
         self._lock = threading.Lock()
 
     # ------------------------------------------------------- inventory
@@ -226,8 +239,12 @@ class ResolverService:
 
         Each query is probed through the frozen blocking index; all
         surviving (query, candidate) cells are scored by a single
-        sparse kernel pass.  Returns per-query matches sorted by
-        descending score (ties by record id), truncated to ``top_k``.
+        sparse kernel pass over the queries' side and the candidates'
+        rows of the indexed side.  The pass leaves the index as it
+        was, except that it builds ``measure``'s family of indexed
+        artifacts on its first use.  Returns per-query matches sorted
+        by descending score (ties by record id), truncated to
+        ``top_k``.
         """
         check_measure(measure)
         index = self.index(code)
@@ -241,13 +258,21 @@ class ResolverService:
                 np.arange(len(queries), dtype=np.intp),
                 np.asarray(counts, dtype=np.intp),
             )
-            pair_right = np.concatenate(
-                [ids for ids in candidates if ids.shape[0]]
-            ).astype(np.intp)
-            batch = StringBatch(list(queries), index.rights)
+            records, pair_right = np.unique(
+                np.concatenate([ids for ids in candidates if ids.shape[0]]),
+                return_inverse=True,
+            )
+            batch = StringBatch.against(
+                list(queries), index.strings, records, measure
+            )
             sparse_plan = SparsePlan.build(batch.plan, pair_left, pair_right)
-            values = schema_based_pairs(
-                list(queries), index.rights, measure, sparse_plan, batch
+            values = sparse_plan.scatter(
+                schema_based_cells(
+                    batch,
+                    measure,
+                    sparse_plan.cell_left,
+                    sparse_plan.cell_right,
+                )
             )
             results: list[list[Match]] = []
             offset = 0

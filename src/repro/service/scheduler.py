@@ -6,11 +6,12 @@ one *tick* (the coalescing window), then collects everything else that
 arrived — up to ``max_batch`` — and executes each ``(dataset,
 measure, top_k)`` group as **one**
 :meth:`~repro.service.resolver.ResolverService.resolve_batch` call: one
-``StringBatch``, one ``SparsePlan``, one kernel pass, regardless of
-how many requests rode along.  Per-pair scores don't depend on batch
-composition (see :mod:`repro.service.resolver`), so the responses are
-bit-identical to serial execution — the batch only changes *when* the
-work runs, never *what* it computes.
+query side, one ``SparsePlan``, one kernel pass over the candidates'
+rows of the indexed side, regardless of how many requests rode along.
+Per-pair scores don't depend on batch composition (see
+:mod:`repro.service.resolver`), so the responses are bit-identical to
+serial execution — the batch only changes *when* the work runs, never
+*what* it computes.
 
 ``max_batch=1`` with ``tick=0`` is strict serial per-request
 execution — the baseline ``benchmarks/bench_service.py`` measures the
@@ -23,7 +24,10 @@ pool exposes.  An injected fault fails **that request's future only**;
 the remaining batch members still share their pass, and the frozen
 indexes are untouched.  An error that escapes the per-group guard
 fails the unanswered requests of its batch, and the drain task goes on
-to the next batch.  Kernel passes run one at a time on an
+to the next batch.  :meth:`MicroBatchScheduler.aclose` answers every
+request taken: the queued ones, and the batch the drain task holds in
+its tick or its pass, get ``RuntimeError("scheduler stopped")``.
+Kernel passes run one at a time on an
 executor thread (``run_in_executor``) so the event loop keeps
 accepting requests mid-pass; ``/ingest`` runs on the same executor and
 :class:`~repro.service.resolver.ResolverService` serializes it with
@@ -98,12 +102,10 @@ class MicroBatchScheduler:
             pass
         self._task = None
         # Fail anything still queued rather than leaving it hanging.
+        queued = []
         while not self._queue.empty():
-            pending = self._queue.get_nowait()
-            if not pending.future.done():
-                pending.future.set_exception(
-                    RuntimeError("scheduler stopped")
-                )
+            queued.append(self._queue.get_nowait())
+        _fail(queued, RuntimeError("scheduler stopped"))
 
     @property
     def running(self) -> bool:
@@ -143,18 +145,24 @@ class MicroBatchScheduler:
     async def _drain(self) -> None:
         while True:
             batch = [await self._queue.get()]
-            if self.tick > 0:
-                await asyncio.sleep(self.tick)
-            while not self._queue.empty() and len(batch) < self.max_batch:
-                batch.append(self._queue.get_nowait())
             try:
+                if self.tick > 0:
+                    await asyncio.sleep(self.tick)
+                while (
+                    not self._queue.empty()
+                    and len(batch) < self.max_batch
+                ):
+                    batch.append(self._queue.get_nowait())
                 await self._execute(batch)
+            except asyncio.CancelledError:
+                # Stopped mid-batch (in the tick or a pass): the taken
+                # requests are no longer queued, so answer them here.
+                _fail(batch, RuntimeError("scheduler stopped"))
+                raise
             except Exception as error:
                 # An error outside the per-group guard (an unhashable
                 # group key, say) fails this batch, not the drain task.
-                for pending in batch:
-                    if not pending.future.done():
-                        pending.future.set_exception(error)
+                _fail(batch, error)
 
     async def _execute(self, batch: list[_Pending]) -> None:
         # Fault seam: a poisoned request fails here, alone, before its
@@ -167,8 +175,7 @@ class MicroBatchScheduler:
                     attempt=0,
                 )
             except Exception as error:
-                if not pending.future.done():
-                    pending.future.set_exception(error)
+                _fail([pending], error)
                 continue
             healthy.append(pending)
         groups: dict[tuple[str, str, int], list[_Pending]] = {}
@@ -188,9 +195,7 @@ class MicroBatchScheduler:
                     top_k,
                 )
             except Exception as error:
-                for pending in members:
-                    if not pending.future.done():
-                        pending.future.set_exception(error)
+                _fail(members, error)
                 continue
             self.batches_executed += 1
             self.requests_served += len(members)
@@ -207,3 +212,11 @@ class MicroBatchScheduler:
             "tick": self.tick,
             "max_batch": self.max_batch,
         }
+
+
+def _fail(requests: list[_Pending], error: BaseException) -> None:
+    """Answer every still-unanswered request of ``requests`` with
+    ``error``."""
+    for pending in requests:
+        if not pending.future.done():
+            pending.future.set_exception(error)

@@ -16,7 +16,14 @@ from itertools import chain
 import numpy as np
 from scipy import sparse
 
-__all__ = ["count_matrices", "encode_keys", "first_positions", "presence"]
+__all__ = [
+    "count_matrices",
+    "count_rows",
+    "encode_keys",
+    "first_positions",
+    "presence",
+    "widen",
+]
 
 
 def encode_keys(keys: Iterable[Hashable], vocabulary: dict) -> np.ndarray:
@@ -35,25 +42,44 @@ def first_positions(ids: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(np.maximum.accumulate(ids), prepend=-1))
 
 
+def count_rows(
+    profiles: Sequence[Mapping], vocabulary: dict
+) -> sparse.csr_matrix:
+    """Float64 matrix of one profile list: row ``i`` is profile ``i``.
+
+    A profile maps keys to counts (or weights).  :func:`encode_keys`
+    extends ``vocabulary`` with the profiles' keys, and the matrix
+    spans all of its columns at that point; keys added later take
+    columns to the right (see :func:`widen`).
+    """
+    cols = encode_keys(chain.from_iterable(profiles), vocabulary)
+    return _assemble(profiles, cols, len(vocabulary))
+
+
+def widen(matrix: sparse.csr_matrix, width: int) -> sparse.csr_matrix:
+    """``matrix`` with ``width`` columns, sharing its arrays (the new
+    columns are empty)."""
+    if matrix.shape[1] == width:
+        return matrix
+    return sparse.csr_matrix(
+        (matrix.data, matrix.indices, matrix.indptr),
+        shape=(matrix.shape[0], width),
+    )
+
+
 def count_matrices(
     profiles_left: Sequence[Mapping],
     profiles_right: Sequence[Mapping],
     vocabulary: dict,
 ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """Aligned float64 matrices of two profile lists.
+    """Aligned :func:`count_rows` matrices of two profile lists.
 
-    A profile maps keys to counts (or weights), and row ``i`` of a
-    matrix is profile ``i``.  :func:`encode_keys` extends
-    ``vocabulary`` with the keys of the left list, then the right one;
-    both matrices span all of its columns.
+    The left list's keys extend ``vocabulary`` first, then the right
+    one's; both matrices span all of its columns.
     """
-    cols_left = encode_keys(chain.from_iterable(profiles_left), vocabulary)
-    cols_right = encode_keys(chain.from_iterable(profiles_right), vocabulary)
-    width = len(vocabulary)
-    return (
-        _assemble(profiles_left, cols_left, width),
-        _assemble(profiles_right, cols_right, width),
-    )
+    left = count_rows(profiles_left, vocabulary)
+    right = count_rows(profiles_right, vocabulary)
+    return widen(left, right.shape[1]), right
 
 
 def _assemble(

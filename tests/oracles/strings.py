@@ -146,6 +146,10 @@ class LegacyStringBatch(StringBatch):
     the measures of one value pair share them.
     """
 
+    def __init__(self, lefts: list[str], rights: list[str]) -> None:
+        super().__init__(lefts, rights)
+        self.lefts, self.rights = lefts, rights
+
     @cached_property
     def encoded_rights(self) -> tuple[np.ndarray, np.ndarray]:
         """Code-point matrix and lengths of all right strings."""

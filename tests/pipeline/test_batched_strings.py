@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.pipeline.batched_strings import (
     SCHEMA_BASED_MEASURES,
     StringBatch,
+    StringSide,
     measure_input,
     schema_based_cells,
     schema_based_matrix,
@@ -176,3 +177,144 @@ def test_all_sixteen_measures_dispatchable():
                                      measure)
         assert matrix.shape == (1, 1)
         assert 0.0 <= matrix[0, 0] <= 1.0
+
+
+# ----------------------------------------------------------------------
+# Per-collection sides: grown in place, taken per pass
+# ----------------------------------------------------------------------
+#: Values over a tiny alphabet, so values and keys repeat; empty,
+#: blank and token-less ("!!") values included.
+side_values = st.lists(st.text(alphabet="ab c!", max_size=8), max_size=6)
+
+SIDE_ARTIFACTS = (
+    "encoding",
+    "token_lists",
+    "token_counts",
+    "qgram_counts",
+    "monge_elkan",
+)
+
+
+def _comparable(name: str, built):
+    if name == "encoding":
+        codes, lengths = built
+        return codes.shape, codes.dtype, codes.tobytes(), lengths.tolist()
+    if name == "token_lists":
+        return built
+    if name == "monge_elkan":
+        ids, vocabulary = built
+        return [row.tolist() for row in ids], list(vocabulary)
+    return (
+        built.shape,
+        *((a.dtype, a.tobytes()) for a in (built.data, built.indices)),
+        built.indptr.tolist(),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    head=side_values,
+    tail=side_values,
+    built=st.sets(st.sampled_from(SIDE_ARTIFACTS)),
+)
+def test_extended_side_equals_one_build(head, tail, built):
+    # Artifacts built before an extend grow in place; new keys take
+    # the next columns, which is where one build over both lists puts
+    # them, so the two sides agree array for array.
+    grown = StringSide(head)
+    for name in sorted(built):
+        grown.artifact(name)
+    grown.extend(tail)
+    whole = StringSide(head + tail)
+    assert grown.values == whole.values
+    for attribute in ("inverse", "index", "empty"):
+        a, b = getattr(grown, attribute), getattr(whole, attribute)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    for name in SIDE_ARTIFACTS:
+        assert _comparable(name, grown.artifact(name)) == _comparable(
+            name, whole.artifact(name)
+        ), name
+    assert grown.vocabularies == whole.vocabularies
+
+
+def _rows_by_key(matrix, vocabulary: dict) -> list[dict]:
+    keys = list(vocabulary)
+    return [
+        {
+            keys[column]: value
+            for column, value in zip(
+                matrix.indices[start:stop], matrix.data[start:stop]
+            )
+        }
+        for start, stop in zip(matrix.indptr[:-1], matrix.indptr[1:])
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=side_values.filter(bool),
+    built=st.sets(st.sampled_from(SIDE_ARTIFACTS)),
+    data=st.data(),
+)
+def test_taken_side_equals_a_build_of_its_records(values, built, data):
+    side = StringSide(values)
+    for name in sorted(built):
+        side.artifact(name)
+    records = np.asarray(
+        data.draw(st.lists(st.integers(0, len(values) - 1))), dtype=np.intp
+    )
+    taken = side.take(records)
+    fresh = StringSide([values[record] for record in records])
+    assert taken.values == fresh.values
+    for attribute in ("inverse", "index", "empty"):
+        a, b = getattr(taken, attribute), getattr(fresh, attribute)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    for name in ("encoding", "token_lists", "monge_elkan"):
+        assert _comparable(name, taken.artifact(name)) == _comparable(
+            name, fresh.artifact(name)
+        ), name
+    # Count rows keep the parent's columns: equal key by key.
+    for name, vocabulary in (("token_counts", "tokens"),
+                             ("qgram_counts", "qgrams")):
+        assert _rows_by_key(
+            taken.artifact(name), side.vocabularies[vocabulary]
+        ) == _rows_by_key(
+            fresh.artifact(name), fresh.vocabularies[vocabulary]
+        ), name
+
+
+@pytest.mark.parametrize("measure", SCHEMA_BASED_MEASURES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_against_scores_equal_the_matrix(measure, data):
+    lefts = data.draw(side_values.filter(bool))
+    rights = data.draw(side_values.filter(bool))
+    split = data.draw(st.integers(0, len(rights)))
+    side = StringSide(rights[:split])
+    side.prepare(data.draw(st.sampled_from(SCHEMA_BASED_MEASURES)))
+    side.extend(rights[split:])
+    records = np.asarray(
+        data.draw(st.lists(st.integers(0, len(rights) - 1), min_size=1)),
+        dtype=np.intp,
+    )
+    side.prepare(measure)
+    vocabularies = {k: dict(v) for k, v in side.vocabularies.items()}
+    batch = StringBatch.against(lefts, side, records, measure)
+    picked = [rights[record] for record in records]
+    assert batch.right.values == list(dict.fromkeys(picked))
+    assert [batch.right.values[i] for i in batch.right.inverse] == picked
+    rows, picks = np.divmod(np.arange(len(lefts) * len(records)), len(records))
+    values = schema_based_cells(
+        batch,
+        measure,
+        batch.left.inverse[rows],
+        batch.right.inverse[picks],
+    )
+    expected = schema_based_matrix(lefts, rights, measure)[
+        rows, records[picks]
+    ]
+    assert values.view(np.uint64).tolist() == expected.view(
+        np.uint64
+    ).tolist()
+    # Keys only the left values hold live with the batch.
+    assert side.vocabularies == vocabularies

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
@@ -149,5 +150,32 @@ class TestSchedulerLifecycle:
             assert scheduler._task is task
             await scheduler.aclose()
             assert not scheduler.running
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("stage", ["tick", "pass"])
+    def test_close_answers_a_request_taken_into_a_batch(self, stage):
+        """A request the drain task already holds, waiting out the
+        coalescing tick or inside a pass, is answered when the
+        scheduler stops, not left hanging."""
+
+        class SlowService:
+            def resolve_batch(self, dataset, measure, queries, top_k):
+                time.sleep(0.5)
+                return [[] for _ in queries]
+
+        async def main():
+            scheduler = MicroBatchScheduler(
+                service=SlowService(), tick=1.0 if stage == "tick" else 0.0
+            )
+            scheduler.start()
+            submit = asyncio.ensure_future(
+                scheduler.submit(SERVICE_DATASET, "jaccard", "x")
+            )
+            await asyncio.sleep(0.1)
+            assert scheduler._queue.empty()  # the drain task holds it
+            await scheduler.aclose()
+            with pytest.raises(RuntimeError, match="scheduler stopped"):
+                await asyncio.wait_for(submit, timeout=2)
 
         asyncio.run(main())

@@ -213,6 +213,38 @@ class TestDatasetFlags:
             assert flag in capsys.readouterr().err
 
 
+class TestEnvironmentDefaults:
+    """``REPRO_SCALE`` and ``REPRO_MAX_PAIRS`` stand in for absent
+    dataset flags; a value that is not a positive number exits 2 with
+    one line naming the variable."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["block", "d1"], ["stream", "d1"], ["serve", "d1", "--port", "0"]],
+        ids=["block", "stream", "serve"],
+    )
+    @pytest.mark.parametrize(
+        "variable, value, expected",
+        [
+            ("REPRO_SCALE", value, "a positive number")
+            for value in ("nan", "0", "-1", "abc")
+        ]
+        + [
+            ("REPRO_MAX_PAIRS", value, "a positive integer")
+            for value in ("nan", "0", "-5", "abc", "1.5")
+        ],
+    )
+    def test_bad_value_is_a_usage_error(
+        self, command, variable, value, expected, monkeypatch, capsys
+    ):
+        monkeypatch.setenv(variable, value)
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: {variable} must be {expected}, got {value!r}"
+        ]
+
+
 class TestShardCommand:
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_shard_count_must_be_positive(self, value, capsys):
