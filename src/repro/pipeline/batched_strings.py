@@ -126,15 +126,14 @@ class StringSide:
     """One collection's share of a :class:`StringBatch`.
 
     The unique values in first-occurrence order (the per-side half of
-    :class:`UniquePlan`: ``inverse`` maps records to unique rows,
-    ``index`` unique rows to their first record), their emptiness,
-    and lazily, one per name: the code-point ``encoding``, the
-    ``token_lists``, the ``token_counts`` and ``qgram_counts`` rows and
-    the ``monge_elkan`` token ids.  Count rows number their keys in
-    the ``vocabularies`` a batch's two sides share, left side first,
-    so a batch's count matrices equal a two-list construction array
-    for array.  Monge-Elkan ids number each side's tokens on their
-    own, as the Smith-Waterman grid's axes.
+    :class:`UniquePlan`: ``inverse`` maps records to unique rows),
+    their emptiness, and lazily, one per name: the code-point
+    ``encoding``, the ``token_lists``, the ``token_counts`` and
+    ``qgram_counts`` rows and the ``monge_elkan`` token ids.  Count
+    rows number their keys in the ``vocabularies`` a batch's two sides
+    share, left side first, so a batch's count matrices equal a
+    two-list construction array for array.  Monge-Elkan ids number
+    each side's tokens on their own, as the Smith-Waterman grid's axes.
 
     :meth:`extend` appends records in place: new values add rows to
     every built artifact and new keys add columns, so no row or column
@@ -148,34 +147,45 @@ class StringSide:
         if vocabularies is None:
             vocabularies = {"tokens": {}, "qgrams": {}}
         self.vocabularies = vocabularies
-        self.values: list[str] = []
-        self.inverse = np.zeros(0, dtype=np.intp)
-        self.index = np.zeros(0, dtype=np.intp)
-        self.empty = np.zeros(0, dtype=bool)
         self._rows: dict[str, int] = {}
-        # Built artifacts in build order: an artifact's inputs precede
-        # it, so :meth:`extend` grows them first.
+        self.inverse = encode_keys(values, self._rows)
+        self.values: list[str] = list(self._rows)
+        self.empty = np.array([not s for s in self.values], dtype=bool)
+        # This side's own token numbering (the Monge-Elkan ids).
+        self._token_ids: dict[str, int] = {}
         self._artifacts: dict[str, object] = {}
         # (parent side, unique rows) of a side made by :meth:`take`.
         self._source: tuple[StringSide, np.ndarray] | None = None
-        self.extend(values)
 
     def extend(self, values: list[str]) -> None:
-        """Append records ``values``; built artifacts grow with them."""
-        n_rows, n_records = len(self.values), len(self.inverse)
-        inverse = encode_keys(values, self._rows)
-        firsts = first_positions(np.maximum(inverse - n_rows, -1))
-        added = [values[position] for position in firsts]
-        self.values.extend(added)
-        self.inverse = np.concatenate([self.inverse, inverse])
-        self.index = np.concatenate([self.index, firsts + n_records])
-        self.empty = np.concatenate(
-            [self.empty, np.array([not s for s in added], dtype=bool)]
+        """Append records ``values``; built artifacts grow with them.
+
+        All or nothing: the new values' rows of every built artifact
+        are built, their new keys numbered in staged vocabularies,
+        before any field changes, so a build that raises (say, on a
+        text the code-point encoding rejects) leaves the side as it
+        was.
+        """
+        rows = _StagedKeys(self._rows)
+        inverse = encode_keys(values, rows)
+        part = StringSide(
+            list(rows.added),
+            {
+                name: _StagedKeys(vocabulary)
+                for name, vocabulary in self.vocabularies.items()
+            },
         )
-        for name, built in self._artifacts.items():
-            self._artifacts[name] = _join(
-                name, built, self._build(name, n_rows)
-            )
+        part._token_ids = _StagedKeys(self._token_ids)
+        joined = {
+            name: _join(name, built, part.artifact(name))
+            for name, built in self._artifacts.items()
+        }
+        for staged in (rows, part._token_ids, *part.vocabularies.values()):
+            staged.commit()
+        self.values.extend(part.values)
+        self.inverse = np.concatenate([self.inverse, inverse])
+        self.empty = np.concatenate([self.empty, part.empty])
+        self._artifacts.update(joined)
 
     def take(self, records: np.ndarray) -> "StringSide":
         """The side of records ``records`` (read-only).
@@ -191,7 +201,6 @@ class StringSide:
         side = StringSide([], self.vocabularies)
         side.values = [self.values[row] for row in keep]
         side.inverse = inverse
-        side.index = first_positions(inverse)
         side.empty = self.empty[keep]
         side._source = (self, keep)
         return side
@@ -207,20 +216,20 @@ class StringSide:
                 parent, keep = self._source
                 built = _gather(name, parent.artifact(name), keep)
             else:
-                built = self._build(name, 0)
+                built = self._build(name)
             self._artifacts[name] = built
         return self._artifacts[name]
 
-    def _build(self, name: str, start: int):
-        """Artifact ``name`` of the unique values from row ``start`` on."""
-        values = self.values[start:]
+    def _build(self, name: str):
+        """Artifact ``name`` of every unique value, built here."""
+        values = self.values
         if name == "encoding":
             return encode_strings(values)
         if name == "token_lists":
             return [tokens(s) for s in values]
         if name == "token_counts":
             return count_rows(
-                [Counter(words) for words in self._token_lists(start)],
+                [Counter(words) for words in self.artifact("token_lists")],
                 self.vocabularies["tokens"],
             )
         if name == "qgram_counts":
@@ -229,16 +238,38 @@ class StringSide:
                 self.vocabularies["qgrams"],
             )
         if name == "monge_elkan":
-            vocabulary = self._artifacts["monge_elkan"][1] if start else {}
             ids = [
-                encode_keys(words, vocabulary)
-                for words in self._token_lists(start)
+                encode_keys(words, self._token_ids)
+                for words in self.artifact("token_lists")
             ]
-            return ids, vocabulary
+            return ids, self._token_ids
         raise KeyError(f"StringSide has no artifact {name!r}")
 
-    def _token_lists(self, start: int) -> list[list[str]]:
-        return self.artifact("token_lists")[start:]
+
+class _StagedKeys:
+    """The columns of ``base``'s keys, then keys it lacks, numbered
+    after them; ``base`` itself changes only on :meth:`commit`.
+
+    Defines just what :func:`encode_keys` calls (``setdefault`` and
+    ``len``), so any other use of it as a vocabulary fails loudly.
+    """
+
+    def __init__(self, base: dict) -> None:
+        self.base = base
+        self.added: dict = {}
+
+    def setdefault(self, key, default):
+        column = self.base.get(key)
+        if column is None:
+            column = self.added.setdefault(key, default)
+        return column
+
+    def __len__(self) -> int:
+        return len(self.base) + len(self.added)
+
+    def commit(self) -> None:
+        """Add the staged keys, with their columns, to ``base``."""
+        self.base.update(self.added)
 
 
 def _join(name: str, built, part):
@@ -254,7 +285,7 @@ def _join(name: str, built, part):
     if name == "token_lists":
         return built + part
     if name == "monge_elkan":
-        return built[0] + part[0], part[1]
+        return built[0] + part[0], built[1]
     width = max(built.shape[1], part.shape[1])
     return sparse.vstack(
         [widen(built, width), widen(part, width)], format="csr"
@@ -273,24 +304,6 @@ def _gather(name: str, built, rows: np.ndarray):
     if name == "token_lists":
         return [built[row] for row in rows]
     return built[rows]
-
-
-class _PassVocabulary(dict):
-    """The keys of ``base`` with their columns, then keys it lacks,
-    numbered after them; ``base`` itself never changes."""
-
-    def __init__(self, base: dict) -> None:
-        super().__init__()
-        self.base = base
-
-    def setdefault(self, key, default=None):
-        column = self.base.get(key)
-        if column is None:
-            column = super().setdefault(key, default)
-        return column
-
-    def __len__(self) -> int:
-        return len(self.base) + super().__len__()
 
 
 class StringBatch:
@@ -327,8 +340,8 @@ class StringBatch:
         ``len(lefts) + len(records)``, not the size of ``right``.
         ``right`` builds what ``measure`` reads first, if it has not
         yet; keys it has never seen then get columns after its own, in
-        vocabularies that live with the batch, so the batch changes
-        nothing else in ``right``.  Record ``k`` of the batch's right
+        staged vocabularies the batch never commits, so the batch
+        changes nothing else in ``right``.  Record ``k`` of the batch's right
         side is ``records[k]``.
         """
         right.prepare(measure)
@@ -336,7 +349,7 @@ class StringBatch:
         batch.left = StringSide(
             lefts,
             {
-                name: _PassVocabulary(vocabulary)
+                name: _StagedKeys(vocabulary)
                 for name, vocabulary in right.vocabularies.items()
             },
         )
@@ -369,8 +382,8 @@ class StringBatch:
             rights=tuple(right.values),
             left_inverse=left.inverse,
             right_inverse=right.inverse,
-            left_index=left.index,
-            right_index=right.index,
+            left_index=first_positions(left.inverse),
+            right_index=first_positions(right.inverse),
         )
 
     @cached_property
@@ -388,16 +401,6 @@ class StringBatch:
         """Per-side emptiness of the unique values (the empty-value
         convention masks cells from these two 1-D vectors)."""
         return self.left.empty, self.right.empty
-
-    @cached_property
-    def unique_token_lists(
-        self,
-    ) -> tuple[list[list[str]], list[list[str]]]:
-        """Tokenized unique values of both sides."""
-        return (
-            self.left.artifact("token_lists"),
-            self.right.artifact("token_lists"),
-        )
 
     @cached_property
     def unique_token_sparse(

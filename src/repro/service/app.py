@@ -143,6 +143,15 @@ def create_app(config: ServiceConfig) -> App:
         value = payload.get(name)
         if not isinstance(value, str) or not value.strip():
             raise HTTPError(422, f"{name!r} must be a non-empty string")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            # A JSON escape can spell a lone surrogate, which has no
+            # code-point encoding: in a coalesced pass it would fail
+            # every request of the pass.
+            raise HTTPError(
+                422, f"{name!r} is not valid Unicode (lone surrogate)"
+            ) from None
         return value
 
     def _measure_field(payload: dict) -> str:

@@ -155,11 +155,13 @@ class ResolverIndex:
         indexed side's built string artifacts extend in place
         (:meth:`StringSide.extend`: new values add rows, new keys add
         columns, no column moves), so the very next probe and pass see
-        the new records.  Returns the new indexed-collection size.
+        the new records.  The string side, whose extend is all or
+        nothing, grows first, so a text it rejects leaves the whole
+        index as it was.  Returns the new indexed-collection size.
         """
         texts = [text for _, text in records]
-        self.probe.ingest(texts)
         self.strings.extend(texts)
+        self.probe.ingest(texts)
         self.right_ids.extend(record_id for record_id, _ in records)
         self.rights.extend(texts)
         return self.n_indexed
@@ -179,9 +181,10 @@ class ResolverService:
     def __init__(self, indexes: dict[str, ResolverIndex]) -> None:
         self._indexes = dict(indexes)
         # Ingests and resolve passes run on executor threads.  An ingest
-        # grows the probe's posting lists before the indexed side, and a
-        # pass may build a measure family of the indexed side, so one
-        # lock keeps every pass on a whole pre- or post-ingest index.
+        # grows the indexed side, then the probe's posting lists, then
+        # the record list, and a pass may build a measure family of the
+        # indexed side, so one lock keeps every pass on a whole pre- or
+        # post-ingest index.
         self._lock = threading.Lock()
 
     # ------------------------------------------------------- inventory
@@ -209,9 +212,11 @@ class ResolverService:
 
         Records are ``(record_id, text)`` pairs appended to the
         indexed (right) collection; ids need not be unique but empty
-        texts or ids are rejected.  Subsequent :meth:`resolve_batch`
-        calls see the new records immediately — no rebuild, no
-        service restart.
+        texts or ids are rejected, and so are texts with a lone
+        surrogate (JSON escapes can spell one), which have no
+        code-point encoding or UTF-8 bytes to hash.  Subsequent
+        :meth:`resolve_batch` calls see the new records immediately —
+        no rebuild, no service restart.
         """
         index = self.index(code)
         for record_id, text in records:
@@ -219,6 +224,13 @@ class ResolverService:
                 raise ValueError(
                     "every record needs a non-empty id and text"
                 )
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(
+                    f"record {record_id!r}: text is not valid Unicode "
+                    "(it holds a lone surrogate)"
+                ) from None
         with self._lock:
             n_indexed = index.ingest(records)
         return {

@@ -227,7 +227,7 @@ def test_extended_side_equals_one_build(head, tail, built):
     grown.extend(tail)
     whole = StringSide(head + tail)
     assert grown.values == whole.values
-    for attribute in ("inverse", "index", "empty"):
+    for attribute in ("inverse", "empty"):
         a, b = getattr(grown, attribute), getattr(whole, attribute)
         assert a.dtype == b.dtype and a.tolist() == b.tolist()
     for name in SIDE_ARTIFACTS:
@@ -235,6 +235,40 @@ def test_extended_side_equals_one_build(head, tail, built):
             name, whole.artifact(name)
         ), name
     assert grown.vocabularies == whole.vocabularies
+
+
+def test_failed_extend_leaves_the_side_as_it_was():
+    # A lone surrogate has no code-point encoding.  Built last, the
+    # encoding raises after every other artifact's new rows and keys
+    # are built: the extend must still change nothing.
+    head = ["ab c", "a", "", "!!"]
+    side = StringSide(head)
+    for name in reversed(SIDE_ARTIFACTS):
+        side.artifact(name)
+
+    def state():
+        return (
+            list(side.values),
+            side.inverse.tolist(),
+            side.empty.tolist(),
+            {name: dict(v) for name, v in side.vocabularies.items()},
+            {name: _comparable(name, side.artifact(name))
+             for name in SIDE_ARTIFACTS},
+        )
+
+    before = state()
+    with pytest.raises(UnicodeEncodeError):
+        side.extend(["cc bb", "a", "b\ud800 dd"])
+    assert state() == before
+    side.extend(["cc bb", "a"])
+    whole = StringSide(head + ["cc bb", "a"])
+    assert side.values == whole.values
+    assert side.inverse.tolist() == whole.inverse.tolist()
+    for name in SIDE_ARTIFACTS:
+        assert _comparable(name, side.artifact(name)) == _comparable(
+            name, whole.artifact(name)
+        ), name
+    assert side.vocabularies == whole.vocabularies
 
 
 def _rows_by_key(matrix, vocabulary: dict) -> list[dict]:
@@ -266,7 +300,7 @@ def test_taken_side_equals_a_build_of_its_records(values, built, data):
     taken = side.take(records)
     fresh = StringSide([values[record] for record in records])
     assert taken.values == fresh.values
-    for attribute in ("inverse", "index", "empty"):
+    for attribute in ("inverse", "empty"):
         a, b = getattr(taken, attribute), getattr(fresh, attribute)
         assert a.dtype == b.dtype and a.tolist() == b.tolist()
     for name in ("encoding", "token_lists", "monge_elkan"):

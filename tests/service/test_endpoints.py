@@ -156,6 +156,33 @@ class TestResolve:
 
         run_app(warm_app, scenario)
 
+    def test_lone_surrogate_is_422_and_spares_its_batch(
+        self, warm_app, left_texts
+    ):
+        # A lone surrogate once reached the pass, where the code-point
+        # encoding raised: the pass failed every request it had
+        # coalesced, each with a 500.
+        body = {
+            "dataset": SERVICE_DATASET,
+            "record": left_texts[0],
+            "measure": "levenshtein",
+        }
+
+        async def scenario(client):
+            bad, good = await asyncio.gather(
+                client.post(
+                    "/resolve",
+                    json_body={**body, "record": "a\ud800 " + body["record"]},
+                ),
+                client.post("/resolve", json_body=body),
+            )
+            assert bad.status == 422
+            assert "lone surrogate" in bad.json()["detail"]
+            assert good.status == 200
+            assert good.json()["matches"]
+
+        run_app(warm_app, scenario)
+
     def test_missing_fields_are_422(self, warm_app):
         async def scenario(client):
             for body in (

@@ -11,11 +11,16 @@ import threading
 import pytest
 
 from repro.pipeline.blocking import BlockingIndex
+from repro.service import ServiceConfig, create_app
 from repro.service.resolver import ResolverIndex, ResolverService
 from repro.service.testclient import run_app
 
 SERVICE_DATASET = "d1"
 NOVEL_TEXT = "zephyr quill obsidian marmalade"
+
+#: A text a JSON escape can spell but that is not valid Unicode: it has
+#: no code-point encoding and no UTF-8 bytes.
+LONE_SURROGATE = "a\ud800"
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +65,43 @@ class TestResolverIngest:
             warm_service.ingest(SERVICE_DATASET, [("", NOVEL_TEXT)])
         with pytest.raises(ValueError, match="non-empty"):
             warm_service.ingest(SERVICE_DATASET, [("id", "")])
+
+    def test_rejects_a_lone_surrogate(self, warm_service):
+        index = warm_service.index(SERVICE_DATASET)
+        n_before = index.n_indexed
+        with pytest.raises(ValueError, match="lone surrogate"):
+            warm_service.ingest(
+                SERVICE_DATASET,
+                [("fine", NOVEL_TEXT), ("bad", LONE_SURROGATE)],
+            )
+        assert index.n_indexed == index.probe.n_indexed == n_before
+
+    def test_index_ingest_is_all_or_nothing(self):
+        # Past the service's check, the encoding still rejects the
+        # text: the index must come out as it went in.
+        index = ResolverIndex.build(
+            SERVICE_DATASET, blocking="tokens", scale=0.05, max_pairs=200
+        )
+        side = index.strings
+        for measure in ("jaccard", "monge_elkan", "levenshtein"):
+            side.prepare(measure)
+
+        def state():
+            return (
+                list(side.values),
+                side.inverse.tolist(),
+                {name: dict(v) for name, v in side.vocabularies.items()},
+                side.artifact("token_counts").shape,
+                side.artifact("encoding")[0].shape,
+                len(side.artifact("monge_elkan")[1]),
+            )
+
+        before, n_before = state(), index.n_indexed
+        with pytest.raises(UnicodeEncodeError):
+            index.ingest([("fine", NOVEL_TEXT), ("bad", LONE_SURROGATE)])
+        assert index.n_indexed == index.probe.n_indexed == n_before
+        assert len(index.right_ids) == n_before
+        assert state() == before
 
     def test_unknown_dataset_raises(self, warm_service):
         with pytest.raises(KeyError, match="not served"):
@@ -158,6 +200,60 @@ class TestIngestEndpoint:
             assert entry["n_indexed"] == before + 2
 
         run_app(warm_app, scenario)
+
+    def test_rejected_ingest_leaves_answers_unchanged(self, left_texts):
+        # The configured measure builds the encoded family at warmup.
+        app = create_app(
+            ServiceConfig(
+                datasets=(SERVICE_DATASET,),
+                blocking="tokens",
+                measure="levenshtein",
+                scale=0.05,
+                max_pairs=200,
+            )
+        )
+        queries = [*left_texts[:3], NOVEL_TEXT]
+
+        async def answers(client) -> list:
+            found = []
+            for measure in ("jaccard", "levenshtein"):
+                for query in queries:
+                    response = await client.post(
+                        "/resolve",
+                        json_body={
+                            "dataset": SERVICE_DATASET,
+                            "record": query,
+                            "measure": measure,
+                        },
+                    )
+                    assert response.status == 200
+                    found.append(response.json()["matches"])
+            return found
+
+        async def scenario(client):
+            index = app.state["service"].index(SERVICE_DATASET)
+            side = index.strings
+            before = await answers(client)
+            n_before = index.n_indexed
+            values, inverse = list(side.values), side.inverse.tolist()
+            response = await client.post(
+                "/ingest",
+                json_body={
+                    "dataset": SERVICE_DATASET,
+                    "records": [
+                        {"id": "fine", "text": NOVEL_TEXT},
+                        {"id": "bad", "text": LONE_SURROGATE},
+                    ],
+                },
+            )
+            assert response.status == 422
+            assert "lone surrogate" in response.json()["detail"]
+            assert index.n_indexed == index.probe.n_indexed == n_before
+            assert side.values == values
+            assert side.inverse.tolist() == inverse
+            assert await answers(client) == before
+
+        run_app(app, scenario)
 
     def test_validation_errors(self, warm_app):
         async def scenario(client):

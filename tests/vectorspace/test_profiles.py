@@ -130,7 +130,8 @@ def test_unique_plan_matches_frozen(lefts, rights):
 @given(lefts=sides, rights=right_sides)
 def test_string_batch_profiles_match_frozen(lefts, rights):
     batch = StringBatch(lefts, rights)
-    lists_left, lists_right = batch.unique_token_lists
+    lists_left = batch.left.artifact("token_lists")
+    lists_right = batch.right.artifact("token_lists")
     tokens = frozen._profiles_to_sparse(
         [Counter(words) for words in lists_left],
         [Counter(words) for words in lists_right],
@@ -153,7 +154,8 @@ def test_string_batch_profiles_match_frozen(lefts, rights):
 def test_monge_elkan_ids_match_frozen(lefts, rights):
     batch = StringBatch(lefts, rights)
     ids_left, ids_right, grid = batch.monge_elkan_grid
-    lists_left, lists_right = batch.unique_token_lists
+    lists_left = batch.left.artifact("token_lists")
+    lists_right = batch.right.artifact("token_lists")
     vocab_left, expected_left = frozen._token_vocabulary(lists_left)
     vocab_right, expected_right = frozen._token_vocabulary(lists_right)
     assert len(ids_left) == len(expected_left)
