@@ -14,9 +14,13 @@ then
 * asserts the kernel path is at least ``MIN_SPEEDUP``x faster
   wall-clock on the suite,
 * re-runs the kernel path under ``--threads N`` and asserts the block
-  scheduler's output is invariant under the thread count, and
+  scheduler's output is invariant under the thread count,
 * reports (and differentially checks) the batched RWMD kernel against
-  its frozen pair loop.
+  its frozen pair loop, and
+* embeds the largest column with both semantic models through the
+  batched collection pass and through the frozen scalar bodies
+  (``tests/oracles/embeddings.py``), asserts equal bits and reports
+  both timings.
 
 Run directly (the CI smoke job does)::
 
@@ -46,7 +50,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.datasets.catalog import dataset_spec
 from repro.datasets.generator import generate_dataset
-from repro.embeddings import FastTextLikeModel
+from repro.embeddings import ContextualModel, FastTextLikeModel
+from repro.embeddings.hashing import clear_cache
 from repro.embeddings.measures import word_mover_similarity_matrix
 from repro.pipeline.batched_strings import (
     SCHEMA_BASED_MEASURES,
@@ -54,7 +59,11 @@ from repro.pipeline.batched_strings import (
     schema_based_matrix,
 )
 from repro.pipeline.kernels import UniquePlan, kernel_threads
-from tests.oracles.embeddings import word_mover_similarity_matrix_legacy
+from tests.oracles.embeddings import (
+    contextual_embed_tokens,
+    fasttext_embed_tokens,
+    word_mover_similarity_matrix_legacy,
+)
 from tests.oracles.strings import (
     LegacyStringBatch,
     schema_based_matrix_legacy,
@@ -124,11 +133,54 @@ def assert_identical(legacy: dict, kernel: dict, context: str) -> None:
         )
 
 
+def _largest(columns):
+    return max(columns, key=lambda column: len(column[1]) * len(column[2]))
+
+
+def bench_embeddings(columns) -> tuple[str, dict]:
+    """Differential + timing report of the batched embeddings.
+
+    Both models embed every text of the largest column once through
+    ``embed_collection`` from a cold hash-vector cache, and once
+    through the scalar oracle bodies (which memoize nothing).
+    """
+    label, lefts, rights = _largest(columns)
+    texts = lefts + rights
+    fields = {"embedding_texts": len(texts)}
+    parts = []
+    for model_type, oracle in (
+        (FastTextLikeModel, fasttext_embed_tokens),
+        (ContextualModel, contextual_embed_tokens),
+    ):
+        clear_cache()
+        start = time.perf_counter()
+        batched = model_type().embed_collection(texts)
+        batched_seconds = time.perf_counter() - start
+        model = model_type()
+        start = time.perf_counter()
+        scalar = [oracle(model, text) for text in texts]
+        oracle_seconds = time.perf_counter() - start
+        for text, got, expected in zip(texts, batched, scalar):
+            assert got.shape == expected.shape and np.array_equal(
+                got, expected
+            ), f"{model.name} embedding differs on {label}: {text!r}"
+        fields[f"{model.name}_batched_seconds"] = batched_seconds
+        fields[f"{model.name}_oracle_seconds"] = oracle_seconds
+        parts.append(
+            f"{model.name} oracle {oracle_seconds:.2f}s | batched "
+            f"{batched_seconds:.2f}s"
+        )
+    line = (
+        f"[bench_kernel_engine] embeddings {label} {len(texts)} texts | "
+        + " | ".join(parts)
+        + " (bit-identical)"
+    )
+    return line, fields
+
+
 def bench_rwmd(columns) -> str:
     """Differential + timing report of the batched RWMD kernel."""
-    label, lefts, rights = max(
-        columns, key=lambda column: len(column[1]) * len(column[2])
-    )
+    label, lefts, rights = _largest(columns)
     model = FastTextLikeModel(dim=32)
     plan = UniquePlan.build(lefts, rights)
     left = [model.embed_tokens(text) for text in plan.lefts]
@@ -220,6 +272,8 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     print(bench_rwmd(columns))
+    embeddings_line, embeddings_fields = bench_embeddings(columns)
+    print(embeddings_line)
 
     floor = MIN_SPEEDUP_SMOKE if args.smoke else MIN_SPEEDUP
     passed = speedup >= floor
@@ -234,6 +288,7 @@ def main(argv: list[str] | None = None) -> int:
             floor=floor,
             asserted=not args.no_assert,
             attributes=len(columns),
+            **embeddings_fields,
         )
     if not args.no_assert and not passed:
         print(

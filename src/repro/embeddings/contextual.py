@@ -12,15 +12,20 @@ behaviour the paper reports for BERT-family weights.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
-from repro.embeddings.hashing import hash_vector
-from repro.textsim.tokenize import tokens
+from repro.embeddings.hashing import (
+    HashEmbeddingModel,
+    hash_vectors,
+    unit_rows,
+)
 
 __all__ = ["ContextualModel"]
 
 
-class ContextualModel:
+class ContextualModel(HashEmbeddingModel):
     """Neighbour-mixing contextual embeddings.
 
     Parameters
@@ -77,31 +82,45 @@ class ContextualModel:
         self._positional_cache[position] = encoding
         return encoding
 
-    def embed_tokens(self, text: str) -> np.ndarray:
-        """Context-dependent token vectors, one row per token."""
-        words = tokens(text)
-        if not words:
-            return np.zeros((0, self.dim))
-        base = np.vstack([hash_vector(word, self.dim) for word in words])
-        contextual = np.empty_like(base)
-        n = len(words)
-        for i in range(n):
-            low = max(0, i - self.window)
-            high = min(n, i + self.window + 1)
-            context = base[low:high].mean(axis=0)
-            mixed = (1.0 - self.mix) * base[i] + self.mix * context
-            mixed = mixed + self._positional(i)
-            norm = np.linalg.norm(mixed)
-            contextual[i] = mixed / norm if norm > 0 else mixed
-        return contextual
+    def _rows(self, words: list[list[str]]) -> np.ndarray:
+        """Context-dependent token vectors of every text, stacked.
 
-    def embed_text(self, text: str) -> np.ndarray:
-        """Mean-pooled contextual embedding of ``text``."""
-        matrix = self.embed_tokens(text)
-        if matrix.shape[0] == 0:
-            return np.zeros(self.dim)
-        return matrix.mean(axis=0)
-
-    def embed_texts(self, texts: list[str]) -> np.ndarray:
-        """Stacked text embeddings, one row per input text."""
-        return np.vstack([self.embed_text(text) for text in texts])
+        A window sum is built one offset at a time from zeros, lowest
+        offset first, and divided by the window's size; the mix and the
+        positional rows follow in place: the per-token loop of
+        ``tests/oracles/embeddings.py`` bit for bit.
+        """
+        lengths = [len(text_words) for text_words in words]
+        base = hash_vectors(list(chain.from_iterable(words)), self.dim)
+        n = len(base)
+        if not n:
+            return base
+        length = np.repeat(lengths, lengths)
+        position = np.concatenate([np.arange(k) for k in lengths])
+        total = np.zeros_like(base)
+        size = np.zeros((n, 1))
+        for offset in range(-self.window, self.window + 1):
+            near = position + offset
+            keep = ((near >= 0) & (near < length))[:, None]
+            size += keep
+            # Token i adds token i + offset where both share a text.
+            low, high = max(0, -offset), min(n, n - offset)
+            if low < high:
+                np.add(
+                    total[low:high],
+                    base[low + offset : high + offset],
+                    out=total[low:high],
+                    where=keep[low:high],
+                )
+        total /= size
+        total *= self.mix
+        base *= 1.0 - self.mix
+        base += total
+        positional = np.stack(
+            [self._positional(i) for i in range(max(lengths))]
+        )
+        # The window sums are spent, so their buffer takes the
+        # positional rows ("clip" writes it unbuffered; no position is
+        # out of range).
+        base += np.take(positional, position, axis=0, out=total, mode="clip")
+        return unit_rows(base)

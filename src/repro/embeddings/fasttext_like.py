@@ -10,15 +10,20 @@ pre-trained weights.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
-from repro.embeddings.hashing import hash_vector
-from repro.textsim.tokenize import tokens
+from repro.embeddings.hashing import (
+    HashEmbeddingModel,
+    hash_vectors,
+    unit_rows,
+)
 
 __all__ = ["FastTextLikeModel"]
 
 
-class FastTextLikeModel:
+class FastTextLikeModel(HashEmbeddingModel):
     """Character n-gram composition embeddings.
 
     Parameters
@@ -59,32 +64,28 @@ class FastTextLikeModel:
 
     def embed_token(self, token: str) -> np.ndarray:
         """Unit vector of one token: normalized sum of subword vectors."""
-        cached = self._token_cache.get(token)
-        if cached is not None:
-            return cached
-        total = np.zeros(self.dim)
-        for gram in self._subwords(token):
-            total += hash_vector(gram, self.dim)
-        norm = np.linalg.norm(total)
-        if norm > 0:
-            total = total / norm
-        self._token_cache[token] = total
-        return total
+        return self._rows([[token]])[0]
 
-    def embed_tokens(self, text: str) -> np.ndarray:
-        """Matrix of token vectors, one row per token of ``text``."""
-        words = tokens(text)
-        if not words:
-            return np.zeros((0, self.dim))
-        return np.vstack([self.embed_token(word) for word in words])
+    def _rows(self, words: list[list[str]]) -> np.ndarray:
+        """Every token's vector, each distinct uncached token built once.
 
-    def embed_text(self, text: str) -> np.ndarray:
-        """Mean of the token vectors (zero vector for empty text)."""
-        matrix = self.embed_tokens(text)
-        if matrix.shape[0] == 0:
-            return np.zeros(self.dim)
-        return matrix.mean(axis=0)
-
-    def embed_texts(self, texts: list[str]) -> np.ndarray:
-        """Stacked text embeddings, one row per input text."""
-        return np.vstack([self.embed_text(text) for text in texts])
+        Column ``c`` adds the ``c``-th subword vector of every token that
+        has one into a zero total, so each token sums its subwords in the
+        order of the scalar loop (``tests/oracles/embeddings.py``).
+        """
+        flat = list(chain.from_iterable(words))
+        cache = self._token_cache
+        missing = [word for word in dict.fromkeys(flat) if word not in cache]
+        if missing:
+            grams = [self._subwords(token) for token in missing]
+            counts = np.array([len(token_grams) for token_grams in grams])
+            total = np.zeros((len(missing), self.dim))
+            for column in range(counts.max()):
+                rows = np.flatnonzero(counts > column)
+                total[rows] += hash_vectors(
+                    [grams[row][column] for row in rows.tolist()], self.dim
+                )
+            cache.update(zip(missing, unit_rows(total)))
+        if not flat:
+            return np.empty((0, self.dim))
+        return np.stack([cache[token] for token in flat])

@@ -12,10 +12,11 @@ Three measures, as in the paper's appendix:
 The RWMD matrix no longer evaluates a Python function per pair: texts
 are bucketed by token count and each bucket pair runs one stacked
 ``np.matmul`` (bit-identical per slice to the per-pair gemm) followed
-by batched distance/min reductions; only the final ``np.dot`` weighted
-sums stay per-pair, because BLAS matvec and vector-dot accumulate in
-different orders.  The frozen pair loop and the scalar RWMD it calls
-are test oracles (``tests/oracles/embeddings.py``).
+by batched distance/min reductions and two stacked ``(1, k) @ (k, 1)``
+weighted sums, which numpy computes with the per-pair ``np.dot``
+(a BLAS matvec would accumulate in another order).  The frozen pair
+loop and the scalar RWMD it calls are test oracles
+(``tests/oracles/embeddings.py``).
 """
 
 from __future__ import annotations
@@ -147,14 +148,14 @@ def word_mover_similarity_matrix(
             cols,
             np.stack([token_matrices_right[j].T for j in cols]),
             np.stack([stats_right[j][0] for j in cols]),
-            [stats_right[j][1] for j in cols],
+            np.stack([stats_right[j][1] for j in cols]),
         )
         for count, cols in _count_buckets(counts_right)
     ]
     for count_a, rows in buckets_left:
         stack_a = np.stack([token_matrices_left[i] for i in rows])
         sq_a = np.stack([stats_left[i][0] for i in rows])
-        weights_a = [stats_left[i][1] for i in rows]
+        weights_a = np.stack([stats_left[i][1] for i in rows])
         for count_b, cols, stack_bt, sq_b, weights_b in buckets_right:
             # Tile both bucket axes so the materialized distance
             # tensor stays near the cell cap regardless of how many
@@ -196,10 +197,10 @@ def _count_buckets(counts: np.ndarray) -> list[tuple[int, np.ndarray]]:
 def _rwmd_block(
     stack_a: np.ndarray,
     sq_a: np.ndarray,
-    weights_a: list[np.ndarray],
+    weights_a: np.ndarray,
     stack_bt: np.ndarray,
     sq_b: np.ndarray,
-    weights_b: list[np.ndarray],
+    weights_b: np.ndarray,
 ) -> np.ndarray:
     """RWMD similarities of one ``(count_a, count_b)`` bucket chunk."""
     gram = np.matmul(stack_a[:, None], stack_bt[None, :])
@@ -209,14 +210,9 @@ def _rwmd_block(
     distance = np.sqrt(np.maximum(squared, 0.0))
     nearest_ab = distance.min(axis=3)
     nearest_ba = distance.min(axis=2)
-    n_a, n_b = len(weights_a), len(weights_b)
-    cost = np.empty((n_a, n_b))
-    for i in range(n_a):
-        for j in range(n_b):
-            # np.dot keeps the per-pair accumulation order (BLAS
-            # matvec would not).
-            cost[i, j] = max(
-                np.dot(weights_a[i], nearest_ab[i, j]),
-                np.dot(weights_b[j], nearest_ba[i, j]),
-            )
-    return 1.0 / (1.0 + cost)
+    # Each (1, k) @ (k, 1) slice is the per-pair np.dot, bit for bit.
+    cost = np.maximum(
+        np.matmul(weights_a[:, None, None, :], nearest_ab[..., None]),
+        np.matmul(weights_b[None, :, None, :], nearest_ba[..., None]),
+    )
+    return 1.0 / (1.0 + cost[..., 0, 0])

@@ -11,12 +11,13 @@ tiny fraction of the cost (see DESIGN.md substitutions).
 
 The all-pairs kernel
 (:func:`repro.embeddings.measures.word_mover_similarity_matrix`)
-batches the Gram/distance/min stages over token-count buckets but
-keeps the per-pair operation order of the scalar RWMD, a test oracle
-(``tests/oracles/embeddings.py``): the stacked ``np.matmul`` slices and
-the final ``np.dot`` reductions reproduce it bit for bit, which the
-differential tests in ``tests/pipeline/test_kernels.py`` pin down.
-This module keeps the per-text inputs both share.
+batches the Gram/distance/min stages and the weighted sums over
+token-count buckets but keeps the per-pair operation order of the
+scalar RWMD, a test oracle (``tests/oracles/embeddings.py``): the
+stacked ``np.matmul`` slices reproduce its gemm, and the stacked
+``(1, k) @ (k, 1)`` weighted sums its ``np.dot`` reductions, bit for
+bit, which the differential tests in ``tests/pipeline/test_kernels.py``
+pin down.  This module keeps the per-text inputs both share.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ matchers over each bipartite graph.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,6 +71,7 @@ from repro.pipeline.resilience import (
     RunJournal,
     Task,
 )
+from repro.pipeline.store import atomic_write
 from repro.pipeline.workbench import GraphRecord, generate_corpus
 
 __all__ = [
@@ -145,7 +147,9 @@ def run_experiments(
         config.cache_key() + "_" + _RESULTS_NAME
     )
     if results_path.exists():
-        return _load_results(results_path)
+        results = _load_results(results_path)
+        if results is not None:
+            return results
 
     journal_root = cache_dir / "journal"
     corpus = generate_corpus(
@@ -452,11 +456,26 @@ def _store_results(path: Path, results: list[GraphRunResult]) -> None:
                 "sweeps": sweeps_to_payload(result.sweeps),
             }
         )
-    path.write_text(json.dumps(payload))
+    text = json.dumps(payload)
+    atomic_write(path, lambda handle: handle.write(text.encode()))
 
 
-def _load_results(path: Path) -> list[GraphRunResult]:
-    payload = json.loads(path.read_text())
+def _load_results(path: Path) -> list[GraphRunResult] | None:
+    """The cached results, or ``None`` for a file that does not decode
+    (a torn write): it moves aside to ``quarantine/`` beside it, one
+    line on stderr says so, and the caller recomputes."""
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as error:
+        aside = path.parent / "quarantine" / path.name
+        aside.parent.mkdir(exist_ok=True)
+        path.replace(aside)
+        print(
+            f"results cache {path} does not decode ({error}); "
+            f"moved to {aside}, recomputing",
+            file=sys.stderr,
+        )
+        return None
     results = []
     for entry in payload:
         results.append(

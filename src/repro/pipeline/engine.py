@@ -94,6 +94,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.datasets.generator import CleanCleanDataset
+from repro.embeddings.hashing import pool_rows
 from repro.ngramgraph import (
     common_edge_matrix,
     entity_graph_matrices,
@@ -370,23 +371,21 @@ class ArtifactCache:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Stacked text embeddings, derived from the token embeddings.
 
-        ``embed_text`` is exactly the row mean of ``embed_tokens`` (the
-        zero vector for token-less texts), so pooling the cached token
-        matrices is bit-identical to calling ``embed_texts`` — and one
-        token-embedding pass serves all three semantic measures.  The
-        model and token matrices resolve inside the builder, so a
-        store hit serves the cosine/euclidean measures without
-        instantiating a model or touching the token embeddings.
+        ``embed_texts`` is :func:`~repro.embeddings.hashing.pool_rows`
+        of the token matrices (the row means, the zero vector for
+        token-less texts), so pooling the cached token matrices is
+        bit-identical to calling it — and one token-embedding pass
+        serves all three semantic measures.  The model and token
+        matrices resolve inside the builder, so a store hit serves the
+        cosine/euclidean measures without instantiating a model or
+        touching the token embeddings.
         """
 
         def build():
             model = self.semantic_model(model_name)
-            token_left, token_right = self.token_embeddings(
-                model_name, attribute
-            )
-            return (
-                _pool_token_embeddings(token_left, model.dim),
-                _pool_token_embeddings(token_right, model.dim),
+            return tuple(
+                pool_rows(side, model.dim)
+                for side in self.token_embeddings(model_name, attribute)
             )
 
         return self.get(("text_embeddings", model_name, attribute), build)
@@ -396,11 +395,7 @@ class ArtifactCache:
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         def build():
             model = self.semantic_model(model_name)
-            lefts, rights = self._source(attribute)
-            return (
-                [model.embed_tokens(text) for text in lefts],
-                [model.embed_tokens(text) for text in rights],
-            )
+            return tuple(map(model.embed_collection, self._source(attribute)))
 
         return self.get(("token_embeddings", model_name, attribute), build)
 
@@ -418,18 +413,6 @@ class ArtifactCache:
                 [token_stats(matrix) for matrix in token_right],
             ),
         )
-
-
-def _pool_token_embeddings(
-    token_matrices: list[np.ndarray], dim: int
-) -> np.ndarray:
-    """Mean-pool per-text token matrices into stacked text embeddings."""
-    return np.vstack(
-        [
-            matrix.mean(axis=0) if matrix.shape[0] else np.zeros(dim)
-            for matrix in token_matrices
-        ]
-    )
 
 
 @dataclass(frozen=True)

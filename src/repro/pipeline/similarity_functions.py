@@ -426,8 +426,8 @@ def _semantic_matrix(
     model = make_semantic_model(spec.details["model"])
     measure = spec.details["measure"]
     if measure == "wmd":
-        embeddings_left = [model.embed_tokens(text) for text in lefts]
-        embeddings_right = [model.embed_tokens(text) for text in rights]
+        embeddings_left = model.embed_collection(lefts)
+        embeddings_right = model.embed_collection(rights)
     else:
         embeddings_left = model.embed_texts(lefts)
         embeddings_right = model.embed_texts(rights)

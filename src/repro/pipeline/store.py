@@ -84,8 +84,10 @@ import json
 import os
 import time
 import uuid
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 from scipy import sparse
@@ -95,6 +97,7 @@ __all__ = [
     "StoreEntry",
     "SCHEMA_VERSION",
     "STORE_KINDS",
+    "atomic_write",
     "dataset_store_key",
     "parse_size_budget",
 ]
@@ -115,6 +118,29 @@ _QUARANTINE_DIR = "quarantine"
 #: a live writer's in-flight commit — deleting them would crash its
 #: ``os.replace`` or orphan its manifest.
 _STRAY_GRACE_SECONDS = 3600.0
+
+
+def atomic_write(target: Path, write: Callable[[BinaryIO], object]) -> int:
+    """Write ``target`` atomically; returns its size in bytes.
+
+    ``write`` fills a binary handle on a temp file in ``target``'s
+    directory (``<name>.tmp-<pid>-<hex>``), and ``os.replace`` then
+    publishes it, so a reader sees the old file or the whole new one,
+    never a torn one.  The size comes from the written handle, not a
+    later ``stat``: once renamed, the file may already be gone (a
+    concurrent gc or quarantine), which must not fail this write.
+    """
+    tmp = target.with_name(
+        f"{target.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+    )
+    try:
+        with open(tmp, "wb") as handle:
+            write(handle)
+            nbytes = handle.tell()
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return nbytes
 
 
 def _repro_version() -> str:
@@ -571,7 +597,10 @@ class ArtifactStore:
         if manifest_path.exists():
             return False
         self.root.mkdir(parents=True, exist_ok=True)
-        nbytes = self._atomic_write_npz(payload_path, codec.encode(value))
+        arrays = codec.encode(value)
+        nbytes = atomic_write(
+            payload_path, lambda handle: np.savez_compressed(handle, **arrays)
+        )
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "repro_version": _repro_version(),
@@ -582,7 +611,7 @@ class ArtifactStore:
             "created": time.time(),
         }
         manifest_text = json.dumps(manifest)
-        self._atomic_write_text(manifest_path, manifest_text)
+        atomic_write(manifest_path, lambda h: h.write(manifest_text.encode()))
         if self.size_budget is not None:
             # Amortized enforcement: track the byte total incrementally
             # (one directory scan to seed it) and run the full gc scan
@@ -599,36 +628,6 @@ class ArtifactStore:
                 self.gc(self.size_budget)
                 self._tracked_bytes = None  # rescan lazily next time
         return True
-
-    def _tmp_path(self, target: Path) -> Path:
-        return target.with_name(
-            f"{target.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        )
-
-    def _atomic_write_npz(self, target: Path, arrays: dict) -> int:
-        """Write ``arrays`` to ``target`` atomically; returns its size.
-
-        The size comes from the written handle, not a later ``stat``:
-        once renamed, the payload may already be gone (a concurrent
-        gc or quarantine), which must not fail this write.
-        """
-        tmp = self._tmp_path(target)
-        try:
-            with open(tmp, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
-                nbytes = handle.tell()
-            os.replace(tmp, target)
-        finally:
-            tmp.unlink(missing_ok=True)
-        return nbytes
-
-    def _atomic_write_text(self, target: Path, text: str) -> None:
-        tmp = self._tmp_path(target)
-        try:
-            tmp.write_text(text)
-            os.replace(tmp, target)
-        finally:
-            tmp.unlink(missing_ok=True)
 
     # ------------------------------------------------------ quarantine
     @property

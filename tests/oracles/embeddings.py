@@ -1,4 +1,5 @@
-"""Frozen per-pair RWMD loop: the oracle of the bucketed RWMD kernel.
+"""Frozen scalar embeddings and per-pair RWMD loop: the oracles of the
+batched embeddings and the bucketed RWMD kernel.
 
 Before the kernel engine the semantic RWMD matrix called
 :func:`relaxed_word_mover_distance`, the scalar RWMD of one pair of
@@ -6,16 +7,86 @@ texts, once per pair.  Both are kept here verbatim; the bucketed
 :func:`~repro.embeddings.measures.word_mover_similarity_matrix` must
 equal the loop bit for bit (``tests/pipeline/test_kernels.py``,
 ``benchmarks/bench_kernel_engine.py``).
+
+The scalar embedding bodies are kept here too, one vector or one token
+at a time: :func:`hash_vector` (``default_rng`` per string), the
+subword loop of :func:`fasttext_embed_token` with the per-token stack
+of :func:`fasttext_embed_tokens`, and the per-token window loop of
+:func:`contextual_embed_tokens`.  Their bodies are the ones
+``src/`` ran before the collection pass, verbatim except that the
+memo lookups stay in ``src/`` and a method's ``self`` became the first
+argument (``model``).  ``hash_vectors`` and both models'
+``embed_collection`` must equal them bit for bit
+(``tests/embeddings/test_batched.py``,
+``benchmarks/bench_kernel_engine.py``).
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
+from repro.textsim.tokenize import tokens
+
 __all__ = [
+    "contextual_embed_tokens",
+    "fasttext_embed_token",
+    "fasttext_embed_tokens",
+    "hash_vector",
     "relaxed_word_mover_distance",
     "word_mover_similarity_matrix_legacy",
 ]
+
+
+def hash_vector(text: str, dim: int) -> np.ndarray:
+    """Deterministic unit vector of dimension ``dim`` for ``text``."""
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    seed = int.from_bytes(digest, "little")
+    rng = np.random.default_rng(seed)
+    vector = rng.standard_normal(dim)
+    norm = np.linalg.norm(vector)
+    if norm > 0:
+        vector /= norm
+    return vector
+
+
+def fasttext_embed_token(model, token: str) -> np.ndarray:
+    """Unit vector of one token: normalized sum of subword vectors."""
+    total = np.zeros(model.dim)
+    for gram in model._subwords(token):
+        total += hash_vector(gram, model.dim)
+    norm = np.linalg.norm(total)
+    if norm > 0:
+        total = total / norm
+    return total
+
+
+def fasttext_embed_tokens(model, text: str) -> np.ndarray:
+    """Matrix of token vectors, one row per token of ``text``."""
+    words = tokens(text)
+    if not words:
+        return np.zeros((0, model.dim))
+    return np.vstack([fasttext_embed_token(model, word) for word in words])
+
+
+def contextual_embed_tokens(model, text: str) -> np.ndarray:
+    """Context-dependent token vectors, one row per token."""
+    words = tokens(text)
+    if not words:
+        return np.zeros((0, model.dim))
+    base = np.vstack([hash_vector(word, model.dim) for word in words])
+    contextual = np.empty_like(base)
+    n = len(words)
+    for i in range(n):
+        low = max(0, i - model.window)
+        high = min(n, i + model.window + 1)
+        context = base[low:high].mean(axis=0)
+        mixed = (1.0 - model.mix) * base[i] + model.mix * context
+        mixed = mixed + model._positional(i)
+        norm = np.linalg.norm(mixed)
+        contextual[i] = mixed / norm if norm > 0 else mixed
+    return contextual
 
 
 def word_mover_similarity_matrix_legacy(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.embeddings import FastTextLikeModel
+from repro.embeddings import ContextualModel, FastTextLikeModel
 from repro.embeddings.measures import word_mover_similarity_matrix
 from repro.embeddings.wmd import token_stats
 from repro.pipeline.batched_strings import (
@@ -275,6 +275,65 @@ class TestRwmdDifferential:
         reference[left_empty, :] = 0.0
         reference[:, right_empty] = 0.0
         assert np.array_equal(result, reference)
+
+
+class TestRwmdTiling:
+    """Real model embeddings (dims 64 and 96, up to 40 tokens a text)
+    through every tiling of ``word_mover_similarity_matrix``."""
+
+    COUNTS_LEFT = [1, 2, 3, 8, 17, 40]
+    COUNTS_RIGHT = [1, 5, 12, 33, 40]
+
+    @staticmethod
+    def _texts(rng, counts):
+        # Three texts per token count (each bucket can tile), plus a
+        # token-less one; words repeat across and within texts.
+        vocabulary = [f"w{i}" for i in range(60)]
+        texts = [
+            " ".join(rng.choice(vocabulary, size=count))
+            for count in counts
+            for _ in range(3)
+        ]
+        return texts + [""]
+
+    @pytest.mark.parametrize(
+        "model",
+        [FastTextLikeModel(dim=64), ContextualModel(dim=96)],
+        ids=["dim64", "dim96"],
+    )
+    @pytest.mark.parametrize("cells", [None, 4_096, 2])
+    def test_tiled_buckets_equal_legacy(self, model, cells, monkeypatch):
+        import repro.embeddings.measures as measures
+
+        rng = np.random.default_rng(model.dim)
+        left = model.embed_collection(self._texts(rng, self.COUNTS_LEFT))
+        right = model.embed_collection(self._texts(rng, self.COUNTS_RIGHT))
+        assert max(len(m) for m in left + right) == 40
+        blocks = []
+        block = measures._rwmd_block
+
+        def recording(stack_a, sq_a, weights_a, stack_bt, sq_b, weights_b):
+            blocks.append((len(stack_a), len(stack_bt)))
+            return block(stack_a, sq_a, weights_a, stack_bt, sq_b, weights_b)
+
+        monkeypatch.setattr(measures, "_rwmd_block", recording)
+        if cells is not None:
+            monkeypatch.setattr(measures, "_RWMD_BLOCK_CELLS", cells)
+        stats_left = [token_stats(m) for m in left]
+        stats_right = [token_stats(m) for m in right]
+        new = word_mover_similarity_matrix(
+            left, right, stats_left=stats_left, stats_right=stats_right
+        )
+        legacy = word_mover_similarity_matrix_legacy(
+            left, right, stats_left=stats_left, stats_right=stats_right
+        )
+        assert np.array_equal(new, legacy)
+        pairs = len(self.COUNTS_LEFT) * len(self.COUNTS_RIGHT)
+        if cells == 2:
+            # Every bucket pair splits along both axes of 3 texts.
+            assert all(rows < 3 and cols < 3 for rows, cols in blocks)
+        else:
+            assert len(blocks) >= pairs
 
 
 class TestEngineThreadInvariance:

@@ -472,6 +472,44 @@ class TestCorpusResilience:
 # ----------------------------------------------------------------------
 # Sweep-level failure reporting and resume
 # ----------------------------------------------------------------------
+class TestResultsCache:
+    """A torn results cache is a miss: moved aside, recomputed, said."""
+
+    def test_torn_results_cache_recomputes(self, tmp_path, capsys):
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.runner import run_experiments
+
+        config = ExperimentConfig(
+            corpus=CORPUS_CONFIG, bah_max_moves=100, bah_time_limit=30.0
+        )
+
+        def outcomes(results):
+            # Every field but the per-threshold wall-clock seconds.
+            rows = [dataclasses.asdict(result) for result in results]
+            for row in rows:
+                for sweep in row["sweeps"].values():
+                    for point in sweep["points"]:
+                        del point["seconds"]
+            return rows
+
+        cold = outcomes(run_experiments(config, cache_dir=tmp_path / "a"))
+        cache = tmp_path / "b"
+        run_experiments(config, cache_dir=cache)
+        (path,) = (cache / "experiments").glob("*_results.json")
+        torn = path.stat().st_size // 2
+        faults.truncate_file(path, keep_bytes=torn)
+        capsys.readouterr()
+        assert outcomes(run_experiments(config, cache_dir=cache)) == cold
+        (line,) = capsys.readouterr().err.splitlines()
+        assert str(path) in line
+        aside = cache / "experiments" / "quarantine" / path.name
+        assert aside.stat().st_size == torn
+        # The rewritten cache is whole and serves the next run.
+        assert path.stat().st_size > torn
+        assert outcomes(run_experiments(config, cache_dir=cache)) == cold
+        assert capsys.readouterr().err == ""
+
+
 class TestSweepResilience:
     @pytest.fixture(scope="class")
     def records(self):
