@@ -1,11 +1,12 @@
-"""Service benchmark: micro-batch coalescing, and resolve cost vs growth.
+"""Service benchmark: micro-batch coalescing, idle round trips, and
+resolve cost vs growth.
 
 Stands up the ER-as-a-service app twice over the same warm
 :class:`~repro.service.resolver.ResolverService` configuration — once
 with the micro-batch scheduler coalescing (the production path) and
-once with ``max_batch=1, tick=0`` (strict serial per-request
-execution) — and drives both with ``CLIENTS`` concurrent in-process
-clients, each issuing a stream of ``POST /resolve`` requests.  Then
+once with ``max_batch=1`` (strict serial per-request execution) — and
+drives both with ``CLIENTS`` concurrent in-process clients, each
+issuing a stream of ``POST /resolve`` requests.  Then
 
 * asserts the coalesced path reaches at least ``MIN_SPEEDUP``x the
   serial throughput at the same concurrency,
@@ -14,8 +15,18 @@ clients, each issuing a stream of ``POST /resolve`` requests.  Then
   batch composition cannot change a score), and
 * reports p50/p99 request latency for both modes.
 
-The growth leg then serves perfbench's serve setting (d8, 2,940
-indexed records, ``tokens`` blocking, ``jaccard``) twice and grows one
+The idle leg serves perfbench's serve setting (d8, 2,940 indexed
+records, ``tokens`` blocking, ``jaccard``) to one client that sends
+its next ``POST /resolve`` only after the last one returns, so every
+request finds the scheduler idle.  It alternates ``IDLE_ROUNDS`` such
+round trips with ``IDLE_ROUNDS`` direct one-query
+:meth:`~repro.service.resolver.ResolverService.resolve_batch` passes
+on the same queries, and asserts the median round trip within
+``MAX_IDLE_OVERHEAD_MS`` of the median pass: an idle scheduler starts
+a request's pass at once, so the round trip adds only the ASGI and
+executor hops.
+
+The growth leg then serves the same setting twice and grows one
 of the two indexed collections ``GROWTH_FACTOR``x through ``POST
 /ingest``, with records that share no token with any query, so every
 query keeps its candidates and its answer.  It times
@@ -90,10 +101,19 @@ GROWTH_FACTOR = 10
 #: leaves unchanged.
 MAX_GROWTH = 1.2
 
+#: Idle leg: sequential single-client round trips, each beside a
+#: direct one-query pass.
+IDLE_ROUNDS = 60
 
-def _service_config(
-    smoke: bool, max_batch: int, tick: float
-) -> ServiceConfig:
+#: Ceiling on the median idle round trip minus the median direct pass:
+#: the ASGI parse, the executor hop and the JSON response, with no
+#: wait for companions.  A fixed 2 ms coalescing window before every
+#: pass read 2.6-2.7 ms here on a 2-core box; starting the pass at
+#: once reads 0.3-0.6 ms.
+MAX_IDLE_OVERHEAD_MS = 1.0
+
+
+def _service_config(smoke: bool, max_batch: int) -> ServiceConfig:
     return ServiceConfig(
         datasets=(DATASET,),
         blocking="tokens",
@@ -101,7 +121,6 @@ def _service_config(
         scale=SCALE_SMOKE if smoke else SCALE_FULL,
         max_pairs=MAX_PAIRS,
         seed=42,
-        tick=tick,
         max_batch=max_batch,
     )
 
@@ -184,9 +203,29 @@ def _median_passes_ms(services, queries: list[str]) -> list[float]:
     return [1000.0 * statistics.median(times) for times in seconds]
 
 
-async def _growth() -> tuple[float, float, int, int]:
-    """Median pass of the served index and of a twin grown through
-    ``/ingest``, and the two indexed sizes."""
+async def _idle_ms(client, service, queries: list[str]) -> list[float]:
+    """Median sequential ``/resolve`` round trip and median direct
+    one-query pass on an idle app, the two alternating query by query
+    so that load on the host hits them alike."""
+    trips, passes = [], []
+    for k in range(IDLE_ROUNDS):
+        query = queries[k % len(queries)]
+        start = time.perf_counter()
+        response = await client.post(
+            "/resolve", json_body={"dataset": GROWTH_DATASET, "record": query}
+        )
+        trips.append(time.perf_counter() - start)
+        assert response.status == 200, response.body
+        start = time.perf_counter()
+        service.resolve_batch(GROWTH_DATASET, "jaccard", [query])
+        passes.append(time.perf_counter() - start)
+    return [1000.0 * statistics.median(times) for times in (trips, passes)]
+
+
+async def _serve_setting() -> tuple[float, float, float, float, int, int]:
+    """On perfbench's serve setting: the idle leg's median round trip
+    and pass, then the median pass of the served index and of a twin
+    grown through ``/ingest``, and the two indexed sizes."""
     config = ServiceConfig(
         datasets=(GROWTH_DATASET,),
         blocking="tokens",
@@ -196,11 +235,15 @@ async def _growth() -> tuple[float, float, int, int]:
         seed=42,
     )
     base_app, grown_app = create_app(config), create_app(config)
-    async with AsgiClient(base_app), AsgiClient(grown_app) as client:
+    async with (
+        AsgiClient(base_app) as base_client,
+        AsgiClient(grown_app) as client,
+    ):
         base = base_app.state["service"]
         grown = grown_app.state["service"]
         index = grown.index(GROWTH_DATASET)
         lefts, _ = index.cache.texts()
+        idle_trip_ms, idle_pass_ms = await _idle_ms(base_client, base, lefts)
         queries = lefts[:GROWTH_QUERIES]
         n_base = index.n_indexed
         records = _growth_records(list(index.rights))
@@ -226,7 +269,14 @@ async def _growth() -> tuple[float, float, int, int]:
             GROWTH_DATASET, "jaccard", queries
         ), "growth changed an answer"
         base_ms, grown_ms = _median_passes_ms((base, grown), queries)
-        return base_ms, grown_ms, n_base, index.n_indexed
+        return (
+            idle_trip_ms,
+            idle_pass_ms,
+            base_ms,
+            grown_ms,
+            n_base,
+            index.n_indexed,
+        )
 
 
 def _percentiles(latencies: list[float]) -> tuple[float, float]:
@@ -245,14 +295,12 @@ def main(argv: list[str] | None = None) -> int:
     per_client = REQUESTS_SMOKE if args.smoke else REQUESTS_FULL
     total = CLIENTS * per_client
 
-    serial_app = create_app(
-        _service_config(args.smoke, max_batch=1, tick=0.0)
-    )
+    serial_app = create_app(_service_config(args.smoke, max_batch=1))
     serial_seconds, serial_lat, serial_bodies, _ = asyncio.run(
         _drive(serial_app, per_client)
     )
     coalesced_app = create_app(
-        _service_config(args.smoke, max_batch=CLIENTS * 2, tick=0.002)
+        _service_config(args.smoke, max_batch=CLIENTS * 2)
     )
     batched_seconds, batched_lat, batched_bodies, batch_sizes = asyncio.run(
         _drive(coalesced_app, per_client)
@@ -269,7 +317,10 @@ def main(argv: list[str] | None = None) -> int:
         f"{mismatched[:5]}"
     )
 
-    base_ms, grown_ms, n_base, n_grown = asyncio.run(_growth())
+    idle_trip_ms, idle_pass_ms, base_ms, grown_ms, n_base, n_grown = (
+        asyncio.run(_serve_setting())
+    )
+    idle_overhead = idle_trip_ms - idle_pass_ms
     growth = grown_ms / base_ms
 
     speedup = serial_seconds / batched_seconds
@@ -290,6 +341,11 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"throughput gain {speedup:.2f}x (floor {MIN_SPEEDUP}x) — "
         f"all {total} responses byte-identical to the serial path"
+    )
+    print(
+        f"idle      : /resolve round trip p50 {idle_trip_ms:.2f}ms vs "
+        f"one-query pass p50 {idle_pass_ms:.2f}ms "
+        f"(+{idle_overhead:.2f}ms, ceiling {MAX_IDLE_OVERHEAD_MS}ms)"
     )
     print(
         f"growth    : {GROWTH_QUERIES}-query pass p50 {base_ms:.2f}ms at "
@@ -313,6 +369,9 @@ def main(argv: list[str] | None = None) -> int:
             serial_p99_ms=serial_p99 * 1000,
             coalesced_p50_ms=batched_p50 * 1000,
             coalesced_p99_ms=batched_p99 * 1000,
+            idle_round_trip_p50_ms=idle_trip_ms,
+            idle_pass_p50_ms=idle_pass_ms,
+            idle_overhead_ceiling_ms=MAX_IDLE_OVERHEAD_MS,
             growth_base_p50_ms=base_ms,
             growth_grown_p50_ms=grown_ms,
             growth_base_indexed=n_base,
@@ -327,6 +386,10 @@ def main(argv: list[str] | None = None) -> int:
         assert speedup >= MIN_SPEEDUP, (
             f"coalescing gain {speedup:.2f}x below the "
             f"{MIN_SPEEDUP}x floor"
+        )
+        assert idle_overhead <= MAX_IDLE_OVERHEAD_MS, (
+            f"an idle /resolve round trip took {idle_overhead:.2f}ms "
+            f"beyond its pass, above the {MAX_IDLE_OVERHEAD_MS}ms ceiling"
         )
         assert growth <= MAX_GROWTH, (
             f"pass median grew {growth:.2f}x with a {GROWTH_FACTOR}x "

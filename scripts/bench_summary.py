@@ -60,6 +60,18 @@ def render(title: str, pattern: str) -> list[str]:
                 f"(mean batch {report['mean_batch_size']:.1f}, "
                 f"{report['clients']} concurrent clients)"
             )
+        if "idle_round_trip_p50_ms" in report:
+            overhead = (
+                report["idle_round_trip_p50_ms"] - report["idle_pass_p50_ms"]
+            )
+            ok = overhead <= report["idle_overhead_ceiling_ms"]
+            lines.append(
+                f"  - {'✅' if ok else '❌'} idle /resolve round trip p50 "
+                f"{report['idle_round_trip_p50_ms']:.2f}ms vs one-query "
+                f"pass p50 {report['idle_pass_p50_ms']:.2f}ms "
+                f"(+{overhead:.2f}ms, ceiling "
+                f"{report['idle_overhead_ceiling_ms']:.1f}ms)"
+            )
         if "growth_ratio" in report:
             ok = report["growth_ratio"] <= report["growth_ceiling"]
             lines.append(

@@ -448,12 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_dataset_flags(serve)
     serve.add_argument(
-        "--tick", type=float, default=0.002,
-        help="micro-batch coalescing window in seconds",
-    )
-    serve.add_argument(
-        "--max-batch", type=int, default=64,
-        help="max /resolve requests coalesced into one kernel pass",
+        "--max-batch", type=_positive_int, default=64,
+        help="max /resolve requests coalesced into one kernel pass "
+             "(1 = serial)",
     )
     _add_store_flags(
         serve,
@@ -1060,7 +1057,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         artifact_store=args.artifact_store,
         store_read_tier=_store_read_tier(args),
-        tick=args.tick,
         max_batch=args.max_batch,
     )
     serve(create_app(config), host=args.host, port=args.port)

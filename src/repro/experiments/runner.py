@@ -39,7 +39,6 @@ matchers over each bipartite graph.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,7 +70,7 @@ from repro.pipeline.resilience import (
     RunJournal,
     Task,
 )
-from repro.pipeline.store import atomic_write
+from repro.pipeline.store import atomic_write, quarantine_file
 from repro.pipeline.workbench import GraphRecord, generate_corpus
 
 __all__ = [
@@ -467,14 +466,7 @@ def _load_results(path: Path) -> list[GraphRunResult] | None:
     try:
         payload = json.loads(path.read_text())
     except ValueError as error:
-        aside = path.parent / "quarantine" / path.name
-        aside.parent.mkdir(exist_ok=True)
-        path.replace(aside)
-        print(
-            f"results cache {path} does not decode ({error}); "
-            f"moved to {aside}, recomputing",
-            file=sys.stderr,
-        )
+        quarantine_file(path, "results cache", error)
         return None
     results = []
     for entry in payload:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -35,11 +36,17 @@ _CLASSES: dict[str | None, type[EdgeGraph]] = {
 _KINDS = {cls: kind for kind, cls in _CLASSES.items()}
 
 
-def save_graph(graph: EdgeGraph, path: str | Path) -> None:
+def save_graph(graph: EdgeGraph, path: str | Path | BinaryIO) -> None:
     """Write ``graph`` (either kind) to ``path`` as a compressed
-    ``.npz`` bundle."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    ``.npz`` bundle.
+
+    ``path`` may also be an open binary handle, such as the temp file
+    of :func:`repro.pipeline.store.atomic_write`; the caller owns its
+    directory and name.
+    """
+    if not hasattr(path, "write"):
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
     header: dict = {"version": _FORMAT_VERSION}
     kind = _KINDS[type(graph)]
     if kind is not None:

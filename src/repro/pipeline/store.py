@@ -82,6 +82,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 import uuid
 from collections.abc import Callable
@@ -141,6 +142,20 @@ def atomic_write(target: Path, write: Callable[[BinaryIO], object]) -> int:
     finally:
         tmp.unlink(missing_ok=True)
     return nbytes
+
+
+def quarantine_file(path: Path, what: str, error: Exception) -> None:
+    """Move ``path``, a cache file that does not decode (a torn
+    write), to ``quarantine/`` beside it and say so in one line on
+    stderr; the caller then recomputes what it held."""
+    aside = path.parent / _QUARANTINE_DIR / path.name
+    aside.parent.mkdir(exist_ok=True)
+    path.replace(aside)
+    print(
+        f"{what} {path} does not decode ({error}); "
+        f"moved to {aside}, recomputing",
+        file=sys.stderr,
+    )
 
 
 def _repro_version() -> str:

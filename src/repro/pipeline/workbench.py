@@ -70,6 +70,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -102,7 +103,12 @@ from repro.pipeline.similarity_functions import (
     FAMILIES,
     enumerate_function_specs,
 )
-from repro.pipeline.store import ArtifactStore, dataset_store_key
+from repro.pipeline.store import (
+    ArtifactStore,
+    atomic_write,
+    dataset_store_key,
+    quarantine_file,
+)
 
 __all__ = [
     "BIPARTITE",
@@ -423,7 +429,9 @@ def _generate_kind(
             kind.cache_prefix + config.cache_key()
         )
         if (cache_dir / _MANIFEST_NAME).exists():
-            return _load_cached(cache_dir)
+            records = _load_cached(cache_dir)
+            if records is not None:
+                return records
 
     if config.max_memory is None:
         fan_out, run = _dense_records, kind.label
@@ -865,16 +873,19 @@ def _manifest_body(records: list[GraphRecord], filenames) -> dict:
     return {"ground_truth": ground_truth, "graphs": graphs}
 
 
-def _records_from_body(body: dict, directory: Path) -> list[GraphRecord]:
-    """Inverse of :func:`_manifest_body` over the graph files in
-    ``directory``; every dataset's records share one truth set."""
+def _records_from_body(
+    body: dict, graphs: list[SimilarityGraph | UnipartiteGraph]
+) -> list[GraphRecord]:
+    """Inverse of :func:`_manifest_body`, with ``graphs`` loaded from
+    the entries' files in order; every dataset's records share one
+    truth set."""
     shared_truth = {
         code: {tuple(pair) for pair in pairs}
         for code, pairs in body["ground_truth"].items()
     }
     return [
         GraphRecord(
-            graph=load_graph(directory / entry["file"]),
+            graph=graph,
             dataset=entry["dataset"],
             family=entry["family"],
             function=entry["function"],
@@ -887,7 +898,7 @@ def _records_from_body(body: dict, directory: Path) -> list[GraphRecord]:
             dedup_ratio=entry.get("dedup_ratio", 1.0),
             candidate_reduction=entry.get("candidate_reduction", 1.0),
         )
-        for entry in body["graphs"]
+        for entry, graph in zip(body["graphs"], graphs)
     ]
 
 
@@ -905,7 +916,9 @@ def _store_cache(
     which releases the GIL, and the resilient runner retries a
     transiently failed write).  The manifest is written only after
     every graph file landed, keeping a crashed run invisible to
-    :func:`_load_cached`.
+    :func:`_load_cached`.  Every file goes through
+    :func:`~repro.pipeline.store.atomic_write`, so a killed write
+    leaves the previous file or none, never a short one.
     """
     cache_dir.mkdir(parents=True, exist_ok=True)
     filenames = [f"graph_{index:04d}.npz" for index in range(len(records))]
@@ -915,7 +928,7 @@ def _store_cache(
             [
                 Task(
                     key=filename,
-                    fn=save_graph,
+                    fn=_save_graph_file,
                     args=(record.graph, cache_dir / filename),
                 )
                 for record, filename in zip(records, filenames)
@@ -923,23 +936,45 @@ def _store_cache(
         )
     else:
         for record, filename in zip(records, filenames):
-            save_graph(record.graph, cache_dir / filename)
-    manifest = {
-        **dict(kind.manifest_header),
-        **_manifest_body(records, filenames),
-    }
-    (cache_dir / _MANIFEST_NAME).write_text(json.dumps(manifest))
+            _save_graph_file(record.graph, cache_dir / filename)
+    text = json.dumps(
+        {**dict(kind.manifest_header), **_manifest_body(records, filenames)}
+    )
+    atomic_write(
+        cache_dir / _MANIFEST_NAME, lambda handle: handle.write(text.encode())
+    )
 
 
-def _load_cached(cache_dir: Path) -> list[GraphRecord]:
-    manifest = json.loads((cache_dir / _MANIFEST_NAME).read_text())
-    if isinstance(manifest, list):
-        # v1 manifests carried a full ground-truth copy per entry.
-        truth: dict[str, list] = {}
-        for entry in manifest:
-            truth.setdefault(entry["dataset"], entry["ground_truth"])
-        manifest = {"ground_truth": truth, "graphs": manifest}
-    return _records_from_body(manifest, cache_dir)
+def _save_graph_file(
+    graph: SimilarityGraph | UnipartiteGraph, path: Path
+) -> None:
+    atomic_write(path, lambda handle: save_graph(graph, handle))
+
+
+def _load_cached(cache_dir: Path) -> list[GraphRecord] | None:
+    """The cached corpus, or ``None`` when one of its files does not
+    load (a torn write, say): that file moves to ``quarantine/``
+    beside it, one line on stderr says so, and the caller regenerates
+    the corpus."""
+    path = cache_dir / _MANIFEST_NAME
+    try:
+        manifest = json.loads(path.read_text())
+        if isinstance(manifest, list):
+            # v1 manifests carried a full ground-truth copy per entry.
+            truth: dict[str, list] = {}
+            for entry in manifest:
+                truth.setdefault(entry["dataset"], entry["ground_truth"])
+            manifest = {"ground_truth": truth, "graphs": manifest}
+        graphs = []
+        for entry in manifest["graphs"]:
+            path = cache_dir / entry["file"]
+            graphs.append(load_graph(path))
+    except (ValueError, zipfile.BadZipFile, EOFError) as error:
+        # A short npz has no zip directory (BadZipFile); an empty file
+        # has no magic (EOFError).  Neither is a ValueError.
+        quarantine_file(path, "corpus cache", error)
+        return None
+    return _records_from_body(manifest, graphs)
 
 
 def _write_records(chunk: list[GraphRecord], path: Path) -> None:
@@ -956,7 +991,9 @@ def _write_records(chunk: list[GraphRecord], path: Path) -> None:
 
 def _read_records(path: Path) -> list[GraphRecord]:
     body = json.loads((path / "records.json").read_text())
-    return _records_from_body(body, path)
+    return _records_from_body(
+        body, [load_graph(path / entry["file"]) for entry in body["graphs"]]
+    )
 
 
 def _write_shard_entry(results: list[SpecScores], path: Path) -> None:

@@ -9,16 +9,20 @@ policy lives in :class:`~repro.service.scheduler.MicroBatchScheduler`.
 Endpoints
 ---------
 ``GET /healthz``
-    Liveness + warmup state + scheduler statistics.  503 until the
-    lifespan startup has built every configured index, and whenever
-    the scheduler's drain task is not running.
+    Liveness + warmup state + scheduler statistics (passes run,
+    requests served, requests queued but not yet in a batch, and the
+    batch bound).  503 until the lifespan startup has built every
+    configured index, and whenever the scheduler's drain task is not
+    running.
 ``GET /datasets``
     The served datasets and their frozen-index shapes.
 ``POST /resolve``
     ``{"dataset", "record", "measure"?, "top_k"?, "tag"?}`` — resolve
     one record against an indexed collection through the micro-batch
-    scheduler.  The ``X-Batch-Size`` response header reports how many
-    concurrent requests shared the kernel pass.
+    scheduler, which starts a pass as soon as the one ahead of it ends:
+    the requests that queued while a pass ran share the next one.  The
+    ``X-Batch-Size`` response header reports how many concurrent
+    requests shared the kernel pass.
 ``POST /match``
     ``{"left": [...], "right": [...], "algorithm", "threshold"?,
     "measure"?}`` — match two small ad-hoc collections with any of
@@ -65,7 +69,6 @@ class ServiceConfig:
     seed: int = 42
     artifact_store: str | None = None
     store_read_tier: str | None = None
-    tick: float = 0.002
     max_batch: int = 64
 
 
@@ -101,13 +104,11 @@ def create_app(config: ServiceConfig) -> App:
     async def lifespan(app: App):
         import asyncio
 
+        # Made before the warmup, so that a bad max_batch fails first.
+        scheduler = MicroBatchScheduler(None, max_batch=config.max_batch)
         loop = asyncio.get_running_loop()
         service = await loop.run_in_executor(None, _warm_service, config)
-        scheduler = MicroBatchScheduler(
-            service,
-            tick=config.tick,
-            max_batch=config.max_batch,
-        )
+        scheduler.service = service
         scheduler.start()
         app.state["service"] = service
         app.state["scheduler"] = scheduler

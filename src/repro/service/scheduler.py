@@ -1,10 +1,12 @@
 """Micro-batch scheduler: coalesce concurrent resolves into one pass.
 
 Every ``POST /resolve`` becomes a :class:`_Pending` item on an asyncio
-queue.  A single drain task picks up the first waiting item, sleeps
-one *tick* (the coalescing window), then collects everything else that
-arrived — up to ``max_batch`` — and executes each ``(dataset,
-measure, top_k)`` group as **one**
+queue.  A single drain task takes the first waiting item plus
+everything already queued behind it (up to ``max_batch``) and starts
+the pass at once, so a batch is exactly the requests that queued while
+the previous pass ran, and a request to an idle scheduler runs alone
+without waiting for companions.  Each ``(dataset, measure, top_k)``
+group of a batch executes as **one**
 :meth:`~repro.service.resolver.ResolverService.resolve_batch` call: one
 query side, one ``SparsePlan``, one kernel pass over the candidates'
 rows of the indexed side, regardless of how many requests rode along.
@@ -13,9 +15,8 @@ Per-pair scores don't depend on batch composition (see
 serial execution — the batch only changes *when* the work runs, never
 *what* it computes.
 
-``max_batch=1`` with ``tick=0`` is strict serial per-request
-execution — the baseline ``benchmarks/bench_service.py`` measures the
-coalescing gain against.
+``max_batch=1`` is strict serial per-request execution — the baseline
+``benchmarks/bench_service.py`` measures the coalescing gain against.
 
 Fault isolation: before a request joins a batch the scheduler calls
 :func:`repro.testing.faults.maybe_inject` with the request's task key
@@ -26,7 +27,7 @@ indexes are untouched.  An error that escapes the per-group guard
 fails the unanswered requests of its batch, and the drain task goes on
 to the next batch.  :meth:`MicroBatchScheduler.aclose` answers every
 request taken: the queued ones, and the batch the drain task holds in
-its tick or its pass, get ``RuntimeError("scheduler stopped")``.
+its pass, get ``RuntimeError("scheduler stopped")``.
 Kernel passes run one at a time on an
 executor thread (``run_in_executor``) so the event loop keeps
 accepting requests mid-pass; ``/ingest`` runs on the same executor and
@@ -37,6 +38,7 @@ the passes.
 from __future__ import annotations
 
 import asyncio
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -66,22 +68,19 @@ class MicroBatchScheduler:
     ----------
     service:
         The warm :class:`~repro.service.resolver.ResolverService`.
-    tick:
-        Coalescing window in seconds: how long the drain task waits
-        after the first request of a batch for companions to arrive.
     max_batch:
-        Upper bound on requests per drain cycle.
+        Upper bound on requests per drain cycle: an integer of at
+        least 1 (a bool, a float or a smaller value raises
+        ``ValueError``).
     """
 
     def __init__(
         self,
         service: ResolverService,
-        tick: float = 0.002,
         max_batch: int = 64,
     ) -> None:
         self.service = service
-        self.tick = tick
-        self.max_batch = max(int(max_batch), 1)
+        self.max_batch = _batch_bound(max_batch)
         self._queue: asyncio.Queue[_Pending] = asyncio.Queue()
         self._task: asyncio.Task | None = None
         self.batches_executed = 0
@@ -146,8 +145,6 @@ class MicroBatchScheduler:
         while True:
             batch = [await self._queue.get()]
             try:
-                if self.tick > 0:
-                    await asyncio.sleep(self.tick)
                 while (
                     not self._queue.empty()
                     and len(batch) < self.max_batch
@@ -155,8 +152,8 @@ class MicroBatchScheduler:
                     batch.append(self._queue.get_nowait())
                 await self._execute(batch)
             except asyncio.CancelledError:
-                # Stopped mid-batch (in the tick or a pass): the taken
-                # requests are no longer queued, so answer them here.
+                # Stopped mid-pass: the taken requests are no longer
+                # queued, so answer them here.
                 _fail(batch, RuntimeError("scheduler stopped"))
                 raise
             except Exception as error:
@@ -206,12 +203,27 @@ class MicroBatchScheduler:
 
     # ------------------------------------------------------ statistics
     def stats(self) -> dict[str, Any]:
+        """Counters for ``/healthz``; ``queue_depth`` counts the
+        requests queued but not yet taken into a batch."""
         return {
             "batches_executed": self.batches_executed,
             "requests_served": self.requests_served,
-            "tick": self.tick,
+            "queue_depth": self._queue.qsize(),
             "max_batch": self.max_batch,
         }
+
+
+def _batch_bound(max_batch: object) -> int:
+    """``max_batch`` as an ``int`` (numpy integers included), or a
+    ``ValueError`` naming it for a bool, a non-integer or a value
+    below 1."""
+    if isinstance(max_batch, bool) or not isinstance(
+        max_batch, numbers.Integral
+    ):
+        raise ValueError(f"max_batch must be an integer, got {max_batch!r}")
+    if max_batch < 1:
+        raise ValueError(f"max_batch must be at least 1, got {max_batch}")
+    return int(max_batch)
 
 
 def _fail(requests: list[_Pending], error: BaseException) -> None:

@@ -468,6 +468,40 @@ class TestCorpusResilience:
         _assert_same_records(clean, warm)
         assert ArtifactStore(store_dir).quarantine_counts()[0] >= 1
 
+    @pytest.mark.parametrize("name", ["manifest.json", "graph_0001.npz"])
+    def test_torn_corpus_cache_file_regenerates(
+        self, clean, name, tmp_path, capsys
+    ):
+        """A torn corpus cache file is a miss: moved aside, said in one
+        stderr line, and the corpus regenerated into a whole cache."""
+        generate_corpus(CORPUS_CONFIG, cache_dir=tmp_path)
+        (manifest,) = tmp_path.glob("*/manifest.json")
+        cache = manifest.parent
+        path = cache / name
+        torn = path.stat().st_size // 2
+        faults.truncate_file(path, keep_bytes=torn)
+        capsys.readouterr()
+        recovered = generate_corpus(CORPUS_CONFIG, cache_dir=tmp_path)
+        _assert_same_records(clean, recovered)
+        (line,) = capsys.readouterr().err.splitlines()
+        assert str(path) in line
+        assert (cache / "quarantine" / name).stat().st_size == torn
+
+        def written():
+            return {
+                file.name: file.stat().st_mtime_ns
+                for file in cache.iterdir()
+                if file.is_file()
+            }
+
+        # The rewritten cache is whole: the next run loads it as is.
+        before = written()
+        assert path.name in before
+        loaded = generate_corpus(CORPUS_CONFIG, cache_dir=tmp_path)
+        _assert_same_records(clean, loaded)
+        assert written() == before
+        assert capsys.readouterr().err == ""
+
 
 # ----------------------------------------------------------------------
 # Sweep-level failure reporting and resume

@@ -26,7 +26,6 @@ def service_config(**overrides) -> ServiceConfig:
         scale=0.05,
         max_pairs=200,
         seed=42,
-        tick=0.002,
         max_batch=64,
     )
     defaults.update(overrides)

@@ -10,8 +10,12 @@ of response bodies between serial and concurrent execution.
 from __future__ import annotations
 
 import asyncio
+import threading
+
+import numpy as np
 
 from repro.service import ServiceConfig, create_app
+from repro.service.scheduler import MicroBatchScheduler
 from repro.service.testclient import run_app
 
 SERVICE_DATASET = "d1"
@@ -24,7 +28,6 @@ def _config(**overrides) -> ServiceConfig:
         measure="jaccard",
         scale=0.05,
         max_pairs=200,
-        tick=0.002,
     )
     defaults.update(overrides)
     return ServiceConfig(**defaults)
@@ -54,7 +57,7 @@ def _bodies(app, queries, concurrent: bool, measure=None):
 class TestCoalescingEquivalence:
     def test_concurrent_equals_serial_byte_for_byte(self, left_texts):
         queries = [left_texts[k % len(left_texts)] for k in range(24)]
-        serial_app = create_app(_config(max_batch=1, tick=0.0))
+        serial_app = create_app(_config(max_batch=1))
         serial = _bodies(serial_app, queries, concurrent=False)
         batched_app = create_app(_config())
         batched = _bodies(batched_app, queries, concurrent=True)
@@ -64,7 +67,7 @@ class TestCoalescingEquivalence:
         assert max(sizes) > 1
 
     def test_mixed_measures_coalesce_correctly(self, left_texts):
-        """A tick may carry different measures; each group must score
+        """A batch may carry different measures; each group must score
         under its own measure, identical to its serial result."""
         queries = [left_texts[k % len(left_texts)] for k in range(8)]
         app = create_app(_config())
@@ -89,11 +92,11 @@ class TestCoalescingEquivalence:
             return await asyncio.gather(*jobs)
 
         mixed_bodies = run_app(app, mixed)
-        serial_app = create_app(_config(max_batch=1, tick=0.0))
+        serial_app = create_app(_config(max_batch=1))
         jaccard = _bodies(
             serial_app, queries[0::2], concurrent=False, measure="jaccard"
         )
-        serial_app2 = create_app(_config(max_batch=1, tick=0.0))
+        serial_app2 = create_app(_config(max_batch=1))
         jaro = _bodies(
             serial_app2, queries[1::2], concurrent=False, measure="jaro"
         )
@@ -149,6 +152,68 @@ class TestCoalescingEquivalence:
             return responses
 
         run_app(app, scenario)
+
+
+class GatedService:
+    """A fake service whose passes wait for ``gate``; it records each
+    pass's queries and answers each query with itself."""
+
+    def __init__(self) -> None:
+        self.passes: list[list[str]] = []
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def resolve_batch(self, dataset, measure, queries, top_k):
+        self.passes.append(list(queries))
+        self.entered.set()
+        assert self.gate.wait(timeout=10)
+        return [[query] for query in queries]
+
+
+class TestContinuousBatching:
+    def test_a_batch_is_what_queued_during_the_pass_ahead(self):
+        """An idle scheduler runs a request alone at once; requests
+        submitted while that pass runs share the next pass, in submit
+        order, up to ``max_batch`` (a numpy integer is taken)."""
+        service = GatedService()
+
+        async def main():
+            scheduler = MicroBatchScheduler(service, max_batch=np.int64(3))
+            assert type(scheduler.max_batch) is int
+            scheduler.start()
+            try:
+                first = asyncio.ensure_future(
+                    scheduler.submit(SERVICE_DATASET, "jaccard", "q0")
+                )
+                assert await asyncio.to_thread(service.entered.wait, 10)
+                assert service.passes == [["q0"]]
+                rest = [
+                    asyncio.ensure_future(
+                        scheduler.submit(SERVICE_DATASET, "jaccard", f"q{k}")
+                    )
+                    for k in range(1, 6)
+                ]
+                for _ in range(100):
+                    if scheduler.stats()["queue_depth"] == 5:
+                        break
+                    await asyncio.sleep(0)
+                assert scheduler.stats()["queue_depth"] == 5
+                service.gate.set()
+                answers = await asyncio.wait_for(
+                    asyncio.gather(first, *rest), timeout=10
+                )
+                assert scheduler.stats()["queue_depth"] == 0
+            finally:
+                service.gate.set()
+                await scheduler.aclose()
+            return answers
+
+        answers = asyncio.run(main())
+        assert service.passes == [["q0"], ["q1", "q2", "q3"], ["q4", "q5"]]
+        assert [matches for matches, _ in answers] == [
+            [f"q{k}"] for k in range(6)
+        ]
+        assert [size for _, size in answers] == [1, 3, 3, 3, 2, 2]
 
 
 class TestSchedulerAccounting:

@@ -19,7 +19,7 @@ class TestHealthz:
             assert payload["status"] == "ok"
             assert payload["datasets"] == [SERVICE_DATASET]
             assert payload["scheduler"]["max_batch"] == 64
-            assert payload["scheduler"]["tick"] == 0.002
+            assert payload["scheduler"]["queue_depth"] == 0
             return payload
 
         run_app(warm_app, scenario)

@@ -68,7 +68,7 @@ class TestPoisonedRequestIsolation:
         survivors = run_app(app, scenario)
         # The survivors' scores are exactly what an unpoisoned serial
         # run produces: the fault never reached the shared pass.
-        clean_app = create_app(_config(max_batch=1, tick=0.0))
+        clean_app = create_app(_config(max_batch=1))
 
         async def clean(client):
             out = []
@@ -155,13 +155,13 @@ class TestPoisonedRequestIsolation:
 class TestResolverErrorIsolation:
     def test_engine_error_fails_only_its_group(self, left_texts):
         """A request whose group raises (unknown measure reaching the
-        engine) must not fail other groups in the same tick."""
+        engine) must not fail other groups in the same batch."""
         app = create_app(_config())
 
         async def scenario(client):
             scheduler = app.state["scheduler"]
             # Bypass handler validation to hit the engine-level error
-            # path inside a shared tick.
+            # path inside a shared batch.
             good = scheduler.submit(
                 SERVICE_DATASET, "jaccard", left_texts[0]
             )

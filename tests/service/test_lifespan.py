@@ -71,6 +71,22 @@ class TestWarmup:
         with pytest.raises(LifespanFailed, match="unknown dataset"):
             asyncio.run(main())
 
+    def test_bad_max_batch_fails_startup_before_warmup(self, monkeypatch):
+        import repro.service.app as service_app
+
+        def warm(config):
+            raise AssertionError("warmed up before the max_batch check")
+
+        monkeypatch.setattr(service_app, "_warm_service", warm)
+        app = create_app(_config(max_batch=0))
+
+        async def main():
+            async with AsgiClient(app):
+                pass  # pragma: no cover - startup must fail
+
+        with pytest.raises(LifespanFailed, match="max_batch must be at"):
+            asyncio.run(main())
+
     def test_invalid_blocking_fails_startup(self):
         app = create_app(_config(blocking="bogus"))
 
@@ -153,11 +169,9 @@ class TestSchedulerLifecycle:
 
         asyncio.run(main())
 
-    @pytest.mark.parametrize("stage", ["tick", "pass"])
-    def test_close_answers_a_request_taken_into_a_batch(self, stage):
-        """A request the drain task already holds, waiting out the
-        coalescing tick or inside a pass, is answered when the
-        scheduler stops, not left hanging."""
+    def test_close_answers_a_request_taken_into_a_batch(self):
+        """A request the drain task already holds inside a pass is
+        answered when the scheduler stops, not left hanging."""
 
         class SlowService:
             def resolve_batch(self, dataset, measure, queries, top_k):
@@ -165,9 +179,7 @@ class TestSchedulerLifecycle:
                 return [[] for _ in queries]
 
         async def main():
-            scheduler = MicroBatchScheduler(
-                service=SlowService(), tick=1.0 if stage == "tick" else 0.0
-            )
+            scheduler = MicroBatchScheduler(service=SlowService())
             scheduler.start()
             submit = asyncio.ensure_future(
                 scheduler.submit(SERVICE_DATASET, "jaccard", "x")
@@ -179,3 +191,17 @@ class TestSchedulerLifecycle:
                 await asyncio.wait_for(submit, timeout=2)
 
         asyncio.run(main())
+
+    @pytest.mark.parametrize(
+        "max_batch, message",
+        [
+            (0, "at least 1, got 0"),
+            (-5, "at least 1, got -5"),
+            (2.5, "an integer, got 2.5"),
+            (True, "an integer, got True"),
+            ("4", "an integer, got '4'"),
+        ],
+    )
+    def test_max_batch_fails_fast(self, max_batch, message):
+        with pytest.raises(ValueError, match=f"max_batch must be {message}"):
+            MicroBatchScheduler(service=None, max_batch=max_batch)

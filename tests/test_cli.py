@@ -254,6 +254,15 @@ class TestShardCommand:
         assert "--shards" in capsys.readouterr().err
 
 
+class TestServeCommand:
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_max_batch_must_be_a_positive_int(self, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "d1", "--max-batch", value])
+        assert exit_info.value.code == 2
+        assert "--max-batch" in capsys.readouterr().err
+
+
 class TestExperimentsCommand:
     def test_smoke_profile(self, tmp_path, capsys):
         exit_code = main(
