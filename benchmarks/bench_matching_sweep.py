@@ -81,9 +81,18 @@ ALL_CODES = (
     "CNC", "RSR", "RCA", "BAH", "BMC", "EXC", "KRC", "UMC", "HUN", "GSM",
 )
 
-#: (n_left, n_right, n_edges) of the synthetic benchmark graphs.
-DEFAULT_SHAPES = ((150, 160, 15_000), (120, 200, 12_000), (180, 140, 14_000))
-SMOKE_SHAPES = ((70, 80, 3_500),)
+#: (n_left, n_right, n_edges, parallel) of the synthetic benchmark
+#: graphs.  A ``parallel`` graph draws its cells with replacement, so
+#: some pairs carry several edges of different weights: the multigraph
+#: paths (CNC's first copies of a pair, BAH's heaviest copy, HUN's
+#: last write) run at benchmark scale too.
+DEFAULT_SHAPES = (
+    (150, 160, 15_000, False),
+    (120, 200, 12_000, False),
+    (180, 140, 14_000, False),
+    (140, 150, 12_000, True),
+)
+SMOKE_SHAPES = ((70, 80, 3_500, False), (60, 70, 3_000, True))
 
 #: BAH budgets: small enough that the seeded swap search does not
 #: drown the per-call setup costs, large enough to stay a real search;
@@ -97,16 +106,14 @@ BENCH_CONFIG = ExperimentConfig(
 
 
 def synthetic_records(
-    shapes: tuple[tuple[int, int, int], ...], seed: int = 42
+    shapes: tuple[tuple[int, int, int, bool], ...], seed: int = 42
 ) -> list[GraphRecord]:
     """Deterministic random graphs with 2-decimal weights (heavy ties,
     so tie-breaking is exercised at every threshold)."""
     rng = np.random.default_rng(seed)
     records = []
-    for index, (n_left, n_right, n_edges) in enumerate(shapes):
-        cells = rng.choice(
-            n_left * n_right, size=n_edges, replace=False
-        )
+    for index, (n_left, n_right, n_edges, parallel) in enumerate(shapes):
+        cells = rng.choice(n_left * n_right, size=n_edges, replace=parallel)
         weight = np.maximum(np.round(rng.random(n_edges), 2), 0.01)
         graph = SimilarityGraph(
             n_left,
@@ -286,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     n_cells = len(records) * len(ALL_CODES)
 
     # Warm-up: one tiny untimed pass per path (imports, allocators).
-    warm = synthetic_records(((20, 20, 150),), seed=1)
+    warm = synthetic_records(((20, 20, 150, False),), seed=1)
     run_legacy(_fresh(warm), config)
     run_matching_sweeps(_fresh(warm), config, codes=ALL_CODES)
 

@@ -10,9 +10,9 @@ weight in either direction.
 
 :func:`evaluate_pairs` is the one-shot API; a threshold sweep scores
 the same ground truth hundreds of times, so
-:class:`GroundTruthIndex` pre-sorts the truth pairs once and answers
-every subsequent lookup with a vectorized binary search, producing
-numbers identical to :func:`evaluate_pairs`.
+:class:`GroundTruthIndex` freezes the truth pairs once and scores
+every output with one set intersection, producing numbers identical
+to :func:`evaluate_pairs`.
 
 The Dirty-ER extension scores *clusterings* instead of matchings:
 every intra-cluster pair is an asserted duplicate, so a clustering is
@@ -60,9 +60,16 @@ def evaluate_pairs(
 ) -> EffectivenessScores:
     """Score a set of matched pairs against the ground truth."""
     output = set(pairs)
-    true_positives = len(output & ground_truth)
-    n_output = len(output)
-    n_truth = len(ground_truth)
+    return _measures(
+        len(output & ground_truth), len(output), len(ground_truth)
+    )
+
+
+def _measures(
+    true_positives: int, n_output: int, n_truth: int
+) -> EffectivenessScores:
+    """The measures of ``n_output`` distinct output pairs, of which
+    ``true_positives`` are among ``n_truth`` truth pairs."""
     precision = true_positives / n_output if n_output else 0.0
     recall = true_positives / n_truth if n_truth else 0.0
     if precision + recall > 0:
@@ -118,31 +125,30 @@ def _pair_keys(pairs: np.ndarray) -> np.ndarray:
 
 
 class GroundTruthIndex:
-    """Sorted-key index over a ground-truth pair set.
+    """A ground-truth pair set, frozen once for many evaluations.
 
     Built once per dataset (or per sweep) and shared across every
     ``(algorithm, threshold)`` evaluation; :meth:`score` returns
-    exactly what ``evaluate_pairs(pairs, ground_truth)`` would, but the
-    membership test is one ``searchsorted`` over the pre-sorted keys
-    instead of a fresh Python set intersection.
+    exactly what ``evaluate_pairs(pairs, ground_truth)`` would.  A
+    matching holds at most ``min(n_left, n_right)`` pairs, a few
+    hundred on the benchmark datasets, so its true positives are one
+    set intersection against the frozen truth set: a fixed cost of a
+    few numpy calls per score (key folding, dedup, binary search)
+    would outweigh the lookups.  Dirty-ER clusterings induce up to quadratically many
+    pairs, so :meth:`score_clusters` folds them into int64 keys and
+    binary-searches the sorted truth keys instead.
     """
 
-    __slots__ = ("_keys", "n_truth")
+    __slots__ = ("_truth", "_keys", "n_truth")
 
     def __init__(self, ground_truth: Iterable[tuple[int, int]]) -> None:
-        truth = set(ground_truth)
-        self.n_truth = len(truth)
-        if truth:
-            pairs = np.array(sorted(truth), dtype=np.int64)
+        self._truth = frozenset(ground_truth)
+        self.n_truth = len(self._truth)
+        if self._truth:
+            pairs = np.array(sorted(self._truth), dtype=np.int64)
             self._keys = np.sort(_pair_keys(pairs))
         else:
             self._keys = np.zeros(0, dtype=np.int64)
-
-    def _distinct_keys(self, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
-        pairs = list(pairs)
-        if not pairs:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(_pair_keys(np.asarray(pairs, dtype=np.int64)))
 
     def _match_count(self, keys: np.ndarray) -> int:
         """How many of the (distinct, sorted) keys are truth pairs."""
@@ -158,7 +164,7 @@ class GroundTruthIndex:
 
     def true_positives(self, pairs: Iterable[tuple[int, int]]) -> int:
         """Number of distinct output pairs present in the truth set."""
-        return self._match_count(self._distinct_keys(pairs))
+        return len(self._truth.intersection(pairs))
 
     def score_clusters(
         self, clusters: Iterable[Iterable[int]]
@@ -183,27 +189,9 @@ class GroundTruthIndex:
         else:
             keys = np.concatenate(key_chunks)
             keys.sort()
-        return self._score_keys(keys)
+        return _measures(self._match_count(keys), len(keys), self.n_truth)
 
     def score(self, pairs: Iterable[tuple[int, int]]) -> EffectivenessScores:
         """Score matched pairs; identical to :func:`evaluate_pairs`."""
-        return self._score_keys(self._distinct_keys(pairs))
-
-    def _score_keys(self, keys: np.ndarray) -> EffectivenessScores:
-        """Score pre-sorted, distinct fold keys."""
-        n_output = len(keys)
-        true_positives = self._match_count(keys)
-        precision = true_positives / n_output if n_output else 0.0
-        recall = true_positives / self.n_truth if self.n_truth else 0.0
-        if precision + recall > 0:
-            f_measure = 2 * precision * recall / (precision + recall)
-        else:
-            f_measure = 0.0
-        return EffectivenessScores(
-            precision=precision,
-            recall=recall,
-            f_measure=f_measure,
-            true_positives=true_positives,
-            output_pairs=n_output,
-            ground_truth_pairs=self.n_truth,
-        )
+        output = set(pairs)
+        return _measures(len(output & self._truth), len(output), self.n_truth)

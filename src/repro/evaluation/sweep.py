@@ -33,6 +33,7 @@ from repro.evaluation.metrics import (
     GroundTruthIndex,
 )
 from repro.graph.bipartite import SimilarityGraph
+from repro.graph.selection import check_threshold
 from repro.matching.base import Matcher
 
 __all__ = [
@@ -119,14 +120,17 @@ def threshold_sweep(
     result: every algorithm observes the threshold only through
     ``w > t`` / ``w >= t`` comparisons, so its output cannot change.
     This keeps the 20-point sweep cheap on graphs whose weights
-    concentrate in a narrow band.
+    concentrate in a narrow band.  The test runs once per sweep, over
+    the whole grid, not once per point.  A NaN grid point raises
+    :class:`ValueError` before the first call.
 
     Each point's ``seconds`` measures the *warm-engine marginal* run:
     one untimed call at the first grid threshold precedes the loop, so
     the shared per-graph setup (compile, adjacency, an algorithm's
-    threshold-independent kernel state such as RCA's assignment passes
-    or BAH's contribution map) is excluded uniformly instead of being
-    charged to whichever point happens to run first.
+    threshold-independent kernel state such as RCA's assignment passes,
+    BAH's contribution map, UMC's endpoint lists or CNC's first copies
+    of parallel edges) is excluded uniformly instead of being charged
+    to whichever point happens to run first.
     """
     compiled = graph.compiled()
     if truth_index is None:
@@ -152,26 +156,25 @@ def _sweep(
     """The threshold loop of :func:`threshold_sweep` and
     :func:`dirty_threshold_sweep`: ``run(compiled, threshold)`` is the
     timed kernel call, ``score(output)`` its untimed evaluation."""
+    for threshold in grid:
+        check_threshold(threshold)
     if grid:
         run(compiled, grid[0])  # warm, untimed
 
     result = SweepResult(algorithm=algorithm)
     # The compiled graph already holds the ascending weight sort.
-    sorted_weights = compiled.weight_ascending if skip_equivalent else None
-    previous_threshold: float | None = None
-    previous_point: SweepPoint | None = None
-    for threshold in grid:
-        if (
-            previous_point is not None
-            and sorted_weights is not None
-            and _no_weight_in_range(
-                sorted_weights, previous_threshold, threshold
-            )
-        ):
+    repeats = (
+        _repeats_previous(compiled.weight_ascending, grid)
+        if skip_equivalent
+        else [False] * len(grid)
+    )
+    point: SweepPoint | None = None
+    for threshold, repeat in zip(grid, repeats):
+        if repeat:
             point = SweepPoint(
                 threshold=threshold,
-                scores=previous_point.scores,
-                seconds=previous_point.seconds,
+                scores=point.scores,
+                seconds=point.seconds,
             )
         else:
             start = time.perf_counter()
@@ -181,16 +184,18 @@ def _sweep(
                 threshold=threshold, scores=score(output), seconds=elapsed
             )
         result.points.append(point)
-        previous_threshold = threshold
-        previous_point = point
     return result
 
 
-def _no_weight_in_range(sorted_weights, low: float, high: float) -> bool:
-    """True when no edge weight lies in the closed interval [low, high]."""
-    start = np.searchsorted(sorted_weights, low, side="left")
-    end = np.searchsorted(sorted_weights, high, side="right")
-    return start == end
+def _repeats_previous(sorted_weights, grid) -> list[bool]:
+    """Per grid point, whether no edge weight lies in the closed
+    interval ``[previous, current]`` (never for the first point)."""
+    if len(grid) < 2:
+        return [False] * len(grid)
+    thresholds = np.asarray(grid, dtype=np.float64)
+    start = np.searchsorted(sorted_weights, thresholds[:-1], side="left")
+    end = np.searchsorted(sorted_weights, thresholds[1:], side="right")
+    return [False, *(start == end).tolist()]
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,9 @@ comparison here.
 
 A NaN threshold selects nothing under either comparison and would
 cache under a key that never hits again, so both helpers reject it
-with a :class:`ValueError` that names the threshold.
+with a :class:`ValueError` that names the threshold.  The same check,
+:func:`check_threshold`, guards every matcher entry point, including
+the kernels that never take a selection.
 
 Two equivalent selection forms are provided:
 
@@ -28,7 +30,7 @@ import math
 
 import numpy as np
 
-__all__ = ["selection_mask", "prefix_length"]
+__all__ = ["check_threshold", "selection_mask", "prefix_length"]
 
 
 def selection_mask(
@@ -39,7 +41,7 @@ def selection_mask(
     ``inclusive=False`` (the default) keeps ``weight > threshold``;
     ``inclusive=True`` keeps ``weight >= threshold``.
     """
-    _check_threshold(threshold)
+    check_threshold(threshold)
     if inclusive:
         return weights >= threshold
     return weights > threshold
@@ -54,12 +56,13 @@ def prefix_length(
     in O(log m): the selected edges are exactly the top ``k`` of the
     descending sort, i.e. the suffix of the ascending sort.
     """
-    _check_threshold(threshold)
+    check_threshold(threshold)
     side = "left" if inclusive else "right"
     cut = int(np.searchsorted(ascending_weights, threshold, side=side))
     return int(len(ascending_weights) - cut)
 
 
-def _check_threshold(threshold: float) -> None:
+def check_threshold(threshold: float) -> None:
+    """Raise :class:`ValueError` if ``threshold`` is NaN."""
     if math.isnan(threshold):
         raise ValueError(f"threshold must be a number, got {threshold!r}")

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.graph.bipartite import SimilarityGraph
 from repro.graph.compiled import CompiledGraph
+from repro.graph.selection import check_threshold
 
 __all__ = ["Matcher", "MatchingResult"]
 
@@ -122,9 +123,11 @@ class Matcher(ABC):
 
         Implementations must return pairs that satisfy the
         unique-mapping constraint and must not mutate ``graph``'s edge
-        arrays.  The default compiles the graph (cached on the graph)
-        and delegates to :meth:`match_compiled`.
+        arrays.  The default rejects a NaN threshold before compiling
+        the graph (cached on the graph) and delegates to
+        :meth:`match_compiled`.
         """
+        check_threshold(threshold)
         return self.match_compiled(graph.compiled(), threshold)
 
     def match_compiled(
@@ -135,6 +138,9 @@ class Matcher(ABC):
         The compiled path of the ten built-in algorithms; matchers
         without a compiled kernel (e.g. the learned baselines) inherit
         this fallback onto their :meth:`match` over the source graph.
+        Every built-in kernel raises :class:`ValueError` on a NaN
+        threshold before any work, through
+        :func:`repro.graph.selection.check_threshold`.
         """
         if type(self).match is Matcher.match:  # neither entry overridden
             raise NotImplementedError(

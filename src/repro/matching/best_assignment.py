@@ -37,6 +37,7 @@ from itertools import chain, islice
 import numpy as np
 
 from repro.graph.compiled import CompiledGraph
+from repro.graph.selection import check_threshold
 from repro.matching.base import Matcher, MatchingResult
 
 __all__ = ["BestAssignmentHeuristic"]
@@ -63,9 +64,10 @@ class BestAssignmentHeuristic(Matcher):
     time_limit:
         Wall-clock budget in seconds (paper default: 2 minutes).
     seed:
-        Seed of the random generator driving the swap selection.  The
-        paper stresses BAH's stochastic nature; a fixed seed makes runs
-        reproducible while still exercising the random search.
+        Seed of the random generator driving the swap selection, a
+        non-negative integer.  The paper stresses BAH's stochastic
+        nature; a fixed seed makes runs reproducible while still
+        exercising the random search.
     """
 
     code = "BAH"
@@ -77,26 +79,21 @@ class BestAssignmentHeuristic(Matcher):
         time_limit: float = DEFAULT_TIME_LIMIT,
         seed: int = 42,
     ) -> None:
-        if (
-            not isinstance(max_moves, numbers.Integral)
-            or isinstance(max_moves, bool)
-            or max_moves < 0
-        ):
-            raise ValueError(
-                f"max_moves must be a non-negative integer, got {max_moves!r}"
-            )
+        self.max_moves = _non_negative_int("max_moves", max_moves)
         # ``not >`` also rejects NaN, which would disable the deadline.
         if not time_limit > 0:
             raise ValueError(
                 f"time_limit must be positive, got {time_limit!r}"
             )
-        self.max_moves = int(max_moves)
         self.time_limit = time_limit
-        self.seed = seed
+        # ``None`` would draw fresh entropy at every call, so a sweep
+        # would not repeat under the same cache key.
+        self.seed = _non_negative_int("seed", seed)
 
     def match_compiled(
         self, view: CompiledGraph, threshold: float
     ) -> MatchingResult:
+        check_threshold(threshold)
         # The pseudocode assumes |V1| >= |V2|: swaps happen on the
         # larger side.  Orient the selected edge arrays accordingly and
         # flip the pairs back at the end.
@@ -151,7 +148,10 @@ class BestAssignmentHeuristic(Matcher):
         yields the pair's maximum weight when it exceeds the threshold
         and ``0.0`` otherwise, exactly like the reference's per-call
         dict that only held above-threshold edges, and ``delta`` sums
-        the same terms in the same order.
+        the same terms in the same order.  A move whose two entities
+        have equal partners (``i == j``, or both unmatched) is skipped:
+        the reference computes a zero delta for it and swaps ``-1``
+        with ``-1``, which changes nothing.
         """
         partner = [-1] * n_large
         partner[:n_small] = range(n_small)
@@ -174,10 +174,12 @@ class BestAssignmentHeuristic(Matcher):
         done, block = 0, CLOCK_EVERY - 1
         while True:
             for i, j in islice(moves, block):
-                if i == j:
-                    continue
                 pi = partner[i]
                 pj = partner[j]
+                # Equal partners (i == j, or both unmatched): the swap
+                # changes nothing.
+                if pi == pj:
+                    continue
                 if pi >= 0:
                     gain = get(j * n_small + pi, 0.0)
                     loss = get(i * n_small + pi, 0.0)
@@ -207,3 +209,16 @@ class BestAssignmentHeuristic(Matcher):
                 if weight > threshold and weight > 0.0:
                     pairs.append((i, j))
         return pairs
+
+
+def _non_negative_int(name: str, value) -> int:
+    """``value`` as an ``int``; numpy integers pass, bools do not."""
+    if (
+        not isinstance(value, numbers.Integral)
+        or isinstance(value, bool)
+        or value < 0
+    ):
+        raise ValueError(
+            f"{name} must be a non-negative integer, got {value!r}"
+        )
+    return int(value)

@@ -15,6 +15,7 @@ collection usually wins.
 from __future__ import annotations
 
 from repro.graph.compiled import CompiledGraph
+from repro.graph.selection import check_threshold
 from repro.matching.base import Matcher, MatchingResult
 
 __all__ = ["BestMatchClustering", "BASIS_CHOICES"]
@@ -49,6 +50,7 @@ class BestMatchClustering(Matcher):
     def match_compiled(
         self, view: CompiledGraph, threshold: float
     ) -> MatchingResult:
+        check_threshold(threshold)
         basis = self._resolved_basis(view)
         if basis == "left":
             n_basis = view.n_left

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.compiled import CompiledGraph
+from repro.graph.selection import check_threshold
 from repro.matching.base import Matcher, MatchingResult
 
 __all__ = ["ExactClustering"]
@@ -37,6 +38,7 @@ class ExactClustering(Matcher):
     def match_compiled(
         self, view: CompiledGraph, threshold: float
     ) -> MatchingResult:
+        check_threshold(threshold)
         best_left = self._best_csr(
             view.left_indptr, view.left_neighbors, view.left_weights, threshold
         )

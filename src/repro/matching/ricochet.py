@@ -13,6 +13,7 @@ re-assigned to their nearest available singleton.  Time complexity
 from __future__ import annotations
 
 from repro.graph.compiled import CompiledGraph
+from repro.graph.selection import check_threshold
 from repro.matching.base import Matcher, MatchingResult
 
 __all__ = ["RicochetSRClustering"]
@@ -47,6 +48,7 @@ class RicochetSRClustering(Matcher):
     def match_compiled(
         self, view: CompiledGraph, threshold: float
     ) -> MatchingResult:
+        check_threshold(threshold)
         n_left = view.n_left
         n_total = n_left + view.n_right
         adjacency = view.merged_adjacency()

@@ -15,6 +15,7 @@ Time complexity ``O(|V1| * |V2|)``.
 from __future__ import annotations
 
 from repro.graph.compiled import CompiledGraph
+from repro.graph.selection import check_threshold
 from repro.matching.base import Matcher, MatchingResult
 
 __all__ = ["RowColumnClustering"]
@@ -39,6 +40,7 @@ class RowColumnClustering(Matcher):
     def match_compiled(
         self, view: CompiledGraph, threshold: float
     ) -> MatchingResult:
+        check_threshold(threshold)
         chosen = view.kernel_cache.get(_PASS_CACHE_KEY)
         if chosen is None:
             first_pairs, first_value = self._greedy_pass(

@@ -12,10 +12,14 @@ gap) and, together with KRC, the top F-measure performer.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from repro.graph.compiled import CompiledGraph
 from repro.matching.base import Matcher, MatchingResult
 
 __all__ = ["UniqueMappingClustering"]
+
+_LISTS_CACHE_KEY = "umc_lists"
 
 
 class UniqueMappingClustering(Matcher):
@@ -25,7 +29,12 @@ class UniqueMappingClustering(Matcher):
     ascending ``(left, right)`` index, which makes the greedy scan
     deterministic.  That is exactly the compiled graph's global edge
     permutation, so the compiled kernel replaces the per-call mask +
-    lexsort with a prefix slice and runs only the greedy scan.
+    lexsort with a prefix slice and runs only the greedy scan.  The
+    sorted endpoints are kept as Python lists in ``kernel_cache``
+    (threshold-independent, built once per graph), and the scan reads
+    the first ``selection.count`` of them.  It stops once the smaller
+    side is full: after ``min(n_left, n_right)`` pairs no edge has
+    both endpoints free.
     """
 
     code = "UMC"
@@ -35,14 +44,23 @@ class UniqueMappingClustering(Matcher):
         self, view: CompiledGraph, threshold: float
     ) -> MatchingResult:
         selection = view.select(threshold, inclusive=False)
-        matched_left: set[int] = set()
-        matched_right: set[int] = set()
+        lists = view.kernel_cache.get(_LISTS_CACHE_KEY)
+        if lists is None:
+            lists = view.kernel_cache[_LISTS_CACHE_KEY] = (
+                view.left_sorted.tolist(),
+                view.right_sorted.tolist(),
+            )
+        lefts, rights = lists
+        capacity = min(view.n_left, view.n_right)
+        free_left = [True] * view.n_left
+        free_right = [True] * view.n_right
         pairs: list[tuple[int, int]] = []
-        for i, j in zip(selection.left.tolist(), selection.right.tolist()):
-            if i in matched_left or j in matched_right:
-                continue
-            matched_left.add(i)
-            matched_right.add(j)
-            pairs.append((i, j))
+        count = selection.count
+        for i, j in zip(islice(lefts, count), islice(rights, count)):
+            if free_left[i] and free_right[j]:
+                free_left[i] = free_right[j] = False
+                pairs.append((i, j))
+                if len(pairs) == capacity:
+                    break
         pairs.sort()
         return self._result(pairs, threshold)

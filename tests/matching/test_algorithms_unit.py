@@ -239,6 +239,15 @@ class TestBAH:
         assert bah.max_moves == 50 and type(bah.max_moves) is int
         assert bah.time_limit == float("inf")
 
+    def test_rejects_bad_seed(self):
+        # None would draw fresh entropy at every call; the others
+        # failed only at the first match, inside numpy.
+        for seed in (None, 1.5, "x", -1, True):
+            with pytest.raises(ValueError, match="seed"):
+                BestAssignmentHeuristic(seed=seed)
+        bah = BestAssignmentHeuristic(seed=np.int64(7))
+        assert bah.seed == 7 and type(bah.seed) is int
+
     def test_seed_controls_randomness(self):
         g = SimilarityGraph.from_edges(
             3, 3, [(i, j, 0.5 + 0.04 * (i + j)) for i in range(3) for j in range(3)]

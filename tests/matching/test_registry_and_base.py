@@ -1,9 +1,11 @@
-"""Tests for the algorithm registry and the MatchingResult container."""
+"""Tests for the algorithm registry, the matcher entry points and the
+MatchingResult container."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.evaluation.sweep import threshold_sweep
 from repro.graph import SimilarityGraph
 from repro.matching import (
     ALGORITHM_CODES,
@@ -59,6 +61,39 @@ class TestRegistry:
         for code, matcher in default_matchers().items():
             assert matcher.code == code
             assert matcher.full_name
+
+
+class TestNanThreshold:
+    """Every matcher refuses a NaN threshold before any work.  NaN
+    fails every comparison, so a kernel that never takes a selection
+    would scan nothing or everything and return pairs."""
+
+    NAN_ERROR = "threshold must be a number, got nan"
+
+    @staticmethod
+    def _graph():
+        cells = [(i, j) for i in range(3) for j in range(3)]
+        edges = [(i, j, 0.1 * (k + 1)) for k, (i, j) in enumerate(cells)]
+        return SimilarityGraph.from_edges(3, 3, edges)
+
+    @pytest.mark.parametrize("code", ALGORITHM_CODES)
+    def test_match_and_match_compiled_raise(self, code):
+        graph = self._graph()
+        matcher = create_matcher(code)
+        with pytest.raises(ValueError, match=self.NAN_ERROR):
+            matcher.match(graph, float("nan"))
+        view = graph.compiled()
+        with pytest.raises(ValueError, match=self.NAN_ERROR):
+            matcher.match_compiled(view, float("nan"))
+        assert view.kernel_cache == {}
+
+    @pytest.mark.parametrize("code", ALGORITHM_CODES)
+    def test_sweep_with_a_nan_grid_point_raises(self, code):
+        truth = {(0, 0), (1, 1), (2, 2)}
+        with pytest.raises(ValueError, match=self.NAN_ERROR):
+            threshold_sweep(
+                create_matcher(code), self._graph(), truth, (0.5, float("nan"))
+            )
 
 
 class TestMatchingResult:
