@@ -2,8 +2,8 @@
 
 Generates the same reduced graph corpus twice — once through the
 pre-refactor *direct* path (every function rebuilds every model,
-embedding and encoding from scratch via
-:func:`~repro.pipeline.similarity_functions.compute_similarity_matrix`)
+embedding and encoding from scratch via the frozen
+``compute_similarity_matrix`` oracle in ``tests/oracles/similarity.py``)
 and once through the shared-artifact engine path used by
 :func:`~repro.pipeline.workbench.generate_corpus` — then
 
@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -34,13 +35,12 @@ try:  # direct script execution: benchmarks/ is sys.path[0]
 except ImportError:  # imported as benchmarks.bench_* from the repo root
     from benchmarks._report import write_report as _write_report
 
+# The frozen oracles are the tests.oracles package under the repo root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
 from repro.datasets.catalog import dataset_spec
 from repro.datasets.generator import generate_dataset
-from repro.pipeline.graph_builder import matrix_to_graph
-from repro.pipeline.similarity_functions import (
-    compute_similarity_matrix,
-    enumerate_functions,
-)
+from repro.pipeline.similarity_functions import enumerate_functions
 from repro.pipeline.workbench import (
     GraphCorpusConfig,
     GraphRecord,
@@ -48,6 +48,7 @@ from repro.pipeline.workbench import (
     _enumerate_kwargs,
     generate_corpus,
 )
+from tests.oracles.similarity import compute_similarity_matrix, matrix_to_graph
 
 #: Required engine-vs-direct speedup (the redundancy the engine removes
 #: is structural — models rebuilt 4-6x per group — so 2x is conservative).

@@ -4,23 +4,26 @@ Aggregates the generated corpus exactly like the paper's Table 3:
 per dataset and input family, the number of retained graphs |G|, the
 average edge count |E| and its ratio to the Cartesian product.  The
 benchmark measures building one schema-agnostic TF-IDF cosine graph
-end to end (the workhorse similarity function of the corpus).
+end to end (the workhorse similarity function of the corpus) through
+the frozen direct path in ``tests/oracles/similarity.py``.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 from conftest import save_report
 
+# The frozen oracles are the tests.oracles package under the repo root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
 from repro.datasets import dataset_spec, generate_dataset
 from repro.evaluation.report import render_table
-from repro.pipeline import matrix_to_graph
-from repro.pipeline.similarity_functions import (
-    SimilarityFunctionSpec,
-    compute_similarity_matrix,
-)
+from repro.pipeline.similarity_functions import SimilarityFunctionSpec
+from tests.oracles.similarity import compute_similarity_matrix, matrix_to_graph
 
 FAMILY_SHORT = {
     "schema_based_syntactic": "sb-syn",

@@ -22,7 +22,7 @@ from repro.datasets import dataset_spec, generate_dataset
 from repro.evaluation import threshold_sweep
 from repro.evaluation.report import render_table
 from repro.matching import create_matcher, paper_matchers
-from repro.pipeline import compute_similarity_matrix, matrix_to_graph
+from repro.pipeline import SimilarityEngine, pairs_to_graph
 from repro.pipeline.similarity_functions import SimilarityFunctionSpec
 
 SIZE_STEPS = (0.02, 0.04, 0.08)
@@ -39,8 +39,11 @@ def build_graph(scale: float):
     dataset = generate_dataset(
         dataset_spec("d5", scale=scale, max_pairs=150_000), seed=42
     )
-    matrix = compute_similarity_matrix(dataset, COSINE_SPEC)
-    return dataset, matrix_to_graph(matrix)
+    [scores] = SimilarityEngine(dataset).score([COSINE_SPEC])
+    graph = pairs_to_graph(
+        len(dataset.left), len(dataset.right), *scores.edges
+    )
+    return dataset, graph
 
 
 def main() -> None:

@@ -18,7 +18,7 @@ from repro.datasets import dataset_spec, generate_dataset
 from repro.evaluation import threshold_sweep
 from repro.evaluation.report import render_table
 from repro.matching import paper_matchers
-from repro.pipeline import compute_similarity_matrix, matrix_to_graph
+from repro.pipeline import SimilarityEngine, pairs_to_graph
 from repro.pipeline.similarity_functions import SimilarityFunctionSpec
 
 
@@ -42,11 +42,18 @@ def build_graphs(dataset):
             name="fasttext-like/cosine",
         ),
     ]
-    graphs = {}
-    for spec in specs:
-        matrix = compute_similarity_matrix(dataset, spec)
-        graphs[spec.name] = matrix_to_graph(matrix, name=spec.name)
-    return graphs
+    # One engine scores every spec; each spec's positive scores become
+    # the edges of its graph.
+    scores = SimilarityEngine(dataset).score(specs)
+    return {
+        spec.name: pairs_to_graph(
+            len(dataset.left),
+            len(dataset.right),
+            *spec_scores.edges,
+            name=spec.name,
+        )
+        for spec, spec_scores in zip(specs, scores)
+    }
 
 
 def main() -> None:

@@ -21,11 +21,17 @@ from repro.evaluation import threshold_sweep
 from repro.evaluation.stats import friedman_test, nemenyi_diagram
 from repro.matching import paper_matchers
 from repro.matching.registry import PAPER_ALGORITHM_CODES
-from repro.pipeline import compute_similarity_matrix, matrix_to_graph
+from repro.pipeline import SimilarityEngine, pairs_to_graph
 from repro.pipeline.similarity_functions import (
     SimilarityFunctionSpec,
     enumerate_functions,
 )
+
+
+def build_graph(engine, spec):
+    """``spec``'s similarity graph: its positive scores as edges."""
+    [scores] = engine.score([spec])
+    return pairs_to_graph(*engine.shape(), *scores.edges)
 
 
 def main() -> None:
@@ -48,10 +54,12 @@ def main() -> None:
                  "measure": "cosine_tfidf"},
         name="all-attributes cosine",
     )
+    # One engine shares the n-gram models and profiles across specs.
+    engine = SimilarityEngine(dataset)
     matchers = paper_matchers(bah_max_moves=1_000, bah_time_limit=2.0)
     umc = matchers["UMC"]
     for spec in (schema_based, schema_agnostic):
-        graph = matrix_to_graph(compute_similarity_matrix(dataset, spec))
+        graph = build_graph(engine, spec)
         sweep = threshold_sweep(umc, graph, dataset.ground_truth)
         print(
             f"UMC on {spec.name:>22}: F1 = "
@@ -71,7 +79,7 @@ def main() -> None:
     )
     scores = []
     for spec in specs:
-        graph = matrix_to_graph(compute_similarity_matrix(dataset, spec))
+        graph = build_graph(engine, spec)
         row = []
         for code in PAPER_ALGORITHM_CODES:
             sweep = threshold_sweep(

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.evaluation.sweep import DEFAULT_THRESHOLD_GRID
+from repro.graph.selection import check_non_negative_int, check_threshold
 from repro.pipeline.workbench import GraphCorpusConfig
 
 __all__ = [
@@ -40,7 +41,14 @@ def default_cache_dir() -> Path:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full protocol configuration: corpus + sweep + BAH budgets."""
+    """Full protocol configuration: corpus + sweep + BAH budgets.
+
+    Construction checks the sweep and BAH settings, so a bad value
+    fails here, before any corpus is built or journal written, with a
+    :class:`ValueError` naming the field: every ``grid`` point must be
+    a number (not NaN), ``bah_max_moves`` and ``bah_seed``
+    non-negative integers, and ``bah_time_limit`` positive.
+    """
 
     corpus: GraphCorpusConfig = field(default_factory=GraphCorpusConfig)
     grid: tuple[float, ...] = DEFAULT_THRESHOLD_GRID
@@ -49,6 +57,21 @@ class ExperimentConfig:
     bah_seed: int = 42
     apply_noise_filter: bool = True
     apply_duplicate_filter: bool = True
+
+    def __post_init__(self) -> None:
+        for point in self.grid:
+            try:
+                check_threshold(point)
+            except ValueError as error:
+                raise ValueError(f"grid: {error}") from None
+        check_non_negative_int("bah_max_moves", self.bah_max_moves)
+        check_non_negative_int("bah_seed", self.bah_seed)
+        # ``not >`` also rejects NaN, as BAH itself does.
+        if not self.bah_time_limit > 0:
+            raise ValueError(
+                "bah_time_limit must be positive, got "
+                f"{self.bah_time_limit!r}"
+            )
 
     def cache_key(self) -> str:
         payload = json.dumps(

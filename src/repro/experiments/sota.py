@@ -6,9 +6,10 @@ best n-gram model and threshold per dataset) against ZeroER
 driver reproduces the comparison with the offline stand-ins of
 :mod:`repro.baselines`:
 
-* UMC sweeps the TF-IDF cosine graphs of every n-gram model and keeps
-  the best (model, threshold) pair, exactly the two free parameters
-  the paper tunes;
+* UMC sweeps the TF-IDF cosine graphs of every n-gram model (scored
+  by one :class:`~repro.pipeline.engine.SimilarityEngine` per dataset)
+  and keeps the best (model, threshold) pair, exactly the two free
+  parameters the paper tunes;
 * the ZeroER-like matcher runs unsupervised on the same graphs;
 * the learned matcher trains on half the ground truth (DITTO's
   labelled-data advantage) and is evaluated on the full task.
@@ -25,11 +26,11 @@ from repro.datasets.generator import generate_dataset
 from repro.evaluation.metrics import evaluate_pairs
 from repro.evaluation.sweep import threshold_sweep
 from repro.matching import UniqueMappingClustering
-from repro.pipeline.graph_builder import matrix_to_graph
+from repro.pipeline.engine import SimilarityEngine
+from repro.pipeline.graph_builder import pairs_to_graph
 from repro.pipeline.similarity_functions import (
     NGRAM_MODELS,
     SimilarityFunctionSpec,
-    compute_similarity_matrix,
 )
 
 __all__ = ["SotaComparison", "run_sota_comparison"]
@@ -77,14 +78,18 @@ def run_sota_comparison(
         dataset = generate_dataset(
             dataset_spec(code, scale=scale, max_pairs=max_pairs), seed=seed
         )
-        graphs = {}
-        for unit, n in ngram_models:
-            matrix = compute_similarity_matrix(
-                dataset, _tfidf_cosine_spec(unit, n)
+        scores = SimilarityEngine(dataset).score(
+            [_tfidf_cosine_spec(unit, n) for unit, n in ngram_models]
+        )
+        graphs = {
+            f"{unit}{n}": pairs_to_graph(
+                len(dataset.left),
+                len(dataset.right),
+                *spec_scores.edges,
+                name=f"{code}:{unit}{n}:cosine_tfidf",
             )
-            graphs[f"{unit}{n}"] = matrix_to_graph(
-                matrix, name=f"{code}:{unit}{n}:cosine_tfidf"
-            )
+            for (unit, n), spec_scores in zip(ngram_models, scores)
+        }
 
         # UMC: best (model, threshold) pair over the TF-IDF cosine graphs.
         best_f1, best_model, best_threshold = 0.0, "", 0.0

@@ -43,11 +43,9 @@ partition for partition, not just up to tie choices.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from repro.graph.selection import selection_mask
+from repro.graph.selection import check_non_negative_int, selection_mask
 from repro.graph.unipartite import CompiledUnipartiteGraph, UnipartiteGraph
 
 __all__ = [
@@ -241,20 +239,6 @@ def extended_maximum_clique_clustering_compiled(
     return _clique_removal_compiled(compiled, threshold, attachment_fraction)
 
 
-def _check_max_iterations(max_iterations) -> int:
-    """GECG's flip budget, which must be a non-negative integer."""
-    if (
-        not isinstance(max_iterations, numbers.Integral)
-        or isinstance(max_iterations, bool)
-        or max_iterations < 0
-    ):
-        raise ValueError(
-            "max_iterations must be a non-negative integer, got "
-            f"{max_iterations!r}"
-        )
-    return int(max_iterations)
-
-
 def global_edge_consistency_gain_compiled(
     compiled: CompiledUnipartiteGraph,
     threshold: float,
@@ -279,7 +263,7 @@ def global_edge_consistency_gain_compiled(
     of a full recompute; clusters are the ``csgraph`` components of
     the match-labelled edges.
     """
-    budget = _check_max_iterations(max_iterations)
+    budget = check_non_negative_int("max_iterations", max_iterations)
     n = compiled.n_nodes
     m = compiled.n_edges
     if m == 0:
@@ -394,7 +378,9 @@ class DirtyClusterer:
             )
         self.code = code
         self.attachment_fraction = attachment_fraction
-        self.max_iterations = _check_max_iterations(max_iterations)
+        self.max_iterations = check_non_negative_int(
+            "max_iterations", max_iterations
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DirtyClusterer({self.code})"

@@ -41,11 +41,9 @@ and is cleared.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from repro.graph.selection import prefix_length
+from repro.graph.selection import check_non_negative_int, prefix_length
 from repro.graph.unipartite import CompiledUnipartiteGraph, pair_keys
 
 __all__ = ["add_uni_nodes", "delete_uni_edges", "insert_uni_edges"]
@@ -371,15 +369,7 @@ def add_uni_nodes(compiled: CompiledUnipartiteGraph, count: int) -> None:
     Cached selection counts stay valid (isolated nodes admit no edges),
     but their node-count-shaped lazy views must re-derive.
     """
-    if (
-        not isinstance(count, numbers.Integral)
-        or isinstance(count, bool)
-        or count < 0
-    ):
-        raise ValueError(
-            f"node count must be a non-negative integer, got {count!r}"
-        )
-    count = int(count)
+    count = check_non_negative_int("node count", count)
     compiled.n_nodes += count
     compiled.source.n_nodes += count
     compiled.indptr = np.concatenate(

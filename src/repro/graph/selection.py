@@ -13,7 +13,9 @@ A NaN threshold selects nothing under either comparison and would
 cache under a key that never hits again, so both helpers reject it
 with a :class:`ValueError` that names the threshold.  The same check,
 :func:`check_threshold`, guards every matcher entry point, including
-the kernels that never take a selection.
+the kernels that never take a selection.  Its sibling
+:func:`check_non_negative_int` is the one check of the integer budgets
+and counts (BAH's moves and seed, GECG's flips, grown node counts).
 
 Two equivalent selection forms are provided:
 
@@ -27,10 +29,16 @@ Two equivalent selection forms are provided:
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-__all__ = ["check_threshold", "selection_mask", "prefix_length"]
+__all__ = [
+    "check_non_negative_int",
+    "check_threshold",
+    "selection_mask",
+    "prefix_length",
+]
 
 
 def selection_mask(
@@ -66,3 +74,19 @@ def check_threshold(threshold: float) -> None:
     """Raise :class:`ValueError` if ``threshold`` is NaN."""
     if math.isnan(threshold):
         raise ValueError(f"threshold must be a number, got {threshold!r}")
+
+
+def check_non_negative_int(name: str, value) -> int:
+    """``value`` as an ``int``, or a :class:`ValueError` naming ``name``.
+
+    numpy integers pass; bools, floats, ``None`` and negatives do not.
+    """
+    if (
+        not isinstance(value, numbers.Integral)
+        or isinstance(value, bool)
+        or value < 0
+    ):
+        raise ValueError(
+            f"{name} must be a non-negative integer, got {value!r}"
+        )
+    return int(value)

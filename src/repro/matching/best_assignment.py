@@ -30,14 +30,13 @@ calls.
 
 from __future__ import annotations
 
-import numbers
 import time
 from itertools import chain, islice
 
 import numpy as np
 
 from repro.graph.compiled import CompiledGraph
-from repro.graph.selection import check_threshold
+from repro.graph.selection import check_non_negative_int, check_threshold
 from repro.matching.base import Matcher, MatchingResult
 
 __all__ = ["BestAssignmentHeuristic"]
@@ -79,7 +78,7 @@ class BestAssignmentHeuristic(Matcher):
         time_limit: float = DEFAULT_TIME_LIMIT,
         seed: int = 42,
     ) -> None:
-        self.max_moves = _non_negative_int("max_moves", max_moves)
+        self.max_moves = check_non_negative_int("max_moves", max_moves)
         # ``not >`` also rejects NaN, which would disable the deadline.
         if not time_limit > 0:
             raise ValueError(
@@ -88,7 +87,7 @@ class BestAssignmentHeuristic(Matcher):
         self.time_limit = time_limit
         # ``None`` would draw fresh entropy at every call, so a sweep
         # would not repeat under the same cache key.
-        self.seed = _non_negative_int("seed", seed)
+        self.seed = check_non_negative_int("seed", seed)
 
     def match_compiled(
         self, view: CompiledGraph, threshold: float
@@ -209,16 +208,3 @@ class BestAssignmentHeuristic(Matcher):
                 if weight > threshold and weight > 0.0:
                     pairs.append((i, j))
         return pairs
-
-
-def _non_negative_int(name: str, value) -> int:
-    """``value`` as an ``int``; numpy integers pass, bools do not."""
-    if (
-        not isinstance(value, numbers.Integral)
-        or isinstance(value, bool)
-        or value < 0
-    ):
-        raise ValueError(
-            f"{name} must be a non-negative integer, got {value!r}"
-        )
-    return int(value)

@@ -40,11 +40,10 @@ from repro.pipeline.engine import (
 )
 from repro.pipeline.store import ArtifactStore, dataset_store_key
 from repro.pipeline.kernels import SparsePlan, UniquePlan, kernel_threads
-from repro.pipeline.graph_builder import matrix_to_graph, pairs_to_graph
+from repro.pipeline.graph_builder import pairs_to_graph
 from repro.pipeline.similarity_functions import (
     FAMILIES,
     SimilarityFunctionSpec,
-    compute_similarity_matrix,
     enumerate_function_specs,
     enumerate_functions,
 )
@@ -60,8 +59,6 @@ __all__ = [
     "SimilarityFunctionSpec",
     "enumerate_functions",
     "enumerate_function_specs",
-    "compute_similarity_matrix",
-    "matrix_to_graph",
     "pairs_to_graph",
     "CandidateSet",
     "build_candidate_set",

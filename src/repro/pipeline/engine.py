@@ -19,13 +19,14 @@ shared by whole groups of functions:
   text/token embeddings.
 
 :class:`ArtifactCache` memoizes these intermediates per dataset.
-:meth:`SimilarityEngine.score` is the one scoring entry point of the
-dense, blocked and sharded paths: it scores a spec group over a row
-range — every cell, or the blocking scheme's candidate cells — and
-returns each spec's raw positive edges plus its stage timings and
-savings statistics (:class:`SpecScores`), **bit-identical** to the
-direct :func:`~repro.pipeline.similarity_functions.compute_similarity_matrix`
-path on every positive cell (the differential tests in
+:meth:`SimilarityEngine.score` is the one scoring entry point of
+every path — corpus shards dense or blocked, Table 7, the examples:
+it scores a spec group over a row range — every cell, or the blocking
+scheme's candidate cells — and returns each spec's raw positive edges
+plus its stage timings and savings statistics (:class:`SpecScores`),
+**bit-identical** on every positive cell to the direct path that
+scored one spec from scratch (the ``compute_similarity_matrix``
+oracle in ``tests/oracles/similarity.py``; the differential tests in
 ``tests/pipeline/test_engine.py`` assert exact equality for every
 family, whole range and row ranges alike).
 
@@ -67,18 +68,19 @@ Results are bit-identical with the store cold, warm or absent.
 Parallelism
 -----------
 :func:`group_specs` partitions a spec list into contiguous
-artifact-sharing groups.  The workbench farms these groups out to a
-``concurrent.futures.ProcessPoolExecutor`` when its ``workers`` knob
+artifact-sharing groups.  The workbench farms each group's row-range
+shards out to a process pool when its ``workers`` knob
 (``GraphCorpusConfig.workers``, ``repro corpus --workers N``) exceeds
 one.  Workers recreate the dataset deterministically from its spec, so
-only the config and the specs cross the process boundary; ``workers``
-never changes results or cache keys — it only changes wall-clock.
+only the config, the specs and the row range cross the process
+boundary, and the raw edges come back; ``workers`` never changes
+results or cache keys — it only changes wall-clock.
 
 Below the process level sits the pairwise-kernel engine
 (:mod:`repro.pipeline.kernels`): the schema-based string measures run
 deduplicated, cache-blocked kernels that can execute their blocks on a
 thread pool.  ``SimilarityEngine(..., threads=N)`` scopes that pool —
-the workbench passes the same ``workers`` knob when it runs groups
+the workbench passes the same ``workers`` knob when it runs shards
 serially (process workers keep ``threads=1`` to avoid
 oversubscription).  Thread count never changes results either: blocks
 write disjoint output rows.
@@ -448,10 +450,11 @@ class SpecScores:
 class SimilarityEngine:
     """Scores similarity functions through an :class:`ArtifactCache`.
 
-    Produces bit-identical results to
-    :func:`~repro.pipeline.similarity_functions.compute_similarity_matrix`
-    — same kernels, same inputs — while building every shared artifact
-    once.  ``store``/``dataset_key`` (see :class:`ArtifactCache`)
+    Produces bit-identical results to the direct path that builds
+    each spec's artifacts from scratch (the
+    ``compute_similarity_matrix`` oracle in
+    ``tests/oracles/similarity.py``) — same kernels, same inputs —
+    while building every shared artifact once.  ``store``/``dataset_key`` (see :class:`ArtifactCache`)
     additionally persist the artifacts across runs; neither affects
     any produced score.
 

@@ -7,9 +7,7 @@ produced them (Section 5).  :func:`pairs_to_graph` applies that rule
 to scored pairs — the corpus engine's positive edges, dense or blocked
 candidates alike — through the edge-graph core's builder
 (:meth:`~repro.graph.core.EdgeGraph.from_scores`), which the Dirty-ER
-:func:`~repro.graph.unipartite.pairs_to_unipartite_graph` shares;
-:func:`matrix_to_graph` is :func:`pairs_to_graph` over a dense
-matrix's positive cells.
+:func:`~repro.graph.unipartite.pairs_to_unipartite_graph` shares.
 """
 
 from __future__ import annotations
@@ -18,43 +16,7 @@ import numpy as np
 
 from repro.graph.bipartite import SimilarityGraph
 
-__all__ = ["matrix_to_graph", "pairs_to_graph"]
-
-
-def matrix_to_graph(
-    matrix: np.ndarray,
-    name: str = "",
-    normalize: bool = True,
-    metadata: dict | None = None,
-) -> SimilarityGraph:
-    """Build a :class:`SimilarityGraph` from an all-pairs matrix.
-
-    Parameters
-    ----------
-    matrix:
-        Dense ``n_left x n_right`` similarity matrix.  Values at or
-        below zero are dropped (pairs "with a similarity higher than
-        0" form the graph).
-    normalize:
-        Min-max normalize the retained edge weights (the default,
-        matching the paper).
-    metadata:
-        Optional metadata dict attached to the graph (dataset code,
-        similarity family, function name ...).
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError("matrix must be two-dimensional")
-    left, right = np.nonzero(matrix > 0.0)
-    return pairs_to_graph(
-        *matrix.shape,
-        left,
-        right,
-        matrix[left, right],
-        name=name,
-        normalize=normalize,
-        metadata=metadata,
-    )
+__all__ = ["pairs_to_graph"]
 
 
 def pairs_to_graph(

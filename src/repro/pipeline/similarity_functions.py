@@ -1,8 +1,9 @@
 """The similarity-function taxonomy of Section 4.
 
 Enumerates the learning-free similarity functions of the paper's four
-input families and computes their all-pairs similarity matrices on a
-:class:`~repro.datasets.generator.CleanCleanDataset`:
+input families and holds the per-family measures the engine
+(:class:`~repro.pipeline.engine.SimilarityEngine`) applies to its
+shared artifacts:
 
 ===========================  ====================================  =====
 Family                       Functions                             Count
@@ -34,19 +35,14 @@ from repro.embeddings import (
 )
 from repro.ngramgraph import (
     containment_matrix,
-    entity_graph_matrices,
     normalized_value_matrix,
     overall_matrix,
     value_matrix,
 )
-from repro.pipeline.batched_strings import (
-    SCHEMA_BASED_MEASURES,
-    schema_based_matrix,
-)
+from repro.pipeline.batched_strings import SCHEMA_BASED_MEASURES
 from repro.pipeline.kernels import UniquePlan
 from repro.vectorspace import (
     arcs_matrix,
-    build_vector_models,
     cosine_matrix,
     generalized_jaccard_matrix,
     jaccard_matrix,
@@ -57,7 +53,6 @@ __all__ = [
     "SimilarityFunctionSpec",
     "enumerate_functions",
     "enumerate_function_specs",
-    "compute_similarity_matrix",
     "vector_measure_matrix",
     "graph_measure_matrix",
     "semantic_matrix_from_embeddings",
@@ -252,33 +247,6 @@ def enumerate_function_specs(
     return specs
 
 
-def compute_similarity_matrix(
-    dataset: CleanCleanDataset, spec: SimilarityFunctionSpec
-) -> np.ndarray:
-    """The all-pairs similarity matrix of ``spec`` on ``dataset``.
-
-    This is the *direct* path: every artifact (string encodings,
-    vector/graph models, embeddings) is built from scratch.  The
-    engine path (:class:`repro.pipeline.engine.SimilarityEngine`)
-    shares artifacts across specs and produces bit-identical matrices.
-    """
-    if spec.family == "schema_based_syntactic":
-        lefts = dataset.left.attribute_values(spec.details["attribute"])
-        rights = dataset.right.attribute_values(spec.details["attribute"])
-        return schema_based_matrix(lefts, rights, spec.details["measure"])
-    if spec.family == "schema_agnostic_syntactic":
-        if spec.details["model"] == "vector":
-            return _vector_matrix(dataset, spec)
-        return _graph_model_matrix(dataset, spec)
-    if spec.family == "schema_based_semantic":
-        attribute = spec.details["attribute"]
-        lefts = dataset.left.attribute_values(attribute)
-        rights = dataset.right.attribute_values(attribute)
-        return _semantic_matrix(lefts, rights, spec)
-    # schema_agnostic_semantic
-    return _semantic_matrix(dataset.left.texts(), dataset.right.texts(), spec)
-
-
 def weighting_for_measure(measure: str) -> str:
     """The vector-model weighting a vector measure consumes."""
     return "tfidf" if measure.endswith("tfidf") else "tf"
@@ -295,20 +263,6 @@ def vector_measure_matrix(left, right, measure: str) -> np.ndarray:
     if measure.startswith("gjs"):
         return generalized_jaccard_matrix(left, right)
     raise KeyError(f"unknown vector measure {measure!r}")
-
-
-def _vector_matrix(
-    dataset: CleanCleanDataset, spec: SimilarityFunctionSpec
-) -> np.ndarray:
-    measure = spec.details["measure"]
-    left, right = build_vector_models(
-        dataset.left.texts(),
-        dataset.right.texts(),
-        n=spec.details["n"],
-        unit=spec.details["unit"],
-        weighting=weighting_for_measure(measure),
-    )
-    return vector_measure_matrix(left, right, measure)
 
 
 def graph_measure_matrix(
@@ -337,18 +291,6 @@ def graph_measure_matrix(
             sparse_left, sparse_right, ratio=ratio, common=common
         )
     raise KeyError(f"unknown graph measure {measure!r}")
-
-
-def _graph_model_matrix(
-    dataset: CleanCleanDataset, spec: SimilarityFunctionSpec
-) -> np.ndarray:
-    sparse_left, sparse_right = entity_graph_matrices(
-        dataset.left.value_lists(),
-        dataset.right.value_lists(),
-        n=spec.details["n"],
-        unit=spec.details["unit"],
-    )
-    return graph_measure_matrix(sparse_left, sparse_right, spec.details["measure"])
 
 
 def make_semantic_model(name: str):
@@ -418,19 +360,3 @@ def semantic_matrix_from_embeddings(
     result[left_empty, :] = 0.0
     result[:, right_empty] = 0.0
     return result
-
-
-def _semantic_matrix(
-    lefts: list[str], rights: list[str], spec: SimilarityFunctionSpec
-) -> np.ndarray:
-    model = make_semantic_model(spec.details["model"])
-    measure = spec.details["measure"]
-    if measure == "wmd":
-        embeddings_left = model.embed_collection(lefts)
-        embeddings_right = model.embed_collection(rights)
-    else:
-        embeddings_left = model.embed_texts(lefts)
-        embeddings_right = model.embed_texts(rights)
-    return semantic_matrix_from_embeddings(
-        lefts, rights, measure, embeddings_left, embeddings_right
-    )

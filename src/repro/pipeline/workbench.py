@@ -20,29 +20,28 @@ content-addressed :class:`~repro.pipeline.store.ArtifactStore` keyed
 by the generated dataset's identity, so corpus configs that share a
 dataset reuse each other's intermediates — warm or cold, the corpus
 stays bit-identical.
-With ``workers > 1`` the groups are distributed
-over a process pool; when the corpus has too few groups to occupy a
-pool, the same ``workers`` value instead sizes the thread pool of the
+
+One executor runs every corpus.  Each group fans out one pool task
+per row range of its dataset: the whole range, or with ``max_memory``
+set the ranges of the dataset's shard plan
+(:mod:`repro.pipeline.sharding`).  A task makes one
+:meth:`~repro.pipeline.engine.SimilarityEngine.score` call over its
+rows; the parent merges a group's shards in range order
+(:func:`concat_scores`) and builds its records as soon as the last
+one lands.  With ``workers > 1`` the tasks are distributed over a
+process pool; when the corpus has too few tasks to occupy a pool,
+the same ``workers`` value instead sizes the thread pool of the
 pairwise-kernel engine (:mod:`repro.pipeline.kernels`).  The cache
 write path is sharded under the same knob: ``graph_*.npz`` files are
 written by a thread pool instead of serially in the parent (file
 compression releases the GIL), with the manifest written only after
 every graph file landed.  In every case the result (records, order,
 cache key) is identical to the serial run — parallelism only changes
-wall-clock.  Every fan-out (groups and cache writes alike) runs on
+wall-clock.  Every fan-out (shards and cache writes alike) runs on
 the shared fault-tolerant runner of :mod:`repro.pipeline.resilience`:
-failed groups retry with backoff, broken pools respawn, and with
-``resume``/``journal_dir`` completed groups journal to disk so an
-interrupted generation resumes bit-identically.
-
-With ``max_memory`` set, each group instead fans out one pool task
-per row range of its dataset's shard plan
-(:mod:`repro.pipeline.sharding`): a task makes one
-:meth:`~repro.pipeline.engine.SimilarityEngine.score` call over its
-rows, a journal keeps each finished shard's edges, and
-:func:`concat_scores` merges every spec's shards in range order into
-the record the unsharded run builds.  It is the only sharded
-executor.
+failed shards retry with backoff, broken pools respawn, and with
+``resume``/``journal_dir`` finished shards journal their raw edges to
+disk so an interrupted generation resumes bit-identically.
 
 The paper also removes degenerate inputs ("special care was taken to
 clean the experimental results from noise"); the corresponding filters
@@ -53,7 +52,7 @@ applied already at generation time here.
 One pipeline builds every corpus kind.  A :class:`CorpusKind` value
 holds the only decisions two kinds differ on — the dataset view the
 engine joins, the graph built from its scored pairs and the on-disk
-names — and everything else (record, generator, sharded tier, cache
+names — and everything else (record, generator, executor, cache
 layer, journal codec, and the graph file codec of
 :mod:`repro.graph.io`, which reads either graph kind) exists once.
 :data:`BIPARTITE` is the paper's Clean-Clean corpus
@@ -71,6 +70,7 @@ import dataclasses
 import json
 import time
 import zipfile
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -144,12 +144,13 @@ class GraphCorpusConfig:
     :mod:`repro.pipeline.store`); none of the three affects the
     produced corpus or the cache key — only wall-clock — and all are
     therefore excluded from :meth:`cache_key`.  ``max_memory`` (bytes)
-    routes generation through the sharded execution tier
-    (:mod:`repro.pipeline.sharding`): each dataset's row space splits
-    into budget-sized shards that run as individual pool tasks and
-    merge bit-identically to the unsharded corpus — like the
-    worker/store knobs it bounds resources without changing results,
-    so it too is excluded from :meth:`cache_key`.
+    only decides the row ranges a corpus run scores as separate pool
+    tasks: unset, each dataset is one whole-range shard; set, its row
+    space splits into the budget-sized shards of
+    :mod:`repro.pipeline.sharding`.  The shards merge bit-identically
+    to the one-shard corpus — like the worker/store knobs it bounds
+    resources without changing results, so it too is excluded from
+    :meth:`cache_key`.
     """
 
     datasets: tuple[str, ...] = DATASET_CODES
@@ -361,18 +362,20 @@ def generate_corpus(
     changes the produced corpus (and its cache key): similarity is
     computed only on the scheme's candidate pairs.
 
-    Generation fans out through the shared fault-tolerant runner
-    (:mod:`repro.pipeline.resilience`): failed groups retry with
-    backoff, a broken pool respawns and resubmits only unfinished
-    groups, and repeated pool deaths degrade to inline serial
-    execution.  With ``journal_dir`` set (or ``resume=True``, which
-    falls back to the default journal under ``REPRO_CACHE``), every
-    completed group's records are committed to a
-    :class:`~repro.pipeline.resilience.RunJournal` as they land;
-    ``resume=True`` then skips journaled groups after an interruption
-    and the assembled corpus is bit-identical to an uninterrupted run
-    (graphs round-trip exactly through the npz codec).  The journal is
-    cleared on success and on any non-resume start.
+    Generation fans out one task per shard (one whole-range shard per
+    spec group unless ``max_memory`` is set) through the shared
+    fault-tolerant runner (:mod:`repro.pipeline.resilience`): failed
+    shards retry with backoff, a broken pool respawns and resubmits
+    only unfinished shards, and repeated pool deaths degrade to inline
+    serial execution.  With ``journal_dir`` set (or ``resume=True``,
+    which falls back to the default journal under ``REPRO_CACHE``),
+    every finished shard's raw edges are committed to a
+    :class:`~repro.pipeline.resilience.RunJournal` under the run key
+    ``corpus-<cache key>`` as they land; ``resume=True`` then skips
+    journaled shards after an interruption and the assembled corpus is
+    bit-identical to an uninterrupted run (edges round-trip exactly
+    through the npz codec).  The journal is cleared on success and on
+    any non-resume start.
     """
     return _generate_kind(
         BIPARTITE, config, cache_dir, progress, resume, journal_dir, policy
@@ -399,8 +402,9 @@ def generate_dirty_corpus(
     ``config.blocking`` generates candidates union-against-union and
     only upper-triangle (``u < v``) candidate pairs become edges, so
     the scheme changes the corpus (and its cache key) exactly as in
-    :func:`generate_corpus`; ``config.max_memory`` runs the sharded
-    tier, bit-identical to the unsharded corpus.
+    :func:`generate_corpus`; ``config.max_memory`` splits each
+    dataset into row-range shards, bit-identical to the one-shard
+    corpus.
     """
     return _generate_kind(
         SELF_JOIN, config, cache_dir, progress, resume, journal_dir, policy
@@ -433,14 +437,10 @@ def _generate_kind(
             if records is not None:
                 return records
 
-    if config.max_memory is None:
-        fan_out, run = _dense_records, kind.label
-    else:
-        fan_out, run = _sharded_records, f"{kind.label}-shards"
     journal = _make_run_journal(
-        journal_dir, resume, f"{run}-{config.cache_key()}"
+        journal_dir, resume, f"{kind.label}-{config.cache_key()}"
     )
-    records = fan_out(
+    records = _corpus_records(
         kind, config, _corpus_tasks(config), journal, policy, progress
     )
     if cache_dir is not None:
@@ -518,18 +518,23 @@ def _make_run_journal(
 
 
 # Per-process memo of the last dataset/engine pair, so a pool worker
-# handling consecutive groups (or shards) of the same dataset
-# regenerates nothing.  Single-slot on purpose: it bounds worker
-# memory to one dataset's artifacts regardless of how many datasets
-# the corpus spans.
+# handling consecutive shards of the same dataset regenerates
+# nothing.  Single-slot on purpose: it bounds worker memory to one
+# dataset's artifacts regardless of how many datasets the corpus
+# spans.
 _WORKER_STATE: dict[tuple, SimilarityEngine] = {}
 
 
 def _engine(
-    config: GraphCorpusConfig, kind: CorpusKind, code: str, threads: int
+    config: GraphCorpusConfig,
+    kind: CorpusKind,
+    code: str,
+    threads: int,
+    dataset: CleanCleanDataset | None = None,
 ) -> SimilarityEngine:
     """The memoized engine over ``kind``'s view of dataset ``code``,
-    store-backed when configured."""
+    store-backed when configured.  ``dataset`` is that view when the
+    caller already holds it; otherwise a miss generates it."""
     # cache_key() deliberately excludes the store/threads knobs (they
     # never change results), but the *engine object* differs with
     # them — the memo key must not conflate a store-backed engine with
@@ -553,7 +558,8 @@ def _engine(
             store = ArtifactStore(
                 config.artifact_store, read_tier=config.store_read_tier
             )
-        dataset = kind.view(_generate(config, code))
+        if dataset is None:
+            dataset = kind.view(_generate(config, code))
         engine = SimilarityEngine(
             dataset,
             threads=threads,
@@ -568,61 +574,6 @@ def _engine(
     return engine
 
 
-def _dense_records(
-    kind: CorpusKind,
-    config: GraphCorpusConfig,
-    tasks: list[tuple[str, SpecGroup]],
-    journal: RunJournal | None,
-    policy: RetryPolicy | None,
-    progress: bool,
-) -> list[GraphRecord]:
-    """The corpus with one pool task per ``(dataset, spec group)``."""
-    n_workers = config.workers
-    use_pool = n_workers > 1 and len(tasks) > 1
-    # Serial over groups hands the workers budget to the pairwise
-    # kernels instead (block-level threads; results invariant).
-    threads = 1 if use_pool else max(n_workers, 1)
-    runner = ResilientPool(
-        n_workers if use_pool else 0,
-        kind="process",
-        policy=policy,
-        journal=journal,
-        codec=JournalCodec(write=_write_records, read=_read_records),
-        label=kind.label,
-    )
-    on_result = None
-    if progress:
-        # Stream each group as it finishes (possibly out of submission
-        # order) so long parallel runs stay visible.
-        def on_result(key, chunk):
-            for record in chunk:
-                _print_progress(record)
-
-    chunks = runner.run(
-        [
-            Task(
-                key=f"{index:03d}:{code}",
-                fn=_group_worker,
-                args=((config, kind, code, group, threads),),
-            )
-            for index, (code, group) in enumerate(tasks)
-        ],
-        on_result=on_result,
-    )
-    return [record for chunk in chunks.values() for record in chunk]
-
-
-def _group_worker(
-    task: tuple[GraphCorpusConfig, CorpusKind, str, SpecGroup, int],
-) -> list[GraphRecord]:
-    config, kind, code, group, threads = task
-    engine = _engine(config, kind, code, threads)
-    return _records(
-        kind, engine.dataset, code, config.blocking, group.specs,
-        engine.score(group.specs),
-    )
-
-
 def _records(
     kind: CorpusKind,
     dataset: CleanCleanDataset,
@@ -633,9 +584,9 @@ def _records(
 ) -> list[GraphRecord]:
     """One spec group's corpus records from its per-spec scores.
 
-    The one record builder: a dense group passes the engine's
-    whole-range scores, the sharded tier the range-ordered merge of
-    its shards.  ``dataset`` is ``kind``'s view of catalog dataset
+    The one record builder: ``results`` is the range-ordered merge of
+    the group's shards (one whole-range shard when ``max_memory`` is
+    unset).  ``dataset`` is ``kind``'s view of catalog dataset
     ``code``.  Consumes ``results`` as it goes.
     """
     from repro.datasets.catalog import CATEGORY_BY_DATASET
@@ -723,9 +674,9 @@ def _all_matches_zero(graph, ground_truth: set[tuple[int, int]]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Sharded generation: bounded-memory corpus runs (max_memory)
+# The executor: one pool task per row range of every spec group
 # ----------------------------------------------------------------------
-def _sharded_records(
+def _corpus_records(
     kind: CorpusKind,
     config: GraphCorpusConfig,
     tasks: list[tuple[str, SpecGroup]],
@@ -733,84 +684,129 @@ def _sharded_records(
     policy: RetryPolicy | None,
     progress: bool,
 ) -> list[GraphRecord]:
-    """The corpus via the sharded execution tier.
+    """The corpus: one pool task per row range (:func:`_row_ranges`)
+    of every ``(dataset, spec group)`` unit, retried and journaled at
+    shard granularity.
 
-    Every ``(dataset, spec group)`` unit expands into one pool task
-    per shard of the :func:`~repro.pipeline.sharding.plan_for_dataset`
-    plan of ``kind``'s dataset view, so the resilient runner's
-    retry/resume machinery applies at shard granularity: a killed
-    worker repeats one shard, not a whole group, and with a journal
-    each finished shard's edges persist as an npz entry.  Task keys
-    name the shard's row range: ``max_memory`` is in neither the cache
-    key nor the journal run key, so a resume under another budget
-    reuses only the shards whose ranges it plans again.  The parent
-    merges shard scores in range order (:func:`concat_scores`) and
-    builds every record through :func:`_records` — by the
-    merge-determinism rules of :mod:`repro.pipeline.sharding` the
-    result is bit-identical to the unsharded corpus, whatever the
-    budget, shard count or worker count.
+    Task keys name the shard's row range: ``max_memory`` is in neither
+    the cache key nor the journal run key, so a resume under another
+    budget reuses only the shards whose ranges it plans again.  The
+    parent builds a group's records as soon as its last shard lands
+    and then lets the raw edges go; groups served from the journal are
+    built after the run.  A serial run hands the parent's dataset
+    views to its inline tasks, so each is generated once, and drops a
+    view once its last group is built.
     """
-    datasets: dict[str, CleanCleanDataset] = {}
-    plans: dict = {}
-    for code, _ in tasks:
-        if code not in plans:
-            datasets[code] = kind.view(_generate(config, code))
-            plans[code] = plan_for_dataset(
-                datasets[code],
-                memory_budget=config.max_memory,
-                blocking=config.blocking,
-            )
+    datasets = {
+        code: kind.view(_generate(config, code))
+        for code in dict.fromkeys(code for code, _ in tasks)
+    }
+    ranges = {
+        code: _row_ranges(config, dataset)
+        for code, dataset in datasets.items()
+    }
     keys = [
         [
             f"{index:03d}:{code}:s{shard:03d}:r{start}-{stop}"
-            for shard, (start, stop) in enumerate(plans[code].ranges())
+            for shard, (start, stop) in enumerate(ranges[code])
         ]
         for index, (code, _) in enumerate(tasks)
     ]
     n_workers = config.workers
     use_pool = n_workers > 1 and sum(map(len, keys)) > 1
+    # Serial over shards hands the workers budget to the pairwise
+    # kernels instead (block-level threads; results invariant).
     threads = 1 if use_pool else max(n_workers, 1)
+    views = None if use_pool else datasets
     pool_tasks = [
         Task(
             key=key,
             fn=_shard_worker,
-            args=((config, kind, code, group, threads, start, stop),),
+            args=(config, kind, code, group, threads, start, stop, views),
         )
         for (code, group), group_keys in zip(tasks, keys)
-        for key, (start, stop) in zip(group_keys, plans[code].ranges())
+        for key, (start, stop) in zip(group_keys, ranges[code])
     ]
+    chunks: list[list[GraphRecord] | None] = [None] * len(tasks)
+    unbuilt = Counter(code for code, _ in tasks)
+
+    def build(index: int, shards: list[list[SpecScores]]) -> None:
+        code, group = tasks[index]
+        merged = [
+            concat_scores([shard[spec_index] for shard in shards])
+            for spec_index in range(len(group.specs))
+        ]
+        for shard in shards:
+            # The pool keeps every result until run() returns; emptying
+            # the lists releases the raw edges now.
+            shard.clear()
+        chunks[index] = _records(
+            kind, datasets[code], code, config.blocking, group.specs, merged
+        )
+        unbuilt[code] -= 1
+        if not unbuilt[code]:
+            del datasets[code]  # its records keep only the ground truth
+        if progress:
+            for record in chunks[index]:
+                _print_progress(record)
+
+    group_of = {
+        key: index for index, group_keys in enumerate(keys)
+        for key in group_keys
+    }
+    pending = [len(group_keys) for group_keys in keys]
+    landed: dict[str, list[SpecScores]] = {}
+
+    def on_result(key: str, scores: list[SpecScores]) -> None:
+        index = group_of[key]
+        landed[key] = scores
+        pending[index] -= 1
+        if pending[index] == 0:
+            build(index, [landed.pop(other) for other in keys[index]])
+
     runner = ResilientPool(
         n_workers if use_pool else 0,
         kind="process",
         policy=policy,
         journal=journal,
         codec=_SHARD_JOURNAL_CODEC,
-        label=f"{kind.label}-shards",
+        label=kind.label,
     )
-    chunks = runner.run(pool_tasks)
-    records: list[GraphRecord] = []
-    for (code, group), group_keys in zip(tasks, keys):
-        shards = [chunks[key] for key in group_keys]
-        merged = [
-            concat_scores([shard[spec_index] for shard in shards])
-            for spec_index in range(len(group.specs))
-        ]
-        chunk = _records(
-            kind, datasets[code], code, config.blocking, group.specs, merged
-        )
-        if progress:
-            for record in chunk:
-                _print_progress(record)
-        records.extend(chunk)
-    return records
+    results = runner.run(pool_tasks, on_result=on_result)
+    for index, group_keys in enumerate(keys):
+        if chunks[index] is None:  # served, at least in part, by the journal
+            build(index, [results[key] for key in group_keys])
+    return [record for chunk in chunks for record in chunk]
+
+
+def _row_ranges(
+    config: GraphCorpusConfig, dataset: CleanCleanDataset
+) -> list[tuple[int, int]]:
+    """The shard row ranges of one dataset view: the whole range, with
+    no plan made, unless ``max_memory`` asks for a shard plan."""
+    if config.max_memory is None:
+        return [(0, len(dataset.left))]
+    return plan_for_dataset(
+        dataset, memory_budget=config.max_memory, blocking=config.blocking
+    ).ranges()
 
 
 def _shard_worker(
-    task: tuple[GraphCorpusConfig, CorpusKind, str, SpecGroup, int, int, int],
+    config: GraphCorpusConfig,
+    kind: CorpusKind,
+    code: str,
+    group: SpecGroup,
+    threads: int,
+    start: int,
+    stop: int,
+    views: dict[str, CleanCleanDataset] | None,
 ) -> list[SpecScores]:
-    """One shard of one spec group: per-spec scores of its row range."""
-    config, kind, code, group, threads, start, stop = task
-    return _engine(config, kind, code, threads).score(
+    """One shard of one spec group: per-spec scores of its row range.
+
+    ``views`` holds the parent's dataset views when the task runs
+    inline in the parent; a pool worker generates its own."""
+    dataset = None if views is None else views[code]
+    return _engine(config, kind, code, threads, dataset).score(
         group.specs, start, stop
     )
 
@@ -823,8 +819,11 @@ def concat_scores(parts: list[SpecScores]) -> SpecScores:
     results over consecutive row ranges, in range order; their raw
     edges concatenate into the unsharded edge stream (see
     :mod:`repro.pipeline.sharding`).  Timings sum, and the
-    whole-dataset savings statistics come from any shard.
+    whole-dataset savings statistics come from any shard.  A single
+    part (a whole-range shard) is returned as it is.
     """
+    if len(parts) == 1:
+        return parts[0]
     return SpecScores(
         np.concatenate([part.left for part in parts]),
         np.concatenate([part.right for part in parts]),
@@ -837,28 +836,12 @@ def concat_scores(parts: list[SpecScores]) -> SpecScores:
 
 
 # ----------------------------------------------------------------------
-# Corpus cache and run-journal codecs
+# Corpus cache and run-journal codec
 # ----------------------------------------------------------------------
-def _record_meta(record: GraphRecord, filename: str) -> dict:
-    """One record's manifest/journal entry (everything but the graph)."""
-    return {
-        "file": filename,
-        "dataset": record.dataset,
-        "family": record.family,
-        "function": record.function,
-        "category": record.category,
-        "build_seconds": record.build_seconds,
-        "artifact_seconds": record.artifact_seconds,
-        "matrix_seconds": record.matrix_seconds,
-        "graph_seconds": record.graph_seconds,
-        "dedup_ratio": record.dedup_ratio,
-        "candidate_reduction": record.candidate_reduction,
-    }
-
-
 def _manifest_body(records: list[GraphRecord], filenames) -> dict:
-    """The ``ground_truth`` + ``graphs`` body shared by the corpus
-    manifest and a journaled group.
+    """The ``ground_truth`` + ``graphs`` body of the corpus manifest:
+    every record's provenance, timings and statistics, and the file
+    holding its graph.
 
     Ground truth is identical for every graph of a dataset, so it is
     stored once per dataset instead of once per graph (the v1 format's
@@ -869,7 +852,21 @@ def _manifest_body(records: list[GraphRecord], filenames) -> dict:
     for record, filename in zip(records, filenames):
         if record.dataset not in ground_truth:
             ground_truth[record.dataset] = sorted(record.ground_truth)
-        graphs.append(_record_meta(record, filename))
+        graphs.append(
+            {
+                "file": filename,
+                "dataset": record.dataset,
+                "family": record.family,
+                "function": record.function,
+                "category": record.category,
+                "build_seconds": record.build_seconds,
+                "artifact_seconds": record.artifact_seconds,
+                "matrix_seconds": record.matrix_seconds,
+                "graph_seconds": record.graph_seconds,
+                "dedup_ratio": record.dedup_ratio,
+                "candidate_reduction": record.candidate_reduction,
+            }
+        )
     return {"ground_truth": ground_truth, "graphs": graphs}
 
 
@@ -975,25 +972,6 @@ def _load_cached(cache_dir: Path) -> list[GraphRecord] | None:
         quarantine_file(path, "corpus cache", error)
         return None
     return _records_from_body(manifest, graphs)
-
-
-def _write_records(chunk: list[GraphRecord], path: Path) -> None:
-    """Journal one group's records: per-record graph files plus a
-    ``records.json`` (same body as the corpus manifest, so the
-    round-trip shares the manifest's bit-identity guarantees)."""
-    filenames = [f"graph_{index:03d}.npz" for index in range(len(chunk))]
-    for record, filename in zip(chunk, filenames):
-        save_graph(record.graph, path / filename)
-    (path / "records.json").write_text(
-        json.dumps(_manifest_body(chunk, filenames))
-    )
-
-
-def _read_records(path: Path) -> list[GraphRecord]:
-    body = json.loads((path / "records.json").read_text())
-    return _records_from_body(
-        body, [load_graph(path / entry["file"]) for entry in body["graphs"]]
-    )
 
 
 def _write_shard_entry(results: list[SpecScores], path: Path) -> None:

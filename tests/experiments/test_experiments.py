@@ -22,7 +22,7 @@ from repro.experiments.efficiency import (
     runtime_table,
     scalability_points,
 )
-from repro.experiments.sota import run_sota_comparison
+from repro.experiments.sota import SotaComparison, run_sota_comparison
 from repro.experiments.thresholds import (
     threshold_by_dataset,
     threshold_correlations,
@@ -183,3 +183,15 @@ class TestSota:
         assert 0.0 <= row.learned_f1 <= 1.0
         assert 0.0 <= row.umc_f1 <= 1.0
         assert row.umc_model == "token1"
+        # The exact row the direct scoring path computed, before the
+        # TF-IDF cosine graphs came from the shared-artifact engine.
+        assert rows == [
+            SotaComparison(
+                dataset="d2",
+                zeroer_f1=0.625,
+                learned_f1=0.967741935483871,
+                umc_f1=1.0,
+                umc_model="token1",
+                umc_threshold=0.4,
+            )
+        ]

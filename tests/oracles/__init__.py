@@ -20,7 +20,10 @@ so the shipped package holds one implementation per algorithm:
 * :mod:`tests.oracles.embeddings` — the scalar RWMD and the per-pair
   loop over it;
 * :mod:`tests.oracles.profiles` — the five first-occurrence vocabulary
-  loops that :mod:`repro.vectorspace.profiles` replaced.
+  loops that :mod:`repro.vectorspace.profiles` replaced;
+* :mod:`tests.oracles.similarity` — the direct scoring path
+  (``compute_similarity_matrix`` and ``matrix_to_graph``) that
+  :class:`~repro.pipeline.engine.SimilarityEngine` replaced.
 
 Oracle bodies are never edited: an engine change must keep matching
 them as they are.  Benchmarks run as scripts import this package after

@@ -1,7 +1,8 @@
 """Differential and cache-behaviour tests of the similarity engine.
 
 The engine must be *bit-identical* to the direct
-``compute_similarity_matrix`` path for every family of the taxonomy,
+``compute_similarity_matrix`` path (the oracle in
+``tests/oracles/similarity.py``) for every family of the taxonomy,
 and every shared artifact must be built exactly once per distinct key
 regardless of how many specs consume it.
 """
@@ -16,11 +17,11 @@ from repro.datasets.generator import generate_dataset
 from repro.pipeline import (
     ArtifactCache,
     SimilarityEngine,
-    compute_similarity_matrix,
     enumerate_function_specs,
     group_specs,
 )
 from repro.pipeline.batched_strings import StringBatch, schema_based_matrix
+from tests.oracles.similarity import compute_similarity_matrix
 
 # Small but full-coverage slice of the taxonomy: every schema-based
 # measure, both n-gram units, every vector/graph/semantic measure and

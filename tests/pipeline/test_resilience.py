@@ -450,6 +450,130 @@ class TestCorpusResilience:
         # Success clears the journal (the corpus cache takes over).
         assert journal.completed_keys() == set()
 
+    def test_older_journal_layouts_are_ignored(self, clean, tmp_path):
+        """Journals in the two layouts that preceded the one executor
+        are never read: their groups are recomputed.
+
+        A dense run committed each spec group's records (a
+        ``records.json`` plus one graph file per record) under the task
+        key ``NNN:code``; a ``max_memory`` run committed shard edges
+        under the run key ``corpus-shards-<cache key>``.  Both entries
+        below hold one-edge graphs, so a misread shows in the corpus.
+        """
+        from repro.graph.bipartite import SimilarityGraph
+        from repro.graph.io import save_graph
+        from repro.pipeline import workbench
+
+        key = CORPUS_CONFIG.cache_key()
+        dense = RunJournal(tmp_path, f"corpus-{key}")
+        shards = RunJournal(tmp_path, f"corpus-shards-{key}")
+        for index, (code, group) in enumerate(
+            workbench._corpus_tasks(CORPUS_CONFIG)
+        ):
+            names = {spec.name for spec in group.specs}
+            chunk = [
+                r for r in clean if r.dataset == code and r.function in names
+            ]
+            assert chunk
+
+            def write_records(path, chunk=chunk, code=code):
+                graphs = []
+                for position, record in enumerate(chunk):
+                    filename = f"graph_{position:03d}.npz"
+                    save_graph(
+                        SimilarityGraph.from_edges(
+                            *record.graph.sizes, [(0, 0, 1.0)]
+                        ),
+                        path / filename,
+                    )
+                    graphs.append(
+                        {
+                            "file": filename,
+                            "dataset": record.dataset,
+                            "family": record.family,
+                            "function": record.function,
+                            "category": record.category,
+                            "build_seconds": 1.0,
+                            "artifact_seconds": 0.0,
+                            "matrix_seconds": 1.0,
+                            "graph_seconds": 0.0,
+                            "dedup_ratio": 1.0,
+                            "candidate_reduction": 1.0,
+                        }
+                    )
+                body = {
+                    "ground_truth": {code: sorted(chunk[0].ground_truth)},
+                    "graphs": graphs,
+                }
+                (path / "records.json").write_text(json.dumps(body))
+
+            assert dense.commit(f"{index:03d}:{code}", write_records)
+            n_left = len(workbench._generate(CORPUS_CONFIG, code).left)
+
+            def write_shard(path, n_specs=len(group.specs)):
+                one_edge = {}
+                for spec_index in range(n_specs):
+                    one_edge[f"left_{spec_index}"] = np.zeros(1, np.int64)
+                    one_edge[f"right_{spec_index}"] = np.zeros(1, np.int64)
+                    one_edge[f"values_{spec_index}"] = np.ones(1)
+                np.savez(path / "edges.npz", **one_edge)
+                meta = {
+                    "specs": [
+                        {"artifact_seconds": 0.0, "matrix_seconds": 1.0}
+                    ] * n_specs,
+                    "stats": [
+                        {"dedup_ratio": 1.0, "candidate_reduction": 1.0}
+                    ] * n_specs,
+                }
+                (path / "shard.json").write_text(json.dumps(meta))
+
+            assert shards.commit(
+                f"{index:03d}:{code}:s000:r0-{n_left}", write_shard
+            )
+        resumed = generate_corpus(
+            CORPUS_CONFIG, journal_dir=tmp_path, resume=True, policy=FAST
+        )
+        _assert_same_records(clean, resumed)
+        # The run's own journal is cleared on success; the old shards
+        # journal lives under a run key nothing resolves to any more.
+        assert dense.completed_keys() == set()
+        assert len(shards.completed_keys()) == len(
+            workbench._corpus_tasks(CORPUS_CONFIG)
+        )
+
+    @pytest.mark.parametrize("max_memory", [None, 1 << 20])
+    def test_serial_run_generates_each_dataset_once(
+        self, max_memory, monkeypatch
+    ):
+        from repro.pipeline import workbench
+
+        # Three spec groups per dataset, so one task per dataset cannot
+        # hide a generation per task.
+        config = dataclasses.replace(
+            CORPUS_CONFIG,
+            families=("schema_based_syntactic", "schema_agnostic_syntactic"),
+            ngram_models=(("token", 1),),
+            vector_measures=("cosine_tf",),
+            graph_measures=("containment",),
+        )
+        codes = [code for code, _ in workbench._corpus_tasks(config)]
+        assert codes == [code for code in config.datasets for _ in range(3)]
+        expected = generate_corpus(config)
+        generated = []
+        real = workbench.generate_dataset
+
+        def counting(spec, *args, **kwargs):
+            generated.append(spec.code)
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(workbench, "generate_dataset", counting)
+        monkeypatch.setattr(workbench, "_WORKER_STATE", {})
+        generated_corpus = generate_corpus(
+            dataclasses.replace(config, max_memory=max_memory)
+        )
+        _assert_same_records(expected, generated_corpus)
+        assert generated == list(config.datasets)
+
     def test_store_corruption_quarantines_and_recomputes(
         self, clean, tmp_path, monkeypatch
     ):

@@ -25,13 +25,10 @@ from hypothesis import strategies as st
 from repro.datasets.generator import CleanCleanDataset, DatasetSpec
 from repro.datasets.profile import EntityCollection, EntityProfile
 from repro.pipeline.engine import SimilarityEngine
-from repro.pipeline.graph_builder import matrix_to_graph, pairs_to_graph
+from repro.pipeline.graph_builder import pairs_to_graph
 from repro.pipeline.resilience import ResilienceError, RetryPolicy
 from repro.pipeline.sharding import ShardPlanner, plan_for_dataset
-from repro.pipeline.similarity_functions import (
-    SimilarityFunctionSpec,
-    compute_similarity_matrix,
-)
+from repro.pipeline.similarity_functions import SimilarityFunctionSpec
 from repro.pipeline.workbench import (
     GraphCorpusConfig,
     concat_scores,
@@ -39,6 +36,7 @@ from repro.pipeline.workbench import (
     generate_dirty_corpus,
 )
 from repro.testing import faults
+from tests.oracles.similarity import compute_similarity_matrix, matrix_to_graph
 
 strings = st.lists(
     st.text(alphabet="abcde _", min_size=1, max_size=12).filter(str.strip),
