@@ -14,15 +14,13 @@ per-dataset ``blocking=`` spec (candidate pairs only) — then
   integer DPs, restricted to candidate cells), including one dense
   -then-gather fallback family,
 * asserts the blocked suite is at least ``MIN_SPEEDUP``x faster
-  wall-clock than the dense suite,
-* re-runs the blocked path under ``--threads N`` and asserts the
-  candidate sets and scores are invariant under the thread count, and
+  wall-clock than the dense suite, and
 * completes a synthetic ~10^6-record run under the blocked path where
   the dense grid (~2.5 * 10^11 cells, ~2 TB of float64) is infeasible.
 
 Run directly (the CI smoke job does)::
 
-    PYTHONPATH=src python benchmarks/bench_blocking.py [--smoke] [-j N]
+    PYTHONPATH=src python benchmarks/bench_blocking.py [--smoke]
 
 ``--artifact-store PATH`` (plus optional ``--store-read-tier PATH``)
 backs the blocked engines with a persistent
@@ -53,7 +51,6 @@ from repro.datasets.profile import EntityCollection, EntityProfile
 from repro.pipeline.batched_strings import SCHEMA_BASED_MEASURES
 from repro.pipeline.blocking import build_candidate_set
 from repro.pipeline.engine import SimilarityEngine
-from repro.pipeline.kernels import kernel_threads
 from repro.pipeline.similarity_functions import SimilarityFunctionSpec
 from repro.pipeline.store import ArtifactStore, dataset_store_key
 
@@ -310,11 +307,6 @@ def main(argv: list[str] | None = None) -> int:
         help="tiny CI profile instead of the full benchmark workload",
     )
     parser.add_argument(
-        "--threads", "-j", type=int, default=1,
-        help="also run the blocked path with N kernel threads and "
-        "assert the candidate sets and scores are invariant",
-    )
-    parser.add_argument(
         "--no-assert", action="store_true",
         help="report without failing on the quality/speedup floors",
     )
@@ -382,24 +374,6 @@ def main(argv: list[str] | None = None) -> int:
         f"speedup {speedup:.2f}x (bit-identical on retained cells, "
         f"min of {max(args.repeats, 1)})"
     )
-
-    if args.threads > 1:
-        threaded_loaded = _load_workload(suite_workload, None, None)
-        with kernel_threads(args.threads):
-            threaded, threaded_seconds = run_blocked(threaded_loaded)
-        assert threaded.keys() == pairs.keys()
-        for key, scores in threaded.items():
-            baseline = pairs[key]
-            assert np.array_equal(baseline.left, scores.left) and (
-                np.array_equal(baseline.right, scores.right)
-            ), f"candidate set changed under threads={args.threads}: {key}"
-            assert np.array_equal(baseline.values, scores.values), (
-                f"scores changed under threads={args.threads}: {key}"
-            )
-        print(
-            f"[bench_blocking] blocked x{args.threads} threads "
-            f"{threaded_seconds:.2f}s (bit-identical to serial)"
-        )
 
     print(bench_mega(MEGA_RECORDS_SMOKE if args.smoke else MEGA_RECORDS))
 

@@ -13,8 +13,6 @@ then
   paths,
 * asserts the kernel path is at least ``MIN_SPEEDUP``x faster
   wall-clock on the suite,
-* re-runs the kernel path under ``--threads N`` and asserts the block
-  scheduler's output is invariant under the thread count,
 * reports (and differentially checks) the batched RWMD kernel against
   its frozen pair loop, and
 * embeds the largest column with both semantic models through the
@@ -24,7 +22,7 @@ then
 
 Run directly (the CI smoke job does)::
 
-    PYTHONPATH=src python benchmarks/bench_kernel_engine.py [--smoke] [-j N]
+    PYTHONPATH=src python benchmarks/bench_kernel_engine.py [--smoke]
 
 Not a pytest-benchmark harness on purpose: the comparison needs two
 cold end-to-end runs of the same workload, not statistics over many
@@ -58,7 +56,7 @@ from repro.pipeline.batched_strings import (
     StringBatch,
     schema_based_matrix,
 )
-from repro.pipeline.kernels import UniquePlan, kernel_threads
+from repro.pipeline.kernels import UniquePlan
 from tests.oracles.embeddings import (
     contextual_embed_tokens,
     fasttext_embed_tokens,
@@ -210,11 +208,6 @@ def main(argv: list[str] | None = None) -> int:
         help="tiny CI profile instead of the full benchmark workload",
     )
     parser.add_argument(
-        "--threads", "-j", type=int, default=1,
-        help="also run the kernel path with N block-scheduler threads "
-        "and assert thread-count invariance",
-    )
-    parser.add_argument(
         "--no-assert", action="store_true",
         help="report without failing on the speedup threshold",
     )
@@ -259,17 +252,6 @@ def main(argv: list[str] | None = None) -> int:
         f"speedup {speedup:.2f}x (bit-identical, min of "
         f"{max(args.repeats, 1)})"
     )
-
-    if args.threads > 1:
-        with kernel_threads(args.threads):
-            threaded, threaded_seconds = run_suite(
-                columns, schema_based_matrix, StringBatch
-            )
-        assert_identical(kernel, threaded, f"threads=1 vs {args.threads}")
-        print(
-            f"[bench_kernel_engine] kernels x{args.threads} threads "
-            f"{threaded_seconds:.2f}s (bit-identical to serial)"
-        )
 
     print(bench_rwmd(columns))
     embeddings_line, embeddings_fields = bench_embeddings(columns)

@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="algorithm code or 'all' (paper's eight)",
     )
     sweep.add_argument(
-        "--workers", "-j", type=int, default=None,
+        "--workers", "-j", type=_positive_int, default=None,
         help="worker processes for per-algorithm sweeps (default: serial)",
     )
     _add_resume_flag(sweep)
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiments.add_argument("--cache", type=Path, default=None)
     experiments.add_argument(
-        "--workers", "-j", type=int, default=None,
+        "--workers", "-j", type=_positive_int, default=None,
         help=(
             "worker processes for corpus generation and the matching "
             "sweep cells (default: serial)"
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     corpus.add_argument("--cache", type=Path, default=None)
     corpus.add_argument(
-        "--workers", "-j", type=int, default=None,
+        "--workers", "-j", type=_positive_int, default=None,
         help="worker processes for corpus generation (default: serial)",
     )
     corpus.add_argument(
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="clustering code (CC, MCC, EMCC, GECG) or 'all'",
     )
     dirty.add_argument(
-        "--workers", "-j", type=int, default=None,
+        "--workers", "-j", type=_positive_int, default=None,
         help=(
             "worker processes for corpus generation and the per-graph "
             "clustering sweeps (default: serial)"

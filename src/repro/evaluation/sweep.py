@@ -105,7 +105,6 @@ def threshold_sweep(
     graph: SimilarityGraph,
     ground_truth: set[tuple[int, int]],
     grid: tuple[float, ...] = DEFAULT_THRESHOLD_GRID,
-    skip_equivalent: bool = True,
     truth_index: GroundTruthIndex | None = None,
 ) -> SweepResult:
     """Run ``matcher`` over every threshold of ``grid``.
@@ -115,14 +114,13 @@ def threshold_sweep(
     ``truth_index`` to share one pre-built ground-truth index across
     several sweeps of the same dataset (the experiment runner does).
 
-    With ``skip_equivalent`` (the default), a grid step that contains
-    no edge weight in ``[previous, current]`` re-uses the previous
-    result: every algorithm observes the threshold only through
-    ``w > t`` / ``w >= t`` comparisons, so its output cannot change.
-    This keeps the 20-point sweep cheap on graphs whose weights
-    concentrate in a narrow band.  The test runs once per sweep, over
-    the whole grid, not once per point.  A NaN grid point raises
-    :class:`ValueError` before the first call.
+    A grid step that contains no edge weight in ``[previous,
+    current]`` re-uses the previous result: every algorithm observes
+    the threshold only through ``w > t`` / ``w >= t`` comparisons, so
+    its output cannot change.  This keeps the 20-point sweep cheap on
+    graphs whose weights concentrate in a narrow band.  The test runs
+    once per sweep, over the whole grid, not once per point.  A NaN
+    grid point raises :class:`ValueError` before the first call.
 
     Each point's ``seconds`` measures the *warm-engine marginal* run:
     one untimed call at the first grid threshold precedes the loop, so
@@ -141,7 +139,6 @@ def threshold_sweep(
         matcher.match_compiled,
         lambda matching: truth_index.score(matching.pairs),
         grid,
-        skip_equivalent,
     )
 
 
@@ -151,7 +148,6 @@ def _sweep(
     run,
     score,
     grid: tuple[float, ...],
-    skip_equivalent: bool,
 ) -> SweepResult:
     """The threshold loop of :func:`threshold_sweep` and
     :func:`dirty_threshold_sweep`: ``run(compiled, threshold)`` is the
@@ -163,11 +159,7 @@ def _sweep(
 
     result = SweepResult(algorithm=algorithm)
     # The compiled graph already holds the ascending weight sort.
-    repeats = (
-        _repeats_previous(compiled.weight_ascending, grid)
-        if skip_equivalent
-        else [False] * len(grid)
-    )
+    repeats = _repeats_previous(compiled.weight_ascending, grid)
     point: SweepPoint | None = None
     for threshold, repeat in zip(grid, repeats):
         if repeat:
@@ -285,7 +277,6 @@ def dirty_threshold_sweep(
     graph,
     ground_truth: set[tuple[int, int]],
     grid: tuple[float, ...] = DEFAULT_THRESHOLD_GRID,
-    skip_equivalent: bool = True,
     truth_index: GroundTruthIndex | None = None,
 ) -> SweepResult:
     """The Dirty-ER counterpart of :func:`threshold_sweep`.
@@ -298,11 +289,11 @@ def dirty_threshold_sweep(
     inclusive threshold selection, scored at cluster level through the
     shared :class:`~repro.evaluation.metrics.GroundTruthIndex`.
 
-    ``skip_equivalent`` mirrors the bipartite sweep: every clustering
-    algorithm observes the threshold only through ``w >= t``
-    comparisons, so a grid step containing no edge weight cannot
-    change the output.  ``seconds`` is the warm-engine marginal, with
-    one untimed call at the first grid threshold.
+    Repeated grid points are reused as in the bipartite sweep: every
+    clustering algorithm observes the threshold only through
+    ``w >= t`` comparisons, so a grid step containing no edge weight
+    cannot change the output.  ``seconds`` is the warm-engine
+    marginal, with one untimed call at the first grid threshold.
     """
     compiled = graph.compiled()
     if truth_index is None:
@@ -313,7 +304,6 @@ def dirty_threshold_sweep(
         clusterer.cluster_compiled,
         truth_index.score_clusters,
         grid,
-        skip_equivalent,
     )
 
 

@@ -15,9 +15,8 @@ optional blocking layer (:mod:`repro.pipeline.blocking`, enabled via
 ``blocking=`` on the engine / corpus config) generates a deterministic
 :class:`~repro.pipeline.blocking.CandidateSet` and scores only those
 pairs — bit-identical values on every retained cell, but a sparse
-graph.  The all-pairs computations run on the deduplicated, blocked,
-thread-parallel pairwise-kernel engine
-(:mod:`repro.pipeline.kernels`, consumed by
+graph.  The all-pairs computations run on the deduplicated, blocked
+pairwise-kernel engine (:mod:`repro.pipeline.kernels`, consumed by
 :mod:`repro.pipeline.batched_strings`), and corpus generation shares
 expensive artifacts across functions (see
 :mod:`repro.pipeline.engine`) — and, with an
@@ -39,7 +38,7 @@ from repro.pipeline.engine import (
     group_specs,
 )
 from repro.pipeline.store import ArtifactStore, dataset_store_key
-from repro.pipeline.kernels import SparsePlan, UniquePlan, kernel_threads
+from repro.pipeline.kernels import SparsePlan, UniquePlan
 from repro.pipeline.graph_builder import pairs_to_graph
 from repro.pipeline.similarity_functions import (
     FAMILIES,
@@ -77,5 +76,4 @@ __all__ = [
     "generate_dirty_corpus",
     "UniquePlan",
     "SparsePlan",
-    "kernel_threads",
 ]

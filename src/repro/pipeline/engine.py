@@ -78,12 +78,8 @@ results or cache keys — it only changes wall-clock.
 
 Below the process level sits the pairwise-kernel engine
 (:mod:`repro.pipeline.kernels`): the schema-based string measures run
-deduplicated, cache-blocked kernels that can execute their blocks on a
-thread pool.  ``SimilarityEngine(..., threads=N)`` scopes that pool —
-the workbench passes the same ``workers`` knob when it runs shards
-serially (process workers keep ``threads=1`` to avoid
-oversubscription).  Thread count never changes results either: blocks
-write disjoint output rows.
+deduplicated kernels over cache-sized row blocks, one block after
+another, in whichever process scores the shard.
 """
 
 from __future__ import annotations
@@ -108,7 +104,7 @@ from repro.pipeline.batched_strings import (
     schema_based_pairs,
     schema_based_rows,
 )
-from repro.pipeline.kernels import SparsePlan, kernel_threads, row_chunk_size
+from repro.pipeline.kernels import SparsePlan, row_chunk_size
 from repro.pipeline.similarity_functions import (
     SimilarityFunctionSpec,
     graph_measure_matrix,
@@ -468,7 +464,6 @@ class SimilarityEngine:
         self,
         dataset: CleanCleanDataset,
         cache: ArtifactCache | None = None,
-        threads: int = 1,
         store=None,
         dataset_key: tuple | None = None,
         blocking: str | None = None,
@@ -483,7 +478,6 @@ class SimilarityEngine:
                 "be silently ignored"
             )
         self.cache = cache
-        self.threads = max(int(threads), 1)
         if blocking is not None:
             from repro.pipeline.blocking import canonical_blocking
 
@@ -520,8 +514,7 @@ class SimilarityEngine:
         rows they own, because their BLAS reductions reproduce bit for
         bit only on the same blocks.  A block spanning every row —
         every dense whole-range call — uses the memoized (and stored)
-        whole-grid artifacts.  The kernels run under this engine's
-        ``threads`` knob, which never changes a score.
+        whole-grid artifacts.
         """
         candidates = None
         if self.blocking is not None:
@@ -540,33 +533,32 @@ class SimilarityEngine:
             )
         parts: list[list[list[np.ndarray]]] = [[[], [], []] for _ in specs]
         clocks = [[0.0, 0.0] for _ in specs]
-        with kernel_threads(self.threads):
-            for lo, hi in blocks:
-                row_lo, row_hi = max(start, lo), min(stop, hi)
-                pairs = None
-                if candidates is not None:
-                    pair_lo, pair_hi = np.searchsorted(
-                        candidates.left, [row_lo, row_hi]
-                    )
-                    if pair_lo == pair_hi:
-                        continue
-                    pairs = (
-                        candidates.left[pair_lo:pair_hi],
-                        candidates.right[pair_lo:pair_hi],
-                    )
-                scratch: dict = {}
-                for index, spec in enumerate(specs):
-                    before = self.cache.miss_seconds
-                    begin = time.perf_counter()
-                    edges = self._block_edges(
-                        spec, lo, hi, row_lo, row_hi, pairs, scratch
-                    )
-                    elapsed = time.perf_counter() - begin
-                    own = self.cache.miss_seconds - before
-                    clocks[index][0] += own
-                    clocks[index][1] += max(elapsed - own, 0.0)
-                    for part, array in zip(parts[index], edges):
-                        part.append(array)
+        for lo, hi in blocks:
+            row_lo, row_hi = max(start, lo), min(stop, hi)
+            pairs = None
+            if candidates is not None:
+                pair_lo, pair_hi = np.searchsorted(
+                    candidates.left, [row_lo, row_hi]
+                )
+                if pair_lo == pair_hi:
+                    continue
+                pairs = (
+                    candidates.left[pair_lo:pair_hi],
+                    candidates.right[pair_lo:pair_hi],
+                )
+            scratch: dict = {}
+            for index, spec in enumerate(specs):
+                before = self.cache.miss_seconds
+                begin = time.perf_counter()
+                edges = self._block_edges(
+                    spec, lo, hi, row_lo, row_hi, pairs, scratch
+                )
+                elapsed = time.perf_counter() - begin
+                own = self.cache.miss_seconds - before
+                clocks[index][0] += own
+                clocks[index][1] += max(elapsed - own, 0.0)
+                for part, array in zip(parts[index], edges):
+                    part.append(array)
         return [
             SpecScores(
                 *(

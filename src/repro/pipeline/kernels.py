@@ -1,4 +1,4 @@
-"""Deduplicated, blocked, thread-parallel pairwise-kernel engine.
+"""Deduplicated, blocked pairwise-kernel engine.
 
 The similarity families compute all-pairs ``lefts x rights`` matrices.
 Real clean-clean datasets repeat attribute values heavily, and the
@@ -11,13 +11,11 @@ layer those kernels route through:
   vocabularies match the non-deduplicated construction exactly) and
   scatters results back with ``np.ix_`` — every duplicated value pair
   is computed once.
-* :func:`row_blocks` / :func:`run_blocks` tile the unique grid into
-  cache-sized row blocks and execute them on a thread pool (the numpy
-  kernels release the GIL).  Each block writes a disjoint row range of
-  a preallocated output, so assembly is deterministic and the result
-  is **invariant under the thread count** — the pool size comes from
-  the same ``workers`` knob that drives process-level parallelism
-  (:func:`kernel_threads` / :func:`get_kernel_threads`).
+* :func:`row_blocks` tiles the unique grid into cache-sized row
+  blocks, which bound the live DP slabs; a kernel runs them in a plain
+  loop, each block writing a disjoint row range of a preallocated
+  output.  Process workers are the only parallelism above the kernels
+  (``GraphCorpusConfig.workers``).
 * Each string measure has **one cell kernel** (``*_cells``) that
   scores a list of unique-grid cells.  A call that covers whole rows
   (``cell_right=None`` — the dense and sharded paths) broadcasts the
@@ -42,8 +40,6 @@ edit-distance DPs operate on exactly representable small integers.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,11 +50,8 @@ __all__ = [
     "ROW_CHUNK_CELLS",
     "UniquePlan",
     "SparsePlan",
-    "kernel_threads",
-    "get_kernel_threads",
     "row_chunk_size",
     "row_blocks",
-    "run_blocks",
     "encode_strings",
     "edit_distance_cells",
     "lcs_cells",
@@ -88,36 +81,6 @@ def row_chunk_size(n_right: int) -> int:
     blocks the full pass would compute.
     """
     return max(1, ROW_CHUNK_CELLS // max(int(n_right), 1))
-
-
-# ----------------------------------------------------------------------
-# Thread knob
-# ----------------------------------------------------------------------
-#: Kernel thread count of the current process; 1 = serial.  Process
-#: workers keep the default (they already saturate the cores), the
-#: serial corpus path raises it via :func:`kernel_threads`.
-_KERNEL_THREADS = 1
-
-
-def get_kernel_threads() -> int:
-    """The thread count kernels use when none is passed explicitly."""
-    return _KERNEL_THREADS
-
-
-@contextmanager
-def kernel_threads(n: int):
-    """Context manager scoping the kernel thread pool size.
-
-    Results are invariant under ``n`` by construction (disjoint block
-    writes); only wall-clock changes.
-    """
-    global _KERNEL_THREADS
-    previous = _KERNEL_THREADS
-    _KERNEL_THREADS = max(int(n), 1)
-    try:
-        yield
-    finally:
-        _KERNEL_THREADS = previous
 
 
 # ----------------------------------------------------------------------
@@ -252,60 +215,27 @@ class SparsePlan:
 
 
 # ----------------------------------------------------------------------
-# Block scheduler
+# Row blocks
 # ----------------------------------------------------------------------
 #: Target cells (rows x padded right width) per DP block: ~0.5M float64
 #: cells keep the handful of live DP slabs inside the L2/L3 cache.
 _TARGET_BLOCK_CELLS = 1 << 19
 
 
-def row_blocks(
-    n_rows: int,
-    row_weight: int,
-    threads: int | None = None,
-    target_cells: int = _TARGET_BLOCK_CELLS,
-) -> list[tuple[int, int]]:
+def row_blocks(n_rows: int, row_weight: int) -> list[tuple[int, int]]:
     """Contiguous row ranges tiling ``n_rows``.
 
     ``row_weight`` is the cost of one row (e.g. ``n_right * max_len``);
     blocks are sized so ``rows * row_weight`` stays near
-    ``target_cells``.  With ``threads > 1`` blocks are additionally
-    capped so the pool gets at least a few blocks per thread for load
-    balancing.
+    :data:`_TARGET_BLOCK_CELLS`.
     """
     if n_rows <= 0:
         return []
-    threads = get_kernel_threads() if threads is None else max(threads, 1)
-    per_block = max(1, target_cells // max(row_weight, 1))
-    if threads > 1:
-        balanced = -(-n_rows // (threads * 4))
-        per_block = max(1, min(per_block, balanced))
+    per_block = max(1, _TARGET_BLOCK_CELLS // max(row_weight, 1))
     return [
         (start, min(start + per_block, n_rows))
         for start in range(0, n_rows, per_block)
     ]
-
-
-def run_blocks(
-    blocks: list[tuple[int, int]],
-    kernel,
-    threads: int | None = None,
-) -> None:
-    """Execute ``kernel(start, stop)`` for every block.
-
-    Serial when ``threads <= 1`` or there is a single block; otherwise
-    on a thread pool.  Kernels write disjoint output rows, so the
-    result never depends on scheduling.
-    """
-    threads = get_kernel_threads() if threads is None else max(threads, 1)
-    if threads <= 1 or len(blocks) <= 1:
-        for start, stop in blocks:
-            kernel(start, stop)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(kernel, start, stop) for start, stop in blocks]
-        for future in futures:
-            future.result()
 
 
 # ----------------------------------------------------------------------
@@ -434,10 +364,10 @@ class _Cells:
             lens_b = self.right_lengths[right][:, None]
         return self.left_lengths[left], self.left_codes[left], codes_b, lens_b
 
-    def run(self, kernel, row_width: int, threads: int | None) -> None:
+    def run(self, kernel, row_width: int) -> None:
         """Execute ``kernel(start, stop)`` over blocks of :attr:`rows`."""
-        blocks = row_blocks(len(self.rows), self.k * row_width, threads)
-        run_blocks(blocks, kernel, threads)
+        for start, stop in row_blocks(len(self.rows), self.k * row_width):
+            kernel(start, stop)
 
     def result(self, clip: bool = True) -> np.ndarray:
         """Scores with empty-side cells zeroed (the builder convention)."""
@@ -461,7 +391,6 @@ def edit_distance_cells(
     *,
     transpositions: bool = False,
     gap: int = 1,
-    threads: int | None = None,
 ) -> np.ndarray:
     """Alignment-cost similarity ``1 - cost / (gap * longest)`` of cells.
 
@@ -544,7 +473,7 @@ def edit_distance_cells(
                         longest > 0, 1.0 - costs / (scale * longest), 0.0
                     )
 
-    cells.run(block, width + 1, threads)
+    cells.run(block, width + 1)
     return cells.result()
 
 
@@ -557,7 +486,6 @@ def lcs_cells(
     cell_right: np.ndarray | None = None,
     *,
     substring: bool = False,
-    threads: int | None = None,
 ) -> np.ndarray:
     """Longest-common-subsequence similarity ``lcs / longest`` of cells.
 
@@ -616,7 +544,7 @@ def lcs_cells(
                         longest > 0, common / longest, 0.0
                     )
 
-    cells.run(block, width + 1, threads)
+    cells.run(block, width + 1)
     return cells.result()
 
 
@@ -627,7 +555,6 @@ def jaro_cells(
     right_lengths: np.ndarray,
     cell_left: np.ndarray,
     cell_right: np.ndarray | None = None,
-    threads: int | None = None,
 ) -> np.ndarray:
     """Jaro similarity of cells as a batched array kernel.
 
@@ -700,7 +627,7 @@ def jaro_cells(
                 0.0,
             )
 
-    cells.run(block, max(width, 1), threads)
+    cells.run(block, max(width, 1))
     return cells.result(clip=False)
 
 
@@ -743,7 +670,6 @@ def smith_waterman_grid(
     left_lengths: np.ndarray,
     right_codes: np.ndarray,
     right_lengths: np.ndarray,
-    threads: int | None = None,
 ) -> np.ndarray:
     """All-pairs Smith-Waterman similarity of two token vocabularies.
 
@@ -815,8 +741,8 @@ def smith_waterman_grid(
                         0.0,
                     )
 
-    weight = n_right * (max_len + 1)
-    run_blocks(row_blocks(len(rows), weight, threads), block, threads)
+    for start, stop in row_blocks(len(rows), n_right * (max_len + 1)):
+        block(start, stop)
     return out
 
 

@@ -29,19 +29,18 @@ set the ranges of the dataset's shard plan
 rows; the parent merges a group's shards in range order
 (:func:`concat_scores`) and builds its records as soon as the last
 one lands.  With ``workers > 1`` the tasks are distributed over a
-process pool; when the corpus has too few tasks to occupy a pool,
-the same ``workers`` value instead sizes the thread pool of the
-pairwise-kernel engine (:mod:`repro.pipeline.kernels`).  The cache
-write path is sharded under the same knob: ``graph_*.npz`` files are
-written by a thread pool instead of serially in the parent (file
-compression releases the GIL), with the manifest written only after
-every graph file landed.  In every case the result (records, order,
-cache key) is identical to the serial run — parallelism only changes
-wall-clock.  Every fan-out (shards and cache writes alike) runs on
-the shared fault-tolerant runner of :mod:`repro.pipeline.resilience`:
-failed shards retry with backoff, broken pools respawn, and with
-``resume``/``journal_dir`` finished shards journal their raw edges to
-disk so an interrupted generation resumes bit-identically.
+process pool, unless the corpus is a single task, which runs in the
+parent.  The cache write path is sharded under the same knob:
+``graph_*.npz`` files are written by a thread pool instead of
+serially in the parent (file compression releases the GIL), with the
+manifest written only after every graph file landed.  In every case
+the result (records, order, cache key) is identical to the serial
+run — parallelism only changes wall-clock.  Every fan-out (shards
+and cache writes alike) runs on the shared fault-tolerant runner of
+:mod:`repro.pipeline.resilience`: failed shards retry with backoff,
+broken pools respawn, and with ``resume``/``journal_dir`` finished
+shards journal their raw edges to disk so an interrupted generation
+resumes bit-identically.
 
 The paper also removes degenerate inputs ("special care was taken to
 clean the experimental results from noise"); the corresponding filters
@@ -68,6 +67,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import time
 import zipfile
 from collections import Counter
@@ -529,21 +529,19 @@ def _engine(
     config: GraphCorpusConfig,
     kind: CorpusKind,
     code: str,
-    threads: int,
     dataset: CleanCleanDataset | None = None,
 ) -> SimilarityEngine:
     """The memoized engine over ``kind``'s view of dataset ``code``,
     store-backed when configured.  ``dataset`` is that view when the
     caller already holds it; otherwise a miss generates it."""
-    # cache_key() deliberately excludes the store/threads knobs (they
-    # never change results), but the *engine object* differs with
-    # them — the memo key must not conflate a store-backed engine with
-    # a store-less one.
+    # cache_key() deliberately excludes the store knobs (they never
+    # change results), but the *engine object* differs with them — the
+    # memo key must not conflate a store-backed engine with a
+    # store-less one.
     key = (
         config.cache_key(),
         kind,
         code,
-        threads,
         config.artifact_store,
         config.store_read_tier,
     )
@@ -562,7 +560,6 @@ def _engine(
             dataset = kind.view(_generate(config, code))
         engine = SimilarityEngine(
             dataset,
-            threads=threads,
             store=store,
             dataset_key=dataset_store_key(
                 dataset.code, config.scale, config.max_pairs, config.seed
@@ -714,15 +711,12 @@ def _corpus_records(
     ]
     n_workers = config.workers
     use_pool = n_workers > 1 and sum(map(len, keys)) > 1
-    # Serial over shards hands the workers budget to the pairwise
-    # kernels instead (block-level threads; results invariant).
-    threads = 1 if use_pool else max(n_workers, 1)
     views = None if use_pool else datasets
     pool_tasks = [
         Task(
             key=key,
             fn=_shard_worker,
-            args=(config, kind, code, group, threads, start, stop, views),
+            args=(config, kind, code, group, start, stop, views),
         )
         for (code, group), group_keys in zip(tasks, keys)
         for key, (start, stop) in zip(group_keys, ranges[code])
@@ -796,7 +790,6 @@ def _shard_worker(
     kind: CorpusKind,
     code: str,
     group: SpecGroup,
-    threads: int,
     start: int,
     stop: int,
     views: dict[str, CleanCleanDataset] | None,
@@ -806,7 +799,7 @@ def _shard_worker(
     ``views`` holds the parent's dataset views when the task runs
     inline in the parent; a pool worker generates its own."""
     dataset = None if views is None else views[code]
-    return _engine(config, kind, code, threads, dataset).score(
+    return _engine(config, kind, code, dataset).score(
         group.specs, start, stop
     )
 
@@ -949,10 +942,10 @@ def _save_graph_file(
 
 
 def _load_cached(cache_dir: Path) -> list[GraphRecord] | None:
-    """The cached corpus, or ``None`` when one of its files does not
-    load (a torn write, say): that file moves to ``quarantine/``
-    beside it, one line on stderr says so, and the caller regenerates
-    the corpus."""
+    """The cached corpus, or ``None`` when one of its files is missing
+    or does not load (a torn write, say): one line on stderr names the
+    file, a torn one moves to ``quarantine/`` beside it, and the
+    caller regenerates the corpus."""
     path = cache_dir / _MANIFEST_NAME
     try:
         manifest = json.loads(path.read_text())
@@ -966,6 +959,9 @@ def _load_cached(cache_dir: Path) -> list[GraphRecord] | None:
         for entry in manifest["graphs"]:
             path = cache_dir / entry["file"]
             graphs.append(load_graph(path))
+    except FileNotFoundError:
+        print(f"corpus cache {path} is missing; recomputing", file=sys.stderr)
+        return None
     except (ValueError, zipfile.BadZipFile, EOFError) as error:
         # A short npz has no zip directory (BadZipFile); an empty file
         # has no magic (EOFError).  Neither is a ValueError.

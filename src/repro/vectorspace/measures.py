@@ -56,68 +56,32 @@ def jaccard_matrix(left: VectorModel, right: VectorModel) -> np.ndarray:
 
 
 def pairwise_min_sum(
-    left: sparse.csr_matrix,
-    right: sparse.csr_matrix,
-    threads: int | None = None,
+    left: sparse.csr_matrix, right: sparse.csr_matrix
 ) -> np.ndarray:
     """``sum_k min(a_k, b_k)`` for every row pair of two sparse matrices.
 
-    Iterates the shared vocabulary in CSC order; each term contributes
-    the outer minimum of its posting lists, so the cost is
-    ``sum_k |A_k| * |B_k|`` — proportional to a sparse matrix product.
-
-    The column sweep runs through the block scheduler of
-    :mod:`repro.pipeline.kernels` when the kernel thread pool is
-    active: each block owns a contiguous *left-row* range, restricting
-    every column's posting list to its rows with one binary search per
-    column (CSC row indices are sorted), so blocks write disjoint
-    output rows.  Per output cell the additions still arrive in CSC
-    column order — exactly the serial order — so the result is
-    bit-identical and **invariant under the thread count**.
+    One sweep over the shared vocabulary in CSC order: each term adds
+    the outer minimum of its posting lists to the cells of their rows,
+    so the cost is ``sum_k |A_k| * |B_k|`` — proportional to a sparse
+    matrix product — and every cell sums its terms in column order.
     """
-    # Imported lazily: repro.pipeline modules import this module at
-    # load time, so a top-level import would be circular.
-    from repro.pipeline.kernels import get_kernel_threads, row_blocks, run_blocks
-
-    n_left = left.shape[0]
-    n_right = right.shape[0]
-    result = np.zeros((n_left, n_right))
-    left_csc = left.tocsc()
-    right_csc = right.tocsc()
-    left_csc.sort_indices()
-    right_csc.sort_indices()
-    n_cols = left.shape[1]
-    threads = get_kernel_threads() if threads is None else max(threads, 1)
-    blocks = (
-        row_blocks(n_left, max(n_right, 1), threads)
-        if threads > 1
-        else [(0, n_left)]
-    )
-
-    def block(start: int, stop: int) -> None:
-        view = result[start:stop]
-        whole = start == 0 and stop == n_left
-        for col in range(n_cols):
-            a_start, a_end = left_csc.indptr[col], left_csc.indptr[col + 1]
-            if a_start == a_end:
-                continue
-            b_start, b_end = right_csc.indptr[col], right_csc.indptr[col + 1]
-            if b_start == b_end:
-                continue
-            rows_a = left_csc.indices[a_start:a_end]
-            vals_a = left_csc.data[a_start:a_end]
-            if not whole:
-                low = np.searchsorted(rows_a, start)
-                high = np.searchsorted(rows_a, stop)
-                if low == high:
-                    continue
-                rows_a = rows_a[low:high] - start
-                vals_a = vals_a[low:high]
-            rows_b = right_csc.indices[b_start:b_end]
-            vals_b = right_csc.data[b_start:b_end]
-            view[np.ix_(rows_a, rows_b)] += np.minimum.outer(vals_a, vals_b)
-
-    run_blocks(blocks, block, threads)
+    result = np.zeros((left.shape[0], right.shape[0]))
+    left_csc, right_csc = left.tocsc(), right.tocsc()
+    for col in range(left.shape[1]):
+        a_start, a_end = left_csc.indptr[col], left_csc.indptr[col + 1]
+        if a_start == a_end:
+            continue
+        b_start, b_end = right_csc.indptr[col], right_csc.indptr[col + 1]
+        if b_start == b_end:
+            continue
+        result[
+            np.ix_(
+                left_csc.indices[a_start:a_end],
+                right_csc.indices[b_start:b_end],
+            )
+        ] += np.minimum.outer(
+            left_csc.data[a_start:a_end], right_csc.data[b_start:b_end]
+        )
     return result
 
 

@@ -187,6 +187,86 @@ class TestSweep:
             threshold_sweep_best_of([], graph, truth)
 
 
+_GRID = DEFAULT_THRESHOLD_GRID
+
+#: Edge weights laid out against the grid: on grid points (the closed
+#: interval ends), strictly between them, none at all, only the last
+#: point, and a narrow band inside one step.
+_WEIGHT_LAYOUTS = {
+    "on_grid_points": [_GRID[5], _GRID[5], _GRID[15], _GRID[5]],
+    "between_grid_points": [0.12, 0.47, 0.93, 0.47],
+    "no_edges": [],
+    "only_at_one": [1.0, 1.0],
+    "narrow_band": [0.51, 0.53, 0.56, 0.58, 0.52],
+}
+
+
+class TestSweepReuse:
+    """A grid point whose step ``[previous, current]`` holds no edge
+    weight reuses the previous result; every other point runs the
+    matcher once, after one untimed warm call at the first point."""
+
+    @pytest.mark.parametrize("layout", list(_WEIGHT_LAYOUTS))
+    def test_matcher_runs_once_per_distinct_point(self, layout, monkeypatch):
+        weights = _WEIGHT_LAYOUTS[layout]
+        graph = SimilarityGraph.from_edges(
+            5, 5, [(i, (i + 1) % 5, w) for i, w in enumerate(weights)]
+        )
+        truth = {(0, 1), (1, 2), (2, 3)}
+        matcher = UniqueMappingClustering()
+        calls = []
+        run = matcher.match_compiled
+
+        def counting(compiled, threshold):
+            calls.append(threshold)
+            return run(compiled, threshold)
+
+        monkeypatch.setattr(matcher, "match_compiled", counting)
+        sweep = threshold_sweep(matcher, graph, truth)
+        distinct = [
+            current
+            for index, current in enumerate(_GRID)
+            if index == 0
+            or any(_GRID[index - 1] <= w <= current for w in weights)
+        ]
+        assert calls == [_GRID[0], *distinct]
+        for previous, point in zip(sweep.points, sweep.points[1:]):
+            if point.threshold not in distinct:
+                assert point.scores == previous.scores
+                assert point.seconds == previous.seconds
+        for point in sweep.points:
+            matching = UniqueMappingClustering().match(graph, point.threshold)
+            assert point.scores == evaluate_pairs(matching.pairs, truth)
+
+    def test_dirty_sweep_runs_once_per_distinct_point(self, monkeypatch):
+        from repro.evaluation.metrics import evaluate_clusters
+        from repro.evaluation.sweep import dirty_threshold_sweep
+        from repro.extensions.dirty_er import create_clusterer
+        from repro.graph.unipartite import UnipartiteGraph
+
+        weights = _WEIGHT_LAYOUTS["on_grid_points"]
+        graph = UnipartiteGraph.from_edges(
+            5, [(i, i + 1, w) for i, w in enumerate(weights)]
+        )
+        truth = {(0, 1), (1, 2), (3, 4)}
+        clusterer = create_clusterer("CC")
+        calls = []
+        run = clusterer.cluster_compiled
+
+        def counting(compiled, threshold):
+            calls.append(threshold)
+            return run(compiled, threshold)
+
+        monkeypatch.setattr(clusterer, "cluster_compiled", counting)
+        sweep = dirty_threshold_sweep(clusterer, graph, truth)
+        # The steps ending at 0.3 and at 0.35 (both closed at 0.3), and
+        # at 0.8 and 0.85, hold a weight: four runs after the first.
+        assert calls == [_GRID[0], _GRID[0], *_GRID[5:7], *_GRID[15:17]]
+        for point in sweep.points:
+            clusters = create_clusterer("CC").cluster(graph, point.threshold)
+            assert point.scores == evaluate_clusters(clusters, truth)
+
+
 class TestClusterMetrics:
     """Cluster-level scoring for the dirty-ER extension."""
 

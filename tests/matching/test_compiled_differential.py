@@ -101,19 +101,26 @@ def test_compiled_cache_reuse_across_thresholds(code):
 
 def test_sweep_engine_equals_legacy_sweep():
     """threshold_sweep (compiled engine + truth index) must reproduce a
-    hand-rolled legacy sweep point for point."""
-    graph = _random(41, 14, 14, 80)
+    hand-rolled legacy sweep point for point.  The random graph repeats
+    one grid point; on ``two_tie_levels`` 15 of the 20 points repeat,
+    and both of its weights (0.3, 0.8) are grid points themselves, so
+    the reuse of a repeated point is checked at its boundaries."""
+    graphs = [
+        _random(41, 14, 14, 80),
+        dict(graph_battery())["two_tie_levels"],
+    ]
     truth = {(i, i) for i in range(10)}
-    for code in ALGORITHM_CODES:
-        sweep = threshold_sweep(make_matcher(code), graph, truth)
-        assert [p.threshold for p in sweep.points] == list(
-            DEFAULT_THRESHOLD_GRID
-        )
-        for point in sweep.points:
-            matching = match_legacy(
-                make_matcher(code), graph, point.threshold
+    for graph in graphs:
+        for code in ALGORITHM_CODES:
+            sweep = threshold_sweep(make_matcher(code), graph, truth)
+            assert [p.threshold for p in sweep.points] == list(
+                DEFAULT_THRESHOLD_GRID
             )
-            assert point.scores == evaluate_pairs(matching.pairs, truth)
+            for point in sweep.points:
+                matching = match_legacy(
+                    make_matcher(code), graph, point.threshold
+                )
+                assert point.scores == evaluate_pairs(matching.pairs, truth)
 
 
 # ----------------------------------------------------------------------

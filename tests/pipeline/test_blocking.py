@@ -7,7 +7,6 @@ Property guarantees (hypothesis):
 * blocked scoring equals the dense matrix on every retained cell,
 * the prefix filter's upper bounds are admissible — no pair at or
   above the threshold token-set Jaccard is ever pruned,
-* candidate sets are invariant under the kernel thread count,
 * one multi-record ingest equals record-by-record ingests.
 
 Plus digests pinning catalog candidate sets and deterministic coverage
@@ -42,7 +41,6 @@ from repro.pipeline.blocking import (
 )
 from repro.pipeline.engine import SimilarityEngine
 from repro.pipeline.graph_builder import pairs_to_graph
-from repro.pipeline.kernels import kernel_threads
 from repro.pipeline.similarity_functions import SimilarityFunctionSpec
 from repro.pipeline.workbench import GraphCorpusConfig, generate_dirty_corpus
 from repro.textsim.tokenize import character_ngrams, tokens
@@ -166,35 +164,6 @@ class TestPrefixAdmissibility:
                         f"pruned ({x!r}, {y!r}) with Jaccard "
                         f"{jaccard:.3f} >= {threshold}"
                     )
-
-
-class TestDeterminism:
-    @given(lefts=strings, rights=strings)
-    @settings(max_examples=20, deadline=None)
-    def test_invariant_under_thread_count(self, lefts, rights):
-        spec = "tokens:max_df=1+minhash:bands=4,perms=8"
-        base = build_candidate_set(lefts, rights, spec)
-        with kernel_threads(3):
-            threaded = build_candidate_set(lefts, rights, spec)
-        assert np.array_equal(base.left, threaded.left)
-        assert np.array_equal(base.right, threaded.right)
-        assert base.stats == threaded.stats
-
-    def test_engine_scores_invariant_under_threads(self):
-        dataset = _dataset(
-            ["alpha beta", "gamma delta", "alpha gamma"],
-            ["alpha delta", "beta gamma", "alpha beta"],
-        )
-        serial = SimilarityEngine(dataset, blocking="tokens:max_df=1")
-        threaded = SimilarityEngine(
-            dataset, threads=3, blocking="tokens:max_df=1"
-        )
-        for measure in ("levenshtein", "monge_elkan"):
-            spec = _measure_spec(measure)
-            [a] = serial.score([spec])
-            [b] = threaded.score([spec])
-            assert np.array_equal(a.left, b.left)
-            assert np.array_equal(a.values, b.values)
 
 
 def _oracle_keys(text: str, q: int) -> set[str]:

@@ -179,3 +179,11 @@ class TestGrouping:
         keys = {group.key for group in group_specs(_SPECS)}
         assert ("vector", "char", 2) in keys
         assert ("graph", "char", 2) in keys
+
+
+class TestConstruction:
+    def test_no_thread_count(self, dataset):
+        # Kernels run their row blocks in a plain loop; process workers
+        # (``GraphCorpusConfig.workers``) are the only parallelism.
+        with pytest.raises(TypeError):
+            SimilarityEngine(dataset, threads=2)

@@ -3,11 +3,12 @@
 The kernel path (:func:`schema_based_cells` and everything built on
 it, batched RWMD) must be **bit-identical** — ``np.array_equal``, not
 approximately equal — to the frozen bodies of ``tests/oracles`` over
-adversarial inputs and arbitrary cell lists, and invariant under the
-block scheduler's thread count.
+adversarial inputs and arbitrary cell lists.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,13 +24,8 @@ from repro.pipeline.batched_strings import (
     schema_based_cells,
     schema_based_matrix,
 )
-from repro.pipeline.kernels import (
-    UniquePlan,
-    get_kernel_threads,
-    kernel_threads,
-    row_blocks,
-    run_blocks,
-)
+from repro.pipeline import kernels
+from repro.pipeline.kernels import UniquePlan, row_blocks
 from tests.oracles.embeddings import word_mover_similarity_matrix_legacy
 from tests.oracles.strings import (
     LegacyStringBatch,
@@ -108,37 +104,36 @@ class TestUniquePlan:
 class TestBlockScheduler:
     def test_blocks_cover_rows_exactly_once(self):
         for n_rows, weight in ((1, 1), (7, 100), (1000, 5000), (3, 10**9)):
-            blocks = row_blocks(n_rows, weight, threads=3)
+            blocks = row_blocks(n_rows, weight)
             covered = [r for start, stop in blocks for r in range(start, stop)]
             assert covered == list(range(n_rows))
 
     def test_no_rows_no_blocks(self):
         assert row_blocks(0, 10) == []
 
-    def test_run_blocks_deterministic_assembly(self):
-        out = np.zeros(100)
-
-        def kernel(start, stop):
-            out[start:stop] = np.arange(start, stop)
-
-        run_blocks(row_blocks(100, 10**6, threads=4), kernel, threads=4)
-        assert np.array_equal(out, np.arange(100.0))
-
-    def test_run_blocks_propagates_errors(self):
-        def kernel(start, stop):
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            run_blocks([(0, 1), (1, 2)], kernel, threads=2)
-
-    def test_kernel_threads_scope(self):
-        assert get_kernel_threads() == 1
-        with kernel_threads(4):
-            assert get_kernel_threads() == 4
-            with kernel_threads(2):
-                assert get_kernel_threads() == 2
-            assert get_kernel_threads() == 4
-        assert get_kernel_threads() == 1
+    @pytest.mark.parametrize(
+        "n_rows, weight",
+        [
+            (1, 1),
+            (7, 100),
+            (1000, 5000),
+            (3, 10**9),
+            (2**20, 1),
+            (1025, 512),
+            (10**6, 3),
+        ],
+    )
+    def test_blocks_are_maximal_within_target(self, n_rows, weight):
+        # The tiling bounds the live DP slabs: a block costs at most the
+        # target unless it is a single row, and every block but the last
+        # would exceed the target with one more row.
+        target = kernels._TARGET_BLOCK_CELLS
+        blocks = row_blocks(n_rows, weight)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n_rows
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        sizes = [stop - start for start, stop in blocks]
+        assert all(size == 1 or size * weight <= target for size in sizes)
+        assert all((size + 1) * weight > target for size in sizes[:-1])
 
 
 class TestSchemaBasedDifferential:
@@ -165,21 +160,14 @@ class TestSchemaBasedDifferential:
         assert np.array_equal(new, legacy)
 
     @pytest.mark.parametrize("measure", SCHEMA_BASED_MEASURES)
-    def test_workers_invariance(self, measure):
-        lefts, rights = ADVERSARIAL_CASES[1]
-        serial = schema_based_matrix(lefts, rights, measure)
-        with kernel_threads(3):
-            threaded = schema_based_matrix(lefts, rights, measure)
-        assert np.array_equal(serial, threaded), measure
-
-    @pytest.mark.parametrize("threads", [1, 3])
-    @pytest.mark.parametrize("measure", SCHEMA_BASED_MEASURES)
     @given(data=st.data())
     @settings(max_examples=10, deadline=None)
-    def test_cell_lists_match_legacy(self, measure, threads, data):
+    def test_cell_lists_match_legacy(self, measure, data):
         # Whole-row calls broadcast the right side, cell lists gather
         # it per cell; both must equal the legacy matrix at every cell,
-        # whatever the order, duplication or mix of the cells.
+        # whatever the order, duplication or mix of the cells, and
+        # whether the call runs as one row block or as one block per
+        # row (these inputs are far below the default block size).
         lefts, rights = data.draw(cell_strings), data.draw(cell_strings)
         batch = StringBatch(lefts, rights)
         plan = batch.plan
@@ -200,7 +188,8 @@ class TestSchemaBasedDifferential:
         rows = np.asarray(rows, dtype=np.intp)
         cell_left = np.asarray([u for u, _ in cells], dtype=np.intp)
         cell_right = np.asarray([v for _, v in cells], dtype=np.intp)
-        with kernel_threads(threads):
+        target = data.draw(st.sampled_from([kernels._TARGET_BLOCK_CELLS, 1]))
+        with mock.patch.object(kernels, "_TARGET_BLOCK_CELLS", target):
             by_rows = schema_based_cells(batch, measure, rows)
             by_cells = schema_based_cells(
                 batch, measure, cell_left, cell_right
@@ -215,6 +204,89 @@ class TestSchemaBasedDifferential:
             fresh = schema_based_matrix(lefts, rights, measure)
             shared = schema_based_matrix(lefts, rights, measure, batch)
             assert np.array_equal(fresh, shared), measure
+
+
+#: The measures whose kernels tile their rows with :func:`row_blocks`:
+#: the integer DPs and Jaro on encoded strings, and Monge-Elkan through
+#: its Smith-Waterman grid.
+ROW_BLOCKED_MEASURES = (
+    "levenshtein",
+    "damerau_levenshtein",
+    "jaro",
+    "needleman_wunsch",
+    "lcs_substring",
+    "lcs_subsequence",
+    "monge_elkan",
+)
+
+
+class TestRowTiling:
+    """One row per block must score every cell as the default tiling
+    does, bit for bit."""
+
+    @staticmethod
+    def _one_row_blocks(monkeypatch) -> list:
+        """Force one row per block and record every tiling made."""
+        tilings = []
+
+        def recording(n_rows, row_weight):
+            tiling = row_blocks(n_rows, row_weight)
+            tilings.append(tiling)
+            return tiling
+
+        monkeypatch.setattr(kernels, "_TARGET_BLOCK_CELLS", 1)
+        monkeypatch.setattr(kernels, "row_blocks", recording)
+        return tilings
+
+    @pytest.mark.parametrize("measure", ROW_BLOCKED_MEASURES)
+    def test_one_row_per_block_equals_legacy(self, measure, monkeypatch):
+        tilings = self._one_row_blocks(monkeypatch)
+        for lefts, rights in ADVERSARIAL_CASES:
+            batch = StringBatch(lefts, rights)
+            legacy = schema_based_matrix_legacy(lefts, rights, measure)
+            assert np.array_equal(
+                schema_based_matrix(lefts, rights, measure, batch), legacy
+            )
+            # The whole unique grid as one cell list, last cell first.
+            n_rows, n_cols = batch.plan.unique_shape
+            cell_left, cell_right = np.divmod(
+                np.arange(n_rows * n_cols)[::-1], max(n_cols, 1)
+            )
+            unique = legacy[
+                np.ix_(batch.plan.left_index, batch.plan.right_index)
+            ]
+            assert np.array_equal(
+                schema_based_cells(batch, measure, cell_left, cell_right),
+                unique[cell_left, cell_right],
+            )
+        assert all(
+            stop - start == 1 for tiling in tilings for start, stop in tiling
+        )
+        assert max(len(tiling) for tiling in tilings) > 1
+
+    def test_engine_edges_unchanged_by_one_row_blocks(self, monkeypatch):
+        from repro.datasets.catalog import dataset_spec
+        from repro.datasets.generator import generate_dataset
+        from repro.pipeline import SimilarityEngine, enumerate_functions
+
+        dataset = generate_dataset(
+            dataset_spec("d1", scale=0.04, max_pairs=2_000), seed=11
+        )
+        specs = list(
+            enumerate_functions(
+                dataset,
+                families=("schema_based_syntactic",),
+                max_attributes=1,
+            )
+        )
+        default = SimilarityEngine(dataset).score(specs)
+        tilings = self._one_row_blocks(monkeypatch)
+        tiled = SimilarityEngine(dataset).score(specs)
+        assert max(len(tiling) for tiling in tilings) > 1
+        assert len(default) == len(tiled) == len(specs)
+        for a, b in zip(default, tiled):
+            for x, y in zip(a.edges, b.edges):
+                assert np.array_equal(x, y)
 
 
 class TestRwmdDifferential:
@@ -336,32 +408,8 @@ class TestRwmdTiling:
             assert len(blocks) >= pairs
 
 
-class TestEngineThreadInvariance:
-    def test_engine_threads_do_not_change_matrices(self):
-        from repro.datasets.catalog import dataset_spec
-        from repro.datasets.generator import generate_dataset
-        from repro.pipeline import SimilarityEngine, enumerate_functions
-
-        dataset = generate_dataset(
-            dataset_spec("d1", scale=0.04, max_pairs=2_000), seed=11
-        )
-        specs = [
-            spec
-            for spec in enumerate_functions(
-                dataset,
-                families=("schema_based_syntactic",),
-                max_attributes=1,
-            )
-        ]
-        serial = SimilarityEngine(dataset, threads=1)
-        threaded = SimilarityEngine(dataset, threads=3)
-        for a, b in zip(serial.score(specs), threaded.score(specs)):
-            for x, y in zip(a.edges, b.edges):
-                assert np.array_equal(x, y)
-
-
-class TestPairwiseMinSumThreading:
-    """The CSC column sweep threaded through the block scheduler."""
+class TestPairwiseMinSum:
+    """The CSC column sweep behind Generalized Jaccard."""
 
     def _matrices(self, seed=11):
         from scipy import sparse
@@ -407,30 +455,56 @@ class TestPairwiseMinSumThreading:
             pairwise_min_sum(left, right), self._reference(left, right)
         )
 
-    @pytest.mark.parametrize("threads", [1, 2, 3, 7])
-    def test_thread_invariance(self, threads):
+    @staticmethod
+    def _counts(label):
+        """Integer count matrices of one edge shape, as CSR."""
+        from scipy import sparse
+
+        rng = np.random.default_rng(5)
+        left = rng.integers(0, 4, size=(7, 9)).astype(float)
+        right = rng.integers(0, 4, size=(5, 9)).astype(float)
+        if label == "no_left_rows":
+            left = left[:0]
+        elif label == "no_right_rows":
+            right = right[:0]
+        elif label == "disjoint_columns":
+            left[:, 4:] = 0.0
+            right[:, :4] = 0.0
+        elif label == "one_column":
+            left, right = left[:, :1], right[:, :1]
+        elif label == "empty_rows":
+            left[::2] = 0.0
+            right[1] = 0.0
+        left, right = sparse.csr_matrix(left), sparse.csr_matrix(right)
+        if label == "stored_zeros":
+            left.data[::2] = 0.0
+            right.data[1::3] = 0.0
+        return left, right
+
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "no_left_rows",
+            "no_right_rows",
+            "disjoint_columns",
+            "one_column",
+            "empty_rows",
+            "stored_zeros",
+        ],
+    )
+    def test_edge_shapes_equal_dense_minimum(self, label):
+        # Integer counts sum exactly in any order, so the dense
+        # all-pairs minimum is an exact oracle here.
         from repro.vectorspace.measures import pairwise_min_sum
 
-        left, right = self._matrices()
-        reference = self._reference(left, right)
-        assert np.array_equal(
-            pairwise_min_sum(left, right, threads=threads), reference
-        )
-        with kernel_threads(threads):
-            assert np.array_equal(
-                pairwise_min_sum(left, right), reference
-            )
-
-    def test_generalized_jaccard_thread_invariant(self):
-        from repro.vectorspace import build_vector_models
-        from repro.vectorspace.measures import generalized_jaccard_matrix
-
-        texts_left = [f"alpha beta gamma {i % 7}" for i in range(40)]
-        texts_right = [f"beta delta {i % 5} gamma" for i in range(30)]
-        left, right = build_vector_models(
-            texts_left, texts_right, n=1, unit="token", weighting="tf"
-        )
-        serial = generalized_jaccard_matrix(left, right)
-        with kernel_threads(4):
-            threaded = generalized_jaccard_matrix(left, right)
-        assert np.array_equal(serial, threaded)
+        left, right = self._counts(label)
+        dense_left, dense_right = left.toarray(), right.toarray()
+        expected = np.minimum(
+            dense_left[:, None, :], dense_right[None, :, :]
+        ).sum(axis=2)
+        result = pairwise_min_sum(left, right)
+        assert result.shape == (left.shape[0], right.shape[0])
+        assert np.array_equal(result, expected)
+        assert np.array_equal(result, self._reference(left, right))
+        if label == "disjoint_columns":
+            assert not result.any()

@@ -389,6 +389,15 @@ def _assert_same_records(first, second):
         assert np.array_equal(a.graph.weight, b.graph.weight)
 
 
+def _written(cache):
+    """Modification stamp of every file directly in ``cache``."""
+    return {
+        file.name: file.stat().st_mtime_ns
+        for file in cache.iterdir()
+        if file.is_file()
+    }
+
+
 class TestCorpusResilience:
     @pytest.fixture(scope="class")
     def clean(self):
@@ -611,20 +620,62 @@ class TestCorpusResilience:
         assert str(path) in line
         assert (cache / "quarantine" / name).stat().st_size == torn
 
-        def written():
-            return {
-                file.name: file.stat().st_mtime_ns
-                for file in cache.iterdir()
-                if file.is_file()
-            }
-
         # The rewritten cache is whole: the next run loads it as is.
-        before = written()
+        before = _written(cache)
         assert path.name in before
         loaded = generate_corpus(CORPUS_CONFIG, cache_dir=tmp_path)
         _assert_same_records(clean, loaded)
-        assert written() == before
+        assert _written(cache) == before
         assert capsys.readouterr().err == ""
+
+    def test_missing_corpus_cache_file_regenerates(
+        self, clean, tmp_path, capsys
+    ):
+        """A graph file the manifest names but the cache lacks is a
+        miss too: said in one stderr line, nothing quarantined, and the
+        corpus regenerated into a whole cache."""
+        generate_corpus(CORPUS_CONFIG, cache_dir=tmp_path)
+        (manifest,) = tmp_path.glob("*/manifest.json")
+        cache = manifest.parent
+        path = cache / "graph_0001.npz"
+        path.unlink()
+        capsys.readouterr()
+        recovered = generate_corpus(CORPUS_CONFIG, cache_dir=tmp_path)
+        _assert_same_records(clean, recovered)
+        (line,) = capsys.readouterr().err.splitlines()
+        assert str(path) in line
+        assert not (cache / "quarantine").exists()
+
+        before = _written(cache)
+        assert path.name in before
+        loaded = generate_corpus(CORPUS_CONFIG, cache_dir=tmp_path)
+        _assert_same_records(clean, loaded)
+        assert _written(cache) == before
+        assert capsys.readouterr().err == ""
+
+    def test_missing_dirty_corpus_cache_file_regenerates(
+        self, tmp_path, capsys
+    ):
+        """The self-join corpus reads its cache through the same
+        loader: its last graph file missing is a miss as well."""
+        from repro.pipeline.workbench import generate_dirty_corpus
+
+        first = generate_dirty_corpus(CORPUS_CONFIG, cache_dir=tmp_path)
+        (manifest,) = tmp_path.glob("*/manifest.json")
+        path = manifest.parent / f"graph_{len(first) - 1:04d}.npz"
+        path.unlink()
+        capsys.readouterr()
+        recovered = generate_dirty_corpus(CORPUS_CONFIG, cache_dir=tmp_path)
+        (line,) = capsys.readouterr().err.splitlines()
+        assert str(path) in line
+        assert path.exists()
+        assert not (manifest.parent / "quarantine").exists()
+        assert len(recovered) == len(first)
+        for a, b in zip(first, recovered):
+            assert a.ground_truth == b.ground_truth
+            assert np.array_equal(a.graph.u, b.graph.u)
+            assert np.array_equal(a.graph.v, b.graph.v)
+            assert np.array_equal(a.graph.weight, b.graph.weight)
 
 
 # ----------------------------------------------------------------------

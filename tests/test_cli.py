@@ -254,6 +254,44 @@ class TestShardCommand:
         assert "--shards" in capsys.readouterr().err
 
 
+_WORKERS_COMMANDS = pytest.mark.parametrize(
+    "command",
+    [["sweep", "g.csv", "t.csv"], ["experiments"], ["corpus"], ["dirty-er"]],
+    ids=["sweep", "experiments", "corpus", "dirty-er"],
+)
+
+
+class TestWorkersFlag:
+    """``--workers`` counts process workers: a count below 1 exits 2
+    at parse time, naming the value.  Only parsing is tested, so no
+    worker process starts."""
+
+    @_WORKERS_COMMANDS
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_count_below_one_is_a_usage_error(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*command, "--workers", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err
+        assert f"got {value}" in err
+
+    @_WORKERS_COMMANDS
+    def test_non_integer_count_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*command, "-j", "1.5"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err
+        assert "invalid int value: '1.5'" in err
+
+    @_WORKERS_COMMANDS
+    def test_count_parses_to_an_int(self, command):
+        parser = build_parser()
+        assert parser.parse_args([*command, "-j", "2"]).workers == 2
+        assert parser.parse_args(command).workers is None
+
+
 class TestServeCommand:
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_max_batch_must_be_a_positive_int(self, value, capsys):
